@@ -4,7 +4,7 @@ module Assignment = Qbpart_partition.Assignment
 
 type t = {
   nl : Netlist.t;
-  topo : Topology.t;
+  bf : float array;           (* B, flat row-major: b(i1, i2) at i1*m + i2 *)
   p : float array array option;
   alpha : float;
   beta : float;
@@ -17,29 +17,36 @@ type t = {
 (* Objective convention: the wire j--j' contributes
    beta * w * b(pos(min), pos(max)); the b argument order follows the
    evaluator's canonical endpoint order, so gains stay exact even for
-   an asymmetric B matrix. *)
+   an asymmetric B matrix.  The per-partition loops below inline this
+   term over the flat B (a float returned by a call is boxed). *)
 let wire_term t j j' w ~at ~at' =
-  if j < j' then t.beta *. w *. Topology.b t.topo at at'
-  else t.beta *. w *. Topology.b t.topo at' at
-
-let lin_term t j i =
-  match t.p with None -> 0.0 | Some p -> t.alpha *. p.(i).(j)
+  if j < j' then t.beta *. w *. t.bf.((at * t.m) + at')
+  else t.beta *. w *. t.bf.((at' * t.m) + at)
 
 (* Absolute cost of placing j at i against the current positions of
    everything else. *)
 let cost_row t j row =
-  for i = 0 to t.m - 1 do
-    row.(i) <- lin_term t j i
-  done;
+  let m = t.m and bf = t.bf and beta = t.beta in
+  (match t.p with
+  | None -> Array.fill row 0 m 0.0
+  | Some p ->
+    for i = 0 to m - 1 do
+      row.(i) <- t.alpha *. p.(i).(j)
+    done);
   let xadj = Netlist.adj_offsets t.nl in
   let anbr = Netlist.adj_targets t.nl in
   let awgt = Netlist.adj_weights t.nl in
   for k = xadj.(j) to xadj.(j + 1) - 1 do
     let j' = anbr.(k) and w = awgt.(k) in
     let at' = t.a.(j') in
-    for i = 0 to t.m - 1 do
-      row.(i) <- row.(i) +. wire_term t j j' w ~at:i ~at':at'
-    done
+    if j < j' then
+      for i = 0 to m - 1 do
+        row.(i) <- row.(i) +. (beta *. w *. bf.((i * m) + at'))
+      done
+    else
+      for i = 0 to m - 1 do
+        row.(i) <- row.(i) +. (beta *. w *. bf.((at' * m) + i))
+      done
   done
 
 let refresh_row t j =
@@ -56,7 +63,7 @@ let create ?p ?(alpha = 1.0) ?(beta = 1.0) nl topo a =
   let t =
     {
       nl;
-      topo;
+      bf = Topology.b_flat topo;
       p;
       alpha;
       beta;
@@ -106,7 +113,10 @@ let apply_move t ~j ~target =
     for i = 0 to t.m - 1 do
       row.(i) <- row.(i) -. own
     done;
-    (* neighbors see the wire endpoint move from [from] to [target] *)
+    (* neighbors see the wire endpoint move from [from] to [target]:
+       row'.(i) gains shift(i) - shift(at'), where shift(i) is the
+       change of the wire term with j' at i *)
+    let m = t.m and bf = t.bf and beta = t.beta in
     let xadj = Netlist.adj_offsets t.nl in
     let anbr = Netlist.adj_targets t.nl in
     let awgt = Netlist.adj_weights t.nl in
@@ -114,11 +124,28 @@ let apply_move t ~j ~target =
       let j' = anbr.(k) and w = awgt.(k) in
       let row' = t.delta.(j') in
       let at' = t.a.(j') in
-      let shift i = wire_term t j' j w ~at:i ~at':target -. wire_term t j' j w ~at:i ~at':from in
-      let base = shift at' in
-      for i = 0 to t.m - 1 do
-        row'.(i) <- row'.(i) +. shift i -. base
-      done
+      if j' < j then begin
+        let base =
+          (beta *. w *. bf.((at' * m) + target)) -. (beta *. w *. bf.((at' * m) + from))
+        in
+        for i = 0 to m - 1 do
+          row'.(i) <-
+            row'.(i)
+            +. ((beta *. w *. bf.((i * m) + target)) -. (beta *. w *. bf.((i * m) + from)))
+            -. base
+        done
+      end
+      else begin
+        let base =
+          (beta *. w *. bf.((target * m) + at')) -. (beta *. w *. bf.((from * m) + at'))
+        in
+        for i = 0 to m - 1 do
+          row'.(i) <-
+            row'.(i)
+            +. ((beta *. w *. bf.((target * m) + i)) -. (beta *. w *. bf.((from * m) + i)))
+            -. base
+        done
+      end
     done
   end
 

@@ -15,11 +15,47 @@ type t = {
   weight : float array;
   capacity : float array;
   owner : int option;
+  by_weight : int array;
+  order_of : int array;
 }
 
 let index t ~i ~j = (j * t.m) + i
 let cost_at t ~i ~j = t.cost.((j * t.m) + i)
 let weight_at t ~i ~j = t.weight.((j * t.m) + i)
+
+(* The per-knapsack weight orders behind MTHG's refresh cascade: item
+   ids sorted by w_ij descending (ties by id), one block of [n] per
+   distinct weight column, with [order_of.(i)] the offset of knapsack
+   [i]'s block.  Knapsacks whose weight columns are identical share
+   one block — under w_ij = s_j every knapsack shares the first.
+   Built eagerly by every constructor, never lazily: race legs read
+   [fan_out] views of one instance from several domains at once. *)
+let weight_orders ~m ~n weight =
+  let same_column i i' =
+    let rec go j = j >= n || (weight.((j * m) + i) = weight.((j * m) + i') && go (j + 1)) in
+    go 0
+  in
+  (* [reps]: (first knapsack, block offset) of each distinct column *)
+  let reps = ref [] in
+  let order_of =
+    Array.init m (fun i ->
+        match List.find_opt (fun (rep, _) -> same_column rep i) !reps with
+        | Some (_, off) -> off
+        | None ->
+          let off = List.length !reps * n in
+          reps := (i, off) :: !reps;
+          off)
+  in
+  let by_weight = Array.make (List.length !reps * n) 0 in
+  List.iter
+    (fun (i, off) ->
+      let block = Array.init n Fun.id in
+      Array.stable_sort
+        (fun a b -> Float.compare weight.((b * m) + i) weight.((a * m) + i))
+        block;
+      Array.blit block 0 by_weight off n)
+    !reps;
+  (by_weight, order_of)
 
 let check_matrix what m n mat =
   if Array.length mat <> m then
@@ -65,13 +101,17 @@ let make ~cost ~weight ~capacity =
       if c < 0.0 || Float.is_nan c then
         invalid_arg (Printf.sprintf "Gap.make: capacity %d = %g" i c))
     capacity;
+  let weight = flatten m n weight in
+  let by_weight, order_of = weight_orders ~m ~n weight in
   {
     m;
     n;
     cost = flatten m n cost;
-    weight = flatten m n weight;
+    weight;
     capacity = Array.copy capacity;
     owner = None;
+    by_weight;
+    order_of;
   }
 
 let uniform_weights ~sizes ~m =
@@ -99,13 +139,17 @@ let make_uniform ~cost ~sizes ~capacity =
       if c < 0.0 || Float.is_nan c then
         invalid_arg (Printf.sprintf "Gap.make: capacity %d = %g" i c))
     capacity;
+  let weight = uniform_weights ~sizes ~m in
+  let by_weight, order_of = weight_orders ~m ~n weight in
   {
     m;
     n;
     cost = flatten m n cost;
-    weight = uniform_weights ~sizes ~m;
+    weight;
     capacity = Array.copy capacity;
     owner = None;
+    by_weight;
+    order_of;
   }
 
 (* Zero-copy constructor for solver hot loops: the caller keeps
@@ -121,7 +165,8 @@ let borrow ~cost ~weight ~capacity ~n =
   if n < 0 then invalid_arg "Gap.borrow: negative item count";
   if Array.length cost <> m * n || Array.length weight <> m * n then
     invalid_arg "Gap.borrow: cost/weight must be flat item-major arrays of length m*n";
-  { m; n; cost; weight; capacity; owner = Some (Domain.self () :> int) }
+  let by_weight, order_of = weight_orders ~m ~n weight in
+  { m; n; cost; weight; capacity; owner = Some (Domain.self () :> int); by_weight; order_of }
 
 let refresh_cost t src =
   if Array.length src <> t.m * t.n then invalid_arg "Gap.refresh_cost: wrong length";
@@ -146,9 +191,11 @@ let verify_domain t =
            d self)
 
 let cost_of t a =
-  let m = t.m in
+  let m = t.m and cost = t.cost in
   let total = ref 0.0 in
-  Array.iteri (fun j i -> total := !total +. t.cost.((j * m) + i)) a;
+  for j = 0 to Array.length a - 1 do
+    total := !total +. cost.((j * m) + a.(j))
+  done;
   !total
 
 let loads t a =

@@ -12,6 +12,12 @@
     Weights may depend on the knapsack ({m w_{ij}}), as in the GAP
     literature; the partitioning use-case has {m w_{ij} = s_j}.
 
+    Every constructor also sorts the items by weight once per distinct
+    weight column ([by_weight]/[order_of]): {!Mthg}'s refresh cascade
+    walks that order with a cursor per knapsack.  The orders are built
+    eagerly, never on first use, because {!fan_out} views of one
+    instance are read from several domains at once.
+
     {b Storage is flat and unboxed}: cost and weight are single
     [float array]s in {e item-major} order — entry {m (i, j)} lives at
     index {m j·m + i}.  Every hot loop of {!Mthg}, {!Improve} and
@@ -31,6 +37,14 @@ type t = private {
   owner : int option;
       (** the {!Domain} that [borrow]ed the aliased buffers; [None]
           for [make]'s owned copies *)
+  by_weight : int array;
+      (** item ids sorted by {m w_{ij}} descending (ties by id), one
+          block of [n] per distinct weight column *)
+  order_of : int array;
+      (** length [m]: offset of knapsack [i]'s block in [by_weight].
+          Knapsacks with identical weight columns share one block, so
+          the partitioning case {m w_{ij} = s_j} stores a single
+          order. *)
 }
 
 val index : t -> i:int -> j:int -> int
@@ -73,7 +87,9 @@ val borrow :
     simply aliasing a buffer the caller already maintains, like the
     Burkard eta vector — and re-solving avoids the per-call copy and
     validation of two {m m×n} matrices.  The caller owns the
-    invariants ([make]'s positivity/NaN checks are skipped).  The
+    invariants ([make]'s positivity/NaN checks are skipped), and must
+    not change [weight] while the instance is in use: the weight
+    orders are sorted here, once.  The
     instance remembers the calling domain: the aliased buffers are
     single-domain scratch space (each portfolio start builds its own),
     and {!verify_domain} enforces that at every MTHG entry point.

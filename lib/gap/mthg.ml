@@ -23,17 +23,16 @@ type workspace = {
   ws_m : int;
   ws_n : int;
   residual : float array;   (* m: residual capacities during construction *)
-  f1 : float array;         (* n: best feasible desirability per item *)
-  f2 : float array;         (* n: second best *)
+  cursor : int array;       (* m: position in the knapsack's weight order *)
+  regret : float array;     (* n: f2 - f1 of the cached top-2 (infinity if < 2 fit) *)
   i1 : int array;           (* n: argbest *)
   i2 : int array;           (* n: arg second best *)
   trial : int array;        (* n: construction in progress *)
   out : int array;          (* n: champion across criteria / result *)
-  order : int array;        (* n: relaxed_fill placement order / cascade scratch *)
+  order : int array;        (* n: relaxed_fill placement order *)
   key : float array;        (* n: relaxed_fill sort keys *)
-  sub_head : int array;     (* m: head of knapsack's subscriber list, -1 = empty *)
-  sub_next : int array;     (* 2n: cell 2j = item j via i1(j), 2j+1 via i2(j) *)
-  sub_prev : int array;     (* 2n *)
+  mutable desir : float array;   (* m*n desirabilities, for criteria that are not a matrix *)
+  mutable no_fit : int;          (* unassigned items that fit nowhere *)
   mutable heap_r : float array;  (* lazy max-heap of (regret, item) entries *)
   mutable heap_j : int array;
   mutable heap_len : int;
@@ -45,17 +44,16 @@ let workspace ~m ~n =
     ws_m = m;
     ws_n = n;
     residual = Array.make m 0.0;
-    f1 = Array.make n infinity;
-    f2 = Array.make n infinity;
+    cursor = Array.make m 0;
+    regret = Array.make n infinity;
     i1 = Array.make n (-1);
     i2 = Array.make n (-1);
     trial = Array.make n (-1);
     out = Array.make n (-1);
     order = Array.make n 0;
     key = Array.make n 0.0;
-    sub_head = Array.make m (-1);
-    sub_next = Array.make (2 * n) (-1);
-    sub_prev = Array.make (2 * n) (-1);
+    desir = [||];
+    no_fit = 0;
     heap_r = Array.make (max 1 n) 0.0;
     heap_j = Array.make (max 1 n) 0;
     heap_len = 0;
@@ -71,6 +69,123 @@ let ensure_ws ws (g : Gap.t) =
            g.Gap.m g.Gap.n);
     ws
 
+(* The desirability matrix of one construction, flat item-major like
+   the instance: [Cost] and [Weight] are the instance's own arrays; the
+   two derived criteria are filled into the workspace once, with the
+   same float operation per cell as [desirability]. *)
+let desirabilities (g : Gap.t) ws criterion =
+  match criterion with
+  | Cost -> g.Gap.cost
+  | Weight -> g.Gap.weight
+  | Cost_times_weight | Weight_per_capacity ->
+    let { Gap.m; n; _ } = g in
+    if Array.length ws.desir < m * n then ws.desir <- Array.make (m * n) 0.0;
+    let d = ws.desir in
+    for j = 0 to n - 1 do
+      for i = 0 to m - 1 do
+        d.((j * m) + i) <- desirability g criterion i j
+      done
+    done;
+    d
+
+(* The selection heap is a lazy max-heap of (regret, item) entries,
+   4-ary with hole-based sifting: the element under placement rides in
+   registers while parents/children shift into the hole, so each level
+   costs loads plus one store instead of a full swap, and the tree is
+   half as deep as a binary heap's.  Pop order depends only on the
+   entry multiset and the (regret desc, item asc) total order, never
+   on the heap's internal shape.  A pushed entry carries the item's
+   current [regret]. *)
+let heap_push ws j =
+  let r = ws.regret.(j) in
+  let len = ws.heap_len in
+  if len = Array.length ws.heap_j then begin
+    let cap = max 8 (2 * len) in
+    let nr = Array.make cap 0.0 and nj = Array.make cap 0 in
+    Array.blit ws.heap_r 0 nr 0 len;
+    Array.blit ws.heap_j 0 nj 0 len;
+    ws.heap_r <- nr;
+    ws.heap_j <- nj
+  end;
+  let hr = ws.heap_r and hj = ws.heap_j in
+  ws.heap_len <- len + 1;
+  let k = ref len in
+  let continue = ref true in
+  while !continue && !k > 0 do
+    let p = (!k - 1) / 4 in
+    if r > hr.(p) || (r = hr.(p) && j < hj.(p)) then begin
+      hr.(!k) <- hr.(p);
+      hj.(!k) <- hj.(p);
+      k := p
+    end
+    else continue := false
+  done;
+  hr.(!k) <- r;
+  hj.(!k) <- j
+
+(* Remove the root; the caller reads [heap_r.(0)]/[heap_j.(0)] first. *)
+let heap_pop ws =
+  let hr = ws.heap_r and hj = ws.heap_j in
+  let len = ws.heap_len - 1 in
+  ws.heap_len <- len;
+  if len > 0 then begin
+    let r = hr.(len) and j = hj.(len) in
+    let k = ref 0 in
+    let continue = ref true in
+    while !continue do
+      let c0 = (4 * !k) + 1 in
+      if c0 >= len then continue := false
+      else begin
+        let last = min (c0 + 3) (len - 1) in
+        let b = ref c0 in
+        for c = c0 + 1 to last do
+          if hr.(c) > hr.(!b) || (hr.(c) = hr.(!b) && hj.(c) < hj.(!b)) then b := c
+        done;
+        if hr.(!b) > r || (hr.(!b) = r && hj.(!b) < j) then begin
+          hr.(!k) <- hr.(!b);
+          hj.(!k) <- hj.(!b);
+          k := !b
+        end
+        else continue := false
+      end
+    done;
+    hr.(!k) <- r;
+    hj.(!k) <- j
+  end
+
+(* Recompute item [j]'s best and second-best feasible desirability.
+   [cascade]: the item was already on the heap (a refresh after a
+   placement, not the initial build).  An unchanged regret keeps its
+   existing heap entry valid (validity is checked against the current
+   regret on pop), so refreshes that only reshuffle the argknapsacks —
+   the common case under tie-heavy criteria — push nothing. *)
+let refresh (g : Gap.t) ws desir ~cascade j =
+  let m = g.Gap.m and weight = g.Gap.weight and residual = ws.residual in
+  let old_r = ws.regret.(j) in
+  let base = j * m in
+  let f1 = ref infinity and f2 = ref infinity and b1 = ref (-1) and b2 = ref (-1) in
+  for i = 0 to m - 1 do
+    if weight.(base + i) <= residual.(i) then begin
+      let f = desir.(base + i) in
+      if f < !f1 then begin
+        f2 := !f1;
+        b2 := !b1;
+        f1 := f;
+        b1 := i
+      end
+      else if f < !f2 then begin
+        f2 := f;
+        b2 := i
+      end
+    end
+  done;
+  ws.i1.(j) <- !b1;
+  ws.i2.(j) <- !b2;
+  let r = if !f2 = infinity then infinity else !f2 -. !f1 in
+  ws.regret.(j) <- r;
+  if !b1 = -1 then ws.no_fit <- ws.no_fit + 1
+  else if not (cascade && r = old_r) then heap_push ws j
+
 (* Greedy regret construction.  For each unassigned item we track its
    best and second-best feasible desirability; the item with the
    largest regret is committed first, so items that are about to lose
@@ -83,223 +198,69 @@ let ensure_ws ws (g : Gap.t) =
    have room the cached pair is exact.  (A knapsack outside the top
    two that becomes infeasible cannot affect the top two either.)
 
-   Two structures keep the loop out of the quadratic regime the plain
-   scans paid (the measured hot spot at ~1 ms per STEP-4/6 call):
+   Selection pops the lazy heap: regret changes only on refresh, and
+   every refresh that changes it pushes a fresh entry, so the top
+   valid entry is always the true maximum; stale entries (item already
+   placed, or regret no longer current) are dropped on pop.
 
-   - Selection is a lazy max-heap of (regret, item) entries ordered by
-     (regret desc, item asc) — exactly the order the old linear scan
-     realized with its strict-improvement sweep.  Regret changes only
-     on refresh, and every refresh pushes a fresh entry, so the top
-     valid entry is always the true maximum; stale entries (item
-     already placed, or regret no longer current) are dropped on pop.
-   - Each unassigned item subscribes to its top-2 knapsacks on
-     intrusive doubly-linked lists (cell 2j via i1, 2j+1 via i2), so a
-     placement into knapsack [i] walks only [i]'s subscribers instead
-     of rescanning all n items for the refresh cascade.
-
-   The construction order — and therefore the result, bit for bit —
-   is unchanged; only the bookkeeping is. *)
+   The refresh cascade walks the instance's per-knapsack weight order
+   (heaviest first) with one cursor per knapsack.  A placement into
+   [i] lowers its residual, and the items it pushes out of [i] are
+   exactly the next run of that order whose weight now exceeds the
+   residual; of those, the unassigned ones holding [i] in their top
+   two are refreshed.  Those are all the items that hold [i] in
+   their top two and no longer fit it (such an item still fitted [i]
+   before this placement, or an earlier one would have refreshed it),
+   and each knapsack's cursor crosses every item at most once per
+   construction: O(n·m) per construction even when the criterion ties
+   every item onto the same two knapsacks, as [Weight] does under
+   w_ij = s_j, where a per-knapsack list of the items holding it would
+   be walked in full, Θ(n), at every placement.  Refresh order cannot
+   change the result: the pushed entries are the same, and the heap's
+   pop order depends only on its entry multiset (DESIGN.md D14). *)
 let construct_into ?(criterion = Cost) (g : Gap.t) ws assignment =
   let { Gap.m; n; _ } = g in
-  let weight = g.Gap.weight in
-  let residual = ws.residual and f1 = ws.f1 and f2 = ws.f2 and i1 = ws.i1 and i2 = ws.i2 in
-  let sub_head = ws.sub_head and sub_next = ws.sub_next and sub_prev = ws.sub_prev in
+  let weight = g.Gap.weight and by_weight = g.Gap.by_weight in
+  let residual = ws.residual and i1 = ws.i1 and i2 = ws.i2 and regret = ws.regret in
+  let desir = desirabilities g ws criterion in
   Array.blit g.Gap.capacity 0 residual 0 m;
+  Array.fill ws.cursor 0 m 0;
   Array.fill assignment 0 n (-1);
-  Array.fill sub_head 0 m (-1);
   ws.heap_len <- 0;
-  (* unassigned items with no fitting knapsack: any such item aborts
-     the construction, exactly like the old full-scan stuck check *)
-  let no_fit = ref 0 in
-  let regret_of j = if f2.(j) = infinity then infinity else f2.(j) -. f1.(j) in
-  (* The heap is 4-ary with hole-based sifting: the element under
-     placement rides in registers while parents/children shift into
-     the hole, so each level costs loads plus one store instead of a
-     full swap, and the tree is half as deep as a binary heap's.  Pop
-     order depends only on the entry multiset and the (regret desc,
-     item asc) total order, never on the heap's internal shape. *)
-  let push r j =
-    let len = ws.heap_len in
-    if len = Array.length ws.heap_j then begin
-      let cap = max 8 (2 * len) in
-      let nr = Array.make cap 0.0 and nj = Array.make cap 0 in
-      Array.blit ws.heap_r 0 nr 0 len;
-      Array.blit ws.heap_j 0 nj 0 len;
-      ws.heap_r <- nr;
-      ws.heap_j <- nj
-    end;
-    let hr = ws.heap_r and hj = ws.heap_j in
-    ws.heap_len <- len + 1;
-    let k = ref len in
-    let continue = ref true in
-    while !continue && !k > 0 do
-      let p = (!k - 1) / 4 in
-      if r > hr.(p) || (r = hr.(p) && j < hj.(p)) then begin
-        hr.(!k) <- hr.(p);
-        hj.(!k) <- hj.(p);
-        k := p
-      end
-      else continue := false
-    done;
-    hr.(!k) <- r;
-    hj.(!k) <- j
-  in
-  let pop_r = ref 0.0 and pop_j = ref 0 in
-  let pop () =
-    let hr = ws.heap_r and hj = ws.heap_j in
-    pop_r := hr.(0);
-    pop_j := hj.(0);
-    let len = ws.heap_len - 1 in
-    ws.heap_len <- len;
-    if len > 0 then begin
-      let r = hr.(len) and j = hj.(len) in
-      let k = ref 0 in
-      let continue = ref true in
-      while !continue do
-        let c0 = (4 * !k) + 1 in
-        if c0 >= len then continue := false
-        else begin
-          let last = min (c0 + 3) (len - 1) in
-          let b = ref c0 in
-          for c = c0 + 1 to last do
-            if hr.(c) > hr.(!b) || (hr.(c) = hr.(!b) && hj.(c) < hj.(!b)) then b := c
-          done;
-          if hr.(!b) > r || (hr.(!b) = r && hj.(!b) < j) then begin
-            hr.(!k) <- hr.(!b);
-            hj.(!k) <- hj.(!b);
-            k := !b
-          end
-          else continue := false
-        end
-      done;
-      hr.(!k) <- r;
-      hj.(!k) <- j
-    end
-  in
-  let unlink_cell c list_i =
-    if list_i >= 0 then begin
-      let p = sub_prev.(c) and nx = sub_next.(c) in
-      if p >= 0 then sub_next.(p) <- nx else sub_head.(list_i) <- nx;
-      if nx >= 0 then sub_prev.(nx) <- p;
-      sub_prev.(c) <- -1;
-      sub_next.(c) <- -1
-    end
-  in
-  let link_cell c list_i =
-    if list_i >= 0 then begin
-      let h = sub_head.(list_i) in
-      sub_next.(c) <- h;
-      sub_prev.(c) <- -1;
-      if h >= 0 then sub_prev.(h) <- c;
-      sub_head.(list_i) <- c
-    end
-  in
-  (* [linked]: the item's cells are currently on its top-2 lists (true
-     for cascade refreshes; false for the initial build) *)
-  let refresh ~linked j =
-    (* a linked item had i1 >= 0, so its pre-refresh regret is defined *)
-    let old_r = if linked then regret_of j else nan in
-    if linked then begin
-      unlink_cell (2 * j) i1.(j);
-      unlink_cell ((2 * j) + 1) i2.(j)
-    end;
-    let base = j * m in
-    f1.(j) <- infinity;
-    f2.(j) <- infinity;
-    i1.(j) <- -1;
-    i2.(j) <- -1;
-    (match criterion with
-    | Cost ->
-      (* the hot criterion (every STEP-4/6 call): read the cost cell
-         directly instead of paying a call + dispatch per cell *)
-      let cost = g.Gap.cost in
-      for i = 0 to m - 1 do
-        if weight.(base + i) <= residual.(i) then begin
-          let f = cost.(base + i) in
-          if f < f1.(j) then begin
-            f2.(j) <- f1.(j);
-            i2.(j) <- i1.(j);
-            f1.(j) <- f;
-            i1.(j) <- i
-          end
-          else if f < f2.(j) then begin
-            f2.(j) <- f;
-            i2.(j) <- i
-          end
-        end
-      done
-    | _ ->
-      for i = 0 to m - 1 do
-        if weight.(base + i) <= residual.(i) then begin
-          let f = desirability g criterion i j in
-          if f < f1.(j) then begin
-            f2.(j) <- f1.(j);
-            i2.(j) <- i1.(j);
-            f1.(j) <- f;
-            i1.(j) <- i
-          end
-          else if f < f2.(j) then begin
-            f2.(j) <- f;
-            i2.(j) <- i
-          end
-        end
-      done);
-    if i1.(j) = -1 then incr no_fit
-    else begin
-      link_cell (2 * j) i1.(j);
-      link_cell ((2 * j) + 1) i2.(j);
-      (* an unchanged regret keeps the item's existing heap entry
-         valid (validity is checked against the current regret on
-         pop), so refreshes that only reshuffle the argknapsacks —
-         the common case under tie-heavy criteria — push nothing *)
-      let r = regret_of j in
-      if not (linked && r = old_r) then push r j
-    end
-  in
+  (* any unassigned item with no fitting knapsack aborts the
+     construction *)
+  ws.no_fit <- 0;
   for j = 0 to n - 1 do
-    refresh ~linked:false j
+    refresh g ws desir ~cascade:false j
   done;
   let unassigned = ref n in
   let stuck = ref false in
-  (* cascade scratch: [order] is only live inside [relaxed_fill_into],
-     never concurrently with a construction *)
-  let scratch = ws.order in
   while !unassigned > 0 && not !stuck do
-    if !no_fit > 0 then stuck := true
+    if ws.no_fit > 0 then stuck := true
     else begin
       let j = ref (-1) in
       while !j < 0 && ws.heap_len > 0 do
-        pop ();
-        let cand = !pop_j in
-        if assignment.(cand) = -1 && i1.(cand) >= 0 && !pop_r = regret_of cand then
-          j := cand
+        let r = ws.heap_r.(0) and cand = ws.heap_j.(0) in
+        heap_pop ws;
+        if assignment.(cand) = -1 && i1.(cand) >= 0 && r = regret.(cand) then j := cand
       done;
       if !j < 0 then stuck := true
       else begin
         let j = !j in
         let i = i1.(j) in
         assignment.(j) <- i;
-        unlink_cell (2 * j) i1.(j);
-        unlink_cell ((2 * j) + 1) i2.(j);
         residual.(i) <- residual.(i) -. weight.((j * m) + i);
         decr unassigned;
         let room = residual.(i) in
-        (* collect first: refresh relinks cells and would corrupt the
-           walk.  An item appears at most once in list [i] (i1 <> i2),
-           so [scratch] never overflows its n slots. *)
-        let k = ref 0 in
-        let c = ref sub_head.(i) in
-        while !c >= 0 do
-          let j' = !c lsr 1 in
-          if weight.((j' * m) + i) > room then begin
-            scratch.(!k) <- j';
-            incr k
-          end;
-          c := sub_next.(!c)
+        let off = g.Gap.order_of.(i) in
+        let c = ref ws.cursor.(i) in
+        while !c < n && weight.((by_weight.(off + !c) * m) + i) > room do
+          let j' = by_weight.(off + !c) in
+          if assignment.(j') = -1 && (i1.(j') = i || i2.(j') = i) then
+            refresh g ws desir ~cascade:true j';
+          incr c
         done;
-        for t = 0 to !k - 1 do
-          refresh ~linked:true scratch.(t)
-        done
+        ws.cursor.(i) <- !c
       end
     end
   done;
@@ -325,8 +286,12 @@ let solve ?ws ?(criteria = all_criteria) ?(improve = `Shift_and_swap) g =
   let n = g.Gap.n in
   let found = ref false in
   let best_cost = ref infinity in
-  List.iter
-    (fun criterion ->
+  let todo = ref criteria in
+  while !todo != [] do
+    match !todo with
+    | [] -> ()
+    | criterion :: rest ->
+      todo := rest;
       if construct_into ~criterion g ws ws.trial then begin
         (* construction leaves ws.residual = capacity - loads(trial),
            so improvement runs in place with no setup *)
@@ -337,9 +302,82 @@ let solve ?ws ?(criteria = all_criteria) ?(improve = `Shift_and_swap) g =
           best_cost := c;
           Array.blit ws.trial 0 ws.out 0 n
         end
-      end)
-    criteria;
+      end
+  done;
   if !found then Some ws.out else None
+
+(* [a] sorted in place by [key] descending.  This is [Array.sort]'s
+   ternary heap sort step for step — same comparisons, same moves — so
+   equal keys land in the order it gives them; it signals "no child"
+   with -1 where [Array.sort] raises an exception, which allocated a
+   block per sifted item. *)
+let sort_by_key_desc key a =
+  let cmp x y = Float.compare key.(y) key.(x) in
+  let l = Array.length a in
+  let maxson l i =
+    let i31 = i + i + i + 1 in
+    if i31 + 2 < l then begin
+      let x = if cmp a.(i31) a.(i31 + 1) < 0 then i31 + 1 else i31 in
+      if cmp a.(x) a.(i31 + 2) < 0 then i31 + 2 else x
+    end
+    else if i31 + 1 < l && cmp a.(i31) a.(i31 + 1) < 0 then i31 + 1
+    else if i31 < l then i31
+    else -1
+  in
+  let trickle l i e =
+    let i = ref i and continue = ref true in
+    while !continue do
+      let j = maxson l !i in
+      if j >= 0 && cmp a.(j) e > 0 then begin
+        a.(!i) <- a.(j);
+        i := j
+      end
+      else begin
+        a.(!i) <- e;
+        continue := false
+      end
+    done
+  in
+  let bubble l i =
+    let i = ref i and j = ref (maxson l i) in
+    while !j >= 0 do
+      a.(!i) <- a.(!j);
+      i := !j;
+      j := maxson l !i
+    done;
+    !i
+  in
+  let trickleup i e =
+    let i = ref i and continue = ref true in
+    while !continue do
+      let father = (!i - 1) / 3 in
+      if cmp a.(father) e < 0 then begin
+        a.(!i) <- a.(father);
+        if father > 0 then i := father
+        else begin
+          a.(0) <- e;
+          continue := false
+        end
+      end
+      else begin
+        a.(!i) <- e;
+        continue := false
+      end
+    done
+  in
+  for i = ((l + 1) / 3) - 1 downto 0 do
+    trickle l i a.(i)
+  done;
+  for i = l - 1 downto 2 do
+    let e = a.(i) in
+    a.(i) <- a.(0);
+    trickleup (bubble i 0) e
+  done;
+  if l > 1 then begin
+    let e = a.(1) in
+    a.(1) <- a.(0);
+    a.(0) <- e
+  end
 
 let relaxed_fill_into (g : Gap.t) ws assignment =
   (* Place every item greedily by cost among fitting knapsacks; if none
@@ -360,7 +398,7 @@ let relaxed_fill_into (g : Gap.t) ws assignment =
     done;
     key.(j) <- !w
   done;
-  Array.sort (fun a b -> Float.compare key.(b) key.(a)) order;
+  sort_by_key_desc key order;
   Array.iter
     (fun j ->
       let base = j * m in

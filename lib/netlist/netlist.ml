@@ -207,19 +207,23 @@ let degree t j =
   if j < 0 || j >= n t then invalid_arg (Printf.sprintf "Netlist.degree: id %d out of range" j);
   t.xadj.(j + 1) - t.xadj.(j)
 
-let connection t j1 j2 =
-  if j1 = j2 || j1 < 0 || j1 >= n t then 0.0
+let adj_slot t j1 j2 =
+  if j1 = j2 || j1 < 0 || j1 >= n t then -1
   else
     (* Binary search over the neighbor-sorted CSR row. *)
     let anbr = t.anbr in
     let rec go lo hi =
-      if lo >= hi then 0.0
+      if lo >= hi then -1
       else
         let mid = (lo + hi) / 2 in
         let nb = anbr.(mid) in
-        if nb = j2 then t.awgt.(mid) else if nb < j2 then go (mid + 1) hi else go lo mid
+        if nb = j2 then mid else if nb < j2 then go (mid + 1) hi else go lo mid
     in
     go t.xadj.(j1) t.xadj.(j1 + 1)
+
+let connection t j1 j2 =
+  let k = adj_slot t j1 j2 in
+  if k < 0 then 0.0 else t.awgt.(k)
 
 let connection_matrix t =
   let m = Sparse_matrix.create ~rows:(n t) ~cols:(n t) () in

@@ -121,6 +121,12 @@ val degree : t -> int -> int
 val connection : t -> int -> int -> float
 (** [connection t j1 j2] is {m a_{j_1 j_2}} (0 if unwired or equal). *)
 
+val adj_slot : t -> int -> int -> int
+(** [adj_slot t j1 j2] is the index of [j2] in [j1]'s CSR row (so
+    {!connection} is [(adj_weights t).(k)]), or [-1] if unwired or
+    equal.  Hot loops use it instead of {!connection}, whose float
+    result is boxed on every call from another module. *)
+
 val connection_matrix : t -> Sparse_matrix.t
 (** The full symmetric {m A} as a fresh sparse matrix (both triangles
     populated). *)

@@ -4,9 +4,25 @@ module Topology = Qbpart_topology.Topology
 module Constraints = Qbpart_timing.Constraints
 module Check = Qbpart_timing.Check
 
+(* Row [u]'s CSR neighbours [v > u], rows ascending, are exactly the
+   stored wires (u, v) in their sorted order, so this is the sum over
+   the wire list term for term; B is read flat because a float
+   returned by [Topology.b] is boxed per call. *)
 let wirelength nl topo a =
-  Netlist.fold_wires nl ~init:0.0 ~f:(fun acc w ->
-      acc +. (Wire.weight w *. Topology.b topo a.(Wire.u w) a.(Wire.v w)))
+  let m = Topology.m topo in
+  let bf = Topology.b_flat topo in
+  let xadj = Netlist.adj_offsets nl in
+  let anbr = Netlist.adj_targets nl in
+  let awgt = Netlist.adj_weights nl in
+  let acc = ref 0.0 in
+  for u = 0 to Netlist.n nl - 1 do
+    let row = a.(u) * m in
+    for k = xadj.(u) to xadj.(u + 1) - 1 do
+      let v = anbr.(k) in
+      if v > u then acc := !acc +. (awgt.(k) *. bf.(row + a.(v)))
+    done
+  done;
+  !acc
 
 let linear ~p a =
   let total = ref 0.0 in

@@ -151,13 +151,11 @@ let solve ?(config = Config.default) ?initial ?(should_stop = fun () -> false)
   | None ->
     let r = Assignment.random (Rng.create config.Config.seed) ~n ~m in
     Array.blit r 0 u 0 n);
-  let cons = problem.Problem.constraints in
-  let topo = problem.Problem.topology in
   (* penalized cost and violation count of [a], computed from scratch;
      bit-identical to [Problem.penalized_objective] (which is defined
      as objective + penalty · violation count). *)
   let evaluate a =
-    let v = Qbpart_timing.Check.count cons topo ~assignment:a in
+    let v = Qmatrix.violations q a in
     (Problem.objective problem a +. (config.Config.penalty *. float_of_int v), v)
   in
   (* Champions live in owned buffers updated by blit, so the hot loop
@@ -230,10 +228,14 @@ let solve ?(config = Config.default) ?initial ?(should_stop = fun () -> false)
     (* STEP 4: minimize the linearization over S (cost aliases eta) *)
     let u_z = solve_gap ~step:Step4 ~k:k0 gap_eta in
     let z = ref 0.0 in
-    Array.iteri (fun j i -> z := !z +. eta.(Assignment.flat_index ~m ~i ~j)) u_z;
+    for j = 0 to n - 1 do
+      z := !z +. eta.(u_z.(j) + (j * m))
+    done;
     (* STEP 5: accumulate the direction *)
     let scale = Float.max 1.0 (Float.abs (!z -. xi)) in
-    Array.iteri (fun r e -> h.(r) <- h.(r) +. (e /. scale)) eta;
+    for r = 0 to (m * n) - 1 do
+      h.(r) <- h.(r) +. (eta.(r) /. scale)
+    done;
     (* STEP 6: next iterate from the accumulated direction (cost
        aliases h); the pooled GAP result is blitted into the stable
        iterate before the next inner solve reuses its buffer *)

@@ -119,7 +119,10 @@ type gap_solver =
     the pooled MTHG workspace and the iterate itself — so that a
     caller running many solves on one problem shape (the adaptive
     penalty ladder, a portfolio start) allocates them exactly once and
-    the steady-state inner loop is allocation-free. *)
+    the steady-state inner loop allocates nothing per element: what an
+    iteration still allocates is a few small blocks per call plus the
+    feasibility probe's copy of the iterate and its repair's pair list
+    ([test_alloc.ml] pins the kernels, DESIGN.md D14). *)
 module Workspace : sig
   type t
 

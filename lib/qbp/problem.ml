@@ -70,6 +70,8 @@ let delta_objective t a ~j ~i =
   if i = from then 0.0
   else begin
     let acc = ref (p_entry t ~i ~j -. p_entry t ~i:from ~j) in
+    let m = m t in
+    let bf = Topology.b_flat t.topology in
     let xadj = Netlist.adj_offsets t.netlist in
     let anbr = Netlist.adj_targets t.netlist in
     let awgt = Netlist.adj_weights t.netlist in
@@ -77,8 +79,8 @@ let delta_objective t a ~j ~i =
       let j' = anbr.(k) and w = awgt.(k) in
       let at' = a.(j') in
       let d =
-        if j < j' then Topology.b t.topology i at' -. Topology.b t.topology from at'
-        else Topology.b t.topology at' i -. Topology.b t.topology at' from
+        if j < j' then bf.((i * m) + at') -. bf.((from * m) + at')
+        else bf.((at' * m) + i) -. bf.((at' * m) + from)
       in
       acc := !acc +. (t.beta *. w *. d)
     done;

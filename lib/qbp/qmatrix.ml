@@ -74,6 +74,24 @@ let value t a =
 
 (* --- solver access ------------------------------------------------- *)
 
+(* Every per-wire × per-partition kernel below reads B and D from the
+   topology's flat row-major arrays (b(i1, i2) at [i1 * m + i2]) and
+   inlines [Problem.p_entry]: a float returned by a function of
+   another module is boxed, once per element in these loops.  The
+   order of each kernel's float operations is part of its contract —
+   solver trajectories, checkpoints and certificates are pinned bit
+   for bit (DESIGN.md D14). *)
+
+(* [out.(off + i) <- p_entry ~i ~j] for every partition [i] *)
+let p_column (pr : Problem.t) ~m ~j ~off out =
+  match pr.Problem.p with
+  | None -> Array.fill out off m 0.0
+  | Some p ->
+    let alpha = pr.Problem.alpha in
+    for i = 0 to m - 1 do
+      out.(off + i) <- alpha *. p.(i).(j)
+    done
+
 (* Orientation: wires are stored once with endpoints u < v, and the
    evaluator charges b(a(u), a(v)).  For candidate (i, j) the wire
    j--j' therefore contributes b(i, a(j')) when j < j' and
@@ -89,9 +107,9 @@ let candidate_costs_at t u ~j ~off out =
   let topo = t.problem.Problem.topology in
   let cons = t.problem.Problem.constraints in
   let m = Problem.m t.problem in
-  for i = 0 to m - 1 do
-    out.(off + i) <- Problem.p_entry t.problem ~i ~j
-  done;
+  let bf = Topology.b_flat topo and df = Topology.d_flat topo in
+  let pen = t.penalty in
+  p_column t.problem ~m ~j ~off out;
   let xadj = Netlist.adj_offsets nl in
   let anbr = Netlist.adj_targets nl in
   let awgt = Netlist.adj_weights nl in
@@ -100,12 +118,14 @@ let candidate_costs_at t u ~j ~off out =
     let at' = u.(j') in
     if j < j' then
       for i = 0 to m - 1 do
-        out.(off + i) <- out.(off + i) +. (w *. Topology.b topo i at')
+        out.(off + i) <- out.(off + i) +. (w *. bf.((i * m) + at'))
       done
-    else
+    else begin
+      let row = at' * m in
       for i = 0 to m - 1 do
-        out.(off + i) <- out.(off + i) +. (w *. Topology.b topo at' i)
+        out.(off + i) <- out.(off + i) +. (w *. bf.(row + i))
       done
+    end
   done;
   let poff = Constraints.partner_offsets cons in
   let pids = Constraints.partner_ids cons in
@@ -113,12 +133,13 @@ let candidate_costs_at t u ~j ~off out =
   let pbin = Constraints.partner_budget_in cons in
   for k = poff.(j) to poff.(j + 1) - 1 do
     let at' = u.(pids.(k)) in
+    let row = at' * m in
     let budget_out = pbout.(k) and budget_in = pbin.(k) in
     for i = 0 to m - 1 do
       (* one penalty per violated direction: both directed budgets of
          a pair can be broken simultaneously *)
-      if Topology.d topo i at' > budget_out then out.(off + i) <- out.(off + i) +. t.penalty;
-      if Topology.d topo at' i > budget_in then out.(off + i) <- out.(off + i) +. t.penalty
+      if df.((i * m) + at') > budget_out then out.(off + i) <- out.(off + i) +. pen;
+      if df.(row + i) > budget_in then out.(off + i) <- out.(off + i) +. pen
     done
   done
 
@@ -141,11 +162,17 @@ let delta t u ~j ~i =
   let from = u.(j) in
   if i = from then 0.0
   else begin
-    let nl = t.problem.Problem.netlist in
-    let topo = t.problem.Problem.topology in
-    let cons = t.problem.Problem.constraints in
+    let pr = t.problem in
+    let nl = pr.Problem.netlist in
+    let topo = pr.Problem.topology in
+    let cons = pr.Problem.constraints in
+    let m = Problem.m pr in
+    let bf = Topology.b_flat topo and df = Topology.d_flat topo in
     let acc =
-      ref (Problem.p_entry t.problem ~i ~j -. Problem.p_entry t.problem ~i:from ~j)
+      ref
+        (match pr.Problem.p with
+        | None -> 0.0
+        | Some p -> (pr.Problem.alpha *. p.(i).(j)) -. (pr.Problem.alpha *. p.(from).(j)))
     in
     let xadj = Netlist.adj_offsets nl in
     let anbr = Netlist.adj_targets nl in
@@ -153,8 +180,8 @@ let delta t u ~j ~i =
     for k = xadj.(j) to xadj.(j + 1) - 1 do
       let j' = anbr.(k) and w = awgt.(k) in
       let at' = u.(j') in
-      if j < j' then acc := !acc +. (w *. (Topology.b topo i at' -. Topology.b topo from at'))
-      else acc := !acc +. (w *. (Topology.b topo at' i -. Topology.b topo at' from))
+      if j < j' then acc := !acc +. (w *. (bf.((i * m) + at') -. bf.((from * m) + at')))
+      else acc := !acc +. (w *. (bf.((at' * m) + i) -. bf.((at' * m) + from)))
     done;
     let poff = Constraints.partner_offsets cons in
     let pids = Constraints.partner_ids cons in
@@ -164,13 +191,12 @@ let delta t u ~j ~i =
     for k = poff.(j) to poff.(j + 1) - 1 do
       let at' = u.(pids.(k)) in
       let budget_out = pbout.(k) and budget_in = pbin.(k) in
-      let chg cond = if cond then pen else 0.0 in
       acc :=
         !acc
-        +. chg (Topology.d topo i at' > budget_out)
-        -. chg (Topology.d topo from at' > budget_out)
-        +. chg (Topology.d topo at' i > budget_in)
-        -. chg (Topology.d topo at' from > budget_in)
+        +. (if df.((i * m) + at') > budget_out then pen else 0.0)
+        -. (if df.((from * m) + at') > budget_out then pen else 0.0)
+        +. (if df.((at' * m) + i) > budget_in then pen else 0.0)
+        -. if df.((at' * m) + from) > budget_in then pen else 0.0
     done;
     !acc
   end
@@ -181,7 +207,8 @@ let violations_delta t u ~j ~i =
   let from = u.(j) in
   if i = from then 0
   else begin
-    let topo = t.problem.Problem.topology in
+    let m = Problem.m t.problem in
+    let df = Topology.d_flat t.problem.Problem.topology in
     let cons = t.problem.Problem.constraints in
     let acc = ref 0 in
     let poff = Constraints.partner_offsets cons in
@@ -194,13 +221,33 @@ let violations_delta t u ~j ~i =
       let v cond = if cond then 1 else 0 in
       acc :=
         !acc
-        + v (Topology.d topo i at' > budget_out)
-        - v (Topology.d topo from at' > budget_out)
-        + v (Topology.d topo at' i > budget_in)
-        - v (Topology.d topo at' from > budget_in)
+        + v (df.((i * m) + at') > budget_out)
+        - v (df.((from * m) + at') > budget_out)
+        + v (df.((at' * m) + i) > budget_in)
+        - v (df.((at' * m) + from) > budget_in)
     done;
     !acc
   end
+
+(* Each stored directed budget j -> j' is the finite [pbout] of slot
+   j' in row j (an unconstrained direction is +inf and never counts),
+   so one walk of the outgoing sides counts every budget exactly once:
+   the same number [Check.count] gets from the raw budget store. *)
+let violations t u =
+  let m = Problem.m t.problem and n = Problem.n t.problem in
+  let df = Topology.d_flat t.problem.Problem.topology in
+  let cons = t.problem.Problem.constraints in
+  let poff = Constraints.partner_offsets cons in
+  let pids = Constraints.partner_ids cons in
+  let pbout = Constraints.partner_budget_out cons in
+  let count = ref 0 in
+  for j = 0 to n - 1 do
+    let row = u.(j) * m in
+    for k = poff.(j) to poff.(j + 1) - 1 do
+      if df.(row + u.(pids.(k))) > pbout.(k) then incr count
+    done
+  done;
+  !count
 
 (* Literal STEP-3 column sums of the paper's Q-hat: violated entries
    are the penalty *instead of* the wire term (replacement semantics),
@@ -208,10 +255,12 @@ let violations_delta t u ~j ~i =
    the diagonal contributes only at the currently selected
    coordinate. *)
 let eta_paper_range t u eta ~jlo ~jhi =
-  let nl = t.problem.Problem.netlist in
-  let topo = t.problem.Problem.topology in
-  let cons = t.problem.Problem.constraints in
-  let m = Problem.m t.problem in
+  let pr = t.problem in
+  let nl = pr.Problem.netlist in
+  let cons = pr.Problem.constraints in
+  let m = Problem.m pr in
+  let bf = Topology.b_flat pr.Problem.topology and df = Topology.d_flat pr.Problem.topology in
+  let pen = t.penalty in
   Array.fill eta (m * jlo) (m * (jhi - jlo)) 0.0;
   let xadj = Netlist.adj_offsets nl in
   let anbr = Netlist.adj_targets nl in
@@ -221,23 +270,26 @@ let eta_paper_range t u eta ~jlo ~jhi =
   let pbin = Constraints.partner_budget_in cons in
   for j = jlo to jhi - 1 do
     let base = j * m in
-    eta.(base + u.(j)) <- Problem.p_entry t.problem ~i:u.(j) ~j;
+    (match pr.Problem.p with
+    | None -> eta.(base + u.(j)) <- 0.0
+    | Some p -> eta.(base + u.(j)) <- pr.Problem.alpha *. p.(u.(j)).(j));
     (* quadratic part: the row index is the partner's selected coordinate *)
     for k = xadj.(j) to xadj.(j + 1) - 1 do
-      let at' = u.(anbr.(k)) and w = awgt.(k) in
+      let row = u.(anbr.(k)) * m and w = awgt.(k) in
       for i = 0 to m - 1 do
-        eta.(base + i) <- eta.(base + i) +. (w *. Topology.b topo at' i)
+        eta.(base + i) <- eta.(base + i) +. (w *. bf.(row + i))
       done
     done;
     (* timing part: a violated entry replaces the wire term *)
     for k = poff.(j) to poff.(j + 1) - 1 do
       let j' = pids.(k) in
-      let at' = u.(j') in
+      let row = u.(j') * m in
       let budget_in = pbin.(k) in
-      let w = Netlist.connection nl j j' in
+      let slot = Netlist.adj_slot nl j j' in
+      let w = if slot < 0 then 0.0 else awgt.(slot) in
       for i = 0 to m - 1 do
-        if Topology.d topo at' i > budget_in then
-          eta.(base + i) <- eta.(base + i) +. t.penalty -. (w *. Topology.b topo at' i)
+        if df.(row + i) > budget_in then
+          eta.(base + i) <- eta.(base + i) +. pen -. (w *. bf.(row + i))
       done
     done
   done
@@ -335,119 +387,138 @@ let eta_resync st =
   eta_into ~rule:st.es_rule ~pool:st.es_pool st.es_q st.es_u st.es_eta;
   st.es_since_resync <- 0
 
-(* One move's per-partner patches are independent: wires are merged at
-   netlist construction (each pair stored once), so every partner block
-   in [adj] is written by exactly one entry and the fan-out below races
-   nothing — each chunk runs the same per-entry arithmetic the
-   sequential loop would, so values are bit-identical.  Only hub
-   components clear the cutoff; the timing-partner loop that follows
-   each call stays sequential (those lists are short by construction
+(* The wire part of one move's patch, over adjacency slots [klo, khi)
+   of [j]'s row.
+
+   Solver rule: in a partner [j']'s candidate row, [j] contributes the
+   wire term with the evaluator's orientation ([j' < j] means [j]'s
+   position is b's second argument).  Paper rule: in a partner's
+   column the wire term always uses [j]'s position as b's first
+   argument. *)
+let patch_wire_range st ~j ~old_i ~new_i ~klo ~khi =
+  let q = st.es_q in
+  let nl = q.problem.Problem.netlist in
+  let m = Problem.m q.problem in
+  let bf = Topology.b_flat q.problem.Problem.topology in
+  let eta = st.es_eta in
+  let anbr = Netlist.adj_targets nl in
+  let awgt = Netlist.adj_weights nl in
+  let old_row = old_i * m and new_row = new_i * m in
+  for k = klo to khi - 1 do
+    let j' = anbr.(k) and w = awgt.(k) in
+    let base = j' * m in
+    match st.es_rule with
+    | Solver when j' < j ->
+      for i = 0 to m - 1 do
+        eta.(base + i) <-
+          eta.(base + i) +. (w *. (bf.((i * m) + new_i) -. bf.((i * m) + old_i)))
+      done
+    | Solver | Paper ->
+      for i = 0 to m - 1 do
+        eta.(base + i) <- eta.(base + i) +. (w *. (bf.(new_row + i) -. bf.(old_row + i)))
+      done
+  done
+
+(* One move's per-partner wire patches are independent: wires are
+   merged at netlist construction (each pair stored once), so every
+   partner block in [adj] is written by exactly one slot and the
+   fan-out below races nothing — each chunk runs the same per-slot
+   arithmetic the sequential loop would, so values are bit-identical.
+   Only hub components clear the cutoff; the timing-partner loop that
+   follows stays sequential (those lists are short by construction
    and may repeat netlist partners). *)
 let parallel_patch_cutoff = 512
 
-let patch_partners pool ~lo ~hi patch1 =
+let patch_wires st ~j ~old_i ~new_i =
+  let xadj = Netlist.adj_offsets st.es_q.problem.Problem.netlist in
+  let lo = xadj.(j) and hi = xadj.(j + 1) in
   let deg = hi - lo in
+  let pool = st.es_pool in
   if Dompool.size pool = 1 || deg < parallel_patch_cutoff then
-    for k = lo to hi - 1 do
-      patch1 k
-    done
+    patch_wire_range st ~j ~old_i ~new_i ~klo:lo ~khi:hi
   else begin
     let chunks = min deg (Dompool.size pool * 4) in
     Dompool.parallel_for pool ~chunks (fun c ->
-        let klo = lo + (c * deg / chunks) and khi = lo + ((c + 1) * deg / chunks) in
-        for k = klo to khi - 1 do
-          patch1 k
-        done)
+        patch_wire_range st ~j ~old_i ~new_i
+          ~klo:(lo + (c * deg / chunks))
+          ~khi:(lo + ((c + 1) * deg / chunks)))
   end
 
-(* Solver-rule patch: in a partner [j']'s candidate row, [j]
-   contributes the wire term with the evaluator's orientation
-   ([j' < j] means [j]'s position is b's second argument) and one
-   penalty per violated directed budget.  Seen from [j'], the stored
+(* Solver-rule timing patch: one penalty per violated directed budget
+   in each partner's candidate row.  Seen from [j'], the stored
    budgets swap direction: [j']'s outgoing budget towards [j] is
-   [p.budget_in] of [j]'s own record. *)
-let patch_solver st ~j ~old_i ~new_i =
+   [budget_in] of [j]'s own slot. *)
+let patch_solver_timing st ~j ~old_i ~new_i =
   let q = st.es_q in
-  let nl = q.problem.Problem.netlist in
-  let topo = q.problem.Problem.topology in
   let cons = q.problem.Problem.constraints in
   let m = Problem.m q.problem in
+  let df = Topology.d_flat q.problem.Problem.topology in
   let eta = st.es_eta in
-  let xadj = Netlist.adj_offsets nl in
-  let anbr = Netlist.adj_targets nl in
-  let awgt = Netlist.adj_weights nl in
-  patch_partners st.es_pool ~lo:xadj.(j) ~hi:xadj.(j + 1) (fun k ->
-      let j' = anbr.(k) and w = awgt.(k) in
-      let base = j' * m in
-      if j' < j then
-        for i = 0 to m - 1 do
-          eta.(base + i) <-
-            eta.(base + i) +. (w *. (Topology.b topo i new_i -. Topology.b topo i old_i))
-        done
-      else
-        for i = 0 to m - 1 do
-          eta.(base + i) <-
-            eta.(base + i) +. (w *. (Topology.b topo new_i i -. Topology.b topo old_i i))
-        done);
   let poff = Constraints.partner_offsets cons in
   let pids = Constraints.partner_ids cons in
   let pbout = Constraints.partner_budget_out cons in
   let pbin = Constraints.partner_budget_in cons in
   let pen = q.penalty in
+  let old_row = old_i * m and new_row = new_i * m in
   for k = poff.(j) to poff.(j + 1) - 1 do
     let base = pids.(k) * m in
     let budget_out = pbout.(k) and budget_in = pbin.(k) in
     for i = 0 to m - 1 do
       let before =
-        (if Topology.d topo i old_i > budget_in then pen else 0.0)
-        +. if Topology.d topo old_i i > budget_out then pen else 0.0
+        (if df.((i * m) + old_i) > budget_in then pen else 0.0)
+        +. if df.(old_row + i) > budget_out then pen else 0.0
       in
       let after =
-        (if Topology.d topo i new_i > budget_in then pen else 0.0)
-        +. if Topology.d topo new_i i > budget_out then pen else 0.0
+        (if df.((i * m) + new_i) > budget_in then pen else 0.0)
+        +. if df.(new_row + i) > budget_out then pen else 0.0
       in
       if before <> after then eta.(base + i) <- eta.(base + i) +. after -. before
     done
   done
 
-(* Paper-rule patch: [j]'s own diagonal entry rides with its position;
-   in a partner's column the wire term always uses [j]'s position as
-   b's first argument, and the timing replacement (penalty instead of
-   the wire term) is gated by the partner's incoming budget — which is
-   [p.budget_out] of [j]'s record. *)
-let patch_paper st ~j ~old_i ~new_i =
-  let q = st.es_q in
-  let nl = q.problem.Problem.netlist in
-  let topo = q.problem.Problem.topology in
-  let cons = q.problem.Problem.constraints in
-  let m = Problem.m q.problem in
+(* Paper-rule patch: [j]'s own diagonal entry rides with its position
+   (applied before the wire patches), and in a partner's column the
+   timing replacement (penalty instead of the wire term) is gated by
+   the partner's incoming budget — which is [budget_out] of [j]'s
+   slot (applied after them). *)
+let patch_paper_diagonal st ~j ~old_i ~new_i =
+  let pr = st.es_q.problem in
   let eta = st.es_eta in
-  let base_j = j * m in
-  eta.(base_j + old_i) <- eta.(base_j + old_i) -. Problem.p_entry q.problem ~i:old_i ~j;
-  eta.(base_j + new_i) <- eta.(base_j + new_i) +. Problem.p_entry q.problem ~i:new_i ~j;
-  let xadj = Netlist.adj_offsets nl in
-  let anbr = Netlist.adj_targets nl in
+  let base_j = j * Problem.m pr in
+  match pr.Problem.p with
+  | None ->
+    eta.(base_j + old_i) <- eta.(base_j + old_i) -. 0.0;
+    eta.(base_j + new_i) <- eta.(base_j + new_i) +. 0.0
+  | Some p ->
+    let alpha = pr.Problem.alpha in
+    eta.(base_j + old_i) <- eta.(base_j + old_i) -. (alpha *. p.(old_i).(j));
+    eta.(base_j + new_i) <- eta.(base_j + new_i) +. (alpha *. p.(new_i).(j))
+
+let patch_paper_timing st ~j ~old_i ~new_i =
+  let q = st.es_q in
+  let pr = q.problem in
+  let nl = pr.Problem.netlist in
+  let cons = pr.Problem.constraints in
+  let m = Problem.m pr in
+  let bf = Topology.b_flat pr.Problem.topology and df = Topology.d_flat pr.Problem.topology in
+  let eta = st.es_eta in
   let awgt = Netlist.adj_weights nl in
-  patch_partners st.es_pool ~lo:xadj.(j) ~hi:xadj.(j + 1) (fun k ->
-      let base = anbr.(k) * m and w = awgt.(k) in
-      for i = 0 to m - 1 do
-        eta.(base + i) <-
-          eta.(base + i) +. (w *. (Topology.b topo new_i i -. Topology.b topo old_i i))
-      done);
   let poff = Constraints.partner_offsets cons in
   let pids = Constraints.partner_ids cons in
   let pbout = Constraints.partner_budget_out cons in
   let pen = q.penalty in
+  let old_row = old_i * m and new_row = new_i * m in
   for k = poff.(j) to poff.(j + 1) - 1 do
     let j' = pids.(k) in
     let base = j' * m in
     let budget_out = pbout.(k) in
-    let w = Netlist.connection nl j j' in
+    let slot = Netlist.adj_slot nl j j' in
+    let w = if slot < 0 then 0.0 else awgt.(slot) in
     for i = 0 to m - 1 do
-      if Topology.d topo old_i i > budget_out then
-        eta.(base + i) <- eta.(base + i) -. (pen -. (w *. Topology.b topo old_i i));
-      if Topology.d topo new_i i > budget_out then
-        eta.(base + i) <- eta.(base + i) +. (pen -. (w *. Topology.b topo new_i i))
+      if df.(old_row + i) > budget_out then
+        eta.(base + i) <- eta.(base + i) -. (pen -. (w *. bf.(old_row + i)));
+      if df.(new_row + i) > budget_out then
+        eta.(base + i) <- eta.(base + i) +. (pen -. (w *. bf.(new_row + i)))
     done
   done
 
@@ -455,8 +526,13 @@ let eta_apply_move st ~j i =
   let old_i = st.es_u.(j) in
   if i <> old_i then begin
     (match st.es_rule with
-    | Solver -> patch_solver st ~j ~old_i ~new_i:i
-    | Paper -> patch_paper st ~j ~old_i ~new_i:i);
+    | Solver ->
+      patch_wires st ~j ~old_i ~new_i:i;
+      patch_solver_timing st ~j ~old_i ~new_i:i
+    | Paper ->
+      patch_paper_diagonal st ~j ~old_i ~new_i:i;
+      patch_wires st ~j ~old_i ~new_i:i;
+      patch_paper_timing st ~j ~old_i ~new_i:i);
     st.es_u.(j) <- i;
     st.es_since_resync <- st.es_since_resync + 1;
     if st.es_since_resync >= st.es_resync_every then eta_resync st
@@ -473,10 +549,31 @@ let eta_sync st u =
     Array.blit u 0 st.es_u 0 n;
     eta_resync st
   end
-  else if !moved > 0 then
-    for j = 0 to n - 1 do
-      if u.(j) <> st.es_u.(j) then eta_apply_move st ~j u.(j)
+  else if !moved > 0 then begin
+    (* Replaying the moves one by one resyncs after every
+       [resync_every]-th patch, and a resync rewrites every entry from
+       the positions alone: all work before the last resync of the
+       batch is overwritten.  So take the first [absorbed] moves by
+       position only, resync once, and patch the rest — the state the
+       move-by-move replay reaches, bit for bit, without its
+       O(moved / resync_every) full recomputes. *)
+    let total = st.es_since_resync + !moved in
+    let absorbed =
+      if total < st.es_resync_every then 0 else !moved - (total mod st.es_resync_every)
+    in
+    let j = ref 0 and taken = ref 0 in
+    while !taken < absorbed do
+      if u.(!j) <> st.es_u.(!j) then begin
+        st.es_u.(!j) <- u.(!j);
+        incr taken
+      end;
+      incr j
     done;
+    if absorbed > 0 then eta_resync st;
+    for j = !j to n - 1 do
+      if u.(j) <> st.es_u.(j) then eta_apply_move st ~j u.(j)
+    done
+  end;
   !moved
 
 (* --- ECO rebinding -------------------------------------------------- *)
@@ -513,10 +610,12 @@ let eta_drift st =
   !drift
 
 let omega ?(rule = Solver) t =
-  let nl = t.problem.Problem.netlist in
-  let topo = t.problem.Problem.topology in
-  let cons = t.problem.Problem.constraints in
-  let m = Problem.m t.problem and n = Problem.n t.problem in
+  let pr = t.problem in
+  let nl = pr.Problem.netlist in
+  let topo = pr.Problem.topology in
+  let cons = pr.Problem.constraints in
+  let m = Problem.m pr and n = Problem.n pr in
+  let bf = Topology.b_flat topo and df = Topology.d_flat topo in
   let omega = Array.make (m * n) 0.0 in
   (* max_b_to.(i) = max_{i'} b(i', i), the column-wise max, needed for
      the orientations where the candidate partition is the second
@@ -524,7 +623,18 @@ let omega ?(rule = Solver) t =
   let max_b_to = Array.make m 0.0 in
   for i' = 0 to m - 1 do
     for i = 0 to m - 1 do
-      max_b_to.(i) <- Float.max max_b_to.(i) (Topology.b topo i' i)
+      max_b_to.(i) <- Float.max max_b_to.(i) bf.((i' * m) + i)
+    done
+  done;
+  let max_b_from = Array.init m (Topology.max_b_from topo) in
+  (* Some placement of a partner breaks the budget in a direction iff
+     the largest delay in that direction does: D has no NaN, so
+     "exists i' with d > budget" is "max_i' d > budget". *)
+  let max_d_from = Array.make m neg_infinity and max_d_to = Array.make m neg_infinity in
+  for i = 0 to m - 1 do
+    for i' = 0 to m - 1 do
+      if df.((i * m) + i') > max_d_from.(i) then max_d_from.(i) <- df.((i * m) + i');
+      if df.((i' * m) + i) > max_d_to.(i) then max_d_to.(i) <- df.((i' * m) + i)
     done
   done;
   let xadj = Netlist.adj_offsets nl in
@@ -533,33 +643,26 @@ let omega ?(rule = Solver) t =
   let poff = Constraints.partner_offsets cons in
   let pbout = Constraints.partner_budget_out cons in
   let pbin = Constraints.partner_budget_in cons in
+  let pen = t.penalty in
   for j = 0 to n - 1 do
     let base = j * m in
+    p_column pr ~m ~j ~off:base omega;
     for i = 0 to m - 1 do
-      let acc = ref (Problem.p_entry t.problem ~i ~j) in
+      let acc = ref omega.(base + i) in
       for k = xadj.(j) to xadj.(j + 1) - 1 do
         let j' = anbr.(k) and w = awgt.(k) in
-        let bound =
-          match rule with
-          | Paper -> max_b_to.(i)
-          | Solver -> if j < j' then Topology.max_b_from topo i else max_b_to.(i)
-        in
-        acc := !acc +. (w *. bound)
+        match rule with
+        | Solver when j < j' -> acc := !acc +. (w *. max_b_from.(i))
+        | Solver | Paper -> acc := !acc +. (w *. max_b_to.(i))
       done;
       for k = poff.(j) to poff.(j + 1) - 1 do
         (* worst case: some placement of the partner violates each
            direction independently *)
-        let budget_out = pbout.(k) and budget_in = pbin.(k) in
-        let can_out = ref false and can_in = ref false in
-        for i' = 0 to m - 1 do
-          if Topology.d topo i i' > budget_out then can_out := true;
-          if Topology.d topo i' i > budget_in then can_in := true
-        done;
-        (match rule with
+        match rule with
         | Solver ->
-          if !can_out then acc := !acc +. t.penalty;
-          if !can_in then acc := !acc +. t.penalty
-        | Paper -> if !can_in then acc := !acc +. t.penalty)
+          if max_d_from.(i) > pbout.(k) then acc := !acc +. pen;
+          if max_d_to.(i) > pbin.(k) then acc := !acc +. pen
+        | Paper -> if max_d_to.(i) > pbin.(k) then acc := !acc +. pen
       done;
       omega.(base + i) <- !acc
     done
@@ -569,7 +672,9 @@ let omega ?(rule = Solver) t =
 let xi t ~omega u =
   let m = Problem.m t.problem in
   let total = ref 0.0 in
-  Array.iteri (fun j i -> total := !total +. omega.(Assignment.flat_index ~m ~i ~j)) u;
+  for j = 0 to Array.length u - 1 do
+    total := !total +. omega.(u.(j) + (j * m))
+  done;
   !total
 
 let eta_cost_matrix_into flat ~m ~n dst =

@@ -96,6 +96,15 @@ val violations_delta : t -> Assignment.t -> j:int -> i:int -> int
     same move; the integer companion of {!delta}, used to keep
     feasibility checks incremental. *)
 
+val violations : t -> Assignment.t -> int
+(** Number of violated directed timing budgets, the integer companion
+    of {!violations_delta}: equal to [Check.count] on the same
+    assignment, but read from the partner CSR (each stored budget
+    counted once, as a finite outgoing budget of its source row)
+    without allocating.  The solver's hot path uses this; the
+    independent audits ([Check], [Certify]) keep reading the raw
+    budget store. *)
+
 val eta : ?rule:rule -> t -> Assignment.t -> float array
 (** STEP 3: the linearization vector, length {m MN}, index
     {m r = i + j·M}. *)
@@ -155,8 +164,11 @@ val eta_apply_move : eta_state -> j:int -> int -> unit
 val eta_sync : eta_state -> Assignment.t -> int
 (** Diff the target placement against {!eta_positions} and patch each
     moved component; falls back to one full recompute when more than
-    [patch_limit] components moved.  Returns how many components had
-    moved. *)
+    [patch_limit] components moved.  The result is bit-identical to
+    calling {!eta_apply_move} for each moved component in ascending
+    order, but a batch that would cross several drift resyncs pays for
+    only the last one (the earlier ones are overwritten).  Returns how
+    many components had moved. *)
 
 val eta_resync : eta_state -> unit
 (** Force a from-scratch recompute at the current positions (resets

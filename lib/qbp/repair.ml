@@ -16,18 +16,22 @@ let track_viol dviol d = match dviol with Some r -> r := !r + d | None -> ()
 let coordinate_pass ?delta ?dviol q u ~loads ~scratch =
   let problem = Qmatrix.problem q in
   let nl = problem.Problem.netlist in
-  let topo = problem.Problem.topology in
+  let capacity = Topology.capacity_array problem.Problem.topology in
   let m = Problem.m problem and n = Problem.n problem in
   let moved = ref false in
+  (* the running cost change stays an unboxed local through the pass
+     (a float stored into a ref cell is boxed): the caller's ref is
+     read once and written once, with the same additions in between *)
+  let dcost = ref (match delta with Some r -> !r | None -> 0.0) in
   for j = 0 to n - 1 do
     Qmatrix.candidate_costs_into q u ~j scratch;
     let from = u.(j) in
     let s = Netlist.size nl j in
-    let overfull = loads.(from) > Topology.capacity topo from in
+    let overfull = loads.(from) > capacity.(from) in
     let best = ref from in
     let best_cost = ref scratch.(from) in
     for i = 0 to m - 1 do
-      if i <> from && loads.(i) +. s <= Topology.capacity topo i then
+      if i <> from && loads.(i) +. s <= capacity.(i) then
         if
           scratch.(i) < !best_cost
           || (overfull && !best = from && scratch.(i) <= !best_cost +. 1e-9)
@@ -37,7 +41,7 @@ let coordinate_pass ?delta ?dviol q u ~loads ~scratch =
         end
     done;
     if !best <> from then begin
-      track_cost delta (!best_cost -. scratch.(from));
+      dcost := !dcost +. (!best_cost -. scratch.(from));
       track_viol dviol (Qmatrix.violations_delta q u ~j ~i:!best);
       loads.(from) <- loads.(from) -. s;
       loads.(!best) <- loads.(!best) +. s;
@@ -45,6 +49,7 @@ let coordinate_pass ?delta ?dviol q u ~loads ~scratch =
       moved := true
     end
   done;
+  (match delta with Some r -> r := !dcost | None -> ());
   !moved
 
 let polish q u ~passes =
@@ -88,16 +93,18 @@ let shared_cost q j1 j2 i1 i2 =
   let problem = Qmatrix.problem q in
   let topo = problem.Problem.topology in
   let cons = problem.Problem.constraints in
+  let m = Problem.m problem in
+  let bf = Topology.b_flat topo and df = Topology.d_flat topo in
   let w = Netlist.connection problem.Problem.netlist j1 j2 in
   let wire =
     if w = 0.0 then 0.0
-    else if j1 < j2 then w *. Topology.b topo i1 i2
-    else w *. Topology.b topo i2 i1
+    else if j1 < j2 then w *. bf.((i1 * m) + i2)
+    else w *. bf.((i2 * m) + i1)
   in
   let pen = Qmatrix.penalty q in
   let timing =
-    (if Topology.d topo i1 i2 > Constraints.budget cons j1 j2 then pen else 0.0)
-    +. if Topology.d topo i2 i1 > Constraints.budget cons j2 j1 then pen else 0.0
+    (if df.((i1 * m) + i2) > Constraints.budget cons j1 j2 then pen else 0.0)
+    +. if df.((i2 * m) + i1) > Constraints.budget cons j2 j1 then pen else 0.0
   in
   wire +. timing
 
@@ -106,16 +113,30 @@ let pair_pass ?delta ?dviol q u ~loads ~max_pairs =
   let nl = problem.Problem.netlist in
   let topo = problem.Problem.topology in
   let cons = problem.Problem.constraints in
-  let m = Problem.m problem in
+  let m = Problem.m problem and n = Problem.n problem in
+  let df = Topology.d_flat topo and capacity = Topology.capacity_array topo in
   let scratch = Array.make m 0.0 in
   let row1 = Array.make m 0.0 and row2 = Array.make m 0.0 in
-  (* violated unordered pairs under the current assignment *)
+  (* violated unordered pairs under the current assignment.  The
+     partner CSR lists every stored budget j1 -> j2 as the finite
+     outgoing budget of slot j2 in row j1, rows ascending and partners
+     ascending: the order of the raw budget store, so the table (and
+     the candidate list folded out of it) is the one a walk of that
+     store would build. *)
+  let poff = Constraints.partner_offsets cons in
+  let pids = Constraints.partner_ids cons in
+  let pbout = Constraints.partner_budget_out cons in
   let seen = Hashtbl.create 64 in
-  Constraints.iter cons (fun j1 j2 budget ->
-      if Topology.d topo u.(j1) u.(j2) > budget then begin
+  for j1 = 0 to n - 1 do
+    let row = u.(j1) * m in
+    for k = poff.(j1) to poff.(j1 + 1) - 1 do
+      let j2 = pids.(k) in
+      if df.(row + u.(j2)) > pbout.(k) then begin
         let key = if j1 < j2 then (j1, j2) else (j2, j1) in
         if not (Hashtbl.mem seen key) then Hashtbl.replace seen key ()
-      end);
+      end
+    done
+  done;
   let pairs = Hashtbl.fold (fun k () acc -> k :: acc) seen [] in
   let pairs = List.filteri (fun i _ -> i < max_pairs) pairs in
   let moved = ref false in
@@ -140,10 +161,8 @@ let pair_pass ?delta ?dviol q u ~loads ~max_pairs =
         Qmatrix.candidate_costs_into q u ~j:j1 row1;
         for i1 = 0 to m - 1 do
           let fits =
-            if i1 = i2 then loads.(i1) +. s1 +. s2 <= Topology.capacity topo i1
-            else
-              loads.(i1) +. s1 <= Topology.capacity topo i1
-              && loads.(i2) +. s2 <= Topology.capacity topo i2
+            if i1 = i2 then loads.(i1) +. s1 +. s2 <= capacity.(i1)
+            else loads.(i1) +. s1 <= capacity.(i1) && loads.(i2) +. s2 <= capacity.(i2)
           in
           if fits then begin
             let joint = row1.(i1) +. base2.(i2) in
@@ -181,11 +200,7 @@ let to_feasible q u ~rounds =
   (* one full count up front, then maintained incrementally by the
      passes — the per-round O(constraints) feasibility rescan was a
      hot-loop cost on constraint-heavy circuits *)
-  let viol =
-    ref
-      (Qbpart_timing.Check.count problem.Problem.constraints problem.Problem.topology
-         ~assignment:u)
-  in
+  let viol = ref (Qmatrix.violations q u) in
   let round = ref 0 in
   let continue = ref true in
   while !continue && !round < rounds && !viol > 0 do

@@ -1,12 +1,23 @@
+(* B and D are stored flat and row-major (entry (i1, i2) at
+   i1 * M + i2) so hot loops can index one unboxed array: a float
+   returned by a function called from another module is boxed, and
+   the per-wire × per-partition kernels read B or D millions of times
+   per iteration. *)
 type t = {
   names : string array;
   capacities : float array;
-  b : float array array;
-  d : float array array;
+  b : float array;
+  d : float array;
   max_b_from : float array; (* per-row max of B, precomputed for omega bounds *)
 }
 
-let copy_matrix m = Array.map Array.copy m
+let flatten mat =
+  let m = Array.length mat in
+  let flat = Array.make (m * m) 0.0 in
+  Array.iteri (fun i row -> Array.blit row 0 flat (i * m) m) mat;
+  flat
+
+let unflatten m flat = Array.init m (fun i -> Array.sub flat (i * m) m)
 
 let check_square what m expected =
   if Array.length m <> expected then
@@ -39,48 +50,49 @@ let make ?names ~capacities ~b ~d () =
       if Array.length ns <> m then invalid_arg "Topology: names length mismatch";
       Array.copy ns
   in
-  let b = copy_matrix b and d = copy_matrix d in
   let max_b_from = Array.map (fun row -> Array.fold_left Float.max 0.0 row) b in
-  { names; capacities = Array.copy capacities; b; d; max_b_from }
+  { names; capacities = Array.copy capacities; b = flatten b; d = flatten d; max_b_from }
 
 let m t = Array.length t.capacities
 
 let capacity t i = t.capacities.(i)
 let capacities t = Array.copy t.capacities
 let total_capacity t = Array.fold_left ( +. ) 0.0 t.capacities
-let b t i1 i2 = t.b.(i1).(i2)
-let d t i1 i2 = t.d.(i1).(i2)
-let b_matrix t = copy_matrix t.b
-let d_matrix t = copy_matrix t.d
+let b t i1 i2 = t.b.((i1 * m t) + i2)
+let d t i1 i2 = t.d.((i1 * m t) + i2)
+let b_flat t = t.b
+let d_flat t = t.d
+let capacity_array t = t.capacities
+let b_matrix t = unflatten (m t) t.b
+let d_matrix t = unflatten (m t) t.d
 let name t i = t.names.(i)
 let max_b_from t i = t.max_b_from.(i)
 let max_b t = Array.fold_left Float.max 0.0 t.max_b_from
-let max_d t = Array.fold_left (fun acc row -> Array.fold_left Float.max acc row) 0.0 t.d
+let max_d t = Array.fold_left Float.max 0.0 t.d
 
-let symmetric m =
-  let n = Array.length m in
+let symmetric m flat =
   let ok = ref true in
-  for i = 0 to n - 1 do
-    for j = i + 1 to n - 1 do
-      if m.(i).(j) <> m.(j).(i) then ok := false
+  for i = 0 to m - 1 do
+    for j = i + 1 to m - 1 do
+      if flat.((i * m) + j) <> flat.((j * m) + i) then ok := false
     done
   done;
   !ok
 
-let b_symmetric t = symmetric t.b
-let d_symmetric t = symmetric t.d
+let b_symmetric t = symmetric (m t) t.b
+let d_symmetric t = symmetric (m t) t.d
 
 let with_zero_b t =
   let mm = m t in
   make ~names:t.names ~capacities:t.capacities
     ~b:(Array.make_matrix mm mm 0.0)
-    ~d:t.d ()
+    ~d:(d_matrix t) ()
 
 let scale_b t factor =
   if factor < 0.0 then invalid_arg "Topology.scale_b: negative factor";
   make ~names:t.names ~capacities:t.capacities
-    ~b:(Array.map (Array.map (fun x -> x *. factor)) t.b)
-    ~d:t.d ()
+    ~b:(Array.map (Array.map (fun x -> x *. factor)) (b_matrix t))
+    ~d:(d_matrix t) ()
 
 let equal a b =
   a.names = b.names && a.capacities = b.capacities && a.b = b.b && a.d = b.d

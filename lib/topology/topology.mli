@@ -42,6 +42,25 @@ val b_matrix : t -> float array array
 val d_matrix : t -> float array array
 (** Fresh copies. *)
 
+(** {2 Flat views}
+
+    {m B} and {m D} are stored flat and row-major: entry
+    {m (i_1, i_2)} sits at [i1 * M + i2].  The arrays below are the
+    topology's own storage, shared with [t], and must not be mutated.
+    Per-wire × per-partition kernels grab them once and index them:
+    {!b} and {!d} return a boxed float on every call from another
+    module, which made those kernels allocate per element. *)
+
+val b_flat : t -> float array
+(** {m B}, row-major, length {m M²}. *)
+
+val d_flat : t -> float array
+(** {m D}, row-major, length {m M²}. *)
+
+val capacity_array : t -> float array
+(** The capacities {m c_i}, length {m M} ({!capacities} without the
+    copy). *)
+
 val name : t -> int -> string
 (** Defaults to ["p<i>"]. *)
 

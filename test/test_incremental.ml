@@ -108,6 +108,61 @@ let prop_eta_sync_matches_scratch =
           !ok)
         [ Qmatrix.Solver; Qmatrix.Paper ])
 
+(* eta_sync takes a batch that crosses several drift resyncs with one
+   recompute; the vector must still be the move-by-move replay's, bit
+   for bit (not merely within tolerance). *)
+let prop_eta_sync_equals_replay =
+  QCheck.Test.make ~name:"eta_sync is bit-identical to the move-by-move replay"
+    ~count:25
+    QCheck.(pair (int_range 0 100_000) (int_range 1 9))
+    (fun (seed, resync_every) ->
+      let problem = random_problem seed in
+      let q = Qmatrix.make ~penalty:50.0 problem in
+      let problem = Qmatrix.problem q in
+      let n = Problem.n problem and m = Problem.m problem in
+      let rng = Rng.create (seed + 3) in
+      let u0 = Assignment.random rng ~n ~m in
+      List.for_all
+        (fun rule ->
+          let synced = Qmatrix.eta_state ~rule ~resync_every ~patch_limit:n q u0 in
+          let replayed = Qmatrix.eta_state ~rule ~resync_every ~patch_limit:n q u0 in
+          let target = Assignment.copy u0 in
+          let ok = ref true in
+          for _ = 1 to 10 do
+            for _ = 1 to Rng.int rng (n + 1) do
+              target.(Rng.int rng n) <- Rng.int rng m
+            done;
+            ignore (Qmatrix.eta_sync synced target);
+            for j = 0 to n - 1 do
+              if target.(j) <> (Qmatrix.eta_positions replayed).(j) then
+                Qmatrix.eta_apply_move replayed ~j target.(j)
+            done;
+            let a = Qmatrix.eta_buffer synced and b = Qmatrix.eta_buffer replayed in
+            Array.iteri
+              (fun r x -> if Int64.bits_of_float x <> Int64.bits_of_float b.(r) then ok := false)
+              a
+          done;
+          !ok)
+        [ Qmatrix.Solver; Qmatrix.Paper ])
+
+(* The solver counts violations from the partner CSR; the audit path
+   ([Check.count]) walks the raw budget store.  They must agree. *)
+let prop_violations_matches_check =
+  QCheck.Test.make ~name:"Qmatrix.violations equals Check.count" ~count:60
+    QCheck.(int_range 0 100_000)
+    (fun seed ->
+      let q = Qmatrix.make ~penalty:50.0 (random_problem seed) in
+      let problem = Qmatrix.problem q in
+      let n = Problem.n problem and m = Problem.m problem in
+      let rng = Rng.create (seed + 4) in
+      List.for_all
+        (fun _ ->
+          let u = Assignment.random rng ~n ~m in
+          Qmatrix.violations q u
+          = Qbpart_timing.Check.count problem.Problem.constraints problem.Problem.topology
+              ~assignment:u)
+        (List.init 8 Fun.id))
+
 (* ------------------------------------------------------------------ *)
 (* ECO deltas: apply_delta-patched Q/eta vs a from-scratch rebuild.   *)
 
@@ -400,12 +455,12 @@ module Oracle = struct
     done;
     !improved
 
-  let improve ~cost ~weight ~capacity ~m ~n a =
+  let improve ?(swap = true) ~cost ~weight ~capacity ~m ~n a =
     let residual = residual_of ~weight ~capacity ~m a in
     let continue = ref true in
     while !continue do
       let s1 = shift_pass ~cost ~weight ~m ~n a residual in
-      let s2 = swap_pass ~cost ~weight ~m ~n a residual in
+      let s2 = swap && swap_pass ~cost ~weight ~m ~n a residual in
       continue := s1 || s2
     done
 
@@ -414,7 +469,7 @@ module Oracle = struct
     Array.iteri (fun j i -> total := !total +. cost.(i).(j)) a;
     !total
 
-  let solve ~cost ~weight ~capacity ~m ~n =
+  let solve ?(criteria = Mthg.all_criteria) ?swap ~cost ~weight ~capacity ~m ~n () =
     let best = ref None in
     let best_cost = ref infinity in
     List.iter
@@ -422,14 +477,58 @@ module Oracle = struct
         match construct criterion ~cost ~weight ~capacity ~m ~n with
         | None -> ()
         | Some a ->
-          improve ~cost ~weight ~capacity ~m ~n a;
+          improve ?swap ~cost ~weight ~capacity ~m ~n a;
           let c = cost_of ~cost a in
           if !best = None || c < !best_cost then begin
             best := Some a;
             best_cost := c
           end)
-      Mthg.all_criteria;
+      criteria;
     !best
+
+  (* items heaviest first (the same sort call as the solver, so ties
+     break identically), each into its cheapest fitting knapsack or,
+     when none fits, the roomiest one *)
+  let relaxed_fill ~cost ~weight ~capacity ~m ~n =
+    let residual = Array.copy capacity in
+    let key =
+      Array.init n (fun j ->
+          let w = ref 0.0 in
+          for i = 0 to m - 1 do
+            w := Float.max !w weight.(i).(j)
+          done;
+          !w)
+    in
+    let order = Array.init n Fun.id in
+    Array.sort (fun a b -> Float.compare key.(b) key.(a)) order;
+    let a = Array.make n (-1) in
+    Array.iter
+      (fun j ->
+        let best = ref (-1) in
+        for i = 0 to m - 1 do
+          if weight.(i).(j) <= residual.(i) && (!best = -1 || cost.(i).(j) < cost.(!best).(j))
+          then best := i
+        done;
+        if !best < 0 then begin
+          best := 0;
+          for i = 1 to m - 1 do
+            if residual.(i) > residual.(!best) then best := i
+          done
+        end;
+        a.(j) <- !best;
+        residual.(!best) <- residual.(!best) -. weight.(!best).(j))
+      order;
+    a
+
+  let solve_relaxed ?criteria ?swap ~cost ~weight ~capacity ~m ~n () =
+    match solve ?criteria ?swap ~cost ~weight ~capacity ~m ~n () with
+    | Some a -> a
+    | None ->
+      let a = relaxed_fill ~cost ~weight ~capacity ~m ~n in
+      let residual = residual_of ~weight ~capacity ~m a in
+      if Array.for_all (fun r -> r >= 0.0) residual then
+        improve ?swap ~cost ~weight ~capacity ~m ~n a;
+      a
 end
 
 let random_gap rng =
@@ -457,7 +556,7 @@ let prop_flat_mthg_matches_boxed_oracle =
       let cost, weight, capacity, m, n = random_gap rng in
       let g = Gap.make ~cost ~weight ~capacity in
       let ws = Mthg.workspace ~m ~n in
-      let expected = Oracle.solve ~cost ~weight ~capacity ~m ~n in
+      let expected = Oracle.solve ~cost ~weight ~capacity ~m ~n () in
       let fresh = Mthg.solve g in
       let pooled = Option.map Array.copy (Mthg.solve ~ws g) in
       (* run a second pooled solve to prove buffer reuse cannot bleed
@@ -479,6 +578,58 @@ let prop_solve_relaxed_pooled_deterministic =
       let pooled = Array.copy (Mthg.solve_relaxed ~ws g) in
       let pooled_again = Array.copy (Mthg.solve_relaxed ~ws g) in
       fresh = pooled && pooled = pooled_again)
+
+(* Instances shaped like Burkard's STEP-4/6 subproblems: w_ij = s_j
+   (every knapsack shares one weight order, and the [Weight] criterion
+   ties every item onto the same knapsacks), up to ~60 items so
+   placements cascade over many refreshes, and total capacity from
+   comfortable down to below the total size, where every construction
+   gets stuck and [solve_relaxed] falls back to the overflow fill.
+   Half the draws use small-integer sizes and costs, for heavy ties. *)
+let burkard_gap rng =
+  let m = 2 + Rng.int rng 7 in
+  let n = 1 + Rng.int rng 60 in
+  let ties = Rng.int rng 2 = 0 in
+  let draw lo span = if ties then float_of_int (int_of_float lo + Rng.int rng 3) else lo +. Rng.float rng span in
+  let sizes = Array.init n (fun _ -> draw 1.0 2.0) in
+  let cost = Array.init m (fun _ -> Array.init n (fun _ -> draw 0.0 10.0)) in
+  let weight = Array.make m sizes in
+  let slack = 0.8 +. Rng.float rng 0.6 in
+  let total = Array.fold_left ( +. ) 0.0 sizes in
+  let capacity = Array.init m (fun _ -> total /. float_of_int m *. (slack +. Rng.float rng 0.2)) in
+  (cost, sizes, weight, capacity, m, n)
+
+let prop_burkard_shaped_mthg_matches_oracle =
+  QCheck.Test.make
+    ~name:"MTHG on Burkard-shaped instances (w_ij = s_j, ties, over-tight) equals the oracle"
+    ~count:150
+    QCheck.(int_range 0 100_000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let cost, sizes, weight, capacity, m, n = burkard_gap rng in
+      let g = Gap.make_uniform ~cost ~sizes ~capacity in
+      (* the solver's own configuration, and the module defaults *)
+      let burkard = [ Mthg.Cost; Mthg.Weight ] in
+      let expected = Oracle.solve ~cost ~weight ~capacity ~m ~n () in
+      let expected_relaxed =
+        Oracle.solve_relaxed ~criteria:burkard ~swap:false ~cost ~weight ~capacity ~m ~n ()
+      in
+      (* one pooled workspace serves every call below, interleaving
+         solve and solve_relaxed, so leftover state would show *)
+      let ws = Mthg.workspace ~m ~n in
+      let relaxed () =
+        Array.copy (Mthg.solve_relaxed ~ws ~criteria:burkard ~improve:`Shift g)
+      in
+      let pooled = Option.map Array.copy (Mthg.solve ~ws g) in
+      let r1 = relaxed () in
+      let pooled_again = Option.map Array.copy (Mthg.solve ~ws g) in
+      let r2 = relaxed () in
+      Mthg.solve g = expected
+      && pooled = expected
+      && pooled_again = expected
+      && Mthg.solve_relaxed ~criteria:burkard ~improve:`Shift g = expected_relaxed
+      && r1 = expected_relaxed
+      && r2 = expected_relaxed)
 
 (* ------------------------------------------------------------------ *)
 (* Burkard workspace pooling: reuse must not change trajectories.     *)
@@ -530,12 +681,18 @@ let () =
   Alcotest.run "incremental"
     [
       ( "eta maintenance",
-        [ qt prop_eta_apply_move_matches_scratch; qt prop_eta_sync_matches_scratch ] );
+        [
+          qt prop_eta_apply_move_matches_scratch;
+          qt prop_eta_sync_matches_scratch;
+          qt prop_eta_sync_equals_replay;
+          qt prop_violations_matches_check;
+        ] );
       ( "eco deltas",
         [ qt prop_apply_delta_matches_scratch; qt prop_remove_readd_roundtrip ] );
       ( "flat gap",
         [
           qt prop_flat_mthg_matches_boxed_oracle;
+          qt prop_burkard_shaped_mthg_matches_oracle;
           qt prop_solve_relaxed_pooled_deterministic;
           Alcotest.test_case "mthg workspace shape checked" `Quick
             test_mthg_workspace_shape_checked;
