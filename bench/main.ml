@@ -372,6 +372,24 @@ let kernels ?(baselines_only = false) inst =
   let buckets = Buckets.create nl topo gains in
   Buckets.reset buckets;
   let bucket_legal ~j ~target = Gains.move_fits gains topo ~j ~target in
+  (* GKL swap selection in the state production runs it on: the
+     instance's feasible reference (Table III tightness, slack 1.08)
+     padded with GKL's dummies; the pair scan checks timing as
+     Gkl.solve's Scan path does, the buckets own it *)
+  let gkl_nl, gkl_start, _ =
+    Gkl.with_dummies ~chunks:Gkl.default_config.Gkl.dummies nl topo inst.Circuits.reference
+  in
+  let gkl_n = Netlist.n gkl_nl in
+  let gkl_gains = Gains.create gkl_nl topo gkl_start in
+  let gkl_buckets = Buckets.create ~constraints:cons gkl_nl topo gkl_gains in
+  let gkl_a = Gains.assignment gkl_gains in
+  let gkl_legal ~j1 ~j2 =
+    (j1 >= n
+    || Qbpart_timing.Check.placement_ok cons topo ~assignment:gkl_a ~j:j1 ~at:gkl_a.(j2) ~other:j2)
+    && (j2 >= n
+       || Qbpart_timing.Check.placement_ok cons topo ~assignment:gkl_a ~j:j2 ~at:gkl_a.(j1)
+            ~other:j1)
+  in
   let rws = Race.workspace ~m ~n in
   (* the busiest component: worst case for the O(deg) delta kernels,
      so the delta-vs-full ratio below is a lower bound *)
@@ -474,6 +492,31 @@ let kernels ?(baselines_only = false) inst =
              (!best_j, !best_i)));
       Test.make ~name:"gains move selection (buckets)"
         (Staged.stage (fun () -> Buckets.best_move buckets ~legal:bucket_legal));
+      (* the GKL pair scan of gkl.ml (delta first, capacity and timing
+         checked lazily) vs the bucket best_swap over the same state *)
+      Test.make ~name:"gkl swap selection (pair scan)"
+        (Staged.stage (fun () ->
+             let best_j1 = ref (-1) and best_j2 = ref (-1) in
+             let best_d = ref infinity in
+             for j1 = 0 to gkl_n - 1 do
+               for j2 = j1 + 1 to gkl_n - 1 do
+                 if gkl_a.(j1) <> gkl_a.(j2) then begin
+                   let d = Gains.swap_delta gkl_gains ~j1 ~j2 in
+                   if
+                     d < !best_d
+                     && Gains.swap_fits gkl_gains topo ~j1 ~j2
+                     && gkl_legal ~j1 ~j2
+                   then begin
+                     best_d := d;
+                     best_j1 := j1;
+                     best_j2 := j2
+                   end
+                 end
+               done
+             done;
+             (!best_j1, !best_j2)));
+      Test.make ~name:"gkl swap selection (buckets)"
+        (Staged.stage (fun () -> Buckets.best_swap gkl_buckets));
       (* the Burkard default GAP path (MTHG with the two-criteria
          cascade) vs the per-iteration solver race *)
       Test.make ~name:"mthg solve_relaxed (cost+weight, pooled ws)"
@@ -541,6 +584,13 @@ let kernels ?(baselines_only = false) inst =
    with
   | Some scan, Some buck when buck > 0.0 ->
     Format.printf "  bucket move selection speedup over row scan: %.1fx@." (scan /. buck)
+  | _ -> ());
+  (match
+     ( List.assoc_opt "gkl swap selection (pair scan)" estimates,
+       List.assoc_opt "gkl swap selection (buckets)" estimates )
+   with
+  | Some scan, Some buck when buck > 0.0 ->
+    Format.printf "  bucket swap selection speedup over pair scan: %.1fx@." (scan /. buck)
   | _ -> ());
   (match
      ( List.assoc_opt "mthg solve_relaxed (cost+weight, pooled ws)" estimates,
@@ -1312,7 +1362,8 @@ let () =
   if only_scale then scale_stats := Some (scale_bench quick)
   else if only_server then server_stats := Some (server_throughput quick)
   else if only_baselines then begin
-    (* CI smoke: just the GFM/GKL selection and GAP-race kernel rows *)
+    (* CI smoke: just the GFM move / GKL swap selection and GAP-race
+       kernel rows *)
     Format.printf "building ckta (baseline kernels)...@.";
     let inst = Circuits.build (List.hd Circuits.table1) in
     kernel_stats := kernels ~baselines_only:true inst
@@ -1442,6 +1493,19 @@ let () =
           ]
         | _ -> []
       in
+      let swap_selection =
+        match
+          ( List.assoc_opt "gkl swap selection (pair scan)" !kernel_stats,
+            List.assoc_opt "gkl swap selection (buckets)" !kernel_stats )
+        with
+        | Some scan, Some buck when buck > 0.0 ->
+          [
+            ("gkl_swap_scan_ns", Json.Float scan);
+            ("gkl_swap_buckets_ns", Json.Float buck);
+            ("gkl_swap_speedup", Json.Float (scan /. buck));
+          ]
+        | _ -> []
+      in
       let race =
         match
           ( List.assoc_opt "mthg solve_relaxed (cost+weight, pooled ws)" !kernel_stats,
@@ -1455,7 +1519,7 @@ let () =
           ]
         | _ -> []
       in
-      selection @ race
+      selection @ swap_selection @ race
     in
     let doc =
       Json.Obj

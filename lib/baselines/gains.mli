@@ -5,7 +5,8 @@
     section 5).  This module maintains, for every component [j] and
     partition [i], the exact change in the equation-(1) objective of
     moving [j] to [i] — the {m (M-1)} gain entries of GFM, stored as a
-    dense {m N×M} delta table with [delta.(j).(u.(j)) = 0].
+    dense, flat {m N×M} delta table: cell [j*M + i] holds the delta of
+    moving [j] to [i], and cell [j*M + u(j)] is 0.
 
     Deltas cover the linear and quadratic terms only; timing is a hard
     move-legality filter in both baselines (violating moves are simply
@@ -41,6 +42,16 @@ val beta : t -> float
 
 val loads : t -> float array
 (** Current partition loads (shared array — do not mutate). *)
+
+val sizes : t -> float array
+(** Component sizes {m s_j}, the values {!Netlist.size} returns
+    (shared array — do not mutate). *)
+
+val deltas : t -> float array
+(** The flat delta table: cell [j*M + i] is [move_delta ~j ~target:i]
+    (shared array — do not mutate).  Selection kernels index it
+    directly: a float returned by {!move_delta} from another module is
+    boxed on every call. *)
 
 val move_delta : t -> j:int -> target:int -> float
 (** Objective change if [j] moved to [target] (0 when already there). *)

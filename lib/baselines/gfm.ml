@@ -31,19 +31,18 @@ let solve ?(config = default_config) ?p ?alpha ?beta ?constraints
   let gains = Gains.create ?p ?alpha ?beta nl topo initial in
   let a = Gains.assignment gains in
   let locked = Array.make n false in
+  (* the Scan path's timing legality; the bucket path applies the same
+     check itself *)
   let timing_ok j target =
     match constraints with
     | None -> true
-    | Some c ->
-      Check.placement_ok c topo ~j ~at:target ~where:(fun j' ->
-          if j' = j then None else Some a.(j'))
+    | Some c -> Check.placement_ok c topo ~assignment:a ~j ~at:target ~other:(-1)
   in
   let buckets =
     match config.selection with
-    | Buckets -> Some (Buckets.create nl topo gains)
+    | Buckets -> Some (Buckets.create ?constraints nl topo gains)
     | Scan -> None
   in
-  let legal ~j ~target = Gains.move_fits gains topo ~j ~target && timing_ok j target in
   let total_moves = ref 0 in
   let passes = ref 0 in
   let interrupted = ref false in
@@ -71,7 +70,7 @@ let solve ?(config = default_config) ?p ?alpha ?beta ?constraints
          scanning the full N×M table. *)
       let selected =
         match buckets with
-        | Some b -> Buckets.best_move b ~legal
+        | Some b -> Buckets.best_move b
         | None ->
           let best_j = ref (-1) and best_i = ref (-1) and best_d = ref infinity in
           for j = 0 to n - 1 do

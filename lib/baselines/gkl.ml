@@ -31,28 +31,14 @@ type result = {
    pad each partition's spare capacity with unconnected dummy
    components, so that "swap with a dummy" realizes a plain move.
    Each partition's spare is split into [chunks] dummies of sizes
-   spare/2, spare/3, spare/6, ... (harmonic-ish split, exact fill).
-   Returns the extended netlist, the extended initial assignment, the
-   extended P matrix (dummies cost 0 everywhere) and the real
-   component count. *)
+   spare/2, spare/4, ..., remainder (exact fill).  The dummies are
+   appended to the netlist without rebuilding it.  Returns the
+   extended netlist, the extended initial assignment and the extended
+   P matrix (dummies cost 0 everywhere). *)
 let with_dummies ~chunks ?p nl topo initial =
   let n = Netlist.n nl in
   let m = Topology.m topo in
   let loads = Assignment.loads nl ~m initial in
-  let b = Netlist.Builder.create () in
-  Array.iter
-    (fun c ->
-      ignore
-        (Netlist.Builder.add_component b
-           ~name:(Qbpart_netlist.Component.name c)
-           ~size:(Qbpart_netlist.Component.size c)
-           ()))
-    (Netlist.components nl);
-  Array.iter
-    (fun w ->
-      Netlist.Builder.add_wire b (Qbpart_netlist.Wire.u w) (Qbpart_netlist.Wire.v w)
-        ~weight:(Qbpart_netlist.Wire.weight w) ())
-    (Netlist.wires nl);
   let extra = ref [] in
   for i = 0 to m - 1 do
     (* geometric split: spare/2, spare/4, ..., remainder — a mix of
@@ -63,18 +49,14 @@ let with_dummies ~chunks ?p nl topo initial =
     for k = 1 to chunks do
       let size = if k = chunks then !spare else !spare /. 2.0 in
       if size > 1e-9 then begin
-        let id =
-          Netlist.Builder.add_component b ~name:(Printf.sprintf "__dummy_%d_%d" i k) ~size ()
-        in
-        extra := (id, i) :: !extra;
+        extra := (Printf.sprintf "__dummy_%d_%d" i k, size, i) :: !extra;
         spare := !spare -. size
       end
     done
   done;
-  let nl' = Netlist.Builder.build b in
-  let initial' = Array.make (Netlist.n nl') 0 in
-  Array.blit initial 0 initial' 0 n;
-  List.iter (fun (id, i) -> initial'.(id) <- i) !extra;
+  let extra = Array.of_list (List.rev !extra) in
+  let nl' = Netlist.append_isolated nl (Array.map (fun (name, size, _) -> (name, size)) extra) in
+  let initial' = Array.append initial (Array.map (fun (_, _, i) -> i) extra) in
   let p' =
     Option.map
       (fun p ->
@@ -103,27 +85,22 @@ let solve ?(config = default_config) ?p ?alpha ?beta ?constraints
   let gains = Gains.create ?p ?alpha ?beta nl topo initial in
   let a = Gains.assignment gains in
   let locked = Array.make n false in
-  (* timing legality of the full exchange: each end is checked at its
-     new partition with the other end already relocated *)
+  (* the Scan path's timing legality of the full exchange: each end is
+     checked at its new partition with the other end already relocated;
+     dummies carry no timing constraints.  The bucket path applies the
+     same check itself. *)
   let swap_timing_ok j1 j2 =
     match constraints with
     | None -> true
     | Some c ->
-      (* dummies carry no timing constraints *)
-      let p1 = a.(j1) and p2 = a.(j2) in
-      let where_for jm other_at j' =
-        if j' = jm then None else if j' = (if jm = j1 then j2 else j1) then Some other_at
-        else Some a.(j')
-      in
-      (j1 >= real_n || Check.placement_ok c topo ~j:j1 ~at:p2 ~where:(where_for j1 p1))
-      && (j2 >= real_n || Check.placement_ok c topo ~j:j2 ~at:p1 ~where:(where_for j2 p2))
+      (j1 >= real_n || Check.placement_ok c topo ~assignment:a ~j:j1 ~at:a.(j2) ~other:j2)
+      && (j2 >= real_n || Check.placement_ok c topo ~assignment:a ~j:j2 ~at:a.(j1) ~other:j1)
   in
   let buckets =
     match config.selection with
-    | Buckets -> Some (Buckets.create nl topo gains)
+    | Buckets -> Some (Buckets.create ?constraints nl topo gains)
     | Scan -> None
   in
-  let legal ~j1 ~j2 = Gains.swap_fits gains topo ~j1 ~j2 && swap_timing_ok j1 j2 in
   let total_swaps = ref 0 in
   let outer = ref 0 in
   let interrupted = ref false in
@@ -148,7 +125,7 @@ let solve ?(config = default_config) ?p ?alpha ?beta ?constraints
          bounds instead of touching all N² pairs *)
       let selected =
         match buckets with
-        | Some b -> Buckets.best_swap b ~legal
+        | Some b -> Buckets.best_swap b
         | None ->
           let best_j1 = ref (-1) and best_j2 = ref (-1) and best_d = ref infinity in
           for j1 = 0 to n - 1 do

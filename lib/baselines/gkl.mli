@@ -59,6 +59,21 @@ type result = {
   interrupted : bool; (** [should_stop] fired before convergence *)
 }
 
+val with_dummies :
+  chunks:int ->
+  ?p:float array array ->
+  Netlist.t ->
+  Topology.t ->
+  Assignment.t ->
+  Netlist.t * Assignment.t * float array array option
+(** The padding {!solve} applies when [dummies = chunks > 0]: 70% of
+    each partition's spare capacity under [initial] becomes up to
+    [chunks] unconnected dummies (halving sizes, the last one takes the
+    rest), appended after the real components with
+    {!Netlist.append_isolated}.  Returns the padded netlist, the
+    padded assignment (each dummy in its partition) and [p] with
+    zero-cost dummy columns. *)
+
 val solve :
   ?config:config ->
   ?p:float array array ->

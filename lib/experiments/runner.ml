@@ -33,8 +33,7 @@ let perturb_reference (inst : Circuits.instance) =
     if
       i <> a.(j)
       && loads.(i) +. s <= Topology.capacity topo i
-      && Check.placement_ok cons topo ~j ~at:i ~where:(fun j' ->
-             if j' = j then None else Some a.(j'))
+      && Check.placement_ok cons topo ~assignment:a ~j ~at:i ~other:(-1)
     then begin
       loads.(a.(j)) <- loads.(a.(j)) -. s;
       loads.(i) <- loads.(i) +. s;

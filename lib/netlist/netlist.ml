@@ -179,6 +179,35 @@ end
 
 let n t = Array.length t.components
 
+(* The appended components have no wires, so the merged wire array and
+   the CSR neighbor/weight arrays are shared unchanged; only the row
+   offsets grow, by empty rows. *)
+let append_isolated t extra =
+  let n0 = n t and k = Array.length extra in
+  if k = 0 then t
+  else begin
+    let by_name = Hashtbl.copy t.by_name in
+    let added =
+      Array.mapi
+        (fun i (name, size) ->
+          if Hashtbl.mem by_name name then
+            invalid_arg (Printf.sprintf "Netlist.append_isolated: duplicate name %S" name);
+          let c = Component.make ~id:(n0 + i) ~name ~size in
+          Hashtbl.replace by_name name (n0 + i);
+          c)
+        extra
+    in
+    let xadj = Array.make (n0 + k + 1) t.xadj.(n0) in
+    Array.blit t.xadj 0 xadj 0 (n0 + 1);
+    {
+      t with
+      components = Array.append t.components added;
+      xadj;
+      by_name;
+      total_size = Array.fold_left (fun acc c -> acc +. Component.size c) t.total_size added;
+    }
+  end
+
 let component t j =
   if j < 0 || j >= n t then invalid_arg (Printf.sprintf "Netlist.component: id %d out of range" j);
   t.components.(j)
@@ -209,17 +238,24 @@ let degree t j =
 
 let adj_slot t j1 j2 =
   if j1 = j2 || j1 < 0 || j1 >= n t then -1
-  else
-    (* Binary search over the neighbor-sorted CSR row. *)
+  else begin
+    (* Binary search over the neighbor-sorted CSR row (a loop, not a
+       local recursive function: that would allocate a closure per
+       call, and selection kernels call this per candidate pair). *)
     let anbr = t.anbr in
-    let rec go lo hi =
-      if lo >= hi then -1
-      else
-        let mid = (lo + hi) / 2 in
-        let nb = anbr.(mid) in
-        if nb = j2 then mid else if nb < j2 then go (mid + 1) hi else go lo mid
-    in
-    go t.xadj.(j1) t.xadj.(j1 + 1)
+    let lo = ref t.xadj.(j1) and hi = ref t.xadj.(j1 + 1) and found = ref (-1) in
+    while !lo < !hi do
+      let mid = (!lo + !hi) / 2 in
+      let nb = anbr.(mid) in
+      if nb = j2 then begin
+        found := mid;
+        lo := !hi
+      end
+      else if nb < j2 then lo := mid + 1
+      else hi := mid
+    done;
+    !found
+  end
 
 let connection t j1 j2 =
   let k = adj_slot t j1 j2 in

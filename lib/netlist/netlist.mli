@@ -52,6 +52,15 @@ val make_parallel :
     when the instance is large enough to amortize the fan-out.  The
     result is bit-identical to {!make} for any pool size. *)
 
+val append_isolated : t -> (string * float) array -> t
+(** [append_isolated t extra] is [t] plus one unconnected component
+    per [(name, size)] of [extra], with ids [n t], [n t + 1], ... in
+    order — {!equal} to rebuilding [t]'s components and wires plus
+    these through {!Builder}, at {m O(N)} cost: the wires and the CSR
+    neighbor/weight arrays are shared with [t], and no wire is
+    re-merged.
+    @raise Invalid_argument on a duplicate name or [size <= 0]. *)
+
 (** {1 Components} *)
 
 val n : t -> int

@@ -90,7 +90,6 @@ let one_greedy_attempt ?constraints rng nl topo =
   let order = bfs_order ?constraints rng nl in
   let a = Array.make n (-1) in
   let free = Array.init m (Topology.capacity topo) in
-  let where j = if a.(j) >= 0 then Some a.(j) else None in
   (* Among timing-legal slots with room, prefer the one closest (in
      delay) to the already-placed constraint partners and wired
      neighbors, with random noise so restarts explore. *)
@@ -127,7 +126,7 @@ let one_greedy_attempt ?constraints rng nl topo =
             let timing_ok =
               match constraints with
               | None -> true
-              | Some c -> Check.placement_ok c topo ~j ~at:i ~where
+              | Some c -> Check.placement_ok c topo ~assignment:a ~j ~at:i ~other:(-1)
             in
             if timing_ok then begin
               let p = pull j i in

@@ -9,13 +9,24 @@ module Deadline = Qbpart_engine.Deadline
 module Engine = Qbpart_engine.Engine
 module Checkpoint = Qbpart_engine.Checkpoint
 
-type job = {
-  id : string;
+(* What a job needs only until it ends: the submission (whose inline
+   netlist and timing text can be large), the parsed instance and the
+   store checkpoint it resumes from.  [finish] drops it, with the last
+   engine checkpoint, at every terminal transition, so a finished job
+   keeps only what its view reports. *)
+type work = {
   spec : Protocol.submit;
   problem : Problem.t;
+  resume : Checkpoint.t option;
+}
+
+type job = {
+  id : string;
+  label : string option;
   instance_hash : int64;
-  resume_from : (Checkpoint.t * string) option;  (* store checkpoint + its path *)
+  resumed_from : string option;  (* path of the store checkpoint resumed *)
   submitted_at : float;
+  mutable work : work option;  (* None once the job is terminal *)
   mutable started_at : float option;
   mutable finished_at : float option;
   mutable state : Protocol.job_state;
@@ -118,7 +129,7 @@ let view_of_job (j : job) =
   {
     Protocol.id = j.id;
     state = j.state;
-    label = j.spec.Protocol.label;
+    label = j.label;
     queued_seconds;
     wall_seconds;
     cost = j.cost;
@@ -129,7 +140,7 @@ let view_of_job (j : job) =
     error = j.error;
     checkpoint = j.checkpoint_path;
     assignment = Option.map Array.copy j.assignment;
-    resumed_from = Option.map snd j.resume_from;
+    resumed_from = j.resumed_from;
   }
 
 (* --- the worker loop ----------------------------------------------- *)
@@ -184,15 +195,25 @@ let persist_checkpoint t (j : job) =
     | Error e ->
       j.error <- Some (Printf.sprintf "checkpoint write failed: %s" (Checkpoint.error_to_string e)))
 
+(* Every terminal transition ends here: the state, the finish time,
+   and the release of everything only the run needed.  A checkpoint
+   that must outlive the job is persisted (by [persist_checkpoint])
+   before this call. *)
+let finish (j : job) state =
+  j.state <- state;
+  j.finished_at <- Some (Unix.gettimeofday ());
+  j.work <- None;
+  j.last_checkpoint <- None
+
 let run_job t (j : job) =
-  let skip =
+  let work =
     locked t (fun () ->
-        if j.state = Protocol.Cancelled then true
-        else begin
+        match j.work with
+        | Some w when j.state <> Protocol.Cancelled ->
           j.state <- Protocol.Running;
           j.started_at <- Some (Unix.gettimeofday ());
           let deadline =
-            match j.spec.Protocol.deadline_s with
+            match w.spec.Protocol.deadline_s with
             | Some s -> Deadline.of_seconds s
             | None -> Deadline.none ()
           in
@@ -200,34 +221,33 @@ let run_job t (j : job) =
           if t.draining_flag || j.cancel_requested then Deadline.cancel deadline;
           j.deadline <- Some deadline;
           t.running_count <- t.running_count + 1;
-          false
-        end)
+          Some (w, deadline)
+        | _ -> None)
   in
-  if not skip then begin
-    let deadline = Option.get j.deadline in
+  match work with
+  | None -> ()
+  | Some ({ spec; problem; resume }, deadline) ->
     let config =
       {
         Engine.Config.default with
         qbp =
           {
             Burkard.Config.default with
-            iterations = j.spec.Protocol.iterations;
-            seed = j.spec.Protocol.seed;
-            gap_race =
-              (if j.spec.Protocol.gap_race then Some Qbpart_gap.Race.default else None);
+            iterations = spec.Protocol.iterations;
+            seed = spec.Protocol.seed;
+            gap_race = (if spec.Protocol.gap_race then Some Qbpart_gap.Race.default else None);
           };
-        starts = j.spec.Protocol.starts;
-        evolve = j.spec.Protocol.evolve;
-        generations = j.spec.Protocol.generations;
-        pool_size = j.spec.Protocol.pool_size;
+        starts = spec.Protocol.starts;
+        evolve = spec.Protocol.evolve;
+        generations = spec.Protocol.generations;
+        pool_size = spec.Protocol.pool_size;
       }
     in
     let on_checkpoint cp =
       j.last_checkpoint <- Some cp;
       replicate t j cp
     in
-    let resume = Option.map fst j.resume_from in
-    let result = Engine.solve ~config ~deadline ~on_checkpoint ?resume j.problem in
+    let result = Engine.solve ~config ~deadline ~on_checkpoint ?resume problem in
     locked t (fun () ->
         (match result with
         | Ok { Engine.assignment; cost; report; certificate } ->
@@ -241,22 +261,20 @@ let run_job t (j : job) =
           if j.interrupted || j.cancel_requested || t.draining_flag then
             persist_checkpoint t j;
           if j.cancel_requested then begin
-            j.state <- Protocol.Cancelled;
+            finish j Protocol.Cancelled;
             Metrics.cancelled t.metrics
           end
           else begin
-            j.state <- Protocol.Done;
+            finish j Protocol.Done;
             Metrics.completed t.metrics
               ~wall:
                 (Unix.gettimeofday () -. Option.value ~default:(Unix.gettimeofday ()) j.started_at)
           end
         | Error e ->
           j.error <- Some (Engine.Error.to_string e);
-          j.state <- Protocol.Failed;
+          finish j Protocol.Failed;
           Metrics.failed t.metrics);
-        j.finished_at <- Some (Unix.gettimeofday ());
         t.running_count <- t.running_count - 1)
-  end
 
 let worker_loop t () =
   let rec loop () =
@@ -269,8 +287,7 @@ let worker_loop t () =
             a worker can never die and silently shrink the pool *)
          locked t (fun () ->
              job.error <- Some (Printexc.to_string exn);
-             job.state <- Protocol.Failed;
-             job.finished_at <- Some (Unix.gettimeofday ());
+             finish job Protocol.Failed;
              Metrics.failed t.metrics));
       loop ()
   in
@@ -316,11 +333,11 @@ let submit t spec =
           let job =
             {
               id;
-              spec;
-              problem;
+              label = spec.Protocol.label;
               instance_hash;
-              resume_from;
+              resumed_from = Option.map snd resume_from;
               submitted_at = Unix.gettimeofday ();
+              work = Some { spec; problem; resume = Option.map fst resume_from };
               started_at = None;
               finished_at = None;
               state = Protocol.Queued;
@@ -345,9 +362,8 @@ let submit t spec =
             (match shed with
             | None -> ()
             | Some (victim : job) ->
-              victim.state <- Protocol.Cancelled;
               victim.error <- Some "shed: evicted by an interactive arrival at capacity";
-              victim.finished_at <- Some (Unix.gettimeofday ());
+              finish victim Protocol.Cancelled;
               Metrics.shed t.metrics;
               Metrics.cancelled t.metrics);
             Ok (id, depth)
@@ -373,8 +389,7 @@ let cancel t id =
         (match j.state with
         | Protocol.Queued ->
           j.cancel_requested <- true;
-          j.state <- Protocol.Cancelled;
-          j.finished_at <- Some (Unix.gettimeofday ());
+          finish j Protocol.Cancelled;
           Metrics.cancelled t.metrics
         | Protocol.Running ->
           j.cancel_requested <- true;
@@ -405,9 +420,8 @@ let drain t =
         List.iter
           (fun (j : job) ->
             if j.state = Protocol.Queued then begin
-              j.state <- Protocol.Cancelled;
               j.error <- Some "daemon drained before the job started";
-              j.finished_at <- Some (Unix.gettimeofday ());
+              finish j Protocol.Cancelled;
               Metrics.cancelled t.metrics
             end)
           leftover;

@@ -15,7 +15,12 @@
     cancels its deadline, and the engine's anytime contract turns that
     into a prompt best-so-far return — the job ends [Cancelled] but
     still carries its certified incumbent and, when one was captured,
-    a resumable checkpoint.
+    a resumable checkpoint.  At every terminal transition the job
+    drops its submission (inline netlist and timing text), its parsed
+    instance and its checkpoints, after persisting any checkpoint it
+    must leave behind; it keeps only what {!view} reports, so a
+    long-running daemon's job table grows by a view per job, not by an
+    instance.
 
     {!drain} is the graceful-shutdown path: close admission, cancel
     every queued job, cancel every in-flight deadline, join the

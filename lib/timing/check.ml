@@ -18,20 +18,21 @@ let worst_slack c topo ~assignment =
   Constraints.fold c ~init:infinity ~f:(fun acc j1 j2 budget ->
       Float.min acc (budget -. Topology.d topo assignment.(j1) assignment.(j2)))
 
-let placement_ok c topo ~j ~at ~where =
+let placement_ok c topo ~assignment ~j ~at ~other =
   let poff = Constraints.partner_offsets c in
   let pids = Constraints.partner_ids c in
   let pbout = Constraints.partner_budget_out c in
   let pbin = Constraints.partner_budget_in c in
+  let d = Topology.d_flat topo and m = Topology.m topo in
+  let other_at = assignment.(j) in
   let ok = ref true in
   let k = ref poff.(j) in
   let hi = poff.(j + 1) in
   while !ok && !k < hi do
-    (match where pids.(!k) with
-    | None -> ()
-    | Some at' ->
-      if Topology.d topo at at' > pbout.(!k) then ok := false
-      else if Topology.d topo at' at > pbin.(!k) then ok := false);
+    let j' = pids.(!k) in
+    let at' = if j' = other then other_at else assignment.(j') in
+    if at' >= 0 && (d.((at * m) + at') > pbout.(!k) || d.((at' * m) + at) > pbin.(!k)) then
+      ok := false;
     incr k
   done;
   !ok

@@ -33,13 +33,18 @@ val worst_slack :
 val placement_ok :
   Constraints.t ->
   Qbpart_topology.Topology.t ->
+  assignment:int array ->
   j:int ->
   at:int ->
-  where:(int -> int option) ->
+  other:int ->
   bool
-(** [placement_ok c topo ~j ~at ~where] checks every constraint
-    involving [j] against placing [j] at partition [at], where
-    [where j'] gives the partition of partner [j'] ([None] = not yet
-    placed, constraint ignored).  This is the move-legality primitive
-    of the GFM/GKL baselines ("moves are allowed to take place only
-    when they do not introduce timing violations"). *)
+(** [placement_ok c topo ~assignment ~j ~at ~other] checks every
+    budget involving [j] with [j] placed at [at].  Each partner [j']
+    sits at [assignment.(j')], except [other], the swap partner, which
+    takes [j]'s current place [assignment.(j)] (pass [other = -1] for a
+    plain move); a partner with a negative place is not placed yet and
+    its budgets are ignored.  This is the move and swap legality
+    primitive of the GFM/GKL baselines ("moves are allowed to take
+    place only when they do not introduce timing violations") and of
+    the greedy start.  It walks [j]'s partner CSR row by index and
+    allocates nothing. *)

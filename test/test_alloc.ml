@@ -1,5 +1,6 @@
 (* The steady-state Burkard kernels allocate nothing per element
-   (burkard.mli, Workspace; DESIGN.md D9 and D14).  Each kernel is run
+   (burkard.mli, Workspace; DESIGN.md D9 and D14), and neither do the
+   GFM/GKL selections (buckets.mli; DESIGN.md D15).  Each kernel is run
    once to warm its buffers, then its minor-heap words are measured on
    one call over a small generated instance and over one four times
    larger.  A kernel that boxes a float per wire, per partition or per
@@ -8,6 +9,8 @@
    words of fixed per-call overhead are tolerated. *)
 
 open Qbpart_core
+module Gains = Qbpart_baselines.Gains
+module Buckets = Qbpart_baselines.Buckets
 module Netlist = Qbpart_netlist.Netlist
 module Rng = Qbpart_netlist.Rng
 module Generator = Qbpart_netlist.Generator
@@ -109,6 +112,29 @@ let solve_relaxed ~slack ~n =
   let criteria = Burkard.Config.default.Burkard.Config.gap_criteria in
   fun () -> ignore (Mthg.solve_relaxed ~ws ~criteria ~improve:`Shift g : int array)
 
+(* the GFM/GKL selections as the solvers run them: capacity and timing
+   owned by a bucket structure created with the budgets; Table III
+   tightness (slack 1.08) over a random placement *)
+let selection ~n =
+  let rng = Rng.create (29 + n) in
+  let nl = Generator.generate rng (Generator.default_params ~n ~wires:(8 * n)) in
+  let topo = Grid.make ~rows:4 ~cols:4 ~capacity:(Netlist.total_size nl /. 16.0 *. 1.08) () in
+  let cons = Constraints.create ~n in
+  for _ = 1 to 3 * n do
+    let j1 = Rng.int rng n and j2 = Rng.int rng n in
+    if j1 <> j2 then Constraints.add cons j1 j2 (float_of_int (1 + Rng.int rng 3))
+  done;
+  let gains = Gains.create nl topo (Assignment.random rng ~n ~m:16) in
+  Buckets.create ~constraints:cons nl topo gains
+
+let best_move ~n =
+  let b = selection ~n in
+  fun () -> ignore (Buckets.best_move b : (int * int * float) option)
+
+let best_swap ~n =
+  let b = selection ~n in
+  fun () -> ignore (Buckets.best_swap b : (int * int * float) option)
+
 let () =
   let case name kernel = Alcotest.test_case name `Quick (fun () -> check_flat name kernel) in
   Alcotest.run "alloc"
@@ -121,5 +147,7 @@ let () =
           case "Qmatrix.violations" violations;
           case "Mthg.solve_relaxed ~ws (feasible)" (solve_relaxed ~slack:1.2);
           case "Mthg.solve_relaxed ~ws (overflow fill)" (solve_relaxed ~slack:0.9);
+          case "Buckets.best_move (capacity and timing)" best_move;
+          case "Buckets.best_swap (capacity and timing)" best_swap;
         ] );
     ]

@@ -985,6 +985,146 @@ let test_drain_cancels_queued_jobs () =
   Client.close c
 
 (* ------------------------------------------------------------------ *)
+(* A finished job keeps only what its view reports: the scheduler drops
+   the submission, the parsed instance and the checkpoints at the
+   terminal transition.  Status and Events must still return the same
+   view, and the job table must grow by far less than one instance per
+   finished job. *)
+
+let terminal_view c job =
+  let rec last = function
+    | Protocol.Job v -> v
+    | Protocol.Event _ -> (
+      match Client.read_response c with
+      | Ok r -> last r
+      | Error e -> fail ("event stream: " ^ e))
+    | r -> fail (Format.asprintf "unexpected stream frame %a" Protocol.pp_response r)
+  in
+  last (call_ok c (Protocol.Events { job; since = 0 }))
+
+let test_finished_views_agree () =
+  let dir = temp_dir () in
+  let socket_path = Filename.concat dir "d.sock" in
+  let config =
+    { (Server.default_config ~socket_path) with Server.workers = 1; checkpoint_dir = dir }
+  in
+  let server =
+    match Server.create config with Ok s -> s | Error e -> fail ("server create: " ^ e)
+  in
+  let serve_thread = Thread.create Server.serve server in
+  Fun.protect
+    ~finally:(fun () ->
+      Server.request_drain server;
+      Thread.join serve_thread)
+  @@ fun () ->
+  let c =
+    match Client.connect (Client.Unix_socket socket_path) with
+    | Ok c -> c
+    | Error e -> fail ("connect: " ^ e)
+  in
+  let spec =
+    {
+      (small_grid (base_spec (netlist_text ~n:30 ~wires:80 ~seed:9))) with
+      Protocol.iterations = 20;
+      label = Some "released";
+    }
+  in
+  let job = job_of_submit (call_ok c (Protocol.Submit spec)) in
+  let status () =
+    match call_ok c (Protocol.Status job) with
+    | Protocol.Job v -> v
+    | r -> fail (Format.asprintf "expected job view, got %a" Protocol.pp_response r)
+  in
+  wait_for (fun () -> (status ()).Protocol.state = Protocol.Done) "the job to finish";
+  let by_status = status () in
+  let by_events = terminal_view c job in
+  List.iter
+    (fun (what, (v : Protocol.job_view)) ->
+      check Alcotest.string (what ^ ": done") "done" (Protocol.job_state_to_string v.Protocol.state);
+      check Alcotest.(option string) (what ^ ": label") (Some "released") v.Protocol.label;
+      check Alcotest.(option bool) (what ^ ": certified") (Some true) v.Protocol.certified;
+      check Alcotest.bool (what ^ ": stages") true (v.Protocol.stages <> []);
+      check Alcotest.int (what ^ ": assignment") 30
+        (Array.length (Option.value ~default:[||] v.Protocol.assignment)))
+    [ ("status", by_status); ("events", by_events) ];
+  check Alcotest.(option (float 0.0)) "same cost" by_status.Protocol.cost by_events.Protocol.cost;
+  check
+    Alcotest.(option (array int))
+    "same assignment" by_status.Protocol.assignment by_events.Protocol.assignment;
+  check Alcotest.(option string) "same label" by_status.Protocol.label by_events.Protocol.label;
+  check Alcotest.(list string) "same stages" by_status.Protocol.stages by_events.Protocol.stages;
+  check Alcotest.(option string) "same winner" by_status.Protocol.winner by_events.Protocol.winner;
+  Client.close c
+
+let test_finished_jobs_release_instances () =
+  let text = netlist_text ~n:100 ~wires:600 ~seed:21 in
+  let nl =
+    match Qbpart_netlist.Parser.parse_string text with
+    | Ok nl -> nl
+    | Error e -> fail (Qbpart_netlist.Parser.error_to_string e)
+  in
+  (* a loose budget on every wire: timing text that never binds *)
+  let cons = Qbpart_timing.Constraints.create ~n:100 in
+  Qbpart_netlist.Netlist.iter_wires nl (fun w ->
+      Qbpart_timing.Constraints.add_sym cons (Qbpart_netlist.Wire.u w)
+        (Qbpart_netlist.Wire.v w) 5.0);
+  let timing = Qbpart_timing.Constraints_io.to_string nl cons in
+  (* every submission decodes into fresh strings, as off the wire *)
+  let fresh s = Bytes.to_string (Bytes.of_string s) in
+  let spec () =
+    {
+      (small_grid (base_spec (fresh text))) with
+      Protocol.timing = Some (Protocol.Inline (fresh timing));
+      iterations = 5;
+      label = Some "mem";
+    }
+  in
+  let instance_words =
+    let s = spec () in
+    match Scheduler.problem_of_spec s with
+    | Ok p -> Obj.reachable_words (Obj.repr (s, p))
+    | Error (_, m) -> fail m
+  in
+  (* [jobs] submissions, every second one cancelled at once (queued or
+     running), all driven to a terminal state, then the scheduler
+     drained: the words it still reaches *)
+  let retained jobs =
+    let sched =
+      Scheduler.create ~workers:1 ~checkpoint_dir:(temp_dir ()) ~queue_capacity:jobs
+        ~metrics:(Metrics.create ()) ()
+    in
+    let ids =
+      List.init jobs (fun k ->
+          match Scheduler.submit sched (spec ()) with
+          | Ok (id, _) ->
+            if k mod 2 = 1 then ignore (Scheduler.cancel sched id);
+            id
+          | Error (_, m) -> fail m)
+    in
+    List.iter
+      (fun id ->
+        wait_for
+          (fun () ->
+            match Scheduler.view sched id with
+            | Some v -> (
+              match v.Protocol.state with
+              | Protocol.Done | Protocol.Failed | Protocol.Cancelled -> true
+              | Protocol.Queued | Protocol.Running -> false)
+            | None -> false)
+          ("job " ^ id ^ " to end"))
+      ids;
+    Scheduler.drain sched;
+    Obj.reachable_words (Obj.repr sched)
+  in
+  let few = retained 2 and many = retained 10 in
+  let per_job = (many - few) / 8 in
+  check Alcotest.bool
+    (Printf.sprintf "%d words kept per finished job, far below the %d of one instance" per_job
+       instance_words)
+    true
+    (8 * per_job < instance_words)
+
+(* ------------------------------------------------------------------ *)
 (* Client hardening: a server that accepts and then goes silent *)
 
 let test_client_hung_server_timeout () =
@@ -1374,6 +1514,10 @@ let () =
         [
           Alcotest.test_case "serving contract" `Slow test_e2e_serving_contract;
           Alcotest.test_case "drain cancels queued jobs" `Slow test_drain_cancels_queued_jobs;
+          Alcotest.test_case "finished job: status and events agree" `Slow
+            test_finished_views_agree;
+          Alcotest.test_case "finished jobs release their instances" `Slow
+            test_finished_jobs_release_instances;
         ] );
       ( "fleet",
         [

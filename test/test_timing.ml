@@ -108,21 +108,23 @@ let test_placement_ok () =
   let c = Constraints.create ~n:3 in
   Constraints.add c 0 1 1.0;  (* 0 -> 1 within 1 *)
   Constraints.add c 2 0 1.0;  (* 2 -> 0 within 1 *)
-  let positions = [| -1; 1; 2 |] in
-  let where j = if positions.(j) >= 0 then Some positions.(j) else None in
+  let ok assignment ~at ~other = Check.placement_ok c topo2x2 ~assignment ~j:0 ~at ~other in
+  (* 0 unplaced, 1 at slot 1, 2 at slot 2 *)
+  let a = [| -1; 1; 2 |] in
   (* slot 0: d(0,1)=1 <= 1 ok; d(2,0)=1 <= 1 ok *)
-  check Alcotest.bool "slot 0 ok" true (Check.placement_ok c topo2x2 ~j:0 ~at:0 ~where);
+  check Alcotest.bool "slot 0 ok" true (ok a ~at:0 ~other:(-1));
   (* slot 3: d(3,1)=1 ok; but d(2,3)=1 ok too *)
-  check Alcotest.bool "slot 3 ok" true (Check.placement_ok c topo2x2 ~j:0 ~at:3 ~where);
+  check Alcotest.bool "slot 3 ok" true (ok a ~at:3 ~other:(-1));
   (* move partner 1 far: put 1 at 2 => from slot 1: d(1,2)=2 > 1 *)
-  let positions = [| -1; 2; -1 |] in
-  let where j = if positions.(j) >= 0 then Some positions.(j) else None in
-  check Alcotest.bool "violating slot rejected" false
-    (Check.placement_ok c topo2x2 ~j:0 ~at:1 ~where);
+  check Alcotest.bool "violating slot rejected" false (ok [| -1; 2; -1 |] ~at:1 ~other:(-1));
   (* unplaced partners are ignored *)
-  let where _ = None in
-  check Alcotest.bool "no partners placed" true
-    (Check.placement_ok c topo2x2 ~j:0 ~at:3 ~where)
+  check Alcotest.bool "no partners placed" true (ok [| -1; -1; -1 |] ~at:3 ~other:(-1));
+  (* a swap partner is read in j's old place: 0 at slot 0 and 1 at
+     slot 3 exchange, so d(3,0)=2 > 1, although 0 at slot 3 beside 1
+     would be fine *)
+  let a = [| 0; 3; -1 |] in
+  check Alcotest.bool "beside the partner" true (ok a ~at:3 ~other:(-1));
+  check Alcotest.bool "swapped with the partner" false (ok a ~at:3 ~other:1)
 
 (* placement_ok must agree with a full feasibility check *)
 let prop_placement_consistent =
@@ -142,8 +144,7 @@ let prop_placement_consistent =
       let piecewise =
         List.for_all
           (fun j ->
-            Check.placement_ok c topo2x2 ~j ~at:a.(j) ~where:(fun j' ->
-                if j' = j then None else Some a.(j')))
+            Check.placement_ok c topo2x2 ~assignment:a ~j ~at:a.(j) ~other:(-1))
           (List.init n Fun.id)
       in
       full = piecewise)
