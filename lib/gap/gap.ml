@@ -17,7 +17,15 @@ type t = {
   owner : int option;
   by_weight : int array;
   order_of : int array;
+  weights_id : int;
 }
+
+(* Every constructor draws a fresh [weights_id]; [with_cost] and
+   [fan_out] keep it, because they share the weight side.  MTHG keys
+   its memo of cost-independent constructions on it, so the memo
+   never holds (or keeps alive) any part of an instance. *)
+let next_weights_id = Atomic.make 0
+let fresh_weights_id () = Atomic.fetch_and_add next_weights_id 1
 
 let index t ~i ~j = (j * t.m) + i
 let cost_at t ~i ~j = t.cost.((j * t.m) + i)
@@ -112,6 +120,7 @@ let make ~cost ~weight ~capacity =
     owner = None;
     by_weight;
     order_of;
+    weights_id = fresh_weights_id ();
   }
 
 let uniform_weights ~sizes ~m =
@@ -150,6 +159,7 @@ let make_uniform ~cost ~sizes ~capacity =
     owner = None;
     by_weight;
     order_of;
+    weights_id = fresh_weights_id ();
   }
 
 (* Zero-copy constructor for solver hot loops: the caller keeps
@@ -166,7 +176,21 @@ let borrow ~cost ~weight ~capacity ~n =
   if Array.length cost <> m * n || Array.length weight <> m * n then
     invalid_arg "Gap.borrow: cost/weight must be flat item-major arrays of length m*n";
   let by_weight, order_of = weight_orders ~m ~n weight in
-  { m; n; cost; weight; capacity; owner = Some (Domain.self () :> int); by_weight; order_of }
+  {
+    m;
+    n;
+    cost;
+    weight;
+    capacity;
+    owner = Some (Domain.self () :> int);
+    by_weight;
+    order_of;
+    weights_id = fresh_weights_id ();
+  }
+
+let with_cost t cost =
+  if Array.length cost <> t.m * t.n then invalid_arg "Gap.with_cost: wrong length";
+  { t with cost }
 
 let refresh_cost t src =
   if Array.length src <> t.m * t.n then invalid_arg "Gap.refresh_cost: wrong length";

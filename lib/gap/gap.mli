@@ -45,6 +45,12 @@ type t = private {
           Knapsacks with identical weight columns share one block, so
           the partitioning case {m w_{ij} = s_j} stores a single
           order. *)
+  weights_id : int;
+      (** identity of the weight side ([weight], [by_weight],
+          [order_of]): fresh for every {!make}, {!make_uniform} and
+          {!borrow}, kept by {!with_cost} and {!fan_out}, which share
+          it.  {!Mthg} keys its memo of cost-independent constructions
+          on it. *)
 }
 
 val index : t -> i:int -> j:int -> int
@@ -95,6 +101,14 @@ val borrow :
     and {!verify_domain} enforces that at every MTHG entry point.
     @raise Invalid_argument if there are no knapsacks or the array
     lengths disagree with [m*n]. *)
+
+val with_cost : t -> float array -> t
+(** [with_cost t cost] is [t] with [cost] (aliased, flat item-major,
+    length [m*n]) as its cost matrix; the weights, capacities, weight
+    orders, owner domain and [weights_id] are [t]'s.  Constant-time:
+    Burkard derives its STEP-6 instance from the STEP-4 one this way,
+    so both share one weight order and one MTHG memo entry.
+    @raise Invalid_argument on length mismatch. *)
 
 val refresh_cost : t -> float array -> unit
 (** Overwrite the cost matrix from a flat item-major source (a blit) —

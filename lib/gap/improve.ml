@@ -2,28 +2,46 @@
    item [j] the m knapsack entries sit at [j*m .. j*m+m-1], so the
    shift scan reads one contiguous unboxed block per item. *)
 
-let shift_pass (g : Gap.t) assignment residual =
+let min_cost_into (g : Gap.t) min_cost =
+  let m = g.Gap.m and cost = g.Gap.cost in
+  for j = 0 to g.Gap.n - 1 do
+    let base = j * m in
+    let lo = ref cost.(base) in
+    for i = 1 to m - 1 do
+      if cost.(base + i) < !lo then lo := cost.(base + i)
+    done;
+    min_cost.(j) <- !lo
+  done
+
+(* [min_cost] is [min_cost_into]'s per-item minimum.  An item already
+   at its unconstrained cheapest knapsack has no strictly cheaper one to
+   shift to, so it is skipped without a scan: the moves are exactly
+   those of the full scan.  (A NaN cost fails the [<=] test and takes
+   the scan.) *)
+let shift_pass (g : Gap.t) assignment residual min_cost =
   let m = g.Gap.m in
   let cost = g.Gap.cost and weight = g.Gap.weight in
   let improved = ref false in
   for j = 0 to g.Gap.n - 1 do
     let base = j * m in
     let from = assignment.(j) in
-    let best = ref from in
-    let best_cost = ref cost.(base + from) in
-    for i = 0 to m - 1 do
-      if i <> from && weight.(base + i) <= residual.(i) && cost.(base + i) < !best_cost
-      then begin
-        best := i;
-        best_cost := cost.(base + i)
+    if not (cost.(base + from) <= min_cost.(j)) then begin
+      let best = ref from in
+      let best_cost = ref cost.(base + from) in
+      for i = 0 to m - 1 do
+        if i <> from && weight.(base + i) <= residual.(i) && cost.(base + i) < !best_cost
+        then begin
+          best := i;
+          best_cost := cost.(base + i)
+        end
+      done;
+      if !best <> from then begin
+        let i = !best in
+        residual.(from) <- residual.(from) +. weight.(base + from);
+        residual.(i) <- residual.(i) -. weight.(base + i);
+        assignment.(j) <- i;
+        improved := true
       end
-    done;
-    if !best <> from then begin
-      let i = !best in
-      residual.(from) <- residual.(from) +. weight.(base + from);
-      residual.(i) <- residual.(i) -. weight.(base + i);
-      assignment.(j) <- i;
-      improved := true
     end
   done;
   !improved
@@ -75,27 +93,32 @@ let residual_of g assignment =
 (* In-place variants: the pooled MTHG path already owns a residual
    array consistent with the assignment, so improvement runs without a
    single allocation. *)
-let shift_in_place g assignment ~residual =
-  while shift_pass g assignment residual do
+let shift_in_place g assignment ~residual ~min_cost =
+  while shift_pass g assignment residual min_cost do
     ()
   done
 
-let shift_and_swap_in_place g assignment ~residual =
+let shift_and_swap_in_place g assignment ~residual ~min_cost =
   let continue = ref true in
   while !continue do
-    let s1 = shift_pass g assignment residual in
+    let s1 = shift_pass g assignment residual min_cost in
     let s2 = swap_pass g assignment residual in
     continue := s1 || s2
   done
 
+let min_cost_of g =
+  let min_cost = Array.make g.Gap.n 0.0 in
+  min_cost_into g min_cost;
+  min_cost
+
 let shift g assignment =
   let a = Array.copy assignment in
   let residual = residual_of g a in
-  shift_in_place g a ~residual;
+  shift_in_place g a ~residual ~min_cost:(min_cost_of g);
   a
 
 let shift_and_swap g assignment =
   let a = Array.copy assignment in
   let residual = residual_of g a in
-  shift_and_swap_in_place g a ~residual;
+  shift_and_swap_in_place g a ~residual ~min_cost:(min_cost_of g);
   a

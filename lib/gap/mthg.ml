@@ -13,6 +13,20 @@ let desirability (g : Gap.t) criterion i j =
     let cap = g.Gap.capacity.(i) in
     if cap > 0.0 then w /. cap else infinity
 
+(* A construction whose desirability ignores cost ([Weight],
+   [Weight_per_capacity]), saved by a pooled [solve]: the items'
+   knapsacks and the residual capacities it left, or the fact that it
+   got stuck.  The buffers are allocated on the first save. *)
+type memo_state = Unbuilt | Built | Stuck
+
+type memo = {
+  mutable state : memo_state;
+  mutable placed : int array;    (* n *)
+  mutable left : float array;    (* m *)
+}
+
+let memo () = { state = Unbuilt; placed = [||]; left = [||] }
+
 (* Scratch buffers for one (m, n) shape, reused across every STEP-4/6
    call of a portfolio start so the steady-state inner loop allocates
    nothing.  [out] doubles as the result buffer: a solve given a
@@ -36,6 +50,11 @@ type workspace = {
   mutable heap_r : float array;  (* lazy max-heap of (regret, item) entries *)
   mutable heap_j : int array;
   mutable heap_len : int;
+  min_cost : float array;        (* n: per-item cheapest cost, for the shift skip *)
+  mutable memo_id : int;         (* Gap.weights_id the memos were built on; -1: none *)
+  memo_capacity : float array;   (* m: ... and the capacities they were built with *)
+  memo_weight : memo;
+  memo_per_capacity : memo;
 }
 
 let workspace ~m ~n =
@@ -57,6 +76,11 @@ let workspace ~m ~n =
     heap_r = Array.make (max 1 n) 0.0;
     heap_j = Array.make (max 1 n) 0;
     heap_len = 0;
+    min_cost = Array.make n 0.0;
+    memo_id = -1;
+    memo_capacity = Array.make m 0.0;
+    memo_weight = memo ();
+    memo_per_capacity = memo ();
   }
 
 let ensure_ws ws (g : Gap.t) =
@@ -273,16 +297,67 @@ let construct ?criterion (g : Gap.t) =
 type improver = [ `None | `Shift | `Shift_and_swap ]
 
 (* In-place improver for the pooled path: [residual] must already be
-   consistent with [a] (construction leaves it that way). *)
-let improve_in_place improve g a ~residual =
+   consistent with [a] (construction leaves it that way), and
+   [ws.min_cost] must hold this instance's per-item minima. *)
+let improve_in_place improve g ws a ~residual =
   match improve with
   | `None -> ()
-  | `Shift -> Improve.shift_in_place g a ~residual
-  | `Shift_and_swap -> Improve.shift_and_swap_in_place g a ~residual
+  | `Shift -> Improve.shift_in_place g a ~residual ~min_cost:ws.min_cost
+  | `Shift_and_swap -> Improve.shift_and_swap_in_place g a ~residual ~min_cost:ws.min_cost
+
+(* The memo of cost-independent constructions is keyed on the
+   instance's weight side ([Gap.weights_id]: Burkard's STEP-4 and
+   STEP-6 instances share it) and on the capacity contents, which
+   both constructions read and a caller may edit in place.  Any other
+   key drops both entries. *)
+let key_memo ws (g : Gap.t) =
+  let same = ref (ws.memo_id = g.Gap.weights_id) in
+  for i = 0 to g.Gap.m - 1 do
+    if g.Gap.capacity.(i) <> ws.memo_capacity.(i) then same := false
+  done;
+  if not !same then begin
+    ws.memo_id <- g.Gap.weights_id;
+    Array.blit g.Gap.capacity 0 ws.memo_capacity 0 g.Gap.m;
+    ws.memo_weight.state <- Unbuilt;
+    ws.memo_per_capacity.state <- Unbuilt
+  end
+
+(* Construct into [ws.trial], leaving [ws.residual] consistent with it.
+   A construction whose desirability never reads cost gives the same
+   placement for every cost matrix, so it runs once per memo key and
+   later calls copy its result (or its getting stuck). *)
+let memoized ~criterion (g : Gap.t) ws saved =
+  match saved.state with
+  | Built ->
+    Array.blit saved.placed 0 ws.trial 0 g.Gap.n;
+    Array.blit saved.left 0 ws.residual 0 g.Gap.m;
+    true
+  | Stuck -> false
+  | Unbuilt ->
+    let ok = construct_into ~criterion g ws ws.trial in
+    if ok then begin
+      if Array.length saved.placed <> g.Gap.n then saved.placed <- Array.make g.Gap.n 0;
+      if Array.length saved.left <> g.Gap.m then saved.left <- Array.make g.Gap.m 0.0;
+      Array.blit ws.trial 0 saved.placed 0 g.Gap.n;
+      Array.blit ws.residual 0 saved.left 0 g.Gap.m;
+      saved.state <- Built
+    end
+    else saved.state <- Stuck;
+    ok
+
+let construct_memo (g : Gap.t) ws criterion =
+  match criterion with
+  | Weight -> memoized ~criterion g ws ws.memo_weight
+  | Weight_per_capacity -> memoized ~criterion g ws ws.memo_per_capacity
+  | Cost | Cost_times_weight -> construct_into ~criterion g ws ws.trial
 
 let solve ?ws ?(criteria = all_criteria) ?(improve = `Shift_and_swap) g =
   Gap.verify_domain g;
   let ws = ensure_ws ws g in
+  key_memo ws g;
+  (match improve with
+  | `None -> ()
+  | `Shift | `Shift_and_swap -> Improve.min_cost_into g ws.min_cost);
   let n = g.Gap.n in
   let found = ref false in
   let best_cost = ref infinity in
@@ -292,10 +367,10 @@ let solve ?ws ?(criteria = all_criteria) ?(improve = `Shift_and_swap) g =
     | [] -> ()
     | criterion :: rest ->
       todo := rest;
-      if construct_into ~criterion g ws ws.trial then begin
+      if construct_memo g ws criterion then begin
         (* construction leaves ws.residual = capacity - loads(trial),
            so improvement runs in place with no setup *)
-        improve_in_place improve g ws.trial ~residual:ws.residual;
+        improve_in_place improve g ws ws.trial ~residual:ws.residual;
         let c = Gap.cost_of g ws.trial in
         if (not !found) || c < !best_cost then begin
           found := true;
@@ -432,6 +507,6 @@ let solve_relaxed ?ws ?criteria ?(improve = `Shift_and_swap) g =
     relaxed_fill_into g ws ws.out;
     if Gap.feasible g ws.out then begin
       Improve.residual_into g ws.out ws.residual;
-      improve_in_place improve g ws.out ~residual:ws.residual
+      improve_in_place improve g ws ws.out ~residual:ws.residual
     end;
     ws.out

@@ -23,8 +23,18 @@ val all_criteria : criterion list
 
 type workspace
 (** Scratch buffers for one [(m, n)] shape: construction caches,
-    residuals, the trial and champion assignments.  Single-domain, like
-    the {!Gap.borrow}ed buffers it is used with. *)
+    residuals, the trial and champion assignments, the per-item
+    cheapest costs, and a memo of the cost-independent constructions.
+    Single-domain, like the {!Gap.borrow}ed buffers it is used with.
+
+    The memo: [Weight] and [Weight_per_capacity] rank items by weight
+    alone, so their construction — placement and residuals, or getting
+    stuck — is the same for every cost matrix.  A solve given the
+    workspace builds each at most once per key and copies it after
+    that.  The key is the instance's weight side ([Gap.t.weights_id],
+    which {!Gap.with_cost} and {!Gap.fan_out} keep) plus the capacity
+    contents, compared at every call, so an in-place capacity edit
+    misses.  The memo holds no part of any instance. *)
 
 val workspace : m:int -> n:int -> workspace
 (** @raise Invalid_argument if [m < 1] or [n < 0]. *)
@@ -48,7 +58,11 @@ val solve :
     locally improve each feasible result (default [`Shift_and_swap]),
     return the cheapest.  [None] if every construction got stuck —
     with very tight capacities the greedy can fail even when the
-    instance is feasible.
+    instance is feasible.  The improvement's shift passes skip items
+    already at their cheapest knapsack ({!Improve.min_cost_into},
+    computed once per call and shared by every criterion), and with
+    [?ws] the cost-independent constructions come from the
+    workspace's memo; neither changes any result.
 
     With [?ws], no allocation happens and the returned array is owned
     by the workspace: it stays valid only until the next call using

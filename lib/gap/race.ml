@@ -35,6 +35,7 @@ type workspace = {
   key : float array;       (* n: placement-order sort keys *)
   cand : int array;        (* n: the Lagrangian-greedy candidate *)
   best : int array;        (* n: the running winner *)
+  min_cost : float array;  (* n: per-item cheapest cost, for the shift polish *)
 }
 
 let workspace ~m ~n =
@@ -50,6 +51,7 @@ let workspace ~m ~n =
     key = Array.make n 0.0;
     cand = Array.make n (-1);
     best = Array.make n (-1);
+    min_cost = Array.make n 0.0;
   }
 
 let ensure_ws ws (g : Gap.t) =
@@ -142,7 +144,10 @@ let lagrangian_into ~iterations (g : Gap.t) ws assignment =
     order;
   (* the greedy leaves [residual] consistent with [assignment], so a
      feasible candidate gets the cheap shift polish in place *)
-  if Gap.feasible g assignment then Improve.shift_in_place g assignment ~residual
+  if Gap.feasible g assignment then begin
+    Improve.min_cost_into g ws.min_cost;
+    Improve.shift_in_place g assignment ~residual ~min_cost:ws.min_cost
+  end
 
 let exact_gated config (g : Gap.t) =
   if g.Gap.n > config.exact_max_items || g.Gap.m * g.Gap.n > config.exact_max_cells then None

@@ -15,6 +15,11 @@ let solve ?(config = Burkard.Config.default) ?initial ?(max_rounds = 4) ?(factor
   if factor <= 1.0 then invalid_arg "Adaptive.solve: factor must be > 1";
   let problem = Problem.normalize problem in
   let no_timing = Constraints.empty problem.Problem.constraints in
+  (* one workspace for every round: its buffers, and the row caches
+     the rounds re-bind to their own penalty surfaces *)
+  let workspace =
+    match workspace with Some w -> w | None -> Burkard.Workspace.create problem
+  in
   let best_feasible = ref None in
   let keep_feasible candidate =
     match (candidate, !best_feasible) with
@@ -28,7 +33,7 @@ let solve ?(config = Burkard.Config.default) ?initial ?(max_rounds = 4) ?(factor
   let rec go round_idx penalty initial =
     let config = { config with Burkard.Config.penalty } in
     let result =
-      Burkard.solve ~config ?initial ~should_stop ?observe ?gap_solver ?workspace problem
+      Burkard.solve ~config ?initial ~should_stop ?observe ?gap_solver ~workspace problem
     in
     let improved = keep_feasible result.Burkard.best_feasible in
     rounds :=

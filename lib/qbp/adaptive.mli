@@ -46,6 +46,7 @@ val solve :
     inner {!Burkard.solve}; an interrupted round also ends the
     continuation, so the whole solve honours one shared budget and
     returns the best feasible checkpoint found so far.  [workspace]
-    (one {!Burkard.Workspace.create} per portfolio start) is likewise
-    shared by every round, so the penalty ladder re-enters the hot
-    loop without reallocating its buffers. *)
+    (one {!Burkard.Workspace.create} per portfolio start; without it,
+    one is created for this call) is likewise shared by every round,
+    so the penalty ladder re-enters the hot loop without reallocating
+    its buffers. *)

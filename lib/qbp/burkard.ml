@@ -83,6 +83,8 @@ module Workspace = struct
     mthg : Mthg.workspace;
     race : Race.workspace;    (* for [Config.gap_race] runs *)
     u : int array;            (* n, the current iterate *)
+    rows : Repair.cache;      (* candidate rows on the round's surface *)
+    strict_rows : Repair.cache; (* ... and on the strict surface *)
     pool : Dompool.t;         (* intra-solve fan-out: eta recomputes,
                                  hub patches, the GAP race legs *)
   }
@@ -101,6 +103,8 @@ module Workspace = struct
       mthg = Mthg.workspace ~m ~n;
       race = Race.workspace ~m ~n;
       u = Array.make n 0;
+      rows = Repair.cache ~m ~n;
+      strict_rows = Repair.cache ~m ~n;
       pool;
     }
 end
@@ -123,11 +127,11 @@ let solve ?(config = Config.default) ?initial ?(should_stop = fun () -> false)
   (* The GAP instances of STEP 4 and STEP 6 alias the eta and h vectors
      directly as their (flat, item-major) cost matrices and share the
      uniform weights w_ij = s_j, so an inner solve costs no setup at
-     all. *)
+     all.  STEP 6's instance is STEP 4's with another cost matrix, so
+     MTHG's memo of the cost-independent constructions serves both. *)
   let gap_eta = Gap.borrow ~cost:ws.Workspace.eta ~weight:ws.Workspace.weight
       ~capacity:ws.Workspace.capacity ~n in
-  let gap_h = Gap.borrow ~cost:ws.Workspace.h ~weight:ws.Workspace.weight
-      ~capacity:ws.Workspace.capacity ~n in
+  let gap_h = Gap.with_cost gap_eta ws.Workspace.h in
   Array.fill ws.Workspace.h 0 (m * n) 0.0;
   let default_gap =
     match config.Config.gap_race with
@@ -213,7 +217,15 @@ let solve ?(config = Config.default) ?initial ?(should_stop = fun () -> false)
         memo := Some s;
         s
   in
-  let polish ?(q = q) ~passes a = Repair.polish q a ~passes in
+  (* one candidate-row cache per penalty surface: the polish, the
+     probe and the tail reuse every row no move has touched since.
+     (Wrapped once here, so no iteration allocates the option.) *)
+  let rows = Some ws.Workspace.rows and strict_rows = Some ws.Workspace.strict_rows in
+  let polish ~strict ~passes a =
+    if strict then Repair.polish ?cache:strict_rows (strict_q ()) a ~passes
+    else Repair.polish ?cache:rows q a ~passes
+  in
+  let to_feasible a ~rounds = Repair.to_feasible ?cache:strict_rows (strict_q ()) a ~rounds in
   let interrupted = ref false in
   let stop () =
     if not !interrupted then interrupted := should_stop ();
@@ -253,12 +265,15 @@ let solve ?(config = Config.default) ?initial ?(should_stop = fun () -> false)
       let known =
         ref
           (if config.Config.strict_polish then begin
-             polish ~q:(strict_q ()) ~passes:config.Config.polish_passes u;
+             polish ~strict:true ~passes:config.Config.polish_passes u;
              evaluate u
            end
            else begin
              let c0, v0 = evaluate u in
-             let dc, dv = Repair.polish_tracked q u ~passes:config.Config.polish_passes in
+             let dc, dv =
+               Repair.polish_tracked ?cache:rows q u
+                 ~passes:config.Config.polish_passes
+             in
              (c0 +. dc, v0 + dv)
            end)
       in
@@ -273,7 +288,7 @@ let solve ?(config = Config.default) ?initial ?(should_stop = fun () -> false)
         && not (Constraints.empty problem.Problem.constraints)
       then begin
         let probe = Assignment.copy u in
-        let reached = Repair.to_feasible (strict_q ()) probe ~rounds:6 in
+        let reached = to_feasible probe ~rounds:6 in
         ignore (consider probe);
         if config.Config.adopt_repair && reached && Problem.capacity_feasible problem probe then begin
           Array.blit probe 0 u 0 n;
@@ -299,14 +314,14 @@ let solve ?(config = Config.default) ?initial ?(should_stop = fun () -> false)
   done;
   if config.Config.final_polish > 0 && not !interrupted then begin
     let final = Assignment.copy best in
-    polish ~passes:config.Config.final_polish final;
+    polish ~strict:false ~passes:config.Config.final_polish final;
     ignore (consider final);
     (* also try to push the penalized champion all the way to
        feasibility — repair moves may cost a little objective but can
        mint a better feasible solution than any iterate produced *)
     if not (Constraints.empty problem.Problem.constraints) then begin
       let repaired = Assignment.copy best in
-      if Repair.to_feasible (strict_q ()) repaired ~rounds:10 then ignore (consider repaired)
+      if to_feasible repaired ~rounds:10 then ignore (consider repaired)
     end;
     (* Polish the feasible champion under an effectively infinite
        penalty: improving moves can then never introduce a timing
@@ -315,7 +330,7 @@ let solve ?(config = Config.default) ?initial ?(should_stop = fun () -> false)
     | None -> ()
     | Some _ ->
       let final = Assignment.copy best_feasible_buf in
-      polish ~q:(strict_q ()) ~passes:config.Config.final_polish final;
+      polish ~strict:true ~passes:config.Config.final_polish final;
       ignore (consider final)
   end;
   {

@@ -122,7 +122,18 @@ type gap_solver =
     the steady-state inner loop allocates nothing per element: what an
     iteration still allocates is a few small blocks per call plus the
     feasibility probe's copy of the iterate and its repair's pair list
-    ([test_alloc.ml] pins the kernels, DESIGN.md D14). *)
+    ([test_alloc.ml] pins the kernels, DESIGN.md D14).
+
+    It also carries what an iteration can reuse from the previous ones
+    (DESIGN.md D16): two {!Repair.cache}s of candidate rows, one for the
+    round's penalty surface (the per-iteration polish and the final
+    polish) and one for the strict surface (the feasibility probe, the
+    strict polish and the repair of the tail).  Each solve re-binds them
+    to its own surfaces on first use, so a reused workspace never reads
+    a row of another penalty; within a round every pass recomputes only
+    the rows of components whose neighbours moved.  The MTHG workspace
+    memoizes the cost-independent constructions ([Weight]) across the
+    round's STEP-4 and STEP-6 calls.  None of it changes a result. *)
 module Workspace : sig
   type t
 

@@ -644,27 +644,31 @@ let omega ?(rule = Solver) t =
   let pbout = Constraints.partner_budget_out cons in
   let pbin = Constraints.partner_budget_in cons in
   let pen = t.penalty in
+  (* One walk of [j]'s adjacency and partner rows updates all m entries
+     of its block.  Each entry still receives its terms in the order of
+     a per-entry walk — the diagonal, the wires in slot order, then per
+     partner slot the outgoing and the incoming penalty — so the sums
+     are bit-identical to accumulating one entry at a time. *)
+  let paper = match rule with Paper -> true | Solver -> false in
   for j = 0 to n - 1 do
     let base = j * m in
     p_column pr ~m ~j ~off:base omega;
-    for i = 0 to m - 1 do
-      let acc = ref omega.(base + i) in
-      for k = xadj.(j) to xadj.(j + 1) - 1 do
-        let j' = anbr.(k) and w = awgt.(k) in
-        match rule with
-        | Solver when j < j' -> acc := !acc +. (w *. max_b_from.(i))
-        | Solver | Paper -> acc := !acc +. (w *. max_b_to.(i))
-      done;
-      for k = poff.(j) to poff.(j + 1) - 1 do
-        (* worst case: some placement of the partner violates each
-           direction independently *)
-        match rule with
-        | Solver ->
-          if max_d_from.(i) > pbout.(k) then acc := !acc +. pen;
-          if max_d_to.(i) > pbin.(k) then acc := !acc +. pen
-        | Paper -> if max_d_to.(i) > pbin.(k) then acc := !acc +. pen
-      done;
-      omega.(base + i) <- !acc
+    for k = xadj.(j) to xadj.(j + 1) - 1 do
+      let w = awgt.(k) in
+      let max_b = if (not paper) && j < anbr.(k) then max_b_from else max_b_to in
+      for i = 0 to m - 1 do
+        omega.(base + i) <- omega.(base + i) +. (w *. max_b.(i))
+      done
+    done;
+    for k = poff.(j) to poff.(j + 1) - 1 do
+      (* worst case: some placement of the partner violates each
+         direction independently *)
+      let budget_out = pbout.(k) and budget_in = pbin.(k) in
+      for i = 0 to m - 1 do
+        if (not paper) && max_d_from.(i) > budget_out then
+          omega.(base + i) <- omega.(base + i) +. pen;
+        if max_d_to.(i) > budget_in then omega.(base + i) <- omega.(base + i) +. pen
+      done
     done
   done;
   omega

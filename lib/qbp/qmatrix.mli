@@ -72,6 +72,12 @@ val candidate_costs_into : t -> Assignment.t -> j:int -> float array -> unit
     caller-provided length-{m M} buffer (hot path of the polish
     pass). *)
 
+val candidate_costs_at : t -> Assignment.t -> j:int -> off:int -> float array -> unit
+(** {!candidate_costs_into} writing at offset [off] of a larger buffer:
+    the kernel behind the [Solver]-rule η and {!Repair}'s row cache.
+    The row reads [u] only at [j]'s netlist neighbours and timing
+    partners, never at [j] itself. *)
+
 val candidate_costs : t -> Assignment.t -> j:int -> float array
 (** [candidate_costs t u ~j] is the length-{m M} vector of costs of
     placing component [j] at each partition against the current

@@ -13,71 +13,155 @@ module Assignment = Qbpart_partition.Assignment
 let track_cost delta d = match delta with Some r -> r := !r +. d | None -> ()
 let track_viol dviol d = match dviol with Some r -> r := !r + d | None -> ()
 
-let coordinate_pass ?delta ?dviol q u ~loads ~scratch =
+(* The candidate-row cache.  Row [j] (m floats at [j*m] of [rows]) is
+   [Qmatrix.candidate_costs_at q pos ~j], and it reads [pos] only at
+   [j]'s netlist neighbours and timing partners.  So a row stays exact
+   until one of those moves (the FM rule: a move changes only its
+   neighbours' gains), and a pass recomputes just the rows whose valid
+   byte a move cleared — with the same kernel on the same positions, so
+   every value read is bit-identical to a fresh row whatever the data
+   (DESIGN.md D16).  [pos] follows the assignment: a pass first diffs
+   it against the cached positions, then updates it at every move. *)
+type cache = {
+  c_m : int;
+  c_n : int;
+  rows : float array;            (* m*n *)
+  valid : Bytes.t;               (* n: '\001' when row j is current *)
+  pos : int array;               (* n: the positions the rows price *)
+  mutable bound : Qmatrix.t option;  (* the penalty surface they price *)
+}
+
+let cache ~m ~n =
+  if m < 1 || n < 0 then invalid_arg "Repair.cache: need m >= 1 and n >= 0";
+  {
+    c_m = m;
+    c_n = n;
+    rows = Array.make (m * n) 0.0;
+    valid = Bytes.make n '\000';
+    pos = Array.make n 0;
+    bound = None;
+  }
+
+let invalidate_neighbours c q j =
+  let problem = Qmatrix.problem q in
+  let xadj = Netlist.adj_offsets problem.Problem.netlist in
+  let anbr = Netlist.adj_targets problem.Problem.netlist in
+  for k = xadj.(j) to xadj.(j + 1) - 1 do
+    Bytes.unsafe_set c.valid anbr.(k) '\000'
+  done;
+  let cons = problem.Problem.constraints in
+  let poff = Constraints.partner_offsets cons in
+  let pids = Constraints.partner_ids cons in
+  for k = poff.(j) to poff.(j + 1) - 1 do
+    Bytes.unsafe_set c.valid pids.(k) '\000'
+  done
+
+(* Make the cache price [q] at [u]: a different surface (another
+   penalty, an ECO-rebound problem) drops every row; otherwise each
+   component that moved since the rows were computed — by a GAP jump,
+   a pair move, a caller's edit — invalidates its neighbours' rows. *)
+let sync c q u =
+  let n = c.c_n in
+  if Array.length u <> n || Problem.m (Qmatrix.problem q) <> c.c_m then
+    invalid_arg "Repair: cache shape does not match the problem";
+  match c.bound with
+  | Some q' when q' == q ->
+    for j = 0 to n - 1 do
+      if u.(j) <> c.pos.(j) then begin
+        invalidate_neighbours c q j;
+        c.pos.(j) <- u.(j)
+      end
+    done
+  | _ ->
+    c.bound <- Some q;
+    Bytes.fill c.valid 0 n '\000';
+    Array.blit u 0 c.pos 0 n
+
+let transient q =
+  let problem = Qmatrix.problem q in
+  cache ~m:(Problem.m problem) ~n:(Problem.n problem)
+
+let coordinate_pass ?delta ?dviol ?cache q u ~loads ~scratch =
   let problem = Qmatrix.problem q in
   let nl = problem.Problem.netlist in
   let capacity = Topology.capacity_array problem.Problem.topology in
   let m = Problem.m problem and n = Problem.n problem in
+  (match cache with Some c -> sync c q u | None -> ());
+  (* rows are read from the cache at [j*m], or computed fresh into
+     [scratch] at 0 *)
+  let row = match cache with Some c -> c.rows | None -> scratch in
   let moved = ref false in
   (* the running cost change stays an unboxed local through the pass
      (a float stored into a ref cell is boxed): the caller's ref is
      read once and written once, with the same additions in between *)
   let dcost = ref (match delta with Some r -> !r | None -> 0.0) in
   for j = 0 to n - 1 do
-    Qmatrix.candidate_costs_into q u ~j scratch;
+    let off =
+      match cache with
+      | None ->
+        Qmatrix.candidate_costs_into q u ~j scratch;
+        0
+      | Some c ->
+        let off = j * m in
+        if Bytes.unsafe_get c.valid j = '\000' then begin
+          Qmatrix.candidate_costs_at q u ~j ~off c.rows;
+          Bytes.unsafe_set c.valid j '\001'
+        end;
+        off
+    in
     let from = u.(j) in
     let s = Netlist.size nl j in
     let overfull = loads.(from) > capacity.(from) in
     let best = ref from in
-    let best_cost = ref scratch.(from) in
+    let best_cost = ref row.(off + from) in
     for i = 0 to m - 1 do
       if i <> from && loads.(i) +. s <= capacity.(i) then
         if
-          scratch.(i) < !best_cost
-          || (overfull && !best = from && scratch.(i) <= !best_cost +. 1e-9)
+          row.(off + i) < !best_cost
+          || (overfull && !best = from && row.(off + i) <= !best_cost +. 1e-9)
         then begin
           best := i;
-          best_cost := scratch.(i)
+          best_cost := row.(off + i)
         end
     done;
     if !best <> from then begin
-      dcost := !dcost +. (!best_cost -. scratch.(from));
+      dcost := !dcost +. (!best_cost -. row.(off + from));
       track_viol dviol (Qmatrix.violations_delta q u ~j ~i:!best);
       loads.(from) <- loads.(from) -. s;
       loads.(!best) <- loads.(!best) +. s;
       u.(j) <- !best;
+      (match cache with
+      | Some c ->
+        invalidate_neighbours c q j;
+        c.pos.(j) <- !best
+      | None -> ());
       moved := true
     end
   done;
   (match delta with Some r -> r := !dcost | None -> ());
   !moved
 
-let polish q u ~passes =
+(* Up to [passes] coordinate passes on a cache ([transient] without
+   one).  The optional arguments are passed on as the options they
+   already are, so a pass allocates no wrapper. *)
+let descend ?delta ?dviol ?cache q u ~passes =
   if passes > 0 then begin
     let problem = Qmatrix.problem q in
-    let nl = problem.Problem.netlist in
     let m = Problem.m problem in
-    let loads = Assignment.loads nl ~m u in
+    let cache = match cache with Some _ -> cache | None -> Some (transient q) in
+    let loads = Assignment.loads problem.Problem.netlist ~m u in
     let scratch = Array.make m 0.0 in
     let k = ref passes in
-    while !k > 0 && coordinate_pass q u ~loads ~scratch do
+    while !k > 0 && coordinate_pass ?delta ?dviol ?cache q u ~loads ~scratch do
       decr k
     done
   end
 
-let polish_tracked q u ~passes =
+let polish ?cache q u ~passes = descend ?cache q u ~passes
+
+let polish_tracked ?cache q u ~passes =
   let delta = ref 0.0 and dviol = ref 0 in
-  if passes > 0 then begin
-    let problem = Qmatrix.problem q in
-    let nl = problem.Problem.netlist in
-    let m = Problem.m problem in
-    let loads = Assignment.loads nl ~m u in
-    let scratch = Array.make m 0.0 in
-    let k = ref passes in
-    while !k > 0 && coordinate_pass ~delta ~dviol q u ~loads ~scratch do
-      decr k
-    done
-  end;
+  descend ~delta ~dviol ?cache q u ~passes;
   (!delta, !dviol)
 
 (* Exact local cost of component [j] at its current position: the
@@ -191,27 +275,32 @@ let pair_pass ?delta ?dviol q u ~loads ~max_pairs =
     pairs;
   !moved
 
-let to_feasible q u ~rounds =
-  let problem = Qmatrix.problem q in
-  let nl = problem.Problem.netlist in
-  let m = Problem.m problem in
-  let loads = Assignment.loads nl ~m u in
-  let scratch = Array.make m 0.0 in
+let to_feasible ?cache q u ~rounds =
   (* one full count up front, then maintained incrementally by the
      passes — the per-round O(constraints) feasibility rescan was a
      hot-loop cost on constraint-heavy circuits *)
   let viol = ref (Qmatrix.violations q u) in
-  let round = ref 0 in
-  let continue = ref true in
-  while !continue && !round < rounds && !viol > 0 do
-    incr round;
-    let c1 = ref false in
-    let k = ref 5 in
-    while !k > 0 && coordinate_pass ~dviol:viol q u ~loads ~scratch do
-      c1 := true;
-      decr k
-    done;
-    let c2 = pair_pass ~dviol:viol q u ~loads ~max_pairs:400 in
-    continue := !c1 || c2
-  done;
+  if !viol > 0 && rounds > 0 then begin
+    let problem = Qmatrix.problem q in
+    let m = Problem.m problem in
+    let cache = match cache with Some _ -> cache | None -> Some (transient q) in
+    let loads = Assignment.loads problem.Problem.netlist ~m u in
+    let scratch = Array.make m 0.0 in
+    let dviol = Some viol in
+    let round = ref 0 in
+    let continue = ref true in
+    while !continue && !round < rounds && !viol > 0 do
+      incr round;
+      let c1 = ref false in
+      let k = ref 5 in
+      while !k > 0 && coordinate_pass ?dviol ?cache q u ~loads ~scratch do
+        c1 := true;
+        decr k
+      done;
+      (* the pair pass prices its what-if placements fresh; the next
+         coordinate pass's position diff picks up the pairs it moved *)
+      let c2 = pair_pass ?dviol q u ~loads ~max_pairs:400 in
+      continue := !c1 || c2
+    done
+  end;
   !viol = 0

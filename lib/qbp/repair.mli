@@ -19,9 +19,37 @@
 
 module Assignment := Qbpart_partition.Assignment
 
+(** {1 Candidate-row cache}
+
+    A coordinate pass reads one length-{m M} candidate row per
+    component ({!Qmatrix.candidate_costs_at}).  A row depends only on
+    the penalty surface and on the positions of the component's netlist
+    neighbours and timing partners, so most rows outlive a pass: a
+    {!cache} keeps all {m N} rows, one valid byte per component and the
+    positions the rows were computed against.  Each pass first diffs
+    the assignment against those positions, clears the rows of every
+    moved component's neighbours and partners, does the same after
+    every move it applies, and recomputes a cleared row with the same
+    kernel when it reaches it.  Every value a pass reads is therefore
+    bit-identical to a fresh row, for any data (DESIGN.md D16).
+
+    A cache is bound to one {!Qmatrix.t} at a time (physical
+    equality): using it with another matrix — another penalty, an
+    ECO-rebound problem — drops every row.  It may be shared freely
+    across calls and across external edits of the assignment in
+    between; it must not be shared between domains. *)
+
+type cache
+
+val cache : m:int -> n:int -> cache
+(** An empty cache for [m] partitions and [n] components:
+    {m M·N} floats, {m N} ints and {m N} bytes.
+    @raise Invalid_argument if [m < 1] or [n < 0]. *)
+
 val coordinate_pass :
   ?delta:float ref ->
   ?dviol:int ref ->
+  ?cache:cache ->
   Qmatrix.t ->
   Assignment.t ->
   loads:float array ->
@@ -32,12 +60,18 @@ val coordinate_pass :
     [delta]/[dviol] are given, every applied move adds its exact
     penalized-cost change and violated-direction-count change to them
     (the delta-evaluation invariant of DESIGN.md D7), letting callers
-    track the running objective without full recomputes. *)
+    track the running objective without full recomputes.  With
+    [?cache] the rows come from the cache (recomputing only the
+    invalid ones); without it every row is computed fresh into
+    [scratch].  Moves are identical either way.
+    @raise Invalid_argument if the cache's shape does not match. *)
 
-val polish : Qmatrix.t -> Assignment.t -> passes:int -> unit
-(** Repeated {!coordinate_pass} until fixpoint or budget. *)
+val polish : ?cache:cache -> Qmatrix.t -> Assignment.t -> passes:int -> unit
+(** Repeated {!coordinate_pass} until fixpoint or budget.  Without
+    [?cache], a transient cache lives for this call only. *)
 
-val polish_tracked : Qmatrix.t -> Assignment.t -> passes:int -> float * int
+val polish_tracked :
+  ?cache:cache -> Qmatrix.t -> Assignment.t -> passes:int -> float * int
 (** {!polish} that returns [(dcost, dviol)]: the exact change of the
     penalized objective and of the violation count over the whole
     descent, accumulated move-by-move in O(deg) per move.  Lets the
@@ -58,10 +92,13 @@ val pair_pass :
     decomposes into two sequential single moves for the violation
     delta. *)
 
-val to_feasible : Qmatrix.t -> Assignment.t -> rounds:int -> bool
+val to_feasible : ?cache:cache -> Qmatrix.t -> Assignment.t -> rounds:int -> bool
 (** Alternate {!polish} and {!pair_pass} up to [rounds] times, aiming
     at timing feasibility; returns whether the assignment satisfies
     all timing constraints on exit.  Intended to be called with a
     strict (huge-penalty) matrix.  The violation count is maintained
     incrementally across rounds (one full scan on entry, O(deg) per
-    move thereafter). *)
+    move thereafter).  The coordinate passes read [?cache] (a
+    transient one without it); the pair passes price their what-if
+    rows fresh, and the next coordinate pass's position diff picks up
+    the pairs they moved. *)

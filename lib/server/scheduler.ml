@@ -45,6 +45,7 @@ type job = {
 
 type t = {
   mu : Mutex.t;
+  changed : Condition.t;  (* broadcast, under [mu], at every state change *)
   queue : job Queue.t;
   jobs : (string, job) Hashtbl.t;
   metrics : Metrics.t;
@@ -195,15 +196,17 @@ let persist_checkpoint t (j : job) =
     | Error e ->
       j.error <- Some (Printf.sprintf "checkpoint write failed: %s" (Checkpoint.error_to_string e)))
 
-(* Every terminal transition ends here: the state, the finish time,
-   and the release of everything only the run needed.  A checkpoint
-   that must outlive the job is persisted (by [persist_checkpoint])
-   before this call. *)
-let finish (j : job) state =
+(* Every terminal transition ends here, under [t.mu]: the state, the
+   finish time, the release of everything only the run needed, and the
+   wake-up of the [await]ing event streams.  A checkpoint that must
+   outlive the job is persisted (by [persist_checkpoint]) before this
+   call. *)
+let finish t (j : job) state =
   j.state <- state;
   j.finished_at <- Some (Unix.gettimeofday ());
   j.work <- None;
-  j.last_checkpoint <- None
+  j.last_checkpoint <- None;
+  Condition.broadcast t.changed
 
 let run_job t (j : job) =
   let work =
@@ -212,6 +215,7 @@ let run_job t (j : job) =
         | Some w when j.state <> Protocol.Cancelled ->
           j.state <- Protocol.Running;
           j.started_at <- Some (Unix.gettimeofday ());
+          Condition.broadcast t.changed;
           let deadline =
             match w.spec.Protocol.deadline_s with
             | Some s -> Deadline.of_seconds s
@@ -261,18 +265,18 @@ let run_job t (j : job) =
           if j.interrupted || j.cancel_requested || t.draining_flag then
             persist_checkpoint t j;
           if j.cancel_requested then begin
-            finish j Protocol.Cancelled;
+            finish t j Protocol.Cancelled;
             Metrics.cancelled t.metrics
           end
           else begin
-            finish j Protocol.Done;
+            finish t j Protocol.Done;
             Metrics.completed t.metrics
               ~wall:
                 (Unix.gettimeofday () -. Option.value ~default:(Unix.gettimeofday ()) j.started_at)
           end
         | Error e ->
           j.error <- Some (Engine.Error.to_string e);
-          finish j Protocol.Failed;
+          finish t j Protocol.Failed;
           Metrics.failed t.metrics);
         t.running_count <- t.running_count - 1)
 
@@ -287,7 +291,7 @@ let worker_loop t () =
             a worker can never die and silently shrink the pool *)
          locked t (fun () ->
              job.error <- Some (Printexc.to_string exn);
-             finish job Protocol.Failed;
+             finish t job Protocol.Failed;
              Metrics.failed t.metrics));
       loop ()
   in
@@ -301,6 +305,7 @@ let create ?(workers = 2) ?(checkpoint_dir = ".") ?replicate_dir ?queue_weight ~
   let t =
     {
       mu = Mutex.create ();
+      changed = Condition.create ();
       queue = Queue.create ?weight:queue_weight ~capacity:queue_capacity ();
       jobs = Hashtbl.create 64;
       metrics;
@@ -363,7 +368,7 @@ let submit t spec =
             | None -> ()
             | Some (victim : job) ->
               victim.error <- Some "shed: evicted by an interactive arrival at capacity";
-              finish victim Protocol.Cancelled;
+              finish t victim Protocol.Cancelled;
               Metrics.shed t.metrics;
               Metrics.cancelled t.metrics);
             Ok (id, depth)
@@ -381,6 +386,21 @@ let submit t spec =
 
 let view t id = locked t (fun () -> Option.map view_of_job (Hashtbl.find_opt t.jobs id))
 
+let await t id ~after =
+  locked t (fun () ->
+      match Hashtbl.find_opt t.jobs id with
+      | None -> None
+      | Some j ->
+        let settled () =
+          match j.state with
+          | Protocol.Done | Protocol.Failed | Protocol.Cancelled -> true
+          | Protocol.Queued | Protocol.Running -> Protocol.state_ordinal j.state > after
+        in
+        while not (settled ()) do
+          Condition.wait t.changed t.mu
+        done;
+        Some (view_of_job j))
+
 let cancel t id =
   locked t (fun () ->
       match Hashtbl.find_opt t.jobs id with
@@ -389,7 +409,7 @@ let cancel t id =
         (match j.state with
         | Protocol.Queued ->
           j.cancel_requested <- true;
-          finish j Protocol.Cancelled;
+          finish t j Protocol.Cancelled;
           Metrics.cancelled t.metrics
         | Protocol.Running ->
           j.cancel_requested <- true;
@@ -421,7 +441,7 @@ let drain t =
           (fun (j : job) ->
             if j.state = Protocol.Queued then begin
               j.error <- Some "daemon drained before the job started";
-              finish j Protocol.Cancelled;
+              finish t j Protocol.Cancelled;
               Metrics.cancelled t.metrics
             end)
           leftover;

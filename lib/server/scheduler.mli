@@ -70,6 +70,15 @@ val submit : t -> Protocol.submit -> (string * int, Protocol.error_code * string
     solve resumes from it ([job_view.resumed_from]). *)
 
 val view : t -> string -> Protocol.job_view option
+
+val await : t -> string -> after:int -> Protocol.job_view option
+(** [await t id ~after] blocks until job [id]'s state ordinal
+    ({!Protocol.state_ordinal}) exceeds [after], or the job is
+    terminal, and returns its view then; [None] for an unknown job.
+    The scheduler broadcasts at the [Running] transition and at every
+    terminal one (done, failed, cancelled, shed, drained), so a
+    watcher wakes as soon as the state changes, with no polling. *)
+
 val cancel : t -> string -> Protocol.job_view option
 
 val queue_depth : t -> int

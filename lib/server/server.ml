@@ -133,8 +133,7 @@ let handle_events t ?fault oc id ~since =
       match v.Protocol.state with
       | Protocol.Done | Protocol.Failed | Protocol.Cancelled -> send ?fault oc (Protocol.Job v)
       | Protocol.Queued | Protocol.Running -> (
-        Thread.delay 0.05;
-        match Scheduler.view t.sched id with
+        match Scheduler.await t.sched id ~after:o with
         | None -> send ?fault oc (Protocol.Job v) (* job table never shrinks; defensive *)
         | Some v' -> stream last v')
     in

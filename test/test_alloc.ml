@@ -92,6 +92,21 @@ let coordinate_pass ~n =
     Array.blit (Assignment.loads p.Problem.netlist ~m u) 0 loads 0 m;
     ignore (Repair.coordinate_pass ~delta ~dviol q u ~loads ~scratch : bool)
 
+(* the same pass reading the row cache: each call diffs the restart
+   against the positions the previous pass left, invalidates the moved
+   components' neighbours, and recomputes just those rows *)
+let cached_coordinate_pass ~n =
+  let q, u0 = instance ~n ~slack:1.2 in
+  let p = Qmatrix.problem q in
+  let m = Problem.m p in
+  let u = Array.copy u0 and loads = Array.make m 0.0 and scratch = Array.make m 0.0 in
+  let cache = Repair.cache ~m ~n in
+  let delta = ref 0.0 and dviol = ref 0 in
+  fun () ->
+    Array.blit u0 0 u 0 n;
+    Array.blit (Assignment.loads p.Problem.netlist ~m u) 0 loads 0 m;
+    ignore (Repair.coordinate_pass ~delta ~dviol ~cache q u ~loads ~scratch : bool)
+
 let violations ~n =
   let q, u = instance ~n ~slack:1.2 in
   fun () -> ignore (Qmatrix.violations q u : int)
@@ -111,6 +126,25 @@ let solve_relaxed ~slack ~n =
   let ws = Mthg.workspace ~m ~n in
   let criteria = Burkard.Config.default.Burkard.Config.gap_criteria in
   fun () -> ignore (Mthg.solve_relaxed ~ws ~criteria ~improve:`Shift g : int array)
+
+(* STEP 4 then STEP 6 as Burkard runs them: the STEP-6 instance is the
+   STEP-4 one with h as its cost, so both read the one memoized [Weight]
+   and [Weight_per_capacity] construction of the workspace *)
+let memoized_solve_relaxed ~n =
+  let q, u = instance ~n ~slack:1.2 in
+  let p = Qmatrix.problem q in
+  let m = Problem.m p in
+  let eta = Qmatrix.eta q u in
+  let h = Array.map (fun x -> x *. 0.5) eta in
+  let weight = Gap.uniform_weights ~sizes:(Netlist.sizes p.Problem.netlist) ~m in
+  let capacity = Topology.capacities p.Problem.topology in
+  let g4 = Gap.borrow ~cost:eta ~weight ~capacity ~n in
+  let g6 = Gap.with_cost g4 h in
+  let ws = Mthg.workspace ~m ~n in
+  let criteria = [ Mthg.Cost; Mthg.Weight; Mthg.Weight_per_capacity ] in
+  fun () ->
+    ignore (Mthg.solve_relaxed ~ws ~criteria ~improve:`Shift g4 : int array);
+    ignore (Mthg.solve_relaxed ~ws ~criteria ~improve:`Shift g6 : int array)
 
 (* the GFM/GKL selections as the solvers run them: capacity and timing
    owned by a bucket structure created with the budgets; Table III
@@ -144,9 +178,11 @@ let () =
           case "Qmatrix.eta_into" eta_into;
           case "Qmatrix.eta_sync (patch path)" eta_sync;
           case "Repair.coordinate_pass" coordinate_pass;
+          case "Repair.coordinate_pass ~cache" cached_coordinate_pass;
           case "Qmatrix.violations" violations;
           case "Mthg.solve_relaxed ~ws (feasible)" (solve_relaxed ~slack:1.2);
           case "Mthg.solve_relaxed ~ws (overflow fill)" (solve_relaxed ~slack:0.9);
+          case "Mthg.solve_relaxed ~ws (memoized, STEP 4 and 6)" memoized_solve_relaxed;
           case "Buckets.best_move (capacity and timing)" best_move;
           case "Buckets.best_swap (capacity and timing)" best_swap;
         ] );

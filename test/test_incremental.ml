@@ -631,6 +631,286 @@ let prop_burkard_shaped_mthg_matches_oracle =
       && r1 = expected_relaxed
       && r2 = expected_relaxed)
 
+(* MTHG's memo of the cost-independent constructions, the way Burkard
+   drives it: one workspace, a borrowed STEP-4 instance and its STEP-6
+   twin ([Gap.with_cost]: same weights, capacities and memo key), fresh
+   costs before every call, and now and then an in-place capacity edit
+   that the memo must miss — down to over-tight capacities where the
+   constructions get stuck.  Every pooled answer must be the answer of
+   a workspace that has never seen the instance. *)
+let prop_mthg_memo_matches_fresh =
+  QCheck.Test.make
+    ~name:"MTHG memo (STEP-4/6 twins, capacity edits, stuck) == fresh workspace" ~count:150
+    QCheck.(int_range 0 100_000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let _, sizes, _, capacity, m, n = burkard_gap rng in
+      let ties = Rng.int rng 2 = 0 in
+      let eta = Array.make (m * n) 0.0 and h = Array.make (m * n) 0.0 in
+      let twins sizes =
+        let g4 = Gap.borrow ~cost:eta ~weight:(Gap.uniform_weights ~sizes ~m) ~capacity ~n in
+        (g4, Gap.with_cost g4 h)
+      in
+      let g4, g6 = twins sizes in
+      let g4 = ref g4 and g6 = ref g6 in
+      let ws = Mthg.workspace ~m ~n in
+      let draw () = if ties then float_of_int (Rng.int rng 3) else Rng.float rng 10.0 in
+      let total = Array.fold_left ( +. ) 0.0 sizes in
+      let ok = ref true in
+      for _ = 1 to 16 do
+        if Rng.int rng 8 = 0 then begin
+          (* another instance of the same shape on the same workspace:
+             a new weight side, so a new memo key *)
+          let a, b = twins (Array.map (fun s -> s *. (0.8 +. Rng.float rng 0.4)) sizes) in
+          g4 := a;
+          g6 := b
+        end;
+        Array.iteri (fun r _ -> eta.(r) <- draw ()) eta;
+        Array.iteri (fun r _ -> h.(r) <- h.(r) +. draw ()) h;
+        if Rng.int rng 4 = 0 then begin
+          let i = Rng.int rng m in
+          capacity.(i) <- total /. float_of_int m *. (0.5 +. Rng.float rng 1.0)
+        end;
+        let criteria =
+          match Rng.int rng 4 with
+          | 0 -> [ Mthg.Cost; Mthg.Weight ]
+          | 1 -> [ Mthg.Weight_per_capacity; Mthg.Cost ]
+          | 2 -> [ Mthg.Weight ]
+          | _ -> Mthg.all_criteria
+        in
+        let improve =
+          match Rng.int rng 3 with 0 -> `Shift | 1 -> `Shift_and_swap | _ -> `None
+        in
+        List.iter
+          (fun g ->
+            let fresh () = Mthg.workspace ~m ~n in
+            let relaxed = Array.copy (Mthg.solve_relaxed ~ws ~criteria ~improve g) in
+            if relaxed <> Mthg.solve_relaxed ~ws:(fresh ()) ~criteria ~improve g then ok := false;
+            let exact = Option.map Array.copy (Mthg.solve ~ws ~criteria ~improve g) in
+            if exact <> Mthg.solve ~ws:(fresh ()) ~criteria ~improve g then ok := false)
+          (if Rng.int rng 2 = 0 then [ !g4; !g6 ] else [ !g6; !g4 ])
+      done;
+      !ok)
+
+(* ------------------------------------------------------------------ *)
+(* Repair's candidate-row cache (DESIGN.md D16) against fresh rows.   *)
+
+(* The coordinate pass, polish and repair reference: the same move
+   rule as [Repair], every row computed from scratch with
+   [Qmatrix.candidate_costs] at the moment it is read. *)
+module Fresh = struct
+  let coordinate_pass q u ~loads ~delta ~dviol =
+    let p = Qmatrix.problem q in
+    let nl = p.Problem.netlist in
+    let capacity = Qbpart_topology.Topology.capacity_array p.Problem.topology in
+    let m = Problem.m p in
+    let moved = ref false in
+    for j = 0 to Problem.n p - 1 do
+      let row = Qmatrix.candidate_costs q u ~j in
+      let from = u.(j) and s = Netlist.size nl j in
+      let overfull = loads.(from) > capacity.(from) in
+      let best = ref from and best_cost = ref row.(from) in
+      for i = 0 to m - 1 do
+        if i <> from && loads.(i) +. s <= capacity.(i) then
+          if
+            row.(i) < !best_cost
+            || (overfull && !best = from && row.(i) <= !best_cost +. 1e-9)
+          then begin
+            best := i;
+            best_cost := row.(i)
+          end
+      done;
+      if !best <> from then begin
+        delta := !delta +. (!best_cost -. row.(from));
+        dviol := !dviol + Qmatrix.violations_delta q u ~j ~i:!best;
+        loads.(from) <- loads.(from) -. s;
+        loads.(!best) <- loads.(!best) +. s;
+        u.(j) <- !best;
+        moved := true
+      end
+    done;
+    !moved
+
+  let loads q u =
+    let p = Qmatrix.problem q in
+    Assignment.loads p.Problem.netlist ~m:(Problem.m p) u
+
+  let polish_tracked q u ~passes =
+    let loads = loads q u and delta = ref 0.0 and dviol = ref 0 in
+    let k = ref passes in
+    while !k > 0 && coordinate_pass q u ~loads ~delta ~dviol do
+      decr k
+    done;
+    (!delta, !dviol)
+
+  let to_feasible q u ~rounds =
+    let loads = loads q u and delta = ref 0.0 in
+    let viol = ref (Qmatrix.violations q u) in
+    let round = ref 0 and continue = ref true in
+    while !continue && !round < rounds && !viol > 0 do
+      incr round;
+      let c1 = ref false and k = ref 5 in
+      while !k > 0 && coordinate_pass q u ~loads ~delta ~dviol:viol do
+        c1 := true;
+        decr k
+      done;
+      let c2 = Repair.pair_pass ~dviol:viol q u ~loads ~max_pairs:400 in
+      continue := !c1 || c2
+    done;
+    !viol = 0
+end
+
+(* Non-integer wire weights, P and penalties: the sums a row adds up
+   depend on their order, which is where patching eta would drift. *)
+let fractional_problem seed =
+  let rng = Rng.create seed in
+  let n = 10 + Rng.int rng 30 in
+  let rows, cols = if Rng.int rng 2 = 0 then (2, 2) else (2, 3) in
+  let m = rows * cols in
+  let g = Generator.generate rng (Generator.default_params ~n ~wires:(3 * n)) in
+  let wires =
+    Array.to_list (Netlist.wires g)
+    |> List.map (fun w ->
+           Wire.make (Wire.u w) (Wire.v w)
+             ~weight:((0.37 *. Wire.weight w) +. Rng.float rng 0.61))
+  in
+  let nl = Netlist.make ~components:(Array.to_list (Netlist.components g)) ~wires in
+  let capacity = Netlist.total_size nl /. float_of_int m *. (1.05 +. Rng.float rng 0.4) in
+  let topo = Grid.make ~rows ~cols ~capacity () in
+  let cons = Constraints.create ~n in
+  for _ = 1 to 2 * n do
+    let j1 = Rng.int rng n and j2 = Rng.int rng n in
+    if j1 <> j2 then Constraints.add cons j1 j2 (float_of_int (Rng.int rng 3))
+  done;
+  let p = Some (Array.init m (fun _ -> Array.init n (fun _ -> Rng.float rng 3.3))) in
+  Problem.make ?p ~constraints:cons nl topo
+
+let same_bits a b = Int64.bits_of_float a = Int64.bits_of_float b
+
+(* [Qmatrix.omega] walks each adjacency and partner row once per
+   component; the reference walks them once per entry, the order that
+   fixes every entry's sum. *)
+let omega_by_entry ~rule q =
+  let pr = Qmatrix.problem q in
+  let nl = pr.Problem.netlist and cons = pr.Problem.constraints in
+  let topo = pr.Problem.topology in
+  let m = Problem.m pr and n = Problem.n pr in
+  let module T = Qbpart_topology.Topology in
+  let max_b_to i = List.fold_left Float.max 0.0 (List.init m (fun i' -> T.b topo i' i)) in
+  let max_d_from i = List.fold_left Float.max neg_infinity (List.init m (T.d topo i)) in
+  let max_d_to i =
+    List.fold_left Float.max neg_infinity (List.init m (fun i' -> T.d topo i' i))
+  in
+  let xadj = Netlist.adj_offsets nl and anbr = Netlist.adj_targets nl in
+  let awgt = Netlist.adj_weights nl in
+  let poff = Constraints.partner_offsets cons in
+  let pbout = Constraints.partner_budget_out cons in
+  let pbin = Constraints.partner_budget_in cons in
+  let pen = Qmatrix.penalty q in
+  Array.init (m * n) (fun r ->
+      let i = r mod m and j = r / m in
+      let acc = ref (Problem.p_entry pr ~i ~j) in
+      for k = xadj.(j) to xadj.(j + 1) - 1 do
+        match rule with
+        | Qmatrix.Solver when j < anbr.(k) -> acc := !acc +. (awgt.(k) *. T.max_b_from topo i)
+        | Qmatrix.Solver | Qmatrix.Paper -> acc := !acc +. (awgt.(k) *. max_b_to i)
+      done;
+      for k = poff.(j) to poff.(j + 1) - 1 do
+        match rule with
+        | Qmatrix.Solver ->
+          if max_d_from i > pbout.(k) then acc := !acc +. pen;
+          if max_d_to i > pbin.(k) then acc := !acc +. pen
+        | Qmatrix.Paper -> if max_d_to i > pbin.(k) then acc := !acc +. pen
+      done;
+      !acc)
+
+let prop_omega_matches_per_entry_walk =
+  QCheck.Test.make ~name:"omega equals the per-entry walk bit for bit (both rules)" ~count:40
+    QCheck.(int_range 0 100_000)
+    (fun seed ->
+      let q = Qmatrix.make ~penalty:13.7 (fractional_problem seed) in
+      List.for_all
+        (fun rule -> Array.for_all2 same_bits (Qmatrix.omega ~rule q) (omega_by_entry ~rule q))
+        [ Qmatrix.Solver; Qmatrix.Paper ])
+
+let prop_row_cache_matches_fresh =
+  QCheck.Test.make
+    ~name:"cached polish/to_feasible == fresh-row reference, bit for bit, across edits"
+    ~count:60
+    QCheck.(int_range 0 100_000)
+    (fun seed ->
+      let rng = Rng.create (seed + 5) in
+      let q = ref (Qmatrix.make ~penalty:13.7 (fractional_problem seed)) in
+      let strict = ref (Qmatrix.make ~penalty:1e12 (Qmatrix.problem !q)) in
+      let problem () = Qmatrix.problem !q in
+      let n = Problem.n (problem ()) and m = Problem.m (problem ()) in
+      let u = Assignment.random rng ~n ~m in
+      let r = Assignment.copy u in
+      (* one cache serves every call below, on every surface *)
+      let cache = Repair.cache ~m ~n in
+      let removable = ref (Array.to_list (Netlist.wires (problem ()).Problem.netlist)) in
+      let ok = ref true in
+      let expect b = if not b then ok := false in
+      for _ = 1 to 24 do
+        (match Rng.int rng 9 with
+        | 0 ->
+          let passes = 1 + Rng.int rng 3 in
+          let dc, dv = Repair.polish_tracked ~cache !q u ~passes in
+          let dc', dv' = Fresh.polish_tracked !q r ~passes in
+          expect (same_bits dc dc' && dv = dv')
+        | 1 ->
+          let passes = 1 + Rng.int rng 4 in
+          Repair.polish ~cache !strict u ~passes;
+          ignore (Fresh.polish_tracked !strict r ~passes : float * int)
+        | 2 ->
+          let rounds = 1 + Rng.int rng 4 in
+          expect (Repair.to_feasible ~cache !strict u ~rounds = Fresh.to_feasible !strict r ~rounds)
+        | 3 ->
+          (* one bare pass, with the caller's loads and running sums *)
+          let loads = Fresh.loads !q u and loads' = Fresh.loads !q r in
+          let delta = ref 0.25 and dviol = ref 3 and delta' = ref 0.25 and dviol' = ref 3 in
+          let scratch = Array.make m nan in
+          let moved = Repair.coordinate_pass ~delta ~dviol ~cache !q u ~loads ~scratch in
+          let moved' = Fresh.coordinate_pass !q r ~loads:loads' ~delta:delta' ~dviol:dviol' in
+          expect
+            (moved = moved' && same_bits !delta !delta' && !dviol = !dviol'
+            && Array.for_all2 same_bits loads loads')
+        | 4 ->
+          (* an external pair pass between cached calls *)
+          let surface = if Rng.int rng 2 = 0 then !q else !strict in
+          let loads = Fresh.loads surface u and loads' = Fresh.loads surface r in
+          let a = Repair.pair_pass surface u ~loads ~max_pairs:5 in
+          let b = Repair.pair_pass surface r ~loads:loads' ~max_pairs:5 in
+          expect (a = b)
+        | 5 ->
+          (* random jumps *)
+          for _ = 1 to 1 + Rng.int rng 4 do
+            let j = Rng.int rng n and i = Rng.int rng m in
+            u.(j) <- i;
+            r.(j) <- i
+          done
+        | 6 ->
+          (* re-bind: another penalty on the same problem *)
+          q := Qmatrix.make ~penalty:(5.0 +. Rng.float rng 60.0) (problem ())
+        | 7 -> (
+          (* an ECO edit rebinds both surfaces to the edited problem *)
+          let p = problem () in
+          match Problem.apply_delta p (random_inplace_delta rng p.Problem.netlist removable) with
+          | Error e -> Alcotest.fail (Delta.error_to_string e)
+          | Ok dr ->
+            if not dr.Problem.dr_dims_changed then begin
+              q := Qmatrix.apply_delta !q dr.Problem.dr_problem;
+              strict := Qmatrix.apply_delta !strict dr.Problem.dr_problem
+            end)
+        | _ ->
+          let passes = 1 + Rng.int rng 3 in
+          let dc, dv = Repair.polish_tracked ~cache !strict u ~passes in
+          let dc', dv' = Fresh.polish_tracked !strict r ~passes in
+          expect (same_bits dc dc' && dv = dv'));
+        expect (u = r)
+      done;
+      !ok)
+
 (* ------------------------------------------------------------------ *)
 (* Burkard workspace pooling: reuse must not change trajectories.     *)
 
@@ -686,13 +966,16 @@ let () =
           qt prop_eta_sync_matches_scratch;
           qt prop_eta_sync_equals_replay;
           qt prop_violations_matches_check;
+          qt prop_omega_matches_per_entry_walk;
         ] );
       ( "eco deltas",
         [ qt prop_apply_delta_matches_scratch; qt prop_remove_readd_roundtrip ] );
+      ("row cache", [ qt prop_row_cache_matches_fresh ]);
       ( "flat gap",
         [
           qt prop_flat_mthg_matches_boxed_oracle;
           qt prop_burkard_shaped_mthg_matches_oracle;
+          qt prop_mthg_memo_matches_fresh;
           qt prop_solve_relaxed_pooled_deterministic;
           Alcotest.test_case "mthg workspace shape checked" `Quick
             test_mthg_workspace_shape_checked;

@@ -1125,6 +1125,76 @@ let test_finished_jobs_release_instances () =
     (8 * per_job < instance_words)
 
 (* ------------------------------------------------------------------ *)
+(* The Events stream wakes on the scheduler's state changes instead of
+   polling: a one-iteration job's terminal frame follows its finish
+   within milliseconds, not on a 50 ms poll grid.  Only a stream that
+   found its job still queued or running had to wait for it (the first
+   event's seq is the state it found: 0 queued, 1 running, 2 finished),
+   so only those samples count.  On a 2-core Xeon they read 4-15 ms;
+   with a 50 ms poll, 52-63 ms. *)
+
+let test_events_wake_on_state_changes () =
+  let dir = temp_dir () in
+  let socket_path = Filename.concat dir "d.sock" in
+  let config =
+    { (Server.default_config ~socket_path) with Server.workers = 1; checkpoint_dir = dir }
+  in
+  let server =
+    match Server.create config with Ok s -> s | Error e -> fail ("server create: " ^ e)
+  in
+  let serve_thread = Thread.create Server.serve server in
+  Fun.protect
+    ~finally:(fun () ->
+      Server.request_drain server;
+      Thread.join serve_thread)
+  @@ fun () ->
+  let c =
+    match Client.connect (Client.Unix_socket socket_path) with
+    | Ok c -> c
+    | Error e -> fail ("connect: " ^ e)
+  in
+  let spec =
+    {
+      (small_grid (base_spec (netlist_text ~n:600 ~wires:2400 ~seed:5))) with
+      Protocol.iterations = 1;
+    }
+  in
+  (* Submit, then the job's Events stream from seq 0: whether the
+     stream found the job live, and the time to its terminal frame *)
+  let sample () =
+    let t0 = Unix.gettimeofday () in
+    let job = job_of_submit (call_ok c (Protocol.Submit spec)) in
+    let first = call_ok c (Protocol.Events { job; since = 0 }) in
+    let rec last = function
+      | Protocol.Job v -> v
+      | Protocol.Event _ -> (
+        match Client.read_response c with
+        | Ok r -> last r
+        | Error e -> fail ("event stream: " ^ e))
+      | r -> fail (Format.asprintf "unexpected stream frame %a" Protocol.pp_response r)
+    in
+    let v = last first in
+    let dt = Unix.gettimeofday () -. t0 in
+    check Alcotest.string "done" "done" (Protocol.job_state_to_string v.Protocol.state);
+    let live = match first with Protocol.Event { seq; _ } -> seq < 2 | _ -> false in
+    (live, dt)
+  in
+  let rec collect live attempts =
+    if List.length live = 5 || attempts = 0 then live
+    else
+      match sample () with
+      | true, dt -> collect (dt :: live) (attempts - 1)
+      | false, _ -> collect live (attempts - 1)
+  in
+  let live = List.sort compare (collect [] 40) in
+  Client.close c;
+  check Alcotest.int "5 streams found their job live" 5 (List.length live);
+  let median = List.nth live 2 in
+  check Alcotest.bool
+    (Printf.sprintf "median submit-to-terminal-frame %.1f ms < 40 ms" (1000.0 *. median))
+    true (median < 0.040)
+
+(* ------------------------------------------------------------------ *)
 (* Client hardening: a server that accepts and then goes silent *)
 
 let test_client_hung_server_timeout () =
@@ -1518,6 +1588,8 @@ let () =
             test_finished_views_agree;
           Alcotest.test_case "finished jobs release their instances" `Slow
             test_finished_jobs_release_instances;
+          Alcotest.test_case "events wake on state changes" `Slow
+            test_events_wake_on_state_changes;
         ] );
       ( "fleet",
         [
