@@ -719,6 +719,53 @@ let test_session_integrity_demotes_to_cold () =
   check Alcotest.bool "warm answer certified" true v2.Protocol.eco_certified;
   Session.drain t
 
+(* A torn-apply fault armed on the first ECO corrupts the warm entry's
+   cost surface after the delta is applied: the audit against fresh
+   rows must catch it in the patch stage and demote the request to a
+   certified cold solve, and the adopted cold incumbent must serve the
+   next delta warm again. *)
+let test_session_torn_apply_demotes_to_cold () =
+  let dir =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "qbpart-session-torn-test-%d" (Unix.getpid ()))
+  in
+  if not (Sys.file_exists dir) then Unix.mkdir dir 0o700;
+  let metrics = Metrics.create () in
+  let t =
+    Session.create
+      {
+        Session.cache_capacity = 4;
+        checkpoint_dir = dir;
+        fault = Some { Session.Fault.corrupt = None; torn = Some 1; stale = None };
+      }
+      ~metrics
+  in
+  let spec =
+    { (small_grid (base_spec (netlist_text ~n:16 ~wires:40 ~seed:11))) with
+      Protocol.slack = 1.4; iterations = 20; seed = 3 }
+  in
+  let v0 =
+    match Session.open_session t spec with
+    | Ok v -> v
+    | Error (c, m) -> fail (Protocol.error_code_to_string c ^ ": " ^ m)
+  in
+  let eco ~seq delta =
+    match Session.eco t ~session:v0.Protocol.eco_session ~seq ~delta ~force_cold:false with
+    | Ok v -> v
+    | Error (c, m) -> fail (Protocol.error_code_to_string c ^ ": " ^ m)
+  in
+  let v1 = eco ~seq:1 "retime c0 c1 4.0\n" in
+  check Alcotest.string "torn apply demoted to cold" "cold" v1.Protocol.served;
+  check Alcotest.bool "cold answer certified" true v1.Protocol.eco_certified;
+  check Alcotest.bool "stage report names the torn apply" true
+    (List.exists (contains ~sub:"torn apply detected") v1.Protocol.eco_stages);
+  let m = Metrics.snapshot metrics ~queue_depth:0 ~running:0 ~draining:false in
+  check Alcotest.int "no warm hit" 0 m.Protocol.eco_warm_hits;
+  let v2 = eco ~seq:2 "retime c2 c3 4.0\n" in
+  check Alcotest.string "next delta served warm" "warm" v2.Protocol.served;
+  check Alcotest.bool "warm answer certified" true v2.Protocol.eco_certified;
+  Session.drain t
+
 let test_session_fault_spec () =
   (match Session.Fault.of_spec "corrupt=1,torn=3,stale=5" with
   | Ok f ->
@@ -1574,6 +1621,8 @@ let () =
           Alcotest.test_case "fault spec parsing" `Quick test_session_fault_spec;
           Alcotest.test_case "integrity failure demotes to certified cold" `Quick
             test_session_integrity_demotes_to_cold;
+          Alcotest.test_case "torn apply demotes to certified cold" `Quick
+            test_session_torn_apply_demotes_to_cold;
         ] );
       ( "client",
         [
