@@ -40,6 +40,7 @@ module Gap = Qbpart_gap.Gap
 module Mthg = Qbpart_gap.Mthg
 module Problem = Qbpart_core.Problem
 module Qmatrix = Qbpart_core.Qmatrix
+module Repair = Qbpart_core.Repair
 module Burkard = Qbpart_core.Burkard
 module Certify = Qbpart_core.Certify
 module Gains = Qbpart_baselines.Gains
@@ -356,16 +357,15 @@ let kernels ?(baselines_only = false) inst =
   let capacity = Topology.capacities topo in
   let eta = Qmatrix.eta q u in
   let eta_buf = Array.make (Qmatrix.dim q) 0.0 in
-  let gap_cost = Array.init m (fun _ -> Array.make n 0.0) in
   (* the solver's actual STEP-4/6 instance shape: flat item-major cost
      (here a copy of eta, refreshed in place by the refresh row) over
      the shared uniform weights *)
   let weight = Gap.uniform_weights ~sizes ~m in
   let gap = Gap.borrow ~cost:(Array.copy eta) ~weight ~capacity ~n in
   let mws = Mthg.workspace ~m ~n in
-  (* maintained eta: resync disabled so the rows below measure the pure
-     patch cost, not an amortized recompute *)
-  let st = Qmatrix.eta_state ~resync_every:max_int q u in
+  (* STEP 3's eta as the solver keeps it: the row cache, whole at u *)
+  let rows = Repair.cache ~m ~n in
+  Repair.refresh rows q u ~pool:Qbpart_pool.Dompool.sequential;
   let gains = Gains.create nl topo u in
   (* gain-bucket structure over the same maintained gains state: the
      selection rows below race it against the GFM-style row scan *)
@@ -400,7 +400,7 @@ let kernels ?(baselines_only = false) inst =
   let j_hot = !j_hot in
   let i_move = (u.(j_hot) + 1) mod m in
   (* a 16-component jump, the shape of a typical STEP-6 + polish move
-     batch, replayed there and back by the eta_sync row *)
+     batch, replayed there and back by the row-cache refresh row *)
   let u_jump = Array.copy u in
   let jump = min 16 n in
   for k = 0 to jump - 1 do
@@ -413,16 +413,10 @@ let kernels ?(baselines_only = false) inst =
       Test.make ~name:"eta (STEP 3 linearization)" (Staged.stage (fun () -> Qmatrix.eta q u));
       Test.make ~name:"eta_into (reused buffer)"
         (Staged.stage (fun () -> Qmatrix.eta_into q u eta_buf));
-      Test.make ~name:"eta_apply_move (move+undo, max-degree j)"
+      Test.make ~name:"row-cache refresh (2x 16-component jump)"
         (Staged.stage (fun () ->
-             Qmatrix.eta_apply_move st ~j:j_hot i_move;
-             Qmatrix.eta_apply_move st ~j:j_hot u.(j_hot)));
-      Test.make ~name:"eta_sync (2x 16-component jump)"
-        (Staged.stage (fun () ->
-             ignore (Qmatrix.eta_sync st u_jump);
-             ignore (Qmatrix.eta_sync st u)));
-      Test.make ~name:"eta_cost_matrix_into (reused GAP matrix)"
-        (Staged.stage (fun () -> Qmatrix.eta_cost_matrix_into eta ~m ~n gap_cost));
+             Repair.refresh rows q u_jump ~pool:Qbpart_pool.Dompool.sequential;
+             Repair.refresh rows q u ~pool:Qbpart_pool.Dompool.sequential));
       Test.make ~name:"gap cost refresh (flat blit)"
         (Staged.stage (fun () -> Gap.refresh_cost gap eta));
       Test.make ~name:"mthg construct (STEP 4/6 GAP)"
@@ -563,19 +557,18 @@ let kernels ?(baselines_only = false) inst =
     Format.printf "@.  delta-evaluation speedup over full recompute: %.0fx@." (full /. delta)
   | _ -> ());
   (match
-     ( List.assoc_opt "eta_sync (2x 16-component jump)" estimates,
+     ( List.assoc_opt "row-cache refresh (2x 16-component jump)" estimates,
        List.assoc_opt "mthg construct (pooled ws)" estimates,
        List.assoc_opt "mthg solve_relaxed (pooled ws)" estimates,
        List.assoc_opt "eta_into (reused buffer)" estimates,
        List.assoc_opt "mthg construct (STEP 4/6 GAP)" estimates,
        List.assoc_opt "mthg solve_relaxed" estimates )
    with
-  | Some sync, Some c, Some s, Some eta_full, Some c0, Some s0 ->
-    let maint = sync /. 2.0 in
-    let now = maint +. c +. s and before = eta_full +. c0 +. s0 in
+  | Some refresh, Some c, Some s, Some eta_full, Some c0, Some s0 ->
+    let now = (refresh /. 2.0) +. c +. s and before = eta_full +. c0 +. s0 in
     Format.printf
-      "  per-iteration inner loop (eta maintenance + construct + solve):@.\
-      \    incremental+pooled %8.0f ns   recompute+allocating %8.0f ns   (%.1fx)@."
+      "  per-iteration inner loop (eta row refresh + construct + solve):@.\
+      \    row cache+pooled %8.0f ns   recompute+allocating %8.0f ns   (%.1fx)@."
       now before (before /. Float.max 1.0 now)
   | _ -> ());
   (match
@@ -1442,40 +1435,39 @@ let () =
           ]
         | _ -> []
       in
-      (* per-iteration inner-loop decomposition: eta maintenance (half
-         the there-and-back sync row = one 16-move jump), the pooled
-         GAP construction and relaxed solve, and their sum — the
-         number the CI regression gate watches *)
+      (* STEP 3 on its own: half the there-and-back refresh row, one
+         16-move jump's worth of recomputed rows *)
+      let step3 =
+        match List.assoc_opt "row-cache refresh (2x 16-component jump)" !kernel_stats with
+        | Some refresh -> [ ("row_refresh_ns", Json.Float (refresh /. 2.0)) ]
+        | None -> []
+      in
+      (* the GAP half of an iteration: the flat-cost refresh, the pooled
+         construction and relaxed solve, and their sum — the number the
+         CI regression gate watches *)
       let inner =
         match
-          ( List.assoc_opt "eta_sync (2x 16-component jump)" !kernel_stats,
-            List.assoc_opt "gap cost refresh (flat blit)" !kernel_stats,
+          ( List.assoc_opt "gap cost refresh (flat blit)" !kernel_stats,
             List.assoc_opt "mthg construct (pooled ws)" !kernel_stats,
             List.assoc_opt "mthg solve_relaxed (pooled ws)" !kernel_stats )
         with
-        | Some sync, Some refresh, Some construct, Some solve ->
-          let maint = sync /. 2.0 in
+        | Some refresh, Some construct, Some solve ->
           [
-            ("eta_maintenance_ns", Json.Float maint);
             ("gap_refresh_ns", Json.Float refresh);
             ("gap_construct_ns", Json.Float construct);
             ("gap_solve_ns", Json.Float solve);
-            ("inner_loop_ns", Json.Float (maint +. construct +. solve));
+            ("inner_loop_ns", Json.Float (construct +. solve));
           ]
         | _ -> []
       in
       let inner_race =
-        match
-          ( List.assoc_opt "eta_sync (2x 16-component jump)" !kernel_stats,
-            List.assoc_opt "gap race (pooled ws)" !kernel_stats )
-        with
-        | Some sync, Some race ->
-          (* Burkard solves two GAPs per iteration (STEP 4 and STEP 6),
-             so the raced inner loop is maintenance + two race calls *)
-          [ ("inner_loop_race_ns", Json.Float ((sync /. 2.0) +. (2.0 *. race))) ]
-        | _ -> []
+        match List.assoc_opt "gap race (pooled ws)" !kernel_stats with
+        | Some race ->
+          (* Burkard solves two GAPs per iteration (STEP 4 and STEP 6) *)
+          [ ("inner_loop_race_ns", Json.Float (2.0 *. race)) ]
+        | None -> []
       in
-      base @ inner @ inner_race
+      base @ step3 @ inner @ inner_race
     in
     (* the baseline-kernel subset also emitted by [--only-baselines],
        gated separately in CI via [compare --summary baselines_summary] *)

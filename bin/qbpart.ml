@@ -578,8 +578,8 @@ let solve_cmd =
   in
   let inner_jobs =
     Arg.(value & opt int 1 & info [ "inner-jobs" ]
-           ~doc:"Domains per running start for the intra-solve kernels (eta \
-                 recomputes, hub patches, GAP race legs); the box runs up to \
+           ~doc:"Domains per running start for the intra-solve kernels (the \
+                 eta row refresh of STEP 3, GAP race legs); the box runs up to \
                  --jobs x --inner-jobs domains. The result is identical for \
                  every value.")
   in

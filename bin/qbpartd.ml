@@ -262,7 +262,7 @@ let eco_fault =
   Arg.(value & opt (some string) None & info [ "eco-fault" ] ~docv:"SPEC"
          ~doc:"Deterministic fault injection on the ECO session path, for chaos \
                testing: $(b,corrupt=1,torn=3,stale=5) fires each point on the k-th \
-               eco request (corrupt the cached incumbent, tear the eta patch, bump \
+               eco request (corrupt the cached incumbent, tear a cached eta row, bump \
                the session sequence).  Every fault must be caught by the integrity \
                re-checks and demoted to a certified cold solve.")
 

@@ -181,7 +181,7 @@ module Config : sig
             {!Portfolio.default_jobs} *)
     inner_jobs : int;
         (** per-start {!Qbpart_pool.Dompool} size (≥ 1) for the
-            intra-solve kernels — η recomputes, hub patches and GAP
+            intra-solve kernels — STEP 3's η row refresh and the GAP
             race legs; 1 keeps every start single-domain *)
     retries : int;
         (** extra supervised attempts per portfolio start after a

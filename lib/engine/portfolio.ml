@@ -147,7 +147,7 @@ let solve ?(config = Burkard.Config.default) ?(max_rounds = 4) ?(factor = 8.0) ?
     (* per-attempt scratch pool, created on the worker domain so the
        borrowed GAP buffers it feeds never cross domains; with
        [inner_jobs > 1] the attempt also owns a bounded domain pool
-       that fans the intra-solve kernels (eta recomputes, hub patches,
+       that fans the intra-solve kernels (STEP 3's eta row refresh,
        race legs) — total domains stay within outer x inner, and the
        fan-out never changes a value, so the D7 determinism contract
        survives untouched *)

@@ -68,25 +68,25 @@ type gap_solver =
 (* Per-start scratch pool: every buffer the hot loop touches, allocated
    once and reused across all Burkard solves of a portfolio start (the
    adaptive penalty rounds re-enter [solve] with the same workspace).
-   The eta and h vectors double as the STEP-4/6 GAP cost matrices: the
-   flat item-major GAP layout (entry (i,j) at j*m + i) coincides with
-   the eta index r = i + j·M, so the borrowed instances alias them with
-   no reshape or refresh at all. *)
+   The row cache (which is eta) and h double as the STEP-4/6 GAP cost
+   matrices: the flat item-major GAP layout (entry (i,j) at j*m + i)
+   coincides with the eta index r = i + j·M, so the borrowed instances
+   alias them with no reshape or refresh at all. *)
 module Workspace = struct
   type t = {
     ws_m : int;
     ws_n : int;
-    eta : float array;        (* m*n, maintained by the eta_state *)
     h : float array;          (* m*n, STEP-5 accumulated direction *)
     weight : float array;     (* m*n, w(i,j) = s_j, iteration-invariant *)
     capacity : float array;   (* m *)
     mthg : Mthg.workspace;
     race : Race.workspace;    (* for [Config.gap_race] runs *)
     u : int array;            (* n, the current iterate *)
-    rows : Repair.cache;      (* candidate rows on the round's surface *)
+    rows : Repair.cache;      (* candidate rows on the round's surface:
+                                 the Solver-rule eta *)
     strict_rows : Repair.cache; (* ... and on the strict surface *)
-    pool : Dompool.t;         (* intra-solve fan-out: eta recomputes,
-                                 hub patches, the GAP race legs *)
+    pool : Dompool.t;         (* intra-solve fan-out: eta row refreshes,
+                                 the GAP race legs *)
   }
 
   let create ?(pool = Dompool.sequential) problem =
@@ -96,7 +96,6 @@ module Workspace = struct
     {
       ws_m = m;
       ws_n = n;
-      eta = Array.make (m * n) 0.0;
       h = Array.make (m * n) 0.0;
       weight = Gap.uniform_weights ~sizes ~m;
       capacity = Topology.capacities problem.Problem.topology;
@@ -124,12 +123,22 @@ let solve ?(config = Config.default) ?initial ?(should_stop = fun () -> false)
              w.Workspace.ws_m w.Workspace.ws_n m n);
       w
   in
-  (* The GAP instances of STEP 4 and STEP 6 alias the eta and h vectors
-     directly as their (flat, item-major) cost matrices and share the
-     uniform weights w_ij = s_j, so an inner solve costs no setup at
-     all.  STEP 6's instance is STEP 4's with another cost matrix, so
-     MTHG's memo of the cost-independent constructions serves both. *)
-  let gap_eta = Gap.borrow ~cost:ws.Workspace.eta ~weight:ws.Workspace.weight
+  (* STEP 3's eta.  Under the Solver rule it is the round's row cache:
+     the same m·N surface the polish reads, so STEP 3 only recomputes
+     the rows that the jump and the polish invalidated (DESIGN.md D17).
+     The Paper rule's column sums are not candidate rows; that ablation
+     recomputes them into a buffer of its own every iteration. *)
+  let eta =
+    match config.Config.rule with
+    | Qmatrix.Solver -> Repair.rows ws.Workspace.rows
+    | Qmatrix.Paper -> Array.make (m * n) 0.0
+  in
+  (* The GAP instances of STEP 4 and STEP 6 alias eta and h directly as
+     their (flat, item-major) cost matrices and share the uniform
+     weights w_ij = s_j, so an inner solve costs no setup at all.
+     STEP 6's instance is STEP 4's with another cost matrix, so MTHG's
+     memo of the cost-independent constructions serves both. *)
+  let gap_eta = Gap.borrow ~cost:eta ~weight:ws.Workspace.weight
       ~capacity:ws.Workspace.capacity ~n in
   let gap_h = Gap.with_cost gap_eta ws.Workspace.h in
   Array.fill ws.Workspace.h 0 (m * n) 0.0;
@@ -150,6 +159,10 @@ let solve ?(config = Config.default) ?initial ?(should_stop = fun () -> false)
   let u = ws.Workspace.u in
   (match initial with
   | Some a ->
+    if Array.length a <> n then
+      invalid_arg
+        (Printf.sprintf "Burkard.solve: initial assignment has length %d, expected %d"
+           (Array.length a) n);
     Assignment.check ~m a;
     Array.blit a 0 u 0 n
   | None ->
@@ -195,16 +208,6 @@ let solve ?(config = Config.default) ?initial ?(should_stop = fun () -> false)
   in
   ignore (consider u);
   let omega = Qmatrix.omega ~rule:config.Config.rule q in
-  (* STEP 3 runs incrementally: the state below owns ws.eta, and each
-     iteration patches only the components that moved since the last
-     sync (GAP jump + polish + repair adoption) instead of recomputing
-     the full vector — with the built-in full-recompute fallback when
-     most of the placement changed, and the periodic drift resync. *)
-  let st =
-    Qmatrix.eta_state ~rule:config.Config.rule ~buf:ws.Workspace.eta
-      ~pool:ws.Workspace.pool q u
-  in
-  let eta = ws.Workspace.eta in
   let h = ws.Workspace.h in
   let history = ref [] in
   let strict_q =
@@ -234,8 +237,10 @@ let solve ?(config = Config.default) ?initial ?(should_stop = fun () -> false)
   let k = ref 1 in
   while (not (stop ())) && !k <= config.Config.iterations do
     let k0 = !k in
-    (* STEP 3: patch eta for the components that moved since last sync *)
-    ignore (Qmatrix.eta_sync st u);
+    (* STEP 3: eta at the iterate *)
+    (match config.Config.rule with
+    | Qmatrix.Solver -> Repair.refresh ws.Workspace.rows q u ~pool:ws.Workspace.pool
+    | Qmatrix.Paper -> Qmatrix.eta_into ~rule:Qmatrix.Paper ~pool:ws.Workspace.pool q u eta);
     let xi = Qmatrix.xi q ~omega u in
     (* STEP 4: minimize the linearization over S (cost aliases eta) *)
     let u_z = solve_gap ~step:Step4 ~k:k0 gap_eta in

@@ -113,10 +113,11 @@ type gap_solver =
     capacity; the outer loop never trusts it blindly. *)
 
 (** Per-start scratch pool.  Holds every buffer the hot loop touches —
-    the maintained η vector and the accumulated direction {m h} (both
-    aliased directly as the flat item-major STEP-4/6 GAP cost
-    matrices), the iteration-invariant uniform weights and capacities,
-    the pooled MTHG workspace and the iterate itself — so that a
+    the round's candidate-row cache, which is the [Solver]-rule η, and
+    the accumulated direction {m h} (both aliased directly as the flat
+    item-major STEP-4/6 GAP cost matrices), the iteration-invariant
+    uniform weights and capacities, the pooled MTHG workspace and the
+    iterate itself — so that a
     caller running many solves on one problem shape (the adaptive
     penalty ladder, a portfolio start) allocates them exactly once and
     the steady-state inner loop allocates nothing per element: what an
@@ -125,13 +126,14 @@ type gap_solver =
     ([test_alloc.ml] pins the kernels, DESIGN.md D14).
 
     It also carries what an iteration can reuse from the previous ones
-    (DESIGN.md D16): two {!Repair.cache}s of candidate rows, one for the
-    round's penalty surface (the per-iteration polish and the final
-    polish) and one for the strict surface (the feasibility probe, the
-    strict polish and the repair of the tail).  Each solve re-binds them
-    to its own surfaces on first use, so a reused workspace never reads
-    a row of another penalty; within a round every pass recomputes only
-    the rows of components whose neighbours moved.  The MTHG workspace
+    (DESIGN.md D16, D17): two {!Repair.cache}s of candidate rows, one
+    for the round's penalty surface (STEP 3's η, the per-iteration
+    polish and the final polish) and one for the strict surface (the
+    feasibility probe, the strict polish and the repair of the tail).
+    Each solve re-binds them to its own surfaces on first use, so a
+    reused workspace never reads a row of another penalty; within a
+    round STEP 3 and every pass recompute only the rows of components
+    whose neighbours moved.  The MTHG workspace
     memoizes the cost-independent constructions ([Weight]) across the
     round's STEP-4 and STEP-6 calls.  None of it changes a result. *)
 module Workspace : sig
@@ -142,8 +144,8 @@ module Workspace : sig
       problem.  A workspace must only be reused across solves of the
       {e same} problem (any penalty): shapes are checked, contents are
       trusted.  [?pool] (default sequential) fans the intra-solve
-      kernels — η recomputes and hub patches, and the GAP race legs
-      when [Config.gap_race] is armed — across worker domains; results
+      kernels — STEP 3's η rows, and the GAP race legs when
+      [Config.gap_race] is armed — across worker domains; results
       are bit-identical for every pool size, so it trades only
       wall-clock, never determinism. *)
 end
@@ -174,7 +176,11 @@ val solve :
     [observe] is called once per completed iteration with the same
     record that goes into [history] — a progress tap for stall
     detectors, anytime curves and loggers.  Exceptions it raises
-    propagate out of [solve] untouched. *)
+    propagate out of [solve] untouched.
+
+    @raise Invalid_argument if [initial] does not have one entry per
+    component or places one outside the partitions, or if [workspace]
+    was created for another shape. *)
 
 val initial_feasible :
   ?config:Config.t -> ?should_stop:(unit -> bool) -> Problem.t -> Assignment.t option

@@ -1,7 +1,6 @@
 module Netlist = Qbpart_netlist.Netlist
 module Topology = Qbpart_topology.Topology
 module Constraints = Qbpart_timing.Constraints
-module Assignment = Qbpart_partition.Assignment
 module Dompool = Qbpart_pool.Dompool
 
 type rule = Solver | Paper
@@ -299,6 +298,15 @@ let eta_paper_range t u eta ~jlo ~jhi =
    values (each component's block is written by exactly one chunk). *)
 let parallel_eta_cutoff = 128
 
+let component_chunks pool ~n f =
+  let workers = Dompool.size pool in
+  if workers = 1 || n < parallel_eta_cutoff then f ~jlo:0 ~jhi:n
+  else begin
+    let chunks = min n (workers * 4) in
+    Dompool.parallel_for pool ~chunks (fun c ->
+        f ~jlo:(c * n / chunks) ~jhi:((c + 1) * n / chunks))
+  end
+
 let eta_range ~rule t u eta ~jlo ~jhi =
   match rule with
   | Paper -> eta_paper_range t u eta ~jlo ~jhi
@@ -315,266 +323,12 @@ let eta_range ~rule t u eta ~jlo ~jhi =
 let eta_into ?(rule = Solver) ?(pool = Dompool.sequential) t u eta =
   let m = Problem.m t.problem and n = Problem.n t.problem in
   if Array.length eta <> m * n then invalid_arg "Qmatrix.eta_into: wrong length";
-  let workers = Dompool.size pool in
-  if workers = 1 || n < parallel_eta_cutoff then eta_range ~rule t u eta ~jlo:0 ~jhi:n
-  else begin
-    let chunks = min n (workers * 4) in
-    Dompool.parallel_for pool ~chunks (fun c ->
-        let jlo = c * n / chunks and jhi = (c + 1) * n / chunks in
-        eta_range ~rule t u eta ~jlo ~jhi)
-  end
+  component_chunks pool ~n (eta_range ~rule t u eta)
 
 let eta ?rule t u =
   let eta = Array.make (dim t) 0.0 in
   eta_into ?rule t u eta;
   eta
-
-(* --- incremental eta maintenance ----------------------------------- *)
-
-(* Every eta entry is a sum of terms that each depend on the position
-   of exactly one other component (plus, for [Paper], a diagonal term
-   depending on the component's own position).  Moving component [j]
-   from [old_i] to [new_i] therefore touches only the m-wide blocks of
-   [j]'s netlist and constraint partners — an O(deg(j)·m) patch — and
-   the patches commute, so a batch of moves can be replayed in any
-   order.  Patching accumulates float rounding that a from-scratch
-   [eta_into] would not, so the state resyncs after [resync_every]
-   moves (and [eta_sync] falls back to a full recompute when more than
-   [patch_limit] components moved at once). *)
-type eta_state = {
-  es_q : t;
-  es_rule : rule;
-  es_eta : float array;
-  es_u : int array; (* the positions [es_eta] currently reflects *)
-  es_resync_every : int;
-  es_patch_limit : int;
-  es_pool : Dompool.t; (* fans resyncs and wide patches, values unchanged *)
-  mutable es_since_resync : int;
-}
-
-let eta_buffer st = st.es_eta
-let eta_positions st = st.es_u
-
-let eta_state ?(rule = Solver) ?(resync_every = 256) ?patch_limit ?buf
-    ?(pool = Dompool.sequential) t u =
-  let m = Problem.m t.problem and n = Problem.n t.problem in
-  if resync_every < 1 then invalid_arg "Qmatrix.eta_state: resync_every must be >= 1";
-  let patch_limit =
-    match patch_limit with
-    | Some l -> if l < 0 then invalid_arg "Qmatrix.eta_state: negative patch_limit" else l
-    | None -> max 1 (n / 2)
-  in
-  let eta =
-    match buf with
-    | None -> Array.make (m * n) 0.0
-    | Some b ->
-      if Array.length b <> m * n then invalid_arg "Qmatrix.eta_state: wrong buffer length";
-      b
-  in
-  eta_into ~rule ~pool t u eta;
-  {
-    es_q = t;
-    es_rule = rule;
-    es_eta = eta;
-    es_u = Array.copy u;
-    es_resync_every = resync_every;
-    es_patch_limit = patch_limit;
-    es_pool = pool;
-    es_since_resync = 0;
-  }
-
-let eta_resync st =
-  eta_into ~rule:st.es_rule ~pool:st.es_pool st.es_q st.es_u st.es_eta;
-  st.es_since_resync <- 0
-
-(* The wire part of one move's patch, over adjacency slots [klo, khi)
-   of [j]'s row.
-
-   Solver rule: in a partner [j']'s candidate row, [j] contributes the
-   wire term with the evaluator's orientation ([j' < j] means [j]'s
-   position is b's second argument).  Paper rule: in a partner's
-   column the wire term always uses [j]'s position as b's first
-   argument. *)
-let patch_wire_range st ~j ~old_i ~new_i ~klo ~khi =
-  let q = st.es_q in
-  let nl = q.problem.Problem.netlist in
-  let m = Problem.m q.problem in
-  let bf = Topology.b_flat q.problem.Problem.topology in
-  let eta = st.es_eta in
-  let anbr = Netlist.adj_targets nl in
-  let awgt = Netlist.adj_weights nl in
-  let old_row = old_i * m and new_row = new_i * m in
-  for k = klo to khi - 1 do
-    let j' = anbr.(k) and w = awgt.(k) in
-    let base = j' * m in
-    match st.es_rule with
-    | Solver when j' < j ->
-      for i = 0 to m - 1 do
-        eta.(base + i) <-
-          eta.(base + i) +. (w *. (bf.((i * m) + new_i) -. bf.((i * m) + old_i)))
-      done
-    | Solver | Paper ->
-      for i = 0 to m - 1 do
-        eta.(base + i) <- eta.(base + i) +. (w *. (bf.(new_row + i) -. bf.(old_row + i)))
-      done
-  done
-
-(* One move's per-partner wire patches are independent: wires are
-   merged at netlist construction (each pair stored once), so every
-   partner block in [adj] is written by exactly one slot and the
-   fan-out below races nothing — each chunk runs the same per-slot
-   arithmetic the sequential loop would, so values are bit-identical.
-   Only hub components clear the cutoff; the timing-partner loop that
-   follows stays sequential (those lists are short by construction
-   and may repeat netlist partners). *)
-let parallel_patch_cutoff = 512
-
-let patch_wires st ~j ~old_i ~new_i =
-  let xadj = Netlist.adj_offsets st.es_q.problem.Problem.netlist in
-  let lo = xadj.(j) and hi = xadj.(j + 1) in
-  let deg = hi - lo in
-  let pool = st.es_pool in
-  if Dompool.size pool = 1 || deg < parallel_patch_cutoff then
-    patch_wire_range st ~j ~old_i ~new_i ~klo:lo ~khi:hi
-  else begin
-    let chunks = min deg (Dompool.size pool * 4) in
-    Dompool.parallel_for pool ~chunks (fun c ->
-        patch_wire_range st ~j ~old_i ~new_i
-          ~klo:(lo + (c * deg / chunks))
-          ~khi:(lo + ((c + 1) * deg / chunks)))
-  end
-
-(* Solver-rule timing patch: one penalty per violated directed budget
-   in each partner's candidate row.  Seen from [j'], the stored
-   budgets swap direction: [j']'s outgoing budget towards [j] is
-   [budget_in] of [j]'s own slot. *)
-let patch_solver_timing st ~j ~old_i ~new_i =
-  let q = st.es_q in
-  let cons = q.problem.Problem.constraints in
-  let m = Problem.m q.problem in
-  let df = Topology.d_flat q.problem.Problem.topology in
-  let eta = st.es_eta in
-  let poff = Constraints.partner_offsets cons in
-  let pids = Constraints.partner_ids cons in
-  let pbout = Constraints.partner_budget_out cons in
-  let pbin = Constraints.partner_budget_in cons in
-  let pen = q.penalty in
-  let old_row = old_i * m and new_row = new_i * m in
-  for k = poff.(j) to poff.(j + 1) - 1 do
-    let base = pids.(k) * m in
-    let budget_out = pbout.(k) and budget_in = pbin.(k) in
-    for i = 0 to m - 1 do
-      let before =
-        (if df.((i * m) + old_i) > budget_in then pen else 0.0)
-        +. if df.(old_row + i) > budget_out then pen else 0.0
-      in
-      let after =
-        (if df.((i * m) + new_i) > budget_in then pen else 0.0)
-        +. if df.(new_row + i) > budget_out then pen else 0.0
-      in
-      if before <> after then eta.(base + i) <- eta.(base + i) +. after -. before
-    done
-  done
-
-(* Paper-rule patch: [j]'s own diagonal entry rides with its position
-   (applied before the wire patches), and in a partner's column the
-   timing replacement (penalty instead of the wire term) is gated by
-   the partner's incoming budget — which is [budget_out] of [j]'s
-   slot (applied after them). *)
-let patch_paper_diagonal st ~j ~old_i ~new_i =
-  let pr = st.es_q.problem in
-  let eta = st.es_eta in
-  let base_j = j * Problem.m pr in
-  match pr.Problem.p with
-  | None ->
-    eta.(base_j + old_i) <- eta.(base_j + old_i) -. 0.0;
-    eta.(base_j + new_i) <- eta.(base_j + new_i) +. 0.0
-  | Some p ->
-    let alpha = pr.Problem.alpha in
-    eta.(base_j + old_i) <- eta.(base_j + old_i) -. (alpha *. p.(old_i).(j));
-    eta.(base_j + new_i) <- eta.(base_j + new_i) +. (alpha *. p.(new_i).(j))
-
-let patch_paper_timing st ~j ~old_i ~new_i =
-  let q = st.es_q in
-  let pr = q.problem in
-  let nl = pr.Problem.netlist in
-  let cons = pr.Problem.constraints in
-  let m = Problem.m pr in
-  let bf = Topology.b_flat pr.Problem.topology and df = Topology.d_flat pr.Problem.topology in
-  let eta = st.es_eta in
-  let awgt = Netlist.adj_weights nl in
-  let poff = Constraints.partner_offsets cons in
-  let pids = Constraints.partner_ids cons in
-  let pbout = Constraints.partner_budget_out cons in
-  let pen = q.penalty in
-  let old_row = old_i * m and new_row = new_i * m in
-  for k = poff.(j) to poff.(j + 1) - 1 do
-    let j' = pids.(k) in
-    let base = j' * m in
-    let budget_out = pbout.(k) in
-    let slot = Netlist.adj_slot nl j j' in
-    let w = if slot < 0 then 0.0 else awgt.(slot) in
-    for i = 0 to m - 1 do
-      if df.(old_row + i) > budget_out then
-        eta.(base + i) <- eta.(base + i) -. (pen -. (w *. bf.(old_row + i)));
-      if df.(new_row + i) > budget_out then
-        eta.(base + i) <- eta.(base + i) +. (pen -. (w *. bf.(new_row + i)))
-    done
-  done
-
-let eta_apply_move st ~j i =
-  let old_i = st.es_u.(j) in
-  if i <> old_i then begin
-    (match st.es_rule with
-    | Solver ->
-      patch_wires st ~j ~old_i ~new_i:i;
-      patch_solver_timing st ~j ~old_i ~new_i:i
-    | Paper ->
-      patch_paper_diagonal st ~j ~old_i ~new_i:i;
-      patch_wires st ~j ~old_i ~new_i:i;
-      patch_paper_timing st ~j ~old_i ~new_i:i);
-    st.es_u.(j) <- i;
-    st.es_since_resync <- st.es_since_resync + 1;
-    if st.es_since_resync >= st.es_resync_every then eta_resync st
-  end
-
-let eta_sync st u =
-  let n = Problem.n st.es_q.problem in
-  if Array.length u <> n then invalid_arg "Qmatrix.eta_sync: wrong length";
-  let moved = ref 0 in
-  for j = 0 to n - 1 do
-    if u.(j) <> st.es_u.(j) then incr moved
-  done;
-  if !moved > st.es_patch_limit then begin
-    Array.blit u 0 st.es_u 0 n;
-    eta_resync st
-  end
-  else if !moved > 0 then begin
-    (* Replaying the moves one by one resyncs after every
-       [resync_every]-th patch, and a resync rewrites every entry from
-       the positions alone: all work before the last resync of the
-       batch is overwritten.  So take the first [absorbed] moves by
-       position only, resync once, and patch the rest — the state the
-       move-by-move replay reaches, bit for bit, without its
-       O(moved / resync_every) full recomputes. *)
-    let total = st.es_since_resync + !moved in
-    let absorbed =
-      if total < st.es_resync_every then 0 else !moved - (total mod st.es_resync_every)
-    in
-    let j = ref 0 and taken = ref 0 in
-    while !taken < absorbed do
-      if u.(!j) <> st.es_u.(!j) then begin
-        st.es_u.(!j) <- u.(!j);
-        incr taken
-      end;
-      incr j
-    done;
-    if absorbed > 0 then eta_resync st;
-    for j = !j to n - 1 do
-      if u.(j) <> st.es_u.(j) then eta_apply_move st ~j u.(j)
-    done
-  end;
-  !moved
 
 (* --- ECO rebinding -------------------------------------------------- *)
 
@@ -582,32 +336,6 @@ let apply_delta t problem =
   if Problem.m problem <> Problem.m t.problem then
     invalid_arg "Qmatrix.apply_delta: partition count changed";
   { t with problem = Problem.normalize problem }
-
-let eta_rebind st q ~touched =
-  let m = Problem.m q.problem and n = Problem.n q.problem in
-  if m <> Problem.m st.es_q.problem || n <> Problem.n st.es_q.problem then
-    invalid_arg "Qmatrix.eta_rebind: dimension changed (rebuild the state instead)";
-  let st' = { st with es_q = q } in
-  (match st.es_rule with
-  | Paper ->
-    (* The paper rule's column sums are not row-local; refresh fully. *)
-    eta_resync st'
-  | Solver ->
-    List.iter
-      (fun j ->
-        if j < 0 || j >= n then invalid_arg "Qmatrix.eta_rebind: touched id out of range";
-        candidate_costs_at q st'.es_u ~j ~off:(j * m) st'.es_eta)
-      touched);
-  st'
-
-let eta_drift st =
-  let fresh = Array.make (Array.length st.es_eta) 0.0 in
-  eta_into ~rule:st.es_rule ~pool:st.es_pool st.es_q st.es_u fresh;
-  let drift = ref 0.0 in
-  Array.iteri
-    (fun r x -> drift := Float.max !drift (Float.abs (x -. st.es_eta.(r))))
-    fresh;
-  !drift
 
 let omega ?(rule = Solver) t =
   let pr = t.problem in
@@ -680,20 +408,3 @@ let xi t ~omega u =
     total := !total +. omega.(u.(j) + (j * m))
   done;
   !total
-
-let eta_cost_matrix_into flat ~m ~n dst =
-  if Array.length flat <> m * n then
-    invalid_arg "Qmatrix.eta_cost_matrix_into: wrong length";
-  if Array.length dst <> m then invalid_arg "Qmatrix.eta_cost_matrix_into: wrong rows";
-  for i = 0 to m - 1 do
-    let row = dst.(i) in
-    if Array.length row <> n then
-      invalid_arg "Qmatrix.eta_cost_matrix_into: wrong cols";
-    for j = 0 to n - 1 do
-      row.(j) <- flat.(i + (j * m))
-    done
-  done
-
-let eta_cost_matrix flat ~m ~n =
-  if Array.length flat <> m * n then invalid_arg "Qmatrix.eta_cost_matrix: wrong length";
-  Array.init m (fun i -> Array.init n (fun j -> flat.(i + (j * m))))

@@ -124,93 +124,28 @@ val eta_into :
     block, so the result is bit-identical for every pool size.
     @raise Invalid_argument on length mismatch. *)
 
-(** {1 Incremental eta maintenance}
-
-    Every η entry is a sum of terms each depending on the position of
-    exactly one other component (plus, for [Paper], a diagonal term at
-    the component's own position), so when component {m j} moves the
-    only entries that change are the {m M}-wide blocks of {m j}'s
-    netlist and timing partners — an {m O(deg(j)·M)} patch instead of
-    the {m O((wires+constraints)·M)} full {!eta_into} recompute
-    (DESIGN.md, decision D9).  Patches commute, so move batches can be
-    replayed in any order; float drift from repeated patching is
-    bounded by a periodic from-scratch resync. *)
-
-type eta_state
-
-val eta_state :
-  ?rule:rule -> ?resync_every:int -> ?patch_limit:int -> ?buf:float array ->
-  ?pool:Qbpart_pool.Dompool.t -> t -> Assignment.t -> eta_state
-(** Initialize the maintained η for placement [u] (one full
-    {!eta_into}).  [resync_every] (default 256) bounds drift: after
-    that many patched moves the vector is recomputed from scratch.
-    [patch_limit] (default {m max(1, N/2)}) caps how many components
-    {!eta_sync} will patch before falling back to a full recompute.
-    [?buf] supplies the length-{m MN} backing buffer (pooled callers);
-    otherwise one is allocated.  [?pool] fans the initial build, every
-    resync, and the per-partner patches of hub components across worker
-    domains — scheduling only, the maintained vector stays
-    bit-identical to the sequential one.
-    @raise Invalid_argument on bad sizes. *)
-
-val eta_buffer : eta_state -> float array
-(** The maintained length-{m MN} vector itself (the [?buf] array if
-    one was supplied).  Callers may read it freely — the Burkard loop
-    aliases it as the STEP-4 GAP cost matrix — but must mutate it only
-    through {!eta_apply_move}/{!eta_sync}. *)
-
-val eta_positions : eta_state -> Assignment.t
-(** The placement the buffer currently reflects (owned by the state;
-    do not mutate). *)
-
-val eta_apply_move : eta_state -> j:int -> int -> unit
-(** [eta_apply_move st ~j i] moves component [j] to partition [i],
-    patching the partner blocks in {m O(deg(j)·M)}. *)
-
-val eta_sync : eta_state -> Assignment.t -> int
-(** Diff the target placement against {!eta_positions} and patch each
-    moved component; falls back to one full recompute when more than
-    [patch_limit] components moved.  The result is bit-identical to
-    calling {!eta_apply_move} for each moved component in ascending
-    order, but a batch that would cross several drift resyncs pays for
-    only the last one (the earlier ones are overwritten).  Returns how
-    many components had moved. *)
-
-val eta_resync : eta_state -> unit
-(** Force a from-scratch recompute at the current positions (resets
-    the drift counter).  Exposed for tests and paranoid callers. *)
+val component_chunks :
+  Qbpart_pool.Dompool.t -> n:int -> (jlo:int -> jhi:int -> unit) -> unit
+(** The scheduling of {!eta_into}: [f ~jlo ~jhi] over contiguous chunks
+    of the components [0, n), fanned across the pool's domains — one
+    call over the whole range when the pool is sequential or [n] is
+    below the fan-out cutoff.  Each [f] must write only the blocks of
+    its own components; then the result is the same for every pool
+    size. *)
 
 (** {1 ECO rebinding}
 
     Support for warm-serving engineering-change-order deltas
     ({!Qbpart_netlist.Delta}): after {!Problem.apply_delta} produced
-    the edited problem, the implicit matrix and a maintained η state
-    can be patched instead of rebuilt. *)
+    the edited problem, the implicit matrix is rebound instead of
+    rebuilt, and a {!Repair.cache} pricing it keeps every row the edit
+    did not touch ({!Repair.rebind}). *)
 
 val apply_delta : t -> Problem.t -> t
 (** Rebind the implicit matrix to an edited problem, keeping the
     penalty.  O(1): the matrix is implicit, so "patching Q" is
     swapping the problem it reads from.
     @raise Invalid_argument if the partition count changed. *)
-
-val eta_rebind : eta_state -> t -> touched:int list -> eta_state
-(** [eta_rebind st q ~touched] rebinds a maintained η state to the
-    edited matrix [q] (from {!apply_delta}), refreshing exactly the
-    [touched] component rows — the endpoints of changed wires and
-    budgets, as reported by [Delta.apply] — against the state's
-    current positions.  {m O(Σ_{j∈touched} deg(j)·M)} under the
-    [Solver] rule; the [Paper] rule's column sums are not row-local,
-    so it falls back to one full recompute.  The η buffer and position
-    array are shared with [st].
-    @raise Invalid_argument if {m M} or {m N} changed (rebuild the
-    state with {!eta_state} instead) or a touched id is out of
-    range. *)
-
-val eta_drift : eta_state -> float
-(** Max-abs difference between the maintained buffer and a
-    from-scratch {!eta_into} at the current positions: the
-    drift-bounded audit for patched states.  Allocates one {m MN}
-    scratch vector. *)
 
 val omega : ?rule:rule -> t -> float array
 (** The bound vector {m ω} of equation (2):
@@ -220,12 +155,3 @@ val omega : ?rule:rule -> t -> float array
 
 val xi : t -> omega:float array -> Assignment.t -> float
 (** STEP 3's {m ξ = Σ_r ω_r u_r}. *)
-
-val eta_cost_matrix : float array -> m:int -> n:int -> float array array
-(** Reshape a flat {m MN} vector (η or the accumulated {m h}) into the
-    {m M×N} cost matrix of the STEP-4/6 GAP subproblem. *)
-
-val eta_cost_matrix_into : float array -> m:int -> n:int -> float array array -> unit
-(** Allocation-free {!eta_cost_matrix} writing into a caller-provided
-    {m M×N} matrix, so the GAP cost matrix can be reused across
-    iterations.  @raise Invalid_argument on shape mismatch. *)

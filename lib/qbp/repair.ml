@@ -2,6 +2,7 @@ module Netlist = Qbpart_netlist.Netlist
 module Topology = Qbpart_topology.Topology
 module Constraints = Qbpart_timing.Constraints
 module Assignment = Qbpart_partition.Assignment
+module Dompool = Qbpart_pool.Dompool
 
 (* Optional move accounting: when [delta]/[dviol] refs are supplied,
    every applied move adds its exact penalized-cost change and
@@ -76,6 +77,52 @@ let sync c q u =
     c.bound <- Some q;
     Bytes.fill c.valid 0 n '\000';
     Array.blit u 0 c.pos 0 n
+
+let rows c = c.rows
+
+(* STEP 3 under the Solver rule: the cache, brought to [u] and made
+   whole, is η.  Each chunk writes only its own components' rows and
+   reads the valid bytes; they are set once the fan-out has joined. *)
+let refresh c q u ~pool =
+  sync c q u;
+  let m = c.c_m in
+  Qmatrix.component_chunks pool ~n:c.c_n (fun ~jlo ~jhi ->
+      for j = jlo to jhi - 1 do
+        if Bytes.unsafe_get c.valid j = '\000' then
+          Qmatrix.candidate_costs_at q u ~j ~off:(j * m) c.rows
+      done);
+  Bytes.fill c.valid 0 c.c_n '\001'
+
+(* An ECO edit changes the rows of the components whose wires or
+   budgets it touched and no other, so those are all a rebind drops. *)
+let rebind c ~from q ~touched =
+  let problem = Qmatrix.problem q in
+  if Problem.n problem <> c.c_n || Problem.m problem <> c.c_m then
+    invalid_arg "Repair.rebind: dimension changed (use a new cache)";
+  List.iter
+    (fun j -> if j < 0 || j >= c.c_n then invalid_arg "Repair.rebind: touched id out of range")
+    touched;
+  (match c.bound with
+  | Some q' when q' == from -> List.iter (fun j -> Bytes.set c.valid j '\000') touched
+  | _ -> Bytes.fill c.valid 0 c.c_n '\000');
+  c.bound <- Some q
+
+let drift c =
+  match c.bound with
+  | None -> 0.0
+  | Some q ->
+    let m = c.c_m in
+    let fresh = Array.make m 0.0 in
+    let d = ref 0.0 in
+    for j = 0 to c.c_n - 1 do
+      if Bytes.get c.valid j = '\001' then begin
+        Qmatrix.candidate_costs_into q c.pos ~j fresh;
+        for i = 0 to m - 1 do
+          d := Float.max !d (Float.abs (fresh.(i) -. c.rows.((j * m) + i)))
+        done
+      end
+    done;
+    !d
 
 let transient q =
   let problem = Qmatrix.problem q in

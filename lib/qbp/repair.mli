@@ -46,6 +46,39 @@ val cache : m:int -> n:int -> cache
     {m M·N} floats, {m N} ints and {m N} bytes.
     @raise Invalid_argument if [m < 1] or [n < 0]. *)
 
+val rows : cache -> float array
+(** The {m M·N} row buffer itself, row [j] at offset [j·M]: the
+    flat item-major layout of a GAP cost matrix and the index
+    {m r = i + j·M} of η.  Only valid rows are current; after
+    {!refresh} every row is.  Callers may alias it as a GAP cost but
+    must not write it. *)
+
+val refresh : cache -> Qmatrix.t -> Assignment.t -> pool:Qbpart_pool.Dompool.t -> unit
+(** Bring the cache to [q] at [u] (as a pass does) and recompute every
+    invalid row, in component chunks on [pool] as
+    {!Qmatrix.eta_into} schedules them.  Afterwards {!rows} equals
+    [Qmatrix.eta_into q u] bit for bit, for any data and any pool size:
+    this is STEP 3 of the Burkard iteration under the [Solver] rule
+    (DESIGN.md D17).
+    @raise Invalid_argument if the cache's shape does not match. *)
+
+val rebind : cache -> from:Qmatrix.t -> Qmatrix.t -> touched:int list -> unit
+(** [rebind c ~from q ~touched] binds [c] to [q], the ECO edit of
+    [from] ({!Qmatrix.apply_delta}) whose changed wires and budgets
+    have the endpoints [touched] ([Problem.delta_result.dr_touched]).
+    Only those rows change under such an edit, so when [c] prices
+    [from] every other row is kept; a cache bound to any other matrix
+    drops every row.  Positions are untouched: the next pass or
+    {!refresh} diffs them as usual.
+    @raise Invalid_argument if {m M} or {m N} changed (a dims-changing
+    delta needs a new cache) or a touched id is out of range. *)
+
+val drift : cache -> float
+(** The audit of a cache: the largest absolute difference between a
+    valid row and a fresh one at the cached positions.  Rows are
+    exact, so it is 0 unless the buffer was written from outside.
+    Allocates one row. *)
+
 val coordinate_pass :
   ?delta:float ref ->
   ?dviol:int ref ->

@@ -12,6 +12,7 @@ module Burkard = Qbpart_core.Burkard
 module Engine = Qbpart_engine.Engine
 module Checkpoint = Qbpart_engine.Checkpoint
 module Deadline = Qbpart_engine.Deadline
+module Dompool = Qbpart_pool.Dompool
 
 (* --- fault injection ----------------------------------------------- *)
 
@@ -60,8 +61,9 @@ let default_config ~checkpoint_dir = { cache_capacity = 32; checkpoint_dir; faul
 (* --- state ---------------------------------------------------------- *)
 
 (* One warm incumbent: the solved problem, its certified assignment and
-   cost, the implicit matrix and the maintained η bound to them, and an
-   integrity stamp over the mutable payload.  The stamp is re-verified
+   cost, the implicit matrix and the candidate-row cache that prices it
+   (η, filled on the first warm attempt), and an integrity stamp over
+   the mutable payload.  The stamp is re-verified
    on every reuse: serving a silently corrupted incumbent would defeat
    the whole point of the certification pipeline downstream. *)
 type entry = {
@@ -69,7 +71,7 @@ type entry = {
   en_assignment : Assignment.t;
   en_cost : float;
   en_q : Qmatrix.t;
-  en_eta : Qmatrix.eta_state;
+  en_rows : Repair.cache;
   en_seed : int;
   en_stamp : int64;
   mutable en_tick : int; (* LRU recency *)
@@ -245,14 +247,12 @@ let store_resume t ~(spec : Protocol.submit) ~problem ~hash =
     else None
 
 let entry_of_solution ~(spec : Protocol.submit) ~problem ~assignment ~cost =
-  let q = Qmatrix.make problem in
-  let eta = Qmatrix.eta_state q (Assignment.copy assignment) in
   {
     en_problem = problem;
     en_assignment = Assignment.copy assignment;
     en_cost = cost;
-    en_q = q;
-    en_eta = eta;
+    en_q = Qmatrix.make problem;
+    en_rows = Repair.cache ~m:(Problem.m problem) ~n:(Problem.n problem);
     en_seed = spec.Protocol.seed;
     en_stamp = stamp ~assignment ~cost;
     en_tick = 0;
@@ -317,8 +317,6 @@ let open_session t spec =
 
 (* --- the warm path -------------------------------------------------- *)
 
-let drift_tolerance = 1e-6
-
 (* Place the surviving incumbent into the renumbered instance and put
    each added component on the partition with the most spare capacity. *)
 let remap_incumbent (dr : Problem.delta_result) old_a =
@@ -354,7 +352,7 @@ type warm = {
   w_assignment : Assignment.t;
   w_cost : float;
   w_q : Qmatrix.t;
-  w_eta : Qmatrix.eta_state;
+  w_rows : Repair.cache;
 }
 
 (* validate already succeeded; run patch → repair → polish → certify.
@@ -368,43 +366,43 @@ let warm_attempt t ~stages (dr : Problem.delta_result) entry =
   let problem = dr.Problem.dr_problem in
   let a = remap_incumbent dr entry.en_assignment in
   match
-    if dr.Problem.dr_dims_changed then begin
-      let q = Qmatrix.make problem in
-      (q, Qmatrix.eta_state q (Assignment.copy a))
-    end
+    if dr.Problem.dr_dims_changed then
+      (Qmatrix.make problem, Repair.cache ~m:(Problem.m problem) ~n:(Problem.n problem))
     else begin
-      (* dimension-preserving: patch the bound matrix and refresh only
-         the touched η rows instead of rebuilding either *)
+      (* dimension-preserving: rebind the matrix and keep every η row
+         the edit did not touch instead of rebuilding either *)
       let q = Qmatrix.apply_delta entry.en_q problem in
-      (q, Qmatrix.eta_rebind entry.en_eta q ~touched:dr.Problem.dr_touched)
+      Repair.rebind entry.en_rows ~from:entry.en_q q ~touched:dr.Problem.dr_touched;
+      (q, entry.en_rows)
     end
   with
   | exception Invalid_argument msg ->
     stage "patch" false msg;
     Error "patch"
-  | q, eta ->
+  | q, rows ->
+    Repair.refresh rows q a ~pool:Dompool.sequential;
     if fire t (fun f -> f.Fault.torn) then begin
       (* simulate a torn in-place apply: one η cell left stale *)
-      let buf = Qmatrix.eta_buffer eta in
+      let buf = Repair.rows rows in
       if Array.length buf > 0 then buf.(0) <- buf.(0) +. 1.0e6
     end;
-    let drift = Qmatrix.eta_drift eta in
-    if drift > drift_tolerance then begin
+    (* cached rows are exact, so any drift is a tear *)
+    let drift = Repair.drift rows in
+    if drift > 0.0 then begin
       stage "patch" false (Printf.sprintf "torn apply detected: eta drift %g" drift);
       Error "patch"
     end
     else begin
       stage "patch" true
         (Printf.sprintf "%d touched row(s), eta drift %g" (List.length dr.Problem.dr_touched) drift);
-      if not (Repair.to_feasible q a ~rounds:8) then begin
+      if not (Repair.to_feasible ~cache:rows q a ~rounds:8) then begin
         stage "repair" false "no feasible assignment reached";
         Error "repair"
       end
       else begin
         stage "repair" true "";
-        Repair.polish q a ~passes:2;
+        Repair.polish ~cache:rows q a ~passes:2;
         stage "polish" true "";
-        ignore (Qmatrix.eta_sync eta a);
         let cert = Certify.check problem a in
         if not (Certify.ok cert) then begin
           stage "certify" false "independent audit rejected the warm answer";
@@ -412,27 +410,27 @@ let warm_attempt t ~stages (dr : Problem.delta_result) entry =
         end
         else begin
           stage "certify" true (Printf.sprintf "objective %.1f" cert.Certify.objective);
-          Ok { w_assignment = a; w_cost = cert.Certify.objective; w_q = q; w_eta = eta }
+          Ok { w_assignment = a; w_cost = cert.Certify.objective; w_q = q; w_rows = rows }
         end
       end
     end
 
 (* --- eco ------------------------------------------------------------ *)
 
-let adopt t (s : session) ~seq ~problem ~hash ~spec ~assignment ~cost ~q_eta =
+let adopt t (s : session) ~seq ~problem ~hash ~spec ~assignment ~cost ~q_rows =
   (* the session has moved past its previous instance; drop that cache
-     slot (its η buffers may be shared with the new entry) and install
+     slot (its row cache may have moved to the new entry) and install
      the new incumbent *)
   if s.hash <> hash then Hashtbl.remove t.cache s.hash;
   let e =
-    match q_eta with
-    | Some (q, eta) ->
+    match q_rows with
+    | Some (q, rows) ->
       {
         en_problem = problem;
         en_assignment = Assignment.copy assignment;
         en_cost = cost;
         en_q = q;
-        en_eta = eta;
+        en_rows = rows;
         en_seed = spec.Protocol.seed;
         en_stamp = stamp ~assignment ~cost;
         en_tick = 0;
@@ -509,7 +507,7 @@ let eco t ~session ~seq ~delta ~force_cold =
                 | Ok w ->
                   Metrics.eco_warm_hit t.metrics;
                   adopt t s ~seq ~problem ~hash ~spec:s.spec ~assignment:w.w_assignment
-                    ~cost:w.w_cost ~q_eta:(Some (w.w_q, w.w_eta));
+                    ~cost:w.w_cost ~q_rows:(Some (w.w_q, w.w_rows));
                   let v =
                     view ~session:s.sid ~seq ~served:"warm" ~cost:w.w_cost ~certified:true
                       ~wall:(Unix.gettimeofday () -. started)
@@ -523,7 +521,7 @@ let eco t ~session ~seq ~delta ~force_cold =
                   | Error _ as e -> e
                   | Ok (o, cold_stages, _) ->
                     adopt t s ~seq ~problem ~hash ~spec:s.spec ~assignment:o.Engine.assignment
-                      ~cost:o.Engine.cost ~q_eta:None;
+                      ~cost:o.Engine.cost ~q_rows:None;
                     let v =
                       view ~session:s.sid ~seq ~served:"cold" ~cost:o.Engine.cost
                         ~certified:(Certify.ok o.Engine.certificate)

@@ -3,9 +3,10 @@
     A session pins one problem instance server-side so a client can
     stream engineering-change-order deltas ({!Qbpart_netlist.Delta})
     against it and get each edited instance re-solved {e warm} — by
-    patching the implicit matrix and the maintained η state, repairing
-    the previous incumbent to feasibility and polishing it — instead
-    of solving from scratch.  Every answer, warm or cold, is
+    rebinding the implicit matrix and its η row cache
+    ({!Qbpart_core.Repair.rebind}), repairing the previous incumbent to
+    feasibility and polishing it on that cache — instead of solving
+    from scratch.  Every answer, warm or cold, is
     re-audited by the independent {!Qbpart_core.Certify} check before
     it is served.
 
@@ -50,8 +51,9 @@ module Fault : sig
         (** mutate the cached incumbent without restamping — the
             integrity re-check must catch it *)
     torn : int option;
-        (** tear the η patch after rebinding — the drift-bounded
-            audit must catch it *)
+        (** corrupt a valid η row of the warm entry's row cache after
+            the delta is applied — the audit against fresh rows must
+            catch it *)
     stale : int option;
         (** bump the session's applied sequence so the client's next
             delta is rejected as [Stale_session] *)

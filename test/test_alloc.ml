@@ -1,5 +1,5 @@
 (* The steady-state Burkard kernels allocate nothing per element
-   (burkard.mli, Workspace; DESIGN.md D9 and D14), and neither do the
+   (burkard.mli, Workspace; DESIGN.md D14 and D17), and neither do the
    GFM/GKL selections (buckets.mli; DESIGN.md D15).  Each kernel is run
    once to warm its buffers, then its minor-heap words are measured on
    one call over a small generated instance and over one four times
@@ -63,13 +63,15 @@ let eta_into ~n =
   let eta = Array.make (Qmatrix.dim q) 0.0 in
   fun () -> Qmatrix.eta_into q u eta
 
-(* the patch path: each sync moves an eighth of the components (well
-   under the full-recompute limit, so the patch count scales with N),
-   alternating between two placements drawn up front *)
-let eta_sync ~n =
+(* STEP 3 after a jump: each refresh follows a move of an eighth of the
+   components, alternating between two placements drawn up front, and
+   recomputes the rows of their neighbours (a count that scales with N) *)
+let row_refresh ~n =
   let q, u = instance ~n ~slack:1.2 in
   let m = Problem.m (Qmatrix.problem q) in
-  let st = Qmatrix.eta_state q u in
+  let cache = Repair.cache ~m ~n in
+  let pool = Qbpart_pool.Dompool.sequential in
+  Repair.refresh cache q u ~pool;
   let other = Assignment.copy u in
   for j = 0 to (n / 8) - 1 do
     other.(8 * j) <- (u.(8 * j) + 1) mod m
@@ -77,7 +79,7 @@ let eta_sync ~n =
   let flip = ref false in
   fun () ->
     flip := not !flip;
-    ignore (Qmatrix.eta_sync st (if !flip then other else u) : int)
+    Repair.refresh cache q (if !flip then other else u) ~pool
 
 (* every call restarts from the same random placement, so each pass
    makes its full count of moves *)
@@ -176,7 +178,7 @@ let () =
       ( "flat in N",
         [
           case "Qmatrix.eta_into" eta_into;
-          case "Qmatrix.eta_sync (patch path)" eta_sync;
+          case "Repair.refresh (after a jump)" row_refresh;
           case "Repair.coordinate_pass" coordinate_pass;
           case "Repair.coordinate_pass ~cache" cached_coordinate_pass;
           case "Qmatrix.violations" violations;

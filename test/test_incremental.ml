@@ -1,8 +1,9 @@
-(* Incremental eta maintenance (DESIGN.md D9) and the flat unboxed GAP
-   kernels: patched eta vectors are checked against from-scratch
-   recomputes over random move sequences (both rules, across resync and
-   patch-limit boundaries), the flat pooled MTHG against an embedded
-   boxed-matrix reference implementation, and workspace reuse against
+(* Incremental eta and the flat unboxed GAP kernels: STEP 3's eta, the
+   refreshed row cache (DESIGN.md D17), is checked bit for bit against
+   from-scratch recomputes over random moves, cached passes, penalty
+   re-binds, pool sizes and ECO deltas; the cached passes against a
+   fresh-row reference (D16); the flat pooled MTHG against an embedded
+   boxed-matrix reference implementation; and workspace reuse against
    fresh-buffer solves. *)
 
 open Qbpart_core
@@ -14,16 +15,18 @@ module Constraints = Qbpart_timing.Constraints
 module Assignment = Qbpart_partition.Assignment
 module Gap = Qbpart_gap.Gap
 module Mthg = Qbpart_gap.Mthg
+module Dompool = Qbpart_pool.Dompool
 
 let check = Alcotest.check
 let fail = Alcotest.fail
 
 (* Same instance family as test_portfolio: enough wires, both
-   constraint directions, and a P matrix, so the patched blocks
-   exercise every term of both eta rules. *)
-let random_problem seed =
+   constraint directions, and a float P matrix, so every term of both
+   eta rules is exercised and the sums depend on their order.  [?n]
+   fixes the size (the default is 8-15 components). *)
+let random_problem ?n seed =
   let rng = Rng.create seed in
-  let n = 8 + Rng.int rng 8 in
+  let n = match n with Some n -> n | None -> 8 + Rng.int rng 8 in
   let m = 4 in
   let nl = Generator.generate rng (Generator.default_params ~n ~wires:(3 * n)) in
   let capacity = Netlist.total_size nl /. float_of_int m *. 1.5 in
@@ -36,114 +39,103 @@ let random_problem seed =
   let p = Some (Array.init m (fun _ -> Array.init n (fun _ -> Rng.float rng 5.0))) in
   Problem.make ?p ~constraints:cons nl topo
 
-let max_abs_diff a b =
-  let d = ref 0.0 in
-  Array.iteri (fun r x -> d := Float.max !d (Float.abs (x -. b.(r)))) a;
-  !d
-
 (* ------------------------------------------------------------------ *)
-(* eta_apply_move vs from-scratch eta_into, across resync boundaries. *)
+(* STEP 3's eta is the round's row cache (DESIGN.md D17): a refresh   *)
+(* must land on a from-scratch eta_into bit for bit, for any data.    *)
 
-let prop_eta_apply_move_matches_scratch =
+let same_vector a b =
+  Array.length a = Array.length b
+  && Array.for_all2 (fun x y -> Int64.bits_of_float x = Int64.bits_of_float y) a b
+
+(* [refresh] then compare with a fresh Solver-rule eta at [u] *)
+let refreshed_equals_scratch ?(pool = Dompool.sequential) cache q u =
+  Repair.refresh cache q u ~pool;
+  same_vector (Repair.rows cache) (Qmatrix.eta q u) && Repair.drift cache = 0.0
+
+let prop_refresh_after_single_moves =
   QCheck.Test.make
-    ~name:"eta_apply_move tracks eta_into within 1e-9 (both rules, tiny resync)"
+    ~name:"row refresh after single moves: bit-identical to eta_into (float P)"
     ~count:25
-    QCheck.(pair (int_range 0 100_000) (int_range 1 6))
-    (fun (seed, resync_every) ->
-      let problem = random_problem seed in
-      let q = Qmatrix.make ~penalty:50.0 problem in
+    QCheck.(int_range 0 100_000)
+    (fun seed ->
+      let q = Qmatrix.make ~penalty:50.0 (random_problem seed) in
       let problem = Qmatrix.problem q in
       let n = Problem.n problem and m = Problem.m problem in
       let rng = Rng.create (seed + 1) in
-      let u0 = Assignment.random rng ~n ~m in
-      List.for_all
-        (fun rule ->
-          let st = Qmatrix.eta_state ~rule ~resync_every q u0 in
-          let u = Assignment.copy u0 in
-          let scratch = Array.make (m * n) nan in
-          let ok = ref true in
-          for _ = 1 to 40 do
-            let j = Rng.int rng n and i = Rng.int rng m in
-            Qmatrix.eta_apply_move st ~j i;
-            u.(j) <- i;
-            Qmatrix.eta_into ~rule q u scratch;
-            if max_abs_diff (Qmatrix.eta_buffer st) scratch > 1e-9 then ok := false
-          done;
-          !ok && Qmatrix.eta_positions st = u)
-        [ Qmatrix.Solver; Qmatrix.Paper ])
+      let u = Assignment.random rng ~n ~m in
+      let cache = Repair.cache ~m ~n in
+      let ok = ref (refreshed_equals_scratch cache q u) in
+      for _ = 1 to 40 do
+        u.(Rng.int rng n) <- Rng.int rng m;
+        if not (refreshed_equals_scratch cache q u) then ok := false
+      done;
+      !ok)
 
-(* eta_sync: both the patch path (few moves) and the full-recompute
-   fallback (jumps past patch_limit) must land on the scratch vector. *)
-let prop_eta_sync_matches_scratch =
-  QCheck.Test.make ~name:"eta_sync lands on eta_into for patch and fallback paths"
-    ~count:20
+(* The edits STEP 3 sees between two refreshes: GAP jumps of any size
+   (nothing up to the whole placement), the cached polish and probe
+   passes that run on the same cache, pair passes that move components
+   behind its back, and the next penalty round's surface. *)
+let prop_refresh_across_jumps_and_passes =
+  QCheck.Test.make
+    ~name:"row refresh across jumps, passes and re-binds: bit-identical to eta_into"
+    ~count:25
     QCheck.(int_range 0 100_000)
     (fun seed ->
       let problem = random_problem seed in
-      let q = Qmatrix.make ~penalty:50.0 problem in
-      let problem = Qmatrix.problem q in
+      let q = ref (Qmatrix.make ~penalty:50.0 problem) in
+      let problem = Qmatrix.problem !q in
       let n = Problem.n problem and m = Problem.m problem in
       let rng = Rng.create (seed + 2) in
-      let u0 = Assignment.random rng ~n ~m in
-      List.for_all
-        (fun rule ->
-          let st =
-            Qmatrix.eta_state ~rule ~resync_every:7 ~patch_limit:(max 1 (n / 3)) q u0
-          in
-          let target = Assignment.copy u0 in
-          let scratch = Array.make (m * n) nan in
-          let ok = ref true in
-          for _ = 1 to 12 do
-            (* 0 .. n components move: sometimes nothing, sometimes the
-               whole placement (forcing the fallback) *)
-            let moves = Rng.int rng (n + 1) in
-            for _ = 1 to moves do
-              target.(Rng.int rng n) <- Rng.int rng m
-            done;
-            ignore (Qmatrix.eta_sync st target);
-            Qmatrix.eta_into ~rule q target scratch;
-            if max_abs_diff (Qmatrix.eta_buffer st) scratch > 1e-9 then ok := false;
-            if Qmatrix.eta_positions st <> target then ok := false
-          done;
-          !ok)
-        [ Qmatrix.Solver; Qmatrix.Paper ])
+      let u = Assignment.random rng ~n ~m in
+      let cache = Repair.cache ~m ~n in
+      let ok = ref true in
+      for _ = 1 to 16 do
+        (match Rng.int rng 4 with
+        | 0 ->
+          for _ = 1 to Rng.int rng (n + 1) do
+            u.(Rng.int rng n) <- Rng.int rng m
+          done
+        | 1 -> ignore (Repair.polish_tracked ~cache !q u ~passes:(1 + Rng.int rng 3) : float * int)
+        | 2 ->
+          let loads = Assignment.loads problem.Problem.netlist ~m u in
+          ignore (Repair.pair_pass !q u ~loads ~max_pairs:5 : bool)
+        | _ -> q := Qmatrix.make ~penalty:(5.0 +. Rng.float rng 60.0) problem);
+        if not (refreshed_equals_scratch cache !q u) then ok := false
+      done;
+      !ok)
 
-(* eta_sync takes a batch that crosses several drift resyncs with one
-   recompute; the vector must still be the move-by-move replay's, bit
-   for bit (not merely within tolerance). *)
-let prop_eta_sync_equals_replay =
-  QCheck.Test.make ~name:"eta_sync is bit-identical to the move-by-move replay"
-    ~count:25
-    QCheck.(pair (int_range 0 100_000) (int_range 1 9))
-    (fun (seed, resync_every) ->
-      let problem = random_problem seed in
-      let q = Qmatrix.make ~penalty:50.0 problem in
+let with_pool domains f =
+  let pool = Dompool.create ~domains in
+  Fun.protect ~finally:(fun () -> Dompool.shutdown pool) (fun () -> f pool)
+
+(* Past the fan-out cutoff a refresh recomputes its invalid rows in
+   component chunks on the pool; every row is still written by one
+   chunk with the sequential kernel. *)
+let prop_refresh_pool_invariant =
+  QCheck.Test.make
+    ~name:"row refresh on 1-, 2- and 4-domain pools: bit-identical to eta_into"
+    ~count:6
+    QCheck.(int_range 0 100_000)
+    (fun seed ->
+      let q = Qmatrix.make ~penalty:50.0 (random_problem ~n:(150 + (seed mod 100)) seed) in
       let problem = Qmatrix.problem q in
       let n = Problem.n problem and m = Problem.m problem in
-      let rng = Rng.create (seed + 3) in
-      let u0 = Assignment.random rng ~n ~m in
       List.for_all
-        (fun rule ->
-          let synced = Qmatrix.eta_state ~rule ~resync_every ~patch_limit:n q u0 in
-          let replayed = Qmatrix.eta_state ~rule ~resync_every ~patch_limit:n q u0 in
-          let target = Assignment.copy u0 in
-          let ok = ref true in
-          for _ = 1 to 10 do
-            for _ = 1 to Rng.int rng (n + 1) do
-              target.(Rng.int rng n) <- Rng.int rng m
-            done;
-            ignore (Qmatrix.eta_sync synced target);
-            for j = 0 to n - 1 do
-              if target.(j) <> (Qmatrix.eta_positions replayed).(j) then
-                Qmatrix.eta_apply_move replayed ~j target.(j)
-            done;
-            let a = Qmatrix.eta_buffer synced and b = Qmatrix.eta_buffer replayed in
-            Array.iteri
-              (fun r x -> if Int64.bits_of_float x <> Int64.bits_of_float b.(r) then ok := false)
-              a
-          done;
-          !ok)
-        [ Qmatrix.Solver; Qmatrix.Paper ])
+        (fun domains ->
+          with_pool domains (fun pool ->
+              let rng = Rng.create (seed + 3) in
+              let u = Assignment.random rng ~n ~m in
+              let cache = Repair.cache ~m ~n in
+              let ok = ref (refreshed_equals_scratch ~pool cache q u) in
+              for _ = 1 to 6 do
+                for _ = 1 to Rng.int rng (n / 4) do
+                  u.(Rng.int rng n) <- Rng.int rng m
+                done;
+                ignore (Repair.polish_tracked ~cache q u ~passes:1 : float * int);
+                if not (refreshed_equals_scratch ~pool cache q u) then ok := false
+              done;
+              !ok))
+        [ 1; 2; 4 ])
 
 (* The solver counts violations from the partner CSR; the audit path
    ([Check.count]) walks the raw budget store.  They must agree. *)
@@ -215,45 +207,66 @@ let random_inplace_delta rng nl removable =
                };
            ]))
 
+(* A dims-preserving edit rebinds the cache and drops only the touched
+   rows; the refresh then recomputes those and must land on eta_into of
+   the edited instance bit for bit.  A cache bound to another matrix
+   than the edit's source keeps nothing. *)
 let prop_apply_delta_matches_scratch =
   QCheck.Test.make
-    ~name:"apply_delta-patched eta equals scratch rebuild on the edited netlist (<=1e-9)"
+    ~name:"apply_delta-patched eta equals eta_into on the edited netlist, bit for bit"
     ~count:25
     QCheck.(int_range 0 100_000)
     (fun seed ->
       let problem = random_problem seed in
-      let q0 = Qmatrix.make ~penalty:50.0 problem in
-      let problem = Qmatrix.problem q0 in
+      let q = ref (Qmatrix.make ~penalty:50.0 problem) in
+      let problem = Qmatrix.problem !q in
       let n = Problem.n problem and m = Problem.m problem in
       let rng = Rng.create (seed + 3) in
       let u = Assignment.random rng ~n ~m in
-      List.for_all
-        (fun rule ->
-          let q = ref q0 in
-          let st = ref (Qmatrix.eta_state ~rule !q u) in
-          let removable =
-            ref (Array.to_list (Netlist.wires problem.Problem.netlist))
-          in
-          let ok = ref true in
-          for _ = 1 to 4 do
-            let p = Qmatrix.problem !q in
-            let delta = random_inplace_delta rng p.Problem.netlist removable in
-            match Problem.apply_delta p delta with
-            | Error e -> Alcotest.fail (Delta.error_to_string e)
-            | Ok dr ->
-              if dr.Problem.dr_dims_changed then ok := false
-              else begin
-                let q' = Qmatrix.apply_delta !q dr.Problem.dr_problem in
-                let st' = Qmatrix.eta_rebind !st q' ~touched:dr.Problem.dr_touched in
-                let scratch = Qmatrix.eta ~rule q' u in
-                if max_abs_diff (Qmatrix.eta_buffer st') scratch > 1e-9 then ok := false;
-                if Qmatrix.eta_drift st' > 1e-9 then ok := false;
-                q := q';
-                st := st'
-              end
-          done;
-          !ok)
-        [ Qmatrix.Solver; Qmatrix.Paper ])
+      let cache = Repair.cache ~m ~n in
+      let stale = Repair.cache ~m ~n in
+      Repair.refresh cache !q u ~pool:Dompool.sequential;
+      let removable = ref (Array.to_list (Netlist.wires problem.Problem.netlist)) in
+      let ok = ref true in
+      for _ = 1 to 4 do
+        let p = Qmatrix.problem !q in
+        let delta = random_inplace_delta rng p.Problem.netlist removable in
+        match Problem.apply_delta p delta with
+        | Error e -> Alcotest.fail (Delta.error_to_string e)
+        | Ok dr ->
+          if dr.Problem.dr_dims_changed then ok := false
+          else begin
+            let q' = Qmatrix.apply_delta !q dr.Problem.dr_problem in
+            let touched = dr.Problem.dr_touched in
+            Repair.rebind cache ~from:!q q' ~touched;
+            (* every kept row is already exact on the edited instance *)
+            if Repair.drift cache <> 0.0 then ok := false;
+            let scratch = Qmatrix.eta q' u in
+            Repair.refresh cache q' u ~pool:Dompool.sequential;
+            if not (same_vector (Repair.rows cache) scratch) then ok := false;
+            Repair.refresh stale (Qmatrix.make problem) u ~pool:Dompool.sequential;
+            Repair.rebind stale ~from:!q q' ~touched;
+            if Repair.drift stale <> 0.0 then ok := false;
+            Repair.refresh stale q' u ~pool:Dompool.sequential;
+            if not (same_vector (Repair.rows stale) scratch) then ok := false;
+            q := q'
+          end
+      done;
+      !ok)
+
+let test_rebind_rejects_bad_edits () =
+  let q = Qmatrix.make (random_problem 9) in
+  let problem = Qmatrix.problem q in
+  let n = Problem.n problem and m = Problem.m problem in
+  let rejects what f =
+    match f () with
+    | () -> fail (what ^ " accepted")
+    | exception Invalid_argument _ -> ()
+  in
+  rejects "another component count" (fun () ->
+      Repair.rebind (Repair.cache ~m ~n:(n + 1)) ~from:q q ~touched:[]);
+  rejects "an out-of-range touched id" (fun () ->
+      Repair.rebind (Repair.cache ~m ~n) ~from:q q ~touched:[ n ])
 
 (* Removing a component and re-adding it (same size, wires, budgets)
    must land on an isomorphic instance: remapping an assignment along
@@ -962,14 +975,18 @@ let () =
     [
       ( "eta maintenance",
         [
-          qt prop_eta_apply_move_matches_scratch;
-          qt prop_eta_sync_matches_scratch;
-          qt prop_eta_sync_equals_replay;
+          qt prop_refresh_after_single_moves;
+          qt prop_refresh_across_jumps_and_passes;
+          qt prop_refresh_pool_invariant;
           qt prop_violations_matches_check;
           qt prop_omega_matches_per_entry_walk;
         ] );
       ( "eco deltas",
-        [ qt prop_apply_delta_matches_scratch; qt prop_remove_readd_roundtrip ] );
+        [
+          qt prop_apply_delta_matches_scratch;
+          qt prop_remove_readd_roundtrip;
+          Alcotest.test_case "rebind rejects bad edits" `Quick test_rebind_rejects_bad_edits;
+        ] );
       ("row cache", [ qt prop_row_cache_matches_fresh ]);
       ( "flat gap",
         [

@@ -133,18 +133,6 @@ let prop_eta_into_matches_eta =
           fresh = Array.sub buf 0 (Array.length fresh))
         [ Qmatrix.Solver; Qmatrix.Paper ])
 
-let test_eta_cost_matrix_into () =
-  let m = 3 and n = 4 in
-  let flat = Array.init (m * n) float_of_int in
-  let fresh = Qmatrix.eta_cost_matrix flat ~m ~n in
-  let dst = Array.init m (fun _ -> Array.make n nan) in
-  Qmatrix.eta_cost_matrix_into flat ~m ~n dst;
-  check Alcotest.bool "same matrix" true (fresh = dst);
-  let bad () = Qmatrix.eta_cost_matrix_into flat ~m ~n (Array.make_matrix m (n + 1) 0.0) in
-  match bad () with
-  | () -> fail "shape mismatch accepted"
-  | exception Invalid_argument _ -> ()
-
 let test_gap_borrow () =
   (* flat item-major: entry (i, j) at j*m + i *)
   let cost = [| 1.0; 3.0; 2.0; 4.0 |] in
@@ -438,7 +426,6 @@ let () =
       ( "buffers",
         [
           qt prop_eta_into_matches_eta;
-          Alcotest.test_case "eta_cost_matrix_into" `Quick test_eta_cost_matrix_into;
           Alcotest.test_case "gap borrow" `Quick test_gap_borrow;
         ] );
       ( "portfolio",

@@ -309,18 +309,6 @@ let prop_pair_pass_monotone =
       after <= before +. 1e-3
       && Array.for_all2 (fun a b -> Float.abs (a -. b) < 1e-6) loads fresh)
 
-let test_eta_cost_matrix_shape () =
-  let flat = [| 0.; 1.; 2.; 3.; 4.; 5. |] in
-  let grid = Qmatrix.eta_cost_matrix flat ~m:2 ~n:3 in
-  check flt "[0][0]" 0.0 grid.(0).(0);
-  check flt "[1][0]" 1.0 grid.(1).(0);
-  check flt "[0][2]" 4.0 grid.(0).(2);
-  check flt "[1][2]" 5.0 grid.(1).(2);
-  try
-    ignore (Qmatrix.eta_cost_matrix flat ~m:2 ~n:2);
-    fail "wrong length accepted"
-  with Invalid_argument _ -> ()
-
 (* ------------------------------------------------------------------ *)
 (* Problem *)
 
@@ -405,6 +393,21 @@ let test_burkard_respects_initial () =
   | None -> fail "feasible initial lost"
   | Some (_, cost) -> check Alcotest.bool "no worse than start"
       (cost <= Problem.objective problem initial +. 1e-9) true
+
+(* [Assignment.check] tests only the range; the length is checked on
+   its own, with a message that names it *)
+let test_burkard_rejects_wrong_length_initial () =
+  let problem = paper_example () in
+  List.iter
+    (fun initial ->
+      match Burkard.solve ~initial problem with
+      | _ -> fail (Printf.sprintf "initial of length %d accepted" (Array.length initial))
+      | exception Invalid_argument msg ->
+        check Alcotest.bool
+          (Printf.sprintf "message names the length: %S" msg)
+          true
+          (String.starts_with ~prefix:"Burkard.solve: initial assignment has length" msg))
+    [ [| 0; 1 |]; [| 0; 1; 1; 0 |]; [||] ]
 
 let test_burkard_history_length () =
   let problem = paper_example () in
@@ -598,7 +601,6 @@ let () =
           Alcotest.test_case "value invariant" `Quick test_qhat_value_invariant;
           Alcotest.test_case "embeddings coincide over F_R" `Quick
             test_penalized_objective_coincides_on_feasible;
-          Alcotest.test_case "eta_cost_matrix" `Quick test_eta_cost_matrix_shape;
         ] );
       ( "embedding",
         [
@@ -626,6 +628,8 @@ let () =
           Alcotest.test_case "paper example optimum" `Quick
             test_burkard_finds_paper_example_optimum;
           Alcotest.test_case "respects initial" `Quick test_burkard_respects_initial;
+          Alcotest.test_case "rejects wrong-length initial" `Quick
+            test_burkard_rejects_wrong_length_initial;
           Alcotest.test_case "history" `Quick test_burkard_history_length;
           Alcotest.test_case "deterministic" `Quick test_burkard_deterministic;
           Alcotest.test_case "initial_feasible" `Quick test_initial_feasible;

@@ -362,7 +362,7 @@ let row { label; outcome; extra } =
 
    Each client thread opens a session through the router and streams a
    run of deltas against it.  Every shard is armed with deterministic
-   ECO faults (a corrupted cached incumbent, a torn η patch), and one
+   ECO faults (a corrupted cached incumbent, a torn η row), and one
    shard is SIGKILLed mid-stream; sessions are sticky, so clients that
    lose their shard must observe the failure and re-open.  The pass
    condition is absolute: every served answer certified, zero
