@@ -51,7 +51,6 @@ module Race = Qbpart_gap.Race
 module Circuits = Qbpart_experiments.Circuits
 module Runner = Qbpart_experiments.Runner
 module Report = Qbpart_experiments.Report
-module Portfolio = Qbpart_engine.Portfolio
 module Evolve = Qbpart_evolve.Evolve
 
 (* Minimal JSON emission — the toolchain has no JSON library and the
@@ -616,7 +615,7 @@ let portfolio quick =
   let config = { Burkard.Config.default with iterations; seed = 7 } in
   Format.printf "circuit %s (N=%d), %d starts, %d iterations each, base seed %d@."
     spec.Circuits.name spec.Circuits.n starts iterations config.Burkard.Config.seed;
-  let recommended = Portfolio.default_jobs () in
+  let recommended = Evolve.default_jobs () in
   Format.printf "recommended domain count on this machine: %d@.@." recommended;
   (* end-to-end iteration throughput of the full inner loop
      (STEP 3 patch, aliased STEP-4/6 GAPs, polish, repair probes) on a
@@ -635,7 +634,10 @@ let portfolio quick =
     iterations_per_sec;
   let run jobs inner_jobs =
     let t0 = Unix.gettimeofday () in
-    let r = Portfolio.solve ~config ~max_rounds:2 ~jobs ~inner_jobs ~starts ~initial problem in
+    let r =
+      Evolve.solve ~config ~max_rounds:2 ~jobs ~inner_jobs ~starts ~generations:1 ~initial
+        problem
+    in
     (Unix.gettimeofday () -. t0, r)
   in
   let base_wall, base = run 1 1 in
@@ -648,19 +650,19 @@ let portfolio quick =
   let budgets =
     if quick then [ (2, 1); (1, 2); (2, 2) ] else [ (2, 1); (1, 2); (4, 1); (2, 2); (8, 1) ]
   in
-  let row jobs inner_jobs wall (r : Portfolio.result) identical =
+  let row jobs inner_jobs wall (r : Evolve.result) identical =
     (* independent certifier cross-check: the champion's reported cost
        must match a from-scratch audit bit-for-bit (no delta kernels) *)
     let certified =
-      match r.Portfolio.best_feasible with
+      match r.Evolve.best_feasible with
       | Some (a, c) -> Certify.ok (Certify.check ~claimed:c problem a)
       | None -> true
     in
     let total = jobs * inner_jobs in
     Format.printf
       "  jobs=%d x inner=%d (%d domains)  %7.2fs  speedup %4.2fx  best %12.1f  feasible %s  %s%s@."
-      jobs inner_jobs total wall (base_wall /. wall) r.Portfolio.best_cost
-      (match r.Portfolio.best_feasible with
+      jobs inner_jobs total wall (base_wall /. wall) r.Evolve.best_cost
+      (match r.Evolve.best_feasible with
       | Some (_, c) -> Printf.sprintf "%.1f" c
       | None -> "-")
       (if identical then "identical to 1 domain" else "MISMATCH vs 1 domain")
@@ -672,12 +674,12 @@ let portfolio quick =
         ("total_domains", Json.Int total);
         ("wall_seconds", Json.Float wall);
         ("speedup_vs_jobs1", Json.Float (base_wall /. wall));
-        ("best_cost", Json.Float r.Portfolio.best_cost);
+        ("best_cost", Json.Float r.Evolve.best_cost);
         ( "feasible_cost",
-          match r.Portfolio.best_feasible with
+          match r.Evolve.best_feasible with
           | Some (_, c) -> Json.Float c
           | None -> Json.Bool false );
-        ("winner", match r.Portfolio.winner with Some w -> Json.Int w | None -> Json.Int (-1));
+        ("winner", match r.Evolve.winner with Some w -> Json.Int w | None -> Json.Int (-1));
         ("identical_to_jobs1", Json.Bool identical);
         ("certified", Json.Bool certified);
         ("oversubscribed", Json.Bool (total > recommended));
@@ -688,11 +690,11 @@ let portfolio quick =
     (fun (jobs, inner_jobs) ->
       let wall, r = run jobs inner_jobs in
       let identical =
-        r.Portfolio.best_cost = base.Portfolio.best_cost
-        && r.Portfolio.best = base.Portfolio.best
-        && r.Portfolio.winner = base.Portfolio.winner
-        && Option.map snd r.Portfolio.best_feasible
-           = Option.map snd base.Portfolio.best_feasible
+        r.Evolve.best_cost = base.Evolve.best_cost
+        && r.Evolve.best = base.Evolve.best
+        && r.Evolve.winner = base.Evolve.winner
+        && Option.map snd r.Evolve.best_feasible
+           = Option.map snd base.Evolve.best_feasible
       in
       rows := row jobs inner_jobs wall r identical :: !rows)
     budgets;
@@ -745,14 +747,15 @@ let evolve_bench quick =
         let problem = Circuits.problem ~with_timing:true inst in
         let initial = Runner.initial_solution inst in
         let pw, p =
-          time (fun () -> Portfolio.solve ~config ~max_rounds:2 ~jobs:1 ~starts ~initial problem)
+          time (fun () ->
+              Evolve.solve ~config ~max_rounds:2 ~jobs:1 ~starts ~generations:1 ~initial problem)
         in
         let ew, e =
           time (fun () ->
               Evolve.solve ~config ~max_rounds:2 ~jobs:1 ~starts ~generations ~pool_size
                 ~initial problem)
         in
-        let pc = Option.map snd p.Portfolio.best_feasible in
+        let pc = Option.map snd p.Evolve.best_feasible in
         let ec = Option.map snd e.Evolve.best_feasible in
         (* independent audit of the population champion, same as the
            portfolio rows above *)
@@ -805,7 +808,7 @@ let evolve_bench quick =
   let inst = Circuits.build scale_spec in
   let problem = Circuits.problem ~with_timing:true inst in
   let initial = Runner.initial_solution inst in
-  let recommended = Portfolio.default_jobs () in
+  let recommended = Evolve.default_jobs () in
   Format.printf "@.scaling on %s (N=%d), recommended domain count here: %d@.@."
     scale_spec.Circuits.name scale_spec.Circuits.n recommended;
   let run jobs inner_jobs =

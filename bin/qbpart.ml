@@ -32,12 +32,12 @@ module Evaluate = Qbpart_partition.Evaluate
 module Initial = Qbpart_partition.Initial
 module Problem = Qbpart_core.Problem
 module Burkard = Qbpart_core.Burkard
+module Evolve = Qbpart_evolve.Evolve
 module Gfm = Qbpart_baselines.Gfm
 module Gkl = Qbpart_baselines.Gkl
 module Deadline = Qbpart_engine.Deadline
 module Signals = Qbpart_engine.Signals
 module Engine = Qbpart_engine.Engine
-module Portfolio = Qbpart_engine.Portfolio
 module Checkpoint = Qbpart_engine.Checkpoint
 module Certify = Qbpart_core.Certify
 module Experiments = Qbpart_experiments
@@ -370,7 +370,7 @@ let solve_cmd =
     let topo = grid_topology nl ~rows ~cols ~slack in
     (* a checkpointed or resumed solve always runs the full engine: the
        checkpoint format records engine-level state (safety net,
-       portfolio start progress) no bare solver run maintains *)
+       per-start progress) no bare solver run maintains *)
     let engine_path = fallback || evolve || checkpoint <> None || resume <> None in
     let* resumed =
       match resume with
@@ -405,8 +405,7 @@ let solve_cmd =
             jobs;
             inner_jobs;
             retries;
-            evolve;
-            generations;
+            generations = (if evolve then generations else 1);
             pool_size;
             min_distance;
           }
@@ -497,22 +496,15 @@ let solve_cmd =
         let t0 = Sys.time () in
         let final =
           match algorithm with
-          | `Qbp when starts > 1 ->
-            (* multi-start portfolio over a domain pool; max_rounds 1
-               keeps each start a plain (non-continuation) Burkard run,
-               matching the single-start branch below *)
+          | `Qbp ->
+            (* independent starts over a domain pool; max_rounds 1 keeps
+               each start a plain (non-continuation) Burkard run *)
             let problem = Problem.make ?constraints nl topo in
             let result =
-              Portfolio.solve ~config:qbp_config ~max_rounds:1 ?jobs ~inner_jobs ~starts
-                ~initial ~should_stop problem
+              Evolve.solve ~config:qbp_config ~max_rounds:1 ~generations:1 ?jobs ~inner_jobs
+                ~starts ~retries ~initial ~should_stop problem
             in
-            (match result.Portfolio.best_feasible with
-            | Some (a, _) -> a
-            | None -> initial)
-          | `Qbp ->
-            let problem = Problem.make ?constraints nl topo in
-            let result = Burkard.solve ~config:qbp_config ~initial ~should_stop problem in
-            (match result.Burkard.best_feasible with
+            (match result.Evolve.best_feasible with
             | Some (a, _) -> a
             | None -> initial)
           | `Gfm -> (Gfm.solve ?constraints ~should_stop nl topo ~initial).Gfm.assignment
@@ -566,12 +558,13 @@ let solve_cmd =
   in
   let starts =
     Arg.(value & opt int 1 & info [ "starts" ]
-           ~doc:"Independent QBP starts with distinct seeds (multi-start portfolio); \
+           ~doc:"QBP starts with distinct seeds: independent starts (the multi-start \
+                 portfolio), or with --evolve the total budget across --generations; \
                  the best solution wins deterministically. Only with -a qbp.")
   in
   let jobs =
     Arg.(value & opt int 0 & info [ "j"; "jobs" ]
-           ~doc:"Domains running the portfolio starts in parallel; 0 (default) picks \
+           ~doc:"Domains running the QBP starts in parallel; 0 (default) picks \
                  the machine's recommended domain count. Explicit values above that \
                  count are honoured with a warning (oversubscription only slows \
                  things down). The result is identical for every value.")
@@ -585,9 +578,9 @@ let solve_cmd =
   in
   let retries =
     Arg.(value & opt int 1 & info [ "retries" ]
-           ~doc:"Extra supervised attempts for a portfolio start that crashes, each \
-                 with a deterministically re-derived seed. The run fails only if \
-                 every start fails.")
+           ~doc:"Extra supervised attempts for a QBP start that crashes (also when \
+                 --starts is 1), each with a deterministically re-derived seed. The \
+                 run fails only if every start fails.")
   in
   let evolve =
     Arg.(value & flag & info [ "evolve" ]
@@ -601,7 +594,8 @@ let solve_cmd =
   in
   let generations =
     Arg.(value & opt int 4 & info [ "generations" ]
-           ~doc:"Evolve generations; 1 makes --evolve a plain portfolio.")
+           ~doc:"Evolve generations; 1 makes --evolve the plain multi-start portfolio \
+                 (reported as such, and resumable start by start). Only with --evolve.")
   in
   let pool_size =
     Arg.(value & opt int 8 & info [ "pool-size" ]
@@ -626,9 +620,10 @@ let solve_cmd =
   let resume =
     Arg.(value & opt (some file) None & info [ "resume" ] ~docv:"FILE"
            ~doc:"Resume from a checkpoint: validates it against this instance \
-                 (structural hash), warm-starts from its incumbent, skips completed \
-                 portfolio starts, and continues on the deadline budget the \
-                 checkpointed run left unspent. Implies the resilient engine.")
+                 (structural hash), warm-starts from its incumbent, skips the starts \
+                 a one-generation run completed, and continues on the deadline \
+                 budget the checkpointed run left unspent. Implies the resilient \
+                 engine.")
   in
   let initial =
     Arg.(value & opt (some file) None & info [ "initial" ] ~docv:"FILE"

@@ -1,10 +1,10 @@
 (** Crash-safe solve state: versioned, atomically-written checkpoints.
 
     A long-running solve must survive the process dying mid-run.  A
-    checkpoint captures everything needed to continue a portfolio
-    solve with its remaining budget: the best feasible incumbent found
-    so far (and its scratch-evaluated cost), the per-start progress of
-    the portfolio (which starts completed, with what seed, after how
+    checkpoint captures everything needed to continue a solve with
+    its remaining budget: the best feasible incumbent found so far
+    (and its scratch-evaluated cost), the per-start progress of a
+    one-generation search (which starts completed, with what seed, after how
     many supervised attempts), the base RNG seed, and the wall-clock
     budget already consumed.
 
@@ -30,7 +30,7 @@ module Assignment := Qbpart_partition.Assignment
 module Problem := Qbpart_core.Problem
 
 type start_progress = {
-  start : int;             (** portfolio start index *)
+  start : int;             (** start index *)
   seed : int;              (** seed of the attempt that produced the record *)
   attempts : int;          (** supervised attempts consumed (≥ 1) *)
   feasible_cost : float option;  (** best feasible cost of this start, if any *)
@@ -57,13 +57,13 @@ type t = {
   incumbent : Assignment.t;(** best feasible assignment so far *)
   incumbent_cost : float;  (** its scratch-evaluated equation-(1) objective *)
   incumbent_start : int;
-      (** portfolio start index that produced the incumbent, or [-1]
+      (** start index that produced the incumbent, or [-1]
           for the safety/initial start.  A resumed run uses it to
           replay the original tie-break (ascending start index, safety
           start first), which keeps a kill-and-resume solve bit-identical
           to an uninterrupted one even when a re-run start ties the
           incumbent's cost. *)
-  starts : start_progress list;  (** completed portfolio starts, ascending *)
+  starts : start_progress list;  (** completed starts, ascending *)
 }
 
 type error =

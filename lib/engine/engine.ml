@@ -11,7 +11,6 @@ module Problem = Qbpart_core.Problem
 module Qmatrix = Qbpart_core.Qmatrix
 module Repair = Qbpart_core.Repair
 module Burkard = Qbpart_core.Burkard
-module Adaptive = Qbpart_core.Adaptive
 module Certify = Qbpart_core.Certify
 module Gfm = Qbpart_baselines.Gfm
 module Gkl = Qbpart_baselines.Gkl
@@ -143,7 +142,6 @@ module Config = struct
     jobs : int option;
     inner_jobs : int;
     retries : int;
-    evolve : bool;
     generations : int;
     pool_size : int;
     min_distance : int option;
@@ -163,8 +161,7 @@ module Config = struct
       jobs = None;
       inner_jobs = 1;
       retries = 1;
-      evolve = false;
-      generations = 4;
+      generations = 1;
       pool_size = 8;
       min_distance = None;
     }
@@ -269,24 +266,6 @@ let greedy_start ?constraints ?(attempts = 200) ?(seed = 1) nl topo =
 
 (* --- QBP stage instrumentation ------------------------------------ *)
 
-(* Watches the per-iteration penalized objective; [stalled] turns true
-   after [patience] iterations without an improvement of at least
-   [epsilon].  Patience 0 disables. *)
-let stall_guard ~patience ~epsilon =
-  let best = ref infinity and since = ref 0 and stalled = ref false in
-  let observe (it : Burkard.iteration) =
-    if patience > 0 then
-      if it.Burkard.penalized < !best -. epsilon then begin
-        best := it.Burkard.penalized;
-        since := 0
-      end
-      else begin
-        incr since;
-        if !since >= patience then stalled := true
-      end
-  in
-  (observe, (fun () -> !stalled), fun () -> !since)
-
 let arm deadline fault : Burkard.gap_solver =
   match fault with
   | Fault.Raise_at k ->
@@ -334,7 +313,7 @@ let arm deadline fault : Burkard.gap_solver =
    feasible incumbent seen anywhere (including starts that completed
    before the current stage adopted anything) plus the per-start
    progress ledger.  Worker domains mutate it only under the
-   portfolio's incumbent lock; the orchestrating domain mutates it
+   search driver's incumbent lock; the orchestrating domain mutates it
    between stages. *)
 type supervision = {
   mutable inc : Assignment.t;
@@ -349,7 +328,7 @@ type supervision = {
 
 (* An equal-cost comparison everywhere below breaks ties by ascending
    provenance index with the safety/initial start as -1 — the same
-   order the portfolio's deterministic reduction uses.  This is what
+   order the search driver's deterministic reduction uses.  This is what
    keeps a kill-and-resume solve bit-identical to an uninterrupted one:
    a re-run start that merely ties the checkpoint incumbent must lose
    or win by index exactly as it would have in the original run. *)
@@ -424,13 +403,13 @@ let run_ladder (config : Config.t) deadline initial fault problem start ~init_st
       :: !stages;
     emit ()
   in
-  (* primary: penalty-continuation QBP under deadline + stall guard —
-     run as a multi-start domain portfolio when [starts > 1] *)
+  (* primary: the search driver (DESIGN.md D18) under the deadline and
+     a per-start stall guard — one start, independent starts, or a
+     population search, as [starts] and [generations] say *)
   let qbp_produced = ref false in
+  let evolving = config.Config.generations > 1 in
   let primary_name =
-    if config.Config.evolve then "evolve"
-    else if config.Config.starts > 1 then "portfolio"
-    else "qbp"
+    if evolving then "evolve" else if config.Config.starts > 1 then "portfolio" else "qbp"
   in
   let qbp_outcome =
     let t0 = Deadline.elapsed deadline in
@@ -442,160 +421,85 @@ let run_ladder (config : Config.t) deadline initial fault problem start ~init_st
     else begin
       let gap_solver = Option.map (arm deadline) fault in
       let warm = match initial with Some a -> a | None -> start in
+      let should_stop () = Deadline.expired deadline in
+      (* A multi-generation run is not resumable start-by-start — the
+         elite pool would be lost across the kill — so it records no
+         per-start progress and skips nothing (a resume re-runs the
+         whole stage on the remaining budget).  An interrupted start is
+         NOT checkpointed as done either: a resume re-runs it on the
+         remaining budget.  Every finished start's champion still
+         feeds the incumbent, kept fresh for failover serving. *)
+      let on_start_complete =
+        match sup with
+        | None -> None
+        | Some s ->
+          Some
+            (fun (sr : Evolve.start_report) best_feasible ->
+              if not (evolving || sr.Evolve.interrupted) then
+                s.progress <-
+                  {
+                    Checkpoint.start = sr.Evolve.start;
+                    seed = sr.Evolve.seed;
+                    attempts = sr.Evolve.attempts;
+                    feasible_cost = sr.Evolve.feasible_cost;
+                    failure = sr.Evolve.failure;
+                  }
+                  :: s.progress;
+              (match best_feasible with
+              | Some (a, _) ->
+                let c = cost a in
+                if
+                  beats ~cost:c ~at:sr.Evolve.start ~best_cost:s.inc_cost
+                    ~best_at:s.inc_start
+                  && feasible a
+                then begin
+                  s.inc <- a;
+                  s.inc_cost <- c;
+                  s.inc_start <- sr.Evolve.start
+                end
+              | None -> ());
+              emit ())
+      in
       let detail = ref None in
       let o =
-        if config.Config.evolve then begin
-          let should_stop () = Deadline.expired deadline in
-          (* Evolve runs are not resumable start-by-start — the elite
-             pool would be lost across the kill — so per-start progress
-             is never checkpointed in this mode (a resume re-runs the
-             whole stage on the remaining budget); the incumbent is
-             still kept fresh for failover serving. *)
-          let on_start_complete =
-            match sup with
-            | None -> None
-            | Some s ->
-              Some
-                (fun (sr : Evolve.start_report) best_feasible ->
-                  (match best_feasible with
-                  | Some (a, _) ->
-                    let c = cost a in
-                    if
-                      beats ~cost:c ~at:sr.Evolve.start ~best_cost:s.inc_cost
-                        ~best_at:s.inc_start
-                      && feasible a
-                    then begin
-                      s.inc <- a;
-                      s.inc_cost <- c;
-                      s.inc_start <- sr.Evolve.start
-                    end
-                  | None -> ());
-                  emit ())
+        try
+          let r =
+            Evolve.solve ~config:config.Config.qbp ~max_rounds:config.Config.max_rounds
+              ~factor:config.Config.penalty_factor ?jobs:config.Config.jobs
+              ~inner_jobs:config.Config.inner_jobs ~starts:config.Config.starts
+              ~generations:config.Config.generations ~pool_size:config.Config.pool_size
+              ?min_distance:config.Config.min_distance ~retries:config.Config.retries
+              ~skip:(if evolving then fun _ -> false else skip_starts)
+              ~initial:warm ~should_stop
+              ~stall:(config.Config.stall_patience, config.Config.stall_epsilon)
+              ?gap_solver ?on_start_complete problem
           in
-          try
-            let r =
-              Evolve.solve ~config:config.Config.qbp
-                ~max_rounds:config.Config.max_rounds
-                ~factor:config.Config.penalty_factor ?jobs:config.Config.jobs
-                ~inner_jobs:config.Config.inner_jobs ~starts:config.Config.starts
-                ~generations:config.Config.generations
-                ~pool_size:config.Config.pool_size
-                ?min_distance:config.Config.min_distance
-                ~retries:config.Config.retries ~initial:warm ~should_stop
-                ~stall:(config.Config.stall_patience, config.Config.stall_epsilon)
-                ?gap_solver ?on_start_complete problem
-            in
-            detail :=
-              Some
-                (Printf.sprintf "%d gens, %d/%d starts, %d admitted, %d reseeded"
-                   r.Evolve.generations
-                   (List.length r.Evolve.reports)
-                   config.Config.starts r.Evolve.admitted r.Evolve.reseeded);
-            (match r.Evolve.best_feasible with
-            | Some (a, _) ->
-              qbp_produced := true;
-              adopt ?at:r.Evolve.winner primary_name a
-            | None -> ());
-            if Deadline.expired deadline then Report.Timed_out
-            else if
-              r.Evolve.reports <> []
-              && List.for_all (fun s -> s.Evolve.stalled) r.Evolve.reports
-            then Report.Stalled config.Config.stall_patience
-            else Report.Completed
-          with e -> Report.Crashed (Printexc.to_string e)
-        end
-        else if config.Config.starts > 1 then begin
-          let should_stop () = Deadline.expired deadline in
-          let on_start_complete =
-            match sup with
-            | None -> None
-            | Some s ->
-              Some
-                (fun (sr : Portfolio.start_report) best_feasible ->
-                  (* an interrupted start is NOT checkpointed as done:
-                     a resume re-runs it on the remaining budget (its
-                     partial champion still feeds the incumbent below) *)
-                  if not sr.Portfolio.interrupted then
-                    s.progress <-
-                      {
-                        Checkpoint.start = sr.Portfolio.start;
-                        seed = sr.Portfolio.seed;
-                        attempts = sr.Portfolio.attempts;
-                        feasible_cost = sr.Portfolio.feasible_cost;
-                        failure = sr.Portfolio.failure;
-                      }
-                      :: s.progress;
-                  (match best_feasible with
-                  | Some (a, _) ->
-                    let c = cost a in
-                    if
-                      beats ~cost:c ~at:sr.Portfolio.start ~best_cost:s.inc_cost
-                        ~best_at:s.inc_start
-                      && feasible a
-                    then begin
-                      s.inc <- a;
-                      s.inc_cost <- c;
-                      s.inc_start <- sr.Portfolio.start
-                    end
-                  | None -> ());
-                  emit ())
-          in
-          try
-            let r =
-              Portfolio.solve ~config:config.Config.qbp
-                ~max_rounds:config.Config.max_rounds
-                ~factor:config.Config.penalty_factor ?jobs:config.Config.jobs
-                ~inner_jobs:config.Config.inner_jobs
-                ~starts:config.Config.starts ~retries:config.Config.retries
-                ~skip:skip_starts ~initial:warm ~should_stop
-                ~stall:(config.Config.stall_patience, config.Config.stall_epsilon)
-                ?gap_solver ?on_start_complete problem
-            in
-            (let executed = List.length r.Portfolio.reports in
-             let count p = List.length (List.filter p r.Portfolio.reports) in
-             let retried = count (fun s -> s.Portfolio.attempts > 1) in
-             let failed = count (fun s -> s.Portfolio.failure <> None) in
-             if retried > 0 || failed > 0 || executed < config.Config.starts then
-               detail :=
-                 Some
-                   (Printf.sprintf "%d/%d starts ran, %d retried, %d failed" executed
-                      config.Config.starts retried failed));
-            (match r.Portfolio.best_feasible with
-            | Some (a, _) ->
-              qbp_produced := true;
-              adopt ?at:r.Portfolio.winner primary_name a
-            | None -> ());
-            if Deadline.expired deadline then Report.Timed_out
-            else if
-              r.Portfolio.reports <> []
-              && List.for_all (fun s -> s.Portfolio.stalled) r.Portfolio.reports
-            then Report.Stalled config.Config.stall_patience
-            else Report.Completed
-          with e -> Report.Crashed (Printexc.to_string e)
-        end
-        else begin
-          let observe, stalled, since =
-            stall_guard ~patience:config.Config.stall_patience
-              ~epsilon:config.Config.stall_epsilon
-          in
-          let should_stop () = Deadline.expired deadline || stalled () in
-          try
-            let r =
-              Adaptive.solve ~config:config.Config.qbp
-                ~max_rounds:config.Config.max_rounds
-                ~factor:config.Config.penalty_factor ~initial:warm ~should_stop ~observe
-                ?gap_solver problem
-            in
-            (match r.Adaptive.best_feasible with
-            | Some (a, _) ->
-              qbp_produced := true;
-              adopt ~at:0 primary_name a
-            | None -> ());
-            if Deadline.expired deadline then Report.Timed_out
-            else if stalled () then Report.Stalled (since ())
-            else Report.Completed
-          with e -> Report.Crashed (Printexc.to_string e)
-        end
+          (let executed = List.length r.Evolve.reports in
+           let count p = List.length (List.filter p r.Evolve.reports) in
+           let retried = count (fun s -> s.Evolve.attempts > 1) in
+           let failed = count (fun s -> s.Evolve.failure <> None) in
+           detail :=
+             if evolving then
+               Some
+                 (Printf.sprintf "%d gens, %d/%d starts, %d admitted, %d reseeded"
+                    r.Evolve.generations executed config.Config.starts r.Evolve.admitted
+                    r.Evolve.reseeded)
+             else if retried > 0 || failed > 0 || executed < config.Config.starts then
+               Some
+                 (Printf.sprintf "%d/%d starts ran, %d retried, %d failed" executed
+                    config.Config.starts retried failed)
+             else None);
+          (match r.Evolve.best_feasible with
+          | Some (a, _) ->
+            qbp_produced := true;
+            adopt ?at:r.Evolve.winner primary_name a
+          | None -> ());
+          if Deadline.expired deadline then Report.Timed_out
+          else if
+            r.Evolve.reports <> [] && List.for_all (fun s -> s.Evolve.stalled) r.Evolve.reports
+          then Report.Stalled config.Config.stall_patience
+          else Report.Completed
+        with e -> Report.Crashed (Printexc.to_string e)
       in
       record ?detail:!detail primary_name o t0;
       o

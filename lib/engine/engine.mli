@@ -92,14 +92,17 @@ module Report : sig
     | Skipped of string   (** never ran, and why *)
 
   type stage = {
-    name : string;        (** ["initial"], ["qbp"] (or ["portfolio"]), ["gkl"], ["gfm"] *)
+    name : string;
+        (** ["initial"], ["qbp"] (or ["portfolio"], ["evolve"]), ["gkl"], ["gfm"] *)
     outcome : stage_outcome;
     wall_seconds : float; (** wall time spent in this stage *)
     cost_after : float;   (** best feasible equation-(1) cost after the stage *)
     detail : string option;
-        (** supervision accounting for the portfolio stage (starts
-            executed / retried / failed) when any start deviated from
-            the happy path; [None] otherwise *)
+        (** the primary stage's start accounting: always for
+            ["evolve"] (generations, starts run, pool admissions,
+            reseeds); for ["qbp"] and ["portfolio"] (starts executed /
+            retried / failed) only when some start deviated from the
+            happy path; [None] otherwise *)
   }
 
   type t = {
@@ -151,7 +154,7 @@ module Fault : sig
     | Flaky_start of int
         (** the first k GAP calls of the stage raise {!Injected}: with
             [jobs = 1] the leading attempt(s) die immediately and the
-            supervised portfolio must retry them — the run still ends
+            supervised search must retry them — the run still ends
             with a certified feasible answer *)
     | Corrupt_incumbent
         (** let the solve run clean, then corrupt the {e reported}
@@ -173,28 +176,28 @@ module Config : sig
     stall_epsilon : float;        (** minimum improvement that resets the stall counter *)
     start_attempts : int;         (** randomized-greedy restarts for the safety net *)
     starts : int;
-        (** independent QBP starts (≥ 1); above 1 the primary stage is
-            a {!Portfolio.solve} over a domain pool and reports as
-            ["portfolio"] *)
+        (** QBP starts (≥ 1), the total budget across all generations.
+            The primary stage is one {!Qbpart_evolve.Evolve.solve}
+            call; with one generation it reports as ["qbp"] for a
+            single start and ["portfolio"] above that *)
     jobs : int option;
-        (** domain-pool cap for the portfolio; [None] means
-            {!Portfolio.default_jobs} *)
+        (** domain-pool cap for the starts; [None] means
+            {!Qbpart_evolve.Evolve.default_jobs} *)
     inner_jobs : int;
         (** per-start {!Qbpart_pool.Dompool} size (≥ 1) for the
             intra-solve kernels — STEP 3's η row refresh and the GAP
             race legs; 1 keeps every start single-domain *)
     retries : int;
-        (** extra supervised attempts per portfolio start after a
-            failure (≥ 0); seeds are re-derived deterministically via
-            {!Portfolio.retry_seed} *)
-    evolve : bool;
-        (** run the primary stage as a cooperating elite-pool
-            population search ({!Qbpart_evolve.Evolve.solve}, reported
-            as ["evolve"]) instead of independent starts; [starts] is
-            then the total budget across all generations.  Evolve runs
-            are not resumable start-by-start: checkpoints carry the
-            incumbent but no per-start progress *)
-    generations : int;  (** evolve generations (≥ 1; 1 = plain portfolio) *)
+        (** extra supervised attempts per start after a failure (≥ 0);
+            seeds are re-derived deterministically via
+            {!Qbpart_evolve.Evolve.retry_seed} *)
+    generations : int;
+        (** search generations (≥ 1).  1 runs independent starts, and
+            a checkpoint records each start as it finishes so a resume
+            skips it.  Above 1 the starts cooperate through an elite
+            pool (the stage reports as ["evolve"]); such runs are not
+            resumable start-by-start: checkpoints carry the incumbent
+            but no per-start progress *)
     pool_size : int;    (** elite-pool capacity (≥ 1) *)
     min_distance : int option;
         (** elite-pool diversity radius in aligned Hamming distance;
@@ -204,8 +207,8 @@ module Config : sig
   val default : t
   (** Solver defaults; [stall_patience = 25], [stall_epsilon = 1e-6],
       [start_attempts = 200], [starts = 1] (plain single-start QBP),
-      [jobs = None], [inner_jobs = 1], [retries = 1], [evolve = false],
-      [generations = 4], [pool_size = 8], [min_distance = None]. *)
+      [jobs = None], [inner_jobs = 1], [retries = 1], [generations = 1],
+      [pool_size = 8], [min_distance = None]. *)
 end
 
 type outcome = {
@@ -233,8 +236,8 @@ val solve :
     tests.  Never raises.
 
     Crash safety: [on_checkpoint] receives a fresh {!Checkpoint.t}
-    after the safety net is secured, as each portfolio start completes
-    (possibly from a worker domain, serialized by the portfolio's
+    after the safety net is secured, as each start completes
+    (possibly from a worker domain, serialized by the search driver's
     lock), and at every stage boundary — the caller decides whether
     and where to persist it ({!Checkpoint.save}).  [resume] validates
     the checkpoint against the instance (structural hash), replaces

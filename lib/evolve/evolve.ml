@@ -46,11 +46,31 @@ type result = {
   interrupted : bool;
 }
 
-(* Identical streams to Portfolio.start_seed / Portfolio.retry_seed:
-   generation 0 of an evolve run IS the head of the plain portfolio,
-   bit for bit.  (The formulas are duplicated rather than imported
-   because lib/engine sits above this library.) *)
+(* Computed once per process: the count the admission decision uses is
+   the count the warning prints — recomputing at warn time could show a
+   different number than the one actually compared against. *)
+let recommended_jobs = lazy (max 1 (Domain.recommended_domain_count ()))
+
+let default_jobs () = Lazy.force recommended_jobs
+
+(* Oversubscription warns once per distinct domain count: a sweep (or a
+   property test) re-entering [solve] with the same explicit counts
+   stays quiet across restarts, while a changed --jobs value earns a
+   fresh warning.  0 = never warned. *)
+let warned_oversubscribed = Atomic.make 0
+
+(* Start k's seed: the base seed for k = 0 (so a 1-start run
+   reproduces a plain Adaptive/Burkard run bit-for-bit), then jumps by
+   a large odd constant — distinct streams for the splitmix64-seeded
+   generator, and a pure function of (base, k) so the search is
+   deterministic whatever the domain count. *)
 let start_seed ~base k = base + (k * 0x9E3779B9)
+
+(* Attempt [attempt] of start [k]: attempt 0 is the start's own seed
+   (an unsupervised run is reproduced exactly), retries jump by a
+   second large odd stride so a crashing trajectory is not replayed
+   verbatim.  Pure in (base, start, attempt): a resumed run re-derives
+   the same retry seeds. *)
 let retry_seed ~base ~start ~attempt = start_seed ~base start + (attempt * 0x85EBCA6B)
 
 (* Child-construction stream of start k: disjoint from the solve and
@@ -59,8 +79,8 @@ let child_seed ~base k = start_seed ~base k lxor 0x27D4EB2F
 
 let solve ?(config = Burkard.Config.default) ?(max_rounds = 4) ?(factor = 8.0) ?jobs
     ?(inner_jobs = 1) ?(starts = 1) ?(generations = 4) ?(pool_size = 8) ?min_distance
-    ?(retries = 0) ?initial ?(should_stop = fun () -> false) ?(stall = (0, 0.0))
-    ?gap_solver ?on_improvement ?on_start_complete problem =
+    ?(retries = 0) ?(skip = fun _ -> false) ?initial ?(should_stop = fun () -> false)
+    ?(stall = (0, 0.0)) ?gap_solver ?on_improvement ?on_start_complete problem =
   if starts < 1 then invalid_arg "Evolve.solve: starts must be >= 1";
   if generations < 1 then invalid_arg "Evolve.solve: generations must be >= 1";
   if pool_size < 1 then invalid_arg "Evolve.solve: pool_size must be >= 1";
@@ -68,7 +88,7 @@ let solve ?(config = Burkard.Config.default) ?(max_rounds = 4) ?(factor = 8.0) ?
   if inner_jobs < 1 then invalid_arg "Evolve.solve: inner_jobs must be >= 1";
   let jobs =
     match jobs with
-    | None -> max 1 (Domain.recommended_domain_count ())
+    | None -> default_jobs ()
     | Some j ->
       if j < 1 then invalid_arg "Evolve.solve: jobs must be >= 1";
       j
@@ -83,19 +103,36 @@ let solve ?(config = Burkard.Config.default) ?(max_rounds = 4) ?(factor = 8.0) ?
       d
   in
   let cons = problem.Problem.constraints in
-  (* force the memoized partner CSR before any domain spawns (same
-     shared-state hazard as in Portfolio.solve) *)
+  (* Force the lazily-built partner CSR before any domain spawns: it
+     memoizes on first access, and that write is the one piece of
+     shared state the otherwise read-only problem would mutate from
+     several domains at once. *)
   if n > 0 && not (Constraints.empty cons) then Constraints.prebuild cons;
   (* Generation plan: later generations get a half-share each so that
-     generation 0 — the portfolio-identical exploration phase — keeps
+     generation 0 — the independent-starts exploration phase — keeps
      the majority of the budget.  Total is exactly [starts]: equal
-     budget with a plain portfolio by construction. *)
+     budget with a one-generation run by construction. *)
   let gens = max 1 (min generations starts) in
   let later = if gens = 1 then 0 else max 1 (starts / (2 * gens)) in
   let gen0 = starts - ((gens - 1) * later) in
+  (* the box really runs at most (concurrent starts) x (inner pool)
+     domains, and generation 0 is the widest batch; warn on that
+     product, not just the start-level count *)
+  let total_domains = min jobs gen0 * inner_jobs in
+  let recommended = default_jobs () in
+  if total_domains > recommended && Atomic.exchange warned_oversubscribed total_domains <> total_domains
+  then
+    Printf.eprintf
+      "qbpart: warning: %d domains (--jobs x --inner-jobs) exceed the recommended \
+       domain count %d; oversubscribing slows every domain down (results are \
+       unaffected)\n%!"
+      total_domains recommended;
   let gen_lo g = if g = 0 then 0 else gen0 + ((g - 1) * later) in
   let gen_hi g = if g = 0 then gen0 else gen0 + (g * later) in
   let pool = Epool.create ~capacity:pool_size ~min_distance ~m in
+  (* Shared incumbent, for best-so-far reporting only: trajectories
+     never read it, so starts stay independent and the reduction below
+     stays deterministic. *)
   let lock = Mutex.create () in
   let inc_penalized = ref infinity in
   let inc_feasible = ref infinity in
@@ -134,6 +171,12 @@ let solve ?(config = Burkard.Config.default) ?(max_rounds = 4) ?(factor = 8.0) ?
       report_improvement k it
     in
     let stop () = should_stop () || !stalled in
+    (* per-attempt scratch pool, created on the worker domain so the
+       borrowed GAP buffers it feeds never cross domains; with
+       [inner_jobs > 1] the attempt also owns a bounded domain pool
+       that fans the intra-solve kernels (STEP 3's row refresh, race
+       legs) — the fan-out never changes a value, so determinism
+       survives untouched *)
     let dpool =
       if inner_jobs > 1 then Dompool.create ~domains:inner_jobs else Dompool.sequential
     in
@@ -178,6 +221,10 @@ let solve ?(config = Burkard.Config.default) ?(max_rounds = 4) ?(factor = 8.0) ?
               feasible_cost = Option.map snd r.Adaptive.best_feasible;
               wall_seconds = Unix.gettimeofday () -. t0;
               stalled;
+              (* the Burkard flag conflates the external cancel with the
+                 local stall guard; a stalled start reached its own
+                 verdict and must not be reported as cut short (a
+                 checkpoint resume would pointlessly re-run it) *)
               interrupted =
                 r.Adaptive.last.Burkard.interrupted && (should_stop () || not stalled);
               failure = None;
@@ -195,9 +242,10 @@ let solve ?(config = Burkard.Config.default) ?(max_rounds = 4) ?(factor = 8.0) ?
       Fun.protect ~finally:(fun () -> Mutex.unlock lock) (fun () -> f report best_feasible)
   in
   let results = Array.make starts None in
-  (* One generation = one batch on a work-stealing pool, exactly the
-     portfolio's shape: the calling domain is worker 0, helpers pull
-     global start indices from an atomic counter. *)
+  (* One generation = one batch on a work-stealing pool: the calling
+     domain is worker 0 (so jobs = 1 spawns nothing and runs plain
+     sequential code), helpers pull global start indices from an atomic
+     counter.  A [skip]ped start runs nothing and leaves no result. *)
   let run_batch ~generation ~lo ~hi initials =
     let next = Atomic.make lo in
     let worker () =
@@ -205,7 +253,7 @@ let solve ?(config = Burkard.Config.default) ?(max_rounds = 4) ?(factor = 8.0) ?
       while !continue do
         let k = Atomic.fetch_and_add next 1 in
         if k >= hi then continue := false
-        else begin
+        else if not (skip k) then begin
           let initial, reseeded = initials.(k - lo) in
           let report, r = run_supervised k ~generation ~initial ~reseeded in
           results.(k) <- Some (report, r);
@@ -274,7 +322,10 @@ let solve ?(config = Burkard.Config.default) ?(max_rounds = 4) ?(factor = 8.0) ?
   let reseeded = ref 0 in
   let stopped_early = ref false in
   for g = 0 to gens - 1 do
-    if should_stop () then stopped_early := true
+    (* generation 0 always runs, so every start of a cancelled
+       one-generation run still reports; later generations, whose
+       children cost a repair each to build, are dropped instead *)
+    if g > 0 && should_stop () then stopped_early := true
     else begin
       let lo = gen_lo g and hi = gen_hi g in
       let initials =
@@ -300,10 +351,14 @@ let solve ?(config = Burkard.Config.default) ?(max_rounds = 4) ?(factor = 8.0) ?
       | None, Some msg -> failures := (k, msg) :: !failures
       | None, None -> incr survivors)
   done;
+  (* the run as a whole fails only when every executed start exhausted
+     its attempts — one surviving start is a valid (degraded) run *)
   if !executed > 0 && !survivors = 0 && !failures <> [] then
     raise (All_starts_failed !failures);
-  (* Same deterministic reduction as the portfolio (DESIGN.md D7):
-     ascending-index earliest strict winner via a downto scan. *)
+  (* Deterministic seed-indexed reduction (DESIGN.md D7): scan starts
+     in ascending index order and replace the champion only on strict
+     improvement, so the winner is a function of the seeds alone —
+     never of domain count or completion order. *)
   let best_feasible = ref None in
   let winner_feasible = ref None in
   let best = ref None in
@@ -320,6 +375,8 @@ let solve ?(config = Burkard.Config.default) ?(max_rounds = 4) ?(factor = 8.0) ?
       match r with
       | None -> ()
       | Some r ->
+        (* downto scan, so "replace on <=" implements "earliest strict
+           winner" exactly like an ascending scan with < *)
         (match r.Adaptive.best_feasible with
         | Some (_, c)
           when (match !best_feasible with Some (_, c') -> c <= c' | None -> true) ->

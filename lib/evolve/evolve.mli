@@ -1,26 +1,38 @@
-(** Cooperating elite-pool population search.
+(** The search driver: the engine's primary stage and the bare
+    [qbpart solve -a qbp] path are each one call to {!solve} (DESIGN.md
+    D18).
 
-    Where {!Qbpart_engine.Portfolio} runs K independent penalty-
-    continuation starts and reduces, this driver makes the starts
-    cooperate {e between} generations: every generation's feasible
-    champions are offered to a diversity-guarded elite pool
-    ({!Epool}), and the next generation's starts are warm-started from
-    recombined elites — label-aligned crossover and path relinking
-    ({!Operators}), plus recursive-bipartition seeds ({!Seeds}) —
-    each repaired back to the C1/C2 feasible set before use.
+    Section 5 of the paper observes that the Burkard iteration lands
+    near the same cost from many random starts.  Generation 0 turns
+    that robustness into throughput: [starts] independent
+    penalty-continuation solves ({!Qbpart_core.Adaptive.solve}), each
+    with its own seed, on a pool of at most [jobs] domains that pull
+    start indices from a shared atomic counter.  With [generations =
+    1] that is the whole run — the multi-start portfolio, and with
+    [starts = 1] a plain [Adaptive.solve].  Later generations make the
+    starts cooperate: every generation's feasible champions are
+    offered to a diversity-guarded elite pool ({!Epool}), and the next
+    generation's starts are warm-started from recombined elites —
+    label-aligned crossover and path relinking ({!Operators}), plus
+    recursive-bipartition seeds ({!Seeds}) — each repaired back to
+    the C1/C2 feasible set before use.
 
     Determinism contract (DESIGN.md D7, extended as D12):
 
-    - starts still never couple {e within} a generation — each runs
-      exactly the trajectory its seed dictates, and generation results
-      are admitted to the pool in ascending global start index, so the
-      pool state (and hence every child) is a pure function of the
-      base seed, never of domain count or completion order;
-    - generation 0 uses the same seeds, in the same order, as a plain
-      portfolio of the same base seed — with [generations = 1] the two
-      are bit-identical;
-    - the champion is chosen by the same ascending-index
-      strict-improvement scan as the portfolio, over all generations.
+    - starts never couple {e within} a generation — the shared
+      incumbent is used for best-so-far reporting only, so each start
+      runs exactly the trajectory its seed dictates; generation
+      results are admitted to the pool in ascending global start
+      index, so the pool state (and hence every child) is a pure
+      function of the base seed, never of domain count or completion
+      order;
+    - start 0 uses the base seed itself and receives the caller's warm
+      start, so [solve ~starts:1 ~generations:1] reproduces a plain
+      [Adaptive.solve] run exactly;
+    - the champion is chosen by scanning start indices in ascending
+      order with strict improvement, over all generations, so a fixed
+      base seed yields a bit-identical winner whatever [jobs] and
+      [inner_jobs] are.
 
     Warm starts are captured by Burkard's initial [consider], so a
     child's quality is reflected in its start's result and the
@@ -47,8 +59,10 @@ type start_report = {
 }
 
 exception All_starts_failed of (int * string) list
-(** Every executed start exhausted its attempts (same degradation
-    contract as the portfolio's exception of the same name). *)
+(** Every executed start exhausted its attempts; carries the final
+    [(start, failure)] pairs in ascending start order.  Raised by
+    {!solve} only when {e no} start survives — a supervised run
+    degrades through individual failures rather than aborting. *)
 
 type result = {
   best_feasible : (Assignment.t * float) option;
@@ -65,12 +79,19 @@ type result = {
   interrupted : bool;
 }
 
+val default_jobs : unit -> int
+(** [max 1 (Domain.recommended_domain_count ())]. *)
+
 val start_seed : base:int -> int -> int
-(** Same stream as [Portfolio.start_seed] — generation 0 of an evolve
-    run replays the plain portfolio's starts exactly. *)
+(** The seed of start [k]: [base] when [k = 0], then distinct streams
+    via a large odd stride.  Exposed so tests and benches can predict
+    any start's trajectory. *)
 
 val retry_seed : base:int -> start:int -> attempt:int -> int
-(** Same stream as [Portfolio.retry_seed]. *)
+(** The seed of attempt [attempt] of start [start]: [start_seed] for
+    attempt 0, then a second large odd stride per retry.  Pure in its
+    arguments, so supervision keeps the search deterministic and a
+    resumed run re-derives identical retry seeds. *)
 
 val solve :
   ?config:Burkard.Config.t ->
@@ -83,6 +104,7 @@ val solve :
   ?pool_size:int ->
   ?min_distance:int ->
   ?retries:int ->
+  ?skip:(int -> bool) ->
   ?initial:Assignment.t ->
   ?should_stop:(unit -> bool) ->
   ?stall:int * float ->
@@ -91,23 +113,54 @@ val solve :
   ?on_start_complete:(start_report -> (Assignment.t * float) option -> unit) ->
   Problem.t ->
   result
-(** Run the population search.  [starts] (default 1) is the {e total}
-    solve budget, split across [generations] (default 4, clamped to
+(** Run the search.  [starts] (default 1) is the {e total} solve
+    budget, split across [generations] (default 4, clamped to
     [starts]): later generations get [max 1 (starts / (2 *
     generations))] starts each and generation 0 the remainder, so at
-    equal [starts] an evolve run spends exactly the portfolio's
-    wall-clock budget.  [pool_size] (default 8) caps the elite pool;
+    equal [starts] every generation count spends the same wall-clock
+    budget.  [pool_size] (default 8) caps the elite pool;
     [min_distance] is the pool's diversity radius in aligned Hamming
     distance (default [max 1 (n / 16)]).
 
-    [config], [max_rounds], [factor], [gap_solver] go to every start's
-    {!Qbpart_core.Adaptive.solve} — [config.gap_race] and the
-    per-start [inner_jobs] domain pool apply to evolve starts exactly
-    as to portfolio starts.  [jobs], [retries], [initial],
-    [should_stop], [stall], [on_improvement], [on_start_complete]
-    keep their {!Qbpart_engine.Portfolio.solve} meaning ([initial]
-    warm-starts global start 0 only; reports arrive per start, with
-    the extra [generation]/[reseeded] fields).
+    [config], [max_rounds], [factor] and [gap_solver] go to every
+    start's {!Qbpart_core.Adaptive.solve}; [config.seed] is the base
+    seed.  [jobs] caps the domain pool (default {!default_jobs}; a
+    generation never runs more domains than it has starts, and [jobs =
+    1] runs sequentially on the calling domain without spawning).
+    [inner_jobs] (default 1) gives every running start a private
+    {!Qbpart_pool.Dompool} of that many workers for the intra-solve
+    kernels — STEP 3's row refresh, and the GAP race legs under
+    [config.gap_race] — so a single start can use several cores; the
+    box then runs up to [min jobs starts * inner_jobs] domains, and a
+    product above the recommended domain count earns a stderr warning
+    once per distinct product: oversubscribing only slows every domain
+    down and never changes results.  [initial] warm-starts global
+    start 0 only.  [should_stop] is polled cooperatively by every
+    start (deadline cancellation); generation 0 always runs, so a run
+    cancelled before it started still reports every generation-0
+    start, while later generations are dropped once it fires.
+    [stall] is a per-start [(patience, epsilon)] guard: a start whose
+    penalized cost has not improved by [epsilon] for [patience]
+    iterations stops (default [(0, 0.0)], disabled).  [on_improvement]
+    is called under the incumbent lock, possibly from another domain,
+    whenever a start improves the global best-so-far.
+
+    Supervision: an attempt that raises never aborts the run — it is
+    retried up to [retries] more times (default 0) with
+    {!retry_seed}-derived seeds, and a start that exhausts its
+    attempts is recorded in its report ([failure], [attempts]) while
+    the surviving starts reduce as usual.  {!All_starts_failed} is
+    raised only when every executed start failed.  [skip] (for
+    checkpoint resume of a one-generation run) excludes start indices
+    entirely: they run nothing and produce no report.
+    [on_start_complete] is called under the incumbent lock as each
+    start finishes — with the start's report and a copy of its
+    feasible champion, if any — so a caller can checkpoint progress
+    without waiting for the join.
+
+    [gap_solver], [on_improvement] and [on_start_complete] closures
+    run concurrently on several domains when [jobs > 1] — stateful
+    fault injectors are only safe with [jobs = 1].
 
     @raise Invalid_argument on non-positive [starts], [jobs],
     [inner_jobs], [generations], [pool_size] or negative [retries],

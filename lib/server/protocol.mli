@@ -42,7 +42,7 @@ type submit = {
   starts : int;             (** portfolio starts (≥ 1) *)
   gap_race : bool;          (** race the inner GAP solvers per iteration *)
   evolve : bool;            (** run the elite-pool population search *)
-  generations : int;        (** evolve generations (≥ 1) *)
+  generations : int;        (** evolve generations (≥ 1); ignored unless [evolve] *)
   pool_size : int;          (** evolve elite-pool capacity (≥ 1) *)
   deadline_s : float option;(** per-job wall-clock budget *)
   label : string option;    (** free-form tag echoed in views *)

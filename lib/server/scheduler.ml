@@ -208,6 +208,21 @@ let finish t (j : job) state =
   j.last_checkpoint <- None;
   Condition.broadcast t.changed
 
+let engine_config (spec : Protocol.submit) =
+  {
+    Engine.Config.default with
+    qbp =
+      {
+        Burkard.Config.default with
+        iterations = spec.Protocol.iterations;
+        seed = spec.Protocol.seed;
+        gap_race = (if spec.Protocol.gap_race then Some Qbpart_gap.Race.default else None);
+      };
+    starts = spec.Protocol.starts;
+    generations = (if spec.Protocol.evolve then spec.Protocol.generations else 1);
+    pool_size = spec.Protocol.pool_size;
+  }
+
 let run_job t (j : job) =
   let work =
     locked t (fun () ->
@@ -231,22 +246,7 @@ let run_job t (j : job) =
   match work with
   | None -> ()
   | Some ({ spec; problem; resume }, deadline) ->
-    let config =
-      {
-        Engine.Config.default with
-        qbp =
-          {
-            Burkard.Config.default with
-            iterations = spec.Protocol.iterations;
-            seed = spec.Protocol.seed;
-            gap_race = (if spec.Protocol.gap_race then Some Qbpart_gap.Race.default else None);
-          };
-        starts = spec.Protocol.starts;
-        evolve = spec.Protocol.evolve;
-        generations = spec.Protocol.generations;
-        pool_size = spec.Protocol.pool_size;
-      }
-    in
+    let config = engine_config spec in
     let on_checkpoint cp =
       j.last_checkpoint <- Some cp;
       replicate t j cp

@@ -29,6 +29,7 @@
     call to this function. *)
 
 module Problem := Qbpart_core.Problem
+module Engine := Qbpart_engine.Engine
 
 type t
 
@@ -59,6 +60,12 @@ val problem_of_spec : Protocol.submit -> (Problem.t, Protocol.error_code * strin
     M × slack]) — so a checkpoint written here resumes under the CLI
     with identical instance hash.  Errors map to [Bad_request] /
     [Parse_error]. *)
+
+val engine_config : Protocol.submit -> Engine.Config.t
+(** The engine configuration a spec asks for — the one mapping from a
+    spec's solver fields to {!Engine.Config.t}, shared by jobs and ECO
+    sessions.  [evolve = false] runs one generation whatever
+    [generations] says. *)
 
 val submit : t -> Protocol.submit -> (string * int, Protocol.error_code * string) result
 (** Admit a job: parse via {!problem_of_spec}, then push under the

@@ -208,19 +208,6 @@ let cache_find t ~hash ~problem =
 
 (* --- solving -------------------------------------------------------- *)
 
-let engine_config (spec : Protocol.submit) =
-  {
-    Engine.Config.default with
-    qbp =
-      {
-        Burkard.Config.default with
-        iterations = spec.Protocol.iterations;
-        seed = spec.Protocol.seed;
-        gap_race = (if spec.Protocol.gap_race then Some Qbpart_gap.Race.default else None);
-      };
-    starts = spec.Protocol.starts;
-  }
-
 let deadline_of_spec (spec : Protocol.submit) =
   match spec.Protocol.deadline_s with
   | Some s -> Deadline.of_seconds s
@@ -262,7 +249,7 @@ let hex_hash h = Printf.sprintf "%Lx" h
 
 let cold_solve t ~(spec : Protocol.submit) ~problem ~hash ~resume =
   let resume = if resume then store_resume t ~spec ~problem ~hash else None in
-  let config = engine_config spec in
+  let config = Scheduler.engine_config spec in
   let deadline = deadline_of_spec spec in
   match Engine.solve ~config ~deadline ?resume problem with
   | Error e -> Error (Protocol.Solver_error, Engine.Error.to_string e)

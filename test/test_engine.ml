@@ -12,6 +12,7 @@ module Validate = Qbpart_partition.Validate
 module Problem = Qbpart_core.Problem
 module Burkard = Qbpart_core.Burkard
 module Adaptive = Qbpart_core.Adaptive
+module Certify = Qbpart_core.Certify
 module Circuits = Qbpart_experiments.Circuits
 module Deadline = Qbpart_engine.Deadline
 module Signals = Qbpart_engine.Signals
@@ -188,6 +189,30 @@ let test_engine_improves_or_matches_initial () =
   let r = o.Engine.report in
   check Alcotest.bool "final <= initial" true
     (r.Engine.Report.final_cost <= r.Engine.Report.initial_cost)
+
+(* A one-start solve runs STEP 3 on its own domain pool: past the
+   chunking cutoff the row refresh fans out, and the answer must not
+   move whatever the pool size. *)
+let test_engine_single_start_inner_jobs () =
+  let inst = Circuits.build (List.hd Circuits.table1) in
+  let problem = Circuits.problem ~with_timing:true inst in
+  (* Qmatrix chunks the refresh from n = 128 on *)
+  check Alcotest.bool "past the fan-out cutoff" true (Problem.n problem >= 128);
+  let solve inner_jobs =
+    let o =
+      Engine.solve ~config:{ test_config with inner_jobs } ~initial:inst.Circuits.reference
+        problem
+      |> assert_ok
+    in
+    check Alcotest.bool "certified" true (Certify.ok o.Engine.certificate);
+    (o.Engine.assignment, o.Engine.cost, (stage "qbp" o.Engine.report).Engine.Report.outcome)
+  in
+  let reference = solve 1 in
+  List.iter
+    (fun inner_jobs ->
+      if solve inner_jobs <> reference then
+        fail (Printf.sprintf "inner_jobs %d moved the answer" inner_jobs))
+    [ 2; 4 ]
 
 (* ------------------------------------------------------------------ *)
 (* Fault injection: every fault, same contract. *)
@@ -550,6 +575,8 @@ let () =
       ( "ladder",
         [
           Alcotest.test_case "clean run" `Quick test_engine_clean_run;
+          Alcotest.test_case "one start honours inner_jobs" `Quick
+            test_engine_single_start_inner_jobs;
           Alcotest.test_case "never worse than initial" `Quick
             test_engine_improves_or_matches_initial;
           Alcotest.test_case "expired deadline returns initial" `Quick

@@ -1,7 +1,8 @@
 (* Portfolio and incremental-evaluation tests: the delta-evaluation
    invariant (DESIGN.md D7) checked against full recomputes on random
    move sequences, tracked-polish bookkeeping, the reused eta/GAP
-   buffers, and the portfolio's determinism across domain counts. *)
+   buffers, and the multi-start portfolio — the search driver's
+   one-generation case — with its determinism across domain counts. *)
 
 open Qbpart_core
 module Netlist = Qbpart_netlist.Netlist
@@ -14,7 +15,7 @@ module Check = Qbpart_timing.Check
 module Assignment = Qbpart_partition.Assignment
 module Gap = Qbpart_gap.Gap
 module Mthg = Qbpart_gap.Mthg
-module Portfolio = Qbpart_engine.Portfolio
+module Evolve = Qbpart_evolve.Evolve
 
 let check = Alcotest.check
 let fail = Alcotest.fail
@@ -155,7 +156,7 @@ let test_gap_borrow () =
 
 let portfolio_run ~jobs ~seed problem =
   let config = { Burkard.Config.default with iterations = 10; seed } in
-  Portfolio.solve ~config ~max_rounds:2 ~jobs ~starts:4 problem
+  Evolve.solve ~config ~max_rounds:2 ~jobs ~starts:4 ~generations:1 problem
 
 let prop_portfolio_jobs_invariant =
   QCheck.Test.make ~name:"portfolio: jobs=1 and jobs=4 are bit-identical" ~count:8
@@ -164,26 +165,26 @@ let prop_portfolio_jobs_invariant =
       let problem = random_problem ~with_p:false inst_seed in
       let r1 = portfolio_run ~jobs:1 ~seed:base_seed problem in
       let r4 = portfolio_run ~jobs:4 ~seed:base_seed problem in
-      r1.Portfolio.best_cost = r4.Portfolio.best_cost
-      && r1.Portfolio.winner = r4.Portfolio.winner
-      && r1.Portfolio.best = r4.Portfolio.best
-      && r1.Portfolio.best_feasible = r4.Portfolio.best_feasible
-      && List.map (fun s -> (s.Portfolio.start, s.Portfolio.seed, s.Portfolio.best_cost))
-           r1.Portfolio.reports
-         = List.map (fun s -> (s.Portfolio.start, s.Portfolio.seed, s.Portfolio.best_cost))
-             r4.Portfolio.reports)
+      r1.Evolve.best_cost = r4.Evolve.best_cost
+      && r1.Evolve.winner = r4.Evolve.winner
+      && r1.Evolve.best = r4.Evolve.best
+      && r1.Evolve.best_feasible = r4.Evolve.best_feasible
+      && List.map (fun s -> (s.Evolve.start, s.Evolve.seed, s.Evolve.best_cost))
+           r1.Evolve.reports
+         = List.map (fun s -> (s.Evolve.start, s.Evolve.seed, s.Evolve.best_cost))
+             r4.Evolve.reports)
 
 let test_portfolio_single_start_matches_adaptive () =
   let problem = random_problem 42 in
   let config = { Burkard.Config.default with iterations = 15; seed = 7 } in
-  let p = Portfolio.solve ~config ~max_rounds:2 ~jobs:2 ~starts:1 problem in
+  let p = Evolve.solve ~config ~max_rounds:2 ~jobs:2 ~starts:1 ~generations:1 problem in
   let a = Adaptive.solve ~config ~max_rounds:2 problem in
   check (Alcotest.float 1e-12) "best_cost" a.Adaptive.last.Burkard.best_cost
-    p.Portfolio.best_cost;
+    p.Evolve.best_cost;
   check Alcotest.bool "same best assignment" true
-    (p.Portfolio.best = Some a.Adaptive.last.Burkard.best);
+    (p.Evolve.best = Some a.Adaptive.last.Burkard.best);
   check Alcotest.bool "same feasible champion" true
-    (Option.map snd p.Portfolio.best_feasible = Option.map snd a.Adaptive.best_feasible)
+    (Option.map snd p.Evolve.best_feasible = Option.map snd a.Adaptive.best_feasible)
 
 let test_portfolio_reduction_rule () =
   (* ascending-index scan with strict improvement: start 0's champion
@@ -191,23 +192,23 @@ let test_portfolio_reduction_rule () =
      produced the returned assignment *)
   let problem = random_problem 11 in
   let r =
-    Portfolio.solve
+    Evolve.solve
       ~config:{ Burkard.Config.default with iterations = 10 }
-      ~max_rounds:1 ~jobs:2 ~starts:5 problem
+      ~max_rounds:1 ~jobs:2 ~starts:5 ~generations:1 problem
   in
-  check Alcotest.int "one report per start" 5 (List.length r.Portfolio.reports);
-  (match r.Portfolio.winner with
+  check Alcotest.int "one report per start" 5 (List.length r.Evolve.reports);
+  (match r.Evolve.winner with
   | None -> fail "no winner on a clean run"
   | Some w ->
     let candidates =
       List.filter_map
         (fun s ->
-          match s.Portfolio.feasible_cost with
-          | Some c -> Some (s.Portfolio.start, c)
+          match s.Evolve.feasible_cost with
+          | Some c -> Some (s.Evolve.start, c)
           | None -> None)
-        r.Portfolio.reports
+        r.Evolve.reports
     in
-    (match (r.Portfolio.best_feasible, candidates) with
+    (match (r.Evolve.best_feasible, candidates) with
     | Some (_, c), _ :: _ ->
       let best = List.fold_left (fun acc (_, c) -> Float.min acc c) infinity candidates in
       check (Alcotest.float 1e-12) "champion cost is the min" best c;
@@ -215,48 +216,48 @@ let test_portfolio_reduction_rule () =
       check Alcotest.int "earliest strict winner" (fst earliest) w
     | None, [] -> ()
     | _ -> fail "reports and champion disagree"));
-  check Alcotest.int "jobs capped by starts" 2 r.Portfolio.jobs
+  check Alcotest.int "jobs capped by starts" 2 r.Evolve.jobs
 
 let test_portfolio_start_seeds () =
-  check Alcotest.int "start 0 keeps the base seed" 123 (Portfolio.start_seed ~base:123 0);
-  let seeds = List.init 16 (Portfolio.start_seed ~base:123) in
+  check Alcotest.int "start 0 keeps the base seed" 123 (Evolve.start_seed ~base:123 0);
+  let seeds = List.init 16 (Evolve.start_seed ~base:123) in
   let distinct = List.sort_uniq compare seeds in
   check Alcotest.int "16 distinct stream seeds" 16 (List.length distinct)
 
 let test_portfolio_validation () =
   let problem = random_problem 3 in
-  (match Portfolio.solve ~starts:0 problem with
+  (match Evolve.solve ~starts:0 ~generations:1 problem with
   | _ -> fail "starts=0 accepted"
   | exception Invalid_argument _ -> ());
-  match Portfolio.solve ~jobs:0 ~starts:2 problem with
+  match Evolve.solve ~jobs:0 ~starts:2 ~generations:1 problem with
   | _ -> fail "jobs=0 accepted"
   | exception Invalid_argument _ -> ()
 
 let test_portfolio_should_stop () =
   let problem = random_problem 5 in
   let r =
-    Portfolio.solve
+    Evolve.solve
       ~config:{ Burkard.Config.default with iterations = 50 }
-      ~jobs:2 ~starts:3
+      ~jobs:2 ~starts:3 ~generations:1
       ~should_stop:(fun () -> true)
       problem
   in
-  check Alcotest.bool "interrupted" true r.Portfolio.interrupted;
-  check Alcotest.int "still one report per start" 3 (List.length r.Portfolio.reports)
+  check Alcotest.bool "interrupted" true r.Evolve.interrupted;
+  check Alcotest.int "still one report per start" 3 (List.length r.Evolve.reports)
 
 let test_portfolio_on_improvement () =
   let problem = random_problem 9 in
   let calls = ref [] in
   let r =
-    Portfolio.solve
+    Evolve.solve
       ~config:{ Burkard.Config.default with iterations = 10 }
-      ~jobs:2 ~starts:3
+      ~jobs:2 ~starts:3 ~generations:1
       ~on_improvement:(fun ~start ~cost:_ ~feasible:_ -> calls := start :: !calls)
       problem
   in
   (* the incumbent only ever improves, so the callback fires at least
      once on any run that found something *)
-  match r.Portfolio.best with
+  match r.Evolve.best with
   | Some _ -> check Alcotest.bool "reported improvements" true (!calls <> [])
   | None -> ()
 
@@ -273,37 +274,37 @@ let flaky_gap n =
     else default g
 
 let supervised ?(retries = 0) ?skip ~seed ~gap problem =
-  Portfolio.solve
+  Evolve.solve
     ~config:{ Burkard.Config.default with iterations = 10; seed }
-    ~max_rounds:1 ~jobs:1 ~starts:3 ~retries ?skip ~gap_solver:gap problem
+    ~max_rounds:1 ~jobs:1 ~starts:3 ~generations:1 ~retries ?skip ~gap_solver:gap problem
 
 let test_supervision_retry_succeeds () =
   let problem = random_problem 21 in
   let base = 77 in
   let r = supervised ~retries:1 ~seed:base ~gap:(flaky_gap 1) problem in
-  check Alcotest.int "one report per start" 3 (List.length r.Portfolio.reports);
-  let s0 = List.find (fun s -> s.Portfolio.start = 0) r.Portfolio.reports in
-  check Alcotest.int "start 0 consumed a retry" 2 s0.Portfolio.attempts;
-  check Alcotest.bool "start 0 recovered" true (s0.Portfolio.failure = None);
+  check Alcotest.int "one report per start" 3 (List.length r.Evolve.reports);
+  let s0 = List.find (fun s -> s.Evolve.start = 0) r.Evolve.reports in
+  check Alcotest.int "start 0 consumed a retry" 2 s0.Evolve.attempts;
+  check Alcotest.bool "start 0 recovered" true (s0.Evolve.failure = None);
   check Alcotest.int "retry seed re-derived deterministically"
-    (Portfolio.retry_seed ~base ~start:0 ~attempt:1)
-    s0.Portfolio.seed;
+    (Evolve.retry_seed ~base ~start:0 ~attempt:1)
+    s0.Evolve.seed;
   List.iter
     (fun s ->
-      if s.Portfolio.start <> 0 then
-        check Alcotest.int "untouched starts run once" 1 s.Portfolio.attempts)
-    r.Portfolio.reports
+      if s.Evolve.start <> 0 then
+        check Alcotest.int "untouched starts run once" 1 s.Evolve.attempts)
+    r.Evolve.reports
 
 let test_supervision_failure_recorded () =
   (* retries exhausted on start 0: the run continues, the report says so *)
   let problem = random_problem 22 in
   let r = supervised ~retries:0 ~seed:5 ~gap:(flaky_gap 1) problem in
-  let s0 = List.find (fun s -> s.Portfolio.start = 0) r.Portfolio.reports in
-  check Alcotest.bool "failure recorded" true (s0.Portfolio.failure <> None);
-  check Alcotest.int "single attempt" 1 s0.Portfolio.attempts;
+  let s0 = List.find (fun s -> s.Evolve.start = 0) r.Evolve.reports in
+  check Alcotest.bool "failure recorded" true (s0.Evolve.failure <> None);
+  check Alcotest.int "single attempt" 1 s0.Evolve.attempts;
   check Alcotest.bool "failed start contributes no champion" true
-    (s0.Portfolio.feasible_cost = None);
-  (match r.Portfolio.winner with
+    (s0.Evolve.feasible_cost = None);
+  (match r.Evolve.winner with
   | Some w -> check Alcotest.bool "a surviving start wins" true (w <> 0)
   | None -> fail "survivors produced no champion")
 
@@ -312,7 +313,7 @@ let test_supervision_all_starts_failed () =
   let always_fail ~step:_ ~k:_ ~default:_ _ = failwith "injected gap failure" in
   match supervised ~retries:0 ~seed:5 ~gap:always_fail problem with
   | _ -> fail "total wipe-out returned a result"
-  | exception Portfolio.All_starts_failed failures ->
+  | exception Evolve.All_starts_failed failures ->
     check Alcotest.int "every start accounted for" 3 (List.length failures);
     check (Alcotest.list Alcotest.int) "ascending start order" [ 0; 1; 2 ]
       (List.map fst failures);
@@ -326,12 +327,12 @@ let test_supervision_deterministic () =
   let problem = random_problem 24 in
   let run () =
     let r = supervised ~retries:2 ~seed:9 ~gap:(flaky_gap 2) problem in
-    ( r.Portfolio.best_cost,
-      r.Portfolio.winner,
+    ( r.Evolve.best_cost,
+      r.Evolve.winner,
       List.map
         (fun s ->
-          (s.Portfolio.start, s.Portfolio.seed, s.Portfolio.attempts, s.Portfolio.best_cost))
-        r.Portfolio.reports )
+          (s.Evolve.start, s.Evolve.seed, s.Evolve.attempts, s.Evolve.best_cost))
+        r.Evolve.reports )
   in
   check Alcotest.bool "supervised runs are reproducible" true (run () = run ())
 
@@ -340,21 +341,21 @@ let test_supervision_skip () =
   let clean ~step:_ ~k:_ ~default g = default g in
   let r = supervised ~seed:5 ~skip:(fun k -> k = 1) ~gap:clean problem in
   check (Alcotest.list Alcotest.int) "skipped start produces no report" [ 0; 2 ]
-    (List.sort compare (List.map (fun s -> s.Portfolio.start) r.Portfolio.reports));
+    (List.sort compare (List.map (fun s -> s.Evolve.start) r.Evolve.reports));
   (* skipping everything is a no-op, not a failure — even with a
      poisoned GAP solver, nothing executes *)
   let always_fail ~step:_ ~k:_ ~default:_ _ = failwith "never reached" in
   let r = supervised ~seed:5 ~skip:(fun _ -> true) ~gap:always_fail problem in
-  check Alcotest.int "no reports" 0 (List.length r.Portfolio.reports);
-  check Alcotest.bool "no champion" true (r.Portfolio.best = None)
+  check Alcotest.int "no reports" 0 (List.length r.Evolve.reports);
+  check Alcotest.bool "no champion" true (r.Evolve.best = None)
 
 let test_retry_seed_derivation () =
   check Alcotest.int "attempt 0 is the start seed"
-    (Portfolio.start_seed ~base:123 5)
-    (Portfolio.retry_seed ~base:123 ~start:5 ~attempt:0);
+    (Evolve.start_seed ~base:123 5)
+    (Evolve.retry_seed ~base:123 ~start:5 ~attempt:0);
   let seeds =
     List.concat_map
-      (fun start -> List.init 4 (fun attempt -> Portfolio.retry_seed ~base:123 ~start ~attempt))
+      (fun start -> List.init 4 (fun attempt -> Evolve.retry_seed ~base:123 ~start ~attempt))
       [ 0; 1; 2; 3 ]
   in
   check Alcotest.int "16 distinct attempt seeds" 16

@@ -766,6 +766,32 @@ let test_session_torn_apply_demotes_to_cold () =
   check Alcotest.bool "warm answer certified" true v2.Protocol.eco_certified;
   Session.drain t
 
+(* A session payload is exactly a submit spec: an evolve spec must run
+   the population search, as the same spec does through submit. *)
+let test_session_open_runs_evolve () =
+  let dir =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "qbpart-session-evolve-test-%d" (Unix.getpid ()))
+  in
+  if not (Sys.file_exists dir) then Unix.mkdir dir 0o700;
+  let t =
+    Session.create
+      { Session.cache_capacity = 4; checkpoint_dir = dir; fault = None }
+      ~metrics:(Metrics.create ())
+  in
+  let spec =
+    { (small_grid (base_spec (netlist_text ~n:16 ~wires:40 ~seed:11))) with
+      Protocol.slack = 1.4; iterations = 20; seed = 3; evolve = true; starts = 4;
+      generations = 2 }
+  in
+  (match Session.open_session t spec with
+  | Ok v ->
+    check Alcotest.bool "open certified" true v.Protocol.eco_certified;
+    check Alcotest.bool "stage report names the evolve search" true
+      (List.exists (String.starts_with ~prefix:"evolve:") v.Protocol.eco_stages)
+  | Error (c, m) -> fail (Protocol.error_code_to_string c ^ ": " ^ m));
+  Session.drain t
+
 let test_session_fault_spec () =
   (match Session.Fault.of_spec "corrupt=1,torn=3,stale=5" with
   | Ok f ->
@@ -1623,6 +1649,8 @@ let () =
             test_session_integrity_demotes_to_cold;
           Alcotest.test_case "torn apply demotes to certified cold" `Quick
             test_session_torn_apply_demotes_to_cold;
+          Alcotest.test_case "open runs an evolve spec as evolve" `Quick
+            test_session_open_runs_evolve;
         ] );
       ( "client",
         [
