@@ -394,7 +394,7 @@ let kernels ?(baselines_only = false) inst =
      so the delta-vs-full ratio below is a lower bound *)
   let j_hot = ref 0 in
   for j = 1 to n - 1 do
-    if Array.length (Netlist.adj nl j) > Array.length (Netlist.adj nl !j_hot) then j_hot := j
+    if Netlist.degree nl j > Netlist.degree nl !j_hot then j_hot := j
   done;
   let j_hot = !j_hot in
   let i_move = (u.(j_hot) + 1) mod m in

@@ -25,13 +25,11 @@ module Generator = Qbpart_netlist.Generator
 module Parser = Qbpart_netlist.Parser
 module Printer = Qbpart_netlist.Printer
 module Stats = Qbpart_netlist.Stats
-module Grid = Qbpart_topology.Grid
 module Topology = Qbpart_topology.Topology
 module Constraints = Qbpart_timing.Constraints
 module Evaluate = Qbpart_partition.Evaluate
 module Initial = Qbpart_partition.Initial
 module Problem = Qbpart_core.Problem
-module Burkard = Qbpart_core.Burkard
 module Evolve = Qbpart_evolve.Evolve
 module Gfm = Qbpart_baselines.Gfm
 module Gkl = Qbpart_baselines.Gkl
@@ -41,6 +39,8 @@ module Engine = Qbpart_engine.Engine
 module Checkpoint = Qbpart_engine.Checkpoint
 module Certify = Qbpart_core.Certify
 module Experiments = Qbpart_experiments
+module Sproto = Qbpart_server.Protocol
+module Scheduler = Qbpart_server.Scheduler
 
 open Cmdliner
 
@@ -293,7 +293,19 @@ let stats_cmd =
   let path = Arg.(required & pos 0 (some file) None & info [] ~docv:"NETLIST") in
   Cmd.v (Cmd.info "stats" ~doc:"Print circuit statistics") Term.(term_result (const run $ path))
 
-(* --- solve --------------------------------------------------------- *)
+(* --- the solve spec ------------------------------------------------ *)
+
+(* [Protocol.submit] is the one description of a solve, and [Scheduler]
+   says what it means: its validity rule, its grid, its deadline and its
+   engine configuration.  [solve], [submit] and [session open] build it
+   from the same flags, whose defaults are the protocol's. *)
+let spec_default = Sproto.default_submit ~netlist:(Sproto.Inline "")
+
+let check_spec spec = Result.map_error (fun (_, m) -> `Msg m) (Scheduler.check_spec spec)
+
+(* The spec term names its input files by path; a command reads them
+   itself or ships them to the daemon. *)
+let path_of = function Sproto.File path -> path | Sproto.Inline _ -> invalid_arg "path_of"
 
 let load_constraints nl = function
   | None -> Ok None
@@ -304,10 +316,14 @@ let load_constraints nl = function
       msgf "%s: %s" path (Qbpart_timing.Constraints_io.error_to_string e)
     | exception Sys_error m -> Error (`Msg m))
 
-let grid_topology nl ~rows ~cols ~slack =
-  let m = rows * cols in
-  let capacity = Netlist.total_size nl /. float_of_int m *. slack in
-  Grid.make ~rows ~cols ~capacity ()
+(* The instance a spec names, read locally: netlist, budgets and grid. *)
+let load_spec (spec : Sproto.submit) =
+  let path = path_of spec.netlist in
+  let* nl = load_netlist path in
+  let* constraints = load_constraints nl (Option.map path_of spec.timing) in
+  match Scheduler.topology_of_spec spec nl with
+  | topo -> Ok (nl, constraints, topo)
+  | exception Invalid_argument m -> msgf "%s: %s" path m
 
 (* Durations: "2" = "2s" = seconds, "250ms" = milliseconds. *)
 let duration_conv =
@@ -325,53 +341,118 @@ let duration_conv =
   let print ppf secs = Format.fprintf ppf "%gs" secs in
   Arg.conv (parse, print)
 
+(* The instance half of the spec — netlist, budgets and grid — which is
+   all [eval] needs. *)
+let instance_term =
+  let make netlist timing rows cols slack =
+    let file path = Sproto.File path in
+    { spec_default with netlist = file netlist; timing = Option.map file timing; rows; cols; slack }
+  in
+  let netlist = Arg.(required & pos 0 (some file) None & info [] ~docv:"NETLIST") in
+  let timing =
+    Arg.(value & opt (some file) None & info [ "t"; "timing" ] ~docv:"BUDGETS"
+           ~doc:"Timing-budget file ($(b,budget)/$(b,budget_sym) lines).")
+  in
+  let rows = Arg.(value & opt int spec_default.rows & info [ "rows" ] ~doc:"Grid rows.") in
+  let cols = Arg.(value & opt int spec_default.cols & info [ "cols" ] ~doc:"Grid cols.") in
+  let slack =
+    Arg.(value & opt float spec_default.slack & info [ "slack" ]
+           ~doc:"Capacity slack factor: each partition holds the total component size \
+                 divided by the partition count, times this.")
+  in
+  Term.(const make $ netlist $ timing $ rows $ cols $ slack)
+
+(* The whole spec: the instance plus the search budget. *)
+let spec_term =
+  let make (inst : Sproto.submit) iterations seed starts gap_race evolve generations pool_size
+      deadline_s =
+    { inst with iterations; seed; starts; gap_race; evolve; generations; pool_size; deadline_s }
+  in
+  let iterations =
+    Arg.(value & opt int spec_default.iterations & info [ "iterations" ]
+           ~doc:"QBP iterations per start.")
+  in
+  let seed = Arg.(value & opt int spec_default.seed & info [ "seed" ] ~doc:"Random seed.") in
+  let starts =
+    Arg.(value & opt int spec_default.starts & info [ "starts" ]
+           ~doc:"QBP starts with distinct seeds: independent starts (the multi-start \
+                 portfolio), or with --evolve the total budget across --generations; \
+                 the best solution wins deterministically.")
+  in
+  let gap_race =
+    Arg.(value & flag & info [ "gap-race" ]
+           ~doc:"Race the inner GAP solvers each QBP iteration (MTHG vs \
+                 Lagrangian-guided greedy vs exact branch-and-bound on small \
+                 instances) and take the best candidate deterministically.")
+  in
+  let evolve =
+    Arg.(value & flag & info [ "evolve" ]
+           ~doc:"Run the cooperating elite-pool population search: the --starts \
+                 budget is split across --generations, later generations are \
+                 warm-started from crossover / path-relinking / \
+                 recursive-bipartition recombinations of a diverse elite pool, \
+                 and the champion is reduced deterministically (same seed and \
+                 budget, same answer at any --jobs).  Under $(b,solve) it implies \
+                 the resilient engine.")
+  in
+  let generations =
+    Arg.(value & opt int spec_default.generations & info [ "generations" ]
+           ~doc:"Evolve generations; 1 makes --evolve the plain multi-start portfolio \
+                 (reported as such, and resumable start by start).  Used only with \
+                 --evolve, but must be >= 1.")
+  in
+  let pool_size =
+    Arg.(value & opt int spec_default.pool_size & info [ "pool-size" ]
+           ~doc:"Elite-pool capacity for --evolve (>= 1).")
+  in
+  let deadline =
+    Arg.(value & opt (some duration_conv) spec_default.deadline_s & info [ "deadline" ]
+           ~docv:"DURATION"
+           ~doc:"Wall-clock budget (e.g. $(b,2s), $(b,250ms)) for the solve: per job \
+                 under $(b,submit), per solve in a session.  The solver returns its \
+                 best-so-far feasible solution when the budget expires.")
+  in
+  Term.(
+    const make $ instance_term $ iterations $ seed $ starts $ gap_race $ evolve $ generations
+    $ pool_size $ deadline)
+
+(* --- solve --------------------------------------------------------- *)
+
 let algorithm_conv = Arg.enum [ ("qbp", `Qbp); ("gfm", `Gfm); ("gkl", `Gkl) ]
 
 let solve_cmd =
-  let run path timing rows cols slack algorithm iterations seed gap_race deadline fallback
-      starts jobs inner_jobs retries evolve generations pool_size min_distance checkpoint
-      every resume initial out =
-    let* nl = load_netlist path in
-    let* constraints = load_constraints nl timing in
-    let* () =
-      if rows < 1 || cols < 1 then msgf "--rows and --cols must be >= 1" else Ok ()
-    in
-    let* () = if iterations < 0 then msgf "--iterations must be >= 0" else Ok () in
-    let* () = if starts < 1 then msgf "--starts must be >= 1" else Ok () in
+  let run (spec : Sproto.submit) algorithm fallback jobs inner_jobs retries checkpoint every
+      resume initial out =
+    let* () = check_spec spec in
     let* () = if jobs < 0 then msgf "--jobs must be >= 1 (or 0 for auto)" else Ok () in
     let* () = if retries < 0 then msgf "--retries must be >= 0" else Ok () in
     let* () = if inner_jobs < 1 then msgf "--inner-jobs must be >= 1" else Ok () in
-    let* () = if generations < 1 then msgf "--generations must be >= 1" else Ok () in
-    let* () = if pool_size < 1 then msgf "--pool-size must be >= 1" else Ok () in
-    let* () =
-      match min_distance with
-      | Some d when d < 0 -> msgf "--min-distance must be >= 0"
-      | _ -> Ok ()
-    in
     let* () =
       match algorithm with
       | `Qbp -> Ok ()
       | `Gfm | `Gkl ->
-        if starts > 1 then msgf "--starts drives the multi-start QBP portfolio; use it with -a qbp"
-        else if evolve then msgf "--evolve drives the QBP population search; use it with -a qbp"
+        if spec.starts > 1 then
+          msgf "--starts drives the multi-start QBP portfolio; use it with -a qbp"
+        else if spec.evolve then msgf "--evolve drives the QBP population search; use it with -a qbp"
         else if checkpoint <> None || resume <> None then
           msgf "--checkpoint/--resume run the crash-safe engine; use them with -a qbp"
         else Ok ()
     in
-    let jobs = if jobs = 0 then None else Some jobs in
-    let qbp_config =
+    let* nl, constraints, topo = load_spec spec in
+    (* jobs, inner domains and retries size the process running the
+       solve, so they are flags of this command, not fields of the spec *)
+    let config =
       {
-        Burkard.Config.default with
-        iterations;
-        seed;
-        gap_race = (if gap_race then Some Qbpart_gap.Race.default else None);
+        (Scheduler.engine_config spec) with
+        jobs = (if jobs = 0 then None else Some jobs);
+        inner_jobs;
+        retries;
       }
     in
-    let topo = grid_topology nl ~rows ~cols ~slack in
     (* a checkpointed or resumed solve always runs the full engine: the
        checkpoint format records engine-level state (safety net,
        per-start progress) no bare solver run maintains *)
-    let engine_path = fallback || evolve || checkpoint <> None || resume <> None in
+    let engine_path = fallback || spec.evolve || checkpoint <> None || resume <> None in
     let* resumed =
       match resume with
       | None -> Ok None
@@ -383,11 +464,12 @@ let solve_cmd =
     (* [--deadline] is the total budget of the run across crashes: a
        resumed solve only gets what the checkpointed run left unspent *)
     let deadline =
-      match deadline with
-      | None -> Deadline.none ()
-      | Some secs ->
-        let spent = match resumed with Some cp -> cp.Checkpoint.elapsed | None -> 0.0 in
-        Deadline.of_seconds (Float.max 0.0 (secs -. spent))
+      let spent = match resumed with Some cp -> cp.Checkpoint.elapsed | None -> 0.0 in
+      Scheduler.deadline_of_spec
+        {
+          spec with
+          deadline_s = Option.map (fun secs -> Float.max 0.0 (secs -. spent)) spec.deadline_s;
+        }
     in
     let* final =
       if engine_path then begin
@@ -396,19 +478,6 @@ let solve_cmd =
           | `Qbp -> Ok ()
           | `Gfm | `Gkl ->
             msgf "--fallback drives the fixed qbp -> gkl -> gfm degradation ladder; use it with -a qbp"
-        in
-        let config =
-          {
-            Engine.Config.default with
-            qbp = qbp_config;
-            starts;
-            jobs;
-            inner_jobs;
-            retries;
-            generations = (if evolve then generations else 1);
-            pool_size;
-            min_distance;
-          }
         in
         let problem = Problem.make ?constraints nl topo in
         (* SIGINT/SIGTERM: cooperative cancellation through the shared
@@ -466,7 +535,7 @@ let solve_cmd =
           finish assignment
       end
       else begin
-        let rng = Rng.create seed in
+        let rng = Rng.create spec.seed in
         let* initial =
           match initial with
           | Some file ->
@@ -501,8 +570,8 @@ let solve_cmd =
                each start a plain (non-continuation) Burkard run *)
             let problem = Problem.make ?constraints nl topo in
             let result =
-              Evolve.solve ~config:qbp_config ~max_rounds:1 ~generations:1 ?jobs ~inner_jobs
-                ~starts ~retries ~initial ~should_stop problem
+              Evolve.solve ~config:config.qbp ~max_rounds:1 ~generations:1 ?jobs:config.jobs
+                ~inner_jobs ~starts:spec.starts ~retries ~initial ~should_stop problem
             in
             (match result.Evolve.best_feasible with
             | Some (a, _) -> a
@@ -523,44 +592,14 @@ let solve_cmd =
       (Qbpart_partition.Metrics.compute ?constraints nl topo final);
     emit_assignment nl topo final out
   in
-  let path = Arg.(required & pos 0 (some file) None & info [] ~docv:"NETLIST") in
-  let timing =
-    Arg.(value & opt (some file) None & info [ "t"; "timing" ] ~docv:"BUDGETS"
-           ~doc:"Timing-budget file ($(b,budget)/$(b,budget_sym) lines).")
-  in
-  let rows = Arg.(value & opt int 4 & info [ "rows" ] ~doc:"Grid rows.") in
-  let cols = Arg.(value & opt int 4 & info [ "cols" ] ~doc:"Grid cols.") in
-  let slack =
-    Arg.(value & opt float 1.15 & info [ "slack" ] ~doc:"Capacity slack factor.")
-  in
   let algorithm =
     Arg.(value & opt algorithm_conv `Qbp & info [ "a"; "algorithm" ] ~doc:"qbp, gfm or gkl.")
-  in
-  let iterations = Arg.(value & opt int 100 & info [ "iterations" ] ~doc:"QBP iterations.") in
-  let seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Random seed.") in
-  let gap_race =
-    Arg.(value & flag & info [ "gap-race" ]
-           ~doc:"Race the inner GAP solvers each QBP iteration (MTHG vs \
-                 Lagrangian-guided greedy vs exact branch-and-bound on small \
-                 instances) and take the best candidate deterministically. \
-                 Only with -a qbp.")
-  in
-  let deadline =
-    Arg.(value & opt (some duration_conv) None & info [ "deadline" ] ~docv:"DURATION"
-           ~doc:"Wall-clock budget (e.g. $(b,2s), $(b,250ms)). The solver returns its \
-                 best-so-far feasible solution when the budget expires.")
   in
   let fallback =
     Arg.(value & flag & info [ "fallback" ]
            ~doc:"Run the resilient engine: QBP first, falling back to GKL, then GFM, \
                  then the greedy initial solution on timeout, stall or failure. \
                  Prints a stage report on stderr.")
-  in
-  let starts =
-    Arg.(value & opt int 1 & info [ "starts" ]
-           ~doc:"QBP starts with distinct seeds: independent starts (the multi-start \
-                 portfolio), or with --evolve the total budget across --generations; \
-                 the best solution wins deterministically. Only with -a qbp.")
   in
   let jobs =
     Arg.(value & opt int 0 & info [ "j"; "jobs" ]
@@ -581,30 +620,6 @@ let solve_cmd =
            ~doc:"Extra supervised attempts for a QBP start that crashes (also when \
                  --starts is 1), each with a deterministically re-derived seed. The \
                  run fails only if every start fails.")
-  in
-  let evolve =
-    Arg.(value & flag & info [ "evolve" ]
-           ~doc:"Run the cooperating elite-pool population search: the --starts \
-                 budget is split across --generations, later generations are \
-                 warm-started from crossover / path-relinking / \
-                 recursive-bipartition recombinations of a diverse elite pool, \
-                 and the champion is reduced deterministically (same seed and \
-                 budget, same answer at any --jobs). Implies the resilient \
-                 engine. Only with -a qbp.")
-  in
-  let generations =
-    Arg.(value & opt int 4 & info [ "generations" ]
-           ~doc:"Evolve generations; 1 makes --evolve the plain multi-start portfolio \
-                 (reported as such, and resumable start by start). Only with --evolve.")
-  in
-  let pool_size =
-    Arg.(value & opt int 8 & info [ "pool-size" ]
-           ~doc:"Elite-pool capacity for --evolve.")
-  in
-  let min_distance =
-    Arg.(value & opt (some int) None & info [ "min-distance" ]
-           ~doc:"Elite-pool diversity radius (aligned Hamming distance); default \
-                 is one sixteenth of the component count.")
   in
   let checkpoint =
     Arg.(value & opt (some string) None & info [ "checkpoint" ] ~docv:"FILE"
@@ -640,38 +655,25 @@ let solve_cmd =
     (Cmd.info "solve" ~doc:"Partition a netlist onto a grid")
     Term.(
       term_result
-        (const run $ path $ timing $ rows $ cols $ slack $ algorithm $ iterations $ seed
-       $ gap_race $ deadline $ fallback $ starts $ jobs $ inner_jobs $ retries $ evolve
-       $ generations $ pool_size $ min_distance $ checkpoint $ every $ resume $ initial
-       $ out))
+        (const run $ spec_term $ algorithm $ fallback $ jobs $ inner_jobs $ retries
+       $ checkpoint $ every $ resume $ initial $ out))
 
 (* --- eval ---------------------------------------------------------- *)
 
 let eval_cmd =
-  let run netlist_path assignment_path timing rows cols slack =
-    let* nl = load_netlist netlist_path in
-    let* constraints = load_constraints nl timing in
-    let* () =
-      if rows < 1 || cols < 1 then msgf "--rows and --cols must be >= 1" else Ok ()
-    in
-    let topo = grid_topology nl ~rows ~cols ~slack in
+  let run spec assignment_path =
+    let* () = check_spec spec in
+    let* nl, constraints, topo = load_spec spec in
     let* assignment = parse_assignment nl topo assignment_path in
     Format.printf "%a"
       Qbpart_partition.Metrics.pp
       (Qbpart_partition.Metrics.compute ?constraints nl topo assignment);
     Ok ()
   in
-  let netlist = Arg.(required & pos 0 (some file) None & info [] ~docv:"NETLIST") in
   let assignment = Arg.(required & pos 1 (some file) None & info [] ~docv:"ASSIGNMENT") in
-  let timing =
-    Arg.(value & opt (some file) None & info [ "t"; "timing" ] ~docv:"BUDGETS")
-  in
-  let rows = Arg.(value & opt int 4 & info [ "rows" ] ~doc:"Grid rows.") in
-  let cols = Arg.(value & opt int 4 & info [ "cols" ] ~doc:"Grid cols.") in
-  let slack = Arg.(value & opt float 1.15 & info [ "slack" ] ~doc:"Capacity slack factor.") in
   Cmd.v
     (Cmd.info "eval" ~doc:"Evaluate an assignment produced by solve")
-    Term.(term_result (const run $ netlist $ assignment $ timing $ rows $ cols $ slack))
+    Term.(term_result (const run $ instance_term $ assignment))
 
 (* --- checkpoint ---------------------------------------------------- *)
 
@@ -709,7 +711,6 @@ let checkpoint_cmd =
 (* --- service client: submit / status / cancel / metrics ------------ *)
 
 module Sclient = Qbpart_server.Client
-module Sproto = Qbpart_server.Protocol
 
 let socket_arg =
   Arg.(value & opt string "qbpartd.sock" & info [ "socket" ] ~docv:"ADDR"
@@ -745,14 +746,6 @@ let with_client ?connect_timeout ?read_timeout socket f =
 let server_error code message =
   msgf "server %s: %s" (Sproto.error_code_to_string code) message
 
-let load_inline what path =
-  match In_channel.with_open_bin path In_channel.input_all with
-  | text -> Ok (Sproto.Inline text)
-  | exception Sys_error m -> msgf "%s %s: %s" what path m
-
-let absolute path =
-  if Filename.is_relative path then Filename.concat (Sys.getcwd ()) path else path
-
 let describe_job ppf (v : Sproto.job_view) =
   Format.fprintf ppf "job %s: %s" v.Sproto.id (Sproto.job_state_to_string v.Sproto.state);
   (match v.Sproto.cost with Some c -> Format.fprintf ppf " cost=%.1f" c | None -> ());
@@ -786,50 +779,41 @@ let finish_waited ~nl ~topo ~out (v : Sproto.job_view) =
   | Sproto.Cancelled -> msgf "job %s was cancelled" v.Sproto.id
   | Sproto.Queued | Sproto.Running -> msgf "job %s still in flight" v.Sproto.id
 
+(* The one way a spec reaches the daemon.  It is checked and its files
+   parsed locally first, so a bad flag or a malformed file fails fast
+   with the usual diagnosis instead of a round trip; then the files go
+   inline, or with --by-path as absolute paths the daemon reads itself. *)
+let ship ~by_path (spec : Sproto.submit) =
+  let* () = check_spec spec in
+  let* nl, _, topo = load_spec spec in
+  let send what source =
+    let path = path_of source in
+    if by_path then
+      let abs = if Filename.is_relative path then Filename.concat (Sys.getcwd ()) path else path in
+      Ok (Sproto.File abs)
+    else
+      match In_channel.with_open_bin path In_channel.input_all with
+      | text -> Ok (Sproto.Inline text)
+      | exception Sys_error m -> msgf "%s %s: %s" what path m
+  in
+  let* netlist = send "netlist" spec.netlist in
+  let* timing =
+    match spec.timing with
+    | None -> Ok None
+    | Some source -> Result.map Option.some (send "timing budgets" source)
+  in
+  Ok (nl, topo, { spec with netlist; timing })
+
+let by_path_arg =
+  Arg.(value & flag & info [ "by-path" ]
+         ~doc:"Send file paths for the daemon to read, instead of inlining file \
+               contents into the request (daemon and client must share a \
+               filesystem).")
+
 let submit_cmd =
-  let run socket path timing by_path rows cols slack iterations seed starts gap_race evolve
-      generations pool_size deadline label priority wait out connect_timeout read_timeout
-      retries =
-    let* () =
-      if rows < 1 || cols < 1 then msgf "--rows and --cols must be >= 1" else Ok ()
-    in
-    let* () = if iterations < 0 then msgf "--iterations must be >= 0" else Ok () in
-    let* () = if starts < 1 then msgf "--starts must be >= 1" else Ok () in
-    let* () = if generations < 1 then msgf "--generations must be >= 1" else Ok () in
-    let* () = if pool_size < 1 then msgf "--pool-size must be >= 1" else Ok () in
-    (* parse locally first: a malformed netlist should fail fast with the
-       usual CLI diagnosis, not a round-trip to the daemon *)
-    let* nl = load_netlist path in
-    let* _local_constraints = load_constraints nl timing in
-    let* netlist =
-      if by_path then Ok (Sproto.File (absolute path)) else load_inline "netlist" path
-    in
-    let* timing_src =
-      match timing with
-      | None -> Ok None
-      | Some tpath ->
-        if by_path then Ok (Some (Sproto.File (absolute tpath)))
-        else Result.map Option.some (load_inline "timing budgets" tpath)
-    in
-    let spec =
-      {
-        (Sproto.default_submit ~netlist) with
-        Sproto.timing = timing_src;
-        rows;
-        cols;
-        slack;
-        iterations;
-        seed;
-        starts;
-        gap_race;
-        evolve;
-        generations;
-        pool_size;
-        deadline_s = deadline;
-        label;
-        priority;
-      }
-    in
+  let run socket spec by_path label priority wait out connect_timeout read_timeout retries =
+    let* nl, topo, spec = ship ~by_path spec in
+    let spec = { spec with Sproto.label; priority } in
     let* addr = addr_of socket in
     (* Submit through the retrying one-shot path: transport failures and
        overloaded/draining/unavailable refusals back off and resubmit.
@@ -852,51 +836,10 @@ let submit_cmd =
         with_client ~connect_timeout ~read_timeout socket (fun c ->
             match Sclient.wait c job with
             | Error m -> Error (`Msg m)
-            | Ok v ->
-              let topo = grid_topology nl ~rows ~cols ~slack in
-              finish_waited ~nl ~topo ~out v)
+            | Ok v -> finish_waited ~nl ~topo ~out v)
       end
     | Ok other ->
       msgf "unexpected response: %s" (Format.asprintf "%a" Sproto.pp_response other)
-  in
-  let path = Arg.(required & pos 0 (some file) None & info [] ~docv:"NETLIST") in
-  let timing =
-    Arg.(value & opt (some file) None & info [ "t"; "timing" ] ~docv:"BUDGETS"
-           ~doc:"Timing-budget file submitted with the netlist.")
-  in
-  let by_path =
-    Arg.(value & flag & info [ "by-path" ]
-           ~doc:"Send file paths for the daemon to read, instead of inlining file \
-                 contents into the request (daemon and client must share a \
-                 filesystem).")
-  in
-  let rows = Arg.(value & opt int 4 & info [ "rows" ] ~doc:"Grid rows.") in
-  let cols = Arg.(value & opt int 4 & info [ "cols" ] ~doc:"Grid cols.") in
-  let slack = Arg.(value & opt float 1.15 & info [ "slack" ] ~doc:"Capacity slack factor.") in
-  let iterations = Arg.(value & opt int 100 & info [ "iterations" ] ~doc:"QBP iterations.") in
-  let seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Random seed.") in
-  let starts =
-    Arg.(value & opt int 1 & info [ "starts" ] ~doc:"Portfolio starts for this job.")
-  in
-  let gap_race =
-    Arg.(value & flag & info [ "gap-race" ]
-           ~doc:"Race the inner GAP solvers each QBP iteration (see $(b,solve)).")
-  in
-  let evolve =
-    Arg.(value & flag & info [ "evolve" ]
-           ~doc:"Run the elite-pool population search for this job (see $(b,solve)).")
-  in
-  let generations =
-    Arg.(value & opt int 4 & info [ "generations" ]
-           ~doc:"Evolve generations for this job.")
-  in
-  let pool_size =
-    Arg.(value & opt int 8 & info [ "pool-size" ]
-           ~doc:"Evolve elite-pool capacity for this job.")
-  in
-  let deadline =
-    Arg.(value & opt (some duration_conv) None & info [ "deadline" ] ~docv:"DURATION"
-           ~doc:"Per-job wall-clock budget enforced by the daemon.")
   in
   let label =
     Arg.(value & opt (some string) None & info [ "label" ] ~docv:"TEXT"
@@ -905,7 +848,7 @@ let submit_cmd =
   let priority =
     Arg.(value
          & opt (enum [ ("interactive", Sproto.Interactive); ("batch", Sproto.Batch) ])
-             Sproto.Batch
+             spec_default.priority
          & info [ "priority" ] ~docv:"CLASS"
              ~doc:"Admission class: $(b,interactive) jobs dequeue with a higher weight \
                    and, at capacity, shed the newest queued $(b,batch) job instead of \
@@ -924,9 +867,8 @@ let submit_cmd =
     (Cmd.info "submit" ~doc:"Submit a partitioning job to a qbpartd daemon")
     Term.(
       term_result
-        (const run $ socket_arg $ path $ timing $ by_path $ rows $ cols $ slack $ iterations
-       $ seed $ starts $ gap_race $ evolve $ generations $ pool_size $ deadline $ label
-       $ priority $ wait $ out $ connect_timeout_arg $ read_timeout_arg $ retries_arg))
+        (const run $ socket_arg $ spec_term $ by_path_arg $ label $ priority $ wait $ out
+       $ connect_timeout_arg $ read_timeout_arg $ retries_arg))
 
 let status_line (v : Sproto.job_view) =
   match v.Sproto.state with
@@ -1095,39 +1037,8 @@ let finish_eco (v : Sproto.eco_view) =
   else msgf "session %s: answer failed independent certification" v.Sproto.eco_session
 
 let session_open_cmd =
-  let run socket path timing by_path rows cols slack iterations seed starts gap_race deadline
-      connect_timeout read_timeout =
-    let* () =
-      if rows < 1 || cols < 1 then msgf "--rows and --cols must be >= 1" else Ok ()
-    in
-    let* () = if starts < 1 then msgf "--starts must be >= 1" else Ok () in
-    (* parse locally first, same as submit: malformed inputs fail fast *)
-    let* nl = load_netlist path in
-    let* _local_constraints = load_constraints nl timing in
-    let* netlist =
-      if by_path then Ok (Sproto.File (absolute path)) else load_inline "netlist" path
-    in
-    let* timing_src =
-      match timing with
-      | None -> Ok None
-      | Some tpath ->
-        if by_path then Ok (Some (Sproto.File (absolute tpath)))
-        else Result.map Option.some (load_inline "timing budgets" tpath)
-    in
-    let spec =
-      {
-        (Sproto.default_submit ~netlist) with
-        Sproto.timing = timing_src;
-        rows;
-        cols;
-        slack;
-        iterations;
-        seed;
-        starts;
-        gap_race;
-        deadline_s = deadline;
-      }
-    in
+  let run socket spec by_path connect_timeout read_timeout =
+    let* _, _, spec = ship ~by_path spec in
     with_client ~connect_timeout ~read_timeout socket (fun c ->
         match Sclient.call c (Sproto.Session_open spec) with
         | Error m -> Error (`Msg m)
@@ -1136,38 +1047,14 @@ let session_open_cmd =
         | Ok other ->
           msgf "unexpected response: %s" (Format.asprintf "%a" Sproto.pp_response other))
   in
-  let path = Arg.(required & pos 0 (some file) None & info [] ~docv:"NETLIST") in
-  let timing =
-    Arg.(value & opt (some file) None & info [ "t"; "timing" ] ~docv:"BUDGETS"
-           ~doc:"Timing-budget file submitted with the netlist.")
-  in
-  let by_path =
-    Arg.(value & flag & info [ "by-path" ]
-           ~doc:"Send file paths for the daemon to read instead of inlining contents.")
-  in
-  let rows = Arg.(value & opt int 4 & info [ "rows" ] ~doc:"Grid rows.") in
-  let cols = Arg.(value & opt int 4 & info [ "cols" ] ~doc:"Grid cols.") in
-  let slack = Arg.(value & opt float 1.15 & info [ "slack" ] ~doc:"Capacity slack factor.") in
-  let iterations = Arg.(value & opt int 100 & info [ "iterations" ] ~doc:"QBP iterations.") in
-  let seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Random seed.") in
-  let starts =
-    Arg.(value & opt int 1 & info [ "starts" ] ~doc:"Portfolio starts for the base solve.")
-  in
-  let gap_race =
-    Arg.(value & flag & info [ "gap-race" ] ~doc:"Race the inner GAP solvers.")
-  in
-  let deadline =
-    Arg.(value & opt (some duration_conv) None & info [ "deadline" ] ~docv:"DURATION"
-           ~doc:"Wall-clock budget for each solve in this session.")
-  in
   Cmd.v
     (Cmd.info "open"
        ~doc:"Open an ECO session: solve the instance (resuming from a replicated \
              checkpoint when one matches) and pin it server-side for warm deltas")
     Term.(
       term_result
-        (const run $ socket_arg $ path $ timing $ by_path $ rows $ cols $ slack $ iterations
-       $ seed $ starts $ gap_race $ deadline $ connect_timeout_arg $ read_timeout_arg))
+        (const run $ socket_arg $ spec_term $ by_path_arg $ connect_timeout_arg
+       $ read_timeout_arg))
 
 let session_close_cmd =
   let run socket session =

@@ -131,8 +131,6 @@ end
 module Config = struct
   type t = {
     qbp : Burkard.Config.t;
-    gkl : Gkl.config;
-    gfm : Gfm.config;
     max_rounds : int;
     penalty_factor : float;
     stall_patience : int;
@@ -144,14 +142,11 @@ module Config = struct
     retries : int;
     generations : int;
     pool_size : int;
-    min_distance : int option;
   }
 
   let default =
     {
       qbp = Burkard.Config.default;
-      gkl = Gkl.default_config;
-      gfm = Gfm.default_config;
       max_rounds = 4;
       penalty_factor = 8.0;
       stall_patience = 25;
@@ -163,7 +158,6 @@ module Config = struct
       retries = 1;
       generations = 1;
       pool_size = 8;
-      min_distance = None;
     }
 end
 
@@ -210,12 +204,6 @@ let validate_config (c : Config.t) =
   else if c.Config.retries < 0 then err "retries" "must be >= 0"
   else if c.Config.generations < 1 then err "generations" "must be >= 1"
   else if c.Config.pool_size < 1 then err "pool_size" "must be >= 1"
-  else if (match c.Config.min_distance with Some d -> d < 0 | None -> false) then
-    err "min_distance" "must be >= 0"
-  else if c.Config.gfm.Gfm.max_passes < 0 then err "gfm.max_passes" "must be >= 0"
-  else if c.Config.gkl.Gkl.max_outer < 0 then err "gkl.max_outer" "must be >= 0"
-  else if c.Config.gkl.Gkl.dummies < 0 then err "gkl.dummies" "must be >= 0"
-  else if c.Config.gkl.Gkl.stall_cutoff < 0 then err "gkl.stall_cutoff" "must be >= 0"
   else None
 
 (* --- safety-net construction -------------------------------------- *)
@@ -468,7 +456,7 @@ let run_ladder (config : Config.t) deadline initial fault problem start ~init_st
               ~factor:config.Config.penalty_factor ?jobs:config.Config.jobs
               ~inner_jobs:config.Config.inner_jobs ~starts:config.Config.starts
               ~generations:config.Config.generations ~pool_size:config.Config.pool_size
-              ?min_distance:config.Config.min_distance ~retries:config.Config.retries
+              ~retries:config.Config.retries
               ~skip:(if evolving then fun _ -> false else skip_starts)
               ~initial:warm ~should_stop
               ~stall:(config.Config.stall_patience, config.Config.stall_epsilon)
@@ -534,7 +522,7 @@ let run_ladder (config : Config.t) deadline initial fault problem start ~init_st
      let gkl_outcome =
        run_fallback "gkl" (fun init ->
            let r =
-             Gkl.solve ~config:config.Config.gkl ?p ~alpha ~beta ~constraints:cons
+             Gkl.solve ?p ~alpha ~beta ~constraints:cons
                ~should_stop:stop nl topo ~initial:init
            in
            (r.Gkl.assignment, r.Gkl.interrupted))
@@ -543,7 +531,7 @@ let run_ladder (config : Config.t) deadline initial fault problem start ~init_st
        ignore
          (run_fallback "gfm" (fun init ->
               let r =
-                Gfm.solve ~config:config.Config.gfm ?p ~alpha ~beta ~constraints:cons
+                Gfm.solve ?p ~alpha ~beta ~constraints:cons
                   ~should_stop:stop nl topo ~initial:init
               in
               (r.Gfm.assignment, r.Gfm.interrupted))));

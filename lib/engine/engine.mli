@@ -38,8 +38,6 @@ module Validate := Qbpart_partition.Validate
 module Problem := Qbpart_core.Problem
 module Burkard := Qbpart_core.Burkard
 module Certify := Qbpart_core.Certify
-module Gfm := Qbpart_baselines.Gfm
-module Gkl := Qbpart_baselines.Gkl
 
 module Error : sig
   (** Structured input diagnoses.  These cover exactly the conditions
@@ -165,8 +163,6 @@ end
 module Config : sig
   type t = {
     qbp : Burkard.Config.t;       (** inner Burkard configuration *)
-    gkl : Gkl.config;
-    gfm : Gfm.config;
     max_rounds : int;             (** penalty-continuation rounds (≥ 1) *)
     penalty_factor : float;       (** penalty multiplier between rounds (> 1) *)
     stall_patience : int;
@@ -198,17 +194,17 @@ module Config : sig
             pool (the stage reports as ["evolve"]); such runs are not
             resumable start-by-start: checkpoints carry the incumbent
             but no per-start progress *)
-    pool_size : int;    (** elite-pool capacity (≥ 1) *)
-    min_distance : int option;
-        (** elite-pool diversity radius in aligned Hamming distance;
-            [None] means [max 1 (n / 16)] *)
+    pool_size : int;    (** elite-pool capacity (≥ 1); the pool's
+                            diversity radius is
+                            {!Qbpart_evolve.Evolve.solve}'s default *)
   }
 
   val default : t
   (** Solver defaults; [stall_patience = 25], [stall_epsilon = 1e-6],
       [start_attempts = 200], [starts = 1] (plain single-start QBP),
       [jobs = None], [inner_jobs = 1], [retries = 1], [generations = 1],
-      [pool_size = 8], [min_distance = None]. *)
+      [pool_size = 8].  The GKL and GFM fallback rungs run at their
+      own defaults. *)
 end
 
 type outcome = {

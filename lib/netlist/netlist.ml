@@ -227,11 +227,6 @@ let adj_offsets t = t.xadj
 let adj_targets t = t.anbr
 let adj_weights t = t.awgt
 
-let adj t j =
-  if j < 0 || j >= n t then invalid_arg (Printf.sprintf "Netlist.adj: id %d out of range" j);
-  let lo = t.xadj.(j) and hi = t.xadj.(j + 1) in
-  Array.init (hi - lo) (fun k -> (t.anbr.(lo + k), t.awgt.(lo + k)))
-
 let degree t j =
   if j < 0 || j >= n t then invalid_arg (Printf.sprintf "Netlist.degree: id %d out of range" j);
   t.xadj.(j + 1) - t.xadj.(j)

@@ -118,12 +118,6 @@ val adj_targets : t -> int array
 val adj_weights : t -> float array
 (** Unboxed wire weights aligned with {!adj_targets}. *)
 
-val adj : t -> int -> (int * float) array
-(** [adj t j] are [(neighbor, weight)] pairs for every component wired
-    to [j], neighbor-sorted.  Compatibility view over the CSR row: the
-    returned array is freshly allocated on every call, so prefer the
-    flat accessors above in hot loops. *)
-
 val degree : t -> int -> int
 (** Number of distinct neighbors. *)
 

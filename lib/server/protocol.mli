@@ -42,7 +42,7 @@ type submit = {
   starts : int;             (** portfolio starts (≥ 1) *)
   gap_race : bool;          (** race the inner GAP solvers per iteration *)
   evolve : bool;            (** run the elite-pool population search *)
-  generations : int;        (** evolve generations (≥ 1); ignored unless [evolve] *)
+  generations : int;        (** evolve generations (≥ 1 even unused); used with [evolve] *)
   pool_size : int;          (** evolve elite-pool capacity (≥ 1) *)
   deadline_s : float option;(** per-job wall-clock budget *)
   label : string option;    (** free-form tag echoed in views *)
@@ -53,7 +53,8 @@ val default_submit : netlist:source -> submit
 (** [rows = 4], [cols = 4], [slack = 1.15], [iterations = 100],
     [seed = 1], [starts = 1], [gap_race = false], [evolve = false],
     [generations = 4], [pool_size = 8], no timing, no deadline, no
-    label — mirroring [qbpart solve]'s defaults.  The evolve knobs
+    label — also the defaults of the [qbpart solve], [submit] and
+    [session open] flags, which read them from here.  The evolve knobs
     decode tolerantly (older peers simply omit them), so a v3 client
     and server mix freely across this addition. *)
 
@@ -115,7 +116,7 @@ type job_view = {
 
 type metrics_view = {
   accepted : int;
-  rejected : int;           (** admission refusals (overloaded/draining) *)
+  rejected : int;           (** admission refusals (bad spec/overloaded/draining) *)
   completed : int;
   failed : int;
   cancelled : int;

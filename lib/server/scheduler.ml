@@ -61,7 +61,66 @@ let locked t f =
   Mutex.lock t.mu;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.mu) f
 
-(* --- spec -> instance ---------------------------------------------- *)
+(* --- the spec ------------------------------------------------------ *)
+
+let check_spec (spec : Protocol.submit) =
+  let bad msg = Error (Protocol.Bad_request, msg) in
+  if spec.rows < 1 || spec.cols < 1 then bad "rows and cols must be >= 1"
+  else if spec.iterations < 0 then bad "iterations must be >= 0"
+  else if spec.starts < 1 then bad "starts must be >= 1"
+  else if (not (Float.is_finite spec.slack)) || spec.slack <= 0.0 then
+    bad "slack must be a positive finite number"
+  else if spec.generations < 1 then bad "generations must be >= 1"
+  else if spec.pool_size < 1 then bad "pool_size must be >= 1"
+  else
+    match spec.deadline_s with
+    | Some d when Float.is_nan d || d < 0.0 -> bad "deadline_s must be non-negative"
+    | _ -> Ok ()
+
+(* The one grid construction: capacity follows the circuit's total
+   size, so a daemon-written checkpoint, a CLI --resume of it and an
+   ECO-edited instance all agree on the structural instance hash. *)
+let topology_of_spec (spec : Protocol.submit) nl =
+  let capacity = Netlist.total_size nl /. float_of_int (spec.rows * spec.cols) *. spec.slack in
+  Grid.make ~rows:spec.rows ~cols:spec.cols ~capacity ()
+
+let deadline_of_spec (spec : Protocol.submit) =
+  match spec.deadline_s with Some s -> Deadline.of_seconds s | None -> Deadline.none ()
+
+let engine_config (spec : Protocol.submit) =
+  {
+    Engine.Config.default with
+    qbp =
+      {
+        Burkard.Config.default with
+        iterations = spec.iterations;
+        seed = spec.seed;
+        gap_race = (if spec.gap_race then Some Qbpart_gap.Race.default else None);
+      };
+    starts = spec.starts;
+    generations = (if spec.evolve then spec.generations else 1);
+    pool_size = spec.pool_size;
+  }
+
+(* A store checkpoint is only trusted for resume when it validates
+   against the instance AND was produced by a run with the same base
+   seed and start count — otherwise the resumed trajectory would not
+   replay the original run and the bit-identical guarantee is void.  A
+   stale or foreign file simply cold-starts. *)
+let store_resume ~dir (spec : Protocol.submit) problem ~hash =
+  let path = Checkpoint.store_path ~dir ~hash in
+  match Checkpoint.load ~path with
+  | Ok cp
+    when Checkpoint.validate cp problem = Ok ()
+         && cp.Checkpoint.base_seed = spec.seed
+         && List.for_all (fun s -> s.Checkpoint.start < spec.starts) cp.Checkpoint.starts ->
+    Some (cp, path)
+  | Ok _ | Error _ -> None
+
+let render_stage (s : Engine.Report.stage) =
+  Format.asprintf "%s: %a (%.3fs, cost %.1f)" s.Engine.Report.name
+    Engine.Report.pp_stage_outcome s.Engine.Report.outcome s.Engine.Report.wall_seconds
+    s.Engine.Report.cost_after
 
 let load_source what parse = function
   | Protocol.Inline text -> parse text
@@ -73,19 +132,7 @@ let load_source what parse = function
 
 let problem_of_spec (spec : Protocol.submit) =
   let ( let* ) = Result.bind in
-  let* () =
-    if spec.rows < 1 || spec.cols < 1 then
-      Error (Protocol.Bad_request, "rows and cols must be >= 1")
-    else if spec.iterations < 0 then Error (Protocol.Bad_request, "iterations must be >= 0")
-    else if spec.starts < 1 then Error (Protocol.Bad_request, "starts must be >= 1")
-    else if (not (Float.is_finite spec.slack)) || spec.slack <= 0.0 then
-      Error (Protocol.Bad_request, "slack must be a positive finite number")
-    else
-      match spec.deadline_s with
-      | Some d when Float.is_nan d || d < 0.0 ->
-        Error (Protocol.Bad_request, "deadline_s must be non-negative")
-      | _ -> Ok ()
-  in
+  let* () = check_spec spec in
   let* nl =
     load_source "netlist" (fun text ->
         match Parser.parse_string text with
@@ -104,13 +151,7 @@ let problem_of_spec (spec : Protocol.submit) =
             Error (Protocol.Parse_error, "timing budgets: " ^ Constraints_io.error_to_string e))
         source
   in
-  (* the same grid construction as [qbpart solve]: capacity follows the
-     circuit's total size so a daemon-written checkpoint and a CLI
-     --resume of it agree on the structural instance hash *)
-  let m = spec.rows * spec.cols in
-  let capacity = Netlist.total_size nl /. float_of_int m *. spec.slack in
-  let topo = Grid.make ~rows:spec.rows ~cols:spec.cols ~capacity () in
-  match Problem.make ?constraints nl topo with
+  match Problem.make ?constraints nl (topology_of_spec spec nl) with
   | problem -> Ok problem
   | exception Invalid_argument msg -> Error (Protocol.Bad_request, msg)
 
@@ -146,11 +187,6 @@ let view_of_job (j : job) =
 
 (* --- the worker loop ----------------------------------------------- *)
 
-let render_stage (s : Engine.Report.stage) =
-  Format.asprintf "%s: %a (%.3fs, cost %.1f)" s.Engine.Report.name
-    Engine.Report.pp_stage_outcome s.Engine.Report.outcome s.Engine.Report.wall_seconds
-    s.Engine.Report.cost_after
-
 let checkpoint_path t (j : job) = Filename.concat t.checkpoint_dir ("qbpartd-" ^ j.id ^ ".ckpt")
 
 (* Replication: every checkpoint the engine emits is mirrored into the
@@ -165,26 +201,6 @@ let replicate t (j : job) cp =
   | None -> ()
   | Some dir ->
     ignore (Checkpoint.save ~path:(Checkpoint.store_path ~dir ~hash:j.instance_hash) cp)
-
-(* A store checkpoint is only trusted for auto-resume when it
-   validates against the submitted instance AND was produced by a run
-   with the same base seed and start count — otherwise the resumed
-   trajectory would not replay the original run and the bit-identical
-   guarantee is void.  A stale or foreign file simply cold-starts. *)
-let store_lookup t ~(spec : Protocol.submit) ~problem ~hash =
-  match t.replicate_dir with
-  | None -> None
-  | Some dir -> (
-    let path = Checkpoint.store_path ~dir ~hash in
-    match Checkpoint.load ~path with
-    | Error _ -> None
-    | Ok cp ->
-      if
-        Checkpoint.validate cp problem = Ok ()
-        && cp.Checkpoint.base_seed = spec.Protocol.seed
-        && List.for_all (fun s -> s.Checkpoint.start < spec.Protocol.starts) cp.Checkpoint.starts
-      then Some (cp, path)
-      else None)
 
 let persist_checkpoint t (j : job) =
   match j.last_checkpoint with
@@ -208,21 +224,6 @@ let finish t (j : job) state =
   j.last_checkpoint <- None;
   Condition.broadcast t.changed
 
-let engine_config (spec : Protocol.submit) =
-  {
-    Engine.Config.default with
-    qbp =
-      {
-        Burkard.Config.default with
-        iterations = spec.Protocol.iterations;
-        seed = spec.Protocol.seed;
-        gap_race = (if spec.Protocol.gap_race then Some Qbpart_gap.Race.default else None);
-      };
-    starts = spec.Protocol.starts;
-    generations = (if spec.Protocol.evolve then spec.Protocol.generations else 1);
-    pool_size = spec.Protocol.pool_size;
-  }
-
 let run_job t (j : job) =
   let work =
     locked t (fun () ->
@@ -231,11 +232,7 @@ let run_job t (j : job) =
           j.state <- Protocol.Running;
           j.started_at <- Some (Unix.gettimeofday ());
           Condition.broadcast t.changed;
-          let deadline =
-            match w.spec.Protocol.deadline_s with
-            | Some s -> Deadline.of_seconds s
-            | None -> Deadline.none ()
-          in
+          let deadline = deadline_of_spec w.spec in
           (* a drain that raced this dispatch must still interrupt us *)
           if t.draining_flag || j.cancel_requested then Deadline.cancel deadline;
           j.deadline <- Some deadline;
@@ -334,7 +331,10 @@ let submit t spec =
         else begin
           let id = Printf.sprintf "j%d" t.next_id in
           let instance_hash = Checkpoint.instance_hash problem in
-          let resume_from = store_lookup t ~spec ~problem ~hash:instance_hash in
+          let resume_from =
+            Option.bind t.replicate_dir (fun dir ->
+                store_resume ~dir spec problem ~hash:instance_hash)
+          in
           let job =
             {
               id;

@@ -28,8 +28,12 @@
     the checkpoint directory — the daemon's SIGTERM handler is one
     call to this function. *)
 
+module Netlist := Qbpart_netlist.Netlist
+module Topology := Qbpart_topology.Topology
 module Problem := Qbpart_core.Problem
+module Deadline := Qbpart_engine.Deadline
 module Engine := Qbpart_engine.Engine
+module Checkpoint := Qbpart_engine.Checkpoint
 
 type t
 
@@ -47,29 +51,69 @@ val create :
     interrupted jobs.  [replicate_dir] enables the shared replicated
     checkpoint store: every engine checkpoint is mirrored to
     [replicate_dir/qbpartd-<instance hash>.ckpt], and {!submit}
-    auto-resumes from a matching store entry (same instance hash, base
-    seed and start budget) — the fleet's failover and idempotent-retry
-    mechanism.  [queue_weight] is the interactive:batch dequeue weight
-    (default {!Queue.default_weight}).
+    auto-resumes from a matching store entry ({!store_resume}) — the
+    fleet's failover and idempotent-retry mechanism.  [queue_weight]
+    is the interactive:batch dequeue weight (default
+    {!Queue.default_weight}).
     @raise Invalid_argument if [workers < 1] or [queue_capacity < 0]. *)
 
-val problem_of_spec : Protocol.submit -> (Problem.t, Protocol.error_code * string) result
-(** Parse and validate a submission into a solver instance: netlist
-    (inline or by daemon-side path), optional timing budgets, and the
-    same grid construction as [qbpart solve] ([capacity = total size /
-    M × slack]) — so a checkpoint written here resumes under the CLI
-    with identical instance hash.  Errors map to [Bad_request] /
-    [Parse_error]. *)
+(** {1 The solve spec}
+
+    {!Protocol.submit} is the one description of a solve — the
+    instance (netlist, timing budgets, grid) and the search budget —
+    for the CLI's [solve], [submit] and [session open], for daemon
+    jobs and for ECO sessions.  This section is the one place that
+    says what a spec means. *)
+
+val check_spec : Protocol.submit -> (unit, Protocol.error_code * string) result
+(** The admission rule, with no I/O: [rows], [cols], [starts],
+    [generations] and [pool_size] at least 1, [iterations] at least
+    0, [slack] positive and finite, [deadline_s] (when given)
+    non-negative.  No field's rule depends on another field: a
+    [generations] of 0 is refused without [evolve] too.  Errors are
+    [Bad_request] naming the field. *)
+
+val topology_of_spec : Protocol.submit -> Netlist.t -> Topology.t
+(** The grid a spec names: [rows × cols] partitions of uniform
+    capacity [total size / M × slack].  The only grid construction
+    behind the CLI, jobs and ECO sessions, so a checkpoint written by
+    one resumes under another with the same instance hash.
+    @raise Invalid_argument on a spec {!check_spec} refuses, or a
+    netlist of total size 0. *)
+
+val deadline_of_spec : Protocol.submit -> Deadline.t
+(** A fresh deadline of [deadline_s] seconds; unlimited when absent. *)
 
 val engine_config : Protocol.submit -> Engine.Config.t
 (** The engine configuration a spec asks for — the one mapping from a
-    spec's solver fields to {!Engine.Config.t}, shared by jobs and ECO
-    sessions.  [evolve = false] runs one generation whatever
-    [generations] says. *)
+    spec's solver fields to {!Engine.Config.t}.  [evolve = false] runs
+    one generation.  The process-local settings [jobs], [inner_jobs]
+    and [retries] keep their defaults; the CLI overrides them from
+    its own flags. *)
+
+val store_resume :
+  dir:string -> Protocol.submit -> Problem.t -> hash:int64 -> (Checkpoint.t * string) option
+(** The store checkpoint [dir/qbpartd-<hash>.ckpt] with its path,
+    when a solve of this spec may resume from it: it validates
+    against the instance and was written under the same base seed by
+    a run whose recorded starts are all below the spec's [starts].
+    Anything else — missing, corrupt, foreign — is [None]. *)
+
+val render_stage : Engine.Report.stage -> string
+(** One stage-report line as job and ECO views carry it:
+    ["name: outcome (wall s, cost c)"]. *)
+
+val problem_of_spec : Protocol.submit -> (Problem.t, Protocol.error_code * string) result
+(** {!check_spec}, then parse the netlist (inline or by daemon-side
+    path) and optional timing budgets and build the instance on
+    {!topology_of_spec}.  Errors map to [Bad_request] /
+    [Parse_error]. *)
+
+(** {1 Jobs} *)
 
 val submit : t -> Protocol.submit -> (string * int, Protocol.error_code * string) result
-(** Admit a job: parse via {!problem_of_spec}, then push under the
-    spec's priority class.  [Ok (job id, queue depth)]; [Error
+(** Admit a job: parse via {!problem_of_spec} (a refusal counts in
+    [rejected]), then push under the spec's priority class.  [Ok (job id, queue depth)]; [Error
     (Overloaded, _)] beyond the queue bound (after shedding, for
     interactive arrivals), [Error (Draining, _)] once {!drain}
     started.  With a replicated store configured, a valid store

@@ -1,17 +1,14 @@
 module Netlist = Qbpart_netlist.Netlist
 module Delta = Qbpart_netlist.Delta
 module Topology = Qbpart_topology.Topology
-module Grid = Qbpart_topology.Grid
 module Constraints = Qbpart_timing.Constraints
 module Assignment = Qbpart_partition.Assignment
 module Problem = Qbpart_core.Problem
 module Qmatrix = Qbpart_core.Qmatrix
 module Repair = Qbpart_core.Repair
 module Certify = Qbpart_core.Certify
-module Burkard = Qbpart_core.Burkard
 module Engine = Qbpart_engine.Engine
 module Checkpoint = Qbpart_engine.Checkpoint
-module Deadline = Qbpart_engine.Deadline
 module Dompool = Qbpart_pool.Dompool
 
 (* --- fault injection ----------------------------------------------- *)
@@ -208,31 +205,6 @@ let cache_find t ~hash ~problem =
 
 (* --- solving -------------------------------------------------------- *)
 
-let deadline_of_spec (spec : Protocol.submit) =
-  match spec.Protocol.deadline_s with
-  | Some s -> Deadline.of_seconds s
-  | None -> Deadline.none ()
-
-let render_stage (s : Engine.Report.stage) =
-  Format.asprintf "%s: %a (%.3fs, cost %.1f)" s.Engine.Report.name Engine.Report.pp_stage_outcome
-    s.Engine.Report.outcome s.Engine.Report.wall_seconds s.Engine.Report.cost_after
-
-(* A store checkpoint is only trusted for resume when it validates
-   against the instance (hash AND structural fingerprint) and was
-   produced under the same base seed and a compatible start budget —
-   the same predicate the scheduler's replicated store uses. *)
-let store_resume t ~(spec : Protocol.submit) ~problem ~hash =
-  let path = Checkpoint.store_path ~dir:t.config.checkpoint_dir ~hash in
-  match Checkpoint.load ~path with
-  | Error _ -> None
-  | Ok cp ->
-    if
-      Checkpoint.validate cp problem = Ok ()
-      && cp.Checkpoint.base_seed = spec.Protocol.seed
-      && List.for_all (fun s -> s.Checkpoint.start < spec.Protocol.starts) cp.Checkpoint.starts
-    then Some cp
-    else None
-
 let entry_of_solution ~(spec : Protocol.submit) ~problem ~assignment ~cost =
   {
     en_problem = problem;
@@ -248,13 +220,17 @@ let entry_of_solution ~(spec : Protocol.submit) ~problem ~assignment ~cost =
 let hex_hash h = Printf.sprintf "%Lx" h
 
 let cold_solve t ~(spec : Protocol.submit) ~problem ~hash ~resume =
-  let resume = if resume then store_resume t ~spec ~problem ~hash else None in
+  let resume =
+    if resume then
+      Option.map fst (Scheduler.store_resume ~dir:t.config.checkpoint_dir spec problem ~hash)
+    else None
+  in
   let config = Scheduler.engine_config spec in
-  let deadline = deadline_of_spec spec in
+  let deadline = Scheduler.deadline_of_spec spec in
   match Engine.solve ~config ~deadline ?resume problem with
   | Error e -> Error (Protocol.Solver_error, Engine.Error.to_string e)
   | Ok o ->
-    let stages = List.map render_stage o.Engine.report.Engine.Report.stages in
+    let stages = List.map Scheduler.render_stage o.Engine.report.Engine.Report.stages in
     List.iter (Metrics.fallback t.metrics) o.Engine.report.Engine.Report.fallbacks;
     Ok (o, stages, Option.is_some resume)
 
@@ -456,15 +432,10 @@ let eco t ~session ~seq ~delta ~force_cold =
             | Error e ->
               Error (Protocol.Invalid_delta, Delta.error_to_string e)
             | Ok applied -> (
-              (* rebuild the grid exactly as a cold submit would, so the
-                 edited instance hashes identically to one submitted
-                 from scratch *)
-              let nl = applied.Delta.netlist in
-              let m = s.spec.Protocol.rows * s.spec.Protocol.cols in
-              let capacity = Netlist.total_size nl /. float_of_int m *. s.spec.Protocol.slack in
-              let topology =
-                Grid.make ~rows:s.spec.Protocol.rows ~cols:s.spec.Protocol.cols ~capacity ()
-              in
+              (* the spec's grid on the edited netlist, so the edited
+                 instance hashes identically to one submitted from
+                 scratch *)
+              let topology = Scheduler.topology_of_spec s.spec applied.Delta.netlist in
               match Problem.apply_delta ~topology s.problem ops with
               | Error e -> Error (Protocol.Invalid_delta, Delta.error_to_string e)
               | Ok dr -> (

@@ -1,7 +1,5 @@
 module Sm = Qbpart_netlist.Sparse_matrix
 
-type partner = { other : int; budget_out : float; budget_in : float }
-
 (* Struct-of-arrays CSR over constraint partners: component [j]'s
    partners are [pother.(poff.(j) .. poff.(j+1)-1)], sorted ascending,
    with both directed budgets in unboxed float arrays. *)
@@ -15,12 +13,11 @@ type csr = {
 type t = {
   dc : Sm.t; (* directed budgets, default +inf *)
   mutable csr : csr option; (* invalidated on add *)
-  mutable index : partner array array option; (* boxed compat view, lazy *)
 }
 
 let create ~n =
   if n < 0 then invalid_arg "Constraints.create: negative n";
-  { dc = Sm.create ~default:infinity ~rows:n ~cols:n (); csr = None; index = None }
+  { dc = Sm.create ~default:infinity ~rows:n ~cols:n (); csr = None }
 
 let n t = Sm.rows t.dc
 
@@ -30,8 +27,7 @@ let add t j1 j2 budget =
     invalid_arg (Printf.sprintf "Constraints.add %d->%d: bad budget %g" j1 j2 budget);
   if budget < Sm.get t.dc j1 j2 then begin
     Sm.set t.dc j1 j2 budget;
-    t.csr <- None;
-    t.index <- None
+    t.csr <- None
   end
 
 let add_sym t j1 j2 budget =
@@ -147,29 +143,6 @@ let partner_ids t = (csr t).pother
 let partner_budget_out t = (csr t).pbout
 let partner_budget_in t = (csr t).pbin
 
-let partners t j =
-  let idx =
-    match t.index with
-    | Some idx -> idx
-    | None ->
-      let c = csr t in
-      let idx =
-        Array.init (n t) (fun j ->
-            let lo = c.poff.(j) in
-            Array.init
-              (c.poff.(j + 1) - lo)
-              (fun k ->
-                {
-                  other = c.pother.(lo + k);
-                  budget_out = c.pbout.(lo + k);
-                  budget_in = c.pbin.(lo + k);
-                }))
-      in
-      t.index <- Some idx;
-      idx
-  in
-  idx.(j)
-
 let partner_degree t j =
   let poff = (csr t).poff in
   poff.(j + 1) - poff.(j)
@@ -182,7 +155,7 @@ let max_partner_degree t =
   done;
   !best
 
-let copy t = { dc = Sm.copy t.dc; csr = None; index = None }
+let copy t = { dc = Sm.copy t.dc; csr = None }
 let empty t = count t = 0
 
 let pp ppf t =

@@ -9,16 +9,10 @@
     constraints are stored.
 
     The structure is mutable during construction; solvers access it
-    through {!partners}, a per-component index over both incoming and
-    outgoing budgets that is (re)built lazily. *)
+    through the flat partner CSR below, a per-component index over
+    both incoming and outgoing budgets that is (re)built lazily. *)
 
 type t
-
-type partner = {
-  other : int;       (** the other component *)
-  budget_out : float; (** {m D_C(j, other)}; +∞ if unconstrained *)
-  budget_in : float;  (** {m D_C(other, j)}; +∞ if unconstrained *)
-}
 
 val create : n:int -> t
 (** No constraints on [n] components. *)
@@ -80,12 +74,6 @@ val partner_budget_out : t -> float array
 val partner_budget_in : t -> float array
 (** {m D_C(other, j)} aligned with {!partner_ids}; {m +∞} if
     unconstrained. *)
-
-val partners : t -> int -> partner array
-(** All components sharing a constraint with [j], with both directed
-    budgets, ascending by id.  Boxed compatibility view over the flat
-    CSR; the returned array is shared and must not be mutated, and is
-    rebuilt automatically after any {!add}. *)
 
 val partner_degree : t -> int -> int
 (** Number of constraint partners of [j]. *)

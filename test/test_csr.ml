@@ -85,9 +85,7 @@ let prop_adjacency_matches_boxed =
             if anbr.(xadj.(j) + k) <> nbr then fail "neighbor order mismatch";
             if Int64.bits_of_float awgt.(xadj.(j) + k) <> Int64.bits_of_float x then
               fail "weight mismatch")
-          row;
-        (* the compat view decodes the same rows *)
-        if Netlist.adj nl j <> row then fail "adj view mismatch"
+          row
       done;
       true)
 
@@ -166,18 +164,6 @@ let prop_partner_csr_matches_reference =
             if pids.(poff.(j) + k) <> o then fail "partner order mismatch";
             if bout.(poff.(j) + k) <> b_out then fail "budget_out mismatch";
             if bin.(poff.(j) + k) <> b_in then fail "budget_in mismatch")
-          expect;
-        (* boxed compat view agrees *)
-        let view = Constraints.partners cons j in
-        if Array.length view <> List.length expect then fail "partners view length";
-        List.iteri
-          (fun k (o, b_out, b_in) ->
-            let p = view.(k) in
-            if
-              p.Constraints.other <> o
-              || p.Constraints.budget_out <> b_out
-              || p.Constraints.budget_in <> b_in
-            then fail "partners view mismatch")
           expect
       done;
       true)

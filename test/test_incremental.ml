@@ -293,10 +293,15 @@ let prop_remove_readd_roundtrip =
       let k = Rng.int rng n in
       let name = cname nl k in
       let size = Netlist.size nl k in
+      let lo = (Netlist.adj_offsets nl).(k) in
       let re_wires =
-        Array.to_list (Netlist.adj nl k)
-        |> List.map (fun (j, w) ->
-               Delta.Add_wire { u = name; v = cname nl j; weight = w })
+        List.init (Netlist.degree nl k) (fun d ->
+            Delta.Add_wire
+              {
+                u = name;
+                v = cname nl (Netlist.adj_targets nl).(lo + d);
+                weight = (Netlist.adj_weights nl).(lo + d);
+              })
       in
       let re_budgets = ref [] in
       Constraints.iter cons (fun j1 j2 b ->

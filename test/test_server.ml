@@ -646,6 +646,29 @@ let test_scheduler_validation () =
    with
   | Error (Protocol.Parse_error, _) -> ()
   | _ -> fail "missing file accepted");
+  (* specs the engine would refuse are refused at admission, each field
+     by one rule whatever the others say, and counted as rejections *)
+  let engine_refused =
+    let spec = base_spec text in
+    [
+      ("evolve with generations = 0", { spec with Protocol.evolve = true; generations = 0 });
+      ("generations = 0 without evolve", { spec with Protocol.generations = 0 });
+      ("pool_size = 0 without evolve", { spec with Protocol.pool_size = 0 });
+    ]
+  in
+  let metrics = Metrics.create () in
+  let sched = Scheduler.create ~workers:1 ~queue_capacity:4 ~metrics () in
+  List.iter
+    (fun (what, spec) ->
+      match Scheduler.submit sched spec with
+      | Error (Protocol.Bad_request, _) -> ()
+      | Error (c, m) -> fail (what ^ ": " ^ Protocol.error_code_to_string c ^ ": " ^ m)
+      | Ok _ -> fail (what ^ " admitted"))
+    engine_refused;
+  let snap = Scheduler.snapshot sched in
+  Scheduler.drain sched;
+  check Alcotest.int "refusals counted" (List.length engine_refused) snap.Protocol.rejected;
+  check Alcotest.int "nothing admitted" 0 snap.Protocol.accepted;
   match Scheduler.problem_of_spec (base_spec text) with
   | Ok _ -> ()
   | Error (c, m) -> fail (Protocol.error_code_to_string c ^ ": " ^ m)

@@ -56,18 +56,19 @@ let test_partners () =
   let c = Constraints.create ~n:4 in
   Constraints.add c 0 1 2.0;
   Constraints.add c 2 0 3.0;
-  let ps = Constraints.partners c 0 in
-  check Alcotest.int "two partners" 2 (Array.length ps);
-  let p1 = ps.(0) and p2 = ps.(1) in
-  check Alcotest.int "sorted partners" 1 p1.Constraints.other;
-  check flt "out budget to 1" 2.0 p1.Constraints.budget_out;
-  check flt "no in budget from 1" infinity p1.Constraints.budget_in;
-  check Alcotest.int "partner 2" 2 p2.Constraints.other;
-  check flt "in budget from 2" 3.0 p2.Constraints.budget_in;
-  check flt "no out budget to 2" infinity p2.Constraints.budget_out;
+  let lo = (Constraints.partner_offsets c).(0) in
+  let ids = Constraints.partner_ids c in
+  let bout = Constraints.partner_budget_out c and bin = Constraints.partner_budget_in c in
+  check Alcotest.int "two partners" 2 (Constraints.partner_degree c 0);
+  check Alcotest.int "sorted partners" 1 ids.(lo);
+  check flt "out budget to 1" 2.0 bout.(lo);
+  check flt "no in budget from 1" infinity bin.(lo);
+  check Alcotest.int "partner 2" 2 ids.(lo + 1);
+  check flt "in budget from 2" 3.0 bin.(lo + 1);
+  check flt "no out budget to 2" infinity bout.(lo + 1);
   (* index refresh after add *)
   Constraints.add c 0 3 1.0;
-  check Alcotest.int "partners rebuilt" 3 (Array.length (Constraints.partners c 0));
+  check Alcotest.int "partners rebuilt" 3 (Constraints.partner_degree c 0);
   check Alcotest.int "max degree" 3 (Constraints.max_partner_degree c)
 
 let test_constraints_copy_independent () =
