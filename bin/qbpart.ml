@@ -312,9 +312,7 @@ let load_constraints nl = function
   | Some path -> (
     match Qbpart_timing.Constraints_io.parse_file nl path with
     | Ok c -> Ok (Some c)
-    | Error e ->
-      msgf "%s: %s" path (Qbpart_timing.Constraints_io.error_to_string e)
-    | exception Sys_error m -> Error (`Msg m))
+    | Error e -> msgf "%s: %s" path (Qbpart_timing.Constraints_io.file_error_to_string e))
 
 (* The instance a spec names, read locally: netlist, budgets and grid. *)
 let load_spec (spec : Sproto.submit) =

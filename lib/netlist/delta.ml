@@ -21,64 +21,45 @@ let op_to_string = function
 let to_string ops = String.concat "" (List.map (fun op -> op_to_string op ^ "\n") ops)
 
 (* ------------------------------------------------------------------ *)
-(* Parsing: same shape as Parser — total, line-numbered errors.        *)
+(* Parsing: Scan's line grammar, like Parser — total, line-numbered.   *)
 
 exception Fail of error
 
 let fail at what fmt =
   Printf.ksprintf (fun reason -> raise (Fail { at; what; reason })) fmt
 
-let tokens line =
-  let line =
-    match String.index_opt line '#' with
-    | Some i -> String.sub line 0 i
-    | None -> line
-  in
-  let line =
-    match String.index_opt line ';' with
-    | Some i -> String.sub line 0 i
-    | None -> line
-  in
-  String.split_on_char ' ' line
-  |> List.concat_map (String.split_on_char '\t')
-  |> List.map (fun t ->
-         if String.length t > 0 && t.[String.length t - 1] = '\r' then
-           String.sub t 0 (String.length t - 1)
-         else t)
-  |> List.filter (fun t -> t <> "")
+(* A parse error names the line by its number and its text. *)
+let bad sc fmt = fail (Scan.line sc) (Scan.line_text sc) fmt
 
-let float_of_token at line what tok =
-  match float_of_string_opt tok with
+let number sc what k =
+  match Scan.float sc k with
   | Some f when Float.is_finite f -> f
-  | Some _ -> fail at line "%s is not finite: %S" what tok
-  | None -> fail at line "expected a number for %s, got %S" what tok
+  | Some _ -> bad sc "%s is not finite: %S" what (Scan.token sc k)
+  | None -> bad sc "expected a number for %s, got %S" what (Scan.token sc k)
+
+let op_of_line sc =
+  let tok = Scan.token sc in
+  match Scan.count sc with
+  | 3 when Scan.is sc 0 "add" -> Add_component { name = tok 1; size = number sc "size" 2 }
+  | 2 when Scan.is sc 0 "remove" -> Remove_component { name = tok 1 }
+  | 3 when Scan.is sc 0 "wire" -> Add_wire { u = tok 1; v = tok 2; weight = 1.0 }
+  | 4 when Scan.is sc 0 "wire" -> Add_wire { u = tok 1; v = tok 2; weight = number sc "weight" 3 }
+  | 3 when Scan.is sc 0 "unwire" -> Remove_wire { u = tok 1; v = tok 2 }
+  | 4 when Scan.is sc 0 "retime" ->
+    Retime { src = tok 1; dst = tok 2; budget = number sc "budget" 3 }
+  | _ ->
+    bad sc "unknown or malformed delta op %S (expected add/remove/wire/unwire/retime)" (tok 0)
 
 let parse_string text =
-  let lines = String.split_on_char '\n' text in
-  try
-    let ops =
-      List.concat (List.mapi
-        (fun i line ->
-          let at = i + 1 in
-          match tokens line with
-          | [] -> []
-          | [ "add"; name; size ] ->
-              [ Add_component { name; size = float_of_token at line "size" size } ]
-          | [ "remove"; name ] -> [ Remove_component { name } ]
-          | [ "wire"; u; v ] -> [ Add_wire { u; v; weight = 1.0 } ]
-          | [ "wire"; u; v; w ] ->
-              [ Add_wire { u; v; weight = float_of_token at line "weight" w } ]
-          | [ "unwire"; u; v ] -> [ Remove_wire { u; v } ]
-          | [ "retime"; src; dst; b ] ->
-              [ Retime { src; dst; budget = float_of_token at line "budget" b } ]
-          | verb :: _ ->
-              fail at line
-                "unknown or malformed delta op %S (expected add/remove/wire/unwire/retime)"
-                verb)
-        lines)
-    in
-    Ok ops
-  with Fail e -> Error e
+  let sc = Scan.of_string text in
+  let ops = ref [] in
+  match
+    while Scan.next sc do
+      if Scan.count sc > 0 then ops := op_of_line sc :: !ops
+    done
+  with
+  | () -> Ok (List.rev !ops)
+  | exception Fail e -> Error e
 
 (* ------------------------------------------------------------------ *)
 (* Application: a mutable name-keyed model of the edited netlist.      *)

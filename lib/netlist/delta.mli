@@ -39,7 +39,10 @@ val to_string : t -> string
 (** One op per line, in the concrete syntax accepted by {!parse_string}. *)
 
 val parse_string : string -> (t, error) result
-(** Concrete syntax, one op per line; [#] and [;] start comments:
+(** Concrete syntax, one op per line, in the line grammar of {!Scan}
+    (comments from ['#'] or [';'], tokens separated by spaces and tabs,
+    CRLF accepted); a parse error's [at] is the line number and its
+    [what] the line's text:
     {v
     add <name> <size>
     remove <name>

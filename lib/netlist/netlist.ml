@@ -1,3 +1,6 @@
+(* Component name -> id. *)
+module Names = Hashtbl.Make (String)
+
 type t = {
   components : Component.t array;
   wires : Wire.t array;                (* merged, sorted, each pair once *)
@@ -8,7 +11,7 @@ type t = {
   xadj : int array;                    (* row offsets, length n+1 *)
   anbr : int array;                    (* neighbor ids, 2 * wire_count *)
   awgt : float array;                  (* wire weights, 2 * wire_count *)
-  by_name : (string, int) Hashtbl.t;
+  by_name : int Names.t;
   total_size : float;
   total_wire_weight : float;
 }
@@ -103,79 +106,140 @@ let build_csr ?pool n wires =
   | _ -> build_csr_sequential n wires xadj anbr awgt);
   (xadj, anbr, awgt)
 
-let merge_wires n wire_list =
-  (* Sum weights of parallel wires; key = u * n + v with u < v. *)
-  let tbl = Hashtbl.create (List.length wire_list) in
-  List.iter
-    (fun w ->
-      let u = Wire.u w and v = Wire.v w in
-      if u < 0 || v >= n then
-        invalid_arg (Printf.sprintf "Netlist: wire %d-%d references unknown component" u v);
-      let key = (u * n) + v in
-      let prev = match Hashtbl.find_opt tbl key with Some x -> x | None -> 0.0 in
-      Hashtbl.replace tbl key (prev +. Wire.weight w))
-    wire_list;
-  let merged =
-    Hashtbl.fold (fun key x acc -> Wire.make (key / n) (key mod n) ~weight:x :: acc) tbl []
+(* Sum parallel wires and sort them by (u, v), in O(n + m).  Raw wire
+   [k] joins [us.(k) < vs.(k)] with weight [ws.(k)].  Two stable
+   counting passes, by v and then by u, starting from descending k,
+   leave each (u, v) group contiguous and in descending k, and each
+   group is summed from 0.0 in that order: reverse insertion order for
+   [Builder], and list order for [make], which adds its list back to
+   front.  The orders are part of the interface (test_netlist pins
+   them): a different order can change a weight's last bit. *)
+let merge n us vs ws m =
+  let start = Array.make (n + 1) 0 in
+  let bucket keys src dst =
+    Array.fill start 0 (n + 1) 0;
+    for k = 0 to m - 1 do
+      start.(keys.(k) + 1) <- start.(keys.(k) + 1) + 1
+    done;
+    for j = 1 to n do
+      start.(j) <- start.(j) + start.(j - 1)
+    done;
+    for r = 0 to m - 1 do
+      let k = src r in
+      let key = keys.(k) in
+      dst.(start.(key)) <- k;
+      start.(key) <- start.(key) + 1
+    done
   in
-  let arr = Array.of_list merged in
-  Array.sort Wire.compare arr;
-  arr
+  let by_v = Array.make m 0 and by_uv = Array.make m 0 in
+  bucket vs (fun r -> m - 1 - r) by_v;
+  bucket us (fun r -> by_v.(r)) by_uv;
+  let same r = us.(by_uv.(r)) = us.(by_uv.(r - 1)) && vs.(by_uv.(r)) = vs.(by_uv.(r - 1)) in
+  let groups = ref 0 in
+  for r = 0 to m - 1 do
+    if r = 0 || not (same r) then incr groups
+  done;
+  let r = ref 0 in
+  Array.init !groups (fun _ ->
+      let k = by_uv.(!r) in
+      let sum = ref (0.0 +. ws.(k)) in
+      incr r;
+      while !r < m && same !r do
+        sum := !sum +. ws.(by_uv.(!r));
+        incr r
+      done;
+      Wire.make us.(k) vs.(k) ~weight:!sum)
 
-let make_opt pool ~components ~wires =
-  let components = Array.of_list components in
-  let n = Array.length components in
-  Array.iteri
+module Builder = struct
+  type t = {
+    mutable comps : Component.t array; (* the first [count] are live *)
+    mutable count : int;
+    mutable us : int array; (* wire k joins us.(k) < vs.(k) with weight ws.(k) *)
+    mutable vs : int array;
+    mutable ws : float array;
+    mutable wcount : int;
+    names : int Names.t; (* becomes the netlist's [by_name] *)
+    mutable built : bool;
+  }
+
+  let create () =
+    {
+      comps = [||];
+      count = 0;
+      us = [||];
+      vs = [||];
+      ws = [||];
+      wcount = 0;
+      names = Names.create 64;
+      built = false;
+    }
+
+  let check_open b what = if b.built then invalid_arg (what ^ ": builder already built")
+
+  let grow a fill =
+    let bigger = Array.make (max 64 (2 * Array.length a)) fill in
+    Array.blit a 0 bigger 0 (Array.length a);
+    bigger
+
+  let add_component b ?name ~size () =
+    check_open b "Builder.add_component";
+    let id = b.count in
+    let name = match name with Some s -> s | None -> Printf.sprintf "c%d" id in
+    if Names.mem b.names name then
+      invalid_arg (Printf.sprintf "Builder.add_component: duplicate name %S" name);
+    let c = Component.make ~id ~name ~size in
+    if id = Array.length b.comps then b.comps <- grow b.comps c;
+    b.comps.(id) <- c;
+    b.count <- id + 1;
+    Names.add b.names name id;
+    id
+
+  let find b name = Names.find_opt b.names name
+
+  let add_wire b j1 j2 ?(weight = 1.0) () =
+    check_open b "Builder.add_wire";
+    if j1 < 0 || j1 >= b.count || j2 < 0 || j2 >= b.count then
+      invalid_arg (Printf.sprintf "Builder.add_wire: component id out of range (%d, %d)" j1 j2);
+    if j1 = j2 then invalid_arg (Printf.sprintf "Builder.add_wire: self-loop on component %d" j1);
+    if weight <= 0.0 then
+      invalid_arg
+        (Printf.sprintf "Builder.add_wire %d-%d: weight must be > 0 (got %g)" j1 j2 weight);
+    let k = b.wcount in
+    if k = Array.length b.us then begin
+      b.us <- grow b.us 0;
+      b.vs <- grow b.vs 0;
+      b.ws <- grow b.ws 0.0
+    end;
+    b.us.(k) <- min j1 j2;
+    b.vs.(k) <- max j1 j2;
+    b.ws.(k) <- weight;
+    b.wcount <- k + 1
+
+  let build ?pool b =
+    b.built <- true;
+    let components = Array.sub b.comps 0 b.count in
+    let n = b.count in
+    let wires = merge n b.us b.vs b.ws b.wcount in
+    let xadj, anbr, awgt = build_csr ?pool n wires in
+    let total_size = Array.fold_left (fun acc c -> acc +. Component.size c) 0.0 components in
+    let total_wire_weight = Array.fold_left (fun acc w -> acc +. Wire.weight w) 0.0 wires in
+    { components; wires; xadj; anbr; awgt; by_name = b.names; total_size; total_wire_weight }
+end
+
+let make ~components ~wires =
+  let b = Builder.create () in
+  List.iteri
     (fun idx c ->
       if Component.id c <> idx then
         invalid_arg
           (Printf.sprintf "Netlist.make: component %S has id %d, expected %d"
-             (Component.name c) (Component.id c) idx))
+             (Component.name c) (Component.id c) idx);
+      ignore (Builder.add_component b ~name:(Component.name c) ~size:(Component.size c) () : int))
     components;
-  let by_name = Hashtbl.create n in
-  Array.iter
-    (fun c ->
-      let name = Component.name c in
-      if Hashtbl.mem by_name name then
-        invalid_arg (Printf.sprintf "Netlist.make: duplicate component name %S" name);
-      Hashtbl.replace by_name name (Component.id c))
-    components;
-  let wires = merge_wires n wires in
-  let xadj, anbr, awgt = build_csr ?pool n wires in
-  let total_size = Array.fold_left (fun acc c -> acc +. Component.size c) 0.0 components in
-  let total_wire_weight = Array.fold_left (fun acc w -> acc +. Wire.weight w) 0.0 wires in
-  { components; wires; xadj; anbr; awgt; by_name; total_size; total_wire_weight }
-
-let make ~components ~wires = make_opt None ~components ~wires
-let make_parallel ~pool ~components ~wires = make_opt (Some pool) ~components ~wires
-
-module Builder = struct
-  type t = {
-    mutable comps : Component.t list; (* reversed *)
-    mutable count : int;
-    mutable wire_list : Wire.t list;
-    names : (string, unit) Hashtbl.t;
-  }
-
-  let create () = { comps = []; count = 0; wire_list = []; names = Hashtbl.create 64 }
-
-  let add_component b ?name ~size () =
-    let id = b.count in
-    let name = match name with Some s -> s | None -> Printf.sprintf "c%d" id in
-    if Hashtbl.mem b.names name then
-      invalid_arg (Printf.sprintf "Builder.add_component: duplicate name %S" name);
-    Hashtbl.replace b.names name ();
-    b.comps <- Component.make ~id ~name ~size :: b.comps;
-    b.count <- id + 1;
-    id
-
-  let add_wire b j1 j2 ?(weight = 1.0) () =
-    if j1 < 0 || j1 >= b.count || j2 < 0 || j2 >= b.count then
-      invalid_arg (Printf.sprintf "Builder.add_wire: component id out of range (%d, %d)" j1 j2);
-    b.wire_list <- Wire.make j1 j2 ~weight :: b.wire_list
-
-  let build ?pool b = make_opt pool ~components:(List.rev b.comps) ~wires:b.wire_list
-end
+  List.iter
+    (fun w -> Builder.add_wire b (Wire.u w) (Wire.v w) ~weight:(Wire.weight w) ())
+    (List.rev wires);
+  Builder.build b
 
 let n t = Array.length t.components
 
@@ -186,14 +250,14 @@ let append_isolated t extra =
   let n0 = n t and k = Array.length extra in
   if k = 0 then t
   else begin
-    let by_name = Hashtbl.copy t.by_name in
+    let by_name = Names.copy t.by_name in
     let added =
       Array.mapi
         (fun i (name, size) ->
-          if Hashtbl.mem by_name name then
+          if Names.mem by_name name then
             invalid_arg (Printf.sprintf "Netlist.append_isolated: duplicate name %S" name);
           let c = Component.make ~id:(n0 + i) ~name ~size in
-          Hashtbl.replace by_name name (n0 + i);
+          Names.replace by_name name (n0 + i);
           c)
         extra
     in
@@ -216,7 +280,7 @@ let components t = Array.copy t.components
 let size t j = Component.size (component t j)
 let sizes t = Array.map Component.size t.components
 let total_size t = t.total_size
-let find_by_name t name = Hashtbl.find_opt t.by_name name
+let find_by_name t name = Names.find_opt t.by_name name
 let wires t = Array.copy t.wires
 let iter_wires t f = Array.iter f t.wires
 let fold_wires t ~init ~f = Array.fold_left f init t.wires

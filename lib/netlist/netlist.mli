@@ -6,7 +6,10 @@
     once built; construction goes through {!Builder} or {!make}.
     Parallel wires between the same pair of components are merged by
     summing their weights, exactly as {m a_{j_1 j_2}} counts the number
-    of interconnections.
+    of interconnections.  Both share one merge: two stable counting
+    passes in {m O(N + W)}, with each pair's sum taken from [0.] in a
+    fixed order: list order for {!make}, reverse call order for
+    {!Builder}.
 
     Adjacency is stored as struct-of-arrays CSR: a flat row-offset
     array plus flat neighbor/weight arrays ({!adj_offsets},
@@ -23,6 +26,8 @@ type t
 module Builder : sig
   type netlist := t
   type t
+  (** Growable flat arrays of components and raw wires, plus the name
+      table that becomes the built netlist's. *)
 
   val create : unit -> t
 
@@ -31,26 +36,28 @@ module Builder : sig
       ["c<id>"].
       @raise Invalid_argument on duplicate name or [size <= 0]. *)
 
+  val find : t -> string -> int option
+  (** The id of the component added under [name], if any. *)
+
   val add_wire : t -> int -> int -> ?weight:float -> unit -> unit
   (** [add_wire b j1 j2 ~weight ()] adds [weight] (default [1.])
       interconnections between two existing, distinct components;
-      repeated calls accumulate.
+      repeated calls accumulate, summed in reverse order of the calls.
       @raise Invalid_argument on unknown ids, self-loop, or
       non-positive weight. *)
 
   val build : ?pool:Qbpart_pool.Dompool.t -> t -> netlist
+  (** The netlist takes over the builder's name table, so [b] accepts
+      no further additions.
+      @raise Invalid_argument on [add_component] or [add_wire] after
+      [build]. *)
 end
 
 val make : components:Component.t list -> wires:Wire.t list -> t
 (** Direct construction.  Component ids must be exactly [0..n-1] in
-    order; wires must reference valid ids.  Parallel wires are merged.
+    order; wires must reference valid ids.  Parallel wires are merged,
+    their weights summed from [0.] in list order.
     @raise Invalid_argument otherwise. *)
-
-val make_parallel :
-  pool:Qbpart_pool.Dompool.t -> components:Component.t list -> wires:Wire.t list -> t
-(** Like {!make}, but fans the CSR adjacency construction over [pool]
-    when the instance is large enough to amortize the fan-out.  The
-    result is bit-identical to {!make} for any pool size. *)
 
 val append_isolated : t -> (string * float) array -> t
 (** [append_isolated t extra] is [t] plus one unconnected component

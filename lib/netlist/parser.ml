@@ -1,99 +1,57 @@
-type error = { line : int; message : string }
-type file_error = [ `Parse of error | `Io of string ]
+type error = Scan.error = { line : int; message : string }
+type file_error = Scan.file_error
 
-let pp_error ppf e = Format.fprintf ppf "line %d: %s" e.line e.message
-let error_to_string e = Format.asprintf "%a" pp_error e
+let error_to_string = Scan.error_to_string
+let file_error_to_string = Scan.file_error_to_string
 
-let pp_file_error ppf = function
-  | `Parse e -> pp_error ppf e
-  | `Io msg -> Format.pp_print_string ppf msg
-
-let file_error_to_string e = Format.asprintf "%a" pp_file_error e
-
-exception Fail of error
-
-let fail line fmt = Printf.ksprintf (fun message -> raise (Fail { line; message })) fmt
-
-let tokens line =
-  String.split_on_char ' ' line
-  |> List.concat_map (String.split_on_char '\t')
-  |> List.map (fun s ->
-         (* accept CRLF input: strip a trailing carriage return *)
-         let l = String.length s in
-         if l > 0 && s.[l - 1] = '\r' then String.sub s 0 (l - 1) else s)
-  |> List.filter (fun s -> s <> "")
-
-let float_of_token ln what s =
-  match float_of_string_opt s with
+let number sc what k =
+  match Scan.float sc k with
   | Some x when Float.is_finite x -> x
-  | Some _ -> fail ln "%s %S is not finite" what s
-  | None -> fail ln "invalid %s %S" what s
+  | Some _ -> Scan.fail sc "%s %S is not finite" what (Scan.token sc k)
+  | None -> Scan.fail sc "invalid %s %S" what (Scan.token sc k)
 
-let parse_lines lines =
-  let b = Netlist.Builder.create () in
-  let ids = Hashtbl.create 64 in
-  let lookup ln name =
-    match Hashtbl.find_opt ids name with
-    | Some id -> id
-    | None -> fail ln "unknown component %S" name
-  in
-  List.iteri
-    (fun idx raw ->
-      let ln = idx + 1 in
-      let raw = match String.index_opt raw '#' with
-        | Some i -> String.sub raw 0 i
-        | None -> raw
-      in
-      let raw = match String.index_opt raw ';' with
-        | Some i -> String.sub raw 0 i
-        | None -> raw
-      in
-      match tokens raw with
-      | [] -> ()
-      | [ "component"; name; size ] ->
-        if Hashtbl.mem ids name then fail ln "duplicate component %S" name;
-        let size = float_of_token ln "size" size in
-        if size <= 0.0 then fail ln "component %S: size must be > 0" name;
-        Hashtbl.replace ids name (Netlist.Builder.add_component b ~name ~size ())
-      | "component" :: _ -> fail ln "component syntax: component <name> <size>"
-      | [ "wire"; n1; n2 ] | [ "wire"; n1; n2; _ ] as toks ->
-        let weight =
-          match toks with
-          | [ _; _; _; w ] ->
-            let w = float_of_token ln "weight" w in
-            if w <= 0.0 then fail ln "wire weight must be > 0";
-            w
-          | _ -> 1.0
-        in
-        let j1 = lookup ln n1 and j2 = lookup ln n2 in
-        if j1 = j2 then fail ln "self-loop wire on %S" n1;
-        Netlist.Builder.add_wire b j1 j2 ~weight ()
-      | "wire" :: _ -> fail ln "wire syntax: wire <name1> <name2> [weight]"
-      | cmd :: _ -> fail ln "unknown declaration %S" cmd)
-    lines;
-  Netlist.Builder.build b
+let lookup b sc k =
+  let name = Scan.token sc k in
+  match Netlist.Builder.find b name with
+  | Some id -> id
+  | None -> Scan.fail sc "unknown component %S" name
+
+let declaration b sc =
+  match Scan.count sc with
+  | 0 -> ()
+  | k when Scan.is sc 0 "component" ->
+    if k <> 3 then Scan.fail sc "component syntax: component <name> <size>";
+    let name = Scan.token sc 1 in
+    if Option.is_some (Netlist.Builder.find b name) then
+      Scan.fail sc "duplicate component %S" name;
+    let size = number sc "size" 2 in
+    if size <= 0.0 then Scan.fail sc "component %S: size must be > 0" name;
+    ignore (Netlist.Builder.add_component b ~name ~size () : int)
+  | k when Scan.is sc 0 "wire" ->
+    if k < 3 || k > 4 then Scan.fail sc "wire syntax: wire <name1> <name2> [weight]";
+    let weight =
+      if k = 3 then 1.0
+      else begin
+        let w = number sc "weight" 3 in
+        if w <= 0.0 then Scan.fail sc "wire weight must be > 0";
+        w
+      end
+    in
+    let j1 = lookup b sc 1 in
+    let j2 = lookup b sc 2 in
+    if j1 = j2 then Scan.fail sc "self-loop wire on %S" (Scan.token sc 1);
+    Netlist.Builder.add_wire b j1 j2 ~weight ()
+  | _ -> Scan.fail sc "unknown declaration %S" (Scan.token sc 0)
 
 let parse_string s =
-  match parse_lines (String.split_on_char '\n' s) with
-  | nl -> Ok nl
-  | exception Fail e -> Error e
-
-let parse_channel ic =
-  let buf = Buffer.create 4096 in
+  let b = Netlist.Builder.create () in
+  let sc = Scan.of_string s in
   match
-    try
-      while true do
-        Buffer.add_channel buf ic 1
-      done
-    with End_of_file -> ()
+    while Scan.next sc do
+      declaration b sc
+    done
   with
-  | () -> (
-    match parse_string (Buffer.contents buf) with
-    | Ok nl -> Ok nl
-    | Error e -> Error (`Parse e))
-  | exception Sys_error msg -> Error (`Io msg)
+  | () -> Ok (Netlist.Builder.build b)
+  | exception Scan.Fail e -> Error e
 
-let parse_file path =
-  match open_in path with
-  | exception Sys_error msg -> Error (`Io msg)
-  | ic -> Fun.protect ~finally:(fun () -> close_in_noerr ic) (fun () -> parse_channel ic)
+let parse_file path = Scan.parse_file parse_string path

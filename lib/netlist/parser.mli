@@ -1,37 +1,32 @@
 (** Textual netlist format reader.
 
-    Line-oriented format, one declaration per line:
+    One declaration per line, in the line grammar of {!Scan} (comments
+    from ['#'] or [';'], tokens separated by spaces and tabs, CRLF
+    accepted):
     {v
-    # comment (also ';')
+    # comment
     component <name> <size>
     wire <name1> <name2> [weight]
     v}
-    Names are whitespace-free tokens; [weight] defaults to 1.  Wires
-    must reference previously declared components.  Parallel [wire]
-    lines accumulate.  This is the on-disk format produced by
-    {!Printer} and consumed by the [qbpart] command-line tool.
+    [weight] defaults to 1.  Wires must reference previously declared
+    components.  Parallel [wire] lines accumulate, summed in reverse
+    file order (see {!Netlist.Builder.add_wire}).  This is the on-disk
+    format produced by {!Printer} and consumed by the [qbpart]
+    command-line tool.
 
     The parser is total: no input — including arbitrary binary garbage
-    — makes it raise.  Sizes and weights must be finite and positive;
-    trailing carriage returns (CRLF files) are accepted. *)
+    — makes it raise.  Sizes and weights must be finite and positive. *)
 
-type error = { line : int; message : string }
+type error = Scan.error = { line : int; message : string }
 (** [line] is 1-based and always within the parsed input. *)
 
-type file_error = [ `Parse of error | `Io of string ]
-(** What can go wrong reading a file: a syntax error at a line, or an
-    I/O failure (unreadable, nonexistent, a directory, ...). *)
+type file_error = Scan.file_error
 
-val pp_error : Format.formatter -> error -> unit
 val error_to_string : error -> string
-
-val pp_file_error : Format.formatter -> file_error -> unit
 val file_error_to_string : file_error -> string
 
 val parse_string : string -> (Netlist.t, error) result
-val parse_channel : in_channel -> (Netlist.t, file_error) result
-(** [`Io] if reading the channel fails mid-stream. *)
 
 val parse_file : string -> (Netlist.t, file_error) result
-(** Total: an unopenable or unreadable file is [`Io], never a raised
-    [Sys_error]. *)
+(** Reads the whole file, then parses it.  Total: an unopenable or
+    unreadable file is [`Io], never a raised [Sys_error]. *)

@@ -1,63 +1,48 @@
 module Netlist = Qbpart_netlist.Netlist
+module Scan = Qbpart_netlist.Scan
 
-type error = { line : int; message : string }
+type error = Scan.error = { line : int; message : string }
+type file_error = Scan.file_error
 
-let pp_error ppf e = Format.fprintf ppf "line %d: %s" e.line e.message
-let error_to_string e = Format.asprintf "%a" pp_error e
+let error_to_string = Scan.error_to_string
+let file_error_to_string = Scan.file_error_to_string
 
-exception Fail of error
+let lookup nl sc k =
+  let name = Scan.token sc k in
+  match Netlist.find_by_name nl name with
+  | Some id -> id
+  | None -> Scan.fail sc "unknown component %S" name
 
-let fail line fmt = Printf.ksprintf (fun message -> raise (Fail { line; message })) fmt
+let budget_of sc k =
+  match Scan.float sc k with
+  | Some x when x >= 0.0 && not (Float.is_nan x) -> x
+  | _ -> Scan.fail sc "invalid budget %S" (Scan.token sc k)
 
-let tokens line =
-  String.split_on_char ' ' line
-  |> List.concat_map (String.split_on_char '\t')
-  |> List.filter (fun s -> s <> "")
+let budget_line nl sc add =
+  let j1 = lookup nl sc 1 in
+  let j2 = lookup nl sc 2 in
+  if j1 = j2 then Scan.fail sc "budget on a component with itself: %S" (Scan.token sc 1);
+  add j1 j2 (budget_of sc 3)
 
-let strip_comment raw =
-  let raw =
-    match String.index_opt raw '#' with Some i -> String.sub raw 0 i | None -> raw
-  in
-  match String.index_opt raw ';' with Some i -> String.sub raw 0 i | None -> raw
+let declaration nl cons sc =
+  match Scan.count sc with
+  | 0 -> ()
+  | 4 when Scan.is sc 0 "budget" -> budget_line nl sc (Constraints.add cons)
+  | 4 when Scan.is sc 0 "budget_sym" -> budget_line nl sc (Constraints.add_sym cons)
+  | _ -> Scan.fail sc "unknown declaration %S (budget | budget_sym)" (Scan.token sc 0)
 
 let parse_string nl source =
   let cons = Constraints.create ~n:(Netlist.n nl) in
-  let lookup ln name =
-    match Netlist.find_by_name nl name with
-    | Some id -> id
-    | None -> fail ln "unknown component %S" name
-  in
-  let budget_of ln s =
-    match float_of_string_opt s with
-    | Some x when x >= 0.0 && not (Float.is_nan x) -> x
-    | _ -> fail ln "invalid budget %S" s
-  in
+  let sc = Scan.of_string source in
   match
-    List.iteri
-      (fun idx raw ->
-        let ln = idx + 1 in
-        match tokens (strip_comment raw) with
-        | [] -> ()
-        | [ "budget"; f; t; b ] ->
-          let j1 = lookup ln f and j2 = lookup ln t in
-          if j1 = j2 then fail ln "budget on a component with itself: %S" f;
-          Constraints.add cons j1 j2 (budget_of ln b)
-        | [ "budget_sym"; a; b; x ] ->
-          let j1 = lookup ln a and j2 = lookup ln b in
-          if j1 = j2 then fail ln "budget on a component with itself: %S" a;
-          Constraints.add_sym cons j1 j2 (budget_of ln x)
-        | cmd :: _ -> fail ln "unknown declaration %S (budget | budget_sym)" cmd)
-      (String.split_on_char '\n' source)
+    while Scan.next sc do
+      declaration nl cons sc
+    done
   with
   | () -> Ok cons
-  | exception Fail e -> Error e
+  | exception Scan.Fail e -> Error e
 
-let parse_file nl path =
-  let ic = open_in path in
-  Fun.protect ~finally:(fun () -> close_in_noerr ic) (fun () ->
-      let len = in_channel_length ic in
-      let contents = really_input_string ic len in
-      parse_string nl contents)
+let parse_file nl path = Scan.parse_file (parse_string nl) path
 
 let to_string nl cons =
   let buf = Buffer.create 1024 in

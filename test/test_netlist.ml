@@ -1,6 +1,6 @@
 (* Tests for the netlist substrate: RNG, components, wires, sparse
-   matrices, netlist construction, statistics, the synthetic generator
-   and the textual format round-trip. *)
+   matrices, netlist construction, statistics, the synthetic generator,
+   the shared line scanner and the textual formats. *)
 
 open Qbpart_netlist
 
@@ -237,6 +237,23 @@ let test_netlist_bad_wire () =
     fail "dangling wire accepted"
   with Invalid_argument _ -> ()
 
+(* The built netlist owns the builder's name table, so the builder
+   takes no further additions. *)
+let test_netlist_builder_sealed () =
+  let b = Netlist.Builder.create () in
+  let x = Netlist.Builder.add_component b ~name:"x" ~size:1.0 () in
+  let y = Netlist.Builder.add_component b ~name:"y" ~size:1.0 () in
+  let nl = Netlist.Builder.build b in
+  (try
+     ignore (Netlist.Builder.add_component b ~name:"z" ~size:1.0 ());
+     fail "component added after build"
+   with Invalid_argument _ -> ());
+  (try
+     Netlist.Builder.add_wire b x y ();
+     fail "wire added after build"
+   with Invalid_argument _ -> ());
+  check Alcotest.(option int) "names intact" None (Netlist.find_by_name nl "z")
+
 let test_netlist_connection_matrix () =
   let nl = triangle () in
   let m = Netlist.connection_matrix nl in
@@ -384,64 +401,125 @@ let prop_generator_counts =
       let nl = Generator.generate rng (Generator.default_params ~n ~wires) in
       Netlist.n nl = n && Netlist.total_wire_weight nl = float_of_int wires)
 
-(* qcheck fuzz: the parser is total.  Whatever bytes arrive, it either
-   parses or reports an error whose line number lies within the
-   input — it must never raise. *)
-let lines_of s = List.length (String.split_on_char '\n' s)
+(* qcheck fuzz: the netlist and delta readers are total (see
+   Totality). *)
+let parser_fuzz =
+  Totality.props ~what:"parser" ~words:[ "component"; "wire"; "c0"; "c1" ]
+    ~printed:(fun ~n ~seed ->
+      let rng = Rng.create (n + (seed * 31)) in
+      Printer.to_string (Generator.generate rng (Generator.default_params ~n ~wires:(n * 3))))
+    (fun s -> match Parser.parse_string s with Ok _ -> None | Error e -> Some e.Parser.line)
 
-let parser_total_on s =
-  match Parser.parse_string s with
-  | Ok _ -> true
-  | Error e -> 1 <= e.Parser.line && e.Parser.line <= lines_of s
-  | exception e ->
-    QCheck.Test.fail_reportf "parser raised %s on %S" (Printexc.to_string e) s
+let random_delta ~n ~seed =
+  let rng = Rng.create (n + (seed * 31)) in
+  let name () = Printf.sprintf "c%d" (Rng.int rng n) in
+  let number () = float_of_int (1 + Rng.int rng 9) /. 2.0 in
+  List.init (1 + Rng.int rng 12) (fun _ ->
+      match Rng.int rng 5 with
+      | 0 ->
+        Delta.Add_component { name = Printf.sprintf "new%d" (Rng.int rng 100); size = number () }
+      | 1 -> Delta.Remove_component { name = name () }
+      | 2 -> Delta.Add_wire { u = name (); v = name (); weight = number () }
+      | 3 -> Delta.Remove_wire { u = name (); v = name () }
+      | _ -> Delta.Retime { src = name (); dst = name (); budget = number () })
 
-let prop_parser_total_random_bytes =
-  QCheck.Test.make ~name:"parser: total on random bytes" ~count:500
-    QCheck.(string_gen (Gen.int_range 0 255 |> Gen.map Char.chr))
-    parser_total_on
+let delta_fuzz =
+  Totality.props ~what:"delta parser"
+    ~words:[ "add"; "remove"; "wire"; "unwire"; "retime"; "c0"; "c1" ]
+    ~printed:(fun ~n ~seed -> Delta.to_string (random_delta ~n ~seed))
+    (fun s -> match Delta.parse_string s with Ok _ -> None | Error e -> Some e.Delta.at)
 
-let prop_parser_total_format_shaped =
-  (* bias the fuzz toward almost-valid inputs: the format's own
-     keywords interleaved with junk tokens and numbers *)
-  let token =
-    QCheck.Gen.oneof
-      [
-        QCheck.Gen.return "component";
-        QCheck.Gen.return "wire";
-        QCheck.Gen.return "c0";
-        QCheck.Gen.return "c1";
-        QCheck.Gen.return "#";
-        QCheck.Gen.return ";";
-        QCheck.Gen.return "-1";
-        QCheck.Gen.return "1e308";
-        QCheck.Gen.return "nan";
-        QCheck.Gen.return "inf";
-        QCheck.Gen.return "0";
-        QCheck.Gen.return "1.5";
-        QCheck.Gen.map (Printf.sprintf "%d") QCheck.Gen.small_int;
-        QCheck.Gen.small_string ~gen:QCheck.Gen.printable;
-      ]
+let prop_delta_roundtrip =
+  QCheck.Test.make ~name:"delta: parse (to_string ops) = ops" ~count:100
+    QCheck.(pair (int_range 2 20) (int_range 0 1000))
+    (fun (n, seed) ->
+      let ops = random_delta ~n ~seed in
+      Delta.parse_string (Delta.to_string ops) = Ok ops)
+
+(* Parallel wires are summed from 0 in a fixed order: reverse file
+   order when parsed (the builder's), list order through
+   [Netlist.make].  The two orders give different floats here. *)
+let weight_bits nl = Int64.bits_of_float (Netlist.connection nl 0 1)
+
+let test_parse_merge_order () =
+  match
+    Parser.parse_string
+      "component a 1\ncomponent b 1\nwire a b 0.1\nwire b a 0.2\nwire a b 0.3\n"
+  with
+  | Error e -> fail (Parser.error_to_string e)
+  | Ok nl ->
+    check Alcotest.int64 "reverse file order" (Int64.bits_of_float ((0.3 +. 0.2) +. 0.1))
+      (weight_bits nl)
+
+let test_make_merge_order () =
+  let components =
+    [ Component.make ~id:0 ~name:"a" ~size:1.0; Component.make ~id:1 ~name:"b" ~size:1.0 ]
   in
-  let line = QCheck.Gen.map (String.concat " ") (QCheck.Gen.list_size (QCheck.Gen.int_range 0 5) token) in
-  let doc = QCheck.Gen.map (String.concat "\n") (QCheck.Gen.list_size (QCheck.Gen.int_range 0 12) line) in
-  QCheck.Test.make ~name:"parser: total on format-shaped fuzz" ~count:500
-    (QCheck.make ~print:(fun s -> s) doc)
-    parser_total_on
+  let wires = [ Wire.make 0 1 ~weight:0.1; Wire.make 1 0 ~weight:0.2; Wire.make 0 1 ~weight:0.3 ] in
+  check Alcotest.int64 "list order" (Int64.bits_of_float ((0.1 +. 0.2) +. 0.3))
+    (weight_bits (Netlist.make ~components ~wires))
 
-let prop_parser_total_mutated =
-  (* flip one byte of a valid printed netlist *)
-  QCheck.Test.make ~name:"parser: total on mutated valid input" ~count:300
-    QCheck.(triple (int_range 2 20) (int_range 0 1000) (int_range 0 255))
-    (fun (n, pos_seed, byte) ->
-      let rng = Rng.create (n + (pos_seed * 31)) in
-      let nl = Generator.generate rng (Generator.default_params ~n ~wires:(n * 3)) in
-      let s = Bytes.of_string (Printer.to_string nl) in
-      if Bytes.length s = 0 then true
-      else begin
-        Bytes.set s (pos_seed mod Bytes.length s) (Char.chr byte);
-        parser_total_on (Bytes.to_string s)
-      end)
+(* The line grammar as each reader used to spell it out: cut at the
+   first '#' or ';', split on spaces and tabs, drop one trailing '\r'
+   per piece, drop empty pieces.  Scan must agree on every input. *)
+let reference_tokens line =
+  let cut c s = match String.index_opt s c with Some i -> String.sub s 0 i | None -> s in
+  cut ';' (cut '#' line)
+  |> String.split_on_char ' '
+  |> List.concat_map (String.split_on_char '\t')
+  |> List.map (fun t ->
+         let l = String.length t in
+         if l > 0 && t.[l - 1] = '\r' then String.sub t 0 (l - 1) else t)
+  |> List.filter (( <> ) "")
+
+let scanned s =
+  let sc = Scan.of_string s in
+  let rec go acc =
+    if Scan.next sc then
+      go ((Scan.line sc, Scan.line_text sc, List.init (Scan.count sc) (Scan.token sc)) :: acc)
+    else List.rev acc
+  in
+  go []
+
+let prop_scan_matches_reference =
+  QCheck.Test.make ~name:"scan: lines and tokens match the split grammar" ~count:1000
+    QCheck.(
+      string_gen
+        (Gen.oneof [ Gen.oneofl [ ' '; '\t'; '\r'; '\n'; '#'; ';'; 'a'; '1' ]; Gen.char ]))
+    (fun s ->
+      scanned s
+      = List.mapi (fun i l -> (i + 1, l, reference_tokens l)) (String.split_on_char '\n' s))
+
+let prop_scan_float_matches_stdlib =
+  let open QCheck.Gen in
+  let digits lo hi = string_size ~gen:(char_range '0' '9') (int_range lo hi) in
+  let opt g = oneof [ return ""; g ] in
+  let sign = opt (oneofl [ "-"; "+" ]) in
+  let decimal =
+    map (String.concat "")
+      (flatten_l
+         [
+           sign;
+           digits 0 17;
+           opt (map (( ^ ) ".") (digits 0 17));
+           opt (map3 (fun e s d -> e ^ s ^ d) (oneofl [ "e"; "E" ]) sign (digits 0 3));
+         ])
+  in
+  let junk =
+    string_size ~gen:(oneofl [ '0'; '1'; '9'; '.'; 'e'; 'E'; '+'; '-'; '_'; 'x'; 'p'; 'n' ])
+      (int_range 1 8)
+  in
+  QCheck.Test.make ~name:"scan: float reads a token as float_of_string_opt" ~count:3000
+    (QCheck.make ~print:Fun.id (oneof [ decimal; junk ]))
+    (fun tok ->
+      let sc = Scan.of_string tok in
+      ignore (Scan.next sc : bool);
+      Scan.count sc <> 1
+      ||
+      match (Scan.float sc 0, float_of_string_opt tok) with
+      | Some a, Some b -> Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+      | None, None -> true
+      | _ -> false)
 
 let test_parse_file_missing () =
   (match Parser.parse_file "/nonexistent/qbpart-no-such-file.net" with
@@ -593,6 +671,7 @@ let () =
           Alcotest.test_case "find by name" `Quick test_netlist_find_by_name;
           Alcotest.test_case "duplicate name rejected" `Quick test_netlist_duplicate_name;
           Alcotest.test_case "dangling wire rejected" `Quick test_netlist_bad_wire;
+          Alcotest.test_case "builder sealed by build" `Quick test_netlist_builder_sealed;
           Alcotest.test_case "connection matrix" `Quick test_netlist_connection_matrix;
           Alcotest.test_case "make checks ids" `Quick test_netlist_make_bad_ids;
         ] );
@@ -615,7 +694,12 @@ let () =
           Alcotest.test_case "roundtrip triangle" `Quick test_roundtrip_triangle;
           Alcotest.test_case "file errors are Io" `Quick test_parse_file_missing;
           Alcotest.test_case "crlf and non-finite" `Quick test_parse_crlf_and_nonfinite;
+          Alcotest.test_case "parallel wires sum in reverse file order" `Quick
+            test_parse_merge_order;
+          Alcotest.test_case "make sums parallel wires in list order" `Quick
+            test_make_merge_order;
         ] );
+      ("scan", [ q prop_scan_matches_reference; q prop_scan_float_matches_stdlib ]);
       ( "hypergraph",
         [
           Alcotest.test_case "make" `Quick test_hyper_make;
@@ -627,11 +711,12 @@ let () =
           Alcotest.test_case "cut metrics" `Quick test_hyper_cut_metrics;
         ] );
       ( "properties",
-        [ q prop_roundtrip; q prop_generator_counts; q prop_adjacency_symmetric ] );
-      ( "fuzz",
         [
-          q prop_parser_total_random_bytes;
-          q prop_parser_total_format_shaped;
-          q prop_parser_total_mutated;
+          q prop_roundtrip;
+          q prop_generator_counts;
+          q prop_adjacency_symmetric;
+          q prop_delta_roundtrip;
         ] );
+      ( "fuzz",
+        List.map q (parser_fuzz @ delta_fuzz) );
     ]

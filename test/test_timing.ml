@@ -295,6 +295,48 @@ let test_io_errors () =
   expect "budget alu rom\n" 1;
   expect "budget alu rom 1\nfrobnicate x y 1\n" 2
 
+let test_io_crlf () =
+  let nl = named_netlist () in
+  match Constraints_io.parse_string nl "budget alu rom 1\r\nbudget_sym rom io 2.5\r\n" with
+  | Error e -> fail (Constraints_io.error_to_string e)
+  | Ok c ->
+    check flt "directed" 1.0 (Constraints.budget c 0 1);
+    check flt "sym" 2.5 (Constraints.budget c 2 1);
+    check Alcotest.int "count" 3 (Constraints.count c)
+
+let test_io_file_errors () =
+  let nl = named_netlist () in
+  (match Constraints_io.parse_file nl "/nonexistent/qbpart-no-such-file.tim" with
+  | Error (`Io _) -> ()
+  | Error (`Parse _) -> fail "missing file reported as a parse error"
+  | Ok _ -> fail "parsed a nonexistent file");
+  match Constraints_io.parse_file nl "." with
+  | Error (`Io _) -> ()
+  | Error (`Parse _) -> fail "directory reported as a parse error"
+  | Ok _ -> fail "parsed a directory"
+
+(* qcheck fuzz: the budget reader is total (see Totality), against a
+   fixed netlist whose names the documents use. *)
+let fuzz_netlist =
+  Qbpart_netlist.Generator.generate (Qbpart_netlist.Rng.create 7)
+    (Qbpart_netlist.Generator.default_params ~n:20 ~wires:60)
+
+let budget_fuzz =
+  Totality.props ~what:"budget parser" ~words:[ "budget"; "budget_sym"; "c0"; "c1" ]
+    ~printed:(fun ~n ~seed ->
+      let rng = Qbpart_netlist.Rng.create (n + (seed * 31)) in
+      let c = Constraints.create ~n:(Netlist.n fuzz_netlist) in
+      for _ = 1 to 3 * n do
+        let j1 = Qbpart_netlist.Rng.int rng n and j2 = Qbpart_netlist.Rng.int rng n in
+        let b = float_of_int (Qbpart_netlist.Rng.int rng 7) /. 2.0 in
+        if j1 <> j2 then Constraints.add c j1 j2 b
+      done;
+      Constraints_io.to_string fuzz_netlist c)
+    (fun s ->
+      match Constraints_io.parse_string fuzz_netlist s with
+      | Ok _ -> None
+      | Error e -> Some e.Constraints_io.line)
+
 let test_io_roundtrip () =
   let nl = named_netlist () in
   let c = Constraints.create ~n:3 in
@@ -342,6 +384,9 @@ let () =
           Alcotest.test_case "parse" `Quick test_io_parse;
           Alcotest.test_case "errors" `Quick test_io_errors;
           Alcotest.test_case "roundtrip" `Quick test_io_roundtrip;
+          Alcotest.test_case "crlf" `Quick test_io_crlf;
+          Alcotest.test_case "file errors are Io" `Quick test_io_file_errors;
         ] );
+      ("fuzz", List.map q budget_fuzz);
       ("properties", [ q prop_placement_consistent; q prop_sta_budget_safety ]);
     ]
