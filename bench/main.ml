@@ -134,10 +134,10 @@ let figure1 () =
   Netlist.Builder.add_wire b cb cc ~weight:2.0 ();
   let nl = Netlist.Builder.build b in
   let topo = Grid.make ~rows:2 ~cols:2 ~capacity:10.0 () in
-  let cons = Constraints.create ~n:3 in
-  Constraints.add_sym cons 0 1 1.0;
-  Constraints.add_sym cons 1 2 1.0;
-  let problem = Problem.make ~constraints:cons nl topo in
+  let cb = Constraints.Builder.create ~n:3 in
+  Constraints.Builder.add_sym cb 0 1 1.0;
+  Constraints.Builder.add_sym cb 1 2 1.0;
+  let problem = Problem.make ~constraints:(Constraints.Builder.build cb) nl topo in
   let q = Qmatrix.make ~penalty:50.0 problem in
   let dense = Qmatrix.dense q in
   let names = [| "a"; "b"; "c" |] in

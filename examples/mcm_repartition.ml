@@ -40,12 +40,13 @@ let () =
         if r < 0.5 then Rng.int rng 3 else Rng.int rng m)
   in
   (* Timing constraints between heavily connected blocks. *)
-  let constraints = Constraints.create ~n:(Netlist.n netlist) in
+  let budgets = Constraints.Builder.create ~n:(Netlist.n netlist) in
   Array.iter
     (fun w ->
       if Qbpart_netlist.Wire.weight w >= 3.0 then
-        Constraints.add_sym constraints (Qbpart_netlist.Wire.u w) (Qbpart_netlist.Wire.v w) 2.0)
+        Constraints.Builder.add_sym budgets (Qbpart_netlist.Wire.u w) (Qbpart_netlist.Wire.v w) 2.0)
     (Netlist.wires netlist);
+  let constraints = Constraints.Builder.build budgets in
 
   let excess = Evaluate.capacity_excess netlist topology initial in
   Format.printf "designer's assignment: capacity excess %.1f over %d slots, %d timing violations@."

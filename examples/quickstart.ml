@@ -53,12 +53,13 @@ let () =
 
   (* 3. Timing constraints: maximum routing delay between pairs on the
      critical paths (D_C entries; everything else is unconstrained). *)
-  let constraints = Constraints.create ~n:(Netlist.n netlist) in
-  Constraints.add_sym constraints cpu l1 1.0;  (* must be adjacent or together *)
-  Constraints.add_sym constraints l1 l2 1.0;
-  Constraints.add_sym constraints l2 dram 1.0;
-  Constraints.add_sym constraints cpu fpu 1.0;
-  Constraints.add_sym constraints cpu pll 2.0;
+  let budgets = Constraints.Builder.create ~n:(Netlist.n netlist) in
+  Constraints.Builder.add_sym budgets cpu l1 1.0;  (* must be adjacent or together *)
+  Constraints.Builder.add_sym budgets l1 l2 1.0;
+  Constraints.Builder.add_sym budgets l2 dram 1.0;
+  Constraints.Builder.add_sym budgets cpu fpu 1.0;
+  Constraints.Builder.add_sym budgets cpu pll 2.0;
+  let constraints = Constraints.Builder.build budgets in
 
   (* 4. Solve the quadratic boolean program. *)
   let problem = Problem.make ~constraints netlist topology in

@@ -137,19 +137,33 @@ let escape s =
     s;
   Buffer.contents b
 
+let hex_digit c =
+  match c with
+  | '0' .. '9' -> Char.code c - Char.code '0'
+  | 'a' .. 'f' -> Char.code c - Char.code 'a' + 10
+  | 'A' .. 'F' -> Char.code c - Char.code 'A' + 10
+  | _ -> -1
+
+(* [None] when a '%' is not followed by two hex digits. *)
 let unescape s =
   let b = Buffer.create (String.length s) in
-  let i = ref 0 in
   let len = String.length s in
-  while !i < len do
-    (if s.[!i] = '%' && !i + 2 < len then begin
-       Buffer.add_char b (Char.chr (int_of_string ("0x" ^ String.sub s (!i + 1) 2)));
-       i := !i + 2
-     end
-     else Buffer.add_char b s.[!i]);
-    incr i
-  done;
-  Buffer.contents b
+  let rec go i =
+    if i >= len then Some (Buffer.contents b)
+    else if s.[i] <> '%' then begin
+      Buffer.add_char b s.[i];
+      go (i + 1)
+    end
+    else
+      let hi = if i + 1 < len then hex_digit s.[i + 1] else -1 in
+      let lo = if i + 2 < len then hex_digit s.[i + 2] else -1 in
+      if hi < 0 || lo < 0 then None
+      else begin
+        Buffer.add_char b (Char.chr ((hi * 16) + lo));
+        go (i + 3)
+      end
+  in
+  go 0
 
 (* One serializer behind a string sink: [output] points it at a
    buffered channel so a 100k-component assignment streams through the
@@ -273,8 +287,10 @@ let of_string text =
             let failure =
               match rest with
               | [ "-" ] -> None
-              | [ msg ] when String.length msg > 0 && msg.[0] = '!' ->
-                Some (unescape (String.sub msg 1 (String.length msg - 1)))
+              | [ msg ] when String.length msg > 0 && msg.[0] = '!' -> (
+                match unescape (String.sub msg 1 (String.length msg - 1)) with
+                | Some _ as failure -> failure
+                | None -> corrupt (Printf.sprintf "invalid escape in start failure %S" msg))
               | _ -> corrupt "malformed start failure field"
             in
             {

@@ -1,4 +1,3 @@
-module Constraints = Qbpart_timing.Constraints
 module Rng = Qbpart_netlist.Rng
 module Assignment = Qbpart_partition.Assignment
 module Problem = Qbpart_core.Problem
@@ -102,12 +101,6 @@ let solve ?(config = Burkard.Config.default) ?(max_rounds = 4) ?(factor = 8.0) ?
       if d < 0 then invalid_arg "Evolve.solve: min_distance must be >= 0";
       d
   in
-  let cons = problem.Problem.constraints in
-  (* Force the lazily-built partner CSR before any domain spawns: it
-     memoizes on first access, and that write is the one piece of
-     shared state the otherwise read-only problem would mutate from
-     several domains at once. *)
-  if n > 0 && not (Constraints.empty cons) then Constraints.prebuild cons;
   (* Generation plan: later generations get a half-share each so that
      generation 0 — the independent-starts exploration phase — keeps
      the majority of the budget.  Total is exactly [starts]: equal

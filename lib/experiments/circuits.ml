@@ -53,7 +53,8 @@ let plant_constraints ?(slack = (1.0, 2.0)) rng ~target nl topo reference =
   (* only n(n-1) distinct directed pairs exist; an over-ambitious
      target would spin the random-pair fallback below forever *)
   let target = min target (n * (n - 1)) in
-  let cons = Constraints.create ~n in
+  let cons = Constraints.Builder.create ~n in
+  let seen = Hashtbl.create 1024 in
   let slack_lo, slack_hi = slack in
   let budget j1 j2 =
     let slack = if Rng.float rng 1.0 < 0.6 then slack_lo else slack_hi in
@@ -64,8 +65,9 @@ let plant_constraints ?(slack = (1.0, 2.0)) rng ~target nl topo reference =
   Rng.shuffle rng order;
   let added = ref 0 in
   let add_pair j1 j2 =
-    if !added < target && not (Constraints.mem cons j1 j2) then begin
-      Constraints.add cons j1 j2 (budget j1 j2);
+    if !added < target && not (Hashtbl.mem seen ((j1 * n) + j2)) then begin
+      Hashtbl.replace seen ((j1 * n) + j2) ();
+      Constraints.Builder.add cons j1 j2 (budget j1 j2);
       incr added
     end
   in
@@ -100,7 +102,7 @@ let plant_constraints ?(slack = (1.0, 2.0)) rng ~target nl topo reference =
     let j1 = Rng.int rng n and j2 = Rng.int rng n in
     if j1 <> j2 then add_pair j1 j2
   done;
-  cons
+  Constraints.Builder.build cons
 
 let build ?(rows = 4) ?(cols = 4) ?(capacity_slack = 1.08) ?(reference_iterations = 30) spec =
   let rng = Rng.create spec.seed in

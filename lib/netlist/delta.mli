@@ -22,7 +22,7 @@ type op =
   | Retime of { src : string; dst : string; budget : float }
       (** Directed timing budget [src -> dst].  Tighten-only: when a
           budget already exists for the pair, the smaller one wins
-          (the semantics of [Constraints.add]). *)
+          (the semantics of [Constraints.Builder.add]). *)
 
 type t = op list
 

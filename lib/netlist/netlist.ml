@@ -320,15 +320,6 @@ let connection t j1 j2 =
   let k = adj_slot t j1 j2 in
   if k < 0 then 0.0 else t.awgt.(k)
 
-let connection_matrix t =
-  let m = Sparse_matrix.create ~rows:(n t) ~cols:(n t) () in
-  Array.iter
-    (fun w ->
-      Sparse_matrix.set m (Wire.u w) (Wire.v w) (Wire.weight w);
-      Sparse_matrix.set m (Wire.v w) (Wire.u w) (Wire.weight w))
-    t.wires;
-  m
-
 let equal a b =
   Array.length a.components = Array.length b.components
   && Array.for_all2 Component.equal a.components b.components

@@ -137,10 +137,6 @@ val adj_slot : t -> int -> int -> int
     equal.  Hot loops use it instead of {!connection}, whose float
     result is boxed on every call from another module. *)
 
-val connection_matrix : t -> Sparse_matrix.t
-(** The full symmetric {m A} as a fresh sparse matrix (both triangles
-    populated). *)
-
 (** {1 Misc} *)
 
 val equal : t -> t -> bool

@@ -19,8 +19,6 @@ module Config = struct
     polish_passes : int;
     final_polish : int;
     repair_every : int;
-    adopt_repair : bool;
-    strict_polish : bool;
     seed : int;
   }
 
@@ -35,8 +33,6 @@ module Config = struct
       polish_passes = 1;
       final_polish = 50;
       repair_every = 2;
-      adopt_repair = false;
-      strict_polish = false;
       seed = 1;
     }
 
@@ -264,45 +260,28 @@ let solve ?(config = Config.default) ?initial ?(should_stop = fun () -> false)
     if not (stop ()) then begin
       (* Polish with delta tracking: one full evaluation of the fresh
          GAP iterate, then every descent move updates (cost, violations)
-         in O(deg), so STEP 7 below needs no recompute.  Strict polish
-         descends a different (huge-penalty) surface whose deltas do not
-         price the solver's objective, so that path re-evaluates. *)
+         in O(deg), so STEP 7 below needs no recompute. *)
       let known =
-        ref
-          (if config.Config.strict_polish then begin
-             polish ~strict:true ~passes:config.Config.polish_passes u;
-             evaluate u
-           end
-           else begin
-             let c0, v0 = evaluate u in
-             let dc, dv =
-               Repair.polish_tracked ?cache:rows q u
-                 ~passes:config.Config.polish_passes
-             in
-             (c0 +. dc, v0 + dv)
-           end)
+        let c0, v0 = evaluate u in
+        let dc, dv = Repair.polish_tracked ?cache:rows q u ~passes:config.Config.polish_passes in
+        (c0 +. dc, v0 + dv)
       in
       (* Feasibility probe (our enhancement, DESIGN.md D6): coordinate
          descent under an effectively infinite penalty pulls the iterate
          toward the timing-feasible set without disturbing the Burkard
-         trajectory itself (unless [adopt_repair] makes the repaired
-         point the next iterate). *)
+         trajectory itself. *)
       if
         config.Config.repair_every > 0
         && (k0 mod config.Config.repair_every = 0 || k0 = config.Config.iterations)
         && not (Constraints.empty problem.Problem.constraints)
       then begin
         let probe = Assignment.copy u in
-        let reached = to_feasible probe ~rounds:6 in
-        ignore (consider probe);
-        if config.Config.adopt_repair && reached && Problem.capacity_feasible problem probe then begin
-          Array.blit probe 0 u 0 n;
-          known := evaluate u
-        end
+        ignore (to_feasible probe ~rounds:6 : bool);
+        ignore (consider probe)
       end;
       (* STEP 7 *)
-      let penalized, feasible = consider ~known:!known u in
-      let viol = snd !known in
+      let penalized, feasible = consider ~known u in
+      let viol = snd known in
       let it =
         {
           k = k0;

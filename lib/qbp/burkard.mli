@@ -56,13 +56,6 @@ module Config : sig
             solutions into the timing-feasible set without disturbing
             the Burkard trajectory (our enhancement, DESIGN.md D6;
             0 disables) *)
-    adopt_repair : bool;
-        (** when a probe reaches feasibility, continue the trajectory
-            from the repaired point instead of the raw iterate *)
-    strict_polish : bool;
-        (** run the per-iteration polish under the infinite penalty
-            instead of [penalty] — a projection-flavoured variant that
-            keeps iterates near the feasible set *)
     seed : int;             (** randomness for the default initial solution *)
   }
 

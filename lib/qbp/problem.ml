@@ -38,7 +38,7 @@ let make ?(alpha = 1.0) ?(beta = 1.0) ?p ?constraints netlist topology =
           (Printf.sprintf "Problem.make: constraints built for %d components, netlist has %d"
              (Constraints.n c) n);
       c
-    | None -> Constraints.create ~n
+    | None -> Constraints.none ~n
   in
   let p = Option.map (Array.map Array.copy) p in
   { netlist; topology; constraints; p; alpha; beta }
@@ -130,15 +130,16 @@ let apply_delta ?topology t delta =
     | _ ->
       let topology = Option.value topology ~default:t.topology in
       let n_new = Netlist.n ap.Delta.netlist in
-      let constraints = Constraints.create ~n:n_new in
+      let b = Constraints.Builder.create ~n:n_new in
       (* Surviving budgets carry over (remapped); retimes then land on
-         top with Constraints.add's tighten-only semantics. *)
+         top with the builder's tighten-only rule. *)
       Constraints.iter t.constraints (fun j1 j2 budget ->
-          let a = ap.Delta.new_of_old.(j1) and b = ap.Delta.new_of_old.(j2) in
-          if a >= 0 && b >= 0 then Constraints.add constraints a b budget);
+          let u = ap.Delta.new_of_old.(j1) and v = ap.Delta.new_of_old.(j2) in
+          if u >= 0 && v >= 0 then Constraints.Builder.add b u v budget);
       List.iter
-        (fun (src, dst, budget) -> Constraints.add constraints src dst budget)
+        (fun (src, dst, budget) -> Constraints.Builder.add b src dst budget)
         ap.Delta.retimes;
+      let constraints = Constraints.Builder.build b in
       let dr_problem =
         make ~alpha:t.alpha ~beta:t.beta ?p:t.p ~constraints ap.Delta.netlist topology
       in

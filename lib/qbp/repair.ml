@@ -219,11 +219,12 @@ let local_cost q u scratch j =
 
 (* Cost terms shared by the two endpoints of a pair (they both count
    the direct wire and the mutual timing penalties in their local
-   costs, so the joint cost must subtract one copy). *)
-let shared_cost q j1 j2 i1 i2 =
+   costs, so the joint cost must subtract one copy).  The caller looks
+   the pair's budgets [b12] and [b21] up once: a float returned by
+   another module's function is boxed on every call. *)
+let shared_cost q j1 j2 ~b12 ~b21 i1 i2 =
   let problem = Qmatrix.problem q in
   let topo = problem.Problem.topology in
-  let cons = problem.Problem.constraints in
   let m = Problem.m problem in
   let bf = Topology.b_flat topo and df = Topology.d_flat topo in
   let w = Netlist.connection problem.Problem.netlist j1 j2 in
@@ -234,8 +235,8 @@ let shared_cost q j1 j2 i1 i2 =
   in
   let pen = Qmatrix.penalty q in
   let timing =
-    (if df.((i1 * m) + i2) > Constraints.budget cons j1 j2 then pen else 0.0)
-    +. if df.((i2 * m) + i1) > Constraints.budget cons j2 j1 then pen else 0.0
+    (if df.((i1 * m) + i2) > b12 then pen else 0.0)
+    +. if df.((i2 * m) + i1) > b21 then pen else 0.0
   in
   wire +. timing
 
@@ -275,8 +276,10 @@ let pair_pass ?delta ?dviol q u ~loads ~max_pairs =
     (fun (j1, j2) ->
       let p1 = u.(j1) and p2 = u.(j2) in
       let s1 = Netlist.size nl j1 and s2 = Netlist.size nl j2 in
+      let b12 = Constraints.budget cons j1 j2 and b21 = Constraints.budget cons j2 j1 in
       let current =
-        local_cost q u scratch j1 +. local_cost q u scratch j2 -. shared_cost q j1 j2 p1 p2
+        local_cost q u scratch j1 +. local_cost q u scratch j2
+        -. shared_cost q j1 j2 ~b12 ~b21 p1 p2
       in
       (* free the pair's own space while testing placements *)
       loads.(p1) <- loads.(p1) -. s1;
@@ -285,7 +288,7 @@ let pair_pass ?delta ?dviol q u ~loads ~max_pairs =
          j2's cost with the j1 contribution removed: row1 already
          contains the shared wire/timing term exactly once. *)
       Qmatrix.candidate_costs_into q u ~j:j2 row2;
-      let base2 = Array.init m (fun i2 -> row2.(i2) -. shared_cost q j1 j2 p1 i2) in
+      let base2 = Array.init m (fun i2 -> row2.(i2) -. shared_cost q j1 j2 ~b12 ~b21 p1 i2) in
       let best = ref (p1, p2) and best_cost = ref current in
       for i2 = 0 to m - 1 do
         u.(j2) <- i2;

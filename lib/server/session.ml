@@ -142,13 +142,9 @@ let same_instance (p1 : Problem.t) (p2 : Problem.t) =
     let rec caps i = i >= m || (Topology.capacity t1 i = Topology.capacity t2 i && caps (i + 1)) in
     caps 0
   in
-  let constraints_equal c1 c2 =
-    let dump c = Constraints.fold c ~init:[] ~f:(fun acc a b d -> (a, b, d) :: acc) in
-    List.sort compare (dump c1) = List.sort compare (dump c2)
-  in
   Netlist.equal p1.Problem.netlist p2.Problem.netlist
   && topo_equal p1.Problem.topology p2.Problem.topology
-  && constraints_equal p1.Problem.constraints p2.Problem.constraints
+  && Constraints.equal p1.Problem.constraints p2.Problem.constraints
   && p1.Problem.alpha = p2.Problem.alpha
   && p1.Problem.beta = p2.Problem.beta
   && Option.is_some p1.Problem.p = Option.is_some p2.Problem.p

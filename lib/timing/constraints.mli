@@ -8,32 +8,57 @@
     constraints between them" and are discarded, so only the critical
     constraints are stored.
 
-    The structure is mutable during construction; solvers access it
-    through the flat partner CSR below, a per-component index over
-    both incoming and outgoing budgets that is (re)built lazily. *)
+    A store is immutable.  {!Builder} collects the budgets and builds
+    the store once, as the flat partner CSR the solvers read: a
+    per-component index over both outgoing and incoming budgets.  A
+    built store can be shared across domains as is. *)
 
 type t
 
-val create : n:int -> t
+(** {1 Construction} *)
+
+module Builder : sig
+  type constraints := t
+  type t
+  (** Growable flat arrays of raw directed budgets. *)
+
+  val create : n:int -> t
+  (** No budgets yet on [n] components.
+      @raise Invalid_argument if [n < 0]. *)
+
+  val add : t -> int -> int -> float -> unit
+  (** [add b j1 j2 budget] constrains the routing delay from [j1] to
+      [j2].  A later budget on the same directed pair replaces the kept
+      one only if it is strictly smaller, so the tightest budget is
+      kept (the first added of equal ones).
+      @raise Invalid_argument on self-pairs, out-of-range ids, negative
+      or NaN budgets, and after {!build}.  Infinite budgets are ignored
+      (no constraint). *)
+
+  val add_sym : t -> int -> int -> float -> unit
+  (** Constrain both directions with the same budget. *)
+
+  val build : t -> constraints
+  (** The store: one counting pass files the budgets by row, a stable
+      sort orders each row by partner and a merge applies {!add}'s
+      rule.  [b] accepts no further additions. *)
+end
+
+val none : n:int -> t
 (** No constraints on [n] components. *)
+
+(** {1 Reading} *)
 
 val n : t -> int
 
-val add : t -> int -> int -> float -> unit
-(** [add t j1 j2 budget] constrains the routing delay from [j1] to
-    [j2].  If a budget already exists the tighter (smaller) one is
-    kept.
-    @raise Invalid_argument on self-pairs, out-of-range ids, negative
-    or NaN budgets.  Infinite budgets are ignored (no constraint). *)
-
-val add_sym : t -> int -> int -> float -> unit
-(** Constrain both directions with the same budget. *)
-
 val budget : t -> int -> int -> float
-(** [budget t j1 j2] is {m D_C(j_1,j_2)}, {m +∞} when absent. *)
+(** [budget t j1 j2] is {m D_C(j_1,j_2)}, {m +∞} when absent.  A
+    binary search of [j1]'s partner row.
+    @raise Invalid_argument on out-of-range ids. *)
 
 val mem : t -> int -> int -> bool
-(** Is there a finite directed budget from [j1] to [j2]? *)
+(** Is there a finite directed budget from [j1] to [j2]?
+    @raise Invalid_argument on out-of-range ids. *)
 
 val count : t -> int
 (** Number of finite directed budgets — the paper's Table I "# of
@@ -42,10 +67,18 @@ val count : t -> int
 val pair_count : t -> int
 (** Number of distinct unordered constrained pairs. *)
 
+val empty : t -> bool
+(** No finite budget at all. *)
+
 val iter : t -> (int -> int -> float -> unit) -> unit
-(** Iterate over finite directed budgets. *)
+(** Iterate over the finite directed budgets [j1 -> j2], by [j1]
+    ascending and then by [j2] ascending. *)
 
 val fold : t -> init:'a -> f:('a -> int -> int -> float -> 'a) -> 'a
+(** {!iter}'s order. *)
+
+val equal : t -> t -> bool
+(** Same components and the same budgets. *)
 
 (** {2 Flat partner CSR}
 
@@ -53,13 +86,8 @@ val fold : t -> init:'a -> f:('a -> int -> int -> float -> 'a) -> 'a
     component [j]'s partners are
     [partner_ids.(partner_offsets.(j) .. partner_offsets.(j+1) - 1)],
     ascending, with both directed budgets in unboxed float arrays.
-    The arrays are shared with [t] and must not be mutated; they are
-    rebuilt lazily after any {!add}.  Hot loops should grab them once
-    and iterate by index. *)
-
-val prebuild : t -> unit
-(** Force the lazy partner index.  Call once before sharing [t]
-    read-only across domains so no two domains race to build it. *)
+    The arrays are shared with [t] and must not be mutated.  Hot loops
+    should grab them once and iterate by index. *)
 
 val partner_offsets : t -> int array
 (** Row offsets, length [n + 1]. *)
@@ -78,9 +106,4 @@ val partner_budget_in : t -> float array
 val partner_degree : t -> int -> int
 (** Number of constraint partners of [j]. *)
 
-val max_partner_degree : t -> int
-(** Largest number of constraint partners of any component. *)
-
-val copy : t -> t
-val empty : t -> bool
 val pp : Format.formatter -> t -> unit

@@ -24,22 +24,22 @@ let budget_line nl sc add =
   if j1 = j2 then Scan.fail sc "budget on a component with itself: %S" (Scan.token sc 1);
   add j1 j2 (budget_of sc 3)
 
-let declaration nl cons sc =
+let declaration nl b sc =
   match Scan.count sc with
   | 0 -> ()
-  | 4 when Scan.is sc 0 "budget" -> budget_line nl sc (Constraints.add cons)
-  | 4 when Scan.is sc 0 "budget_sym" -> budget_line nl sc (Constraints.add_sym cons)
+  | 4 when Scan.is sc 0 "budget" -> budget_line nl sc (Constraints.Builder.add b)
+  | 4 when Scan.is sc 0 "budget_sym" -> budget_line nl sc (Constraints.Builder.add_sym b)
   | _ -> Scan.fail sc "unknown declaration %S (budget | budget_sym)" (Scan.token sc 0)
 
 let parse_string nl source =
-  let cons = Constraints.create ~n:(Netlist.n nl) in
+  let b = Constraints.Builder.create ~n:(Netlist.n nl) in
   let sc = Scan.of_string source in
   match
     while Scan.next sc do
-      declaration nl cons sc
+      declaration nl b sc
     done
   with
-  | () -> Ok cons
+  | () -> Ok (Constraints.Builder.build b)
   | exception Scan.Fail e -> Error e
 
 let parse_file nl path = Scan.parse_file (parse_string nl) path

@@ -11,7 +11,7 @@
     budget_sym <a> <b> <max-delay>      # both directions
     v}
     Duplicate lines keep the tighter budget, mirroring
-    {!Constraints.add}.  The reader is total: every input yields
+    {!Constraints.Builder.add}.  The reader is total: every input yields
     budgets or an error at a line inside it. *)
 
 type error = Qbpart_netlist.Scan.error = { line : int; message : string }

@@ -153,9 +153,9 @@ let budgets t ~cycle_time =
          "cycle time %g is below the intrinsic critical path %g: no routing budget exists"
          cycle_time cp)
   else begin
-    let c = Constraints.create ~n:(n t) in
+    let b = Constraints.Builder.create ~n:(n t) in
     Array.iter
-      (fun (u, v, slack, hops) -> Constraints.add c u v (slack /. float_of_int hops))
+      (fun (u, v, slack, hops) -> Constraints.Builder.add b u v (slack /. float_of_int hops))
       (edge_slack_and_hops t ~cycle_time);
-    Ok c
+    Ok (Constraints.Builder.build b)
   end

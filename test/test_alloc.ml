@@ -35,11 +35,12 @@ let instance ~n ~slack =
   let m = 16 in
   let capacity = Netlist.total_size nl /. float_of_int m *. slack in
   let topo = Grid.make ~rows:4 ~cols:4 ~capacity () in
-  let cons = Constraints.create ~n in
+  let cons = Constraints.Builder.create ~n in
   for _ = 1 to 3 * n do
     let j1 = Rng.int rng n and j2 = Rng.int rng n in
-    if j1 <> j2 then Constraints.add cons j1 j2 (float_of_int (1 + Rng.int rng 3))
+    if j1 <> j2 then Constraints.Builder.add cons j1 j2 (float_of_int (1 + Rng.int rng 3))
   done;
+  let cons = Constraints.Builder.build cons in
   let q = Qmatrix.make (Problem.make ~constraints:cons nl topo) in
   (q, Assignment.random rng ~n ~m)
 
@@ -155,13 +156,13 @@ let selection ~n =
   let rng = Rng.create (29 + n) in
   let nl = Generator.generate rng (Generator.default_params ~n ~wires:(8 * n)) in
   let topo = Grid.make ~rows:4 ~cols:4 ~capacity:(Netlist.total_size nl /. 16.0 *. 1.08) () in
-  let cons = Constraints.create ~n in
+  let cons = Constraints.Builder.create ~n in
   for _ = 1 to 3 * n do
     let j1 = Rng.int rng n and j2 = Rng.int rng n in
-    if j1 <> j2 then Constraints.add cons j1 j2 (float_of_int (1 + Rng.int rng 3))
+    if j1 <> j2 then Constraints.Builder.add cons j1 j2 (float_of_int (1 + Rng.int rng 3))
   done;
   let gains = Gains.create nl topo (Assignment.random rng ~n ~m:16) in
-  Buckets.create ~constraints:cons nl topo gains
+  Buckets.create ~constraints:(Constraints.Builder.build cons) nl topo gains
 
 let best_move ~n =
   let b = selection ~n in

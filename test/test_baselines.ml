@@ -148,12 +148,13 @@ let test_gfm_timing_preserved () =
   let rng, nl, topo = random_setup 7 ~n:30 ~wires:90 ~slack:1.4 in
   (* constraints planted on a greedy reference *)
   let reference = feasible_start rng nl topo None in
-  let cons = Constraints.create ~n:30 in
+  let cons = Constraints.Builder.create ~n:30 in
   Array.iter
     (fun w ->
       let u = Qbpart_netlist.Wire.u w and v = Qbpart_netlist.Wire.v w in
-      Constraints.add_sym cons u v (Topology.d topo reference.(u) reference.(v) +. 1.0))
+      Constraints.Builder.add_sym cons u v (Topology.d topo reference.(u) reference.(v) +. 1.0))
     (Netlist.wires nl);
+  let cons = Constraints.Builder.build cons in
   let initial = reference in
   let result = Gfm.solve ~constraints:cons nl topo ~initial in
   check Alcotest.bool "timing feasible result" true
@@ -207,12 +208,13 @@ let test_gkl_pure_swaps_preserve_loads () =
 let test_gkl_timing_preserved () =
   let rng, nl, topo = random_setup 19 ~n:30 ~wires:90 ~slack:1.4 in
   let reference = feasible_start rng nl topo None in
-  let cons = Constraints.create ~n:30 in
+  let cons = Constraints.Builder.create ~n:30 in
   Array.iter
     (fun w ->
       let u = Qbpart_netlist.Wire.u w and v = Qbpart_netlist.Wire.v w in
-      Constraints.add_sym cons u v (Topology.d topo reference.(u) reference.(v) +. 1.0))
+      Constraints.Builder.add_sym cons u v (Topology.d topo reference.(u) reference.(v) +. 1.0))
     (Netlist.wires nl);
+  let cons = Constraints.Builder.build cons in
   let result = Gkl.solve ~constraints:cons nl topo ~initial:reference in
   check Alcotest.bool "timing feasible result" true
     (Validate.is_feasible ~constraints:cons nl topo result.Gkl.assignment)

@@ -37,14 +37,14 @@ let feasible_start rng nl topo =
   | None -> None
 
 let planted_constraints nl topo reference ~slack =
-  let cons = Constraints.create ~n:(Array.length reference) in
+  let cons = Constraints.Builder.create ~n:(Array.length reference) in
   Array.iter
     (fun w ->
       let u = Qbpart_netlist.Wire.u w and v = Qbpart_netlist.Wire.v w in
-      Constraints.add_sym cons u v
+      Constraints.Builder.add_sym cons u v
         (Topology.d topo reference.(u) reference.(v) +. slack))
     (Netlist.wires nl);
-  cons
+  Constraints.Builder.build cons
 
 (* ------------------------------------------------------------------ *)
 (* Full-solve bit-identity: every observable field must match, not
@@ -264,9 +264,9 @@ let prop_overflow_clamp_safe =
    components. *)
 let planted_directed rng nl topo reference =
   let n = Array.length reference in
-  let cons = Constraints.create ~n in
+  let cons = Constraints.Builder.create ~n in
   let plant u v =
-    Constraints.add cons u v
+    Constraints.Builder.add cons u v
       (Topology.d topo reference.(u) reference.(v) +. float_of_int (Rng.int rng 3))
   in
   Array.iter
@@ -278,7 +278,7 @@ let planted_directed rng nl topo reference =
     let u = Rng.int rng n and v = Rng.int rng n in
     if u <> v && Netlist.connection nl u v = 0.0 then plant u v
   done;
-  cons
+  Constraints.Builder.build cons
 
 (* A 16-partition instance whose planted reference fills every
    partition to the same load: components are dealt round-robin and

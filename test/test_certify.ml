@@ -36,9 +36,9 @@ let tiny ?(budget = 0.5) () =
   Netlist.Builder.add_wire b c0 c1 ~weight:2.0 ();
   let nl = Netlist.Builder.build b in
   let topo = Grid.make ~rows:1 ~cols:2 ~capacity:1.5 () in
-  let cons = Constraints.create ~n:2 in
-  Constraints.add cons c0 c1 budget;
-  Problem.make ~constraints:cons nl topo
+  let cons = Constraints.Builder.create ~n:2 in
+  Constraints.Builder.add cons c0 c1 budget;
+  Problem.make ~constraints:(Constraints.Builder.build cons) nl topo
 
 let test_feasible_certificate () =
   let problem = tiny ~budget:2.0 () in

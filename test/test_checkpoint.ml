@@ -9,6 +9,8 @@ module Grid = Qbpart_topology.Grid
 module Constraints = Qbpart_timing.Constraints
 module Problem = Qbpart_core.Problem
 module Checkpoint = Qbpart_engine.Checkpoint
+module Circuits = Qbpart_experiments.Circuits
+module Delta = Qbpart_netlist.Delta
 
 let check = Alcotest.check
 let fail = Alcotest.fail
@@ -19,12 +21,12 @@ let random_problem seed =
   let nl = Generator.generate rng (Generator.default_params ~n ~wires:(2 * n)) in
   let capacity = Netlist.total_size nl /. 4.0 *. 1.5 in
   let topo = Grid.make ~rows:2 ~cols:2 ~capacity () in
-  let cons = Constraints.create ~n in
+  let cons = Constraints.Builder.create ~n in
   for _ = 1 to n / 2 do
     let j1 = Rng.int rng n and j2 = Rng.int rng n in
-    if j1 <> j2 then Constraints.add cons j1 j2 (float_of_int (1 + Rng.int rng 2))
+    if j1 <> j2 then Constraints.Builder.add cons j1 j2 (float_of_int (1 + Rng.int rng 2))
   done;
-  Problem.make ~constraints:cons nl topo
+  Problem.make ~constraints:(Constraints.Builder.build cons) nl topo
 
 (* An arbitrary checkpoint value, with awkward floats (negative zero,
    tiny/huge magnitudes, non-dyadic decimals) and awkward failure
@@ -152,7 +154,92 @@ let test_corrupt_rejection () =
   reject "missing trailer"
     "qbpart-checkpoint 1\nhash ff\nseed 1\nelapsed 0x1p0\ncost 0x1p0\nstarts 0\n\
      assignment 2\n1 2\nnot-end\n"
-    `Corrupt
+    `Corrupt;
+  (* a failure message's '%' must start two hex digits, at its line *)
+  List.iter
+    (fun failure ->
+      let text =
+        "qbpart-checkpoint 2\nhash ff\nseed 1\nelapsed 0x1p0\ncost 0x1p0\nwinner 0\n\
+         starts 1\nstart 0 1 1 - " ^ failure ^ "\nassignment 0\nend\n"
+      in
+      match Checkpoint.of_string text with
+      | Error (Checkpoint.Corrupt { line = 8; _ }) -> ()
+      | Ok _ -> fail (failure ^ ": accepted")
+      | Error e -> fail (failure ^ ": wrong error " ^ Checkpoint.error_to_string e))
+    [ "!%zzx"; "!%_1"; "!ab%4"; "!%" ]
+
+(* qcheck fuzz: the checkpoint reader is total (see Totality).  A
+   version it does not read carries no line; it counts as line 1. *)
+let printed_checkpoint ~n ~seed =
+  Checkpoint.to_string
+    {
+      Checkpoint.instance_hash = Int64.of_int (seed * 7919);
+      fingerprint =
+        Some { Checkpoint.fp_n = n; fp_m = 4; fp_wires = 2 * n; fp_weight = 0.5 *. float_of_int n };
+      base_seed = seed;
+      elapsed = 1.5;
+      incumbent = Array.init n (fun j -> (j + seed) mod 4);
+      incumbent_cost = float_of_int (seed + n);
+      incumbent_start = 0;
+      starts =
+        [
+          { Checkpoint.start = 0; seed; attempts = 1; feasible_cost = Some 12.5; failure = None };
+          {
+            Checkpoint.start = 1;
+            seed = seed + 1;
+            attempts = 2;
+            feasible_cost = None;
+            failure = Some "100% bad\nmove";
+          };
+        ];
+    }
+
+let checkpoint_fuzz =
+  Totality.props ~what:"checkpoint reader"
+    ~words:
+      [ "qbpart-checkpoint"; "3"; "hash"; "fingerprint"; "seed"; "elapsed"; "cost"; "winner";
+        "starts"; "start"; "assignment"; "end"; "-"; "!%zz"; "0x1p0" ]
+    ~printed:printed_checkpoint
+    (fun s ->
+      match Checkpoint.of_string s with
+      | Ok _ -> None
+      | Error (Checkpoint.Corrupt { line; _ }) -> Some line
+      | Error (Checkpoint.Unsupported_version _) -> Some 1
+      | Error _ -> Some 0)
+
+(* Instance hashes pinned at literal values: they walk every budget in
+   the store's order, so a change to that order or to the tighter-kept
+   rule changes them. *)
+let test_table1_hashes_pinned () =
+  List.iter2
+    (fun spec expect ->
+      let inst = Circuits.build spec in
+      check Alcotest.string spec.Circuits.name expect
+        (Printf.sprintf "%Lx" (Checkpoint.instance_hash (Circuits.problem inst))))
+    Circuits.table1
+    [
+      "c12c73d21ea32068"; "a76171b7ea8a6aaf"; "76bf344d9ec124cc"; "6010d44e8dabbb00";
+      "2215d78520a8cf5b"; "1a323910ad153575"; "202b2e6799c2744c";
+    ]
+
+let test_delta_hash_pinned () =
+  let inst = Circuits.build (List.hd Circuits.table1) in
+  let delta =
+    match
+      Delta.parse_string
+        "retime ckta_c0 ckta_c1 0.5\nretime ckta_c2 ckta_c3 9.0\nremove ckta_c4\n\
+         wire ckta_c5 ckta_c6 1.5\n"
+    with
+    | Ok d -> d
+    | Error e -> fail (Delta.error_to_string e)
+  in
+  match Problem.apply_delta (Circuits.problem inst) delta with
+  | Error e -> fail (Delta.error_to_string e)
+  | Ok dr ->
+    let p = dr.Problem.dr_problem in
+    check Alcotest.int "budgets" 3432 (Constraints.count p.Problem.constraints);
+    check Alcotest.string "hash" "3757d67ac9b019f6"
+      (Printf.sprintf "%Lx" (Checkpoint.instance_hash p))
 
 let test_v1_compat () =
   (* a version-1 file (no [winner] line) still loads; the unknown
@@ -353,7 +440,10 @@ let () =
           Alcotest.test_case "hash + validate" `Quick test_instance_hash_and_validate;
           Alcotest.test_case "colliding hash rejected by fingerprint" `Quick
             test_hash_collision_rejected;
+          Alcotest.test_case "Table I hashes pinned" `Quick test_table1_hashes_pinned;
+          Alcotest.test_case "ECO delta hash pinned" `Quick test_delta_hash_pinned;
         ] );
+      ("fuzz", List.map qt checkpoint_fuzz);
       ( "filesystem",
         [
           Alcotest.test_case "atomic save/load" `Quick test_save_load;

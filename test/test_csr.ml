@@ -2,7 +2,7 @@
    100k-component frontier: the struct-of-arrays adjacency must carry
    exactly the rows the boxed [(neighbor, weight) array array] layout
    carried (same neighbors, same weights, same order), the flat timing
-   partner arrays must match a reference build from [Constraints.iter],
+   partner arrays must match the budget store's Hashtbl reference,
    the parallel CSR construction must be bit-identical to the
    sequential one, and the synthetic frontier generator must be
    deterministic with statistics inside its advertised bounds. *)
@@ -21,14 +21,6 @@ let fail = Alcotest.fail
 let with_pool size f =
   let pool = Dompool.create ~domains:size in
   Fun.protect ~finally:(fun () -> Dompool.shutdown pool) (fun () -> f pool)
-
-(* Constraint stores have no [equal]; compare the directed-budget sets. *)
-let cons_equal a b =
-  let dump c =
-    List.sort compare
-      (Constraints.fold c ~init:[] ~f:(fun acc j1 j2 x -> (j1, j2, x) :: acc))
-  in
-  dump a = dump b
 
 (* ------------------------------------------------------------------ *)
 (* Reference adjacency: the old boxed layout, rebuilt independently
@@ -107,48 +99,15 @@ let prop_connection_matches_boxed =
       true)
 
 (* ------------------------------------------------------------------ *)
-(* Timing partner CSR vs a reference build from the authoritative
-   directed-budget iterator. *)
-
-let random_constraints_gen =
-  QCheck.Gen.(
-    let* seed = int_bound 1_000_000 in
-    let* n = int_range 2 60 in
-    let* k = int_bound (3 * n) in
-    let rng = Rng.create seed in
-    let cons = Constraints.create ~n in
-    for _ = 1 to k do
-      let j1 = Rng.int rng n and j2 = Rng.int rng n in
-      if j1 <> j2 then Constraints.add cons j1 j2 (1.0 +. Rng.float rng 9.0)
-    done;
-    return (n, cons))
-
-let arbitrary_constraints =
-  QCheck.make
-    ~print:(fun (n, cons) -> Printf.sprintf "n=%d count=%d" n (Constraints.count cons))
-    random_constraints_gen
-
-(* Per node: sorted (partner, budget_out, budget_in) with +inf for a
-   missing direction — the documented flat-array semantics. *)
-let boxed_partners n cons =
-  let out = Array.make n [] and inc = Array.make n [] in
-  Constraints.iter cons (fun j1 j2 b ->
-      out.(j1) <- (j2, b) :: out.(j1);
-      inc.(j2) <- (j1, b) :: inc.(j2));
-  Array.init n (fun j ->
-      let others =
-        List.sort_uniq Int.compare (List.map fst out.(j) @ List.map fst inc.(j))
-      in
-      List.map
-        (fun o ->
-          let pick l = List.assoc_opt o l |> Option.value ~default:infinity in
-          (o, pick out.(j), pick inc.(j)))
-        others)
+(* Timing partner CSR vs the Hashtbl reference of the budget store
+   (Budget_reference), which derives each row from the directed
+   budgets the slow way. *)
 
 let prop_partner_csr_matches_reference =
   QCheck.Test.make ~name:"flat partner arrays = Constraints.iter reference" ~count:150
-    arbitrary_constraints (fun (n, cons) ->
-      let reference = boxed_partners n cons in
+    Budget_reference.arbitrary (fun (n, ops) ->
+      let r, cons = Budget_reference.replay ~n ops in
+      let reference = Budget_reference.partners r in
       let poff = Constraints.partner_offsets cons in
       let pids = Constraints.partner_ids cons in
       let bout = Constraints.partner_budget_out cons in
@@ -173,9 +132,10 @@ let prop_duplicate_budgets_keep_min =
     QCheck.(pair small_nat small_nat)
     (fun (a, b) ->
       let b1 = 1.0 +. float_of_int (a mod 50) and b2 = 1.0 +. float_of_int (b mod 50) in
-      let cons = Constraints.create ~n:4 in
-      Constraints.add cons 0 1 b1;
-      Constraints.add cons 0 1 b2;
+      let cons = Constraints.Builder.create ~n:4 in
+      Constraints.Builder.add cons 0 1 b1;
+      Constraints.Builder.add cons 0 1 b2;
+      let cons = Constraints.Builder.build cons in
       let bout = Constraints.partner_budget_out cons in
       let poff = Constraints.partner_offsets cons in
       bout.(poff.(0)) = Float.min b1 b2)
@@ -216,7 +176,7 @@ let test_synth_deterministic () =
     (Netlist.equal a.Circuits.netlist
        b.Circuits.netlist);
   check Alcotest.bool "identical constraints" true
-    (cons_equal a.Circuits.constraints
+    (Constraints.equal a.Circuits.constraints
        b.Circuits.constraints);
   check Alcotest.bool "identical reference" true
     (a.Circuits.reference = b.Circuits.reference);
@@ -233,7 +193,7 @@ let test_synth_pool_invariant () =
       check Alcotest.bool "pool-built instance identical" true
         (Netlist.equal seq.Circuits.netlist
            par.Circuits.netlist
-        && cons_equal seq.Circuits.constraints
+        && Constraints.equal seq.Circuits.constraints
              par.Circuits.constraints
         && seq.Circuits.reference
            = par.Circuits.reference))

@@ -32,12 +32,12 @@ let random_problem ?(timing = true) seed =
   let constraints =
     if not timing then None
     else begin
-      let cons = Constraints.create ~n in
+      let cons = Constraints.Builder.create ~n in
       for _ = 1 to n / 2 do
         let j1 = Rng.int rng n and j2 = Rng.int rng n in
-        if j1 <> j2 then Constraints.add cons j1 j2 (float_of_int (2 + Rng.int rng 2))
+        if j1 <> j2 then Constraints.Builder.add cons j1 j2 (float_of_int (2 + Rng.int rng 2))
       done;
-      Some cons
+      Some (Constraints.Builder.build cons)
     end
   in
   Problem.make ?constraints nl topo

@@ -31,13 +31,13 @@ let random_problem ?n seed =
   let nl = Generator.generate rng (Generator.default_params ~n ~wires:(3 * n)) in
   let capacity = Netlist.total_size nl /. float_of_int m *. 1.5 in
   let topo = Grid.make ~rows:2 ~cols:2 ~capacity () in
-  let cons = Constraints.create ~n in
+  let cons = Constraints.Builder.create ~n in
   for _ = 1 to n do
     let j1 = Rng.int rng n and j2 = Rng.int rng n in
-    if j1 <> j2 then Constraints.add cons j1 j2 (float_of_int (1 + Rng.int rng 2))
+    if j1 <> j2 then Constraints.Builder.add cons j1 j2 (float_of_int (1 + Rng.int rng 2))
   done;
   let p = Some (Array.init m (fun _ -> Array.init n (fun _ -> Rng.float rng 5.0))) in
-  Problem.make ?p ~constraints:cons nl topo
+  Problem.make ?p ~constraints:(Constraints.Builder.build cons) nl topo
 
 (* ------------------------------------------------------------------ *)
 (* STEP 3's eta is the round's row cache (DESIGN.md D17): a refresh   *)
@@ -284,11 +284,12 @@ let prop_remove_readd_roundtrip =
       let nl = Generator.generate rng (Generator.default_params ~n ~wires:(3 * n)) in
       let capacity = Netlist.total_size nl /. float_of_int m *. 1.5 in
       let topo = Grid.make ~rows:2 ~cols:2 ~capacity () in
-      let cons = Constraints.create ~n in
+      let cons = Constraints.Builder.create ~n in
       for _ = 1 to n do
         let j1 = Rng.int rng n and j2 = Rng.int rng n in
-        if j1 <> j2 then Constraints.add cons j1 j2 (float_of_int (1 + Rng.int rng 2))
+        if j1 <> j2 then Constraints.Builder.add cons j1 j2 (float_of_int (1 + Rng.int rng 2))
       done;
+      let cons = Constraints.Builder.build cons in
       let problem = Problem.make ~constraints:cons nl topo in
       let k = Rng.int rng n in
       let name = cname nl k in
@@ -795,13 +796,13 @@ let fractional_problem seed =
   let nl = Netlist.make ~components:(Array.to_list (Netlist.components g)) ~wires in
   let capacity = Netlist.total_size nl /. float_of_int m *. (1.05 +. Rng.float rng 0.4) in
   let topo = Grid.make ~rows ~cols ~capacity () in
-  let cons = Constraints.create ~n in
+  let cons = Constraints.Builder.create ~n in
   for _ = 1 to 2 * n do
     let j1 = Rng.int rng n and j2 = Rng.int rng n in
-    if j1 <> j2 then Constraints.add cons j1 j2 (float_of_int (Rng.int rng 3))
+    if j1 <> j2 then Constraints.Builder.add cons j1 j2 (float_of_int (Rng.int rng 3))
   done;
   let p = Some (Array.init m (fun _ -> Array.init n (fun _ -> Rng.float rng 3.3))) in
-  Problem.make ?p ~constraints:cons nl topo
+  Problem.make ?p ~constraints:(Constraints.Builder.build cons) nl topo
 
 let same_bits a b = Int64.bits_of_float a = Int64.bits_of_float b
 

@@ -126,13 +126,14 @@ let test_adaptive_on_generated () =
   let nl = Generator.generate rng (Generator.default_params ~n:50 ~wires:250) in
   let topo = Grid.make ~rows:2 ~cols:2 ~capacity:(Netlist.total_size nl /. 4.0 *. 1.3) () in
   let reference = Option.get (Initial.first_fit_decreasing nl topo) in
-  let constraints = Constraints.create ~n:50 in
+  let budgets = Constraints.Builder.create ~n:50 in
   Array.iter
     (fun w ->
       let u = Qbpart_netlist.Wire.u w and v = Qbpart_netlist.Wire.v w in
-      Constraints.add_sym constraints u v
+      Constraints.Builder.add_sym budgets u v
         (Topology.d topo reference.(u) reference.(v) +. 1.0))
     (Netlist.wires nl);
+  let constraints = Constraints.Builder.build budgets in
   let problem = Problem.make ~constraints nl topo in
   let config = { Burkard.Config.default with Burkard.Config.iterations = 25 } in
   let r = Adaptive.solve ~config problem in

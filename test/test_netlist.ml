@@ -1,6 +1,6 @@
-(* Tests for the netlist substrate: RNG, components, wires, sparse
-   matrices, netlist construction, statistics, the synthetic generator,
-   the shared line scanner and the textual formats. *)
+(* Tests for the netlist substrate: RNG, components, wires, netlist
+   construction, statistics, the synthetic generator, the shared line
+   scanner and the textual formats. *)
 
 open Qbpart_netlist
 
@@ -118,62 +118,6 @@ let test_wire_validation () =
   with Invalid_argument _ -> ()
 
 (* ------------------------------------------------------------------ *)
-(* Sparse_matrix *)
-
-let test_sparse_basic () =
-  let m = Sparse_matrix.create ~rows:3 ~cols:4 () in
-  check (Alcotest.float 0.0) "default get" 0.0 (Sparse_matrix.get m 1 2);
-  Sparse_matrix.set m 1 2 5.0;
-  check (Alcotest.float 0.0) "set/get" 5.0 (Sparse_matrix.get m 1 2);
-  check Alcotest.int "nnz" 1 (Sparse_matrix.nnz m);
-  Sparse_matrix.set m 1 2 0.0;
-  check Alcotest.int "erased on default" 0 (Sparse_matrix.nnz m)
-
-let test_sparse_default_inf () =
-  let m = Sparse_matrix.create ~default:infinity ~rows:2 ~cols:2 () in
-  check (Alcotest.float 0.0) "default inf" infinity (Sparse_matrix.get m 0 1);
-  Sparse_matrix.set m 0 1 3.0;
-  check (Alcotest.float 0.0) "stored" 3.0 (Sparse_matrix.get m 0 1);
-  check Alcotest.bool "mem" true (Sparse_matrix.mem m 0 1);
-  check Alcotest.bool "not mem" false (Sparse_matrix.mem m 1 0)
-
-let test_sparse_add () =
-  let m = Sparse_matrix.create ~rows:2 ~cols:2 () in
-  Sparse_matrix.add m 0 0 2.0;
-  Sparse_matrix.add m 0 0 3.0;
-  check (Alcotest.float 0.0) "accumulated" 5.0 (Sparse_matrix.get m 0 0)
-
-let test_sparse_dense_roundtrip () =
-  let dense = [| [| 0.; 1.; 0. |]; [| 2.; 0.; 3.5 |] |] in
-  let m = Sparse_matrix.of_dense dense in
-  check Alcotest.int "nnz" 3 (Sparse_matrix.nnz m);
-  let back = Sparse_matrix.to_dense m in
-  Array.iteri
-    (fun r row ->
-      Array.iteri (fun c x -> check (Alcotest.float 0.0) "entry" x back.(r).(c)) row)
-    dense
-
-let test_sparse_row_sorted () =
-  let m = Sparse_matrix.create ~rows:1 ~cols:10 () in
-  List.iter (fun c -> Sparse_matrix.set m 0 c (float_of_int c)) [ 7; 2; 9; 4 ];
-  let cols = List.map fst (Sparse_matrix.row_entries m 0) in
-  check Alcotest.(list int) "sorted columns" [ 2; 4; 7; 9 ] cols
-
-let test_sparse_out_of_range () =
-  let m = Sparse_matrix.create ~rows:2 ~cols:2 () in
-  try
-    ignore (Sparse_matrix.get m 2 0);
-    fail "out of range accepted"
-  with Invalid_argument _ -> ()
-
-let test_sparse_equal () =
-  let a = Sparse_matrix.of_dense [| [| 1.; 0. |]; [| 0.; 2. |] |] in
-  let b = Sparse_matrix.of_dense [| [| 1.; 0. |]; [| 0.; 2. |] |] in
-  let c = Sparse_matrix.of_dense [| [| 1.; 0. |]; [| 0.; 3. |] |] in
-  check Alcotest.bool "equal" true (Sparse_matrix.equal a b);
-  check Alcotest.bool "not equal" false (Sparse_matrix.equal a c)
-
-(* ------------------------------------------------------------------ *)
 (* Netlist *)
 
 let triangle () =
@@ -254,12 +198,12 @@ let test_netlist_builder_sealed () =
    with Invalid_argument _ -> ());
   check Alcotest.(option int) "names intact" None (Netlist.find_by_name nl "z")
 
+(* A is symmetric and the CSR stores both triangles. *)
 let test_netlist_connection_matrix () =
   let nl = triangle () in
-  let m = Netlist.connection_matrix nl in
-  check (Alcotest.float 1e-9) "A[0][1]" 5.0 (Sparse_matrix.get m 0 1);
-  check (Alcotest.float 1e-9) "A[1][0]" 5.0 (Sparse_matrix.get m 1 0);
-  check Alcotest.int "nnz both triangles" 4 (Sparse_matrix.nnz m)
+  check (Alcotest.float 1e-9) "A[0][1]" 5.0 (Netlist.connection nl 0 1);
+  check (Alcotest.float 1e-9) "A[1][0]" 5.0 (Netlist.connection nl 1 0);
+  check Alcotest.int "nnz both triangles" 4 (Array.length (Netlist.adj_targets nl))
 
 let test_netlist_make_bad_ids () =
   let c0 = Component.make ~id:1 ~name:"a" ~size:1.0 in
@@ -652,16 +596,6 @@ let () =
           Alcotest.test_case "component validation" `Quick test_component_validation;
           Alcotest.test_case "wire normalization" `Quick test_wire_normalization;
           Alcotest.test_case "wire validation" `Quick test_wire_validation;
-        ] );
-      ( "sparse-matrix",
-        [
-          Alcotest.test_case "basic set/get" `Quick test_sparse_basic;
-          Alcotest.test_case "infinite default" `Quick test_sparse_default_inf;
-          Alcotest.test_case "add accumulates" `Quick test_sparse_add;
-          Alcotest.test_case "dense roundtrip" `Quick test_sparse_dense_roundtrip;
-          Alcotest.test_case "rows sorted" `Quick test_sparse_row_sorted;
-          Alcotest.test_case "bounds checked" `Quick test_sparse_out_of_range;
-          Alcotest.test_case "equality" `Quick test_sparse_equal;
         ] );
       ( "netlist",
         [

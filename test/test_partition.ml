@@ -98,8 +98,9 @@ let test_objective_scaling () =
 
 let test_penalized () =
   let nl = triangle () in
-  let c = Constraints.create ~n:3 in
-  Constraints.add c 0 1 1.0;
+  let c = Constraints.Builder.create ~n:3 in
+  Constraints.Builder.add c 0 1 1.0;
+  let c = Constraints.Builder.build c in
   (* a at 0, b at 3: d = 2 > 1, one violation *)
   let a = [| 0; 3; 3 |] in
   check flt "penalized" (10.0 +. 50.0) (Evaluate.penalized ~penalty:50.0 nl topo c a);
@@ -129,8 +130,9 @@ let test_cut_metrics () =
 
 let test_validate () =
   let nl = triangle () in
-  let c = Constraints.create ~n:3 in
-  Constraints.add c 0 1 1.0;
+  let c = Constraints.Builder.create ~n:3 in
+  Constraints.Builder.add c 0 1 1.0;
+  let c = Constraints.Builder.build c in
   let issues = Validate.check ~constraints:c nl topo [| 0; 3; 3 |] in
   check Alcotest.int "one timing issue" 1 (List.length issues);
   check Alcotest.bool "feasible without constraints" true
@@ -176,12 +178,13 @@ let test_greedy_feasible_with_constraints () =
   let topo = Grid.make ~rows:2 ~cols:2 ~capacity:(Netlist.total_size nl /. 4.0 *. 1.3) () in
   (* constraints around a first-fit reference *)
   let reference = Option.get (Initial.first_fit_decreasing nl topo) in
-  let c = Constraints.create ~n:60 in
+  let c = Constraints.Builder.create ~n:60 in
   Array.iter
     (fun w ->
       let u = Qbpart_netlist.Wire.u w and v = Qbpart_netlist.Wire.v w in
-      Constraints.add_sym c u v (Topology.d topo reference.(u) reference.(v) +. 1.0))
+      Constraints.Builder.add_sym c u v (Topology.d topo reference.(u) reference.(v) +. 1.0))
     (Netlist.wires nl);
+  let c = Constraints.Builder.build c in
   match Initial.greedy_feasible ~constraints:c ~attempts:100 rng nl topo () with
   | None -> fail "greedy failed on a witnessed-feasible instance"
   | Some a -> Validate.assert_feasible ~constraints:c nl topo a
@@ -209,8 +212,9 @@ let prop_random_assignment_in_range =
 
 let test_metrics_compute () =
   let nl = triangle () in
-  let c = Constraints.create ~n:3 in
-  Constraints.add c 0 1 1.0;
+  let c = Constraints.Builder.create ~n:3 in
+  Constraints.Builder.add c 0 1 1.0;
+  let c = Constraints.Builder.build c in
   let m = Metrics.compute ~constraints:c nl topo [| 0; 3; 3 |] in
   check flt "wirelength" 10.0 m.Metrics.wirelength;
   check Alcotest.int "cut wires" 1 m.Metrics.cut_wires;

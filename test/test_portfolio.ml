@@ -30,16 +30,16 @@ let random_problem ?(with_p = true) seed =
   let nl = Generator.generate rng (Generator.default_params ~n ~wires:(3 * n)) in
   let capacity = Netlist.total_size nl /. float_of_int m *. 1.5 in
   let topo = Grid.make ~rows:2 ~cols:2 ~capacity () in
-  let cons = Constraints.create ~n in
+  let cons = Constraints.Builder.create ~n in
   for _ = 1 to n do
     let j1 = Rng.int rng n and j2 = Rng.int rng n in
-    if j1 <> j2 then Constraints.add cons j1 j2 (float_of_int (1 + Rng.int rng 2))
+    if j1 <> j2 then Constraints.Builder.add cons j1 j2 (float_of_int (1 + Rng.int rng 2))
   done;
   let p =
     if with_p then Some (Array.init m (fun _ -> Array.init n (fun _ -> Rng.float rng 5.0)))
     else None
   in
-  Problem.make ?p ~constraints:cons nl topo
+  Problem.make ?p ~constraints:(Constraints.Builder.build cons) nl topo
 
 (* ------------------------------------------------------------------ *)
 (* Delta evaluation vs full recomputation on random move sequences.   *)

@@ -32,10 +32,10 @@ let paper_example ?p () =
   Netlist.Builder.add_wire b cb cc ~weight:2.0 ();
   let nl = Netlist.Builder.build b in
   let topo = Grid.make ~rows:2 ~cols:2 ~capacity:10.0 () in
-  let cons = Constraints.create ~n:3 in
-  Constraints.add_sym cons 0 1 1.0;
-  Constraints.add_sym cons 1 2 1.0;
-  Problem.make ?p ~constraints:cons nl topo
+  let cons = Constraints.Builder.create ~n:3 in
+  Constraints.Builder.add_sym cons 0 1 1.0;
+  Constraints.Builder.add_sym cons 1 2 1.0;
+  Problem.make ?p ~constraints:(Constraints.Builder.build cons) nl topo
 
 (* The published Q-hat, 12x12, ordered (a,1)(a,2)(a,3)(a,4)(b,1)...
    "-" entries are 0; p_ij are the diagonal.  Flattening convention in
@@ -127,15 +127,15 @@ let random_tiny_problem seed =
   let nl = Generator.generate rng (Generator.default_params ~n ~wires:(2 * n)) in
   let capacity = Netlist.total_size nl /. float_of_int m *. 1.6 in
   let topo = Grid.make ~rows:1 ~cols:m ~capacity () in
-  let cons = Constraints.create ~n in
+  let cons = Constraints.Builder.create ~n in
   for _ = 1 to n do
     let j1 = Rng.int rng n and j2 = Rng.int rng n in
-    if j1 <> j2 then Constraints.add cons j1 j2 (float_of_int (Rng.int rng m))
+    if j1 <> j2 then Constraints.Builder.add cons j1 j2 (float_of_int (Rng.int rng m))
   done;
   let p =
     Array.init m (fun _ -> Array.init n (fun _ -> Rng.float rng 5.0))
   in
-  Problem.make ~p ~constraints:cons nl topo
+  Problem.make ~p ~constraints:(Constraints.Builder.build cons) nl topo
 
 (* Theorem 1: with U > 2 * sum |q|, the embedded unconstrained problem
    has the same optimal value as the constrained one, and its
@@ -344,7 +344,7 @@ let test_problem_validation () =
      fail "negative alpha accepted"
    with Invalid_argument _ -> ());
   try
-    ignore (Problem.make ~constraints:(Constraints.create ~n:7) nl topo);
+    ignore (Problem.make ~constraints:(Constraints.none ~n:7) nl topo);
     fail "mismatched constraints accepted"
   with Invalid_argument _ -> ()
 
@@ -473,9 +473,9 @@ let test_repair_pair_pass_fixes_locked_pair () =
   Netlist.Builder.add_wire b x y ();
   let nl = Netlist.Builder.build b in
   let topo = Grid.make ~rows:1 ~cols:4 ~capacity:1.0 () in
-  let cons = Constraints.create ~n:2 in
-  Constraints.add_sym cons x y 1.0;
-  let problem = Problem.make ~constraints:cons nl topo in
+  let cons = Constraints.Builder.create ~n:2 in
+  Constraints.Builder.add_sym cons x y 1.0;
+  let problem = Problem.make ~constraints:(Constraints.Builder.build cons) nl topo in
   (* x at 0, y at 3: violated; capacity 1 means neither can join the
      other's slot, and slots 1,2 are free: x->1 alone still has
      d(1,3)=2>1, y->2 alone d(0,2)=2>1 — only the joint move x->1,y->2

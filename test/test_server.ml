@@ -1160,11 +1160,13 @@ let test_finished_jobs_release_instances () =
     | Error e -> fail (Qbpart_netlist.Parser.error_to_string e)
   in
   (* a loose budget on every wire: timing text that never binds *)
-  let cons = Qbpart_timing.Constraints.create ~n:100 in
+  let cons = Qbpart_timing.Constraints.Builder.create ~n:100 in
   Qbpart_netlist.Netlist.iter_wires nl (fun w ->
-      Qbpart_timing.Constraints.add_sym cons (Qbpart_netlist.Wire.u w)
+      Qbpart_timing.Constraints.Builder.add_sym cons (Qbpart_netlist.Wire.u w)
         (Qbpart_netlist.Wire.v w) 5.0);
-  let timing = Qbpart_timing.Constraints_io.to_string nl cons in
+  let timing =
+    Qbpart_timing.Constraints_io.to_string nl (Qbpart_timing.Constraints.Builder.build cons)
+  in
   (* every submission decodes into fresh strings, as off the wire *)
   let fresh s = Bytes.to_string (Bytes.of_string s) in
   let spec () =

@@ -13,49 +13,72 @@ let flt = Alcotest.float 1e-9
 (* ------------------------------------------------------------------ *)
 (* Constraints *)
 
+let build ~n adds =
+  let b = Constraints.Builder.create ~n in
+  List.iter (fun (j1, j2, x) -> Constraints.Builder.add b j1 j2 x) adds;
+  Constraints.Builder.build b
+
 let test_constraints_basic () =
-  let c = Constraints.create ~n:4 in
-  check Alcotest.bool "empty" true (Constraints.empty c);
-  Constraints.add c 0 1 2.0;
+  check Alcotest.bool "empty" true (Constraints.empty (Constraints.none ~n:4));
+  let c = build ~n:4 [ (0, 1, 2.0) ] in
   check flt "stored" 2.0 (Constraints.budget c 0 1);
   check flt "other direction absent" infinity (Constraints.budget c 1 0);
   check Alcotest.int "count" 1 (Constraints.count c);
   check Alcotest.int "pair count" 1 (Constraints.pair_count c)
 
 let test_constraints_tightening () =
-  let c = Constraints.create ~n:3 in
-  Constraints.add c 0 1 5.0;
-  Constraints.add c 0 1 3.0;
+  let c = build ~n:3 [ (0, 1, 5.0); (0, 1, 3.0) ] in
   check flt "tighter kept" 3.0 (Constraints.budget c 0 1);
-  Constraints.add c 0 1 10.0;
+  let c = build ~n:3 [ (0, 1, 5.0); (0, 1, 3.0); (0, 1, 10.0) ] in
   check flt "looser ignored" 3.0 (Constraints.budget c 0 1);
-  check Alcotest.int "still one entry" 1 (Constraints.count c)
+  check Alcotest.int "still one entry" 1 (Constraints.count c);
+  (* of two equal budgets the first added is kept: 0. and -0. tie *)
+  let bits c = Int64.bits_of_float (Constraints.budget c 0 1) in
+  check Alcotest.int64 "0. then -0." (Int64.bits_of_float 0.0)
+    (bits (build ~n:2 [ (0, 1, 0.0); (0, 1, -0.0) ]));
+  check Alcotest.int64 "-0. then 0." (Int64.bits_of_float (-0.0))
+    (bits (build ~n:2 [ (0, 1, -0.0); (0, 1, 0.0) ]))
 
 let test_constraints_sym () =
-  let c = Constraints.create ~n:3 in
-  Constraints.add_sym c 0 2 4.0;
+  let b = Constraints.Builder.create ~n:3 in
+  Constraints.Builder.add_sym b 0 2 4.0;
+  let c = Constraints.Builder.build b in
   check flt "forward" 4.0 (Constraints.budget c 0 2);
   check flt "backward" 4.0 (Constraints.budget c 2 0);
   check Alcotest.int "two directed" 2 (Constraints.count c);
   check Alcotest.int "one pair" 1 (Constraints.pair_count c)
 
 let test_constraints_validation () =
-  let c = Constraints.create ~n:3 in
+  let b = Constraints.Builder.create ~n:3 in
+  let rejects what j1 j2 x =
+    try
+      Constraints.Builder.add b j1 j2 x;
+      fail (what ^ " accepted")
+    with Invalid_argument _ -> ()
+  in
+  rejects "self pair" 1 1 1.0;
+  rejects "negative budget" 0 1 (-1.0);
+  rejects "NaN budget" 0 1 Float.nan;
+  rejects "out-of-range source" 3 1 1.0;
+  rejects "out-of-range destination" 0 (-1) 1.0;
+  rejects "out-of-range infinite budget" 0 3 infinity;
+  Constraints.Builder.add b 0 1 infinity;
+  let c = Constraints.Builder.build b in
+  check Alcotest.int "infinite budget ignored" 0 (Constraints.count c);
+  check Alcotest.bool "no partner for an infinite budget" true
+    (Constraints.partner_degree c 0 = 0);
+  rejects "add after build" 0 1 1.0;
   (try
-     Constraints.add c 1 1 1.0;
-     fail "self pair accepted"
+     Constraints.Builder.add_sym b 0 2 1.0;
+     fail "add_sym after build accepted"
    with Invalid_argument _ -> ());
-  (try
-     Constraints.add c 0 1 (-1.0);
-     fail "negative budget accepted"
-   with Invalid_argument _ -> ());
-  Constraints.add c 0 1 infinity;
-  check Alcotest.int "infinite budget ignored" 0 (Constraints.count c)
+  try
+    ignore (Constraints.Builder.create ~n:(-1));
+    fail "negative n accepted"
+  with Invalid_argument _ -> ()
 
 let test_partners () =
-  let c = Constraints.create ~n:4 in
-  Constraints.add c 0 1 2.0;
-  Constraints.add c 2 0 3.0;
+  let c = build ~n:4 [ (0, 1, 2.0); (2, 0, 3.0) ] in
   let lo = (Constraints.partner_offsets c).(0) in
   let ids = Constraints.partner_ids c in
   let bout = Constraints.partner_budget_out c and bin = Constraints.partner_budget_in c in
@@ -66,18 +89,116 @@ let test_partners () =
   check Alcotest.int "partner 2" 2 ids.(lo + 1);
   check flt "in budget from 2" 3.0 bin.(lo + 1);
   check flt "no out budget to 2" infinity bout.(lo + 1);
-  (* index refresh after add *)
-  Constraints.add c 0 3 1.0;
-  check Alcotest.int "partners rebuilt" 3 (Constraints.partner_degree c 0);
-  check Alcotest.int "max degree" 3 (Constraints.max_partner_degree c)
+  let c = build ~n:4 [ (0, 1, 2.0); (2, 0, 3.0); (0, 3, 1.0) ] in
+  check Alcotest.int "third partner" 3 (Constraints.partner_degree c 0)
 
+(* A store is immutable: extending one means building another from its
+   walk, as [Problem.apply_delta] does, and leaves it unchanged. *)
 let test_constraints_copy_independent () =
-  let c = Constraints.create ~n:3 in
-  Constraints.add c 0 1 1.0;
-  let c' = Constraints.copy c in
-  Constraints.add c' 1 2 1.0;
+  let c = build ~n:3 [ (0, 1, 1.0) ] in
+  let b = Constraints.Builder.create ~n:3 in
+  Constraints.iter c (Constraints.Builder.add b);
+  Constraints.Builder.add b 1 2 1.0;
+  let c' = Constraints.Builder.build b in
   check Alcotest.int "original unchanged" 1 (Constraints.count c);
   check Alcotest.int "copy extended" 2 (Constraints.count c')
+
+(* D_C is the one sparse matrix left: the cases the general sparse
+   matrix had, against the budget store. *)
+
+let test_sparse_basic () =
+  let c = build ~n:4 [ (1, 2, 5.0) ] in
+  check flt "set/get" 5.0 (Constraints.budget c 1 2);
+  check flt "default get" infinity (Constraints.budget c 2 1);
+  check Alcotest.int "nnz" 1 (Constraints.count c)
+
+let test_sparse_default_inf () =
+  let c = build ~n:2 [ (0, 1, 3.0) ] in
+  check flt "stored" 3.0 (Constraints.budget c 0 1);
+  check flt "default inf" infinity (Constraints.budget c 1 0);
+  check Alcotest.bool "mem" true (Constraints.mem c 0 1);
+  (* 1 -> 0 shares the partner slot of 0 -> 1 but holds no budget *)
+  check Alcotest.bool "not mem" false (Constraints.mem c 1 0)
+
+let test_sparse_row_sorted () =
+  let c = build ~n:10 (List.map (fun j -> (0, j, float_of_int j)) [ 7; 2; 9; 4 ]) in
+  let walk = Constraints.fold c ~init:[] ~f:(fun acc _ j _ -> j :: acc) in
+  check Alcotest.(list int) "sorted columns" [ 2; 4; 7; 9 ] (List.rev walk)
+
+let test_sparse_out_of_range () =
+  let c = build ~n:2 [ (0, 1, 1.0) ] in
+  (try
+     ignore (Constraints.budget c 2 0);
+     fail "out of range accepted"
+   with Invalid_argument _ -> ());
+  try
+    ignore (Constraints.mem c 0 2);
+    fail "out of range accepted"
+  with Invalid_argument _ -> ()
+
+let test_sparse_equal () =
+  let a = build ~n:3 [ (0, 1, 1.0); (2, 1, 2.0) ] in
+  let b = build ~n:3 [ (2, 1, 2.0); (0, 1, 4.0); (0, 1, 1.0) ] in
+  check Alcotest.bool "equal" true (Constraints.equal a b);
+  check Alcotest.bool "not equal" false (Constraints.equal a (build ~n:3 [ (0, 1, 1.0); (2, 1, 3.0) ]));
+  check Alcotest.bool "other direction" false
+    (Constraints.equal a (build ~n:3 [ (1, 0, 1.0); (2, 1, 2.0) ]));
+  check Alcotest.bool "other n" false (Constraints.equal a (build ~n:4 [ (0, 1, 1.0); (2, 1, 2.0) ]))
+
+(* The oracle: the store built from adds equals the reference, bit for
+   bit, in every view. *)
+let matches_reference (n, ops) =
+  let bits = Int64.bits_of_float in
+  let r, c = Budget_reference.replay ~n ops in
+  let walk = Constraints.fold c ~init:[] ~f:(fun acc j1 j2 x -> (j1, j2, bits x) :: acc) in
+  let expect = List.map (fun (j1, j2, x) -> (j1, j2, bits x)) (Budget_reference.walk r) in
+  if List.rev walk <> expect then fail "walk";
+  for j1 = 0 to n - 1 do
+    for j2 = 0 to n - 1 do
+      if bits (Constraints.budget c j1 j2) <> bits (Budget_reference.budget r j1 j2) then
+        fail "budget";
+      if Constraints.mem c j1 j2 <> Budget_reference.mem r j1 j2 then fail "mem"
+    done
+  done;
+  if Constraints.count c <> List.length expect then fail "count";
+  let rows = Budget_reference.partners r in
+  let pairs = Array.fold_left (fun acc row -> acc + List.length row) 0 rows / 2 in
+  if Constraints.pair_count c <> pairs then fail "pair_count";
+  let poff = Constraints.partner_offsets c and ids = Constraints.partner_ids c in
+  let bout = Constraints.partner_budget_out c and bin = Constraints.partner_budget_in c in
+  if Array.length poff <> n + 1 || poff.(n) <> Array.length ids then fail "offsets";
+  if Array.length bout <> Array.length ids || Array.length bin <> Array.length ids then
+    fail "budget arrays";
+  Array.iteri
+    (fun j row ->
+      if poff.(j + 1) - poff.(j) <> List.length row then fail "row extent";
+      List.iteri
+        (fun k (o, x_out, x_in) ->
+          let s = poff.(j) + k in
+          if ids.(s) <> o || bits bout.(s) <> bits x_out || bits bin.(s) <> bits x_in then
+            fail "partner slot")
+        row)
+    rows;
+  true
+
+let prop_store_matches_reference =
+  QCheck.Test.make ~name:"budget store = Hashtbl reference, bit for bit" ~count:300
+    Budget_reference.arbitrary matches_reference
+
+(* Rows past the insertion sort's bound: row 0 holds three descending
+   runs of out-budgets to every other component, with both zeros on
+   one pair, and row 1 a descending run of in-budgets. *)
+let test_long_rows () =
+  let n = 120 in
+  let run r = List.init (n - 1) (fun i -> (n - 1 - i, float_of_int ((n - 1 - i + r) mod 5))) in
+  let ops =
+    List.concat_map
+      (fun r -> List.map (fun (o, x) -> Budget_reference.Add (0, o, x)) (run r))
+      [ 0; 1; 2 ]
+    @ List.init (n - 2) (fun i -> Budget_reference.Add (n - 1 - i, 1, 2.0))
+    @ Budget_reference.[ Add (0, 7, 0.0); Add (0, 7, -0.0); Add_sym (5, 0, 1.5) ]
+  in
+  ignore (matches_reference (n, ops) : bool)
 
 (* ------------------------------------------------------------------ *)
 (* Check *)
@@ -85,9 +206,10 @@ let test_constraints_copy_independent () =
 let topo2x2 = Grid.make ~rows:2 ~cols:2 ~capacity:100.0 ()
 
 let test_check_violations () =
-  let c = Constraints.create ~n:3 in
-  Constraints.add_sym c 0 1 1.0;
-  Constraints.add c 1 2 1.0;
+  let b = Constraints.Builder.create ~n:3 in
+  Constraints.Builder.add_sym b 0 1 1.0;
+  Constraints.Builder.add b 1 2 1.0;
+  let c = Constraints.Builder.build b in
   (* 0 at slot 0, 1 at slot 3 (distance 2 > 1), 2 at slot 3 *)
   let a = [| 0; 3; 3 |] in
   let vs = Check.violations c topo2x2 ~assignment:a in
@@ -101,14 +223,12 @@ let test_check_violations () =
   check flt "worst slack 0" 0.0 (Check.worst_slack c topo2x2 ~assignment:a)
 
 let test_check_no_constraints () =
-  let c = Constraints.create ~n:2 in
+  let c = Constraints.none ~n:2 in
   check Alcotest.bool "trivially feasible" true (Check.feasible c topo2x2 ~assignment:[| 0; 3 |]);
   check flt "worst slack infinite" infinity (Check.worst_slack c topo2x2 ~assignment:[| 0; 3 |])
 
 let test_placement_ok () =
-  let c = Constraints.create ~n:3 in
-  Constraints.add c 0 1 1.0;  (* 0 -> 1 within 1 *)
-  Constraints.add c 2 0 1.0;  (* 2 -> 0 within 1 *)
+  let c = build ~n:3 [ (0, 1, 1.0) (* 0 -> 1 within 1 *); (2, 0, 1.0) (* 2 -> 0 within 1 *) ] in
   let ok assignment ~at ~other = Check.placement_ok c topo2x2 ~assignment ~j:0 ~at ~other in
   (* 0 unplaced, 1 at slot 1, 2 at slot 2 *)
   let a = [| -1; 1; 2 |] in
@@ -134,12 +254,13 @@ let prop_placement_consistent =
     (fun seed ->
       let rng = Qbpart_netlist.Rng.create seed in
       let n = 5 in
-      let c = Constraints.create ~n in
+      let b = Constraints.Builder.create ~n in
       for _ = 1 to 6 do
         let j1 = Qbpart_netlist.Rng.int rng n and j2 = Qbpart_netlist.Rng.int rng n in
         if j1 <> j2 then
-          Constraints.add c j1 j2 (float_of_int (Qbpart_netlist.Rng.int rng 3))
+          Constraints.Builder.add b j1 j2 (float_of_int (Qbpart_netlist.Rng.int rng 3))
       done;
+      let c = Constraints.Builder.build b in
       let a = Array.init n (fun _ -> Qbpart_netlist.Rng.int rng 4) in
       let full = Check.feasible c topo2x2 ~assignment:a in
       let piecewise =
@@ -325,13 +446,13 @@ let budget_fuzz =
   Totality.props ~what:"budget parser" ~words:[ "budget"; "budget_sym"; "c0"; "c1" ]
     ~printed:(fun ~n ~seed ->
       let rng = Qbpart_netlist.Rng.create (n + (seed * 31)) in
-      let c = Constraints.create ~n:(Netlist.n fuzz_netlist) in
+      let c = Constraints.Builder.create ~n:(Netlist.n fuzz_netlist) in
       for _ = 1 to 3 * n do
         let j1 = Qbpart_netlist.Rng.int rng n and j2 = Qbpart_netlist.Rng.int rng n in
         let b = float_of_int (Qbpart_netlist.Rng.int rng 7) /. 2.0 in
-        if j1 <> j2 then Constraints.add c j1 j2 b
+        if j1 <> j2 then Constraints.Builder.add c j1 j2 b
       done;
-      Constraints_io.to_string fuzz_netlist c)
+      Constraints_io.to_string fuzz_netlist (Constraints.Builder.build c))
     (fun s ->
       match Constraints_io.parse_string fuzz_netlist s with
       | Ok _ -> None
@@ -339,9 +460,10 @@ let budget_fuzz =
 
 let test_io_roundtrip () =
   let nl = named_netlist () in
-  let c = Constraints.create ~n:3 in
-  Constraints.add c 0 1 2.0;
-  Constraints.add_sym c 1 2 3.5;
+  let b = Constraints.Builder.create ~n:3 in
+  Constraints.Builder.add b 0 1 2.0;
+  Constraints.Builder.add_sym b 1 2 3.5;
+  let c = Constraints.Builder.build b in
   match Constraints_io.parse_string nl (Constraints_io.to_string nl c) with
   | Error e -> fail (Constraints_io.error_to_string e)
   | Ok c' ->
@@ -361,6 +483,16 @@ let () =
           Alcotest.test_case "validation" `Quick test_constraints_validation;
           Alcotest.test_case "partners index" `Quick test_partners;
           Alcotest.test_case "copy independence" `Quick test_constraints_copy_independent;
+          q prop_store_matches_reference;
+          Alcotest.test_case "long rows match the reference" `Quick test_long_rows;
+        ] );
+      ( "sparse-matrix",
+        [
+          Alcotest.test_case "basic set/get" `Quick test_sparse_basic;
+          Alcotest.test_case "infinite default" `Quick test_sparse_default_inf;
+          Alcotest.test_case "rows sorted" `Quick test_sparse_row_sorted;
+          Alcotest.test_case "bounds checked" `Quick test_sparse_out_of_range;
+          Alcotest.test_case "equality" `Quick test_sparse_equal;
         ] );
       ( "check",
         [

@@ -1,5 +1,5 @@
-(* Tests for partition topologies: the Topology type, grid builders,
-   and delay models. *)
+(* Tests for partition topologies: the Topology type and the grid
+   builders. *)
 
 open Qbpart_topology
 
@@ -150,28 +150,6 @@ let test_grid_validation () =
     fail "capacity=0 accepted"
   with Invalid_argument _ -> ()
 
-(* ------------------------------------------------------------------ *)
-(* Delay model *)
-
-let test_affine_delay () =
-  let dist = [| [| 0.; 2. |]; [| 2.; 0. |] |] in
-  let d = Delay_model.affine_of_distance ~base:1.0 ~per_unit:0.5 dist in
-  check flt "off diagonal" 2.0 d.(0).(1);
-  check flt "diagonal stays zero" 0.0 d.(0).(0)
-
-let test_with_affine_delay () =
-  let t = Grid.make ~rows:2 ~cols:2 ~capacity:1.0 () in
-  let t' = Delay_model.with_affine_delay ~base:3.0 ~per_unit:1.0 t in
-  check flt "affine applied" 5.0 (Topology.d t' 0 3);
-  check flt "b untouched" 2.0 (Topology.b t' 0 3);
-  check flt "diagonal zero" 0.0 (Topology.d t' 1 1)
-
-let test_affine_validation () =
-  try
-    ignore (Delay_model.affine_of_distance ~base:(-1.0) ~per_unit:1.0 square2);
-    fail "negative base accepted"
-  with Invalid_argument _ -> ()
-
 (* qcheck: grid distances obey the triangle inequality and symmetry *)
 let prop_grid_metric =
   QCheck.Test.make ~name:"grid Manhattan metric is a metric" ~count:50
@@ -214,12 +192,6 @@ let () =
           Alcotest.test_case "slot/index" `Quick test_grid_slot_index;
           Alcotest.test_case "per-slot capacities" `Quick test_grid_capacities;
           Alcotest.test_case "validation" `Quick test_grid_validation;
-        ] );
-      ( "delay-model",
-        [
-          Alcotest.test_case "affine" `Quick test_affine_delay;
-          Alcotest.test_case "with_affine_delay" `Quick test_with_affine_delay;
-          Alcotest.test_case "validation" `Quick test_affine_validation;
         ] );
       ("properties", [ q prop_grid_metric ]);
     ]
