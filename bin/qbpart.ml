@@ -44,6 +44,13 @@ module Scheduler = Qbpart_server.Scheduler
 
 open Cmdliner
 
+(* Runtime failures reach [Cmd.eval_result] as [Error message]: it
+   prints the message and exits 123, and cmdliner's own misuse errors
+   (an unknown option or subcommand, a missing positional), which it
+   reports as term errors, keep the default 124.  With
+   [Term.term_result] the two shared one exit code. *)
+let runtime_result t = Term.(const (Result.map_error (fun (`Msg m) -> m)) $ t)
+
 let ( let* ) = Result.bind
 let msgf fmt = Printf.ksprintf (fun m -> Error (`Msg m)) fmt
 
@@ -278,7 +285,7 @@ let generate_cmd =
   Cmd.v
     (Cmd.info "generate" ~doc:"Generate a synthetic netlist")
     Term.(
-      term_result
+      runtime_result
         (const run $ n $ wires $ seed $ out $ circuit $ degree $ density $ locality
        $ clusters $ jobs $ timing_out $ reference_out))
 
@@ -291,7 +298,7 @@ let stats_cmd =
     Ok ()
   in
   let path = Arg.(required & pos 0 (some file) None & info [] ~docv:"NETLIST") in
-  Cmd.v (Cmd.info "stats" ~doc:"Print circuit statistics") Term.(term_result (const run $ path))
+  Cmd.v (Cmd.info "stats" ~doc:"Print circuit statistics") Term.(runtime_result (const run $ path))
 
 (* --- the solve spec ------------------------------------------------ *)
 
@@ -652,7 +659,7 @@ let solve_cmd =
   Cmd.v
     (Cmd.info "solve" ~doc:"Partition a netlist onto a grid")
     Term.(
-      term_result
+      runtime_result
         (const run $ spec_term $ algorithm $ fallback $ jobs $ inner_jobs $ retries
        $ checkpoint $ every $ resume $ initial $ out))
 
@@ -671,7 +678,7 @@ let eval_cmd =
   let assignment = Arg.(required & pos 1 (some file) None & info [] ~docv:"ASSIGNMENT") in
   Cmd.v
     (Cmd.info "eval" ~doc:"Evaluate an assignment produced by solve")
-    Term.(term_result (const run $ instance_term $ assignment))
+    Term.(runtime_result (const run $ instance_term $ assignment))
 
 (* --- checkpoint ---------------------------------------------------- *)
 
@@ -704,7 +711,7 @@ let checkpoint_cmd =
   let path = Arg.(required & pos 0 (some file) None & info [] ~docv:"CHECKPOINT") in
   Cmd.v
     (Cmd.info "checkpoint" ~doc:"Inspect a crash-safety checkpoint file")
-    Term.(term_result (const run $ path))
+    Term.(runtime_result (const run $ path))
 
 (* --- service client: submit / status / cancel / metrics ------------ *)
 
@@ -864,7 +871,7 @@ let submit_cmd =
   Cmd.v
     (Cmd.info "submit" ~doc:"Submit a partitioning job to a qbpartd daemon")
     Term.(
-      term_result
+      runtime_result
         (const run $ socket_arg $ spec_term $ by_path_arg $ label $ priority $ wait $ out
        $ connect_timeout_arg $ read_timeout_arg $ retries_arg))
 
@@ -971,7 +978,7 @@ let status_cmd =
   Cmd.v
     (Cmd.info "status" ~doc:"Query (or watch) a job on a qbpartd daemon")
     Term.(
-      term_result
+      runtime_result
         (const run $ socket_arg $ job $ watch $ connect_timeout_arg $ read_timeout_arg
        $ retries_arg))
 
@@ -992,7 +999,7 @@ let cancel_cmd =
   let job = Arg.(required & pos 0 (some string) None & info [] ~docv:"JOB") in
   Cmd.v
     (Cmd.info "cancel" ~doc:"Cancel a queued or running job on a qbpartd daemon")
-    Term.(term_result (const run $ socket_arg $ job))
+    Term.(runtime_result (const run $ socket_arg $ job))
 
 let metrics_cmd =
   let run socket =
@@ -1008,7 +1015,7 @@ let metrics_cmd =
   in
   Cmd.v
     (Cmd.info "metrics" ~doc:"Print a qbpartd daemon's metrics snapshot as JSON")
-    Term.(term_result (const run $ socket_arg))
+    Term.(runtime_result (const run $ socket_arg))
 
 (* --- ECO sessions --------------------------------------------------- *)
 
@@ -1050,7 +1057,7 @@ let session_open_cmd =
        ~doc:"Open an ECO session: solve the instance (resuming from a replicated \
              checkpoint when one matches) and pin it server-side for warm deltas")
     Term.(
-      term_result
+      runtime_result
         (const run $ socket_arg $ spec_term $ by_path_arg $ connect_timeout_arg
        $ read_timeout_arg))
 
@@ -1072,7 +1079,7 @@ let session_close_cmd =
   Cmd.v
     (Cmd.info "close"
        ~doc:"Close an ECO session, checkpointing its incumbent to the daemon's store")
-    Term.(term_result (const run $ socket_arg $ session))
+    Term.(runtime_result (const run $ socket_arg $ session))
 
 let session_cmd =
   Cmd.group
@@ -1113,7 +1120,7 @@ let eco_cmd =
        ~doc:"Apply an engineering-change-order delta to an open session and print the \
              re-certified assignment")
     Term.(
-      term_result
+      runtime_result
         (const run $ socket_arg $ session $ delta $ seq $ cold $ connect_timeout_arg
        $ read_timeout_arg))
 
@@ -1140,7 +1147,7 @@ let tables_cmd =
   in
   Cmd.v
     (Cmd.info "tables" ~doc:"Regenerate the paper's tables")
-    Term.(term_result (const run $ quick $ stage_deadline))
+    Term.(runtime_result (const run $ quick $ stage_deadline))
 
 let () =
   let doc = "performance-driven system partitioning by quadratic boolean programming" in
@@ -1158,7 +1165,7 @@ let () =
   in
   let info = Cmd.info "qbpart" ~version:"1.0.0" ~doc ~man in
   exit
-    (Cmd.eval ~term_err:Cmd.Exit.some_error
+    (Cmd.eval_result
        (Cmd.group info
           [
             generate_cmd;

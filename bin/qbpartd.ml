@@ -29,6 +29,13 @@ module Netfault = Qbpart_server.Netfault
 
 open Cmdliner
 
+(* Runtime failures reach [Cmd.eval_result] as [Error message]: it
+   prints the message and exits 123, and cmdliner's own misuse errors
+   (an unknown option or subcommand, a missing positional), which it
+   reports as term errors, keep the default 124.  With
+   [Term.term_result] the two shared one exit code. *)
+let runtime_result t = Term.(const (Result.map_error (fun (`Msg m) -> m)) $ t)
+
 let metrics_json (m : Protocol.metrics_view) =
   (* reuse the wire encoding: one line, machine-readable *)
   match Protocol.encode_response (Protocol.Metrics_snapshot m) with
@@ -296,10 +303,10 @@ let () =
   in
   let info = Cmd.info "qbpartd" ~version:"1.0.0" ~doc ~man in
   exit
-    (Cmd.eval ~term_err:Cmd.Exit.some_error
+    (Cmd.eval_result
        (Cmd.v info
           Term.(
-            term_result
+            runtime_result
               (const run $ socket $ tcp $ max_queue $ queue_weight $ workers $ checkpoint_dir $ replicate
              $ max_frame $ shard_id $ conn_timeout $ fault $ route $ shards $ hb_interval
              $ fail_threshold $ eco_fault $ eco_cache))))

@@ -351,13 +351,47 @@ let construct_memo (g : Gap.t) ws criterion =
   | Weight_per_capacity -> memoized ~criterion g ws ws.memo_per_capacity
   | Cost | Cost_times_weight -> construct_into ~criterion g ws ws.trial
 
-let solve ?ws ?(criteria = all_criteria) ?(improve = `Shift_and_swap) g =
-  Gap.verify_domain g;
-  let ws = ensure_ws ws g in
+(* The unconstrained optimum: [ws.min_cost] filled as
+   [Improve.min_cost_into] fills it, and each item placed in [ws.out]
+   at the first knapsack of its minimum, where the [Cost] refresh puts
+   it.  True when every minimum is finite and every knapsack's load
+   fits its capacity with a margin for rounding: then a [Cost]
+   construction builds exactly this placement whatever its pop order,
+   the improvers find every item at its minimum, and no later
+   criterion can be strictly cheaper (DESIGN.md D22).  The loads go in
+   [ws.residual], which every construction and fill resets first. *)
+let cheapest_fits (g : Gap.t) ws =
+  let { Gap.m; n; _ } = g in
+  let cost = g.Gap.cost and weight = g.Gap.weight and load = ws.residual in
+  Array.fill load 0 m 0.0;
+  let finite = ref true in
+  for j = 0 to n - 1 do
+    let base = j * m in
+    let lo = ref cost.(base) and b = ref 0 in
+    for i = 1 to m - 1 do
+      if cost.(base + i) < !lo then begin
+        lo := cost.(base + i);
+        b := i
+      end
+    done;
+    ws.min_cost.(j) <- !lo;
+    if not (Float.abs !lo < infinity) then finite := false;
+    ws.out.(j) <- !b;
+    load.(!b) <- load.(!b) +. weight.(base + !b)
+  done;
+  let margin = 4.0 *. float_of_int (n + 1) *. epsilon_float in
+  let fits = ref !finite in
+  for i = 0 to m - 1 do
+    let l = load.(i) and cap = g.Gap.capacity.(i) in
+    if not (l +. (margin *. (cap +. l)) <= cap) then fits := false
+  done;
+  !fits
+
+(* Every criterion's construction, improved in place; the cheapest
+   (the first on ties) lands in [ws.out].  False if every construction
+   got stuck. *)
+let construct_best (g : Gap.t) ws criteria improve =
   key_memo ws g;
-  (match improve with
-  | `None -> ()
-  | `Shift | `Shift_and_swap -> Improve.min_cost_into g ws.min_cost);
   let n = g.Gap.n in
   let found = ref false in
   let best_cost = ref infinity in
@@ -379,7 +413,19 @@ let solve ?ws ?(criteria = all_criteria) ?(improve = `Shift_and_swap) g =
         end
       end
   done;
-  if !found then Some ws.out else None
+  !found
+
+let solve ?ws ?(criteria = all_criteria) ?(improve = `Shift_and_swap) g =
+  Gap.verify_domain g;
+  let ws = ensure_ws ws g in
+  (* the scan fills the minima the improvers' shift skip reads, so a
+     solve with no improver skips it, and the early return with it *)
+  let cheapest =
+    match improve with `None -> false | `Shift | `Shift_and_swap -> cheapest_fits g ws
+  in
+  match criteria with
+  | Cost :: _ when cheapest -> Some ws.out
+  | _ -> if construct_best g ws criteria improve then Some ws.out else None
 
 (* [a] sorted in place by [key] descending.  This is [Array.sort]'s
    ternary heap sort step for step — same comparisons, same moves — so

@@ -59,10 +59,18 @@ val solve :
     return the cheapest.  [None] if every construction got stuck —
     with very tight capacities the greedy can fail even when the
     instance is feasible.  The improvement's shift passes skip items
-    already at their cheapest knapsack ({!Improve.min_cost_into},
-    computed once per call and shared by every criterion), and with
-    [?ws] the cost-independent constructions come from the
+    already at their cheapest knapsack ({!Improve.min_cost_into}'s
+    minima, computed once per call and shared by every criterion),
+    and with [?ws] the cost-independent constructions come from the
     workspace's memo; neither changes any result.
+
+    The scan for those minima also places each item at the first
+    knapsack of its minimum.  When [criteria] starts with [Cost], every
+    minimum is finite and every knapsack's load [l] fits its capacity
+    [c] with a margin for rounding ([l + 4(n+1)·ε·(c + l) ≤ c]), that
+    placement is returned at once, with no construction, improvement
+    or other criterion: it is exactly what they would return
+    (DESIGN.md D22).  Any other list, and [`None], always constructs.
 
     With [?ws], no allocation happens and the returned array is owned
     by the workspace: it stays valid only until the next call using

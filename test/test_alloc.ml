@@ -117,7 +117,9 @@ let violations ~n =
 (* STEP 4 as Burkard runs it: the GAP borrows eta as its cost matrix
    and w_ij = s_j.  At slack 1.2 the constructions succeed; at 0.9 the
    knapsacks cannot hold every item, every construction gets stuck and
-   the overflow fill runs. *)
+   the overflow fill runs; at 32 each knapsack could hold the netlist
+   twice, so every item's cheapest knapsack fits and the call returns
+   that placement without constructing (DESIGN.md D22). *)
 let solve_relaxed ~slack ~n =
   let q, u = instance ~n ~slack in
   let p = Qmatrix.problem q in
@@ -185,6 +187,7 @@ let () =
           case "Qmatrix.violations" violations;
           case "Mthg.solve_relaxed ~ws (feasible)" (solve_relaxed ~slack:1.2);
           case "Mthg.solve_relaxed ~ws (overflow fill)" (solve_relaxed ~slack:0.9);
+          case "Mthg.solve_relaxed ~ws (cheapest placement fits)" (solve_relaxed ~slack:32.0);
           case "Mthg.solve_relaxed ~ws (memoized, STEP 4 and 6)" memoized_solve_relaxed;
           case "Buckets.best_move (capacity and timing)" best_move;
           case "Buckets.best_swap (capacity and timing)" best_swap;

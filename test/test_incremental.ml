@@ -414,7 +414,7 @@ module Oracle = struct
       end
       else stuck := true
     done;
-    if !stuck then None else Some assignment
+    if !stuck then None else Some (assignment, residual)
 
   let residual_of ~weight ~capacity ~m a =
     let residual = Array.copy capacity in
@@ -474,8 +474,10 @@ module Oracle = struct
     done;
     !improved
 
-  let improve ?(swap = true) ~cost ~weight ~capacity ~m ~n a =
-    let residual = residual_of ~weight ~capacity ~m a in
+  (* [residual] is the construction's own running residual, not one
+     recomputed from the assignment: the two can differ in the last
+     bit, which decides a move into a knapsack filled to the brim *)
+  let improve ?(swap = true) ~cost ~weight ~m ~n a residual =
     let continue = ref true in
     while !continue do
       let s1 = shift_pass ~cost ~weight ~m ~n a residual in
@@ -495,8 +497,8 @@ module Oracle = struct
       (fun criterion ->
         match construct criterion ~cost ~weight ~capacity ~m ~n with
         | None -> ()
-        | Some a ->
-          improve ?swap ~cost ~weight ~capacity ~m ~n a;
+        | Some (a, residual) ->
+          improve ?swap ~cost ~weight ~m ~n a residual;
           let c = cost_of ~cost a in
           if !best = None || c < !best_cost then begin
             best := Some a;
@@ -544,9 +546,11 @@ module Oracle = struct
     | Some a -> a
     | None ->
       let a = relaxed_fill ~cost ~weight ~capacity ~m ~n in
-      let residual = residual_of ~weight ~capacity ~m a in
-      if Array.for_all (fun r -> r >= 0.0) residual then
-        improve ?swap ~cost ~weight ~capacity ~m ~n a;
+      (* feasible as [Gap.feasible] says it: loads summed, then compared *)
+      let loads = Array.make m 0.0 in
+      Array.iteri (fun j i -> loads.(i) <- loads.(i) +. weight.(i).(j)) a;
+      if Array.for_all2 ( <= ) loads capacity then
+        improve ?swap ~cost ~weight ~m ~n a (residual_of ~weight ~capacity ~m a);
       a
 end
 
@@ -649,6 +653,98 @@ let prop_burkard_shaped_mthg_matches_oracle =
       && Mthg.solve_relaxed ~criteria:burkard ~improve:`Shift g = expected_relaxed
       && r1 = expected_relaxed
       && r2 = expected_relaxed)
+
+(* The cheapest-placement return of [Mthg.solve] (DESIGN.md D22) at the
+   edges of its rule, against the oracle, which always constructs.  The
+   instances are Burkard-shaped with fractional sizes, and every
+   knapsack holds its share of each item's first cheapest knapsack,
+   summed in item order, with room, except where the draw says:
+   - [Room]: no exception;
+   - [Exact]: one knapsack's capacity is its share summed in another
+     order, moved by -1, 0 or +1 ulp, so whether its last item still
+     fits depends on the order the construction subtracts in;
+   - [Miss]: one knapsack is short by half of its smallest item;
+   - [Ties]: costs in {0, 1, 2}, so minima tie across knapsacks, and
+     every knapsack could hold every item;
+   - [Infinite]: the last item costs +inf everywhere, so the [Cost]
+     construction gets stuck and the [Weight] one answers;
+   - [Weight_first]: ties again, and the criteria do not lead with
+     [Cost], so an earlier construction at the same cost wins. *)
+type cheapest_draw = Room | Exact | Miss | Ties | Infinite | Weight_first
+
+let cheapest_gap rng kind =
+  let m = 2 + Rng.int rng 5 in
+  let n = 4 + Rng.int rng 37 in
+  let ties = kind = Ties || kind = Weight_first in
+  let sizes = Array.init n (fun _ -> 0.1 +. Rng.float rng 1.9) in
+  let cost =
+    Array.init m (fun _ ->
+        Array.init n (fun _ ->
+            if ties then float_of_int (Rng.int rng 3) else Rng.float rng 10.0))
+  in
+  if kind = Infinite then Array.iter (fun row -> row.(n - 1) <- infinity) cost;
+  let first_cheapest j =
+    let b = ref 0 in
+    for i = 1 to m - 1 do
+      if cost.(i).(j) < cost.(!b).(j) then b := i
+    done;
+    !b
+  in
+  let a = Array.init n first_cheapest in
+  let load = Array.make m 0.0 in
+  Array.iteri (fun j i -> load.(i) <- load.(i) +. sizes.(j)) a;
+  let total = Array.fold_left ( +. ) 0.0 sizes in
+  let capacity =
+    Array.map
+      (fun l -> if kind = Ties then 2.0 *. total else (l *. (1.1 +. Rng.float rng 0.4)) +. 0.5)
+      load
+  in
+  let k = a.(Rng.int rng n) in
+  let mine = List.filter (fun j -> a.(j) = k) (List.init n Fun.id) |> Array.of_list in
+  (match kind with
+  | Exact ->
+    Rng.shuffle rng mine;
+    let x = Array.fold_left (fun acc j -> acc +. sizes.(j)) 0.0 mine in
+    capacity.(k) <-
+      (match Rng.int rng 3 with 0 -> Float.pred x | 1 -> x | _ -> Float.succ x)
+  | Miss ->
+    let smallest = Array.fold_left (fun acc j -> Float.min acc sizes.(j)) infinity mine in
+    capacity.(k) <- load.(k) -. (smallest /. 2.0)
+  | Room | Ties | Infinite | Weight_first -> ());
+  (cost, sizes, Array.make m sizes, capacity, m, n)
+
+let prop_cheapest_placement_matches_oracle =
+  QCheck.Test.make ~name:"MTHG cheapest-placement return equals the oracle at its edges"
+    ~count:600
+    QCheck.(int_range 0 100_000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let kind = [| Room; Exact; Miss; Ties; Infinite; Weight_first |].(seed mod 6) in
+      let cost, sizes, weight, capacity, m, n = cheapest_gap rng kind in
+      let g = Gap.make_uniform ~cost ~sizes ~capacity in
+      let lists =
+        match kind with
+        | Weight_first ->
+          Mthg.
+            [
+              [ Weight; Cost ];
+              [ Cost_times_weight; Cost; Weight ];
+              [ Weight_per_capacity; Cost ];
+              [ Weight ];
+            ]
+        | Room | Exact | Miss | Ties | Infinite -> [ [ Mthg.Cost; Mthg.Weight ]; Mthg.all_criteria ]
+      in
+      let ws = Mthg.workspace ~m ~n in
+      List.for_all
+        (fun criteria ->
+          let expected = Oracle.solve ~criteria ~cost ~weight ~capacity ~m ~n () in
+          let expected_relaxed =
+            Oracle.solve_relaxed ~criteria ~swap:false ~cost ~weight ~capacity ~m ~n ()
+          in
+          Mthg.solve ~criteria g = expected
+          && Option.map Array.copy (Mthg.solve ~ws ~criteria g) = expected
+          && Mthg.solve_relaxed ~ws ~criteria ~improve:`Shift g = expected_relaxed)
+        lists)
 
 (* MTHG's memo of the cost-independent constructions, the way Burkard
    drives it: one workspace, a borrowed STEP-4 instance and its STEP-6
@@ -998,6 +1094,7 @@ let () =
         [
           qt prop_flat_mthg_matches_boxed_oracle;
           qt prop_burkard_shaped_mthg_matches_oracle;
+          qt prop_cheapest_placement_matches_oracle;
           qt prop_mthg_memo_matches_fresh;
           qt prop_solve_relaxed_pooled_deterministic;
           Alcotest.test_case "mthg workspace shape checked" `Quick

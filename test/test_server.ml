@@ -460,6 +460,40 @@ let test_response_round_trip =
       | Ok r' -> r' = r
       | Error _ -> false)
 
+(* A damaged payload decodes to [Ok] or [Error], never to an exception:
+   the encoding of a generated value with one to three bytes replaced,
+   or cut to any prefix. *)
+let gen_damaged encode gen =
+  QCheck.Gen.(
+    let* s = map encode gen in
+    let* cut = bool in
+    if cut then map (fun k -> String.sub s 0 k) (int_bound (String.length s))
+    else
+      let* edits =
+        list_size (int_range 1 3)
+          (pair (int_bound (String.length s - 1)) (map Char.chr (int_bound 255)))
+      in
+      let b = Bytes.of_string s in
+      List.iter (fun (at, c) -> Bytes.set b at c) edits;
+      return (Bytes.to_string b))
+
+let total_on_damage ~what decode encode gen =
+  QCheck.Test.make ~name:(Printf.sprintf "protocol: %s is total on damaged encodings" what)
+    ~count:2000
+    (QCheck.make ~print:(Printf.sprintf "%S") (gen_damaged encode gen))
+    (fun s ->
+      match decode s with
+      | Ok _ | Error _ -> true
+      | exception e -> QCheck.Test.fail_reportf "%s raised %s" what (Printexc.to_string e))
+
+let test_request_damage =
+  total_on_damage ~what:"decode_request" Protocol.decode_request Protocol.encode_request
+    gen_request
+
+let test_response_damage =
+  total_on_damage ~what:"decode_response" Protocol.decode_response Protocol.encode_response
+    gen_response
+
 let test_protocol_rejects () =
   List.iter
     (fun s ->
@@ -1655,7 +1689,13 @@ let () =
       ( "protocol",
         Alcotest.test_case "rejects malformed requests" `Quick test_protocol_rejects
         :: Alcotest.test_case "tolerates unknown fields" `Quick test_protocol_tolerates_unknown_fields
-        :: qsuite [ test_request_round_trip; test_response_round_trip ] );
+        :: qsuite
+             [
+               test_request_round_trip;
+               test_response_round_trip;
+               test_request_damage;
+               test_response_damage;
+             ] );
       ( "queue",
         [
           Alcotest.test_case "fifo and overload" `Quick test_queue_fifo;
