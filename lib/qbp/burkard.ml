@@ -67,14 +67,18 @@ type gap_solver =
    The row cache (which is eta) and h double as the STEP-4/6 GAP cost
    matrices: the flat item-major GAP layout (entry (i,j) at j*m + i)
    coincides with the eta index r = i + j·M, so the borrowed instances
-   alias them with no reshape or refresh at all. *)
+   alias them with no reshape or refresh at all.  The GAP instance is
+   borrowed once, here, on the domain that will solve: every round's
+   STEP-4 and STEP-6 instances derive from it with [Gap.with_cost], so
+   they share one weight order and one MTHG memo of the
+   cost-independent constructions across all rounds. *)
 module Workspace = struct
   type t = {
     ws_m : int;
     ws_n : int;
     h : float array;          (* m*n, STEP-5 accumulated direction *)
-    weight : float array;     (* m*n, w(i,j) = s_j, iteration-invariant *)
-    capacity : float array;   (* m *)
+    gap : Gap.t;              (* cost = the row cache, w(i,j) = s_j *)
+    omega : Qmatrix.omega_memo; (* the omega entries xi has read *)
     mthg : Mthg.workspace;
     race : Race.workspace;    (* for [Config.gap_race] runs *)
     u : int array;            (* n, the current iterate *)
@@ -89,16 +93,19 @@ module Workspace = struct
     let problem = Problem.normalize problem in
     let m = Problem.m problem and n = Problem.n problem in
     let sizes = Netlist.sizes problem.Problem.netlist in
+    let rows = Repair.cache ~m ~n in
     {
       ws_m = m;
       ws_n = n;
       h = Array.make (m * n) 0.0;
-      weight = Gap.uniform_weights ~sizes ~m;
-      capacity = Topology.capacities problem.Problem.topology;
+      gap =
+        Gap.borrow ~cost:(Repair.rows rows) ~weight:(Gap.uniform_weights ~sizes ~m)
+          ~capacity:(Topology.capacities problem.Problem.topology) ~n;
+      omega = Qmatrix.omega_memo ~m ~n;
       mthg = Mthg.workspace ~m ~n;
       race = Race.workspace ~m ~n;
       u = Array.make n 0;
-      rows = Repair.cache ~m ~n;
+      rows;
       strict_rows = Repair.cache ~m ~n;
       pool;
     }
@@ -130,13 +137,16 @@ let solve ?(config = Config.default) ?initial ?(should_stop = fun () -> false)
     | Qmatrix.Paper -> Array.make (m * n) 0.0
   in
   (* The GAP instances of STEP 4 and STEP 6 alias eta and h directly as
-     their (flat, item-major) cost matrices and share the uniform
-     weights w_ij = s_j, so an inner solve costs no setup at all.
-     STEP 6's instance is STEP 4's with another cost matrix, so MTHG's
-     memo of the cost-independent constructions serves both. *)
-  let gap_eta = Gap.borrow ~cost:eta ~weight:ws.Workspace.weight
-      ~capacity:ws.Workspace.capacity ~n in
-  let gap_h = Gap.with_cost gap_eta ws.Workspace.h in
+     their (flat, item-major) cost matrices and share the workspace's
+     uniform weights w_ij = s_j, so an inner solve costs no setup at
+     all, and MTHG's memo of the cost-independent constructions serves
+     both steps of every round. *)
+  let gap_eta =
+    match config.Config.rule with
+    | Qmatrix.Solver -> ws.Workspace.gap
+    | Qmatrix.Paper -> Gap.with_cost ws.Workspace.gap eta
+  in
+  let gap_h = Gap.with_cost ws.Workspace.gap ws.Workspace.h in
   Array.fill ws.Workspace.h 0 (m * n) 0.0;
   let default_gap =
     match config.Config.gap_race with
@@ -203,7 +213,6 @@ let solve ?(config = Config.default) ?initial ?(should_stop = fun () -> false)
     (c, feas)
   in
   ignore (consider u);
-  let omega = Qmatrix.omega ~rule:config.Config.rule q in
   let h = ws.Workspace.h in
   let history = ref [] in
   let strict_q =
@@ -237,7 +246,9 @@ let solve ?(config = Config.default) ?initial ?(should_stop = fun () -> false)
     (match config.Config.rule with
     | Qmatrix.Solver -> Repair.refresh ws.Workspace.rows q u ~pool:ws.Workspace.pool
     | Qmatrix.Paper -> Qmatrix.eta_into ~rule:Qmatrix.Paper ~pool:ws.Workspace.pool q u eta);
-    let xi = Qmatrix.xi q ~omega u in
+    (* xi reads the omega entries at the iterate, each computed once
+       per call: the memo is bound to this call's [q] *)
+    let xi = Qmatrix.xi ~rule:config.Config.rule q ws.Workspace.omega u in
     (* STEP 4: minimize the linearization over S (cost aliases eta) *)
     let u_z = solve_gap ~step:Step4 ~k:k0 gap_eta in
     let z = ref 0.0 in

@@ -108,9 +108,10 @@ type gap_solver =
 (** Per-start scratch pool.  Holds every buffer the hot loop touches —
     the round's candidate-row cache, which is the [Solver]-rule η, and
     the accumulated direction {m h} (both aliased directly as the flat
-    item-major STEP-4/6 GAP cost matrices), the iteration-invariant
-    uniform weights and capacities, the pooled MTHG workspace and the
-    iterate itself — so that a
+    item-major STEP-4/6 GAP cost matrices), the GAP instance borrowed
+    over them with the iteration-invariant uniform weights and
+    capacities, the pooled MTHG workspace and the iterate itself — so
+    that a
     caller running many solves on one problem shape (the adaptive
     penalty ladder, a portfolio start) allocates them exactly once and
     the steady-state inner loop allocates nothing per element: what an
@@ -126,9 +127,14 @@ type gap_solver =
     Each solve re-binds them to its own surfaces on first use, so a
     reused workspace never reads a row of another penalty; within a
     round STEP 3 and every pass recompute only the rows of components
-    whose neighbours moved.  The MTHG workspace
-    memoizes the cost-independent constructions ([Weight]) across the
-    round's STEP-4 and STEP-6 calls.  None of it changes a result. *)
+    whose neighbours moved.  STEP 3's {m ξ} reads its {m ω} entries
+    from a {!Qmatrix.omega_memo}, which computes each entry the first
+    time it is read and forgets them all when the next solve binds it
+    to its own matrix (DESIGN.md D23).  The GAP instance is borrowed
+    once, when the workspace is created; every solve derives its
+    STEP-4 and STEP-6 instances from it ([Gap.with_cost]), so the MTHG
+    workspace's memo of the cost-independent constructions ([Weight])
+    serves every call of every round.  None of it changes a result. *)
 module Workspace : sig
   type t
 
@@ -136,11 +142,13 @@ module Workspace : sig
   (** Buffers sized for (and weights/capacities taken from) this
       problem.  A workspace must only be reused across solves of the
       {e same} problem (any penalty): shapes are checked, contents are
-      trusted.  [?pool] (default sequential) fans the intra-solve
-      kernels — STEP 3's η rows, and the GAP race legs when
-      [Config.gap_race] is armed — across worker domains; results
-      are bit-identical for every pool size, so it trades only
-      wall-clock, never determinism. *)
+      trusted.  Create it on the domain that will solve with it: it
+      borrows the GAP buffers there ([Gap.borrow]), and a solve from
+      another domain raises [Invalid_argument].  [?pool] (default
+      sequential) fans the intra-solve kernels — STEP 3's η rows, and
+      the GAP race legs when [Config.gap_race] is armed — across
+      worker domains; results are bit-identical for every pool size,
+      so it trades only wall-clock, never determinism. *)
 end
 
 val solve :

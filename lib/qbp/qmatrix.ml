@@ -100,45 +100,71 @@ let p_column (pr : Problem.t) ~m ~j ~off out =
 (* The shared kernel behind [candidate_costs_into] and the Solver-rule
    eta: writes the length-M candidate row of component [j] at offset
    [off] of [out], so eta can be assembled in place without a bounce
-   buffer. *)
+   buffer.  Three things make it cheap without changing a float
+   (DESIGN.md D23):
+   - b(i, a(j')) for every i is row a(j') of B transposed, so both
+     orientations add a contiguous row;
+   - the wire loop over the m entries is unrolled 4-way; each entry
+     still gets its wire terms in slot order;
+   - a partner at position a adds the penalty to the partitions i with
+     D(i, a) above the outgoing budget and those with D(a, i) above the
+     incoming one.  Each set is a prefix of a delay order of the
+     topology, so the kernel walks the prefixes instead of testing all
+     m partitions twice.  Every entry gets the same additions in the
+     same order: per partner slot the outgoing penalty, then the
+     incoming one. *)
 let candidate_costs_at t u ~j ~off out =
   let nl = t.problem.Problem.netlist in
   let topo = t.problem.Problem.topology in
   let cons = t.problem.Problem.constraints in
   let m = Problem.m t.problem in
-  let bf = Topology.b_flat topo and df = Topology.d_flat topo in
+  let bf = Topology.b_flat topo and bt = Topology.bt_flat topo in
   let pen = t.penalty in
   p_column t.problem ~m ~j ~off out;
   let xadj = Netlist.adj_offsets nl in
   let anbr = Netlist.adj_targets nl in
   let awgt = Netlist.adj_weights nl in
+  let quads = m / 4 in
   for k = xadj.(j) to xadj.(j + 1) - 1 do
     let j' = anbr.(k) and w = awgt.(k) in
-    let at' = u.(j') in
-    if j < j' then
-      for i = 0 to m - 1 do
-        out.(off + i) <- out.(off + i) +. (w *. bf.((i * m) + at'))
-      done
-    else begin
-      let row = at' * m in
-      for i = 0 to m - 1 do
-        out.(off + i) <- out.(off + i) +. (w *. bf.(row + i))
-      done
-    end
+    let src = if j < j' then bt else bf in
+    let row = u.(j') * m in
+    for q = 0 to quads - 1 do
+      let o = off + (4 * q) and s = row + (4 * q) in
+      out.(o) <- out.(o) +. (w *. src.(s));
+      out.(o + 1) <- out.(o + 1) +. (w *. src.(s + 1));
+      out.(o + 2) <- out.(o + 2) +. (w *. src.(s + 2));
+      out.(o + 3) <- out.(o + 3) +. (w *. src.(s + 3))
+    done;
+    for i = 4 * quads to m - 1 do
+      out.(off + i) <- out.(off + i) +. (w *. src.(row + i))
+    done
   done;
   let poff = Constraints.partner_offsets cons in
   let pids = Constraints.partner_ids cons in
   let pbout = Constraints.partner_budget_out cons in
   let pbin = Constraints.partner_budget_in cons in
+  let to_a = Topology.d_col_order topo and from_a = Topology.d_row_order topo in
+  let to_ids = to_a.Topology.ids and to_delays = to_a.Topology.delays in
+  let from_ids = from_a.Topology.ids and from_delays = from_a.Topology.delays in
   for k = poff.(j) to poff.(j + 1) - 1 do
-    let at' = u.(pids.(k)) in
-    let row = at' * m in
-    let budget_out = pbout.(k) and budget_in = pbin.(k) in
-    for i = 0 to m - 1 do
-      (* one penalty per violated direction: both directed budgets of
-         a pair can be broken simultaneously *)
-      if df.((i * m) + at') > budget_out then out.(off + i) <- out.(off + i) +. pen;
-      if df.(row + i) > budget_in then out.(off + i) <- out.(off + i) +. pen
+    let block = u.(pids.(k)) * m in
+    let stop = block + m in
+    (* one penalty per violated direction: both directed budgets of
+       a pair can be broken simultaneously *)
+    let budget_out = pbout.(k) in
+    let p = ref block in
+    while !p < stop && to_delays.(!p) > budget_out do
+      let o = off + to_ids.(!p) in
+      out.(o) <- out.(o) +. pen;
+      incr p
+    done;
+    let budget_in = pbin.(k) in
+    let p = ref block in
+    while !p < stop && from_delays.(!p) > budget_in do
+      let o = off + from_ids.(!p) in
+      out.(o) <- out.(o) +. pen;
+      incr p
     done
   done
 
@@ -337,74 +363,87 @@ let apply_delta t problem =
     invalid_arg "Qmatrix.apply_delta: partition count changed";
   { t with problem = Problem.normalize problem }
 
-let omega ?(rule = Solver) t =
+(* --- the bound vector omega, on demand --------------------------- *)
+
+(* STEP 3's xi reads one omega entry per component, at its current
+   partition, so only the entries the iterates visit are ever computed:
+   each the first time xi reads it, kept until the memo is bound to
+   another matrix or rule. *)
+type omega_memo = {
+  om_m : int;
+  om_n : int;
+  om_vals : float array;   (* m*n, entry (i, j) at j*m + i *)
+  om_known : Bytes.t;      (* m*n: '\001' once the entry is computed *)
+  mutable om_surface : t option;
+  mutable om_rule : rule;
+}
+
+let omega_memo ~m ~n =
+  if m < 1 || n < 0 then invalid_arg "Qmatrix.omega_memo: need m >= 1 and n >= 0";
+  {
+    om_m = m;
+    om_n = n;
+    om_vals = Array.make (m * n) 0.0;
+    om_known = Bytes.make (m * n) '\000';
+    om_surface = None;
+    om_rule = Solver;
+  }
+
+(* omega(i, j) into [out.(j*m + i)]: p(i, j), each wire's weight times
+   the largest b it could meet (row max when j < j' under the Solver
+   rule, the column max otherwise), then per partner slot one penalty
+   per direction some placement of the partner violates.  Some
+   placement breaks a budget iff the largest delay in that direction
+   does (D has no NaN), and that delay heads the partition's block of
+   a delay order.  The terms are added in this order, the order that
+   fixes each entry's sum. *)
+let omega_at ~paper t ~j ~i out =
   let pr = t.problem in
   let nl = pr.Problem.netlist in
   let topo = pr.Problem.topology in
   let cons = pr.Problem.constraints in
-  let m = Problem.m pr and n = Problem.n pr in
-  let bf = Topology.b_flat topo and df = Topology.d_flat topo in
-  let omega = Array.make (m * n) 0.0 in
-  (* max_b_to.(i) = max_{i'} b(i', i), the column-wise max, needed for
-     the orientations where the candidate partition is the second
-     argument of b. *)
-  let max_b_to = Array.make m 0.0 in
-  for i' = 0 to m - 1 do
-    for i = 0 to m - 1 do
-      max_b_to.(i) <- Float.max max_b_to.(i) bf.((i' * m) + i)
-    done
-  done;
-  let max_b_from = Array.init m (Topology.max_b_from topo) in
-  (* Some placement of a partner breaks the budget in a direction iff
-     the largest delay in that direction does: D has no NaN, so
-     "exists i' with d > budget" is "max_i' d > budget". *)
-  let max_d_from = Array.make m neg_infinity and max_d_to = Array.make m neg_infinity in
-  for i = 0 to m - 1 do
-    for i' = 0 to m - 1 do
-      if df.((i * m) + i') > max_d_from.(i) then max_d_from.(i) <- df.((i * m) + i');
-      if df.((i' * m) + i) > max_d_to.(i) then max_d_to.(i) <- df.((i' * m) + i)
-    done
-  done;
+  let m = Problem.m pr in
+  let row_max = Topology.b_row_max topo and col_max = Topology.b_col_max topo in
+  let acc = ref 0.0 in
+  (match pr.Problem.p with None -> () | Some p -> acc := pr.Problem.alpha *. p.(i).(j));
   let xadj = Netlist.adj_offsets nl in
   let anbr = Netlist.adj_targets nl in
   let awgt = Netlist.adj_weights nl in
+  for k = xadj.(j) to xadj.(j + 1) - 1 do
+    let max_b = if (not paper) && j < anbr.(k) then row_max else col_max in
+    acc := !acc +. (awgt.(k) *. max_b.(i))
+  done;
+  let max_d_from = (Topology.d_row_order topo).Topology.delays.(i * m) in
+  let max_d_to = (Topology.d_col_order topo).Topology.delays.(i * m) in
   let poff = Constraints.partner_offsets cons in
   let pbout = Constraints.partner_budget_out cons in
   let pbin = Constraints.partner_budget_in cons in
   let pen = t.penalty in
-  (* One walk of [j]'s adjacency and partner rows updates all m entries
-     of its block.  Each entry still receives its terms in the order of
-     a per-entry walk — the diagonal, the wires in slot order, then per
-     partner slot the outgoing and the incoming penalty — so the sums
-     are bit-identical to accumulating one entry at a time. *)
-  let paper = match rule with Paper -> true | Solver -> false in
-  for j = 0 to n - 1 do
-    let base = j * m in
-    p_column pr ~m ~j ~off:base omega;
-    for k = xadj.(j) to xadj.(j + 1) - 1 do
-      let w = awgt.(k) in
-      let max_b = if (not paper) && j < anbr.(k) then max_b_from else max_b_to in
-      for i = 0 to m - 1 do
-        omega.(base + i) <- omega.(base + i) +. (w *. max_b.(i))
-      done
-    done;
-    for k = poff.(j) to poff.(j + 1) - 1 do
-      (* worst case: some placement of the partner violates each
-         direction independently *)
-      let budget_out = pbout.(k) and budget_in = pbin.(k) in
-      for i = 0 to m - 1 do
-        if (not paper) && max_d_from.(i) > budget_out then
-          omega.(base + i) <- omega.(base + i) +. pen;
-        if max_d_to.(i) > budget_in then omega.(base + i) <- omega.(base + i) +. pen
-      done
-    done
+  for k = poff.(j) to poff.(j + 1) - 1 do
+    if (not paper) && max_d_from > pbout.(k) then acc := !acc +. pen;
+    if max_d_to > pbin.(k) then acc := !acc +. pen
   done;
-  omega
+  out.((j * m) + i) <- !acc
 
-let xi t ~omega u =
-  let m = Problem.m t.problem in
+let xi ~rule t memo u =
+  let m = Problem.m t.problem and n = Problem.n t.problem in
+  if memo.om_m <> m || memo.om_n <> n || Array.length u <> n then
+    invalid_arg "Qmatrix.xi: memo or assignment shape does not match";
+  (match memo.om_surface with
+  | Some t' when t' == t && memo.om_rule = rule -> ()
+  | _ ->
+    Bytes.fill memo.om_known 0 (m * n) '\000';
+    memo.om_surface <- Some t;
+    memo.om_rule <- rule);
+  let paper = match rule with Paper -> true | Solver -> false in
+  let vals = memo.om_vals in
   let total = ref 0.0 in
-  for j = 0 to Array.length u - 1 do
-    total := !total +. omega.(u.(j) + (j * m))
+  for j = 0 to n - 1 do
+    let r = (j * m) + u.(j) in
+    if Bytes.unsafe_get memo.om_known r = '\000' then begin
+      omega_at ~paper t ~j ~i:u.(j) vals;
+      Bytes.unsafe_set memo.om_known r '\001'
+    end;
+    total := !total +. vals.(r)
   done;
   !total

@@ -76,7 +76,14 @@ val candidate_costs_at : t -> Assignment.t -> j:int -> off:int -> float array ->
 (** {!candidate_costs_into} writing at offset [off] of a larger buffer:
     the kernel behind the [Solver]-rule η and {!Repair}'s row cache.
     The row reads [u] only at [j]'s netlist neighbours and timing
-    partners, never at [j] itself. *)
+    partners, never at [j] itself.  Its float operations are part of
+    the contract (DESIGN.md D14, D23): each entry starts from
+    {m p_{ij}} (or 0), then adds [w *. b] for each wire of [j] in
+    adjacency-slot order, then for each timing-partner slot in order
+    the penalty for a violated outgoing budget and then for a violated
+    incoming one.  The kernel reads {!Qbpart_topology.Topology.bt_flat}
+    for the [j < j'] orientation and walks delay-order prefixes for
+    the penalties; neither changes a value. *)
 
 val candidate_costs : t -> Assignment.t -> j:int -> float array
 (** [candidate_costs t u ~j] is the length-{m M} vector of costs of
@@ -147,11 +154,29 @@ val apply_delta : t -> Problem.t -> t
     swapping the problem it reads from.
     @raise Invalid_argument if the partition count changed. *)
 
-val omega : ?rule:rule -> t -> float array
-(** The bound vector {m ω} of equation (2):
-    {m ω_r ≥ Σ_s q̂_{rs} y_s} for every {m y ∈ S}, computed per row as
-    {m p_{ij} + Σ_{j'} a_{jj'} · max_{i'} b} plus the worst-case
-    penalty terms.  Computed once per solve. *)
+(** {1 The bound vector ω, on demand} *)
 
-val xi : t -> omega:float array -> Assignment.t -> float
-(** STEP 3's {m ξ = Σ_r ω_r u_r}. *)
+type omega_memo
+(** The entries of the bound vector {m ω} of equation (2) that STEP 3
+    has read so far: {m M·N} floats and one known byte per entry.  It
+    is bound to one matrix and rule at a time (physical equality on
+    the matrix); {!xi} with another one forgets every entry.  It must
+    not be shared between domains. *)
+
+val omega_memo : m:int -> n:int -> omega_memo
+(** An empty memo for [m] partitions and [n] components.
+    @raise Invalid_argument if [m < 1] or [n < 0]. *)
+
+val xi : rule:rule -> t -> omega_memo -> Assignment.t -> float
+(** STEP 3's {m ξ = Σ_j ω(u(j), j)}, summed over [j] ascending from
+    0.  {m ω(i, j) ≥ Σ_s q̂_{rs} y_s} for every {m y ∈ S}: {m p_{ij}},
+    plus each wire's weight times the largest {m b} it can meet (the
+    row maximum of {m B} when [j] is the wire's lower endpoint under
+    the [Solver] rule, the column maximum otherwise), plus per timing
+    partner one penalty for each direction that some placement of the
+    partner violates (only the incoming one under [Paper]).  An entry
+    is computed the first time it is read, with these terms added in
+    this order, and kept in the memo, so the result is bit for bit the
+    sum over a fully materialized {m ω}.
+    @raise Invalid_argument if the memo's or [u]'s shape does not
+    match. *)

@@ -22,11 +22,15 @@ let track_viol dviol d = match dviol with Some r -> r := !r + d | None -> ()
    byte a move cleared — with the same kernel on the same positions, so
    every value read is bit-identical to a fresh row whatever the data
    (DESIGN.md D16).  [pos] follows the assignment: a pass first diffs
-   it against the cached positions, then updates it at every move. *)
+   it against the cached positions, then updates it at every move.
+   Each valid row also keeps its minimum, recomputed with the row, so
+   a pass can tell at one comparison that a component has nowhere
+   cheaper to go (DESIGN.md D23). *)
 type cache = {
   c_m : int;
   c_n : int;
   rows : float array;            (* m*n *)
+  mins : float array;            (* n: the least non-NaN entry of row j *)
   valid : Bytes.t;               (* n: '\001' when row j is current *)
   pos : int array;               (* n: the positions the rows price *)
   mutable bound : Qmatrix.t option;  (* the penalty surface they price *)
@@ -38,6 +42,7 @@ let cache ~m ~n =
     c_m = m;
     c_n = n;
     rows = Array.make (m * n) 0.0;
+    mins = Array.make n infinity;
     valid = Bytes.make n '\000';
     pos = Array.make n 0;
     bound = None;
@@ -80,16 +85,25 @@ let sync c q u =
 
 let rows c = c.rows
 
+(* Recompute row [j] and its minimum; the caller sets the valid byte. *)
+let compute_row c q u j =
+  let m = c.c_m in
+  let off = j * m in
+  Qmatrix.candidate_costs_at q u ~j ~off c.rows;
+  let least = ref infinity in
+  for r = off to off + m - 1 do
+    if c.rows.(r) < !least then least := c.rows.(r)
+  done;
+  c.mins.(j) <- !least
+
 (* STEP 3 under the Solver rule: the cache, brought to [u] and made
    whole, is η.  Each chunk writes only its own components' rows and
    reads the valid bytes; they are set once the fan-out has joined. *)
 let refresh c q u ~pool =
   sync c q u;
-  let m = c.c_m in
   Qmatrix.component_chunks pool ~n:c.c_n (fun ~jlo ~jhi ->
       for j = jlo to jhi - 1 do
-        if Bytes.unsafe_get c.valid j = '\000' then
-          Qmatrix.candidate_costs_at q u ~j ~off:(j * m) c.rows
+        if Bytes.unsafe_get c.valid j = '\000' then compute_row c q u j
       done);
   Bytes.fill c.valid 0 c.c_n '\001'
 
@@ -149,28 +163,36 @@ let coordinate_pass ?delta ?dviol ?cache q u ~loads ~scratch =
         Qmatrix.candidate_costs_into q u ~j scratch;
         0
       | Some c ->
-        let off = j * m in
         if Bytes.unsafe_get c.valid j = '\000' then begin
-          Qmatrix.candidate_costs_at q u ~j ~off c.rows;
+          compute_row c q u j;
           Bytes.unsafe_set c.valid j '\001'
         end;
-        off
+        j * m
     in
     let from = u.(j) in
-    let s = Netlist.size nl j in
     let overfull = loads.(from) > capacity.(from) in
+    (* A component already at its row's minimum stays: no entry is
+       strictly cheaper, and the tie rule below fires only from an
+       overfull partition.  A NaN entry fails the [<=] and is scanned. *)
+    let at_least =
+      match cache with
+      | Some c -> (not overfull) && row.(off + from) <= c.mins.(j)
+      | None -> false
+    in
+    let s = Netlist.size nl j in
     let best = ref from in
     let best_cost = ref row.(off + from) in
-    for i = 0 to m - 1 do
-      if i <> from && loads.(i) +. s <= capacity.(i) then
-        if
-          row.(off + i) < !best_cost
-          || (overfull && !best = from && row.(off + i) <= !best_cost +. 1e-9)
-        then begin
-          best := i;
-          best_cost := row.(off + i)
-        end
-    done;
+    if not at_least then
+      for i = 0 to m - 1 do
+        if i <> from && loads.(i) +. s <= capacity.(i) then
+          if
+            row.(off + i) < !best_cost
+            || (overfull && !best = from && row.(off + i) <= !best_cost +. 1e-9)
+          then begin
+            best := i;
+            best_cost := row.(off + i)
+          end
+      done;
     if !best <> from then begin
       dcost := !dcost +. (!best_cost -. row.(off + from));
       track_viol dviol (Qmatrix.violations_delta q u ~j ~i:!best);

@@ -33,6 +33,14 @@ module Assignment := Qbpart_partition.Assignment
     kernel when it reaches it.  Every value a pass reads is therefore
     bit-identical to a fresh row, for any data (DESIGN.md D16).
 
+    Each valid row also keeps its minimum (the least non-NaN entry),
+    recomputed with the row wherever the row is, by a pass or by
+    {!refresh}.  A cached pass skips a component whose entry at its
+    own partition is [<=] that minimum when its partition is not
+    overfull: no entry is strictly cheaper, the overfull tie rule
+    cannot fire, and a NaN entry fails the [<=] and is scanned.  So
+    the skip moves nothing the full scan would not (DESIGN.md D23).
+
     A cache is bound to one {!Qmatrix.t} at a time (physical
     equality): using it with another matrix — another penalty, an
     ECO-rebound problem — drops every row.  It may be shared freely
@@ -95,8 +103,9 @@ val coordinate_pass :
     (the delta-evaluation invariant of DESIGN.md D7), letting callers
     track the running objective without full recomputes.  With
     [?cache] the rows come from the cache (recomputing only the
-    invalid ones); without it every row is computed fresh into
-    [scratch].  Moves are identical either way.
+    invalid ones) and a component at its row's minimum in a partition
+    within capacity is skipped; without it every row is computed fresh
+    into [scratch] and scanned.  Moves are identical either way.
     @raise Invalid_argument if the cache's shape does not match. *)
 
 val polish : ?cache:cache -> Qmatrix.t -> Assignment.t -> passes:int -> unit

@@ -2,13 +2,21 @@
    i1 * M + i2) so hot loops can index one unboxed array: a float
    returned by a function called from another module is boxed, and
    the per-wire × per-partition kernels read B or D millions of times
-   per iteration. *)
+   per iteration.  Everything derived from B and D is built here,
+   once, when the topology is made: the kernels that read it run
+   inside the solver's iterations. *)
+type delay_order = { ids : int array; delays : float array }
+
 type t = {
   names : string array;
   capacities : float array;
   b : float array;
   d : float array;
-  max_b_from : float array; (* per-row max of B, precomputed for omega bounds *)
+  bt : float array;           (* B transposed, row-major *)
+  b_row_max : float array;    (* max_{i'} b(i, i'), for the omega bounds *)
+  b_col_max : float array;    (* max_{i'} b(i', i) *)
+  d_col_order : delay_order;  (* block a: partitions by D(i, a), descending *)
+  d_row_order : delay_order;  (* block a: partitions by D(a, i), descending *)
 }
 
 let flatten mat =
@@ -18,6 +26,24 @@ let flatten mat =
   flat
 
 let unflatten m flat = Array.init m (fun i -> Array.sub flat (i * m) m)
+
+let transpose m flat = Array.init (m * m) (fun r -> flat.(((r mod m) * m) + (r / m)))
+
+(* Block [a] of a delay order ranks the partitions by [delay a i]
+   descending, ties by partition id.  So for any budget, the
+   partitions whose delay exceeds it are a prefix of the block. *)
+let delay_order m delay =
+  let ids = Array.make (m * m) 0 and delays = Array.make (m * m) 0.0 in
+  for a = 0 to m - 1 do
+    let block = Array.init m Fun.id in
+    Array.stable_sort (fun i i' -> Float.compare (delay a i') (delay a i)) block;
+    Array.iteri
+      (fun p i ->
+        ids.((a * m) + p) <- i;
+        delays.((a * m) + p) <- delay a i)
+      block
+  done;
+  { ids; delays }
 
 let check_square what m expected =
   if Array.length m <> expected then
@@ -50,8 +76,22 @@ let make ?names ~capacities ~b ~d () =
       if Array.length ns <> m then invalid_arg "Topology: names length mismatch";
       Array.copy ns
   in
-  let max_b_from = Array.map (fun row -> Array.fold_left Float.max 0.0 row) b in
-  { names; capacities = Array.copy capacities; b = flatten b; d = flatten d; max_b_from }
+  let bf = flatten b and df = flatten d in
+  let bt = transpose m bf in
+  let row_max flat =
+    Array.init m (fun i -> Array.fold_left Float.max 0.0 (Array.sub flat (i * m) m))
+  in
+  {
+    names;
+    capacities = Array.copy capacities;
+    b = bf;
+    d = df;
+    bt;
+    b_row_max = row_max bf;
+    b_col_max = row_max bt;
+    d_col_order = delay_order m (fun a i -> df.((i * m) + a));
+    d_row_order = delay_order m (fun a i -> df.((a * m) + i));
+  }
 
 let m t = Array.length t.capacities
 
@@ -62,12 +102,16 @@ let b t i1 i2 = t.b.((i1 * m t) + i2)
 let d t i1 i2 = t.d.((i1 * m t) + i2)
 let b_flat t = t.b
 let d_flat t = t.d
+let bt_flat t = t.bt
+let b_row_max t = t.b_row_max
+let b_col_max t = t.b_col_max
+let d_col_order t = t.d_col_order
+let d_row_order t = t.d_row_order
 let capacity_array t = t.capacities
 let b_matrix t = unflatten (m t) t.b
 let d_matrix t = unflatten (m t) t.d
 let name t i = t.names.(i)
-let max_b_from t i = t.max_b_from.(i)
-let max_b t = Array.fold_left Float.max 0.0 t.max_b_from
+let max_b t = Array.fold_left Float.max 0.0 t.b_row_max
 let max_d t = Array.fold_left Float.max 0.0 t.d
 
 let symmetric m flat =

@@ -47,6 +47,9 @@ val d_matrix : t -> float array array
     {m B} and {m D} are stored flat and row-major: entry
     {m (i_1, i_2)} sits at [i1 * M + i2].  The arrays below are the
     topology's own storage, shared with [t], and must not be mutated.
+    All of them are built eagerly by {!make}, never on first use: the
+    kernels that read them run inside solver iterations and from
+    several domains at once.
     Per-wire × per-partition kernels grab them once and index them:
     {!b} and {!d} return a boxed float on every call from another
     module, which made those kernels allocate per element. *)
@@ -61,12 +64,42 @@ val capacity_array : t -> float array
 (** The capacities {m c_i}, length {m M} ({!capacities} without the
     copy). *)
 
+val bt_flat : t -> float array
+(** {m Bᵀ}, row-major, length {m M²}: entry [a * M + i] is
+    {m b_{i a}}.  Row [a] holds column [a] of {m B} contiguously, so a
+    kernel reading {m b_{i a}} for every [i] walks one row, as it does
+    for {m b_{a i}} in {!b_flat}.  Same values, same bits. *)
+
+val b_row_max : t -> float array
+(** Entry [i] is {m max(0, max_{i'} b_{i i'})}, folded over
+    {m i' = 0, 1, …} with [Float.max] from 0, length {m M}: used for
+    the Burkard bound vector {m ω}. *)
+
+val b_col_max : t -> float array
+(** Entry [i] is {m max(0, max_{i'} b_{i' i})}, folded the same way:
+    the column-wise companion of {!b_row_max}. *)
+
+(** Partitions ranked by delay, for each position of a partner. *)
+type delay_order = {
+  ids : int array;
+      (** length {m M²}: block [a] (at [a * M]) lists all {m M}
+          partitions by delay, largest first, ties by partition id *)
+  delays : float array;  (** the matching delays, so [delays.(a * M)] is the block's maximum *)
+}
+
+val d_col_order : t -> delay_order
+(** Block [a] ranks the partitions [i] by {m D(i, a)}, the delay to
+    [a].  For any budget, the partitions with {m D(i, a) > budget} are
+    a prefix of block [a]: a kernel that adds one term per violating
+    partition walks that prefix and stops at the first delay within
+    budget. *)
+
+val d_row_order : t -> delay_order
+(** Block [a] ranks the partitions [i] by {m D(a, i)}, the delay from
+    [a]; the same prefix property. *)
+
 val name : t -> int -> string
 (** Defaults to ["p<i>"]. *)
-
-val max_b_from : t -> int -> float
-(** [max_b_from t i] is {m max_{i'} b_{i i'}} — used for the Burkard
-    bound vector {m ω}. *)
 
 val max_b : t -> float
 (** Largest entry of {m B}. *)

@@ -110,6 +110,39 @@ let cached_coordinate_pass ~n =
     Array.blit (Assignment.loads p.Problem.netlist ~m u) 0 loads 0 m;
     ignore (Repair.coordinate_pass ~delta ~dviol ~cache q u ~loads ~scratch : bool)
 
+(* the cached pass at its fixpoint, as the polish after a converged
+   STEP 6 meets it: every row is valid and every component sits at its
+   row's minimum, so the pass skips them all at one comparison each
+   (DESIGN.md D23) *)
+let skipping_coordinate_pass ~n =
+  let q, u = instance ~n ~slack:1.2 in
+  let p = Qmatrix.problem q in
+  let m = Problem.m p in
+  let cache = Repair.cache ~m ~n in
+  Repair.polish ~cache q u ~passes:1000;
+  let loads = Assignment.loads p.Problem.netlist ~m u and scratch = Array.make m 0.0 in
+  fun () -> ignore (Repair.coordinate_pass ~cache q u ~loads ~scratch : bool)
+
+(* STEP 3's xi on a memo that forgets every entry at each call: the two
+   matrices alternate, so each call rebinds the memo and computes all N
+   entries it reads *)
+let xi ~n =
+  let q, u = instance ~n ~slack:1.2 in
+  let p = Qmatrix.problem q in
+  let q' = Qmatrix.make ~penalty:1e12 p in
+  let memo = Qmatrix.omega_memo ~m:(Problem.m p) ~n in
+  let flip = ref false in
+  fun () ->
+    flip := not !flip;
+    ignore (Qmatrix.xi ~rule:Qmatrix.Solver (if !flip then q' else q) memo u : float)
+
+(* the strict surface Burkard makes on first use in every round: a
+   matrix is the problem and a penalty, nothing per component *)
+let strict_make ~n =
+  let q, _ = instance ~n ~slack:1.2 in
+  let p = Qmatrix.problem q in
+  fun () -> ignore (Qmatrix.make ~penalty:1e12 p : Qmatrix.t)
+
 let violations ~n =
   let q, u = instance ~n ~slack:1.2 in
   fun () -> ignore (Qmatrix.violations q u : int)
@@ -184,6 +217,9 @@ let () =
           case "Repair.refresh (after a jump)" row_refresh;
           case "Repair.coordinate_pass" coordinate_pass;
           case "Repair.coordinate_pass ~cache" cached_coordinate_pass;
+          case "Repair.coordinate_pass ~cache (skips at the fixpoint)" skipping_coordinate_pass;
+          case "Qmatrix.xi (every entry computed)" xi;
+          case "Qmatrix.make (strict surface)" strict_make;
           case "Qmatrix.violations" violations;
           case "Mthg.solve_relaxed ~ws (feasible)" (solve_relaxed ~slack:1.2);
           case "Mthg.solve_relaxed ~ws (overflow fill)" (solve_relaxed ~slack:0.9);

@@ -14,6 +14,8 @@ module Burkard = Qbpart_core.Burkard
 module Adaptive = Qbpart_core.Adaptive
 module Certify = Qbpart_core.Certify
 module Circuits = Qbpart_experiments.Circuits
+module Synth = Qbpart_experiments.Synth
+module Evolve = Qbpart_evolve.Evolve
 module Deadline = Qbpart_engine.Deadline
 module Signals = Qbpart_engine.Signals
 module Engine = Qbpart_engine.Engine
@@ -554,6 +556,50 @@ let test_degenerate_zero_iterations () =
     (List.length a.Adaptive.last.Burkard.history)
 
 (* ------------------------------------------------------------------ *)
+(* Pinned answers.  The solver's speed-ups are exact (DESIGN.md D14,
+   D16, D22, D23), so a change that moves a float anywhere in an
+   iteration shows here: a 1k-component synthetic instance, warm from
+   its planted reference, solved three ways, each answer certified and
+   pinned by its objective and a digest of the assignment. *)
+
+let synth1k =
+  lazy
+    (let inst = Synth.build (Synth.default ~name:"synth1k" ~n:1_000 ~seed:7) in
+     (inst, Circuits.problem ~with_timing:true inst))
+
+let pin_config = { Engine.Config.default with qbp = { Burkard.Config.default with iterations = 8 } }
+
+let digest a =
+  Digest.to_hex (Digest.string (String.concat "," (List.map string_of_int (Array.to_list a))))
+
+let check_pin what problem (objective, hex) a =
+  let cert = Certify.check problem a in
+  check Alcotest.bool (what ^ " certified") true (Certify.ok cert);
+  check (Alcotest.float 0.0) (what ^ " objective") objective cert.Certify.objective;
+  check Alcotest.string (what ^ " assignment digest") hex (digest a)
+
+let test_pinned_engine () =
+  let inst, problem = Lazy.force synth1k in
+  let o = Engine.solve ~config:pin_config ~initial:inst.Circuits.reference problem |> assert_ok in
+  check_pin "engine" problem (3398.0, "d0161b1780e5a1242e277e20f0fdeae8") o.Engine.assignment
+
+let test_pinned_bare () =
+  let inst, problem = Lazy.force synth1k in
+  let r =
+    Evolve.solve ~config:pin_config.Engine.Config.qbp ~max_rounds:1 ~generations:1 ~jobs:1
+      ~starts:1 ~initial:inst.Circuits.reference problem
+  in
+  match r.Evolve.best_feasible with
+  | None -> fail "bare path found no feasible answer"
+  | Some (a, _) -> check_pin "bare" problem (3525.0, "6abfa6eccb0f95c33471de56bc9667c5") a
+
+let test_pinned_evolve () =
+  let inst, problem = Lazy.force synth1k in
+  let config = { pin_config with Engine.Config.starts = 2; generations = 2; jobs = Some 1 } in
+  let o = Engine.solve ~config ~initial:inst.Circuits.reference problem |> assert_ok in
+  check_pin "evolve" problem (3389.0, "67be2e9981d2ad3efe7a252530517dc6") o.Engine.assignment
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   let q = QCheck_alcotest.to_alcotest in
@@ -611,4 +657,10 @@ let () =
         ] );
       ( "anytime",
         [ q prop_burkard_anytime_monotone; q prop_engine_deadline_zero_vs_unlimited ] );
+      ( "answers",
+        [
+          Alcotest.test_case "synth 1k pinned: Engine.solve" `Quick test_pinned_engine;
+          Alcotest.test_case "synth 1k pinned: bare Evolve" `Quick test_pinned_bare;
+          Alcotest.test_case "synth 1k pinned: evolve 2x2" `Quick test_pinned_evolve;
+        ] );
     ]

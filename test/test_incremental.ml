@@ -2,15 +2,17 @@
    refreshed row cache (DESIGN.md D17), is checked bit for bit against
    from-scratch recomputes over random moves, cached passes, penalty
    re-binds, pool sizes and ECO deltas; the cached passes against a
-   fresh-row reference (D16); the flat pooled MTHG against an embedded
-   boxed-matrix reference implementation; and workspace reuse against
-   fresh-buffer solves. *)
+   fresh-row reference (D16); the row kernel against the kernel it
+   replaced, and xi against a per-entry walk of omega (D23); the flat
+   pooled MTHG against an embedded boxed-matrix reference
+   implementation; and workspace reuse against fresh-buffer solves. *)
 
 open Qbpart_core
 module Netlist = Qbpart_netlist.Netlist
 module Rng = Qbpart_netlist.Rng
 module Generator = Qbpart_netlist.Generator
 module Grid = Qbpart_topology.Grid
+module Topology = Qbpart_topology.Topology
 module Constraints = Qbpart_timing.Constraints
 module Assignment = Qbpart_partition.Assignment
 module Gap = Qbpart_gap.Gap
@@ -875,13 +877,83 @@ module Fresh = struct
     !viol = 0
 end
 
-(* Non-integer wire weights, P and penalties: the sums a row adds up
-   depend on their order, which is where patching eta would drift. *)
-let fractional_problem seed =
+let same_bits a b = Int64.bits_of_float a = Int64.bits_of_float b
+
+(* ------------------------------------------------------------------ *)
+(* The row kernel against the kernel it replaced (DESIGN.md D23).     *)
+
+(* [Qmatrix.candidate_costs_at] as it stood before it read B
+   transposed, unrolled the wire loop and walked delay-order prefixes
+   for the penalties: two comparisons per partition and partner, the
+   j < j' orientation read down a column of B.  Verbatim but for the
+   accessors of the abstract matrix. *)
+module Old_kernel = struct
+  let p_column (pr : Problem.t) ~m ~j ~off out =
+    match pr.Problem.p with
+    | None -> Array.fill out off m 0.0
+    | Some p ->
+      let alpha = pr.Problem.alpha in
+      for i = 0 to m - 1 do
+        out.(off + i) <- alpha *. p.(i).(j)
+      done
+
+  let candidate_costs_at q u ~j ~off out =
+    let nl = (Qmatrix.problem q).Problem.netlist in
+    let topo = (Qmatrix.problem q).Problem.topology in
+    let cons = (Qmatrix.problem q).Problem.constraints in
+    let m = Problem.m (Qmatrix.problem q) in
+    let bf = Topology.b_flat topo and df = Topology.d_flat topo in
+    let pen = Qmatrix.penalty q in
+    p_column (Qmatrix.problem q) ~m ~j ~off out;
+    let xadj = Netlist.adj_offsets nl in
+    let anbr = Netlist.adj_targets nl in
+    let awgt = Netlist.adj_weights nl in
+    for k = xadj.(j) to xadj.(j + 1) - 1 do
+      let j' = anbr.(k) and w = awgt.(k) in
+      let at' = u.(j') in
+      if j < j' then
+        for i = 0 to m - 1 do
+          out.(off + i) <- out.(off + i) +. (w *. bf.((i * m) + at'))
+        done
+      else begin
+        let row = at' * m in
+        for i = 0 to m - 1 do
+          out.(off + i) <- out.(off + i) +. (w *. bf.(row + i))
+        done
+      end
+    done;
+    let poff = Constraints.partner_offsets cons in
+    let pids = Constraints.partner_ids cons in
+    let pbout = Constraints.partner_budget_out cons in
+    let pbin = Constraints.partner_budget_in cons in
+    for k = poff.(j) to poff.(j + 1) - 1 do
+      let at' = u.(pids.(k)) in
+      let row = at' * m in
+      let budget_out = pbout.(k) and budget_in = pbin.(k) in
+      for i = 0 to m - 1 do
+        (* one penalty per violated direction: both directed budgets of
+           a pair can be broken simultaneously *)
+        if df.((i * m) + at') > budget_out then out.(off + i) <- out.(off + i) +. pen;
+        if df.(row + i) > budget_in then out.(off + i) <- out.(off + i) +. pen
+      done
+    done
+
+  let candidate_costs q u ~j =
+    let out = Array.make (Problem.m (Qmatrix.problem q)) 0.0 in
+    candidate_costs_at q u ~j ~off:0 out;
+    out
+end
+
+(* Instances that reach every branch of the kernel: m in
+   {1, 2, 3, 5, 9, 16} (every remainder of the 4-way unroll),
+   non-integer P, wire weights and penalties, asymmetric B and D, D
+   drawn from five levels so delays tie, budgets equal to a delay
+   level, and budgets stored in one direction only, which leaves the
+   other at +infinity. *)
+let kernel_problem seed =
   let rng = Rng.create seed in
-  let n = 10 + Rng.int rng 30 in
-  let rows, cols = if Rng.int rng 2 = 0 then (2, 2) else (2, 3) in
-  let m = rows * cols in
+  let m = [| 1; 2; 3; 5; 9; 16 |].(Rng.int rng 6) in
+  let n = 4 + Rng.int rng 30 in
   let g = Generator.generate rng (Generator.default_params ~n ~wires:(3 * n)) in
   let wires =
     Array.to_list (Netlist.wires g)
@@ -890,63 +962,100 @@ let fractional_problem seed =
              ~weight:((0.37 *. Wire.weight w) +. Rng.float rng 0.61))
   in
   let nl = Netlist.make ~components:(Array.to_list (Netlist.components g)) ~wires in
+  let levels = [| 0.0; 0.5; 1.25; 2.0; 3.5 |] in
+  let b = Array.init m (fun _ -> Array.init m (fun _ -> Rng.float rng 2.7)) in
+  let d = Array.init m (fun _ -> Array.init m (fun _ -> levels.(Rng.int rng 5))) in
   let capacity = Netlist.total_size nl /. float_of_int m *. (1.05 +. Rng.float rng 0.4) in
-  let topo = Grid.make ~rows ~cols ~capacity () in
+  let topo = Topology.make ~capacities:(Array.make m capacity) ~b ~d () in
   let cons = Constraints.Builder.create ~n in
   for _ = 1 to 2 * n do
     let j1 = Rng.int rng n and j2 = Rng.int rng n in
-    if j1 <> j2 then Constraints.Builder.add cons j1 j2 (float_of_int (Rng.int rng 3))
+    if j1 <> j2 then begin
+      let budget =
+        match Rng.int rng 3 with
+        | 0 -> levels.(Rng.int rng 5)
+        | 1 -> Rng.float rng 4.0
+        | _ -> float_of_int (Rng.int rng 4)
+      in
+      if Rng.int rng 4 = 0 then Constraints.Builder.add_sym cons j1 j2 budget
+      else Constraints.Builder.add cons j1 j2 budget
+    end
   done;
-  let p = Some (Array.init m (fun _ -> Array.init n (fun _ -> Rng.float rng 3.3))) in
+  let p =
+    if Rng.int rng 4 = 0 then None
+    else Some (Array.init m (fun _ -> Array.init n (fun _ -> Rng.float rng 3.3)))
+  in
   Problem.make ?p ~constraints:(Constraints.Builder.build cons) nl topo
 
-let same_bits a b = Int64.bits_of_float a = Int64.bits_of_float b
+let prop_kernel_matches_old =
+  QCheck.Test.make ~name:"row kernel equals the kernel it replaced, bit for bit" ~count:150
+    QCheck.(int_range 0 100_000)
+    (fun seed ->
+      let problem = kernel_problem seed in
+      let rng = Rng.create (seed + 9) in
+      let penalty = if Rng.int rng 4 = 0 then 1e12 else 0.5 +. Rng.float rng 40.0 in
+      let q = Qmatrix.make ~penalty problem in
+      let n = Problem.n problem and m = Problem.m problem in
+      List.for_all
+        (fun _ ->
+          let u = Assignment.random rng ~n ~m in
+          List.for_all
+            (fun j ->
+              Array.for_all2 same_bits (Qmatrix.candidate_costs q u ~j)
+                (Old_kernel.candidate_costs q u ~j))
+            (List.init n Fun.id))
+        [ 1; 2; 3 ])
 
-(* [Qmatrix.omega] walks each adjacency and partner row once per
-   component; the reference walks them once per entry, the order that
-   fixes every entry's sum. *)
-let omega_by_entry ~rule q =
-  let pr = Qmatrix.problem q in
-  let nl = pr.Problem.netlist and cons = pr.Problem.constraints in
-  let topo = pr.Problem.topology in
-  let m = Problem.m pr and n = Problem.n pr in
-  let module T = Qbpart_topology.Topology in
-  let max_b_to i = List.fold_left Float.max 0.0 (List.init m (fun i' -> T.b topo i' i)) in
-  let max_d_from i = List.fold_left Float.max neg_infinity (List.init m (T.d topo i)) in
-  let max_d_to i =
-    List.fold_left Float.max neg_infinity (List.init m (fun i' -> T.d topo i' i))
-  in
-  let xadj = Netlist.adj_offsets nl and anbr = Netlist.adj_targets nl in
-  let awgt = Netlist.adj_weights nl in
-  let poff = Constraints.partner_offsets cons in
-  let pbout = Constraints.partner_budget_out cons in
-  let pbin = Constraints.partner_budget_in cons in
-  let pen = Qmatrix.penalty q in
-  Array.init (m * n) (fun r ->
-      let i = r mod m and j = r / m in
-      let acc = ref (Problem.p_entry pr ~i ~j) in
-      for k = xadj.(j) to xadj.(j + 1) - 1 do
-        match rule with
-        | Qmatrix.Solver when j < anbr.(k) -> acc := !acc +. (awgt.(k) *. T.max_b_from topo i)
-        | Qmatrix.Solver | Qmatrix.Paper -> acc := !acc +. (awgt.(k) *. max_b_to i)
-      done;
-      for k = poff.(j) to poff.(j + 1) - 1 do
-        match rule with
-        | Qmatrix.Solver ->
-          if max_d_from i > pbout.(k) then acc := !acc +. pen;
-          if max_d_to i > pbin.(k) then acc := !acc +. pen
-        | Qmatrix.Paper -> if max_d_to i > pbin.(k) then acc := !acc +. pen
-      done;
-      !acc)
-
+(* STEP 3 reads xi once per iteration, over iterates that share most
+   of their positions, in rounds whose matrices differ in penalty; one
+   memo serves them all as Burkard's workspace does, so it must forget
+   every entry when the round's matrix (or the rule) changes. *)
 let prop_omega_matches_per_entry_walk =
   QCheck.Test.make ~name:"omega equals the per-entry walk bit for bit (both rules)" ~count:40
     QCheck.(int_range 0 100_000)
     (fun seed ->
-      let q = Qmatrix.make ~penalty:13.7 (fractional_problem seed) in
+      let problem = kernel_problem seed in
+      let n = Problem.n problem and m = Problem.m problem in
+      let rng = Rng.create (seed + 4) in
+      let memo = Qmatrix.omega_memo ~m ~n in
+      let u = Assignment.random rng ~n ~m in
       List.for_all
-        (fun rule -> Array.for_all2 same_bits (Qmatrix.omega ~rule q) (omega_by_entry ~rule q))
-        [ Qmatrix.Solver; Qmatrix.Paper ])
+        (fun (penalty, rule) ->
+          let q = Qmatrix.make ~penalty problem in
+          let walk = Omega_reference.by_entry ~rule q in
+          List.for_all
+            (fun _ ->
+              for _ = 1 to 1 + Rng.int rng 3 do
+                u.(Rng.int rng n) <- Rng.int rng m
+              done;
+              same_bits (Qmatrix.xi ~rule q memo u) (Omega_reference.xi walk ~m u))
+            (List.init 6 Fun.id))
+        [
+          (13.7, Qmatrix.Solver);
+          (109.6, Qmatrix.Solver);
+          (109.6, Qmatrix.Paper);
+          (876.8, Qmatrix.Paper);
+          (876.8, Qmatrix.Solver);
+        ])
+
+(* Integer wire weights, no P and a symmetric grid B: many rows tie at
+   their minimum.  Capacities from 0.9 of an even split leave
+   partitions overfull under a random placement, where the pass's tie
+   rule moves a component sideways off its row's minimum. *)
+let tie_problem seed =
+  let rng = Rng.create seed in
+  let n = 10 + Rng.int rng 30 in
+  let nl = Generator.generate rng (Generator.default_params ~n ~wires:(2 * n)) in
+  let rows, cols = if Rng.int rng 2 = 0 then (2, 2) else (2, 3) in
+  let m = rows * cols in
+  let capacity = Netlist.total_size nl /. float_of_int m *. (0.9 +. Rng.float rng 0.4) in
+  let topo = Grid.make ~rows ~cols ~capacity () in
+  let cons = Constraints.Builder.create ~n in
+  for _ = 1 to n do
+    let j1 = Rng.int rng n and j2 = Rng.int rng n in
+    if j1 <> j2 then Constraints.Builder.add cons j1 j2 (float_of_int (Rng.int rng 3))
+  done;
+  Problem.make ~constraints:(Constraints.Builder.build cons) nl topo
 
 let prop_row_cache_matches_fresh =
   QCheck.Test.make
@@ -955,7 +1064,8 @@ let prop_row_cache_matches_fresh =
     QCheck.(int_range 0 100_000)
     (fun seed ->
       let rng = Rng.create (seed + 5) in
-      let q = ref (Qmatrix.make ~penalty:13.7 (fractional_problem seed)) in
+      let problem = if seed mod 2 = 0 then kernel_problem seed else tie_problem seed in
+      let q = ref (Qmatrix.make ~penalty:13.7 problem) in
       let strict = ref (Qmatrix.make ~penalty:1e12 (Qmatrix.problem !q)) in
       let problem () = Qmatrix.problem !q in
       let n = Problem.n (problem ()) and m = Problem.m (problem ()) in
@@ -967,7 +1077,7 @@ let prop_row_cache_matches_fresh =
       let ok = ref true in
       let expect b = if not b then ok := false in
       for _ = 1 to 24 do
-        (match Rng.int rng 9 with
+        (match Rng.int rng 10 with
         | 0 ->
           let passes = 1 + Rng.int rng 3 in
           let dc, dv = Repair.polish_tracked ~cache !q u ~passes in
@@ -1017,6 +1127,11 @@ let prop_row_cache_matches_fresh =
               q := Qmatrix.apply_delta !q dr.Problem.dr_problem;
               strict := Qmatrix.apply_delta !strict dr.Problem.dr_problem
             end)
+        | 8 ->
+          (* STEP 3 brings the cache to [u] and computes every invalid
+             row, with its minimum, as the passes do *)
+          Repair.refresh cache (if Rng.int rng 2 = 0 then !q else !strict) u
+            ~pool:Dompool.sequential
         | _ ->
           let passes = 1 + Rng.int rng 3 in
           let dc, dv = Repair.polish_tracked ~cache !strict u ~passes in
@@ -1025,6 +1140,29 @@ let prop_row_cache_matches_fresh =
         expect (u = r)
       done;
       !ok)
+
+(* Two unwired components in partition 0 of a 1x2 grid that holds one
+   each: both rows are all zero, so each component sits at its row's
+   minimum and ties with partition 1.  The first one is in an overfull
+   partition and must move sideways; after it, the second is not and
+   stays. *)
+let test_overfull_tie_moves () =
+  let components =
+    List.init 2 (fun id -> Component.make ~id ~name:(Printf.sprintf "c%d" id) ~size:1.0)
+  in
+  let nl = Netlist.make ~components ~wires:[] in
+  let problem = Problem.make nl (Grid.make ~rows:1 ~cols:2 ~capacity:1.0 ()) in
+  let q = Qmatrix.make problem in
+  let u = [| 0; 0 |] and r = [| 0; 0 |] in
+  let cache = Repair.cache ~m:2 ~n:2 in
+  Repair.refresh cache q u ~pool:Dompool.sequential;
+  let loads = Fresh.loads q u and loads' = Fresh.loads q r in
+  let scratch = Array.make 2 0.0 in
+  let moved = Repair.coordinate_pass ~cache q u ~loads ~scratch in
+  let moved' = Fresh.coordinate_pass q r ~loads:loads' ~delta:(ref 0.0) ~dviol:(ref 0) in
+  check Alcotest.bool "moved" moved' moved;
+  check Alcotest.(array int) "the reference's moves" r u;
+  check Alcotest.(array int) "one component left the overfull partition" [| 1; 0 |] u
 
 (* ------------------------------------------------------------------ *)
 (* Burkard workspace pooling: reuse must not change trajectories.     *)
@@ -1048,7 +1186,21 @@ let test_burkard_workspace_reuse () =
     (List.map (fun (it : Burkard.iteration) -> (it.Burkard.k, it.Burkard.penalized))
        first.Burkard.history
     = List.map (fun (it : Burkard.iteration) -> (it.Burkard.k, it.Burkard.penalized))
-        second.Burkard.history)
+        second.Burkard.history);
+  (* the next penalty round on the same workspace: its memo of omega
+     entries, its row caches and its GAP instance carry over, and none
+     of them may change a value *)
+  let config = { config with Burkard.Config.penalty = 8.0 *. config.Burkard.Config.penalty } in
+  let trace (r : Burkard.result) =
+    List.map
+      (fun (it : Burkard.iteration) ->
+        (it.Burkard.k, Int64.bits_of_float it.Burkard.z, Int64.bits_of_float it.Burkard.penalized))
+      r.Burkard.history
+  in
+  let fresh = Burkard.solve ~config ~initial:first.Burkard.best problem in
+  let reused = Burkard.solve ~config ~initial:first.Burkard.best ~workspace:ws problem in
+  check Alcotest.bool "next round on a reused workspace equals a fresh one" true
+    (trace fresh = trace reused && fresh.Burkard.best = reused.Burkard.best)
 
 let test_burkard_workspace_shape_checked () =
   let problem = random_problem 6 in
@@ -1089,7 +1241,13 @@ let () =
           qt prop_remove_readd_roundtrip;
           Alcotest.test_case "rebind rejects bad edits" `Quick test_rebind_rejects_bad_edits;
         ] );
-      ("row cache", [ qt prop_row_cache_matches_fresh ]);
+      ( "row cache",
+        [
+          qt prop_kernel_matches_old;
+          qt prop_row_cache_matches_fresh;
+          Alcotest.test_case "tied row minimum leaves an overfull partition" `Quick
+            test_overfull_tie_moves;
+        ] );
       ( "flat gap",
         [
           qt prop_flat_mthg_matches_boxed_oracle;

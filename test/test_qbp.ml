@@ -250,7 +250,8 @@ let prop_eta_solver_matches_move_delta =
       done;
       !ok)
 
-(* omega is a valid upper bound on eta for every placement. *)
+(* omega is a valid upper bound on eta for every placement, and xi is
+   its sum at the iterate. *)
 let prop_omega_bounds_eta =
   QCheck.Test.make ~name:"omega >= eta for all placements" ~count:30
     QCheck.(int_range 0 100_000)
@@ -258,8 +259,9 @@ let prop_omega_bounds_eta =
       let problem = random_tiny_problem seed in
       let q = Qmatrix.make ~penalty:50.0 problem in
       let m = Problem.m problem and n = Problem.n problem in
-      let omega = Qmatrix.omega q in
-      let omega_paper = Qmatrix.omega ~rule:Qmatrix.Paper q in
+      let omega = Omega_reference.by_entry ~rule:Qmatrix.Solver q in
+      let omega_paper = Omega_reference.by_entry ~rule:Qmatrix.Paper q in
+      let memo = Qmatrix.omega_memo ~m ~n in
       let rng = Rng.create (seed + 3) in
       let ok = ref true in
       for _ = 1 to 10 do
@@ -269,7 +271,11 @@ let prop_omega_bounds_eta =
         for r = 0 to (m * n) - 1 do
           if eta.(r) > omega.(r) +. 1e-6 then ok := false;
           if eta_paper.(r) > omega_paper.(r) +. 1e-6 then ok := false
-        done
+        done;
+        if Qmatrix.xi ~rule:Qmatrix.Solver q memo u <> Omega_reference.xi omega ~m u then
+          ok := false;
+        if Qmatrix.xi ~rule:Qmatrix.Paper q memo u <> Omega_reference.xi omega_paper ~m u then
+          ok := false
       done;
       !ok)
 

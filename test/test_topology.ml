@@ -52,10 +52,17 @@ let test_matrices_copied () =
 let test_max_b () =
   let b = [| [| 0.; 3. |]; [| 2.; 0. |] |] in
   let t = Topology.make ~capacities:[| 1.; 1. |] ~b ~d:b () in
-  check flt "max_b_from 0" 3.0 (Topology.max_b_from t 0);
-  check flt "max_b_from 1" 2.0 (Topology.max_b_from t 1);
+  check Alcotest.(array flt) "row maxima" [| 3.0; 2.0 |] (Topology.b_row_max t);
+  check Alcotest.(array flt) "column maxima" [| 2.0; 3.0 |] (Topology.b_col_max t);
+  check Alcotest.(array flt) "B transposed" [| 0.; 2.; 3.; 0. |] (Topology.bt_flat t);
   check flt "max_b" 3.0 (Topology.max_b t);
-  check flt "max_d" 3.0 (Topology.max_d t)
+  check flt "max_d" 3.0 (Topology.max_d t);
+  (* block a ranks the partitions by delay, largest first *)
+  let rows = Topology.d_row_order t and cols = Topology.d_col_order t in
+  check Alcotest.(array int) "by D(a, i)" [| 1; 0; 0; 1 |] rows.Topology.ids;
+  check Alcotest.(array flt) "D(a, i) descending" [| 3.; 0.; 2.; 0. |] rows.Topology.delays;
+  check Alcotest.(array int) "by D(i, a)" [| 1; 0; 0; 1 |] cols.Topology.ids;
+  check Alcotest.(array flt) "D(i, a) descending" [| 2.; 0.; 3.; 0. |] cols.Topology.delays
 
 let test_symmetry () =
   let sym = square2 in
