@@ -13,40 +13,90 @@ let min_cost_into (g : Gap.t) min_cost =
     min_cost.(j) <- !lo
   done
 
-(* [min_cost] is [min_cost_into]'s per-item minimum.  An item already
-   at its unconstrained cheapest knapsack has no strictly cheaper one to
-   shift to, so it is skipped without a scan: the moves are exactly
-   those of the full scan.  (A NaN cost fails the [<=] test and takes
-   the scan.) *)
-let shift_pass (g : Gap.t) assignment residual min_cost =
+(* Item j's candidate list: the knapsacks strictly cheaper for j than
+   its own, ascending, one byte each at [cand.(j*m ..)], [len.(j)] of
+   them; -1 until built.  With more than 256 knapsacks nothing is kept
+   and every visit scans. *)
+type lists = { len : int array; cand : Bytes.t }
+
+let lists ~m ~n =
+  { len = Array.make n (-1); cand = (if m <= 256 then Bytes.create (n * m) else Bytes.empty) }
+
+(* The shift moves an item only to a fitting knapsack strictly cheaper
+   than its own, the first of the cheapest such.  [min_cost] is
+   [min_cost_into]'s per-item minimum: an item already at its
+   unconstrained cheapest knapsack has none, so it is skipped.  Any
+   other item's first visit is the full scan, which also records its
+   list; costs do not change during an improvement, so later visits
+   walk the list, in the same ascending order with the same test, and
+   pick the knapsack the full scan would.  Every entry is strictly
+   cheaper than the item's own knapsack, so the walk's running best
+   starts at +infinity.  After a move to [i] the list becomes the old
+   entries strictly cheaper than [i], a subset of it.  A NaN cost
+   fails every [<] and enters no list; a NaN own cost leaves the list
+   empty, as the full scan moves nothing then. *)
+let shift_pass (g : Gap.t) assignment residual min_cost lists =
   let m = g.Gap.m in
   let cost = g.Gap.cost and weight = g.Gap.weight in
+  let len = lists.len and cand = lists.cand in
+  let keep = Bytes.length cand > 0 in
   let improved = ref false in
   for j = 0 to g.Gap.n - 1 do
     let base = j * m in
     let from = assignment.(j) in
-    if not (cost.(base + from) <= min_cost.(j)) then begin
+    let from_cost = cost.(base + from) in
+    if not (from_cost <= min_cost.(j)) then begin
       let best = ref from in
-      let best_cost = ref cost.(base + from) in
-      for i = 0 to m - 1 do
-        if i <> from && weight.(base + i) <= residual.(i) && cost.(base + i) < !best_cost
-        then begin
-          best := i;
-          best_cost := cost.(base + i)
-        end
-      done;
+      let best_cost = ref infinity in
+      let l = len.(j) in
+      if l >= 0 then
+        for t = base to base + l - 1 do
+          let i = Char.code (Bytes.get cand t) in
+          if weight.(base + i) <= residual.(i) && cost.(base + i) < !best_cost then begin
+            best := i;
+            best_cost := cost.(base + i)
+          end
+        done
+      else begin
+        let k = ref base in
+        for i = 0 to m - 1 do
+          let c = cost.(base + i) in
+          if c < from_cost then begin
+            if keep then begin
+              Bytes.set cand !k (Char.chr i);
+              incr k
+            end;
+            if weight.(base + i) <= residual.(i) && c < !best_cost then begin
+              best := i;
+              best_cost := c
+            end
+          end
+        done;
+        if keep then len.(j) <- !k - base
+      end;
       if !best <> from then begin
         let i = !best in
         residual.(from) <- residual.(from) +. weight.(base + from);
         residual.(i) <- residual.(i) -. weight.(base + i);
         assignment.(j) <- i;
-        improved := true
+        improved := true;
+        let k = ref base in
+        for t = base to base + len.(j) - 1 do
+          let i' = Bytes.get cand t in
+          if cost.(base + Char.code i') < !best_cost then begin
+            Bytes.set cand !k i';
+            incr k
+          end
+        done;
+        if keep then len.(j) <- !k - base
       end
     end
   done;
   !improved
 
-let swap_pass (g : Gap.t) assignment residual =
+(* A swap can move an item to a dearer knapsack, so the lists of both
+   items it moves are dropped, to be rebuilt at their next visit. *)
+let swap_pass (g : Gap.t) assignment residual lists =
   let m = g.Gap.m in
   let cost = g.Gap.cost and weight = g.Gap.weight in
   let improved = ref false in
@@ -70,6 +120,8 @@ let swap_pass (g : Gap.t) assignment residual =
             residual.(i2) <- residual.(i2) +. w22 -. w12;
             assignment.(j1) <- i2;
             assignment.(j2) <- i1;
+            lists.len.(j1) <- -1;
+            lists.len.(j2) <- -1;
             improved := true
           end
         end
@@ -92,17 +144,20 @@ let residual_of g assignment =
 
 (* In-place variants: the pooled MTHG path already owns a residual
    array consistent with the assignment, so improvement runs without a
-   single allocation. *)
-let shift_in_place g assignment ~residual ~min_cost =
-  while shift_pass g assignment residual min_cost do
+   single allocation.  Every call starts with no list built: they
+   belong to one cost matrix and one starting assignment. *)
+let shift_in_place g assignment ~residual ~min_cost ~lists =
+  Array.fill lists.len 0 g.Gap.n (-1);
+  while shift_pass g assignment residual min_cost lists do
     ()
   done
 
-let shift_and_swap_in_place g assignment ~residual ~min_cost =
+let shift_and_swap_in_place g assignment ~residual ~min_cost ~lists =
+  Array.fill lists.len 0 g.Gap.n (-1);
   let continue = ref true in
   while !continue do
-    let s1 = shift_pass g assignment residual min_cost in
-    let s2 = swap_pass g assignment residual in
+    let s1 = shift_pass g assignment residual min_cost lists in
+    let s2 = swap_pass g assignment residual lists in
     continue := s1 || s2
   done
 
@@ -114,11 +169,12 @@ let min_cost_of g =
 let shift g assignment =
   let a = Array.copy assignment in
   let residual = residual_of g a in
-  shift_in_place g a ~residual ~min_cost:(min_cost_of g);
+  shift_in_place g a ~residual ~min_cost:(min_cost_of g) ~lists:(lists ~m:g.Gap.m ~n:g.Gap.n);
   a
 
 let shift_and_swap g assignment =
   let a = Array.copy assignment in
   let residual = residual_of g a in
-  shift_and_swap_in_place g a ~residual ~min_cost:(min_cost_of g);
+  shift_and_swap_in_place g a ~residual ~min_cost:(min_cost_of g)
+    ~lists:(lists ~m:g.Gap.m ~n:g.Gap.n);
   a

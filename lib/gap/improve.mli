@@ -18,16 +18,44 @@ val shift_and_swap : Gap.t -> int array -> int array
     [capacity - loads assignment] on entry and is maintained by the
     pass. *)
 
+type lists
+(** Scratch for the shift's candidate lists: for each item, the
+    knapsacks strictly cheaper than its own, in ascending order, one
+    byte per entry ([n·m] bytes and [n] ints).  With more than 256
+    knapsacks no list is kept. *)
+
+val lists : m:int -> n:int -> lists
+
 val shift_in_place :
-  Gap.t -> int array -> residual:float array -> min_cost:float array -> unit
+  Gap.t ->
+  int array ->
+  residual:float array ->
+  min_cost:float array ->
+  lists:lists ->
+  unit
 
 val shift_and_swap_in_place :
-  Gap.t -> int array -> residual:float array -> min_cost:float array -> unit
+  Gap.t ->
+  int array ->
+  residual:float array ->
+  min_cost:float array ->
+  lists:lists ->
+  unit
 (** [min_cost] must be {!min_cost_into}'s per-item minimum for this
     instance's costs.  The shift pass skips every item already at its
     unconstrained cheapest knapsack: no knapsack is strictly cheaper
-    for it, so it could never move.  The moves, and so the result, are
-    exactly those of a full scan. *)
+    for it, so it could never move.
+
+    Any other item's first visit in a call scans all knapsacks and
+    records its candidate list in [lists]; later visits walk only the
+    list, with the full scan's test and in its ascending order, so they
+    pick the same knapsack (the first of the cheapest that fit).  The
+    costs are fixed during a call, so a list stays exact until its
+    item moves.  A shift to knapsack [b] keeps the entries strictly
+    cheaper than [b]; a swap drops the lists of both items it moves.
+    A NaN cost enters no list.  Each call starts with no list built.
+    The moves, and so the result, are exactly those of a full scan
+    (DESIGN.md D24). *)
 
 val min_cost_into : Gap.t -> float array -> unit
 (** [min_cost_into g buf] writes each item's cheapest cost over all

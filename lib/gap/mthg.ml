@@ -51,6 +51,7 @@ type workspace = {
   mutable heap_j : int array;
   mutable heap_len : int;
   min_cost : float array;        (* n: per-item cheapest cost, for the shift skip *)
+  lists : Improve.lists;         (* the shift's candidate lists *)
   mutable memo_id : int;         (* Gap.weights_id the memos were built on; -1: none *)
   memo_capacity : float array;   (* m: ... and the capacities they were built with *)
   memo_weight : memo;
@@ -77,6 +78,7 @@ let workspace ~m ~n =
     heap_j = Array.make (max 1 n) 0;
     heap_len = 0;
     min_cost = Array.make n 0.0;
+    lists = Improve.lists ~m ~n;
     memo_id = -1;
     memo_capacity = Array.make m 0.0;
     memo_weight = memo ();
@@ -300,10 +302,11 @@ type improver = [ `None | `Shift | `Shift_and_swap ]
    consistent with [a] (construction leaves it that way), and
    [ws.min_cost] must hold this instance's per-item minima. *)
 let improve_in_place improve g ws a ~residual =
+  let min_cost = ws.min_cost and lists = ws.lists in
   match improve with
   | `None -> ()
-  | `Shift -> Improve.shift_in_place g a ~residual ~min_cost:ws.min_cost
-  | `Shift_and_swap -> Improve.shift_and_swap_in_place g a ~residual ~min_cost:ws.min_cost
+  | `Shift -> Improve.shift_in_place g a ~residual ~min_cost ~lists
+  | `Shift_and_swap -> Improve.shift_and_swap_in_place g a ~residual ~min_cost ~lists
 
 (* The memo of cost-independent constructions is keyed on the
    instance's weight side ([Gap.weights_id]: Burkard's STEP-4 and

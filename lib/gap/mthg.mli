@@ -24,7 +24,9 @@ val all_criteria : criterion list
 type workspace
 (** Scratch buffers for one [(m, n)] shape: construction caches,
     residuals, the trial and champion assignments, the per-item
-    cheapest costs, and a memo of the cost-independent constructions.
+    cheapest costs, the shift's candidate lists ({!Improve.lists}:
+    [n·m] bytes and [n] ints, rebuilt by every improvement), and a memo
+    of the cost-independent constructions.
     Single-domain, like the {!Gap.borrow}ed buffers it is used with.
 
     The memo: [Weight] and [Weight_per_capacity] rank items by weight
@@ -60,9 +62,10 @@ val solve :
     with very tight capacities the greedy can fail even when the
     instance is feasible.  The improvement's shift passes skip items
     already at their cheapest knapsack ({!Improve.min_cost_into}'s
-    minima, computed once per call and shared by every criterion),
-    and with [?ws] the cost-independent constructions come from the
-    workspace's memo; neither changes any result.
+    minima, computed once per call and shared by every criterion) and
+    walk each other item's candidate list instead of every knapsack
+    (DESIGN.md D24), and with [?ws] the cost-independent constructions
+    come from the workspace's memo; none of it changes any result.
 
     The scan for those minima also places each item at the first
     knapsack of its minimum.  When [criteria] starts with [Cost], every

@@ -36,6 +36,7 @@ type workspace = {
   cand : int array;        (* n: the Lagrangian-greedy candidate *)
   best : int array;        (* n: the running winner *)
   min_cost : float array;  (* n: per-item cheapest cost, for the shift polish *)
+  lists : Improve.lists;   (* the shift polish's candidate lists *)
 }
 
 let workspace ~m ~n =
@@ -52,6 +53,7 @@ let workspace ~m ~n =
     cand = Array.make n (-1);
     best = Array.make n (-1);
     min_cost = Array.make n 0.0;
+    lists = Improve.lists ~m ~n;
   }
 
 let ensure_ws ws (g : Gap.t) =
@@ -146,7 +148,7 @@ let lagrangian_into ~iterations (g : Gap.t) ws assignment =
      feasible candidate gets the cheap shift polish in place *)
   if Gap.feasible g assignment then begin
     Improve.min_cost_into g ws.min_cost;
-    Improve.shift_in_place g assignment ~residual ~min_cost:ws.min_cost
+    Improve.shift_in_place g assignment ~residual ~min_cost:ws.min_cost ~lists:ws.lists
   end
 
 let exact_gated config (g : Gap.t) =

@@ -41,10 +41,13 @@ type config = {
 val default : config
 
 type workspace
-(** Scratch for one [(m, n)] shape: the embedded {!Mthg.workspace},
-    the multiplier/usage/residual vectors and the candidate and winner
-    assignments.  Single-domain, like the {!Gap.borrow}ed buffers it
-    is used with. *)
+(** Scratch for one [(m, n)] shape: the embedded {!Mthg.workspace}
+    (the MTHG leg's, candidate lists included), the
+    multiplier/usage/residual vectors, the candidate and winner
+    assignments, and the Lagrangian leg's own per-item minima and
+    candidate lists for its shift polish, so the two legs share no
+    buffer when they run concurrently.  Single-domain, like the
+    {!Gap.borrow}ed buffers it is used with. *)
 
 val workspace : m:int -> n:int -> workspace
 (** @raise Invalid_argument if [m < 1] or [n < 0]. *)

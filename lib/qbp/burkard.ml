@@ -71,7 +71,10 @@ type gap_solver =
    borrowed once, here, on the domain that will solve: every round's
    STEP-4 and STEP-6 instances derive from it with [Gap.with_cost], so
    they share one weight order and one MTHG memo of the
-   cost-independent constructions across all rounds. *)
+   cost-independent constructions across all rounds.  The last six
+   buffers remember the previous input and answer of three steps, for
+   the reuse of a step whose input repeats; [solve] trusts them only
+   after writing them itself. *)
 module Workspace = struct
   type t = {
     ws_m : int;
@@ -80,13 +83,19 @@ module Workspace = struct
     gap : Gap.t;              (* cost = the row cache, w(i,j) = s_j *)
     omega : Qmatrix.omega_memo; (* the omega entries xi has read *)
     mthg : Mthg.workspace;
-    race : Race.workspace;    (* for [Config.gap_race] runs *)
+    race : Race.workspace Lazy.t; (* made by the first [Config.gap_race] solve *)
     u : int array;            (* n, the current iterate *)
     rows : Repair.cache;      (* candidate rows on the round's surface:
                                  the Solver-rule eta *)
     strict_rows : Repair.cache; (* ... and on the strict surface *)
     pool : Dompool.t;         (* intra-solve fan-out: eta row refreshes,
                                  the GAP race legs *)
+    step4_key : int array;    (* n: the iterate of the last STEP-4 solve *)
+    step4_answer : int array; (* n: ... and its answer *)
+    step4_copy : int array;   (* n: what a repeated STEP 4 returns *)
+    step6_answer : int array; (* n: the STEP-6 answer last polished *)
+    polished : int array;     (* n: ... and what the polish made of it *)
+    probe_start : int array;  (* n: where the last probe started *)
   }
 
   let create ?(pool = Dompool.sequential) problem =
@@ -103,13 +112,27 @@ module Workspace = struct
           ~capacity:(Topology.capacities problem.Problem.topology) ~n;
       omega = Qmatrix.omega_memo ~m ~n;
       mthg = Mthg.workspace ~m ~n;
-      race = Race.workspace ~m ~n;
+      race = lazy (Race.workspace ~m ~n);
       u = Array.make n 0;
       rows;
       strict_rows = Repair.cache ~m ~n;
       pool;
+      step4_key = Array.make n 0;
+      step4_answer = Array.make n 0;
+      step4_copy = Array.make n 0;
+      step6_answer = Array.make n 0;
+      polished = Array.make n 0;
+      probe_start = Array.make n 0;
     }
 end
+
+let same_iterate a b =
+  let n = Array.length a in
+  let j = ref 0 in
+  while !j < n && a.(!j) = b.(!j) do
+    incr j
+  done;
+  !j = n
 
 let solve ?(config = Config.default) ?initial ?(should_stop = fun () -> false)
     ?(observe = fun _ -> ()) ?gap_solver ?workspace problem =
@@ -155,14 +178,37 @@ let solve ?(config = Config.default) ?initial ?(should_stop = fun () -> false)
         Mthg.solve_relaxed ~ws:ws.Workspace.mthg ~criteria:config.Config.gap_criteria
           ~improve:config.Config.gap_improve gap
     | Some race ->
-      fun gap -> Race.solve_relaxed ~config:race ~pool:ws.Workspace.pool ~ws:ws.Workspace.race gap
-  in
-  let solve_gap ~step ~k gap =
-    match gap_solver with
-    | None -> default_gap gap
-    | Some f -> f ~step ~k ~default:default_gap gap
+      let rs = Lazy.force ws.Workspace.race in
+      fun gap -> Race.solve_relaxed ~config:race ~pool:ws.Workspace.pool ~ws:rs gap
   in
   let u = ws.Workspace.u in
+  (* STEP 4's instance is eta, a pure function of (q, u) (DESIGN.md
+     D17), and the GAP solver is a deterministic function of its
+     instance: when the iterate repeats, so does the answer, and a copy
+     of the previous one is returned.  The reuse sits inside [default],
+     so a [gap_solver] hook still sees every call.  The key is written
+     here first, so a solve never trusts another solve's (another q's)
+     key (DESIGN.md D24). *)
+  let step4_known = ref false in
+  let default_step4 gap =
+    if gap == gap_eta && !step4_known && same_iterate u ws.Workspace.step4_key then begin
+      Array.blit ws.Workspace.step4_answer 0 ws.Workspace.step4_copy 0 n;
+      ws.Workspace.step4_copy
+    end
+    else begin
+      let a = default_gap gap in
+      if gap == gap_eta then begin
+        Array.blit u 0 ws.Workspace.step4_key 0 n;
+        Array.blit a 0 ws.Workspace.step4_answer 0 n;
+        step4_known := true
+      end;
+      a
+    end
+  in
+  let solve_gap ~step ~k gap =
+    let default = match step with Step4 -> default_step4 | Step6 -> default_gap in
+    match gap_solver with None -> default gap | Some f -> f ~step ~k ~default gap
+  in
   (match initial with
   | Some a ->
     if Array.length a <> n then
@@ -239,6 +285,12 @@ let solve ?(config = Config.default) ?initial ?(should_stop = fun () -> false)
     if not !interrupted then interrupted := should_stop ();
     !interrupted
   in
+  (* The polish and the probe are deterministic too, and the row caches
+     never change a value (D16): a STEP-6 answer equal to the previous
+     one polishes to the same iterate, at the same (cost, violations),
+     and a probe from where the previous one started finds a candidate
+     [consider] has already seen, which changes nothing. *)
+  let polished_known = ref None and probe_known = ref false in
   let k = ref 1 in
   while (not (stop ())) && !k <= config.Config.iterations do
     let k0 = !k in
@@ -273,9 +325,18 @@ let solve ?(config = Config.default) ?initial ?(should_stop = fun () -> false)
          GAP iterate, then every descent move updates (cost, violations)
          in O(deg), so STEP 7 below needs no recompute. *)
       let known =
-        let c0, v0 = evaluate u in
-        let dc, dv = Repair.polish_tracked ?cache:rows q u ~passes:config.Config.polish_passes in
-        (c0 +. dc, v0 + dv)
+        match !polished_known with
+        | Some known when same_iterate u ws.Workspace.step6_answer ->
+          Array.blit ws.Workspace.polished 0 u 0 n;
+          known
+        | _ ->
+          Array.blit u 0 ws.Workspace.step6_answer 0 n;
+          let c0, v0 = evaluate u in
+          let dc, dv = Repair.polish_tracked ?cache:rows q u ~passes:config.Config.polish_passes in
+          Array.blit u 0 ws.Workspace.polished 0 n;
+          let known = (c0 +. dc, v0 + dv) in
+          polished_known := Some known;
+          known
       in
       (* Feasibility probe (our enhancement, DESIGN.md D6): coordinate
          descent under an effectively infinite penalty pulls the iterate
@@ -285,7 +346,10 @@ let solve ?(config = Config.default) ?initial ?(should_stop = fun () -> false)
         config.Config.repair_every > 0
         && (k0 mod config.Config.repair_every = 0 || k0 = config.Config.iterations)
         && not (Constraints.empty problem.Problem.constraints)
+        && not (!probe_known && same_iterate u ws.Workspace.probe_start)
       then begin
+        Array.blit u 0 ws.Workspace.probe_start 0 n;
+        probe_known := true;
         let probe = Assignment.copy u in
         ignore (to_feasible probe ~rounds:6 : bool);
         ignore (consider probe)

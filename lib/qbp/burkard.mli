@@ -103,14 +103,24 @@ type gap_solver =
     delegate to it, wrap it, or replace it (alternative GAP backends,
     fault injection).  [k] is the 1-based Burkard iteration.  Like the
     default relaxed MTHG, the returned assignment may violate
-    capacity; the outer loop never trusts it blindly. *)
+    capacity; the outer loop never trusts it blindly.
+
+    The hook is called for every STEP-4 and STEP-6 solve, two per
+    iteration, whatever the loop reuses.  At STEP 4, [default] may
+    return a reused answer: when it is given this solve's STEP-4
+    instance and the iterate equals the one of the last STEP-4 call
+    that reached it, the instance is the same, and [default] returns
+    a copy of that call's answer without solving (DESIGN.md D24).  The
+    copy is owned by the workspace, like MTHG's pooled result, and
+    valid until the next call. *)
 
 (** Per-start scratch pool.  Holds every buffer the hot loop touches —
     the round's candidate-row cache, which is the [Solver]-rule η, and
     the accumulated direction {m h} (both aliased directly as the flat
     item-major STEP-4/6 GAP cost matrices), the GAP instance borrowed
     over them with the iteration-invariant uniform weights and
-    capacities, the pooled MTHG workspace and the iterate itself — so
+    capacities, the pooled MTHG workspace (and the race's, made by
+    the first solve with [Config.gap_race]) and the iterate itself — so
     that a
     caller running many solves on one problem shape (the adaptive
     penalty ladder, a portfolio start) allocates them exactly once and
@@ -134,7 +144,17 @@ type gap_solver =
     once, when the workspace is created; every solve derives its
     STEP-4 and STEP-6 instances from it ([Gap.with_cost]), so the MTHG
     workspace's memo of the cost-independent constructions ([Weight])
-    serves every call of every round.  None of it changes a result. *)
+    serves every call of every round.
+
+    Within one solve, whose penalty surface is fixed, a step whose
+    input repeats reuses its previous output (DESIGN.md D24): STEP 4
+    when the iterate repeats (inside [default], see {!gap_solver}),
+    the polish when STEP 6 returns the previous answer (the polished
+    iterate and its cost and violations are restored), and the
+    feasibility probe when it would start where the previous one did
+    (skipped: its candidate has been considered).  The workspace holds
+    these keys and answers, [n] ints each; a solve trusts only what it
+    wrote itself.  None of it changes a result. *)
 module Workspace : sig
   type t
 

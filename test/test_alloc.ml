@@ -165,6 +165,20 @@ let solve_relaxed ~slack ~n =
   let criteria = Burkard.Config.default.Burkard.Config.gap_criteria in
   fun () -> ignore (Mthg.solve_relaxed ~ws ~criteria ~improve:`Shift g : int array)
 
+(* the [Weight] leg alone: its construction ignores cost, so the shift
+   that follows moves most items, walking and filtering their
+   candidate lists (DESIGN.md D24) *)
+let weight_leg_shift ~n =
+  let q, u = instance ~n ~slack:1.2 in
+  let p = Qmatrix.problem q in
+  let m = Problem.m p in
+  let eta = Qmatrix.eta q u in
+  let weight = Gap.uniform_weights ~sizes:(Netlist.sizes p.Problem.netlist) ~m in
+  let capacity = Topology.capacities p.Problem.topology in
+  let g = Gap.borrow ~cost:eta ~weight ~capacity ~n in
+  let ws = Mthg.workspace ~m ~n in
+  fun () -> ignore (Mthg.solve_relaxed ~ws ~criteria:[ Mthg.Weight ] ~improve:`Shift g : int array)
+
 (* STEP 4 then STEP 6 as Burkard runs them: the STEP-6 instance is the
    STEP-4 one with h as its cost, so both read the one memoized [Weight]
    and [Weight_per_capacity] construction of the workspace *)
@@ -225,6 +239,7 @@ let () =
           case "Mthg.solve_relaxed ~ws (overflow fill)" (solve_relaxed ~slack:0.9);
           case "Mthg.solve_relaxed ~ws (cheapest placement fits)" (solve_relaxed ~slack:32.0);
           case "Mthg.solve_relaxed ~ws (memoized, STEP 4 and 6)" memoized_solve_relaxed;
+          case "Mthg.solve_relaxed ~ws (Weight leg, shift lists)" weight_leg_shift;
           case "Buckets.best_move (capacity and timing)" best_move;
           case "Buckets.best_swap (capacity and timing)" best_swap;
         ] );

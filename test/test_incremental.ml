@@ -809,6 +809,66 @@ let prop_mthg_memo_matches_fresh =
       done;
       !ok)
 
+(* The shift's candidate lists (DESIGN.md D24) against the oracle,
+   whose shift scans every knapsack at every visit.  Each case draws
+   one shape, m in {1, 2, 3, 5, 16} (or, now and then, 257, where no
+   list is kept), and several instances of it that one workspace
+   solves in turn, under both improvers and both entry points, so a
+   list left over from another call, criterion or instance would show.
+   Costs are continuous, or drawn from {0, 1, 2} so that many
+   knapsacks cost exactly what the item's own does; weights depend on
+   the knapsack or not; capacities run from over-tight, where every
+   construction gets stuck, to loose.  The criteria mostly lead with a
+   cost-blind one, whose construction leaves the shift the most to
+   do. *)
+let list_gap rng ~m ~n =
+  let ties = Rng.int rng 2 = 0 in
+  let draw () = if ties then float_of_int (Rng.int rng 3) else Rng.float rng 10.0 in
+  let cost = Array.init m (fun _ -> Array.init n (fun _ -> draw ())) in
+  let sizes = Array.init n (fun _ -> 0.5 +. Rng.float rng 1.5) in
+  let weight =
+    if Rng.int rng 2 = 0 then Array.make m sizes
+    else Array.init m (fun _ -> Array.map (fun s -> s *. (0.5 +. Rng.float rng 1.0)) sizes)
+  in
+  let total = Array.fold_left ( +. ) 0.0 sizes in
+  let slack = 0.7 +. Rng.float rng 0.9 in
+  let capacity =
+    Array.init m (fun _ -> total /. float_of_int m *. slack *. (0.8 +. Rng.float rng 0.4))
+  in
+  (cost, weight, capacity)
+
+let prop_shift_lists_match_oracle =
+  QCheck.Test.make ~name:"MTHG shift with candidate lists equals the full-scan oracle"
+    ~count:200
+    QCheck.(int_range 0 100_000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let m = if seed mod 25 = 0 then 257 else [| 1; 2; 3; 5; 16 |].(Rng.int rng 5) in
+      let n = 1 + Rng.int rng (if m > 16 then 12 else 40) in
+      let ws = Mthg.workspace ~m ~n in
+      List.for_all
+        (fun _ ->
+          let cost, weight, capacity = list_gap rng ~m ~n in
+          let g = Gap.make ~cost ~weight ~capacity in
+          let criteria =
+            match Rng.int rng 4 with
+            | 0 -> [ Mthg.Weight ]
+            | 1 -> [ Mthg.Weight_per_capacity; Mthg.Cost ]
+            | 2 -> [ Mthg.Cost; Mthg.Weight ]
+            | _ -> Mthg.all_criteria
+          in
+          List.for_all
+            (fun improve ->
+              let swap = improve = `Shift_and_swap in
+              let expected = Oracle.solve ~criteria ~swap ~cost ~weight ~capacity ~m ~n () in
+              let expected_relaxed =
+                Oracle.solve_relaxed ~criteria ~swap ~cost ~weight ~capacity ~m ~n ()
+              in
+              Option.map Array.copy (Mthg.solve ~ws ~criteria ~improve g) = expected
+              && Mthg.solve_relaxed ~ws ~criteria ~improve g = expected_relaxed)
+            [ `Shift; `Shift_and_swap ])
+        [ 1; 2; 3 ])
+
 (* ------------------------------------------------------------------ *)
 (* Repair's candidate-row cache (DESIGN.md D16) against fresh rows.   *)
 
@@ -1257,6 +1317,7 @@ let () =
           qt prop_solve_relaxed_pooled_deterministic;
           Alcotest.test_case "mthg workspace shape checked" `Quick
             test_mthg_workspace_shape_checked;
+          qt prop_shift_lists_match_oracle;
         ] );
       ( "workspace pooling",
         [

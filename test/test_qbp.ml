@@ -12,6 +12,9 @@ module Topology = Qbpart_topology.Topology
 module Constraints = Qbpart_timing.Constraints
 module Assignment = Qbpart_partition.Assignment
 module Evaluate = Qbpart_partition.Evaluate
+module Wire = Qbpart_netlist.Wire
+module Mthg = Qbpart_gap.Mthg
+module Race = Qbpart_gap.Race
 
 let check = Alcotest.check
 let fail = Alcotest.fail
@@ -446,6 +449,506 @@ let test_paper_config_runs () =
   | Some (a, _) -> check Alcotest.bool "feasible" true (Problem.feasible problem a)
 
 (* ------------------------------------------------------------------ *)
+(* The Burkard loop against the loop it replaced (DESIGN.md D24).      *)
+
+(* [Burkard.solve] and its workspace as they stood before a step whose
+   input repeats reused its previous answer.  Verbatim but for the
+   module aliases. *)
+module Old_loop = struct
+  open Burkard
+  module Gap = Qbpart_gap.Gap
+  module Dompool = Qbpart_pool.Dompool
+
+  module Workspace = struct
+    type t = {
+      ws_m : int;
+      ws_n : int;
+      h : float array;          (* m*n, STEP-5 accumulated direction *)
+      gap : Gap.t;              (* cost = the row cache, w(i,j) = s_j *)
+      omega : Qmatrix.omega_memo; (* the omega entries xi has read *)
+      mthg : Mthg.workspace;
+      race : Race.workspace;    (* for [Config.gap_race] runs *)
+      u : int array;            (* n, the current iterate *)
+      rows : Repair.cache;      (* candidate rows on the round's surface:
+                                   the Solver-rule eta *)
+      strict_rows : Repair.cache; (* ... and on the strict surface *)
+      pool : Dompool.t;         (* intra-solve fan-out: eta row refreshes,
+                                   the GAP race legs *)
+    }
+
+    let create ?(pool = Dompool.sequential) problem =
+      let problem = Problem.normalize problem in
+      let m = Problem.m problem and n = Problem.n problem in
+      let sizes = Netlist.sizes problem.Problem.netlist in
+      let rows = Repair.cache ~m ~n in
+      {
+        ws_m = m;
+        ws_n = n;
+        h = Array.make (m * n) 0.0;
+        gap =
+          Gap.borrow ~cost:(Repair.rows rows) ~weight:(Gap.uniform_weights ~sizes ~m)
+            ~capacity:(Topology.capacities problem.Problem.topology) ~n;
+        omega = Qmatrix.omega_memo ~m ~n;
+        mthg = Mthg.workspace ~m ~n;
+        race = Race.workspace ~m ~n;
+        u = Array.make n 0;
+        rows;
+        strict_rows = Repair.cache ~m ~n;
+        pool;
+      }
+  end
+
+  let solve ?(config = Config.default) ?initial ?(should_stop = fun () -> false)
+      ?(observe = fun _ -> ()) ?gap_solver ?workspace problem =
+    let problem = Problem.normalize problem in
+    let q = Qmatrix.make ~penalty:config.Config.penalty problem in
+    let m = Problem.m problem and n = Problem.n problem in
+    let ws =
+      match workspace with
+      | None -> Workspace.create problem
+      | Some w ->
+        if w.Workspace.ws_m <> m || w.Workspace.ws_n <> n then
+          invalid_arg
+            (Printf.sprintf "Burkard.solve: workspace is %dx%d but problem is %dx%d"
+               w.Workspace.ws_m w.Workspace.ws_n m n);
+        w
+    in
+    (* STEP 3's eta.  Under the Solver rule it is the round's row cache:
+       the same m·N surface the polish reads, so STEP 3 only recomputes
+       the rows that the jump and the polish invalidated (DESIGN.md D17).
+       The Paper rule's column sums are not candidate rows; that ablation
+       recomputes them into a buffer of its own every iteration. *)
+    let eta =
+      match config.Config.rule with
+      | Qmatrix.Solver -> Repair.rows ws.Workspace.rows
+      | Qmatrix.Paper -> Array.make (m * n) 0.0
+    in
+    (* The GAP instances of STEP 4 and STEP 6 alias eta and h directly as
+       their (flat, item-major) cost matrices and share the workspace's
+       uniform weights w_ij = s_j, so an inner solve costs no setup at
+       all, and MTHG's memo of the cost-independent constructions serves
+       both steps of every round. *)
+    let gap_eta =
+      match config.Config.rule with
+      | Qmatrix.Solver -> ws.Workspace.gap
+      | Qmatrix.Paper -> Gap.with_cost ws.Workspace.gap eta
+    in
+    let gap_h = Gap.with_cost ws.Workspace.gap ws.Workspace.h in
+    Array.fill ws.Workspace.h 0 (m * n) 0.0;
+    let default_gap =
+      match config.Config.gap_race with
+      | None ->
+        fun gap ->
+          Mthg.solve_relaxed ~ws:ws.Workspace.mthg ~criteria:config.Config.gap_criteria
+            ~improve:config.Config.gap_improve gap
+      | Some race ->
+        fun gap -> Race.solve_relaxed ~config:race ~pool:ws.Workspace.pool ~ws:ws.Workspace.race gap
+    in
+    let solve_gap ~step ~k gap =
+      match gap_solver with
+      | None -> default_gap gap
+      | Some f -> f ~step ~k ~default:default_gap gap
+    in
+    let u = ws.Workspace.u in
+    (match initial with
+    | Some a ->
+      if Array.length a <> n then
+        invalid_arg
+          (Printf.sprintf "Burkard.solve: initial assignment has length %d, expected %d"
+             (Array.length a) n);
+      Assignment.check ~m a;
+      Array.blit a 0 u 0 n
+    | None ->
+      let r = Assignment.random (Rng.create config.Config.seed) ~n ~m in
+      Array.blit r 0 u 0 n);
+    (* penalized cost and violation count of [a], computed from scratch;
+       bit-identical to [Problem.penalized_objective] (which is defined
+       as objective + penalty · violation count). *)
+    let evaluate a =
+      let v = Qmatrix.violations q a in
+      (Problem.objective problem a +. (config.Config.penalty *. float_of_int v), v)
+    in
+    (* Champions live in owned buffers updated by blit, so the hot loop
+       never allocates for a losing candidate (and copies only on
+       improvement). *)
+    let best = Array.make n 0 in
+    let best_cost = ref infinity in
+    let best_feasible_buf = Array.make n 0 in
+    let best_feasible_cost = ref None in
+    (* STEP 7.  [known] carries an incrementally-maintained
+       (penalized cost, violation count) for [a] when the caller has one
+       (the delta-tracked polish path), avoiding the full recompute. *)
+    let consider ?known a =
+      let c, viol = match known with Some cv -> cv | None -> evaluate a in
+      if c < !best_cost then begin
+        best_cost := c;
+        Array.blit a 0 best 0 n
+      end;
+      let feas = viol = 0 && Problem.capacity_feasible problem a in
+      if feas then begin
+        (* violation-free ⇒ penalized cost = plain objective.  The
+           selection compares the (possibly delta-accumulated) [c], but
+           the stored champion cost is re-evaluated from scratch:
+           adoption is rare, and the reported objective must match an
+           independent recomputation bit-for-bit (Certify's audit). *)
+        match !best_feasible_cost with
+        | Some obj' when obj' <= c -> ()
+        | _ ->
+          best_feasible_cost := Some (Problem.objective problem a);
+          Array.blit a 0 best_feasible_buf 0 n
+      end;
+      (c, feas)
+    in
+    ignore (consider u);
+    let h = ws.Workspace.h in
+    let history = ref [] in
+    let strict_q =
+      let memo = ref None in
+      fun () ->
+        match !memo with
+        | Some s -> s
+        | None ->
+          let s = Qmatrix.make ~penalty:1e12 problem in
+          memo := Some s;
+          s
+    in
+    (* one candidate-row cache per penalty surface: the polish, the
+       probe and the tail reuse every row no move has touched since.
+       (Wrapped once here, so no iteration allocates the option.) *)
+    let rows = Some ws.Workspace.rows and strict_rows = Some ws.Workspace.strict_rows in
+    let polish ~strict ~passes a =
+      if strict then Repair.polish ?cache:strict_rows (strict_q ()) a ~passes
+      else Repair.polish ?cache:rows q a ~passes
+    in
+    let to_feasible a ~rounds = Repair.to_feasible ?cache:strict_rows (strict_q ()) a ~rounds in
+    let interrupted = ref false in
+    let stop () =
+      if not !interrupted then interrupted := should_stop ();
+      !interrupted
+    in
+    let k = ref 1 in
+    while (not (stop ())) && !k <= config.Config.iterations do
+      let k0 = !k in
+      (* STEP 3: eta at the iterate *)
+      (match config.Config.rule with
+      | Qmatrix.Solver -> Repair.refresh ws.Workspace.rows q u ~pool:ws.Workspace.pool
+      | Qmatrix.Paper -> Qmatrix.eta_into ~rule:Qmatrix.Paper ~pool:ws.Workspace.pool q u eta);
+      (* xi reads the omega entries at the iterate, each computed once
+         per call: the memo is bound to this call's [q] *)
+      let xi = Qmatrix.xi ~rule:config.Config.rule q ws.Workspace.omega u in
+      (* STEP 4: minimize the linearization over S (cost aliases eta) *)
+      let u_z = solve_gap ~step:Step4 ~k:k0 gap_eta in
+      let z = ref 0.0 in
+      for j = 0 to n - 1 do
+        z := !z +. eta.(u_z.(j) + (j * m))
+      done;
+      (* STEP 5: accumulate the direction *)
+      let scale = Float.max 1.0 (Float.abs (!z -. xi)) in
+      for r = 0 to (m * n) - 1 do
+        h.(r) <- h.(r) +. (eta.(r) /. scale)
+      done;
+      (* STEP 6: next iterate from the accumulated direction (cost
+         aliases h); the pooled GAP result is blitted into the stable
+         iterate before the next inner solve reuses its buffer *)
+      let u6 = solve_gap ~step:Step6 ~k:k0 gap_h in
+      Array.blit u6 0 u 0 n;
+      (* mid-step checkpoint: a deadline firing here abandons the
+         in-flight iterate — the best-so-far from STEP 7 of previous
+         iterations is what the caller gets *)
+      if not (stop ()) then begin
+        (* Polish with delta tracking: one full evaluation of the fresh
+           GAP iterate, then every descent move updates (cost, violations)
+           in O(deg), so STEP 7 below needs no recompute. *)
+        let known =
+          let c0, v0 = evaluate u in
+          let dc, dv = Repair.polish_tracked ?cache:rows q u ~passes:config.Config.polish_passes in
+          (c0 +. dc, v0 + dv)
+        in
+        (* Feasibility probe (our enhancement, DESIGN.md D6): coordinate
+           descent under an effectively infinite penalty pulls the iterate
+           toward the timing-feasible set without disturbing the Burkard
+           trajectory itself. *)
+        if
+          config.Config.repair_every > 0
+          && (k0 mod config.Config.repair_every = 0 || k0 = config.Config.iterations)
+          && not (Constraints.empty problem.Problem.constraints)
+        then begin
+          let probe = Assignment.copy u in
+          ignore (to_feasible probe ~rounds:6 : bool);
+          ignore (consider probe)
+        end;
+        (* STEP 7 *)
+        let penalized, feasible = consider ~known u in
+        let viol = snd known in
+        let it =
+          {
+            k = k0;
+            z = !z;
+            penalized;
+            objective = penalized -. (config.Config.penalty *. float_of_int viol);
+            feasible;
+          }
+        in
+        history := it :: !history;
+        observe it;
+        incr k
+      end
+    done;
+    if config.Config.final_polish > 0 && not !interrupted then begin
+      let final = Assignment.copy best in
+      polish ~strict:false ~passes:config.Config.final_polish final;
+      ignore (consider final);
+      (* also try to push the penalized champion all the way to
+         feasibility — repair moves may cost a little objective but can
+         mint a better feasible solution than any iterate produced *)
+      if not (Constraints.empty problem.Problem.constraints) then begin
+        let repaired = Assignment.copy best in
+        if to_feasible repaired ~rounds:10 then ignore (consider repaired)
+      end;
+      (* Polish the feasible champion under an effectively infinite
+         penalty: improving moves can then never introduce a timing
+         violation, so feasibility is preserved by construction. *)
+      match !best_feasible_cost with
+      | None -> ()
+      | Some _ ->
+        let final = Assignment.copy best_feasible_buf in
+        polish ~strict:true ~passes:config.Config.final_polish final;
+        ignore (consider final)
+    end;
+    {
+      best;
+      best_cost = !best_cost;
+      best_feasible = Option.map (fun c -> (best_feasible_buf, c)) !best_feasible_cost;
+      history = List.rev !history;
+      interrupted = !interrupted;
+    }
+end
+
+(* Table III's shape at N <= 40 — a 2x2 or 4x4 grid, slack near 1.08,
+   about one budget per component — on which the loop settles and
+   repeats its iterates, with fractional wire weights and P so that a
+   cost summed in another order differs in its last bits. *)
+let settling_problem seed =
+  let rng = Rng.create seed in
+  let n = 12 + Rng.int rng 29 in
+  let g = Generator.generate rng (Generator.default_params ~n ~wires:(3 * n)) in
+  let wires =
+    Array.to_list (Netlist.wires g)
+    |> List.map (fun w ->
+           Wire.make (Wire.u w) (Wire.v w) ~weight:((0.37 *. Wire.weight w) +. Rng.float rng 0.61))
+  in
+  let nl = Netlist.make ~components:(Array.to_list (Netlist.components g)) ~wires in
+  let rows, cols = if Rng.int rng 2 = 0 then (2, 2) else (4, 4) in
+  let m = rows * cols in
+  let capacity = Netlist.total_size nl /. float_of_int m *. (1.04 +. Rng.float rng 0.1) in
+  let topo = Grid.make ~rows ~cols ~capacity () in
+  let cons = Constraints.Builder.create ~n in
+  for _ = 1 to n do
+    let j1 = Rng.int rng n and j2 = Rng.int rng n in
+    if j1 <> j2 then Constraints.Builder.add cons j1 j2 (float_of_int (1 + Rng.int rng 3))
+  done;
+  let p = Array.init m (fun _ -> Array.init n (fun _ -> Rng.float rng 0.7)) in
+  Problem.make ~p ~constraints:(Constraints.Builder.build cons) nl topo
+
+let bits = Int64.bits_of_float
+
+let same_result (a : Burkard.result) (b : Burkard.result) =
+  let same_iteration (x : Burkard.iteration) (y : Burkard.iteration) =
+    x.Burkard.k = y.Burkard.k
+    && bits x.Burkard.z = bits y.Burkard.z
+    && bits x.Burkard.penalized = bits y.Burkard.penalized
+    && bits x.Burkard.objective = bits y.Burkard.objective
+    && x.Burkard.feasible = y.Burkard.feasible
+  in
+  Assignment.equal a.Burkard.best b.Burkard.best
+  && bits a.Burkard.best_cost = bits b.Burkard.best_cost
+  && (match (a.Burkard.best_feasible, b.Burkard.best_feasible) with
+     | None, None -> true
+     | Some (x, c), Some (y, d) -> Assignment.equal x y && bits c = bits d
+     | _ -> false)
+  && List.length a.Burkard.history = List.length b.Burkard.history
+  && List.for_all2 same_iteration a.Burkard.history b.Burkard.history
+  && a.Burkard.interrupted = b.Burkard.interrupted
+
+(* A [gap_solver] that logs every call it sees and passes it on; at
+   STEP 4 it also solves the instance again on a fresh workspace and
+   notes any answer that differs. *)
+let logging_hook (config : Burkard.Config.t) ~m ~n log fresh_ok ~step ~k ~default gap =
+  log := (step, k) :: !log;
+  let a = default gap in
+  if step = Burkard.Step4 then begin
+    let fresh =
+      match config.Burkard.Config.gap_race with
+      | None ->
+        Mthg.solve_relaxed ~ws:(Mthg.workspace ~m ~n)
+          ~criteria:config.Burkard.Config.gap_criteria
+          ~improve:config.Burkard.Config.gap_improve gap
+      | Some race ->
+        Race.solve_relaxed ~config:race ~ws:(Race.workspace ~m ~n) gap
+    in
+    if fresh <> a then fresh_ok := false
+  end;
+  a
+
+let reuse_configs =
+  let base = { Burkard.Config.default with Burkard.Config.iterations = 40 } in
+  [
+    base;
+    { Burkard.Config.paper with Burkard.Config.iterations = 40 };
+    { base with Burkard.Config.gap_race = Some Race.default };
+    { base with Burkard.Config.gap_improve = `Shift_and_swap; repair_every = 1 };
+  ]
+
+(* The loop on its own trajectory: with and without a workspace (one
+   workspace serving every configuration in turn), from a random start,
+   bit for bit the old loop's result, with the same GAP calls, and
+   every STEP-4 answer that of a fresh solve.  The draws must repeat
+   STEP-6 answers, or nothing was reused. *)
+let test_burkard_reuse_matches_old_loop () =
+  let repeats = ref 0 in
+  for seed = 1 to 12 do
+    let problem = settling_problem seed in
+    let m = Problem.m problem and n = Problem.n problem in
+    let workspace = Burkard.Workspace.create problem in
+    List.iter
+      (fun config ->
+        let config = { config with Burkard.Config.seed } in
+        let run solve =
+          let log = ref [] and fresh_ok = ref true and last6 = ref [||] in
+          let hook ~step ~k ~default gap =
+            let a = logging_hook config ~m ~n log fresh_ok ~step ~k ~default gap in
+            if step = Burkard.Step6 then begin
+              if a = !last6 then incr repeats;
+              last6 := Array.copy a
+            end;
+            a
+          in
+          let r = solve ~gap_solver:hook in
+          (r, List.rev !log, !fresh_ok)
+        in
+        let old, old_log, _ = run (fun ~gap_solver -> Old_loop.solve ~config ~gap_solver problem) in
+        List.iter
+          (fun workspace ->
+            let r, log, fresh_ok =
+              run (fun ~gap_solver -> Burkard.solve ~config ~gap_solver ?workspace problem)
+            in
+            let fail what =
+              Alcotest.failf "seed %d, %s rule%s, %s workspace: %s" seed
+                (match config.Burkard.Config.rule with
+                | Qmatrix.Solver -> "solver"
+                | Qmatrix.Paper -> "paper")
+                (if config.Burkard.Config.gap_race = None then "" else ", race")
+                (if workspace = None then "no" else "shared")
+                what
+            in
+            if not (same_result old r) then fail "results differ";
+            if log <> old_log then fail "the hook saw other calls";
+            if not fresh_ok then fail "a STEP-4 answer differs from a fresh solve")
+          [ None; Some workspace ])
+      reuse_configs
+  done;
+  if !repeats < 50 then Alcotest.failf "only %d repeated STEP-6 answers" !repeats
+
+(* The reuse keys belong to one solve, whose q is fixed.  A one-iteration
+   solve at a small penalty leaves its STEP-4 key at [u0]; the next
+   solve on the same workspace starts from [u0] at a far larger
+   penalty, so its eta, and its STEP-4 answer, differ. *)
+let test_burkard_reuse_keys_per_solve () =
+  for seed = 1 to 12 do
+    let problem = settling_problem seed in
+    let m = Problem.m problem and n = Problem.n problem in
+    let u0 = Assignment.random (Rng.create seed) ~n ~m in
+    let workspace = Burkard.Workspace.create problem in
+    let config penalty iterations =
+      { Burkard.Config.default with Burkard.Config.penalty; iterations }
+    in
+    let first = config 0.5 1 and second = config 5000.0 6 in
+    ignore (Burkard.solve ~config:first ~initial:u0 ~workspace problem : Burkard.result);
+    let log = ref [] and fresh_ok = ref true in
+    let r =
+      Burkard.solve ~config:second ~initial:u0 ~workspace
+        ~gap_solver:(logging_hook second ~m ~n log fresh_ok)
+        problem
+    in
+    if not (same_result (Old_loop.solve ~config:second ~initial:u0 problem) r && !fresh_ok) then
+      Alcotest.failf "seed %d: the second solve differs from the old loop" seed
+  done
+
+(* Tiny instances on which a probe's outcome depends on where it
+   starts: up to six components of size 1 or 2 on a 1x2 or 1x3 grid,
+   integer P and wire weights, and budgets of 0 or 1 between random
+   pairs. *)
+let tiny_timing_problem rng =
+  let n = 3 + Rng.int rng 4 and m = 2 + Rng.int rng 2 in
+  let b = Netlist.Builder.create () in
+  for k = 0 to n - 1 do
+    ignore
+      (Netlist.Builder.add_component b ~name:(string_of_int k)
+         ~size:(float_of_int (1 + Rng.int rng 2)) ())
+  done;
+  for _ = 1 to Rng.int rng n do
+    let x = Rng.int rng n and y = Rng.int rng n in
+    if x <> y then Netlist.Builder.add_wire b x y ~weight:(float_of_int (1 + Rng.int rng 3)) ()
+  done;
+  let nl = Netlist.Builder.build b in
+  let capacity = Netlist.total_size nl /. float_of_int m *. (1.0 +. Rng.float rng 0.4) in
+  let topo = Grid.make ~rows:1 ~cols:m ~capacity () in
+  let cons = Constraints.Builder.create ~n in
+  for _ = 0 to Rng.int rng n do
+    let x = Rng.int rng n and y = Rng.int rng n in
+    if x <> y then Constraints.Builder.add cons x y (float_of_int (Rng.int rng 2))
+  done;
+  let p = Array.init m (fun _ -> Array.init n (fun _ -> float_of_int (Rng.int rng 4))) in
+  Problem.make ~p ~constraints:(Constraints.Builder.build cons) nl topo
+
+(* A trajectory forced through the [gap_solver] hook: STEP 6 returns a
+   scripted sequence over two placements [a] and [a'] that differ in
+   one component only, with a probe at every iteration, no final
+   polish (so the probes' candidates decide the champions), and no
+   polish (the iterate is STEP 6's answer) or one pass.  The repeats
+   exercise every reuse; each change of one component must run the
+   probe again.  Every component takes its turn as the one that
+   differs, at every other partition. *)
+let test_burkard_reuse_forced_trajectory () =
+  for seed = 1 to 150 do
+    let rng = Rng.create seed in
+    let problem = tiny_timing_problem rng in
+    let m = Problem.m problem and n = Problem.n problem in
+    let a = Assignment.random rng ~n ~m in
+    for r = 0 to (n * m) - 1 do
+      let j = r / m and i = r mod m in
+      if i <> a.(j) then begin
+        let a' = Array.copy a in
+        a'.(j) <- i;
+        let script = [| a; a; a'; a; a'; a'; a; a' |] in
+        List.iter
+          (fun polish_passes ->
+            let config =
+              {
+                Burkard.Config.default with
+                Burkard.Config.iterations = Array.length script;
+                polish_passes;
+                repair_every = 1;
+                final_polish = 0;
+              }
+            in
+            let gap_solver ~step ~k ~default gap =
+              let answer = default gap in
+              match step with
+              | Burkard.Step4 -> answer
+              | Burkard.Step6 -> Array.copy script.(k - 1)
+            in
+            let old = Old_loop.solve ~config ~initial:a ~gap_solver problem in
+            let r = Burkard.solve ~config ~initial:a ~gap_solver problem in
+            if not (same_result old r) then
+              Alcotest.failf "seed %d, component %d at %d, %d polish passes: results differ"
+                seed j i polish_passes)
+          [ 0; 1 ]
+      end
+    done
+  done
+
+(* ------------------------------------------------------------------ *)
 (* Repair *)
 
 let test_repair_polish_monotone () =
@@ -642,6 +1145,12 @@ let () =
           Alcotest.test_case "paper config" `Quick test_paper_config_runs;
           q prop_burkard_feasible_results;
           q prop_burkard_never_beats_exact;
+          Alcotest.test_case "reuse equals the old loop" `Quick
+            test_burkard_reuse_matches_old_loop;
+          Alcotest.test_case "reuse keys belong to one solve" `Quick
+            test_burkard_reuse_keys_per_solve;
+          Alcotest.test_case "reuse on a forced trajectory" `Quick
+            test_burkard_reuse_forced_trajectory;
         ] );
       ( "repair",
         [
