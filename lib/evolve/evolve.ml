@@ -183,14 +183,19 @@ let solve ?(config = Burkard.Config.default) ?(max_rounds = 4) ?(factor = 8.0) ?
     in
     (seed, !stalled, r)
   in
+  (* Start 0's first attempt always runs, so a run stopped before it
+     began still has an answer; any other attempt that begins after the
+     stop builds nothing and reports itself interrupted, with no result
+     (none at all, [attempts = 0], for a start that never ran). *)
   let run_supervised k ~generation ~initial ~reseeded =
     let t0 = Unix.gettimeofday () in
     let rec go attempt last_failure =
-      if attempt > retries || (attempt > 0 && should_stop ()) then
+      if attempt > retries || ((attempt > 0 || k > 0) && should_stop ()) then
         ( {
             start = k;
             generation;
-            seed = retry_seed ~base:config.Burkard.Config.seed ~start:k ~attempt:(attempt - 1);
+            seed =
+              retry_seed ~base:config.Burkard.Config.seed ~start:k ~attempt:(max 0 (attempt - 1));
             attempts = attempt;
             reseeded;
             best_cost = infinity;
@@ -316,8 +321,9 @@ let solve ?(config = Burkard.Config.default) ?(max_rounds = 4) ?(factor = 8.0) ?
   let stopped_early = ref false in
   for g = 0 to gens - 1 do
     (* generation 0 always runs, so every start of a cancelled
-       one-generation run still reports; later generations, whose
-       children cost a repair each to build, are dropped instead *)
+       one-generation run still reports (start 0 with an answer, the
+       rest interrupted); later generations, whose children cost a
+       repair each to build, are dropped instead *)
     if g > 0 && should_stop () then stopped_early := true
     else begin
       let lo = gen_lo g and hi = gen_hi g in

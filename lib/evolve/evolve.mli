@@ -47,8 +47,10 @@ module Burkard := Qbpart_core.Burkard
 type start_report = {
   start : int;               (** global start index, [0 .. starts-1] *)
   generation : int;          (** generation this start ran in *)
-  seed : int;                (** RNG seed of the last attempt executed *)
-  attempts : int;            (** attempts consumed (1 unless retried) *)
+  seed : int;                (** RNG seed of the last attempt executed (of
+                                 attempt 0 if none ran) *)
+  attempts : int;            (** attempts consumed (1 unless retried; 0 if
+                                 stopped before it began) *)
   reseeded : bool;           (** start was warm-started from the pool *)
   best_cost : float;         (** best penalized cost this start reached *)
   feasible_cost : float option;  (** best feasible equation-(1) cost, if any *)
@@ -136,9 +138,13 @@ val solve :
     once per distinct product: oversubscribing only slows every domain
     down and never changes results.  [initial] warm-starts global
     start 0 only.  [should_stop] is polled cooperatively by every
-    start (deadline cancellation); generation 0 always runs, so a run
-    cancelled before it started still reports every generation-0
-    start, while later generations are dropped once it fires.
+    start (deadline cancellation).  Generation 0 always reports every
+    start, but once it fires only start 0's first attempt still runs
+    (so a run cancelled before it started still has an answer): any
+    other start or retry that begins after it builds nothing and
+    reports [interrupted], a start that never ran with [attempts = 0]
+    and no result, so a checkpoint resume re-runs it.  Later
+    generations are dropped once it fires.
     [stall] is a per-start [(patience, epsilon)] guard: a start whose
     penalized cost has not improved by [epsilon] for [patience]
     iterations stops (default [(0, 0.0)], disabled).  [on_improvement]

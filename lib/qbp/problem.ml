@@ -4,6 +4,14 @@ module Constraints = Qbpart_timing.Constraints
 module Assignment = Qbpart_partition.Assignment
 module Evaluate = Qbpart_partition.Evaluate
 
+type integrality = {
+  integral : bool;
+  max_abs_p : float;
+  max_wire_sum : float;
+  max_b : float;
+  max_partners : int;
+}
+
 type t = {
   netlist : Netlist.t;
   topology : Topology.t;
@@ -11,7 +19,57 @@ type t = {
   p : float array array option;
   alpha : float;
   beta : float;
+  integrality : integrality;
 }
+
+(* One pass over alpha*P, beta*B, the adjacency weights and the partner
+   offsets: the values [normalize] stores, so the summary describes the
+   surface every Qmatrix of this problem prices (DESIGN.md D25).  A
+   -0.0 in alpha*P is not integral here: the kernel starts an entry
+   from it and can return -0.0 where an exact patch returns +0.0.
+   Plain loops on unboxed locals, so the pass allocates nothing. *)
+let summarize ~alpha ~beta p netlist topology constraints =
+  (* exact for |v| < 2^62, and a larger value fails the 2^52 bound
+     anyway; infinities and NaN are not integers *)
+  let is_integer v = Float.of_int (Float.to_int v) = v in
+  let integral = ref true and max_abs_p = ref 0.0 in
+  (match p with
+  | None -> ()
+  | Some p ->
+    for i = 0 to Array.length p - 1 do
+      let row = p.(i) in
+      for j = 0 to Array.length row - 1 do
+        let v = alpha *. row.(j) in
+        if not (is_integer v) || (v = 0.0 && Float.sign_bit v) then integral := false;
+        if Float.abs v > !max_abs_p then max_abs_p := Float.abs v
+      done
+    done);
+  let bf = Topology.b_flat topology in
+  let max_b = ref 0.0 in
+  for r = 0 to Array.length bf - 1 do
+    let v = beta *. bf.(r) in
+    if not (is_integer v) then integral := false;
+    if v > !max_b then max_b := v
+  done;
+  let xadj = Netlist.adj_offsets netlist and awgt = Netlist.adj_weights netlist in
+  let poff = Constraints.partner_offsets constraints in
+  let max_wire_sum = ref 0.0 and max_partners = ref 0 in
+  for j = 0 to Netlist.n netlist - 1 do
+    let sum = ref 0.0 in
+    for k = xadj.(j) to xadj.(j + 1) - 1 do
+      if not (is_integer awgt.(k)) then integral := false;
+      sum := !sum +. Float.abs awgt.(k)
+    done;
+    if !sum > !max_wire_sum then max_wire_sum := !sum;
+    if poff.(j + 1) - poff.(j) > !max_partners then max_partners := poff.(j + 1) - poff.(j)
+  done;
+  {
+    integral = !integral;
+    max_abs_p = !max_abs_p;
+    max_wire_sum = !max_wire_sum;
+    max_b = !max_b;
+    max_partners = !max_partners;
+  }
 
 let make ?(alpha = 1.0) ?(beta = 1.0) ?p ?constraints netlist topology =
   let n = Netlist.n netlist and m = Topology.m topology in
@@ -41,19 +99,33 @@ let make ?(alpha = 1.0) ?(beta = 1.0) ?p ?constraints netlist topology =
     | None -> Constraints.none ~n
   in
   let p = Option.map (Array.map Array.copy) p in
-  { netlist; topology; constraints; p; alpha; beta }
+  let integrality = summarize ~alpha ~beta p netlist topology constraints in
+  { netlist; topology; constraints; p; alpha; beta; integrality }
 
 let n t = Netlist.n t.netlist
 let m t = Topology.m t.topology
 
 let is_normalized t = t.alpha = 1.0 && t.beta = 1.0
 
+(* [integrality] carries over: [make] summarized alpha*P and beta*B,
+   the very values stored here *)
 let normalize t =
   if is_normalized t then t
   else
     let p = Option.map (Array.map (Array.map (fun x -> t.alpha *. x))) t.p in
     let topology = Topology.scale_b t.topology t.beta in
     { t with topology; p; alpha = 1.0; beta = 1.0 }
+
+(* Every value a candidate row takes is an integer of magnitude at most
+   |p| + (sum of |w|) * max b + 2 * partners * penalty: under 2^52 each
+   product, partial sum and patched value is exact, so a row's sum does
+   not depend on its order (DESIGN.md D25). *)
+let exact_surface t ~penalty =
+  let s = t.integrality in
+  s.integral && Float.is_integer penalty
+  && s.max_abs_p +. (s.max_wire_sum *. s.max_b)
+     +. (2.0 *. float_of_int s.max_partners *. penalty)
+     <= 0x1p52
 
 let p_entry t ~i ~j = match t.p with None -> 0.0 | Some p -> t.alpha *. p.(i).(j)
 

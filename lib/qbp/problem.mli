@@ -16,6 +16,16 @@ module Topology := Qbpart_topology.Topology
 module Constraints := Qbpart_timing.Constraints
 module Assignment := Qbpart_partition.Assignment
 
+type integrality
+(** What {!exact_surface} reads, computed once by {!make} over
+    {m α·P} and {m β·B}, the values {!normalize} stores, so a
+    normalized problem carries it unchanged: whether {m α·P}, {m β·B}
+    and every wire weight are integers and {m α·P} holds no [-0.0],
+    and the largest {m |α·p_{ij}|}, {m β·b(i_1, i_2)}, {m Σ|w|} over
+    one component's wires and timing-partner count of one component.
+    One pass over {m P}, {m B}, the adjacency weights and the partner
+    offsets, allocating nothing. *)
+
 type t = private {
   netlist : Netlist.t;
   topology : Topology.t;
@@ -23,6 +33,7 @@ type t = private {
   p : float array array option; (** {m M×N}; [None] means all-zero *)
   alpha : float;
   beta : float;
+  integrality : integrality;
 }
 
 val make :
@@ -47,6 +58,17 @@ val normalize : t -> t
     normalized problems. *)
 
 val is_normalized : t -> bool
+
+val exact_surface : t -> penalty:float -> bool
+(** Whether the penalty surface of [t] under [penalty] is {e exact}
+    (DESIGN.md D25): {m α·P}, {m β·B}, every wire weight and [penalty]
+    are integers, {m α·P} holds no [-0.0], and
+    {m max|p| + (max Σ|w|)·(max b) + 2·(max partners)·}[penalty] is at
+    most {m 2^52}.  Then every product, partial sum and entry of a
+    candidate row ({!Qmatrix.candidate_costs_at}) is an exact integer,
+    so the row does not depend on the order of its additions.  A
+    [-0.0] in {m P} is excluded because the kernel can return [-0.0]
+    where an exact difference added to a row gives [+0.0].  O(1). *)
 
 val p_entry : t -> i:int -> j:int -> float
 (** {m p_{ij}} (0 when [p] is [None]); after {!normalize} this

@@ -5,17 +5,19 @@ module Dompool = Qbpart_pool.Dompool
 
 type rule = Solver | Paper
 
-type t = { problem : Problem.t; penalty : float }
+type t = { problem : Problem.t; penalty : float; exact : bool }
 
 let default_penalty = 50.0
 
 let make ?(penalty = default_penalty) problem =
   if penalty <= 0.0 || Float.is_nan penalty then
     invalid_arg "Qmatrix.make: penalty must be positive";
-  { problem = Problem.normalize problem; penalty }
+  let problem = Problem.normalize problem in
+  { problem; penalty; exact = Problem.exact_surface problem ~penalty }
 
 let problem t = t.problem
 let penalty t = t.penalty
+let exact t = t.exact
 let dim t = Problem.m t.problem * Problem.n t.problem
 
 (* A candidate pair ((i1,j1),(i2,j2)) with j1 <> j2 violates timing iff
@@ -361,7 +363,8 @@ let eta ?rule t u =
 let apply_delta t problem =
   if Problem.m problem <> Problem.m t.problem then
     invalid_arg "Qmatrix.apply_delta: partition count changed";
-  { t with problem = Problem.normalize problem }
+  let problem = Problem.normalize problem in
+  { t with problem; exact = Problem.exact_surface problem ~penalty:t.penalty }
 
 (* --- the bound vector omega, on demand --------------------------- *)
 

@@ -42,6 +42,15 @@ val problem : t -> Problem.t
 (** The normalized problem backing this matrix. *)
 
 val penalty : t -> float
+
+val exact : t -> bool
+(** Whether the surface is exact ({!Problem.exact_surface} at this
+    penalty, DESIGN.md D25): every row {!candidate_costs_at} computes
+    is a sum of exact integers, so adding a move's exact difference to
+    a row gives the kernel's row bit for bit.  {!Repair}'s row cache
+    patches rows in place on such a surface and invalidates them on
+    any other.  Decided in O(1) by {!make} and {!apply_delta}. *)
+
 val dim : t -> int
 (** {m MN}. *)
 

@@ -18,21 +18,26 @@ let track_viol dviol d = match dviol with Some r -> r := !r + d | None -> ()
    [Qmatrix.candidate_costs_at q pos ~j], and it reads [pos] only at
    [j]'s netlist neighbours and timing partners.  So a row stays exact
    until one of those moves (the FM rule: a move changes only its
-   neighbours' gains), and a pass recomputes just the rows whose valid
-   byte a move cleared — with the same kernel on the same positions, so
-   every value read is bit-identical to a fresh row whatever the data
-   (DESIGN.md D16).  [pos] follows the assignment: a pass first diffs
-   it against the cached positions, then updates it at every move.
-   Each valid row also keeps its minimum, recomputed with the row, so
+   neighbours' gains).  A move then either clears their valid bytes,
+   and a pass recomputes a cleared row with the same kernel on the same
+   positions when it reaches it (DESIGN.md D16), or, on an exact
+   surface, adds its effect to every valid row it touches, which gives
+   the kernel's row bit for bit (D25).  Either way every value read is
+   bit-identical to a fresh row whatever the data.  [pos] follows the
+   assignment: a pass first diffs it against the cached positions, then
+   updates it at every move.  Each valid row also keeps its minimum, so
    a pass can tell at one comparison that a component has nowhere
-   cheaper to go (DESIGN.md D23). *)
+   cheaper to go (D23); a patch leaves it stale, and it is recomputed
+   when a pass next reads it. *)
 type cache = {
   c_m : int;
   c_n : int;
   rows : float array;            (* m*n *)
   mins : float array;            (* n: the least non-NaN entry of row j *)
   valid : Bytes.t;               (* n: '\001' when row j is current *)
+  stale_min : Bytes.t;           (* n: '\001' when a patch changed row j after its minimum *)
   pos : int array;               (* n: the positions the rows price *)
+  diffs : float array;           (* 2m: a mover's B-transposed and B difference rows *)
   mutable bound : Qmatrix.t option;  (* the penalty surface they price *)
 }
 
@@ -44,7 +49,9 @@ let cache ~m ~n =
     rows = Array.make (m * n) 0.0;
     mins = Array.make n infinity;
     valid = Bytes.make n '\000';
+    stale_min = Bytes.make n '\000';
     pos = Array.make n 0;
+    diffs = Array.make (2 * m) 0.0;
     bound = None;
   }
 
@@ -62,10 +69,90 @@ let invalidate_neighbours c q j =
     Bytes.unsafe_set c.valid pids.(k) '\000'
   done
 
+(* Add [sign] penalties to the entries of row [off] that the kernel
+   charges for a partner in [block] under the budget [budgets.(s)]:
+   the prefix of that block of a delay order whose delays exceed it. *)
+let shift_penalty rows ~off (order : Topology.delay_order) ~block ~m budgets s ~sign pen =
+  let ids = order.Topology.ids and delays = order.Topology.delays in
+  let x = float_of_int sign *. pen in
+  let p = ref block in
+  while !p < block + m && delays.(!p) > budgets.(s) do
+    let o = off + ids.(!p) in
+    rows.(o) <- rows.(o) +. x;
+    incr p
+  done
+
+(* The move of [j] from [from] to [dest] on an exact surface, added to
+   the valid rows it touches (DESIGN.md D25).  Each term is the kernel's
+   own: row k charges the wire to j with B transposed when k < j and
+   with B otherwise, so it gains w times the difference of that
+   orientation's rows [dest] and [from]; and it charges the penalty on
+   the delay-order prefixes of j's block, so those of block [from] lose
+   it and those of block [dest] gain it.  Every value is an integer
+   below 2^52, so each sum is exact and the row equals the kernel's
+   whatever the order of its additions.  An invalid row stays invalid:
+   it was never computed against these positions. *)
+let patch_neighbours c q j ~from ~dest =
+  let problem = Qmatrix.problem q in
+  let m = c.c_m in
+  let rows = c.rows and valid = c.valid in
+  let topo = problem.Problem.topology in
+  let nl = problem.Problem.netlist in
+  let xadj = Netlist.adj_offsets nl in
+  let anbr = Netlist.adj_targets nl and awgt = Netlist.adj_weights nl in
+  if xadj.(j + 1) > xadj.(j) then begin
+    let bf = Topology.b_flat topo and bt = Topology.bt_flat topo in
+    let d = c.diffs in
+    let ra = from * m and rb = dest * m in
+    for i = 0 to m - 1 do
+      d.(i) <- bt.(rb + i) -. bt.(ra + i);
+      d.(m + i) <- bf.(rb + i) -. bf.(ra + i)
+    done;
+    for s = xadj.(j) to xadj.(j + 1) - 1 do
+      let k = anbr.(s) in
+      if Bytes.unsafe_get valid k = '\001' then begin
+        let w = awgt.(s) and off = k * m and src = if k < j then 0 else m in
+        for i = 0 to m - 1 do
+          rows.(off + i) <- rows.(off + i) +. (w *. d.(src + i))
+        done;
+        Bytes.unsafe_set c.stale_min k '\001'
+      end
+    done
+  end;
+  let cons = problem.Problem.constraints in
+  let poff = Constraints.partner_offsets cons in
+  let pids = Constraints.partner_ids cons in
+  let pbout = Constraints.partner_budget_out cons in
+  let pbin = Constraints.partner_budget_in cons in
+  let to_j = Topology.d_col_order topo and from_j = Topology.d_row_order topo in
+  let pen = Qmatrix.penalty q in
+  let old_block = from * m and new_block = dest * m in
+  for s = poff.(j) to poff.(j + 1) - 1 do
+    let k = pids.(s) in
+    if Bytes.unsafe_get valid k = '\001' then begin
+      let off = k * m in
+      (* k's budget to j is j's incoming slot for k, and k's budget from
+         j is j's outgoing slot *)
+      shift_penalty rows ~off to_j ~block:old_block ~m pbin s ~sign:(-1) pen;
+      shift_penalty rows ~off to_j ~block:new_block ~m pbin s ~sign:1 pen;
+      shift_penalty rows ~off from_j ~block:old_block ~m pbout s ~sign:(-1) pen;
+      shift_penalty rows ~off from_j ~block:new_block ~m pbout s ~sign:1 pen;
+      Bytes.unsafe_set c.stale_min k '\001'
+    end
+  done
+
+(* [j] moved to [dest]: the rows it touches are patched on an exact
+   surface and invalidated on any other *)
+let move c q j ~dest =
+  if Qmatrix.exact q then patch_neighbours c q j ~from:c.pos.(j) ~dest
+  else invalidate_neighbours c q j;
+  c.pos.(j) <- dest
+
 (* Make the cache price [q] at [u]: a different surface (another
    penalty, an ECO-rebound problem) drops every row; otherwise each
    component that moved since the rows were computed — by a GAP jump,
-   a pair move, a caller's edit — invalidates its neighbours' rows. *)
+   a pair move, a caller's edit — patches or invalidates its
+   neighbours' rows. *)
 let sync c q u =
   let n = c.c_n in
   if Array.length u <> n || Problem.m (Qmatrix.problem q) <> c.c_m then
@@ -73,10 +160,7 @@ let sync c q u =
   match c.bound with
   | Some q' when q' == q ->
     for j = 0 to n - 1 do
-      if u.(j) <> c.pos.(j) then begin
-        invalidate_neighbours c q j;
-        c.pos.(j) <- u.(j)
-      end
+      if u.(j) <> c.pos.(j) then move c q j ~dest:u.(j)
     done
   | _ ->
     c.bound <- Some q;
@@ -85,16 +169,19 @@ let sync c q u =
 
 let rows c = c.rows
 
-(* Recompute row [j] and its minimum; the caller sets the valid byte. *)
-let compute_row c q u j =
-  let m = c.c_m in
-  let off = j * m in
-  Qmatrix.candidate_costs_at q u ~j ~off c.rows;
+let update_min c j =
+  let off = j * c.c_m in
   let least = ref infinity in
-  for r = off to off + m - 1 do
+  for r = off to off + c.c_m - 1 do
     if c.rows.(r) < !least then least := c.rows.(r)
   done;
-  c.mins.(j) <- !least
+  c.mins.(j) <- !least;
+  Bytes.unsafe_set c.stale_min j '\000'
+
+(* Recompute row [j] and its minimum; the caller sets the valid byte. *)
+let compute_row c q u j =
+  Qmatrix.candidate_costs_at q u ~j ~off:(j * c.c_m) c.rows;
+  update_min c j
 
 (* STEP 3 under the Solver rule: the cache, brought to [u] and made
    whole, is η.  Each chunk writes only its own components' rows and
@@ -120,6 +207,16 @@ let rebind c ~from q ~touched =
   | Some q' when q' == from -> List.iter (fun j -> Bytes.set c.valid j '\000') touched
   | _ -> Bytes.fill c.valid 0 c.c_n '\000');
   c.bound <- Some q
+
+let binding c = Option.map (fun q -> (q, Array.copy c.pos)) c.bound
+
+let valid_row c j =
+  if j < 0 || j >= c.c_n then invalid_arg "Repair.valid_row: component out of range";
+  if Bytes.get c.valid j = '\000' then None
+  else begin
+    if Bytes.get c.stale_min j = '\001' then update_min c j;
+    Some (Array.sub c.rows (j * c.c_m) c.c_m, c.mins.(j))
+  end
 
 let drift c =
   match c.bound with
@@ -176,7 +273,12 @@ let coordinate_pass ?delta ?dviol ?cache q u ~loads ~scratch =
        overfull partition.  A NaN entry fails the [<=] and is scanned. *)
     let at_least =
       match cache with
-      | Some c -> (not overfull) && row.(off + from) <= c.mins.(j)
+      | Some c ->
+        (not overfull)
+        && begin
+             if Bytes.unsafe_get c.stale_min j = '\001' then update_min c j;
+             row.(off + from) <= c.mins.(j)
+           end
       | None -> false
     in
     let s = Netlist.size nl j in
@@ -199,11 +301,7 @@ let coordinate_pass ?delta ?dviol ?cache q u ~loads ~scratch =
       loads.(from) <- loads.(from) -. s;
       loads.(!best) <- loads.(!best) +. s;
       u.(j) <- !best;
-      (match cache with
-      | Some c ->
-        invalidate_neighbours c q j;
-        c.pos.(j) <- !best
-      | None -> ());
+      (match cache with Some c -> move c q j ~dest:!best | None -> ());
       moved := true
     end
   done;

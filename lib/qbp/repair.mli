@@ -27,19 +27,29 @@ module Assignment := Qbpart_partition.Assignment
     neighbours and timing partners, so most rows outlive a pass: a
     {!cache} keeps all {m N} rows, one valid byte per component and the
     positions the rows were computed against.  Each pass first diffs
-    the assignment against those positions, clears the rows of every
-    moved component's neighbours and partners, does the same after
-    every move it applies, and recomputes a cleared row with the same
-    kernel when it reaches it.  Every value a pass reads is therefore
-    bit-identical to a fresh row, for any data (DESIGN.md D16).
+    the assignment against those positions and answers every moved
+    component as it answers each move it applies itself, in one of two
+    ways chosen by the surface:
+
+    - on an {!Qmatrix.exact} surface it adds the move's effect in
+      place to every valid row of the mover's neighbours and partners,
+      at {m O(M)} per row, and those rows stay valid (DESIGN.md D25);
+    - on any other it clears their valid bytes, and a pass recomputes
+      a cleared row with the same kernel when it reaches it
+      (DESIGN.md D16).
+
+    A patch never makes an invalid row valid, and only the kernel
+    computes a row.  Every value a pass reads is therefore
+    bit-identical to a fresh row, for any data.
 
     Each valid row also keeps its minimum (the least non-NaN entry),
     recomputed with the row wherever the row is, by a pass or by
-    {!refresh}.  A cached pass skips a component whose entry at its
-    own partition is [<=] that minimum when its partition is not
-    overfull: no entry is strictly cheaper, the overfull tie rule
-    cannot fire, and a NaN entry fails the [<=] and is scanned.  So
-    the skip moves nothing the full scan would not (DESIGN.md D23).
+    {!refresh}; a patch marks it stale, and a pass recomputes a stale
+    minimum before it reads it.  A cached pass skips a component whose
+    entry at its own partition is [<=] that minimum when its partition
+    is not overfull: no entry is strictly cheaper, the overfull tie
+    rule cannot fire, and a NaN entry fails the [<=] and is scanned.
+    So the skip moves nothing the full scan would not (DESIGN.md D23).
 
     A cache is bound to one {!Qmatrix.t} at a time (physical
     equality): using it with another matrix — another penalty, an
@@ -51,7 +61,7 @@ type cache
 
 val cache : m:int -> n:int -> cache
 (** An empty cache for [m] partitions and [n] components:
-    {m M·N} floats, {m N} ints and {m N} bytes.
+    {m M·N + N + 2M} floats, {m N} ints and {m 2N} bytes.
     @raise Invalid_argument if [m < 1] or [n < 0]. *)
 
 val rows : cache -> float array
@@ -84,8 +94,18 @@ val rebind : cache -> from:Qmatrix.t -> Qmatrix.t -> touched:int list -> unit
 val drift : cache -> float
 (** The audit of a cache: the largest absolute difference between a
     valid row and a fresh one at the cached positions.  Rows are
-    exact, so it is 0 unless the buffer was written from outside.
-    Allocates one row. *)
+    exact, patched ones included, so it is 0 unless the buffer was
+    written from outside.  Allocates one row. *)
+
+val binding : cache -> (Qmatrix.t * Assignment.t) option
+(** The matrix the cache is bound to and a copy of the positions its
+    valid rows price; [None] before its first use. *)
+
+val valid_row : cache -> int -> (float array * float) option
+(** [valid_row c j] is a copy of row [j] and its minimum (recomputed
+    first if a patch left it stale) when the row is valid, [None]
+    otherwise: what a pass would read, for audits and tests.
+    @raise Invalid_argument if [j] is out of range. *)
 
 val coordinate_pass :
   ?delta:float ref ->

@@ -96,10 +96,16 @@ let coordinate_pass ~n =
     ignore (Repair.coordinate_pass ~delta ~dviol q u ~loads ~scratch : bool)
 
 (* the same pass reading the row cache: each call diffs the restart
-   against the positions the previous pass left, invalidates the moved
-   components' neighbours, and recomputes just those rows *)
-let cached_coordinate_pass ~n =
+   against the positions the previous pass left, and so does each move
+   it makes.  The instance is integral, so at the default penalty the
+   surface is exact and every move patches the valid rows of its
+   neighbours and partners in place; at a fractional penalty it
+   invalidates them, and the pass recomputes just those rows
+   (DESIGN.md D16, D25) *)
+let cached_coordinate_pass ~exact ~n =
   let q, u0 = instance ~n ~slack:1.2 in
+  let q = if exact then q else Qmatrix.make ~penalty:13.7 (Qmatrix.problem q) in
+  if Qmatrix.exact q <> exact then Alcotest.failf "surface exact = %b, expected %b" (not exact) exact;
   let p = Qmatrix.problem q in
   let m = Problem.m p in
   let u = Array.copy u0 and loads = Array.make m 0.0 and scratch = Array.make m 0.0 in
@@ -142,6 +148,17 @@ let strict_make ~n =
   let q, _ = instance ~n ~slack:1.2 in
   let p = Qmatrix.problem q in
   fun () -> ignore (Qmatrix.make ~penalty:1e12 p : Qmatrix.t)
+
+(* the summary [Problem.make] takes of every problem, one pass over the
+   adjacency weights and partner offsets (DESIGN.md D25): a boxed float
+   per wire would make it allocate with N *)
+let problem_make ~n =
+  let q, _ = instance ~n ~slack:1.2 in
+  let p = Qmatrix.problem q in
+  fun () ->
+    ignore
+      (Problem.make ~constraints:p.Problem.constraints p.Problem.netlist p.Problem.topology
+        : Problem.t)
 
 let violations ~n =
   let q, u = instance ~n ~slack:1.2 in
@@ -230,10 +247,13 @@ let () =
           case "Qmatrix.eta_into" eta_into;
           case "Repair.refresh (after a jump)" row_refresh;
           case "Repair.coordinate_pass" coordinate_pass;
-          case "Repair.coordinate_pass ~cache" cached_coordinate_pass;
+          case "Repair.coordinate_pass ~cache" (cached_coordinate_pass ~exact:true);
+          case "Repair.coordinate_pass ~cache (fractional surface, invalidates)"
+            (cached_coordinate_pass ~exact:false);
           case "Repair.coordinate_pass ~cache (skips at the fixpoint)" skipping_coordinate_pass;
           case "Qmatrix.xi (every entry computed)" xi;
           case "Qmatrix.make (strict surface)" strict_make;
+          case "Problem.make (integrality summary)" problem_make;
           case "Qmatrix.violations" violations;
           case "Mthg.solve_relaxed ~ws (feasible)" (solve_relaxed ~slack:1.2);
           case "Mthg.solve_relaxed ~ws (overflow fill)" (solve_relaxed ~slack:0.9);

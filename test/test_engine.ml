@@ -599,6 +599,27 @@ let test_pinned_evolve () =
   let o = Engine.solve ~config ~initial:inst.Circuits.reference problem |> assert_ok in
   check_pin "evolve" problem (3389.0, "67be2e9981d2ad3efe7a252530517dc6") o.Engine.assignment
 
+(* The same instance with every wire weight raised by 0.25: its
+   surfaces are not exact (DESIGN.md D25), so every row cache
+   invalidates and recomputes the rows a move touches, and this pin
+   keeps that path under an end-to-end answer. *)
+let test_pinned_fractional () =
+  let inst, _ = Lazy.force synth1k in
+  let nl = inst.Circuits.netlist in
+  let wires =
+    Array.to_list (Netlist.wires nl)
+    |> List.map (fun w ->
+           Qbpart_netlist.Wire.(make (u w) (v w) ~weight:(weight w +. 0.25)))
+  in
+  let nl = Netlist.make ~components:(Array.to_list (Netlist.components nl)) ~wires in
+  let problem =
+    Problem.make ~constraints:inst.Circuits.constraints nl inst.Circuits.topology
+  in
+  check Alcotest.bool "surface not exact" false
+    (Qbpart_core.Qmatrix.exact (Qbpart_core.Qmatrix.make problem));
+  let o = Engine.solve ~config:pin_config ~initial:inst.Circuits.reference problem |> assert_ok in
+  check_pin "fractional weights" problem (4193.75, "be533a440672812df90da19d1a5a1b53") o.Engine.assignment
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -662,5 +683,7 @@ let () =
           Alcotest.test_case "synth 1k pinned: Engine.solve" `Quick test_pinned_engine;
           Alcotest.test_case "synth 1k pinned: bare Evolve" `Quick test_pinned_bare;
           Alcotest.test_case "synth 1k pinned: evolve 2x2" `Quick test_pinned_evolve;
+          Alcotest.test_case "synth 1k pinned: fractional weights" `Quick
+            test_pinned_fractional;
         ] );
     ]

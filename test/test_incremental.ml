@@ -1,11 +1,13 @@
 (* Incremental eta and the flat unboxed GAP kernels: STEP 3's eta, the
    refreshed row cache (DESIGN.md D17), is checked bit for bit against
    from-scratch recomputes over random moves, cached passes, penalty
-   re-binds, pool sizes and ECO deltas; the cached passes against a
-   fresh-row reference (D16); the row kernel against the kernel it
-   replaced, and xi against a per-entry walk of omega (D23); the flat
-   pooled MTHG against an embedded boxed-matrix reference
-   implementation; and workspace reuse against fresh-buffer solves. *)
+   re-binds, pool sizes and ECO deltas; the cached passes, and every
+   valid row they leave, against a fresh-row reference (D16), on exact
+   surfaces where moves patch the rows in place too (D25); the row
+   kernel against the kernel it replaced, and xi against a per-entry
+   walk of omega (D23); the flat pooled MTHG against an embedded
+   boxed-matrix reference implementation; and workspace reuse against
+   fresh-buffer solves. *)
 
 open Qbpart_core
 module Netlist = Qbpart_netlist.Netlist
@@ -1009,21 +1011,32 @@ end
    non-integer P, wire weights and penalties, asymmetric B and D, D
    drawn from five levels so delays tie, budgets equal to a delay
    level, and budgets stored in one direction only, which leaves the
-   other at +infinity. *)
-let kernel_problem seed =
+   other at +infinity.  [~integral:true] draws P (negative entries
+   too), the wire weights and B as integers instead, so the surface is
+   exact under an integral penalty (DESIGN.md D25) and the row cache
+   patches its rows. *)
+let kernel_problem ?(integral = false) seed =
   let rng = Rng.create seed in
   let m = [| 1; 2; 3; 5; 9; 16 |].(Rng.int rng 6) in
   let n = 4 + Rng.int rng 30 in
   let g = Generator.generate rng (Generator.default_params ~n ~wires:(3 * n)) in
+  let draw ~int ~frac = if integral then float_of_int (int ()) else frac () in
   let wires =
     Array.to_list (Netlist.wires g)
     |> List.map (fun w ->
            Wire.make (Wire.u w) (Wire.v w)
-             ~weight:((0.37 *. Wire.weight w) +. Rng.float rng 0.61))
+             ~weight:
+               (draw
+                  ~int:(fun () -> 1 + Rng.int rng 5)
+                  ~frac:(fun () -> (0.37 *. Wire.weight w) +. Rng.float rng 0.61)))
   in
   let nl = Netlist.make ~components:(Array.to_list (Netlist.components g)) ~wires in
   let levels = [| 0.0; 0.5; 1.25; 2.0; 3.5 |] in
-  let b = Array.init m (fun _ -> Array.init m (fun _ -> Rng.float rng 2.7)) in
+  let b =
+    Array.init m (fun _ ->
+        Array.init m (fun _ ->
+            draw ~int:(fun () -> Rng.int rng 7) ~frac:(fun () -> Rng.float rng 2.7)))
+  in
   let d = Array.init m (fun _ -> Array.init m (fun _ -> levels.(Rng.int rng 5))) in
   let capacity = Netlist.total_size nl /. float_of_int m *. (1.05 +. Rng.float rng 0.4) in
   let topo = Topology.make ~capacities:(Array.make m capacity) ~b ~d () in
@@ -1043,7 +1056,11 @@ let kernel_problem seed =
   done;
   let p =
     if Rng.int rng 4 = 0 then None
-    else Some (Array.init m (fun _ -> Array.init n (fun _ -> Rng.float rng 3.3)))
+    else
+      Some
+        (Array.init m (fun _ ->
+             Array.init n (fun _ ->
+                 draw ~int:(fun () -> Rng.int rng 9 - 4) ~frac:(fun () -> Rng.float rng 3.3))))
   in
   Problem.make ?p ~constraints:(Constraints.Builder.build cons) nl topo
 
@@ -1117,15 +1134,81 @@ let tie_problem seed =
   done;
   Problem.make ~constraints:(Constraints.Builder.build cons) nl topo
 
+(* Integral instances built around one edge of the patch: [`One_way]
+   stores each budget from the lower id to the higher, so every other
+   direction is +inf; [`Wired] puts budgets both ways on every wire, so
+   one move patches a row's wire and penalty terms together. *)
+let edge_problem ~m ~pairs seed =
+  let rng = Rng.create seed in
+  let n = 6 + Rng.int rng 10 in
+  let g = Generator.generate rng (Generator.default_params ~n ~wires:(2 * n)) in
+  let wires =
+    Array.to_list (Netlist.wires g)
+    |> List.map (fun w ->
+           Wire.make (Wire.u w) (Wire.v w) ~weight:(float_of_int (1 + Rng.int rng 3)))
+  in
+  let nl = Netlist.make ~components:(Array.to_list (Netlist.components g)) ~wires in
+  let b = Array.init m (fun _ -> Array.init m (fun _ -> float_of_int (Rng.int rng 5))) in
+  let d = Array.init m (fun _ -> Array.init m (fun _ -> float_of_int (Rng.int rng 4))) in
+  let capacity = Netlist.total_size nl /. float_of_int m *. 1.3 in
+  let topo = Topology.make ~capacities:(Array.make m capacity) ~b ~d () in
+  let cons = Constraints.Builder.create ~n in
+  (match pairs with
+  | `One_way ->
+    for _ = 1 to 2 * n do
+      let j1 = Rng.int rng n and j2 = Rng.int rng n in
+      if j1 < j2 then Constraints.Builder.add cons j1 j2 (float_of_int (Rng.int rng 3))
+    done
+  | `Wired ->
+    List.iter
+      (fun w ->
+        Constraints.Builder.add cons (Wire.u w) (Wire.v w) (float_of_int (Rng.int rng 3));
+        Constraints.Builder.add cons (Wire.v w) (Wire.u w) (float_of_int (Rng.int rng 3)))
+      wires);
+  Problem.make ~constraints:(Constraints.Builder.build cons) nl topo
+
+(* The least non-NaN entry, as the cache keeps it *)
+let least row = Array.fold_left (fun acc x -> if x < acc then x else acc) infinity row
+
+(* Every valid row of [cache], and its minimum, equals a fresh row at
+   the positions the cache prices, bit for bit: the rows a move
+   patched (DESIGN.md D25) as much as those the kernel computed. *)
+let rows_match_fresh cache =
+  match Repair.binding cache with
+  | None -> true
+  | Some (q, pos) ->
+    List.for_all
+      (fun j ->
+        match Repair.valid_row cache j with
+        | None -> true
+        | Some (row, low) ->
+          let fresh = Qmatrix.candidate_costs q pos ~j in
+          Array.for_all2 same_bits row fresh && same_bits low (least fresh))
+      (List.init (Array.length pos) Fun.id)
+
+(* the penalties of the adaptive rounds, 50 * 8^k: integral, so an
+   integral problem's surfaces are exact and its rows are patched *)
+let round_penalties = [| 50.0; 400.0; 3200.0 |]
+
 let prop_row_cache_matches_fresh =
   QCheck.Test.make
     ~name:"cached polish/to_feasible == fresh-row reference, bit for bit, across edits"
-    ~count:60
+    ~count:150
     QCheck.(int_range 0 100_000)
     (fun seed ->
       let rng = Rng.create (seed + 5) in
-      let problem = if seed mod 2 = 0 then kernel_problem seed else tie_problem seed in
-      let q = ref (Qmatrix.make ~penalty:13.7 problem) in
+      let problem =
+        match seed mod 5 with
+        | 0 -> kernel_problem seed
+        | 1 -> tie_problem seed
+        | 2 -> kernel_problem ~integral:true seed
+        | 3 -> edge_problem ~m:(1 + ((seed / 5) mod 5)) ~pairs:`One_way seed
+        | _ -> edge_problem ~m:(1 + ((seed / 5) mod 5)) ~pairs:`Wired seed
+      in
+      let penalty () =
+        if Rng.int rng 2 = 0 then round_penalties.(Rng.int rng 3) else 5.0 +. Rng.float rng 60.0
+      in
+      let q = ref (Qmatrix.make ~penalty:(if Rng.int rng 2 = 0 then 13.7 else 50.0) problem) in
       let strict = ref (Qmatrix.make ~penalty:1e12 (Qmatrix.problem !q)) in
       let problem () = Qmatrix.problem !q in
       let n = Problem.n (problem ()) and m = Problem.m (problem ()) in
@@ -1176,7 +1259,7 @@ let prop_row_cache_matches_fresh =
           done
         | 6 ->
           (* re-bind: another penalty on the same problem *)
-          q := Qmatrix.make ~penalty:(5.0 +. Rng.float rng 60.0) (problem ())
+          q := Qmatrix.make ~penalty:(penalty ()) (problem ())
         | 7 -> (
           (* an ECO edit rebinds both surfaces to the edited problem *)
           let p = problem () in
@@ -1197,7 +1280,8 @@ let prop_row_cache_matches_fresh =
           let dc, dv = Repair.polish_tracked ~cache !strict u ~passes in
           let dc', dv' = Fresh.polish_tracked !strict r ~passes in
           expect (same_bits dc dc' && dv = dv'));
-        expect (u = r)
+        expect (u = r);
+        expect (rows_match_fresh cache)
       done;
       !ok)
 
@@ -1223,6 +1307,111 @@ let test_overfull_tie_moves () =
   check Alcotest.bool "moved" moved' moved;
   check Alcotest.(array int) "the reference's moves" r u;
   check Alcotest.(array int) "one component left the overfull partition" [| 1; 0 |] u
+
+(* ------------------------------------------------------------------ *)
+(* Exact surfaces: the row cache patches rows in place (DESIGN.md D25) *)
+
+module Circuits = Qbpart_experiments.Circuits
+module Synth = Qbpart_experiments.Synth
+
+let exact_at ?(penalty = 50.0) problem = Qmatrix.exact (Qmatrix.make ~penalty problem)
+
+(* Every instance the benchmark serves is integral: Manhattan B, wire
+   counts, no P, at the adaptive rounds' penalties and the strict one *)
+let test_exact_on_served_shapes () =
+  let shapes =
+    List.map
+      (fun spec ->
+        (spec.Circuits.name, Circuits.problem (Circuits.build ~reference_iterations:1 spec)))
+      Circuits.table1
+    @ [
+        ( "synth1k",
+          Circuits.problem (Synth.build (Synth.default ~name:"synth1k" ~n:1_000 ~seed:7)) );
+      ]
+  in
+  List.iter
+    (fun (name, problem) ->
+      List.iter
+        (fun penalty ->
+          check Alcotest.bool (Printf.sprintf "%s at %g" name penalty) true
+            (exact_at ~penalty problem))
+        [ 50.0; 400.0; 3200.0; 25600.0; 1e12 ])
+    shapes
+
+(* Two components on a 1x2 topology, wired unless [~wired:false], with
+   one budget 1 -> 0 and the other direction at +inf.  Component 0 is
+   too big for partition 1; component 1 fits next to it. *)
+let pair_problem ?(wired = true) ?(weight = 1.0) ?(b01 = 1.0) ?p ?alpha ?beta () =
+  let components =
+    [ Component.make ~id:0 ~name:"c0" ~size:1.0; Component.make ~id:1 ~name:"c1" ~size:0.4 ]
+  in
+  let wires = if wired then [ Wire.make 0 1 ~weight ] else [] in
+  let nl = Netlist.make ~components ~wires in
+  let topo =
+    Topology.make ~capacities:[| 2.0; 1.0 |]
+      ~b:[| [| 0.0; b01 |]; [| 1.0; 0.0 |] |]
+      ~d:[| [| 0.0; 1.0 |]; [| 1.0; 0.0 |] |]
+      ()
+  in
+  let cons = Constraints.Builder.create ~n:2 in
+  Constraints.Builder.add cons 1 0 0.0;
+  Problem.make ?p ?alpha ?beta ~constraints:(Constraints.Builder.build cons) nl topo
+
+let test_exact_predicate () =
+  let yes what b = check Alcotest.bool what true b and no what b = check Alcotest.bool what false b in
+  yes "integral pair" (exact_at (pair_problem ()));
+  no "fractional wire weight" (exact_at (pair_problem ~weight:1.5 ()));
+  no "fractional B" (exact_at (pair_problem ~b01:0.5 ()));
+  no "fractional P" (exact_at (pair_problem ~p:[| [| 3.0; 0.25 |]; [| 1.0; 2.0 |] |] ()));
+  no "-0.0 in P" (exact_at (pair_problem ~p:[| [| 3.0; -0.0 |]; [| 1.0; 2.0 |] |] ()));
+  yes "+0.0 in P" (exact_at (pair_problem ~p:[| [| 3.0; 0.0 |]; [| 1.0; -2.0 |] |] ()));
+  no "fractional penalty" (exact_at ~penalty:13.7 (pair_problem ()));
+  no "P after alpha" (exact_at (pair_problem ~alpha:0.5 ~p:[| [| 3.0; 0.0 |]; [| 1.0; 2.0 |] |] ()));
+  no "B after beta" (exact_at (pair_problem ~beta:0.5 ()));
+  yes "B after an integral beta" (exact_at (pair_problem ~beta:2.0 ()));
+  (* max|p| + sum|w| * max b + 2 * partners * penalty <= 2^52 *)
+  let big p00 = pair_problem ~p:[| [| p00; 0.0 |]; [| 0.0; 0.0 |] |] () in
+  yes "P at the bound" (exact_at (big (0x1p52 -. 101.0)));
+  no "P just past the bound" (exact_at (big (0x1p52 -. 100.0)));
+  yes "penalty at the bound" (exact_at ~penalty:(0x1p51 -. 1.0) (pair_problem ()));
+  no "penalty just past the bound" (exact_at ~penalty:0x1p51 (pair_problem ()))
+
+(* One cached pass over [pair_problem] from [| 0; 1 |] after a refresh:
+   component 0 stays, so its row is valid when component 1 moves next
+   to it and the move reaches the row. *)
+let pass_after_refresh problem =
+  let q = Qmatrix.make ~penalty:50.0 problem in
+  let u = [| 0; 1 |] in
+  let cache = Repair.cache ~m:2 ~n:2 in
+  Repair.refresh cache q u ~pool:Dompool.sequential;
+  let loads = Fresh.loads q u and scratch = Array.make 2 0.0 in
+  ignore (Repair.coordinate_pass ~cache q u ~loads ~scratch : bool);
+  check Alcotest.(array int) "component 1 moved next to 0" [| 0; 0 |] u;
+  check Alcotest.bool "every valid row equals a fresh one" true (rows_match_fresh cache);
+  (q, cache)
+
+let test_patch_or_invalidate () =
+  let big p00 = pair_problem ~p:[| [| p00; 0.0 |]; [| 0.0; 0.0 |] |] () in
+  let q, cache = pass_after_refresh (big (0x1p52 -. 101.0)) in
+  check Alcotest.bool "at the bound: exact" true (Qmatrix.exact q);
+  check Alcotest.bool "the move patched row 0" true (Repair.valid_row cache 0 <> None);
+  let q, cache = pass_after_refresh (big (0x1p52 -. 100.0)) in
+  check Alcotest.bool "just past the bound: not exact" false (Qmatrix.exact q);
+  check Alcotest.bool "the move invalidated row 0" true (Repair.valid_row cache 0 = None)
+
+(* An unwired row the kernel starts from -0.0 stays -0.0 where no
+   penalty lands; a patch that takes a penalty off such an entry leaves
+   +0.0.  So -0.0 in P makes the surface inexact, and the row is
+   recomputed instead. *)
+let test_negative_zero_in_p () =
+  let p = [| [| -0.0; 0.0 |]; [| -0.0; 0.0 |] |] in
+  let q, cache = pass_after_refresh (pair_problem ~wired:false ~p ()) in
+  check Alcotest.bool "not exact" false (Qmatrix.exact q);
+  Repair.refresh cache q [| 0; 0 |] ~pool:Dompool.sequential;
+  match Repair.valid_row cache 0 with
+  | Some (row, _) ->
+    check Alcotest.bool "row 0 keeps the kernel's -0.0" true (same_bits row.(0) (-0.0))
+  | None -> fail "row 0 invalid after a refresh"
 
 (* ------------------------------------------------------------------ *)
 (* Burkard workspace pooling: reuse must not change trajectories.     *)
@@ -1307,6 +1496,13 @@ let () =
           qt prop_row_cache_matches_fresh;
           Alcotest.test_case "tied row minimum leaves an overfull partition" `Quick
             test_overfull_tie_moves;
+          Alcotest.test_case "exact on the served shapes" `Quick test_exact_on_served_shapes;
+          Alcotest.test_case "exact predicate" `Quick test_exact_predicate;
+          Alcotest.test_case "a move patches on an exact surface, else invalidates" `Quick
+            test_patch_or_invalidate;
+          Alcotest.test_case "-0.0 in P is recomputed, not patched" `Quick
+            test_negative_zero_in_p;
+
         ] );
       ( "flat gap",
         [

@@ -245,6 +245,24 @@ let test_portfolio_should_stop () =
   check Alcotest.bool "interrupted" true r.Evolve.interrupted;
   check Alcotest.int "still one report per start" 3 (List.length r.Evolve.reports)
 
+(* A run stopped before it begins builds nothing for any start but
+   start 0, which still runs so the run has an answer: a deadline
+   cannot be overrun by the set-up of thousands of starts. *)
+let test_stopped_run_starts_nothing () =
+  let problem = random_problem 5 in
+  let starts = 20_000 in
+  let r =
+    Evolve.solve ~jobs:1 ~starts ~generations:1 ~should_stop:(fun () -> true) problem
+  in
+  check Alcotest.int "one report per start" starts (List.length r.Evolve.reports);
+  check Alcotest.bool "every start interrupted" true
+    (List.for_all (fun (s : Evolve.start_report) -> s.Evolve.interrupted) r.Evolve.reports);
+  check Alcotest.(list int) "only start 0 ran" [ 0 ]
+    (List.filter_map
+       (fun (s : Evolve.start_report) -> if s.Evolve.attempts > 0 then Some s.Evolve.start else None)
+       r.Evolve.reports);
+  check Alcotest.(option int) "start 0's answer" (Some 0) r.Evolve.winner
+
 let test_portfolio_on_improvement () =
   let problem = random_problem 9 in
   let calls = ref [] in
@@ -438,6 +456,8 @@ let () =
           Alcotest.test_case "start seeds" `Quick test_portfolio_start_seeds;
           Alcotest.test_case "validation" `Quick test_portfolio_validation;
           Alcotest.test_case "should_stop" `Quick test_portfolio_should_stop;
+          Alcotest.test_case "stopped run starts nothing new" `Quick
+            test_stopped_run_starts_nothing;
           Alcotest.test_case "on_improvement" `Quick test_portfolio_on_improvement;
         ] );
       ( "supervision",
