@@ -1251,7 +1251,9 @@ let scale_bench quick =
       ("csr_sweep_speedup", Json.Float speedup);
     ]
   in
-  (* warm-started QBP iteration throughput per instance *)
+  (* warm-started QBP iteration throughput per instance: the median of
+     five solves, since one solve's wall spreads by tens of percent
+     between runs of one build *)
   let throughput =
     List.concat_map
       (fun (p, inst, build_s) ->
@@ -1260,12 +1262,15 @@ let scale_bench quick =
         let config =
           { Burkard.Config.default with iterations; final_polish = 0 }
         in
-        let t0 = Unix.gettimeofday () in
-        let result = Burkard.solve ~config ~initial:inst.Circuits.reference problem in
-        let dt = Unix.gettimeofday () -. t0 in
-        let iters = List.length result.Burkard.history in
+        let solve () =
+          let t0 = Unix.gettimeofday () in
+          let result = Burkard.solve ~config ~initial:inst.Circuits.reference problem in
+          (Unix.gettimeofday () -. t0, List.length result.Burkard.history)
+        in
+        let runs = List.sort compare (List.init 5 (fun _ -> solve ())) in
+        let dt, iters = List.nth runs 2 in
         let per_sec = float_of_int iters /. dt in
-        Format.printf "  %-10s %d QBP iterations in %6.2fs  (%.3f iters/sec)@."
+        Format.printf "  %-10s %d QBP iterations in %6.2fs, median of 5  (%.3f iters/sec)@."
           p.Synth.name iters dt per_sec;
         [
           (p.Synth.name ^ "_build_s", Json.Float build_s);

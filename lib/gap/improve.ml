@@ -16,17 +16,26 @@ let min_cost_into (g : Gap.t) min_cost =
 (* Item j's candidate list: the knapsacks strictly cheaper for j than
    its own, ascending, one byte each at [cand.(j*m ..)], [len.(j)] of
    them; -1 until built.  With more than 256 knapsacks nothing is kept
-   and every visit scans. *)
-type lists = { len : int array; cand : Bytes.t }
+   and every visit scans.  [active] holds a shift-only improvement's
+   items still off their minimum, ascending. *)
+type lists = { len : int array; cand : Bytes.t; active : int array }
 
 let lists ~m ~n =
-  { len = Array.make n (-1); cand = (if m <= 256 then Bytes.create (n * m) else Bytes.empty) }
+  {
+    len = Array.make n (-1);
+    cand = (if m <= 256 then Bytes.create (n * m) else Bytes.empty);
+    active = Array.make n 0;
+  }
 
-(* The shift moves an item only to a fitting knapsack strictly cheaper
-   than its own, the first of the cheapest such.  [min_cost] is
-   [min_cost_into]'s per-item minimum: an item already at its
-   unconstrained cheapest knapsack has none, so it is skipped.  Any
-   other item's first visit is the full scan, which also records its
+(* [min_cost] is [min_cost_into]'s per-item minimum: an item already at
+   its unconstrained cheapest knapsack has no strictly cheaper one, so
+   the shift never visits it.  A NaN cost is never at its minimum. *)
+let off_min (g : Gap.t) assignment min_cost j =
+  not (g.Gap.cost.((j * g.Gap.m) + assignment.(j)) <= min_cost.(j))
+
+(* Move item [j] to the first of the cheapest fitting knapsacks
+   strictly cheaper than its own, if there is one; true if it moved.
+   The item's first visit is the full scan, which also records its
    list; costs do not change during an improvement, so later visits
    walk the list, in the same ascending order with the same test, and
    pick the knapsack the full scan would.  Every entry is strictly
@@ -35,62 +44,66 @@ let lists ~m ~n =
    entries strictly cheaper than [i], a subset of it.  A NaN cost
    fails every [<] and enters no list; a NaN own cost leaves the list
    empty, as the full scan moves nothing then. *)
-let shift_pass (g : Gap.t) assignment residual min_cost lists =
+let shift_item (g : Gap.t) assignment residual lists j =
   let m = g.Gap.m in
   let cost = g.Gap.cost and weight = g.Gap.weight in
   let len = lists.len and cand = lists.cand in
   let keep = Bytes.length cand > 0 in
+  let base = j * m in
+  let from = assignment.(j) in
+  let from_cost = cost.(base + from) in
+  let best = ref from in
+  let best_cost = ref infinity in
+  let l = len.(j) in
+  if l >= 0 then
+    for t = base to base + l - 1 do
+      let i = Char.code (Bytes.get cand t) in
+      if weight.(base + i) <= residual.(i) && cost.(base + i) < !best_cost then begin
+        best := i;
+        best_cost := cost.(base + i)
+      end
+    done
+  else begin
+    let k = ref base in
+    for i = 0 to m - 1 do
+      let c = cost.(base + i) in
+      if c < from_cost then begin
+        if keep then begin
+          Bytes.set cand !k (Char.chr i);
+          incr k
+        end;
+        if weight.(base + i) <= residual.(i) && c < !best_cost then begin
+          best := i;
+          best_cost := c
+        end
+      end
+    done;
+    if keep then len.(j) <- !k - base
+  end;
+  if !best = from then false
+  else begin
+    let i = !best in
+    residual.(from) <- residual.(from) +. weight.(base + from);
+    residual.(i) <- residual.(i) -. weight.(base + i);
+    assignment.(j) <- i;
+    let k = ref base in
+    for t = base to base + len.(j) - 1 do
+      let i' = Bytes.get cand t in
+      if cost.(base + Char.code i') < !best_cost then begin
+        Bytes.set cand !k i';
+        incr k
+      end
+    done;
+    if keep then len.(j) <- !k - base;
+    true
+  end
+
+(* One pass over every item, skipping those at their minimum. *)
+let shift_pass (g : Gap.t) assignment residual min_cost lists =
   let improved = ref false in
   for j = 0 to g.Gap.n - 1 do
-    let base = j * m in
-    let from = assignment.(j) in
-    let from_cost = cost.(base + from) in
-    if not (from_cost <= min_cost.(j)) then begin
-      let best = ref from in
-      let best_cost = ref infinity in
-      let l = len.(j) in
-      if l >= 0 then
-        for t = base to base + l - 1 do
-          let i = Char.code (Bytes.get cand t) in
-          if weight.(base + i) <= residual.(i) && cost.(base + i) < !best_cost then begin
-            best := i;
-            best_cost := cost.(base + i)
-          end
-        done
-      else begin
-        let k = ref base in
-        for i = 0 to m - 1 do
-          let c = cost.(base + i) in
-          if c < from_cost then begin
-            if keep then begin
-              Bytes.set cand !k (Char.chr i);
-              incr k
-            end;
-            if weight.(base + i) <= residual.(i) && c < !best_cost then begin
-              best := i;
-              best_cost := c
-            end
-          end
-        done;
-        if keep then len.(j) <- !k - base
-      end;
-      if !best <> from then begin
-        let i = !best in
-        residual.(from) <- residual.(from) +. weight.(base + from);
-        residual.(i) <- residual.(i) -. weight.(base + i);
-        assignment.(j) <- i;
-        improved := true;
-        let k = ref base in
-        for t = base to base + len.(j) - 1 do
-          let i' = Bytes.get cand t in
-          if cost.(base + Char.code i') < !best_cost then begin
-            Bytes.set cand !k i';
-            incr k
-          end
-        done;
-        if keep then len.(j) <- !k - base
-      end
-    end
+    if off_min g assignment min_cost j && shift_item g assignment residual lists j then
+      improved := true
   done;
   !improved
 
@@ -145,13 +158,40 @@ let residual_of g assignment =
 (* In-place variants: the pooled MTHG path already owns a residual
    array consistent with the assignment, so improvement runs without a
    single allocation.  Every call starts with no list built: they
-   belong to one cost matrix and one starting assignment. *)
+   belong to one cost matrix and one starting assignment.
+
+   Under shifts alone an item at its minimum never moves again, and the
+   others move only when visited.  So each pass visits, ascending, the
+   items the previous one left off their minimum (at first, all that
+   are off it), and drops the ones that reach it.  The visits, and so
+   the moves, are a full pass's. *)
 let shift_in_place g assignment ~residual ~min_cost ~lists =
   Array.fill lists.len 0 g.Gap.n (-1);
-  while shift_pass g assignment residual min_cost lists do
-    ()
+  let active = lists.active in
+  let len = ref 0 in
+  for j = 0 to g.Gap.n - 1 do
+    if off_min g assignment min_cost j then begin
+      active.(!len) <- j;
+      incr len
+    end
+  done;
+  let moved = ref true in
+  while !moved do
+    moved := false;
+    let kept = ref 0 in
+    for t = 0 to !len - 1 do
+      let j = active.(t) in
+      if shift_item g assignment residual lists j then moved := true;
+      if off_min g assignment min_cost j then begin
+        active.(!kept) <- j;
+        incr kept
+      end
+    done;
+    len := !kept
   done
 
+(* A swap can move an item off its minimum, so this one keeps full
+   passes. *)
 let shift_and_swap_in_place g assignment ~residual ~min_cost ~lists =
   Array.fill lists.len 0 g.Gap.n (-1);
   let continue = ref true in

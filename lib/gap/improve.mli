@@ -22,7 +22,8 @@ type lists
 (** Scratch for the shift's candidate lists: for each item, the
     knapsacks strictly cheaper than its own, in ascending order, one
     byte per entry ([n·m] bytes and [n] ints).  With more than 256
-    knapsacks no list is kept. *)
+    knapsacks no list is kept.  It also holds {!shift_in_place}'s
+    active list, the items still off their minimum ([n] ints). *)
 
 val lists : m:int -> n:int -> lists
 
@@ -55,7 +56,15 @@ val shift_and_swap_in_place :
     cheaper than [b]; a swap drops the lists of both items it moves.
     A NaN cost enters no list.  Each call starts with no list built.
     The moves, and so the result, are exactly those of a full scan
-    (DESIGN.md D24). *)
+    (DESIGN.md D24).
+
+    {!shift_in_place} visits every item once, then only the items that
+    visit left off their minimum, ascending, dropping each as it
+    reaches it: under shifts alone an item at its minimum never moves
+    again, so later passes visit what a full pass would.  An item with
+    a NaN cost is never at its minimum and stays.  A swap can move an
+    item off its minimum, so {!shift_and_swap_in_place} keeps full
+    passes (DESIGN.md D26). *)
 
 val min_cost_into : Gap.t -> float array -> unit
 (** [min_cost_into g buf] writes each item's cheapest cost over all

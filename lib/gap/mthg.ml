@@ -43,14 +43,17 @@ type workspace = {
   i2 : int array;           (* n: arg second best *)
   trial : int array;        (* n: construction in progress *)
   out : int array;          (* n: champion across criteria / result *)
-  order : int array;        (* n: relaxed_fill placement order *)
-  key : float array;        (* n: relaxed_fill sort keys *)
+  mutable order : int array;  (* n: first regrets in selection order; relaxed_fill's order *)
+  mutable spare : int array;  (* n: the radix sort's other buffer *)
+  hist : int array;           (* 256: the radix sort's bucket counts *)
+  key : float array;          (* n: first regret per item; relaxed_fill sort keys *)
   mutable desir : float array;   (* m*n desirabilities, for criteria that are not a matrix *)
   mutable no_fit : int;          (* unassigned items that fit nowhere *)
   mutable heap_r : float array;  (* lazy max-heap of (regret, item) entries *)
   mutable heap_j : int array;
   mutable heap_len : int;
   min_cost : float array;        (* n: per-item cheapest cost, for the shift skip *)
+  mutable fitted : bool;         (* the last minima scan found the cheapest placement fits *)
   lists : Improve.lists;         (* the shift's candidate lists *)
   mutable memo_id : int;         (* Gap.weights_id the memos were built on; -1: none *)
   memo_capacity : float array;   (* m: ... and the capacities they were built with *)
@@ -71,6 +74,8 @@ let workspace ~m ~n =
     trial = Array.make n (-1);
     out = Array.make n (-1);
     order = Array.make n 0;
+    spare = Array.make n 0;
+    hist = Array.make 256 0;
     key = Array.make n 0.0;
     desir = [||];
     no_fit = 0;
@@ -78,6 +83,7 @@ let workspace ~m ~n =
     heap_j = Array.make (max 1 n) 0;
     heap_len = 0;
     min_cost = Array.make n 0.0;
+    fitted = true;
     lists = Improve.lists ~m ~n;
     memo_id = -1;
     memo_capacity = Array.make m 0.0;
@@ -180,11 +186,12 @@ let heap_pop ws =
   end
 
 (* Recompute item [j]'s best and second-best feasible desirability.
-   [cascade]: the item was already on the heap (a refresh after a
-   placement, not the initial build).  An unchanged regret keeps its
-   existing heap entry valid (validity is checked against the current
-   regret on pop), so refreshes that only reshuffle the argknapsacks —
-   the common case under tie-heavy criteria — push nothing. *)
+   [cascade]: a refresh after a placement, which pushes a heap entry;
+   the initial refresh pushes none ([first_entries] orders them).  An
+   unchanged regret keeps the item's existing entry valid (validity is
+   checked against the current regret on selection), so refreshes that
+   only reshuffle the argknapsacks — the common case under tie-heavy
+   criteria — push nothing. *)
 let refresh (g : Gap.t) ws desir ~cascade j =
   let m = g.Gap.m and weight = g.Gap.weight and residual = ws.residual in
   let old_r = ws.regret.(j) in
@@ -210,7 +217,85 @@ let refresh (g : Gap.t) ws desir ~cascade j =
   let r = if !f2 = infinity then infinity else !f2 -. !f1 in
   ws.regret.(j) <- r;
   if !b1 = -1 then ws.no_fit <- ws.no_fit + 1
-  else if not (cascade && r = old_r) then heap_push ws j
+  else if cascade && not (r = old_r) then heap_push ws j
+
+(* Byte [shift / 8] of a key's bits.  The keys are +0.0, positive or
+   +infinity, whose bit patterns order as their values do. *)
+let digit key j shift =
+  Int64.to_int (Int64.shift_right_logical (Int64.bits_of_float key.(j)) shift) land 255
+
+(* Leave in [ws.order] the items [0, n) by key descending, ties by item
+   ascending: a stable LSD radix sort, one byte per pass, that starts
+   from the items in ascending order and lays the buckets out from the
+   largest byte down.  A byte that no two keys differ in keeps the
+   order as it is, so its pass is skipped. *)
+let sort_by_key ws n =
+  let key = ws.key and hist = ws.hist in
+  let b0 = Int64.bits_of_float key.(0) in
+  (* [low]: bits 0..62 that differ from the first key; [top]: bits 56..63 *)
+  let low = ref 0 and top = ref 0 in
+  for j = 1 to n - 1 do
+    let x = Int64.logxor (Int64.bits_of_float key.(j)) b0 in
+    low := !low lor Int64.to_int x;
+    top := !top lor Int64.to_int (Int64.shift_right_logical x 56)
+  done;
+  for j = 0 to n - 1 do
+    ws.order.(j) <- j
+  done;
+  for byte = 0 to 7 do
+    let shift = 8 * byte in
+    if (if byte = 7 then !top else (!low lsr shift) land 255) <> 0 then begin
+      let src = ws.order and dst = ws.spare in
+      Array.fill hist 0 256 0;
+      for j = 0 to n - 1 do
+        let d = digit key j shift in
+        hist.(d) <- hist.(d) + 1
+      done;
+      let at = ref 0 in
+      for d = 255 downto 0 do
+        let c = hist.(d) in
+        hist.(d) <- !at;
+        at := !at + c
+      done;
+      for k = 0 to n - 1 do
+        let j = src.(k) in
+        let d = digit key j shift in
+        dst.(hist.(d)) <- j;
+        hist.(d) <- hist.(d) + 1
+      done;
+      ws.order <- dst;
+      ws.spare <- src
+    end
+  done
+
+(* The entries of the initial refresh, once every item fits somewhere:
+   [ws.order] gets all [n] items in selection order, each with its
+   regret in [ws.key] (by item), and [n] is returned.  The regrets are
+   then +0.0, -0.0, positive or +infinity, and [+. 0.0] gives -0.0 the
+   key of +0.0, which the heap's order already treats as equal.  A NaN
+   regret, from two -infinity desirabilities among the fitting
+   knapsacks, breaks that order; the fitting knapsacks only shrink
+   during a construction, so a NaN can first appear here, and then
+   every entry goes on the heap in item order, as the heap alone would
+   hold them, and 0 is returned (DESIGN.md D26). *)
+let first_entries ws n =
+  let regret = ws.regret and key = ws.key in
+  let nan = ref false in
+  for j = 0 to n - 1 do
+    let r = regret.(j) in
+    if Float.is_nan r then nan := true;
+    key.(j) <- r +. 0.0
+  done;
+  if !nan then begin
+    for j = 0 to n - 1 do
+      heap_push ws j
+    done;
+    0
+  end
+  else begin
+    if n > 0 then sort_by_key ws n;
+    n
+  end
 
 (* Greedy regret construction.  For each unassigned item we track its
    best and second-best feasible desirability; the item with the
@@ -224,10 +309,14 @@ let refresh (g : Gap.t) ws desir ~cascade j =
    have room the cached pair is exact.  (A knapsack outside the top
    two that becomes infeasible cannot affect the top two either.)
 
-   Selection pops the lazy heap: regret changes only on refresh, and
-   every refresh that changes it pushes a fresh entry, so the top
-   valid entry is always the true maximum; stale entries (item already
-   placed, or regret no longer current) are dropped on pop.
+   Selection takes the greatest entry under (regret desc, item asc):
+   regret changes only on refresh, and every refresh that changes it
+   adds a fresh entry, so the greatest valid entry is always the true
+   maximum; stale entries (item already placed, or regret no longer
+   current) are dropped as they come up.  The initial entries are
+   sorted once ([first_entries]) and only the cascade's go on the lazy
+   heap; the greatest entry is the greater of the sorted head and the
+   heap top (DESIGN.md D26).
 
    The refresh cascade walks the instance's per-knapsack weight order
    (heaviest first) with one cursor per knapsack.  A placement into
@@ -242,9 +331,13 @@ let refresh (g : Gap.t) ws desir ~cascade j =
    every item onto the same two knapsacks, as [Weight] does under
    w_ij = s_j, where a per-knapsack list of the items holding it would
    be walked in full, Θ(n), at every placement.  Refresh order cannot
-   change the result: the pushed entries are the same, and the heap's
-   pop order depends only on its entry multiset (DESIGN.md D14). *)
-let construct_into ?(criterion = Cost) (g : Gap.t) ws assignment =
+   change the result: the added entries are the same, and the order
+   of selection depends only on the entry multiset (DESIGN.md D14).
+
+   [primed]: [ws.i1], [ws.i2], [ws.regret] and [ws.no_fit] already hold
+   this construction's initial refresh, which [cheapest_fits] computed
+   for a [Cost] construction on the same scan as the minima. *)
+let construct_into ~criterion ~primed (g : Gap.t) ws assignment =
   let { Gap.m; n; _ } = g in
   let weight = g.Gap.weight and by_weight = g.Gap.by_weight in
   let residual = ws.residual and i1 = ws.i1 and i2 = ws.i2 and regret = ws.regret in
@@ -255,20 +348,40 @@ let construct_into ?(criterion = Cost) (g : Gap.t) ws assignment =
   ws.heap_len <- 0;
   (* any unassigned item with no fitting knapsack aborts the
      construction *)
-  ws.no_fit <- 0;
-  for j = 0 to n - 1 do
-    refresh g ws desir ~cascade:false j
-  done;
+  if not primed then begin
+    ws.no_fit <- 0;
+    for j = 0 to n - 1 do
+      refresh g ws desir ~cascade:false j
+    done
+  end;
+  let heads = if ws.no_fit = 0 then first_entries ws n else 0 in
+  let first = ws.order and key = ws.key in
+  let head = ref 0 in
   let unassigned = ref n in
   let stuck = ref false in
   while !unassigned > 0 && not !stuck do
     if ws.no_fit > 0 then stuck := true
     else begin
       let j = ref (-1) in
-      while !j < 0 && ws.heap_len > 0 do
-        let r = ws.heap_r.(0) and cand = ws.heap_j.(0) in
-        heap_pop ws;
-        if assignment.(cand) = -1 && i1.(cand) >= 0 && r = regret.(cand) then j := cand
+      while !j < 0 && (!head < heads || ws.heap_len > 0) do
+        let cand = ref (-1) and r = ref 0.0 in
+        if !head < heads
+           && (ws.heap_len = 0
+              ||
+              let c = first.(!head) in
+              key.(c) > ws.heap_r.(0) || (key.(c) = ws.heap_r.(0) && c < ws.heap_j.(0)))
+        then begin
+          cand := first.(!head);
+          r := key.(!cand);
+          incr head
+        end
+        else begin
+          cand := ws.heap_j.(0);
+          r := ws.heap_r.(0);
+          heap_pop ws
+        end;
+        let c = !cand in
+        if assignment.(c) = -1 && i1.(c) >= 0 && !r = regret.(c) then j := c
       done;
       if !j < 0 then stuck := true
       else begin
@@ -292,9 +405,9 @@ let construct_into ?(criterion = Cost) (g : Gap.t) ws assignment =
   done;
   not !stuck
 
-let construct ?criterion (g : Gap.t) =
+let construct ?(criterion = Cost) (g : Gap.t) =
   let ws = workspace ~m:g.Gap.m ~n:g.Gap.n in
-  if construct_into ?criterion g ws ws.trial then Some ws.trial else None
+  if construct_into ~criterion ~primed:false g ws ws.trial then Some ws.trial else None
 
 type improver = [ `None | `Shift | `Shift_and_swap ]
 
@@ -337,7 +450,7 @@ let memoized ~criterion (g : Gap.t) ws saved =
     true
   | Stuck -> false
   | Unbuilt ->
-    let ok = construct_into ~criterion g ws ws.trial in
+    let ok = construct_into ~criterion ~primed:false g ws ws.trial in
     if ok then begin
       if Array.length saved.placed <> g.Gap.n then saved.placed <- Array.make g.Gap.n 0;
       if Array.length saved.left <> g.Gap.m then saved.left <- Array.make g.Gap.m 0.0;
@@ -348,11 +461,11 @@ let memoized ~criterion (g : Gap.t) ws saved =
     else saved.state <- Stuck;
     ok
 
-let construct_memo (g : Gap.t) ws criterion =
+let construct_memo (g : Gap.t) ws criterion ~primed =
   match criterion with
   | Weight -> memoized ~criterion g ws ws.memo_weight
   | Weight_per_capacity -> memoized ~criterion g ws ws.memo_per_capacity
-  | Cost | Cost_times_weight -> construct_into ~criterion g ws ws.trial
+  | Cost | Cost_times_weight -> construct_into ~criterion ~primed g ws ws.trial
 
 (* The unconstrained optimum: [ws.min_cost] filled as
    [Improve.min_cost_into] fills it, and each item placed in [ws.out]
@@ -362,21 +475,48 @@ let construct_memo (g : Gap.t) ws criterion =
    construction builds exactly this placement whatever its pop order,
    the improvers find every item at its minimum, and no later
    criterion can be strictly cheaper (DESIGN.md D22).  The loads go in
-   [ws.residual], which every construction and fill resets first. *)
-let cheapest_fits (g : Gap.t) ws =
+   [ws.residual], which every construction and fill resets first.
+
+   [primed]: the same scan also does the initial refresh of a [Cost]
+   construction, [refresh]'s top-2 among the knapsacks whose capacity,
+   its starting residual, holds the item (DESIGN.md D26).  The minimum
+   starts at knapsack 0's cost, so its strict test there is a no-op. *)
+let cheapest_fits ~primed (g : Gap.t) ws =
   let { Gap.m; n; _ } = g in
   let cost = g.Gap.cost and weight = g.Gap.weight and load = ws.residual in
+  let capacity = g.Gap.capacity in
   Array.fill load 0 m 0.0;
+  ws.no_fit <- 0;
   let finite = ref true in
   for j = 0 to n - 1 do
     let base = j * m in
     let lo = ref cost.(base) and b = ref 0 in
-    for i = 1 to m - 1 do
-      if cost.(base + i) < !lo then begin
-        lo := cost.(base + i);
+    let f1 = ref infinity and f2 = ref infinity and b1 = ref (-1) and b2 = ref (-1) in
+    for i = 0 to m - 1 do
+      let c = cost.(base + i) in
+      if c < !lo then begin
+        lo := c;
         b := i
+      end;
+      if primed && weight.(base + i) <= capacity.(i) then begin
+        if c < !f1 then begin
+          f2 := !f1;
+          b2 := !b1;
+          f1 := c;
+          b1 := i
+        end
+        else if c < !f2 then begin
+          f2 := c;
+          b2 := i
+        end
       end
     done;
+    if primed then begin
+      ws.i1.(j) <- !b1;
+      ws.i2.(j) <- !b2;
+      ws.regret.(j) <- (if !f2 = infinity then infinity else !f2 -. !f1);
+      if !b1 = -1 then ws.no_fit <- ws.no_fit + 1
+    end;
     ws.min_cost.(j) <- !lo;
     if not (Float.abs !lo < infinity) then finite := false;
     ws.out.(j) <- !b;
@@ -392,19 +532,23 @@ let cheapest_fits (g : Gap.t) ws =
 
 (* Every criterion's construction, improved in place; the cheapest
    (the first on ties) lands in [ws.out].  False if every construction
-   got stuck. *)
-let construct_best (g : Gap.t) ws criteria improve =
+   got stuck.  [primed]: the first criterion is [Cost] and
+   [cheapest_fits ~primed:true] did its initial refresh. *)
+let construct_best (g : Gap.t) ws criteria improve ~primed =
   key_memo ws g;
   let n = g.Gap.n in
   let found = ref false in
   let best_cost = ref infinity in
   let todo = ref criteria in
+  let primed = ref primed in
   while !todo != [] do
     match !todo with
     | [] -> ()
     | criterion :: rest ->
       todo := rest;
-      if construct_memo g ws criterion then begin
+      let built = construct_memo g ws criterion ~primed:!primed in
+      primed := false;
+      if built then begin
         (* construction leaves ws.residual = capacity - loads(trial),
            so improvement runs in place with no setup *)
         improve_in_place improve g ws ws.trial ~residual:ws.residual;
@@ -422,13 +566,19 @@ let solve ?ws ?(criteria = all_criteria) ?(improve = `Shift_and_swap) g =
   Gap.verify_domain g;
   let ws = ensure_ws ws g in
   (* the scan fills the minima the improvers' shift skip reads, so a
-     solve with no improver skips it, and the early return with it *)
-  let cheapest =
-    match improve with `None -> false | `Shift | `Shift_and_swap -> cheapest_fits g ws
+     solve with no improver skips it, and the early return and the
+     shared initial refresh with it.  A scan that ends in the early
+     return wastes that refresh, so the scan does it only after a scan
+     of this workspace that did not end there (DESIGN.md D26). *)
+  let scan = match improve with `None -> false | `Shift | `Shift_and_swap -> true in
+  let primed =
+    scan && (not ws.fitted) && match criteria with Cost :: _ -> true | _ -> false
   in
+  let cheapest = scan && cheapest_fits ~primed g ws in
+  if scan then ws.fitted <- cheapest;
   match criteria with
   | Cost :: _ when cheapest -> Some ws.out
-  | _ -> if construct_best g ws criteria improve then Some ws.out else None
+  | _ -> if construct_best g ws criteria improve ~primed then Some ws.out else None
 
 (* [a] sorted in place by [key] descending.  This is [Array.sort]'s
    ternary heap sort step for step — same comparisons, same moves — so

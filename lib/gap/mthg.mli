@@ -24,9 +24,13 @@ val all_criteria : criterion list
 type workspace
 (** Scratch buffers for one [(m, n)] shape: construction caches,
     residuals, the trial and champion assignments, the per-item
-    cheapest costs, the shift's candidate lists ({!Improve.lists}:
-    [n·m] bytes and [n] ints, rebuilt by every improvement), and a memo
-    of the cost-independent constructions.
+    cheapest costs, the radix sort of a construction's first regrets
+    (two [n]-int buffers and a 256-int histogram; the first doubles as
+    the overflow fill's placement order), the shift's candidate and
+    active lists ({!Improve.lists}: [n·m] bytes and [2n] ints, rebuilt
+    by every improvement), a memo of the cost-independent
+    constructions, and whether the last minima scan ended in {!solve}'s
+    early return.
     Single-domain, like the {!Gap.borrow}ed buffers it is used with.
 
     The memo: [Weight] and [Weight_per_capacity] rank items by weight
@@ -64,8 +68,15 @@ val solve :
     already at their cheapest knapsack ({!Improve.min_cost_into}'s
     minima, computed once per call and shared by every criterion) and
     walk each other item's candidate list instead of every knapsack
-    (DESIGN.md D24), and with [?ws] the cost-independent constructions
-    come from the workspace's memo; none of it changes any result.
+    (DESIGN.md D24); with [`Shift] alone, the passes after the first
+    visit only the items still off their minimum (D26).  With [?ws]
+    the cost-independent constructions come from the workspace's memo.
+    Each construction sorts its items' first regrets once and keeps
+    only the entries its refresh cascade adds on the lazy heap,
+    selecting the greater of the two heads; if any first regret is NaN
+    (two [-infinity] desirabilities among an item's fitting knapsacks)
+    every entry goes on the heap instead (D26).  None of it changes
+    any result.
 
     The scan for those minima also places each item at the first
     knapsack of its minimum.  When [criteria] starts with [Cost], every
@@ -74,6 +85,13 @@ val solve :
     placement is returned at once, with no construction, improvement
     or other criterion: it is exactly what they would return
     (DESIGN.md D22).  Any other list, and [`None], always constructs.
+    Otherwise, when [criteria] starts with [Cost] and an improver
+    runs, the same scan can also compute each item's best and
+    second-best cost among the knapsacks whose capacity holds it, and
+    the [Cost] construction then starts from those instead of
+    rescanning.  The scan does so only when the workspace's previous
+    scan did not end in that early return, where the top-2 would go
+    unused; a fresh workspace counts as one whose scan did (D26).
 
     With [?ws], no allocation happens and the returned array is owned
     by the workspace: it stays valid only until the next call using

@@ -182,6 +182,30 @@ let solve_relaxed ~slack ~n =
   let criteria = Burkard.Config.default.Burkard.Config.gap_criteria in
   fun () -> ignore (Mthg.solve_relaxed ~ws ~criteria ~improve:`Shift g : int array)
 
+(* the [Cost] leg's construction on sorted first regrets (DESIGN.md
+   D26): [`Cost_first] with capacities 2 % over an even split, so
+   placements fill knapsacks and the cascade refreshes and re-pushes
+   many items; [`Nan] with -infinity at two knapsacks of every eighth
+   item, whose regret is then NaN, so every first entry goes on the
+   heap *)
+let sorted_regrets kind ~n =
+  let q, u = instance ~n ~slack:1.02 in
+  let p = Qmatrix.problem q in
+  let m = Problem.m p in
+  let eta = Qmatrix.eta q u in
+  (match kind with
+  | `Cost_first -> ()
+  | `Nan ->
+    for j = 0 to (n / 8) - 1 do
+      eta.(8 * j * m) <- neg_infinity;
+      eta.((8 * j * m) + 1) <- neg_infinity
+    done);
+  let weight = Gap.uniform_weights ~sizes:(Netlist.sizes p.Problem.netlist) ~m in
+  let capacity = Topology.capacities p.Problem.topology in
+  let g = Gap.borrow ~cost:eta ~weight ~capacity ~n in
+  let ws = Mthg.workspace ~m ~n in
+  fun () -> ignore (Mthg.solve_relaxed ~ws ~criteria:[ Mthg.Cost ] ~improve:`Shift g : int array)
+
 (* the [Weight] leg alone: its construction ignores cost, so the shift
    that follows moves most items, walking and filtering their
    candidate lists (DESIGN.md D24) *)
@@ -260,6 +284,9 @@ let () =
           case "Mthg.solve_relaxed ~ws (cheapest placement fits)" (solve_relaxed ~slack:32.0);
           case "Mthg.solve_relaxed ~ws (memoized, STEP 4 and 6)" memoized_solve_relaxed;
           case "Mthg.solve_relaxed ~ws (Weight leg, shift lists)" weight_leg_shift;
+          case "Mthg.solve_relaxed ~ws (sorted first regrets, cascades)"
+            (sorted_regrets `Cost_first);
+          case "Mthg.solve_relaxed ~ws (NaN regrets, heap only)" (sorted_regrets `Nan);
           case "Buckets.best_move (capacity and timing)" best_move;
           case "Buckets.best_swap (capacity and timing)" best_swap;
         ] );

@@ -811,25 +811,37 @@ let prop_mthg_memo_matches_fresh =
       done;
       !ok)
 
-(* The shift's candidate lists (DESIGN.md D24) against the oracle,
-   whose shift scans every knapsack at every visit.  Each case draws
-   one shape, m in {1, 2, 3, 5, 16} (or, now and then, 257, where no
-   list is kept), and several instances of it that one workspace
-   solves in turn, under both improvers and both entry points, so a
-   list left over from another call, criterion or instance would show.
-   Costs are continuous, or drawn from {0, 1, 2} so that many
-   knapsacks cost exactly what the item's own does; weights depend on
-   the knapsack or not; capacities run from over-tight, where every
-   construction gets stuck, to loose.  The criteria mostly lead with a
+(* The shift's candidate lists (DESIGN.md D24), the sorted first
+   regrets, the active list and the shared minima scan (D26) against
+   the oracle, whose shift scans every knapsack of every item at every
+   pass and whose construction recomputes every top-2 at every step,
+   and against the [Mthg] the last three replaced ([Mthg_reference]).
+   Each case draws one shape, m in {1, 2, 3, 5, 16, 17} (or, now and
+   then, 257, where no list is kept), n from 0 to 40 (now and then up
+   to 300), and several instances of it that one workspace solves in
+   turn, under both improvers and both entry points, so a list or an
+   order left over from another call, criterion or instance would show.
+   Costs are continuous, drawn from {0, 1, 2} so that many knapsacks
+   and regrets tie, or drawn from {+0.0, -0.0, 1, 2}, so that an item
+   often costs +0.0 at one knapsack and -0.0 at a later one: its regret
+   is -0.0, which must order as +0.0.  Weights depend on the knapsack
+   or not, and now and then an item fits a single knapsack (regret
+   +infinity); capacities run from over-tight, where every construction
+   gets stuck, through tight, where placements cascade, to loose.  The
+   criteria lead with [Cost], with [Cost_times_weight] or with a
    cost-blind one, whose construction leaves the shift the most to
    do. *)
 let list_gap rng ~m ~n =
-  let ties = Rng.int rng 2 = 0 in
-  let draw () = if ties then float_of_int (Rng.int rng 3) else Rng.float rng 10.0 in
+  let draw =
+    match Rng.int rng 3 with
+    | 0 -> fun () -> Rng.float rng 10.0
+    | 1 -> fun () -> float_of_int (Rng.int rng 3)
+    | _ -> fun () -> [| 0.0; -0.0; 1.0; 2.0 |].(Rng.int rng 4)
+  in
   let cost = Array.init m (fun _ -> Array.init n (fun _ -> draw ())) in
   let sizes = Array.init n (fun _ -> 0.5 +. Rng.float rng 1.5) in
   let weight =
-    if Rng.int rng 2 = 0 then Array.make m sizes
+    if Rng.int rng 2 = 0 then Array.init m (fun _ -> Array.copy sizes)
     else Array.init m (fun _ -> Array.map (fun s -> s *. (0.5 +. Rng.float rng 1.0)) sizes)
   in
   let total = Array.fold_left ( +. ) 0.0 sizes in
@@ -837,7 +849,23 @@ let list_gap rng ~m ~n =
   let capacity =
     Array.init m (fun _ -> total /. float_of_int m *. slack *. (0.8 +. Rng.float rng 0.4))
   in
+  (* a few items too heavy for every knapsack but one *)
+  if m > 1 && Rng.int rng 3 = 0 then
+    for _ = 1 to 1 + Rng.int rng 3 do
+      if n > 0 then begin
+        let j = Rng.int rng n and keep = Rng.int rng m in
+        Array.iteri (fun i row -> if i <> keep then row.(j) <- capacity.(i) +. 1.0) weight
+      end
+    done;
   (cost, weight, capacity)
+
+let mthg_criteria rng =
+  match Rng.int rng 5 with
+  | 0 -> [ Mthg.Weight ]
+  | 1 -> [ Mthg.Weight_per_capacity; Mthg.Cost ]
+  | 2 -> [ Mthg.Cost; Mthg.Weight ]
+  | 3 -> [ Mthg.Cost_times_weight; Mthg.Cost ]
+  | _ -> Mthg.all_criteria
 
 let prop_shift_lists_match_oracle =
   QCheck.Test.make ~name:"MTHG shift with candidate lists equals the full-scan oracle"
@@ -845,20 +873,18 @@ let prop_shift_lists_match_oracle =
     QCheck.(int_range 0 100_000)
     (fun seed ->
       let rng = Rng.create seed in
-      let m = if seed mod 25 = 0 then 257 else [| 1; 2; 3; 5; 16 |].(Rng.int rng 5) in
-      let n = 1 + Rng.int rng (if m > 16 then 12 else 40) in
-      let ws = Mthg.workspace ~m ~n in
+      let m = if seed mod 25 = 0 then 257 else [| 1; 2; 3; 5; 16; 17 |].(Rng.int rng 6) in
+      let n =
+        if m > 17 then Rng.int rng 13
+        else if Rng.int rng 10 = 0 then Rng.int rng 301
+        else Rng.int rng 41
+      in
+      let ws = Mthg.workspace ~m ~n and old_ws = Mthg_reference.Mthg.workspace ~m ~n in
       List.for_all
         (fun _ ->
           let cost, weight, capacity = list_gap rng ~m ~n in
           let g = Gap.make ~cost ~weight ~capacity in
-          let criteria =
-            match Rng.int rng 4 with
-            | 0 -> [ Mthg.Weight ]
-            | 1 -> [ Mthg.Weight_per_capacity; Mthg.Cost ]
-            | 2 -> [ Mthg.Cost; Mthg.Weight ]
-            | _ -> Mthg.all_criteria
-          in
+          let criteria = mthg_criteria rng in
           List.for_all
             (fun improve ->
               let swap = improve = `Shift_and_swap in
@@ -867,7 +893,52 @@ let prop_shift_lists_match_oracle =
                 Oracle.solve_relaxed ~criteria ~swap ~cost ~weight ~capacity ~m ~n ()
               in
               Option.map Array.copy (Mthg.solve ~ws ~criteria ~improve g) = expected
-              && Mthg.solve_relaxed ~ws ~criteria ~improve g = expected_relaxed)
+              && Option.map Array.copy
+                   (Mthg_reference.Mthg.solve ~ws:old_ws ~criteria ~improve g)
+                 = expected
+              && Mthg.solve_relaxed ~ws ~criteria ~improve g = expected_relaxed
+              && Mthg_reference.Mthg.solve_relaxed ~ws:old_ws ~criteria ~improve g
+                 = expected_relaxed)
+            [ `Shift; `Shift_and_swap ])
+        [ 1; 2; 3 ])
+
+(* Costs of -infinity, through [Gap.make], and NaN, through
+   [Gap.borrow], which does not check them.  Two -infinity
+   desirabilities among an item's fitting knapsacks give a NaN regret,
+   which the heap's order does not rank, so the construction puts
+   every first entry on the heap as before (DESIGN.md D26); a NaN cost
+   is never at its item's minimum and keeps it on the shift's active
+   list.  The oracle ranks a NaN regret otherwise than the heap does,
+   so these are compared with [Mthg_reference] alone, bit for bit,
+   with [Cost] leading the criteria or not and one workspace each. *)
+let prop_nan_regrets_match_reference =
+  QCheck.Test.make ~name:"MTHG on -inf and NaN costs equals the heap-only construction"
+    ~count:300
+    QCheck.(int_range 0 100_000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let m = [| 1; 2; 3; 5; 16; 17 |].(Rng.int rng 6) in
+      let n = Rng.int rng 61 in
+      let ws = Mthg.workspace ~m ~n and old_ws = Mthg_reference.Mthg.workspace ~m ~n in
+      List.for_all
+        (fun _ ->
+          let cost, weight, capacity = list_gap rng ~m ~n in
+          let odd = if Rng.int rng 4 = 0 then Float.nan else neg_infinity in
+          let share = 1 + Rng.int rng 4 in
+          Array.iter
+            (fun row -> Array.iteri (fun j _ -> if Rng.int rng share = 0 then row.(j) <- odd) row)
+            cost;
+          let g =
+            let flat rows = Array.init (m * n) (fun r -> rows.(r mod m).(r / m)) in
+            Gap.borrow ~cost:(flat cost) ~weight:(flat weight) ~capacity ~n
+          in
+          let criteria = mthg_criteria rng in
+          List.for_all
+            (fun improve ->
+              Option.map Array.copy (Mthg.solve ~ws ~criteria ~improve g)
+              = Mthg_reference.Mthg.solve ~ws:old_ws ~criteria ~improve g
+              && Array.copy (Mthg.solve_relaxed ~ws ~criteria ~improve g)
+                 = Mthg_reference.Mthg.solve_relaxed ~ws:old_ws ~criteria ~improve g)
             [ `Shift; `Shift_and_swap ])
         [ 1; 2; 3 ])
 
@@ -1514,6 +1585,7 @@ let () =
           Alcotest.test_case "mthg workspace shape checked" `Quick
             test_mthg_workspace_shape_checked;
           qt prop_shift_lists_match_oracle;
+          qt prop_nan_regrets_match_reference;
         ] );
       ( "workspace pooling",
         [
