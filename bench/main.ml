@@ -47,7 +47,6 @@ module Gains = Qbpart_baselines.Gains
 module Buckets = Qbpart_baselines.Buckets
 module Gfm = Qbpart_baselines.Gfm
 module Gkl = Qbpart_baselines.Gkl
-module Race = Qbpart_gap.Race
 module Circuits = Qbpart_experiments.Circuits
 module Runner = Qbpart_experiments.Runner
 module Report = Qbpart_experiments.Report
@@ -389,7 +388,6 @@ let kernels ?(baselines_only = false) inst =
        || Qbpart_timing.Check.placement_ok cons topo ~assignment:gkl_a ~j:j2 ~at:gkl_a.(j1)
             ~other:j1)
   in
-  let rws = Race.workspace ~m ~n in
   (* the busiest component: worst case for the O(deg) delta kernels,
      so the delta-vs-full ratio below is a lower bound *)
   let j_hot = ref 0 in
@@ -510,14 +508,12 @@ let kernels ?(baselines_only = false) inst =
              (!best_j1, !best_j2)));
       Test.make ~name:"gkl swap selection (buckets)"
         (Staged.stage (fun () -> Buckets.best_swap gkl_buckets));
-      (* the Burkard default GAP path (MTHG with the two-criteria
-         cascade) vs the per-iteration solver race *)
+      (* the Burkard default GAP path: MTHG with the two-criteria
+         cascade *)
       Test.make ~name:"mthg solve_relaxed (cost+weight, pooled ws)"
         (Staged.stage (fun () ->
              Mthg.solve_relaxed ~ws:mws ~criteria:[ Mthg.Cost; Mthg.Weight ] ~improve:`Shift
                gap));
-      Test.make ~name:"gap race (pooled ws)"
-        (Staged.stage (fun () -> Race.solve_relaxed ~ws:rws gap));
     ]
   in
   let tests = if baselines_only then baseline_tests else tests @ baseline_tests in
@@ -583,13 +579,6 @@ let kernels ?(baselines_only = false) inst =
    with
   | Some scan, Some buck when buck > 0.0 ->
     Format.printf "  bucket swap selection speedup over pair scan: %.1fx@." (scan /. buck)
-  | _ -> ());
-  (match
-     ( List.assoc_opt "mthg solve_relaxed (cost+weight, pooled ws)" estimates,
-       List.assoc_opt "gap race (pooled ws)" estimates )
-   with
-  | Some mthg, Some race when race > 0.0 ->
-    Format.printf "  GAP race speedup over default MTHG (cost+weight): %.2fx@." (mthg /. race)
   | _ -> ());
   estimates
 
@@ -796,7 +785,7 @@ let evolve_bench quick =
       specs
   in
   (* scaling: the same evolve run across 1/2/4/8 total domains, spent
-     as outer starts x intra-solve race/eta legs; the champion must be
+     as outer starts x intra-solve eta refresh domains; the champion must be
      bit-identical in every row *)
   let scale_spec =
     if quick then List.hd Circuits.table1
@@ -1363,8 +1352,8 @@ let () =
   if only_scale then scale_stats := Some (scale_bench quick)
   else if only_server then server_stats := Some (server_throughput quick)
   else if only_baselines then begin
-    (* CI smoke: just the GFM move / GKL swap selection and GAP-race
-       kernel rows *)
+    (* CI smoke: just the GFM move / GKL swap selection and default
+       MTHG kernel rows *)
     Format.printf "building ckta (baseline kernels)...@.";
     let inst = Circuits.build (List.hd Circuits.table1) in
     kernel_stats := kernels ~baselines_only:true inst
@@ -1468,14 +1457,7 @@ let () =
           ]
         | _ -> []
       in
-      let inner_race =
-        match List.assoc_opt "gap race (pooled ws)" !kernel_stats with
-        | Some race ->
-          (* Burkard solves two GAPs per iteration (STEP 4 and STEP 6) *)
-          [ ("inner_loop_race_ns", Json.Float (2.0 *. race)) ]
-        | None -> []
-      in
-      base @ step3 @ inner @ inner_race
+      base @ step3 @ inner
     in
     (* the baseline-kernel subset also emitted by [--only-baselines],
        gated separately in CI via [compare --summary baselines_summary] *)
@@ -1506,20 +1488,12 @@ let () =
           ]
         | _ -> []
       in
-      let race =
-        match
-          ( List.assoc_opt "mthg solve_relaxed (cost+weight, pooled ws)" !kernel_stats,
-            List.assoc_opt "gap race (pooled ws)" !kernel_stats )
-        with
-        | Some mthg, Some race when race > 0.0 ->
-          [
-            ("gap_mthg_default_ns", Json.Float mthg);
-            ("gap_race_ns", Json.Float race);
-            ("gap_race_speedup", Json.Float (mthg /. race));
-          ]
-        | _ -> []
+      let mthg =
+        match List.assoc_opt "mthg solve_relaxed (cost+weight, pooled ws)" !kernel_stats with
+        | Some mthg -> [ ("gap_mthg_default_ns", Json.Float mthg) ]
+        | None -> []
       in
-      selection @ swap_selection @ race
+      selection @ swap_selection @ mthg
     in
     let doc =
       Json.Obj

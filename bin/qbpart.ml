@@ -369,9 +369,8 @@ let instance_term =
 
 (* The whole spec: the instance plus the search budget. *)
 let spec_term =
-  let make (inst : Sproto.submit) iterations seed starts gap_race evolve generations pool_size
-      deadline_s =
-    { inst with iterations; seed; starts; gap_race; evolve; generations; pool_size; deadline_s }
+  let make (inst : Sproto.submit) iterations seed starts evolve generations pool_size deadline_s =
+    { inst with iterations; seed; starts; evolve; generations; pool_size; deadline_s }
   in
   let iterations =
     Arg.(value & opt int spec_default.iterations & info [ "iterations" ]
@@ -383,12 +382,6 @@ let spec_term =
            ~doc:"QBP starts with distinct seeds: independent starts (the multi-start \
                  portfolio), or with --evolve the total budget across --generations; \
                  the best solution wins deterministically.")
-  in
-  let gap_race =
-    Arg.(value & flag & info [ "gap-race" ]
-           ~doc:"Race the inner GAP solvers each QBP iteration (MTHG vs \
-                 Lagrangian-guided greedy vs exact branch-and-bound on small \
-                 instances) and take the best candidate deterministically.")
   in
   let evolve =
     Arg.(value & flag & info [ "evolve" ]
@@ -418,8 +411,8 @@ let spec_term =
                  best-so-far feasible solution when the budget expires.")
   in
   Term.(
-    const make $ instance_term $ iterations $ seed $ starts $ gap_race $ evolve $ generations
-    $ pool_size $ deadline)
+    const make $ instance_term $ iterations $ seed $ starts $ evolve $ generations $ pool_size
+    $ deadline)
 
 (* --- solve --------------------------------------------------------- *)
 
@@ -615,10 +608,9 @@ let solve_cmd =
   in
   let inner_jobs =
     Arg.(value & opt int 1 & info [ "inner-jobs" ]
-           ~doc:"Domains per running start for the intra-solve kernels (the \
-                 eta row refresh of STEP 3, GAP race legs); the box runs up to \
-                 --jobs x --inner-jobs domains. The result is identical for \
-                 every value.")
+           ~doc:"Domains per running start for the eta row refresh of STEP 3; \
+                 the box runs up to --jobs x --inner-jobs domains. The result is \
+                 identical for every value.")
   in
   let retries =
     Arg.(value & opt int 1 & info [ "retries" ]

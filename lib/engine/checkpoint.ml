@@ -403,5 +403,3 @@ let error_to_string = function
        instance"
       got.fp_n got.fp_m got.fp_wires got.fp_weight expected.fp_n expected.fp_m
       expected.fp_wires expected.fp_weight
-
-let pp_error ppf e = Format.pp_print_string ppf (error_to_string e)

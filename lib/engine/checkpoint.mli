@@ -131,4 +131,3 @@ val validate : t -> Problem.t -> (unit, error) result
     colliding or corrupted checkpoint is rejected, not resumed. *)
 
 val error_to_string : error -> string
-val pp_error : Format.formatter -> error -> unit

@@ -6,7 +6,6 @@ module Assignment = Qbpart_partition.Assignment
 module Initial = Qbpart_partition.Initial
 module Validate = Qbpart_partition.Validate
 module Gap = Qbpart_gap.Gap
-module Race = Qbpart_gap.Race
 module Problem = Qbpart_core.Problem
 module Qmatrix = Qbpart_core.Qmatrix
 module Repair = Qbpart_core.Repair
@@ -179,17 +178,6 @@ let validate_config (c : Config.t) =
   else if q.Burkard.Config.polish_passes < 0 then err "qbp.polish_passes" "must be >= 0"
   else if q.Burkard.Config.final_polish < 0 then err "qbp.final_polish" "must be >= 0"
   else if q.Burkard.Config.repair_every < 0 then err "qbp.repair_every" "must be >= 0"
-  else if
-    match q.Burkard.Config.gap_race with
-    | None -> false
-    | Some r -> r.Race.lagrangian_iterations < 0
-  then err "qbp.gap_race.lagrangian_iterations" "must be >= 0"
-  else if
-    match q.Burkard.Config.gap_race with
-    | None -> false
-    | Some r ->
-      r.Race.exact_max_items < 0 || r.Race.exact_max_cells < 0 || r.Race.exact_node_limit < 1
-  then err "qbp.gap_race.exact" "gates must be >= 0 and node limit >= 1"
   else if c.Config.max_rounds < 1 then err "max_rounds" "must be >= 1"
   else if Float.is_nan c.Config.penalty_factor || c.Config.penalty_factor <= 1.0 then
     err "penalty_factor" "must be > 1"

@@ -181,8 +181,8 @@ module Config : sig
             {!Qbpart_evolve.Evolve.default_jobs} *)
     inner_jobs : int;
         (** per-start {!Qbpart_pool.Dompool} size (≥ 1) for the
-            intra-solve kernels — STEP 3's η row refresh and the GAP
-            race legs; 1 keeps every start single-domain *)
+            intra-solve kernels — STEP 3's η row refresh; 1 keeps
+            every start single-domain *)
     retries : int;
         (** extra supervised attempts per start after a failure (≥ 0);
             seeds are re-derived deterministically via

@@ -167,9 +167,8 @@ let solve ?(config = Burkard.Config.default) ?(max_rounds = 4) ?(factor = 8.0) ?
     (* per-attempt scratch pool, created on the worker domain so the
        borrowed GAP buffers it feeds never cross domains; with
        [inner_jobs > 1] the attempt also owns a bounded domain pool
-       that fans the intra-solve kernels (STEP 3's row refresh, race
-       legs) — the fan-out never changes a value, so determinism
-       survives untouched *)
+       that fans STEP 3's row refresh — the fan-out never changes a
+       value, so determinism survives untouched *)
     let dpool =
       if inner_jobs > 1 then Dompool.create ~domains:inner_jobs else Dompool.sequential
     in

@@ -130,9 +130,8 @@ val solve :
     generation never runs more domains than it has starts, and [jobs =
     1] runs sequentially on the calling domain without spawning).
     [inner_jobs] (default 1) gives every running start a private
-    {!Qbpart_pool.Dompool} of that many workers for the intra-solve
-    kernels — STEP 3's row refresh, and the GAP race legs under
-    [config.gap_race] — so a single start can use several cores; the
+    {!Qbpart_pool.Dompool} of that many workers for STEP 3's row
+    refresh, so a single start can use several cores; the
     box then runs up to [min jobs starts * inner_jobs] domains, and a
     product above the recommended domain count earns a stderr warning
     once per distinct product: oversubscribing only slows every domain

@@ -156,8 +156,3 @@ let build ?pool p =
       topology reference
   in
   { Circuits.spec = spec p; netlist; topology; constraints; reference }
-
-let build_named ?pool name =
-  match find name with
-  | Some p -> Some (build ?pool p)
-  | None -> None

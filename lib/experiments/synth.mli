@@ -47,6 +47,3 @@ val build : ?pool:Qbpart_pool.Dompool.t -> params -> Circuits.instance
 (** Deterministic for given [params]; [pool] parallelizes the CSR
     adjacency construction without changing any value.
     @raise Invalid_argument on nonsensical parameters. *)
-
-val build_named : ?pool:Qbpart_pool.Dompool.t -> string -> Circuits.instance option
-(** [build_named name] builds the frontier member named [name]. *)

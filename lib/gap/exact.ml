@@ -1,4 +1,6 @@
-let solve ?(node_limit = 10_000_000) (g : Gap.t) =
+let node_limit = 10_000_000
+
+let solve (g : Gap.t) =
   let { Gap.m; n; _ } = g in
   let cost = g.Gap.cost and weight = g.Gap.weight in
   (* Order items by decreasing maximum weight: hard-to-place first. *)

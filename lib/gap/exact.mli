@@ -4,8 +4,8 @@
     {!Mthg} in tests and in the solver-quality benchmarks.  The bound
     is the classic sum of per-item minima over the remaining items. *)
 
-val solve : ?node_limit:int -> Gap.t -> (int array * float) option
+val solve : Gap.t -> (int array * float) option
 (** Optimal assignment and its cost, or [None] if the instance is
-    infeasible.  Items are explored big-first; [node_limit] (default
-    10 million) caps the search and raises [Failure] when exceeded so
-    callers never hang silently. *)
+    infeasible.  Items are explored big-first; a cap of 10 million
+    search nodes raises [Failure] when exceeded so callers never hang
+    silently. *)

@@ -1,12 +1,11 @@
 (* Flat, unboxed storage.  The cost and weight matrices live in single
    [float array]s laid out item-major — entry (i, j) at index
    [j*m + i] — so that (a) the per-item knapsack scans that dominate
-   MTHG, the improvement passes and the Lagrangian bound walk [m]
-   consecutive unboxed floats instead of gathering one element from
-   each of [m] boxed rows, and (b) the layout coincides exactly with
-   the solver's eta vector (index r = i + j·M), letting the Burkard
-   loop alias its eta/h buffers as GAP cost matrices with no reshape
-   at all. *)
+   MTHG and the improvement passes walk [m] consecutive unboxed floats
+   instead of gathering one element from each of [m] boxed rows, and
+   (b) the layout coincides exactly with the solver's eta vector (index
+   r = i + j·M), letting the Burkard loop alias its eta/h buffers as
+   GAP cost matrices with no reshape at all. *)
 
 type t = {
   m : int;
@@ -20,24 +19,21 @@ type t = {
   weights_id : int;
 }
 
-(* Every constructor draws a fresh [weights_id]; [with_cost] and
-   [fan_out] keep it, because they share the weight side.  MTHG keys
-   its memo of cost-independent constructions on it, so the memo
-   never holds (or keeps alive) any part of an instance. *)
+(* Every constructor draws a fresh [weights_id]; [with_cost] keeps
+   it, because it shares the weight side.  MTHG keys its memo of
+   cost-independent constructions on it, so the memo never holds (or
+   keeps alive) any part of an instance. *)
 let next_weights_id = Atomic.make 0
 let fresh_weights_id () = Atomic.fetch_and_add next_weights_id 1
 
 let index t ~i ~j = (j * t.m) + i
 let cost_at t ~i ~j = t.cost.((j * t.m) + i)
-let weight_at t ~i ~j = t.weight.((j * t.m) + i)
 
 (* The per-knapsack weight orders behind MTHG's refresh cascade: item
    ids sorted by w_ij descending (ties by id), one block of [n] per
    distinct weight column, with [order_of.(i)] the offset of knapsack
    [i]'s block.  Knapsacks whose weight columns are identical share
-   one block — under w_ij = s_j every knapsack shares the first.
-   Built eagerly by every constructor, never lazily: race legs read
-   [fan_out] views of one instance from several domains at once. *)
+   one block — under w_ij = s_j every knapsack shares the first. *)
 let weight_orders ~m ~n weight =
   let same_column i i' =
     let rec go j = j >= n || (weight.((j * m) + i) = weight.((j * m) + i') && go (j + 1)) in
@@ -196,12 +192,6 @@ let refresh_cost t src =
   if Array.length src <> t.m * t.n then invalid_arg "Gap.refresh_cost: wrong length";
   Array.blit src 0 t.cost 0 (t.m * t.n)
 
-(* Release the domain guard for a fork-join fan-out: a six-word record
-   copy aliasing the same buffers with [owner = None].  Correct only
-   under the caller's discipline — borrower blocked, legs read-only —
-   which [Race.race] provides. *)
-let fan_out t = { t with owner = None }
-
 let verify_domain t =
   match t.owner with
   | None -> ()
@@ -234,9 +224,3 @@ let feasible t a =
   &&
   let loads = loads t a in
   Array.for_all2 (fun load cap -> load <= cap) loads t.capacity
-
-let excess t a =
-  let loads = loads t a in
-  let total = ref 0.0 in
-  Array.iteri (fun i load -> total := !total +. Float.max 0.0 (load -. t.capacity.(i))) loads;
-  !total

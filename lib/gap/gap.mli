@@ -14,14 +14,12 @@
 
     Every constructor also sorts the items by weight once per distinct
     weight column ([by_weight]/[order_of]): {!Mthg}'s refresh cascade
-    walks that order with a cursor per knapsack.  The orders are built
-    eagerly, never on first use, because {!fan_out} views of one
-    instance are read from several domains at once.
+    walks that order with a cursor per knapsack.
 
     {b Storage is flat and unboxed}: cost and weight are single
     [float array]s in {e item-major} order — entry {m (i, j)} lives at
-    index {m j·m + i}.  Every hot loop of {!Mthg}, {!Improve} and
-    {!Lagrangian} scans the [m] knapsack entries of one item, which
+    index {m j·m + i}.  Every hot loop of {!Mthg} and {!Improve}
+    scans the [m] knapsack entries of one item, which
     this layout makes a contiguous unboxed block (one or two cache
     lines) instead of a gather across [m] boxed rows.  The layout is
     deliberately identical to the solver's eta vector
@@ -48,18 +46,16 @@ type t = private {
   weights_id : int;
       (** identity of the weight side ([weight], [by_weight],
           [order_of]): fresh for every {!make}, {!make_uniform} and
-          {!borrow}, kept by {!with_cost} and {!fan_out}, which share
-          it.  {!Mthg} keys its memo of cost-independent constructions
-          on it. *)
+          {!borrow}, kept by {!with_cost}, which shares it.  {!Mthg}
+          keys its memo of cost-independent constructions on it. *)
 }
 
 val index : t -> i:int -> j:int -> int
 (** Flat index of entry {m (i, j)}: [j*m + i]. *)
 
 val cost_at : t -> i:int -> j:int -> float
-val weight_at : t -> i:int -> j:int -> float
-(** Convenience accessors (tests, printing); hot loops inline the
-    index arithmetic instead. *)
+(** Convenience accessor (tests, printing); hot loops inline the index
+    arithmetic instead. *)
 
 val make :
   cost:float array array ->
@@ -121,22 +117,8 @@ val verify_domain : t -> unit
     borrower — a borrowed instance crossing domains means two solvers
     could scribble on the same cost/weight buffers concurrently. *)
 
-val fan_out : t -> t
-(** A view of the same instance (same aliased buffers) with the domain
-    guard released, for a fork-join fan-out of {e read-only} solver
-    legs onto other domains while the borrower blocks until they all
-    finish.  The caller owns that discipline: the view passes
-    {!verify_domain} everywhere, so misusing it re-opens exactly the
-    cross-domain scribbling the guard exists to catch.  Constant-time
-    (a record copy); [make]-built instances are returned unchanged in
-    behaviour. *)
-
 val cost_of : t -> int array -> float
 (** Objective of an assignment (item [j] in knapsack [a.(j)]). *)
 
-val loads : t -> int array -> float array
 val feasible : t -> int array -> bool
 (** Capacity feasibility; also false if some item is out of range. *)
-
-val excess : t -> int array -> float
-(** Total capacity overflow; 0 iff feasible. *)

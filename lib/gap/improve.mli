@@ -42,10 +42,11 @@ val shift_and_swap_in_place :
   min_cost:float array ->
   lists:lists ->
   unit
-(** [min_cost] must be {!min_cost_into}'s per-item minimum for this
-    instance's costs.  The shift pass skips every item already at its
-    unconstrained cheapest knapsack: no knapsack is strictly cheaper
-    for it, so it could never move.
+(** [min_cost] must hold each item's cheapest cost over all
+    knapsacks, {m min_i c_{ij}}, for this instance's costs.  The shift
+    pass skips every item already at its unconstrained cheapest
+    knapsack: no knapsack is strictly cheaper for it, so it could never
+    move.
 
     Any other item's first visit in a call scans all knapsacks and
     records its candidate list in [lists]; later visits walk only the
@@ -65,10 +66,6 @@ val shift_and_swap_in_place :
     a NaN cost is never at its minimum and stays.  A swap can move an
     item off its minimum, so {!shift_and_swap_in_place} keeps full
     passes (DESIGN.md D26). *)
-
-val min_cost_into : Gap.t -> float array -> unit
-(** [min_cost_into g buf] writes each item's cheapest cost over all
-    knapsacks, {m min_i c_{ij}}, into the length-[n] [buf]. *)
 
 val residual_into : Gap.t -> int array -> float array -> unit
 (** Write [capacity - loads assignment] into a caller-provided

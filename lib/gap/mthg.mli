@@ -38,7 +38,7 @@ type workspace
     stuck — is the same for every cost matrix.  A solve given the
     workspace builds each at most once per key and copies it after
     that.  The key is the instance's weight side ([Gap.t.weights_id],
-    which {!Gap.with_cost} and {!Gap.fan_out} keep) plus the capacity
+    which {!Gap.with_cost} keeps) plus the capacity
     contents, compared at every call, so an in-place capacity edit
     misses.  The memo holds no part of any instance. *)
 
@@ -65,11 +65,11 @@ val solve :
     return the cheapest.  [None] if every construction got stuck —
     with very tight capacities the greedy can fail even when the
     instance is feasible.  The improvement's shift passes skip items
-    already at their cheapest knapsack ({!Improve.min_cost_into}'s
-    minima, computed once per call and shared by every criterion) and
-    walk each other item's candidate list instead of every knapsack
-    (DESIGN.md D24); with [`Shift] alone, the passes after the first
-    visit only the items still off their minimum (D26).  With [?ws]
+    already at their cheapest knapsack (the per-item minima, computed
+    once per call and shared by every criterion) and walk each other
+    item's candidate list instead of every knapsack (DESIGN.md D24);
+    with [`Shift] alone, the passes after the first visit only the
+    items still off their minimum (D26).  With [?ws]
     the cost-independent constructions come from the workspace's memo.
     Each construction sorts its items' first regrets once and keeps
     only the entries its refresh cascade adds on the lazy heap,

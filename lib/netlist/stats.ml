@@ -42,14 +42,3 @@ let pp ppf t =
     "%s: %d components, %d wire pairs (%.0f wires), size total %.1f [%.2f..%.1f], deg max %d mean %.1f"
     t.name t.components t.wire_pairs t.interconnections t.total_size t.size_min t.size_max
     t.degree_max t.degree_mean
-
-let pp_table ppf stats =
-  Format.fprintf ppf "%-8s %12s %10s %12s %10s %10s@."
-    "ckt" "# components" "# wires" "total size" "size span" "mean deg";
-  List.iter
-    (fun t ->
-      Format.fprintf ppf "%-8s %12d %10.0f %12.0f %9.1fx %10.1f@."
-        t.name t.components t.interconnections t.total_size
-        (t.size_max /. (if t.size_min > 0.0 then t.size_min else 1.0))
-        t.degree_mean)
-    stats

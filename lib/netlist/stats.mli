@@ -20,6 +20,3 @@ val size_span_orders : t -> float
     about 2 orders of magnitude in the same circuit". *)
 
 val pp : Format.formatter -> t -> unit
-val pp_table : Format.formatter -> t list -> unit
-(** Render several circuits as an aligned ASCII table (Table I style,
-    one row per circuit). *)

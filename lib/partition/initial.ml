@@ -162,6 +162,3 @@ let greedy_feasible ?constraints ?(attempts = 50) rng nl topo () =
       | None -> go (k - 1)
   in
   go (max 1 attempts)
-
-let random_capacity_feasible ?attempts rng nl topo () =
-  greedy_feasible ?attempts rng nl topo ()

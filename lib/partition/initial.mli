@@ -32,8 +32,3 @@ val greedy_feasible :
     respects capacity and all timing constraints against
     already-placed components.  Retries with fresh randomness up to
     [attempts] times (default 50). *)
-
-val random_capacity_feasible :
-  ?attempts:int -> Rng.t -> Netlist.t -> Topology.t -> unit -> Assignment.t option
-(** Shuffled first-fit: random component order, random partition
-    preference, capacity-feasible only. *)

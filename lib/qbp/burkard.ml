@@ -5,7 +5,6 @@ module Topology = Qbpart_topology.Topology
 module Assignment = Qbpart_partition.Assignment
 module Gap = Qbpart_gap.Gap
 module Mthg = Qbpart_gap.Mthg
-module Race = Qbpart_gap.Race
 module Dompool = Qbpart_pool.Dompool
 
 module Config = struct
@@ -15,7 +14,6 @@ module Config = struct
     rule : Qmatrix.rule;
     gap_criteria : Mthg.criterion list;
     gap_improve : Mthg.improver;
-    gap_race : Race.config option;
     polish_passes : int;
     final_polish : int;
     repair_every : int;
@@ -29,7 +27,6 @@ module Config = struct
       rule = Qmatrix.Solver;
       gap_criteria = [ Mthg.Cost; Mthg.Weight ];
       gap_improve = `Shift;
-      gap_race = None;
       polish_passes = 1;
       final_polish = 50;
       repair_every = 2;
@@ -83,13 +80,11 @@ module Workspace = struct
     gap : Gap.t;              (* cost = the row cache, w(i,j) = s_j *)
     omega : Qmatrix.omega_memo; (* the omega entries xi has read *)
     mthg : Mthg.workspace;
-    race : Race.workspace Lazy.t; (* made by the first [Config.gap_race] solve *)
     u : int array;            (* n, the current iterate *)
     rows : Repair.cache;      (* candidate rows on the round's surface:
                                  the Solver-rule eta *)
     strict_rows : Repair.cache; (* ... and on the strict surface *)
-    pool : Dompool.t;         (* intra-solve fan-out: eta row refreshes,
-                                 the GAP race legs *)
+    pool : Dompool.t;         (* intra-solve fan-out: eta row refreshes *)
     step4_key : int array;    (* n: the iterate of the last STEP-4 solve *)
     step4_answer : int array; (* n: ... and its answer *)
     step4_copy : int array;   (* n: what a repeated STEP 4 returns *)
@@ -112,7 +107,6 @@ module Workspace = struct
           ~capacity:(Topology.capacities problem.Problem.topology) ~n;
       omega = Qmatrix.omega_memo ~m ~n;
       mthg = Mthg.workspace ~m ~n;
-      race = lazy (Race.workspace ~m ~n);
       u = Array.make n 0;
       rows;
       strict_rows = Repair.cache ~m ~n;
@@ -171,15 +165,9 @@ let solve ?(config = Config.default) ?initial ?(should_stop = fun () -> false)
   in
   let gap_h = Gap.with_cost ws.Workspace.gap ws.Workspace.h in
   Array.fill ws.Workspace.h 0 (m * n) 0.0;
-  let default_gap =
-    match config.Config.gap_race with
-    | None ->
-      fun gap ->
-        Mthg.solve_relaxed ~ws:ws.Workspace.mthg ~criteria:config.Config.gap_criteria
-          ~improve:config.Config.gap_improve gap
-    | Some race ->
-      let rs = Lazy.force ws.Workspace.race in
-      fun gap -> Race.solve_relaxed ~config:race ~pool:ws.Workspace.pool ~ws:rs gap
+  let default_gap gap =
+    Mthg.solve_relaxed ~ws:ws.Workspace.mthg ~criteria:config.Config.gap_criteria
+      ~improve:config.Config.gap_improve gap
   in
   let u = ws.Workspace.u in
   (* STEP 4's instance is eta, a pure function of (q, u) (DESIGN.md

@@ -23,7 +23,6 @@
 
 module Assignment := Qbpart_partition.Assignment
 module Mthg := Qbpart_gap.Mthg
-module Race := Qbpart_gap.Race
 
 module Config : sig
   type t = {
@@ -32,14 +31,6 @@ module Config : sig
     rule : Qmatrix.rule;    (** η convention (DESIGN.md D1) *)
     gap_criteria : Mthg.criterion list; (** MTHG desirability criteria *)
     gap_improve : Mthg.improver;        (** MTHG post-pass *)
-    gap_race : Race.config option;
-        (** when set, the STEP-4/6 inner solves run the {!Race} solver
-            portfolio (MTHG vs Lagrangian-guided vs gated exact) and
-            take the best candidate under its deterministic ranking,
-            instead of MTHG alone; [gap_criteria]/[gap_improve] then
-            only apply through the race's own MTHG leg configuration.
-            [None] (the default) keeps the single-MTHG behavior
-            bit-identical to previous releases *)
     polish_passes : int;
         (** Gauss–Seidel coordinate-descent passes on the penalized
             objective applied to each STEP-6 iterate (our enhancement,
@@ -119,10 +110,8 @@ type gap_solver =
     the accumulated direction {m h} (both aliased directly as the flat
     item-major STEP-4/6 GAP cost matrices), the GAP instance borrowed
     over them with the iteration-invariant uniform weights and
-    capacities, the pooled MTHG workspace (and the race's, made by
-    the first solve with [Config.gap_race]) and the iterate itself — so
-    that a
-    caller running many solves on one problem shape (the adaptive
+    capacities, the pooled MTHG workspace and the iterate itself — so
+    that a caller running many solves on one problem shape (the adaptive
     penalty ladder, a portfolio start) allocates them exactly once and
     the steady-state inner loop allocates nothing per element: what an
     iteration still allocates is a few small blocks per call plus the
@@ -165,10 +154,9 @@ module Workspace : sig
       trusted.  Create it on the domain that will solve with it: it
       borrows the GAP buffers there ([Gap.borrow]), and a solve from
       another domain raises [Invalid_argument].  [?pool] (default
-      sequential) fans the intra-solve kernels — STEP 3's η rows, and
-      the GAP race legs when [Config.gap_race] is armed — across
-      worker domains; results are bit-identical for every pool size,
-      so it trades only wall-clock, never determinism. *)
+      sequential) fans STEP 3's η row refresh across worker domains;
+      results are bit-identical for every pool size, so it trades only
+      wall-clock, never determinism. *)
 end
 
 val solve :

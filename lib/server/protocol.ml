@@ -19,7 +19,6 @@ type submit = {
   iterations : int;
   seed : int;
   starts : int;
-  gap_race : bool;
   evolve : bool;
   generations : int;
   pool_size : int;
@@ -38,7 +37,6 @@ let default_submit ~netlist =
     iterations = 100;
     seed = 1;
     starts = 1;
-    gap_race = false;
     evolve = false;
     generations = 4;
     pool_size = 8;
@@ -223,7 +221,6 @@ let submit_json op s =
       ("iterations", Json.Int s.iterations);
       ("seed", Json.Int s.seed);
       ("starts", Json.Int s.starts);
-      ("gap_race", Json.Bool s.gap_race);
       ("evolve", Json.Bool s.evolve);
       ("generations", Json.Int s.generations);
       ("pool_size", Json.Int s.pool_size);
@@ -448,7 +445,6 @@ let decode_submit doc =
   let* iterations = opt_field "iterations" Json.get_int ~default:d.iterations doc in
   let* seed = opt_field "seed" Json.get_int ~default:d.seed doc in
   let* starts = opt_field "starts" Json.get_int ~default:d.starts doc in
-  let* gap_race = opt_field "gap_race" Json.get_bool ~default:d.gap_race doc in
   let* evolve = opt_field "evolve" Json.get_bool ~default:d.evolve doc in
   let* generations = opt_field "generations" Json.get_int ~default:d.generations doc in
   let* pool_size = opt_field "pool_size" Json.get_int ~default:d.pool_size doc in
@@ -469,7 +465,6 @@ let decode_submit doc =
       iterations;
       seed;
       starts;
-      gap_race;
       evolve;
       generations;
       pool_size;

@@ -40,7 +40,6 @@ type submit = {
   iterations : int;         (** QBP iterations per start *)
   seed : int;               (** base RNG seed *)
   starts : int;             (** portfolio starts (≥ 1) *)
-  gap_race : bool;          (** race the inner GAP solvers per iteration *)
   evolve : bool;            (** run the elite-pool population search *)
   generations : int;        (** evolve generations (≥ 1 even unused); used with [evolve] *)
   pool_size : int;          (** evolve elite-pool capacity (≥ 1) *)
@@ -51,12 +50,12 @@ type submit = {
 
 val default_submit : netlist:source -> submit
 (** [rows = 4], [cols = 4], [slack = 1.15], [iterations = 100],
-    [seed = 1], [starts = 1], [gap_race = false], [evolve = false],
-    [generations = 4], [pool_size = 8], no timing, no deadline, no
-    label — also the defaults of the [qbpart solve], [submit] and
-    [session open] flags, which read them from here.  The evolve knobs
-    decode tolerantly (older peers simply omit them), so a v3 client
-    and server mix freely across this addition. *)
+    [seed = 1], [starts = 1], [evolve = false], [generations = 4],
+    [pool_size = 8], no timing, no deadline, no label — also the
+    defaults of the [qbpart solve], [submit] and [session open] flags,
+    which read them from here.  The evolve knobs decode tolerantly
+    (older peers simply omit them), so a v3 client and server mix
+    freely across this addition. *)
 
 type request =
   | Submit of submit

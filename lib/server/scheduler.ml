@@ -95,7 +95,6 @@ let engine_config (spec : Protocol.submit) =
         Burkard.Config.default with
         iterations = spec.iterations;
         seed = spec.seed;
-        gap_race = (if spec.gap_race then Some Qbpart_gap.Race.default else None);
       };
     starts = spec.starts;
     generations = (if spec.evolve then spec.generations else 1);

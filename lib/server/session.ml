@@ -53,8 +53,6 @@ end
 
 type config = { cache_capacity : int; checkpoint_dir : string; fault : Fault.t option }
 
-let default_config ~checkpoint_dir = { cache_capacity = 32; checkpoint_dir; fault = None }
-
 (* --- state ---------------------------------------------------------- *)
 
 (* One warm incumbent: the solved problem, its certified assignment and
@@ -111,9 +109,6 @@ let locked t f =
   Mutex.lock t.mu;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.mu) f
 
-let session_count t = locked t (fun () -> Hashtbl.length t.sessions)
-let cache_size t = locked t (fun () -> Hashtbl.length t.cache)
-
 (* fires exactly once, on the k-th eco submit (t.eco_count is already
    incremented for the current request when this is consulted) *)
 let fire t point =
@@ -135,15 +130,8 @@ let stamp ~assignment ~cost =
 (* Full structural equality behind the hash: a 64-bit collision (or a
    poisoned table) must read as a miss, never as a warm hit. *)
 let same_instance (p1 : Problem.t) (p2 : Problem.t) =
-  let topo_equal t1 t2 =
-    Topology.m t1 = Topology.m t2
-    &&
-    let m = Topology.m t1 in
-    let rec caps i = i >= m || (Topology.capacity t1 i = Topology.capacity t2 i && caps (i + 1)) in
-    caps 0
-  in
   Netlist.equal p1.Problem.netlist p2.Problem.netlist
-  && topo_equal p1.Problem.topology p2.Problem.topology
+  && Topology.equal p1.Problem.topology p2.Problem.topology
   && Constraints.equal p1.Problem.constraints p2.Problem.constraints
   && p1.Problem.alpha = p2.Problem.alpha
   && p1.Problem.beta = p2.Problem.beta

@@ -75,15 +75,9 @@ type config = {
   fault : Fault.t option;
 }
 
-val default_config : checkpoint_dir:string -> config
-(** [cache_capacity = 32], no fault. *)
-
 type t
 
 val create : config -> metrics:Metrics.t -> t
-
-val session_count : t -> int
-val cache_size : t -> int
 
 val open_session :
   t -> Protocol.submit -> (Protocol.eco_view, Protocol.error_code * string) result

@@ -22,9 +22,7 @@ let test_gap_accessors () =
   check Alcotest.int "n" 3 small.Gap.n;
   check flt "cost_of" (1. +. 1. +. 3.) (Gap.cost_of small [| 0; 1; 0 |]);
   check Alcotest.bool "feasible" true (Gap.feasible small [| 0; 1; 0 |]);
-  check Alcotest.bool "overfull" false (Gap.feasible small [| 0; 0; 0 |]);
-  check flt "excess" 2.0 (Gap.excess small [| 0; 0; 0 |]);
-  check flt "no excess" 0.0 (Gap.excess small [| 0; 1; 1 |])
+  check Alcotest.bool "overfull" false (Gap.feasible small [| 0; 0; 0 |])
 
 let test_gap_validation () =
   let expect f =
@@ -149,145 +147,6 @@ let prop_improve_never_worse =
         let improved = Improve.shift_and_swap g a in
         Gap.feasible g improved && Gap.cost_of g improved <= Gap.cost_of g a +. 1e-9)
 
-(* ------------------------------------------------------------------ *)
-(* Lagrangian bound *)
-
-let test_lagrangian_zero_lambda () =
-  (* L(0) = sum of per-item minima *)
-  check flt "L(0)" (1. +. 1. +. 3.) (Lagrangian.value small ~lambda:[| 0.; 0. |])
-
-let test_lagrangian_validation () =
-  try
-    ignore (Lagrangian.value small ~lambda:[| -1.; 0. |]);
-    fail "negative lambda accepted"
-  with Invalid_argument _ -> ()
-
-let prop_lagrangian_below_optimum =
-  QCheck.Test.make ~name:"lagrangian bound <= exact optimum" ~count:40
-    QCheck.(int_range 0 100_000)
-    (fun seed ->
-      let rng = Rng.create seed in
-      let g = random_instance rng ~m:3 ~n:8 ~slack:1.4 in
-      match Exact.solve g with
-      | None -> true
-      | Some (_, opt) -> Lagrangian.lower_bound g <= opt +. 1e-6)
-
-let prop_lagrangian_any_lambda_valid =
-  QCheck.Test.make ~name:"L(lambda) <= optimum for random lambda" ~count:40
-    QCheck.(int_range 0 100_000)
-    (fun seed ->
-      let rng = Rng.create seed in
-      let g = random_instance rng ~m:3 ~n:7 ~slack:1.5 in
-      let lambda = Array.init 3 (fun _ -> Rng.float rng 2.0) in
-      match Exact.solve g with
-      | None -> true
-      | Some (_, opt) -> Lagrangian.value g ~lambda <= opt +. 1e-6)
-
-let test_lagrangian_certificate () =
-  match Mthg.solve small with
-  | None -> fail "mthg failed"
-  | Some a ->
-    let gap = Lagrangian.gap_certificate small a in
-    if gap < 0.0 then fail "negative certificate";
-    (* on this toy the bound is tight: optimum 5, L(0) = 5 *)
-    check flt "tight certificate" 0.0 gap
-
-(* ------------------------------------------------------------------ *)
-(* Race: the per-iteration solver portfolio *)
-
-(* winner at least as good as every candidate under the race's own
-   ranking: feasible beats infeasible, then cost *)
-let prop_race_winner_dominates =
-  QCheck.Test.make ~name:"race winner's bound <= each leg's bound" ~count:60
-    QCheck.(int_range 0 100_000)
-    (fun seed ->
-      let rng = Rng.create seed in
-      let m = 2 + Rng.int rng 3 and n = 4 + Rng.int rng 8 in
-      let g = random_instance rng ~m ~n ~slack:(1.0 +. Rng.float rng 1.0) in
-      let candidates = Race.run g in
-      let winner = Race.solve_relaxed g in
-      let wf = Gap.feasible g winner and wc = Gap.cost_of g winner in
-      candidates <> []
-      && List.for_all
-           (fun (_, a, c) ->
-             let f = Gap.feasible g a in
-             (* feasibility preserved: any feasible candidate implies a
-                feasible winner; among feasible ones the winner's cost
-                is a lower bound *)
-             (not (f && not wf)) && ((not (f && wf)) || wc <= c +. 1e-9))
-           candidates)
-
-let prop_race_never_worse_than_mthg =
-  QCheck.Test.make ~name:"race never loses to its own MTHG leg" ~count:60
-    QCheck.(int_range 0 100_000)
-    (fun seed ->
-      let rng = Rng.create seed in
-      let g = random_instance rng ~m:3 ~n:10 ~slack:1.4 in
-      let mthg =
-        Mthg.solve_relaxed ~criteria:Race.default.Race.mthg_criteria
-          ~improve:Race.default.Race.mthg_improve g
-      in
-      let winner = Race.solve_relaxed g in
-      let mf = Gap.feasible g mthg and wf = Gap.feasible g winner in
-      if mf then wf && Gap.cost_of g winner <= Gap.cost_of g mthg +. 1e-9 else true)
-
-let prop_race_deterministic =
-  QCheck.Test.make ~name:"race winner is deterministic (leg and assignment)" ~count:40
-    QCheck.(int_range 0 100_000)
-    (fun seed ->
-      let rng = Rng.create seed in
-      let g = random_instance rng ~m:3 ~n:9 ~slack:1.5 in
-      let ws = Race.workspace ~m:3 ~n:9 in
-      let a1 = Array.copy (Race.solve_relaxed ~ws g) in
-      let a2 = Array.copy (Race.solve_relaxed ~ws g) in
-      let a3 = Race.solve_relaxed g in
-      a1 = a2 && a1 = a3 && Race.winner g = Race.winner ~ws g)
-
-let test_race_tie_goes_to_mthg () =
-  (* constant costs: every total assignment costs n*c, so all legs tie
-     exactly and the fixed leg order must decide *)
-  let g =
-    mk
-      ~cost:[| [| 2.; 2.; 2.; 2. |]; [| 2.; 2.; 2.; 2. |] |]
-      ~sizes:[| 1.; 1.; 1.; 1. |] ~capacity:[| 4.; 4. |]
-  in
-  check Alcotest.string "mthg wins exact ties" "mthg"
-    (Race.solver_name (Race.winner g));
-  check flt "tied cost" 8.0 (Gap.cost_of g (Race.solve_relaxed g))
-
-let test_race_exact_gate () =
-  let legs g config = List.map (fun (s, _, _) -> s) (Race.run ~config g) in
-  (* small: 2x3 = 6 cells, within default gates -> exact runs *)
-  check Alcotest.bool "exact raced on small instance" true
-    (List.mem Race.Exact (legs small Race.default));
-  (* items gate: n above exact_max_items shuts the leg off *)
-  let tight_items = { Race.default with Race.exact_max_items = 2 } in
-  check Alcotest.bool "items gate respected" false
-    (List.mem Race.Exact (legs small tight_items));
-  (* cells gate: m*n above exact_max_cells shuts the leg off *)
-  let tight_cells = { Race.default with Race.exact_max_cells = 5 } in
-  check Alcotest.bool "cells gate respected" false
-    (List.mem Race.Exact (legs small tight_cells));
-  (* the lagrangian leg has its own switch *)
-  let no_lag = { Race.default with Race.lagrangian_iterations = 0 } in
-  check Alcotest.bool "lagrangian leg off" false
-    (List.mem Race.Lagrangian (legs small no_lag))
-
-let test_race_workspace_shape_checked () =
-  let ws = Race.workspace ~m:3 ~n:5 in
-  try
-    ignore (Race.solve_relaxed ~ws small);
-    fail "shape mismatch accepted"
-  with Invalid_argument _ -> ()
-
-let test_race_over_tight_still_returns () =
-  (* nothing fits: every leg is infeasible, but like Mthg.solve_relaxed
-     the race still returns a total assignment *)
-  let g = mk ~cost:[| [| 1.; 1. |] |] ~sizes:[| 3.; 3. |] ~capacity:[| 4. |] in
-  let a = Race.solve_relaxed g in
-  check Alcotest.int "total" 2 (Array.length a);
-  Array.iter (fun i -> check Alcotest.int "in range" 0 i) a
-
 let () =
   let q = QCheck_alcotest.to_alcotest in
   Alcotest.run "gap"
@@ -313,24 +172,6 @@ let () =
         [
           Alcotest.test_case "shift" `Quick test_improve_shift;
           Alcotest.test_case "swap" `Quick test_improve_swap;
-        ] );
-      ( "lagrangian",
-        [
-          Alcotest.test_case "L(0)" `Quick test_lagrangian_zero_lambda;
-          Alcotest.test_case "validation" `Quick test_lagrangian_validation;
-          Alcotest.test_case "certificate" `Quick test_lagrangian_certificate;
-          q prop_lagrangian_below_optimum;
-          q prop_lagrangian_any_lambda_valid;
-        ] );
-      ( "race",
-        [
-          Alcotest.test_case "ties go to mthg" `Quick test_race_tie_goes_to_mthg;
-          Alcotest.test_case "exact gate" `Quick test_race_exact_gate;
-          Alcotest.test_case "workspace shape" `Quick test_race_workspace_shape_checked;
-          Alcotest.test_case "over-tight still total" `Quick test_race_over_tight_still_returns;
-          q prop_race_winner_dominates;
-          q prop_race_never_worse_than_mthg;
-          q prop_race_deterministic;
         ] );
       ( "properties",
         [

@@ -7,8 +7,6 @@ module Netlist = Qbpart_netlist.Netlist
 module Generator = Qbpart_netlist.Generator
 module Parser = Qbpart_netlist.Parser
 module Printer = Qbpart_netlist.Printer
-module Hypergraph = Qbpart_netlist.Hypergraph
-module Component = Qbpart_netlist.Component
 module Grid = Qbpart_topology.Grid
 module Topology = Qbpart_topology.Topology
 module Constraints = Qbpart_timing.Constraints
@@ -88,39 +86,6 @@ let test_full_pipeline () =
         total)
     [ ("qbp", qbp); ("gfm", gfm); ("gkl", gkl) ]
 
-let test_hypergraph_to_partition () =
-  (* multi-terminal nets -> clique expansion -> partitioning; the
-     hypergraph cut metrics must be consistent with the expanded view *)
-  let rng = Rng.create 99 in
-  let n = 40 in
-  let components =
-    List.init n (fun id ->
-        Component.make ~id ~name:(Printf.sprintf "b%d" id)
-          ~size:(1.0 +. Rng.float rng 5.0))
-  in
-  let nets =
-    List.init 30 (fun k ->
-        let arity = 2 + Rng.int rng 3 in
-        let terminals = List.init arity (fun _ -> Rng.int rng n) in
-        { Hypergraph.name = Printf.sprintf "net%d" k; terminals; weight = 1.0 })
-    |> List.filter (fun net ->
-           List.length (List.sort_uniq Int.compare net.Hypergraph.terminals) >= 2)
-  in
-  let h = Hypergraph.make ~n nets in
-  let nl = Hypergraph.expand h ~components Hypergraph.Clique in
-  let topo = Grid.make ~rows:2 ~cols:2 ~capacity:(Netlist.total_size nl /. 4.0 *. 1.3) () in
-  let problem = Problem.make nl topo in
-  match (Burkard.solve problem).Burkard.best_feasible with
-  | None -> fail "no feasible partition of the expanded hypergraph"
-  | Some (a, _) ->
-    let cut = Hypergraph.cut_nets h a in
-    let ext = Hypergraph.external_degree h a in
-    if cut > Hypergraph.net_count h then fail "cut > net count";
-    if ext < cut then fail "external degree < cut nets";
-    (* a net is cut iff at least one of its expanded wires is cut *)
-    let wire_cut = Evaluate.cut_wires nl a in
-    if cut > wire_cut then fail "hypergraph cut exceeds wire cut"
-
 let test_adaptive_on_generated () =
   let rng = Rng.create 5150 in
   let nl = Generator.generate rng (Generator.default_params ~n:50 ~wires:250) in
@@ -147,7 +112,6 @@ let () =
       ( "pipeline",
         [
           Alcotest.test_case "generate/serialize/solve/evaluate" `Quick test_full_pipeline;
-          Alcotest.test_case "hypergraph to partition" `Quick test_hypergraph_to_partition;
           Alcotest.test_case "adaptive on generated instance" `Quick test_adaptive_on_generated;
         ] );
     ]

@@ -498,83 +498,6 @@ let prop_adjacency_symmetric =
       done;
       !ok)
 
-(* ------------------------------------------------------------------ *)
-(* Hypergraph *)
-
-let comps k =
-  List.init k (fun id -> Component.make ~id ~name:(Printf.sprintf "h%d" id) ~size:1.0)
-
-let test_hyper_make () =
-  let h =
-    Hypergraph.make ~n:4
-      [
-        { Hypergraph.name = "n1"; terminals = [ 0; 1; 2 ]; weight = 1.0 };
-        { Hypergraph.name = "n2"; terminals = [ 2; 3; 3 ]; weight = 2.0 };
-      ]
-  in
-  check Alcotest.int "net count" 2 (Hypergraph.net_count h);
-  check Alcotest.int "pins (dups merged)" 5 (Hypergraph.pin_count h)
-
-let test_hyper_validation () =
-  let expect nets =
-    try
-      ignore (Hypergraph.make ~n:3 nets);
-      fail "bad hypergraph accepted"
-    with Invalid_argument _ -> ()
-  in
-  expect [ { Hypergraph.name = "x"; terminals = [ 0 ]; weight = 1.0 } ];
-  expect [ { Hypergraph.name = "x"; terminals = [ 0; 5 ]; weight = 1.0 } ];
-  expect [ { Hypergraph.name = "x"; terminals = [ 0; 1 ]; weight = 0.0 } ];
-  expect [ { Hypergraph.name = "x"; terminals = [ 1; 1 ]; weight = 1.0 } ]
-
-let test_hyper_clique_expansion () =
-  let h =
-    Hypergraph.make ~n:3 [ { Hypergraph.name = "n"; terminals = [ 0; 1; 2 ]; weight = 3.0 } ]
-  in
-  let nl = Hypergraph.expand h ~components:(comps 3) Hypergraph.Clique in
-  check Alcotest.int "3 wires" 3 (Netlist.wire_count nl);
-  (* each pair gets w*2/k = 3*2/3 = 2 *)
-  check (Alcotest.float 1e-9) "pair weight" 2.0 (Netlist.connection nl 0 1);
-  (* total contributed weight = w * (k-1) = 6 *)
-  check (Alcotest.float 1e-9) "total" 6.0 (Netlist.total_wire_weight nl)
-
-let test_hyper_star_expansion () =
-  let h =
-    Hypergraph.make ~n:4 [ { Hypergraph.name = "n"; terminals = [ 1; 0; 3 ]; weight = 2.0 } ]
-  in
-  let nl = Hypergraph.expand h ~components:(comps 4) Hypergraph.Star in
-  (* driver is the smallest terminal id after normalization: 0 *)
-  check Alcotest.int "2 wires" 2 (Netlist.wire_count nl);
-  check (Alcotest.float 1e-9) "driver-1" 2.0 (Netlist.connection nl 0 1);
-  check (Alcotest.float 1e-9) "driver-3" 2.0 (Netlist.connection nl 0 3);
-  check (Alcotest.float 1e-9) "no 1-3 wire" 0.0 (Netlist.connection nl 1 3)
-
-let test_hyper_two_terminal_equivalence () =
-  (* for 2-terminal nets both expansions coincide with the plain wire *)
-  let h =
-    Hypergraph.make ~n:2 [ { Hypergraph.name = "n"; terminals = [ 0; 1 ]; weight = 5.0 } ]
-  in
-  let clique = Hypergraph.expand h ~components:(comps 2) Hypergraph.Clique in
-  let star = Hypergraph.expand h ~components:(comps 2) Hypergraph.Star in
-  check (Alcotest.float 1e-9) "clique weight" 5.0 (Netlist.connection clique 0 1);
-  check (Alcotest.float 1e-9) "star weight" 5.0 (Netlist.connection star 0 1)
-
-let test_hyper_cut_metrics () =
-  let h =
-    Hypergraph.make ~n:4
-      [
-        { Hypergraph.name = "a"; terminals = [ 0; 1; 2 ]; weight = 1.0 };
-        { Hypergraph.name = "b"; terminals = [ 2; 3 ]; weight = 1.0 };
-      ]
-  in
-  let a = [| 0; 0; 1; 2 |] in
-  (* net a spans {0,1}: cut; net b spans {1,2}: cut *)
-  check Alcotest.int "cut nets" 2 (Hypergraph.cut_nets h a);
-  check Alcotest.int "external degree" 2 (Hypergraph.external_degree h a);
-  let together = [| 0; 0; 0; 0 |] in
-  check Alcotest.int "no cut" 0 (Hypergraph.cut_nets h together);
-  check Alcotest.int "no external degree" 0 (Hypergraph.external_degree h together)
-
 let () =
   let q = QCheck_alcotest.to_alcotest in
   Alcotest.run "netlist"
@@ -634,16 +557,6 @@ let () =
             test_make_merge_order;
         ] );
       ("scan", [ q prop_scan_matches_reference; q prop_scan_float_matches_stdlib ]);
-      ( "hypergraph",
-        [
-          Alcotest.test_case "make" `Quick test_hyper_make;
-          Alcotest.test_case "validation" `Quick test_hyper_validation;
-          Alcotest.test_case "clique expansion" `Quick test_hyper_clique_expansion;
-          Alcotest.test_case "star expansion" `Quick test_hyper_star_expansion;
-          Alcotest.test_case "2-terminal equivalence" `Quick
-            test_hyper_two_terminal_equivalence;
-          Alcotest.test_case "cut metrics" `Quick test_hyper_cut_metrics;
-        ] );
       ( "properties",
         [
           q prop_roundtrip;

@@ -14,7 +14,6 @@ module Assignment = Qbpart_partition.Assignment
 module Evaluate = Qbpart_partition.Evaluate
 module Wire = Qbpart_netlist.Wire
 module Mthg = Qbpart_gap.Mthg
-module Race = Qbpart_gap.Race
 
 let check = Alcotest.check
 let fail = Alcotest.fail
@@ -453,7 +452,7 @@ let test_paper_config_runs () =
 
 (* [Burkard.solve] and its workspace as they stood before a step whose
    input repeats reused its previous answer.  Verbatim but for the
-   module aliases. *)
+   module aliases and the GAP race, which no longer exists. *)
 module Old_loop = struct
   open Burkard
   module Gap = Qbpart_gap.Gap
@@ -467,13 +466,11 @@ module Old_loop = struct
       gap : Gap.t;              (* cost = the row cache, w(i,j) = s_j *)
       omega : Qmatrix.omega_memo; (* the omega entries xi has read *)
       mthg : Mthg.workspace;
-      race : Race.workspace;    (* for [Config.gap_race] runs *)
       u : int array;            (* n, the current iterate *)
       rows : Repair.cache;      (* candidate rows on the round's surface:
                                    the Solver-rule eta *)
       strict_rows : Repair.cache; (* ... and on the strict surface *)
-      pool : Dompool.t;         (* intra-solve fan-out: eta row refreshes,
-                                   the GAP race legs *)
+      pool : Dompool.t;         (* intra-solve fan-out: eta row refreshes *)
     }
 
     let create ?(pool = Dompool.sequential) problem =
@@ -490,7 +487,6 @@ module Old_loop = struct
             ~capacity:(Topology.capacities problem.Problem.topology) ~n;
         omega = Qmatrix.omega_memo ~m ~n;
         mthg = Mthg.workspace ~m ~n;
-        race = Race.workspace ~m ~n;
         u = Array.make n 0;
         rows;
         strict_rows = Repair.cache ~m ~n;
@@ -535,14 +531,9 @@ module Old_loop = struct
     in
     let gap_h = Gap.with_cost ws.Workspace.gap ws.Workspace.h in
     Array.fill ws.Workspace.h 0 (m * n) 0.0;
-    let default_gap =
-      match config.Config.gap_race with
-      | None ->
-        fun gap ->
-          Mthg.solve_relaxed ~ws:ws.Workspace.mthg ~criteria:config.Config.gap_criteria
-            ~improve:config.Config.gap_improve gap
-      | Some race ->
-        fun gap -> Race.solve_relaxed ~config:race ~pool:ws.Workspace.pool ~ws:ws.Workspace.race gap
+    let default_gap gap =
+      Mthg.solve_relaxed ~ws:ws.Workspace.mthg ~criteria:config.Config.gap_criteria
+        ~improve:config.Config.gap_improve gap
     in
     let solve_gap ~step ~k gap =
       match gap_solver with
@@ -778,13 +769,8 @@ let logging_hook (config : Burkard.Config.t) ~m ~n log fresh_ok ~step ~k ~defaul
   let a = default gap in
   if step = Burkard.Step4 then begin
     let fresh =
-      match config.Burkard.Config.gap_race with
-      | None ->
-        Mthg.solve_relaxed ~ws:(Mthg.workspace ~m ~n)
-          ~criteria:config.Burkard.Config.gap_criteria
-          ~improve:config.Burkard.Config.gap_improve gap
-      | Some race ->
-        Race.solve_relaxed ~config:race ~ws:(Race.workspace ~m ~n) gap
+      Mthg.solve_relaxed ~ws:(Mthg.workspace ~m ~n) ~criteria:config.Burkard.Config.gap_criteria
+        ~improve:config.Burkard.Config.gap_improve gap
     in
     if fresh <> a then fresh_ok := false
   end;
@@ -795,7 +781,6 @@ let reuse_configs =
   [
     base;
     { Burkard.Config.paper with Burkard.Config.iterations = 40 };
-    { base with Burkard.Config.gap_race = Some Race.default };
     { base with Burkard.Config.gap_improve = `Shift_and_swap; repair_every = 1 };
   ]
 
@@ -833,11 +818,10 @@ let test_burkard_reuse_matches_old_loop () =
               run (fun ~gap_solver -> Burkard.solve ~config ~gap_solver ?workspace problem)
             in
             let fail what =
-              Alcotest.failf "seed %d, %s rule%s, %s workspace: %s" seed
+              Alcotest.failf "seed %d, %s rule, %s workspace: %s" seed
                 (match config.Burkard.Config.rule with
                 | Qmatrix.Solver -> "solver"
                 | Qmatrix.Paper -> "paper")
-                (if config.Burkard.Config.gap_race = None then "" else ", race")
                 (if workspace = None then "no" else "shared")
                 what
             in

@@ -238,7 +238,6 @@ let gen_submit =
     let* iterations = int_range 0 1000 in
     let* seed = int_range 0 1_000_000 in
     let* starts = int_range 1 16 in
-    let* gap_race = bool in
     let* evolve = bool in
     let* generations = int_range 1 8 in
     let* pool_size = int_range 1 16 in
@@ -255,7 +254,6 @@ let gen_submit =
         iterations;
         seed;
         starts;
-        gap_race;
         evolve;
         generations;
         pool_size;
@@ -525,6 +523,16 @@ let test_protocol_tolerates_unknown_fields () =
   | Ok (Protocol.Submit s) ->
     check Alcotest.string "unknown priority is batch" "batch"
       (Protocol.priority_to_string s.Protocol.priority)
+  | Ok _ -> fail "wrong parse"
+  | Error e -> fail e);
+  (* older peers may still send [gap_race]: it is ignored, as unknown fields are *)
+  (match
+     Protocol.decode_request
+       "{\"v\":3,\"op\":\"submit\",\"netlist\":{\"inline\":\"x\"},\"gap_race\":true}"
+   with
+  | Ok (Protocol.Submit s) ->
+    if s <> Protocol.default_submit ~netlist:(Protocol.Inline "x") then
+      fail "gap_race changed the decoded spec"
   | Ok _ -> fail "wrong parse"
   | Error e -> fail e);
   (* heartbeat acks from a future daemon may carry extra fields *)
