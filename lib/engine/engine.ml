@@ -153,7 +153,7 @@ module Config = struct
       start_attempts = 200;
       starts = 1;
       jobs = None;
-      inner_jobs = 1;
+      inner_jobs = 0;
       retries = 1;
       generations = 1;
       pool_size = 8;
@@ -188,7 +188,7 @@ let validate_config (c : Config.t) =
   else if c.Config.starts < 1 then err "starts" "must be >= 1"
   else if (match c.Config.jobs with Some j -> j < 1 | None -> false) then
     err "jobs" "must be >= 1"
-  else if c.Config.inner_jobs < 1 then err "inner_jobs" "must be >= 1"
+  else if c.Config.inner_jobs < 0 then err "inner_jobs" "must be >= 0"
   else if c.Config.retries < 0 then err "retries" "must be >= 0"
   else if c.Config.generations < 1 then err "generations" "must be >= 1"
   else if c.Config.pool_size < 1 then err "pool_size" "must be >= 1"
@@ -442,7 +442,9 @@ let run_ladder (config : Config.t) deadline initial fault problem start ~init_st
           let r =
             Evolve.solve ~config:config.Config.qbp ~max_rounds:config.Config.max_rounds
               ~factor:config.Config.penalty_factor ?jobs:config.Config.jobs
-              ~inner_jobs:config.Config.inner_jobs ~starts:config.Config.starts
+              ?inner_jobs:
+                (match config.Config.inner_jobs with 0 -> None | i -> Some i)
+              ~starts:config.Config.starts
               ~generations:config.Config.generations ~pool_size:config.Config.pool_size
               ~retries:config.Config.retries
               ~skip:(if evolving then fun _ -> false else skip_starts)

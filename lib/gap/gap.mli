@@ -115,7 +115,12 @@ val verify_domain : t -> unit
 (** No-op for [make]-built instances.  For [borrow]ed instances,
     @raise Invalid_argument when called from a domain other than the
     borrower — a borrowed instance crossing domains means two solvers
-    could scribble on the same cost/weight buffers concurrently. *)
+    could scribble on the same cost/weight buffers concurrently.
+    {!Mthg}'s public entry points call it on the caller's domain.  A
+    solve forked on a domain pool reads the instance from the pool's
+    helpers while the caller waits in the join, through MTHG's internal
+    legs, which never call it: no view that lifts the check is needed
+    (DESIGN.md D28). *)
 
 val cost_of : t -> int array -> float
 (** Objective of an assignment (item [j] in knapsack [a.(j)]). *)

@@ -1,3 +1,5 @@
+module Dompool = Qbpart_pool.Dompool
+
 type criterion = Cost | Cost_times_weight | Weight | Weight_per_capacity
 
 let all_criteria = [ Cost; Cost_times_weight; Weight; Weight_per_capacity ]
@@ -32,7 +34,11 @@ let memo () = { state = Unbuilt; placed = [||]; left = [||] }
    nothing.  [out] doubles as the result buffer: a solve given a
    workspace returns [out] itself, valid until the next solve with the
    same workspace (the Burkard loop blits it into its own iterate
-   straight away). *)
+   straight away).  Forked on a pool of more than one domain, a
+   [construct_best] runs criterion [k > 0] in [legs.(k - 1)], a
+   workspace of its own made on the first fork, and each leg [k]
+   leaves its result in slot [k] of [leg_built] and [leg_cost]
+   (DESIGN.md D28). *)
 type workspace = {
   ws_m : int;
   ws_n : int;
@@ -59,6 +65,9 @@ type workspace = {
   memo_capacity : float array;   (* m: ... and the capacities they were built with *)
   memo_weight : memo;
   memo_per_capacity : memo;
+  mutable legs : workspace array;  (* leg k > 0's workspace at k - 1; [||] until a fork *)
+  mutable leg_built : Bytes.t;   (* per leg: its construction built *)
+  mutable leg_cost : float array;  (* ... and the improved placement's cost *)
 }
 
 let workspace ~m ~n =
@@ -89,6 +98,9 @@ let workspace ~m ~n =
     memo_capacity = Array.make m 0.0;
     memo_weight = memo ();
     memo_per_capacity = memo ();
+    legs = [||];
+    leg_built = Bytes.empty;
+    leg_cost = [||];
   }
 
 let ensure_ws ws (g : Gap.t) =
@@ -413,9 +425,10 @@ type improver = [ `None | `Shift | `Shift_and_swap ]
 
 (* In-place improver for the pooled path: [residual] must already be
    consistent with [a] (construction leaves it that way), and
-   [ws.min_cost] must hold this instance's per-item minima. *)
-let improve_in_place improve g ws a ~residual =
-  let min_cost = ws.min_cost and lists = ws.lists in
+   [min_cost] must hold this instance's per-item minima; the shift
+   lists are [ws]'s. *)
+let improve_in_place improve g ws ~min_cost a ~residual =
+  let lists = ws.lists in
   match improve with
   | `None -> ()
   | `Shift -> Improve.shift_in_place g a ~residual ~min_cost ~lists
@@ -534,7 +547,7 @@ let cheapest_fits ~primed (g : Gap.t) ws =
    (the first on ties) lands in [ws.out].  False if every construction
    got stuck.  [primed]: the first criterion is [Cost] and
    [cheapest_fits ~primed:true] did its initial refresh. *)
-let construct_best (g : Gap.t) ws criteria improve ~primed =
+let construct_sequential (g : Gap.t) ws criteria improve ~primed =
   key_memo ws g;
   let n = g.Gap.n in
   let found = ref false in
@@ -551,7 +564,7 @@ let construct_best (g : Gap.t) ws criteria improve ~primed =
       if built then begin
         (* construction leaves ws.residual = capacity - loads(trial),
            so improvement runs in place with no setup *)
-        improve_in_place improve g ws ws.trial ~residual:ws.residual;
+        improve_in_place improve g ws ~min_cost:ws.min_cost ws.trial ~residual:ws.residual;
         let c = Gap.cost_of g ws.trial in
         if (not !found) || c < !best_cost then begin
           found := true;
@@ -562,7 +575,60 @@ let construct_best (g : Gap.t) ws criteria improve ~primed =
   done;
   !found
 
-let solve ?ws ?(criteria = all_criteria) ?(improve = `Shift_and_swap) g =
+(* The workspaces and result slots of [legs] forked legs: leg 0 is
+   [ws] itself, leg [k > 0] gets a workspace of its own the first time
+   a fork needs it. *)
+let ensure_legs (g : Gap.t) ws legs =
+  let have = Array.length ws.legs in
+  if have < legs - 1 then
+    ws.legs <-
+      Array.init (legs - 1) (fun k ->
+          if k < have then ws.legs.(k) else workspace ~m:g.Gap.m ~n:g.Gap.n);
+  if Array.length ws.leg_cost < legs then begin
+    ws.leg_cost <- Array.make legs 0.0;
+    ws.leg_built <- Bytes.make legs '\000'
+  end
+
+(* Leg [k]: criterion [k]'s construction in leg workspace [k], improved
+   in place against [ws]'s minima, which it only reads.  Whichever
+   domain claims chunk [k] runs it, and it writes only its own
+   workspace and result slot. *)
+let run_leg (g : Gap.t) ws criteria improve ~primed k =
+  let lw = if k = 0 then ws else ws.legs.(k - 1) in
+  key_memo lw g;
+  let built = construct_memo g lw (List.nth criteria k) ~primed:(primed && k = 0) in
+  if built then begin
+    improve_in_place improve g lw ~min_cost:ws.min_cost lw.trial ~residual:lw.residual;
+    ws.leg_cost.(k) <- Gap.cost_of g lw.trial
+  end;
+  Bytes.unsafe_set ws.leg_built k (if built then '\001' else '\000')
+
+(* [construct_sequential]'s answer with the legs fork-joined on
+   [pool], reduced as it reduces them: the first leg that built,
+   replaced only by a strictly cheaper one (DESIGN.md D28). *)
+let construct_forked pool (g : Gap.t) ws criteria improve ~primed =
+  let legs = List.length criteria in
+  ensure_legs g ws legs;
+  Dompool.parallel_for pool ~chunks:legs (run_leg g ws criteria improve ~primed);
+  let best = ref (-1) in
+  for k = 0 to legs - 1 do
+    if Bytes.unsafe_get ws.leg_built k = '\001'
+       && (!best < 0 || ws.leg_cost.(k) < ws.leg_cost.(!best))
+    then best := k
+  done;
+  if !best >= 0 then begin
+    let winner = if !best = 0 then ws else ws.legs.(!best - 1) in
+    Array.blit winner.trial 0 ws.out 0 g.Gap.n
+  end;
+  !best >= 0
+
+let construct_best pool (g : Gap.t) ws criteria improve ~primed =
+  match criteria with
+  | _ :: _ :: _ when Dompool.size pool > 1 -> construct_forked pool g ws criteria improve ~primed
+  | _ -> construct_sequential g ws criteria improve ~primed
+
+let solve ?ws ?(pool = Dompool.sequential) ?(criteria = all_criteria) ?(improve = `Shift_and_swap)
+    g =
   Gap.verify_domain g;
   let ws = ensure_ws ws g in
   (* the scan fills the minima the improvers' shift skip reads, so a
@@ -578,7 +644,7 @@ let solve ?ws ?(criteria = all_criteria) ?(improve = `Shift_and_swap) g =
   if scan then ws.fitted <- cheapest;
   match criteria with
   | Cost :: _ when cheapest -> Some ws.out
-  | _ -> if construct_best g ws criteria improve ~primed then Some ws.out else None
+  | _ -> if construct_best pool g ws criteria improve ~primed then Some ws.out else None
 
 (* [a] sorted in place by [key] descending.  This is [Array.sort]'s
    ternary heap sort step for step — same comparisons, same moves — so
@@ -697,15 +763,15 @@ let relaxed_fill_into (g : Gap.t) ws assignment =
       residual.(i) <- residual.(i) -. weight.(base + i))
     order
 
-let solve_relaxed ?ws ?criteria ?(improve = `Shift_and_swap) g =
+let solve_relaxed ?ws ?pool ?criteria ?(improve = `Shift_and_swap) g =
   Gap.verify_domain g;
   let ws = ensure_ws ws g in
-  match solve ~ws ?criteria ~improve g with
+  match solve ~ws ?pool ?criteria ~improve g with
   | Some a -> a
   | None ->
     relaxed_fill_into g ws ws.out;
     if Gap.feasible g ws.out then begin
       Improve.residual_into g ws.out ws.residual;
-      improve_in_place improve g ws ws.out ~residual:ws.residual
+      improve_in_place improve g ws ~min_cost:ws.min_cost ws.out ~residual:ws.residual
     end;
     ws.out

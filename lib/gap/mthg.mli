@@ -11,7 +11,8 @@
     This is the inner solver of Burkard STEP 4 and STEP 6 in the
     generalized heuristic.  Both entry points accept an optional
     {!workspace} so a hot caller (one per portfolio start) runs the
-    steady-state loop without allocating. *)
+    steady-state loop without allocating, and an optional domain pool
+    that runs the criteria side by side. *)
 
 type criterion =
   | Cost                (** {m f_{ij} = c_{ij}} *)
@@ -31,7 +32,10 @@ type workspace
     by every improvement), a memo of the cost-independent
     constructions, and whether the last minima scan ended in {!solve}'s
     early return.
-    Single-domain, like the {!Gap.borrow}ed buffers it is used with.
+    Single-domain, like the {!Gap.borrow}ed buffers it is used with:
+    one solve at a time.  A solve forked on a pool (see {!solve}) also
+    keeps one workspace per further criterion, made by its first fork,
+    so a workspace that only ever solves on one domain holds none.
 
     The memo: [Weight] and [Weight_per_capacity] rank items by weight
     alone, so their construction — placement and residuals, or getting
@@ -56,6 +60,7 @@ type improver = [ `None | `Shift | `Shift_and_swap ]
 
 val solve :
   ?ws:workspace ->
+  ?pool:Qbpart_pool.Dompool.t ->
   ?criteria:criterion list ->
   ?improve:improver ->
   Gap.t ->
@@ -93,14 +98,32 @@ val solve :
     scan did not end in that early return, where the top-2 would go
     unused; a fresh workspace counts as one whose scan did (D26).
 
-    With [?ws], no allocation happens and the returned array is owned
-    by the workspace: it stays valid only until the next call using
-    the same workspace, so callers must copy (or consume) it first.
+    [?pool] (default {!Qbpart_pool.Dompool.sequential}): when it has
+    more than one domain and [criteria] has more than one entry, the
+    constructions run side by side, one chunk per criterion
+    ({!Qbpart_pool.Dompool.parallel_for}).  Chunk [k] always works in
+    the same workspace, whichever domain claims it: the first
+    criterion in [?ws] itself, each further one in a workspace of its
+    own that [?ws] keeps, with its own memo and shift lists.  Every
+    leg reads the minima of [?ws] and writes only its own workspace.
+    The cheapest placement wins as above, the first on ties, so the
+    answer is bit-identical for every pool size (DESIGN.md D28).  The
+    early return and the shared initial refresh run before the fork.
+    The legs call the construction and improvement directly, never
+    this entry point, so no borrowed instance's domain check is lifted:
+    {!Gap.verify_domain} still guards every call on the caller's
+    domain.
+
+    With [?ws], no allocation happens beyond a fork's closure, and the
+    returned array is owned by the workspace: it stays valid only until
+    the next call using the same workspace, so callers must copy (or
+    consume) it first.
     @raise Invalid_argument if the workspace shape does not match the
     instance. *)
 
 val solve_relaxed :
   ?ws:workspace ->
+  ?pool:Qbpart_pool.Dompool.t ->
   ?criteria:criterion list ->
   ?improve:improver ->
   Gap.t ->
@@ -110,5 +133,5 @@ val solve_relaxed :
     violate C1.  Used by the Burkard iteration to keep making progress
     on over-tight intermediate subproblems; the caller checks
     feasibility before accepting the final answer.  The [?ws]
-    ownership contract is the same as {!solve}'s. *)
+    ownership contract and the [?pool] fork are {!solve}'s. *)
 

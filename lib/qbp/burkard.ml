@@ -84,7 +84,7 @@ module Workspace = struct
     rows : Repair.cache;      (* candidate rows on the round's surface:
                                  the Solver-rule eta *)
     strict_rows : Repair.cache; (* ... and on the strict surface *)
-    pool : Dompool.t;         (* intra-solve fan-out: eta row refreshes *)
+    pool : Dompool.t;         (* intra-solve fan-out: MTHG legs, eta row refreshes *)
     step4_key : int array;    (* n: the iterate of the last STEP-4 solve *)
     step4_answer : int array; (* n: ... and its answer *)
     step4_copy : int array;   (* n: what a repeated STEP 4 returns *)
@@ -166,8 +166,8 @@ let solve ?(config = Config.default) ?initial ?(should_stop = fun () -> false)
   let gap_h = Gap.with_cost ws.Workspace.gap ws.Workspace.h in
   Array.fill ws.Workspace.h 0 (m * n) 0.0;
   let default_gap gap =
-    Mthg.solve_relaxed ~ws:ws.Workspace.mthg ~criteria:config.Config.gap_criteria
-      ~improve:config.Config.gap_improve gap
+    Mthg.solve_relaxed ~ws:ws.Workspace.mthg ~pool:ws.Workspace.pool
+      ~criteria:config.Config.gap_criteria ~improve:config.Config.gap_improve gap
   in
   let u = ws.Workspace.u in
   (* STEP 4's instance is eta, a pure function of (q, u) (DESIGN.md

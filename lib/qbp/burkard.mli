@@ -154,7 +154,9 @@ module Workspace : sig
       trusted.  Create it on the domain that will solve with it: it
       borrows the GAP buffers there ([Gap.borrow]), and a solve from
       another domain raises [Invalid_argument].  [?pool] (default
-      sequential) fans STEP 3's η row refresh across worker domains;
+      sequential) runs the MTHG criterion legs of STEPs 4 and 6 side
+      by side ({!Qbpart_gap.Mthg.solve}'s [?pool]) and fans STEP 3's
+      η row refresh across worker domains when many rows are invalid;
       results are bit-identical for every pool size, so it trades only
       wall-clock, never determinism. *)
 end

@@ -140,6 +140,10 @@ val eta_into :
     block, so the result is bit-identical for every pool size.
     @raise Invalid_argument on length mismatch. *)
 
+val parallel_eta_cutoff : int
+(** 128: below this many components to compute, fan-out bookkeeping
+    costs more than the work it splits. *)
+
 val component_chunks :
   Qbpart_pool.Dompool.t -> n:int -> (jlo:int -> jhi:int -> unit) -> unit
 (** The scheduling of {!eta_into}: [f ~jlo ~jhi] over contiguous chunks

@@ -74,7 +74,9 @@ val rows : cache -> float array
 val refresh : cache -> Qmatrix.t -> Assignment.t -> pool:Qbpart_pool.Dompool.t -> unit
 (** Bring the cache to [q] at [u] (as a pass does) and recompute every
     invalid row, in component chunks on [pool] as
-    {!Qmatrix.eta_into} schedules them.  Afterwards {!rows} equals
+    {!Qmatrix.eta_into} schedules them when at least
+    {!Qmatrix.parallel_eta_cutoff} rows are invalid, and in one loop on
+    the caller's domain otherwise.  Afterwards {!rows} equals
     [Qmatrix.eta_into q u] bit for bit, for any data and any pool size:
     this is STEP 3 of the Burkard iteration under the [Solver] rule
     (DESIGN.md D17).

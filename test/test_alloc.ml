@@ -182,6 +182,25 @@ let solve_relaxed ~slack ~n =
   let criteria = Burkard.Config.default.Burkard.Config.gap_criteria in
   fun () -> ignore (Mthg.solve_relaxed ~ws ~criteria ~improve:`Shift g : int array)
 
+(* STEP 4 with the criterion legs fork-joined on a 2-domain pool
+   (DESIGN.md D28): the leg workspace is made by the warm-up call, and
+   a call then allocates the fork's closure and nothing per item,
+   whether the helper takes the [Weight] leg or the caller runs both *)
+let forked_pool = lazy (Qbpart_pool.Dompool.acquire ~domains:2)
+
+let forked_solve_relaxed ~n =
+  let q, u = instance ~n ~slack:1.2 in
+  let p = Qmatrix.problem q in
+  let m = Problem.m p in
+  let eta = Qmatrix.eta q u in
+  let weight = Gap.uniform_weights ~sizes:(Netlist.sizes p.Problem.netlist) ~m in
+  let capacity = Topology.capacities p.Problem.topology in
+  let g = Gap.borrow ~cost:eta ~weight ~capacity ~n in
+  let ws = Mthg.workspace ~m ~n in
+  let pool = Lazy.force forked_pool in
+  let criteria = Burkard.Config.default.Burkard.Config.gap_criteria in
+  fun () -> ignore (Mthg.solve_relaxed ~ws ~pool ~criteria ~improve:`Shift g : int array)
+
 (* the [Cost] leg's construction on sorted first regrets (DESIGN.md
    D26): [`Cost_first] with capacities 2 % over an even split, so
    placements fill knapsacks and the cascade refreshes and re-pushes
@@ -283,6 +302,8 @@ let () =
           case "Mthg.solve_relaxed ~ws (overflow fill)" (solve_relaxed ~slack:0.9);
           case "Mthg.solve_relaxed ~ws (cheapest placement fits)" (solve_relaxed ~slack:32.0);
           case "Mthg.solve_relaxed ~ws (memoized, STEP 4 and 6)" memoized_solve_relaxed;
+          case "Mthg.solve_relaxed ~ws (two legs forked on a 2-domain pool)"
+            forked_solve_relaxed;
           case "Mthg.solve_relaxed ~ws (Weight leg, shift lists)" weight_leg_shift;
           case "Mthg.solve_relaxed ~ws (sorted first regrets, cascades)"
             (sorted_regrets `Cost_first);

@@ -192,13 +192,15 @@ let test_engine_improves_or_matches_initial () =
   check Alcotest.bool "final <= initial" true
     (r.Engine.Report.final_cost <= r.Engine.Report.initial_cost)
 
-(* A one-start solve runs STEP 3 on its own domain pool: past the
-   chunking cutoff the row refresh fans out, and the answer must not
-   move whatever the pool size. *)
+(* A one-start solve runs MTHG's criterion legs and STEP 3 on its own
+   domain pool: the legs fork at every STEP-4/6 call, the row refresh
+   fans out when enough rows are invalid, and the answer must not move
+   whatever the pool size, the automatic one (0) included. *)
 let test_engine_single_start_inner_jobs () =
   let inst = Circuits.build (List.hd Circuits.table1) in
   let problem = Circuits.problem ~with_timing:true inst in
-  (* Qmatrix chunks the refresh from n = 128 on *)
+  (* a round's first refresh recomputes all n rows, and Repair fans
+     it out from 128 invalid rows on *)
   check Alcotest.bool "past the fan-out cutoff" true (Problem.n problem >= 128);
   let solve inner_jobs =
     let o =
@@ -214,7 +216,7 @@ let test_engine_single_start_inner_jobs () =
     (fun inner_jobs ->
       if solve inner_jobs <> reference then
         fail (Printf.sprintf "inner_jobs %d moved the answer" inner_jobs))
-    [ 2; 4 ]
+    [ 0; 2; 4 ]
 
 (* ------------------------------------------------------------------ *)
 (* Fault injection: every fault, same contract. *)

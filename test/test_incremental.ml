@@ -942,6 +942,69 @@ let prop_nan_regrets_match_reference =
             [ `Shift; `Shift_and_swap ])
         [ 1; 2; 3 ])
 
+(* The criterion legs fork-joined on a domain pool (DESIGN.md D28)
+   against the sequential solve and [Mthg_reference], bit for bit, at
+   pool sizes 1, 2 and 3, each pool size with a workspace of its own
+   that solves every instance of the case in turn (so the leg
+   workspaces' memos and lists are reused).  On top of [list_gap]'s
+   ties, -0.0 costs and stuck constructions: every cost now and then
+   equal, so that every leg ties and [Cost], the first, must win;
+   -infinity and NaN costs (through [Gap.borrow]); capacities now and
+   then ten times larger, where the cheapest placement fits and the
+   solve returns before any leg (D22).  The criteria lists have 1, 2
+   and 4 entries.  A pool whose helper is parked runs the legs on the
+   caller alone, in the same workspaces, so both schedules are
+   checked. *)
+let forked_pools = lazy [ Dompool.acquire ~domains:2; Dompool.acquire ~domains:3 ]
+
+let prop_forked_mthg_matches_sequential =
+  QCheck.Test.make ~name:"MTHG with forked criterion legs equals the sequential solve"
+    ~count:300
+    QCheck.(int_range 0 100_000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let m = [| 1; 2; 3; 5; 16; 17 |].(Rng.int rng 6) in
+      let n = if Rng.int rng 10 = 0 then Rng.int rng 301 else Rng.int rng 41 in
+      let pools = Dompool.sequential :: Lazy.force forked_pools in
+      let wss = List.map (fun _ -> Mthg.workspace ~m ~n) pools in
+      let seq_ws = Mthg.workspace ~m ~n and old_ws = Mthg_reference.Mthg.workspace ~m ~n in
+      List.for_all
+        (fun _ ->
+          let cost, weight, capacity = list_gap rng ~m ~n in
+          (match Rng.int rng 5 with
+          | 0 -> Array.iter (fun row -> Array.fill row 0 n 1.0) cost
+          | 1 ->
+            let odd = if Rng.int rng 2 = 0 then Float.nan else neg_infinity in
+            Array.iter
+              (fun row -> Array.iteri (fun j _ -> if Rng.int rng 4 = 0 then row.(j) <- odd) row)
+              cost
+          | 2 -> Array.iteri (fun i c -> capacity.(i) <- 10.0 *. c) capacity
+          | _ -> ());
+          let g =
+            let flat rows = Array.init (m * n) (fun r -> rows.(r mod m).(r / m)) in
+            Gap.borrow ~cost:(flat cost) ~weight:(flat weight) ~capacity ~n
+          in
+          let criteria =
+            match Rng.int rng 3 with
+            | 0 -> [ [| Mthg.Cost; Mthg.Weight; Mthg.Weight_per_capacity |].(Rng.int rng 3) ]
+            | 1 -> [ Mthg.Cost; Mthg.Weight ]
+            | _ -> mthg_criteria rng
+          in
+          List.for_all
+            (fun improve ->
+              let expected = Mthg_reference.Mthg.solve ~ws:old_ws ~criteria ~improve g in
+              let expected_relaxed =
+                Array.copy (Mthg_reference.Mthg.solve_relaxed ~ws:old_ws ~criteria ~improve g)
+              in
+              Option.map Array.copy (Mthg.solve ~ws:seq_ws ~criteria ~improve g) = expected
+              && List.for_all2
+                   (fun pool ws ->
+                     Option.map Array.copy (Mthg.solve ~ws ~pool ~criteria ~improve g) = expected
+                     && Mthg.solve_relaxed ~ws ~pool ~criteria ~improve g = expected_relaxed)
+                   pools wss)
+            [ `Shift; `Shift_and_swap ])
+        [ 1; 2; 3 ])
+
 (* ------------------------------------------------------------------ *)
 (* Repair's candidate-row cache (DESIGN.md D16) against fresh rows.   *)
 
@@ -1586,6 +1649,7 @@ let () =
             test_mthg_workspace_shape_checked;
           qt prop_shift_lists_match_oracle;
           qt prop_nan_regrets_match_reference;
+          qt prop_forked_mthg_matches_sequential;
         ] );
       ( "workspace pooling",
         [
