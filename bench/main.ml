@@ -896,10 +896,11 @@ let percentile sorted q =
 
 (* ECO session latency: one session on the small Table-I circuit, a
    stream of dims-preserving retime deltas served warm (validate →
-   O(k) Q patch → η rebind → repair → certify), then the same stream
-   forced cold (full multi-start re-solve).  The warm/cold p99 gap is
-   the point of the session layer, so the gate pins it: warm p99 must
-   sit at least 10x below cold p99. *)
+   patch, the incumbent carried across the edit → repair → polish →
+   certify, every row priced afresh), then the same stream forced cold
+   (full multi-start re-solve).  The warm/cold p99 gap is the point of
+   the session layer, so the gate pins it: warm p99 must sit at least
+   10x below cold p99. *)
 let eco_latency quick =
   section "ECO session latency (warm incumbent patch vs forced cold re-solve)";
   let spec = List.hd Circuits.table1 in

@@ -268,10 +268,10 @@ let fail_threshold =
 let eco_fault =
   Arg.(value & opt (some string) None & info [ "eco-fault" ] ~docv:"SPEC"
          ~doc:"Deterministic fault injection on the ECO session path, for chaos \
-               testing: $(b,corrupt=1,torn=3,stale=5) fires each point on the k-th \
-               eco request (corrupt the cached incumbent, tear a cached eta row, bump \
-               the session sequence).  Every fault must be caught by the integrity \
-               re-checks and demoted to a certified cold solve.")
+               testing: $(b,corrupt=1,stale=5) fires each point on the k-th eco \
+               request (corrupt the cached incumbent, bump the session sequence).  A \
+               corrupted incumbent must be caught by the integrity re-check and demoted \
+               to a certified cold solve; a bumped sequence must be refused as stale.")
 
 let eco_cache =
   Arg.(value & opt int 32 & info [ "eco-cache" ] ~docv:"N"

@@ -63,7 +63,6 @@ type t = {
   tsum : int array;        (* n*m: the sum of their ids *)
 }
 
-let gains t = t.gains
 let is_locked t j = t.locked.(j)
 
 (* Key 0 is the underflow clamp (lower bound -inf, for gains that

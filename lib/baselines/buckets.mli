@@ -50,9 +50,6 @@ val create :
     dummies) carry no budgets.  The structure starts linked, as after
     {!reset}. *)
 
-val gains : t -> Gains.t
-(** The wrapped table (shared, not a copy). *)
-
 val reset : t -> unit
 (** Start-of-pass: unlock everything, refit the gain scale to the
     current gain range, recount the cells' timing violations, relink

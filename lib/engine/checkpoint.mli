@@ -82,7 +82,6 @@ val version : int
     version-2 files (no [fingerprint] line) are still read; missing
     fields decode as [-1] / [None]. *)
 
-val fingerprint_of_problem : Problem.t -> fingerprint
 val fingerprint_equal : fingerprint -> fingerprint -> bool
 
 val instance_hash : Problem.t -> int64
@@ -107,15 +106,12 @@ val make :
 val to_string : t -> string
 val of_string : string -> (t, error) result
 
-val output : out_channel -> t -> unit
-(** Stream the checkpoint through the channel's bounded buffer — a
-    100k-component assignment line never exists as one in-memory
-    string.  [save] writes through this. *)
-
 val save : path:string -> t -> (unit, error) result
 (** Atomic durable write: temp file + [fsync] + rename (+ best-effort
-    directory [fsync]).  On error the temp file is removed and [path]
-    is untouched. *)
+    directory [fsync]).  The checkpoint streams through the channel's
+    bounded buffer, so a 100k-component assignment line never exists
+    as one in-memory string.  On error the temp file is removed and
+    [path] is untouched. *)
 
 val load : path:string -> (t, error) result
 

@@ -10,27 +10,24 @@ type t = {
   m : int;
   mutable items : entry list; (* ascending (cost, birth) *)
   mutable births : int;
-  mutable admissions : int;
 }
 
 let create ~capacity ~min_distance ~m =
   if capacity < 1 then invalid_arg "Epool.create: capacity must be >= 1";
   if min_distance < 0 then invalid_arg "Epool.create: negative min_distance";
   if m < 1 then invalid_arg "Epool.create: m must be >= 1";
-  { cap = capacity; min_distance; m; items = []; births = 0; admissions = 0 }
+  { cap = capacity; min_distance; m; items = []; births = 0 }
 
 let entries t = t.items
 let best t = match t.items with [] -> None | e :: _ -> Some e
 let size t = List.length t.items
 let capacity t = t.cap
-let admissions t = t.admissions
 
 let order a b =
   match Float.compare a.cost b.cost with 0 -> Int.compare a.birth b.birth | c -> c
 
 let insert t e =
-  t.items <- List.sort order (e :: t.items);
-  t.admissions <- t.admissions + 1
+  t.items <- List.sort order (e :: t.items)
 
 let remove t dead = t.items <- List.filter (fun e -> e != dead) t.items
 

@@ -55,8 +55,6 @@ val entries : t -> entry list
 val best : t -> entry option
 val size : t -> int
 val capacity : t -> int
-val admissions : t -> int
-(** Total candidates that entered ([Admitted] + [Replaced]). *)
 
 val min_pairwise_distance : t -> int
 (** Smallest aligned distance between any two entries; [max_int] with

@@ -39,9 +39,6 @@ val find : string -> params option
 
 val wires_of : params -> int
 val timing_of : params -> int
-val clusters_of : params -> int
-val generator_params : params -> Qbpart_netlist.Generator.params
-val spec : params -> Circuits.spec
 
 val build : ?pool:Qbpart_pool.Dompool.t -> params -> Circuits.instance
 (** Deterministic for given [params]; [pool] parallelizes the CSR

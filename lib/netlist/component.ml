@@ -10,5 +10,3 @@ let id t = t.id
 let name t = t.name
 let size t = t.size
 let equal a b = a.id = b.id && String.equal a.name b.name && a.size = b.size
-let compare a b = Int.compare a.id b.id
-let pp ppf t = Format.fprintf ppf "%s#%d(size=%g)" t.name t.id t.size

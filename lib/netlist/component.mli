@@ -20,5 +20,3 @@ val name : t -> string
 val size : t -> float
 
 val equal : t -> t -> bool
-val compare : t -> t -> int
-val pp : Format.formatter -> t -> unit

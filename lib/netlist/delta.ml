@@ -77,7 +77,6 @@ type model = {
   by_name : (string, int) Hashtbl.t; (* alive components only *)
   wires : (int * int, float) Hashtbl.t; (* key (min slot, max slot) *)
   mutable budgets : (int * int * float) list; (* directed, slot ids *)
-  touched : (int, unit) Hashtbl.t;
 }
 
 let model_of_netlist nl =
@@ -97,7 +96,7 @@ let model_of_netlist nl =
   Array.iter
     (fun w -> Hashtbl.replace wires (Wire.u w, Wire.v w) (Wire.weight w))
     (Netlist.wires nl);
-  { slots; n_slots = n; by_name; wires; budgets = []; touched = Hashtbl.create 16 }
+  { slots; n_slots = n; by_name; wires; budgets = [] }
 
 let add_slot m slot =
   if m.n_slots = Array.length m.slots then begin
@@ -108,8 +107,6 @@ let add_slot m slot =
   m.slots.(m.n_slots) <- slot;
   m.n_slots <- m.n_slots + 1;
   m.n_slots - 1
-
-let touch m j = Hashtbl.replace m.touched j ()
 
 let lookup m at what name =
   match Hashtbl.find_opt m.by_name name with
@@ -126,8 +123,7 @@ let apply_op m at op =
       if not (Float.is_finite size) || size <= 0.0 then
         fail at what "component size must be finite and > 0 (got %g)" size;
       let j = add_slot m { s_name = name; s_size = size; s_origin = -1; s_alive = true } in
-      Hashtbl.replace m.by_name name j;
-      touch m j
+      Hashtbl.replace m.by_name name j
   | Remove_component { name } ->
       let j = lookup m at what name in
       m.slots.(j).s_alive <- false;
@@ -136,22 +132,8 @@ let apply_op m at op =
       let incident =
         Hashtbl.fold (fun (u, v) _ acc -> if u = j || v = j then (u, v) :: acc else acc) m.wires []
       in
-      List.iter
-        (fun (u, v) ->
-          Hashtbl.remove m.wires (u, v);
-          touch m u;
-          touch m v)
-        incident;
-      m.budgets <-
-        List.filter
-          (fun (src, dst, _) ->
-            if src = j || dst = j then begin
-              touch m src;
-              touch m dst;
-              false
-            end
-            else true)
-          m.budgets
+      List.iter (Hashtbl.remove m.wires) incident;
+      m.budgets <- List.filter (fun (src, dst, _) -> src <> j && dst <> j) m.budgets
   | Add_wire { u; v; weight } ->
       let ju = lookup m at what u and jv = lookup m at what v in
       if ju = jv then fail at what "self-loop on component %S" u;
@@ -159,32 +141,25 @@ let apply_op m at op =
         fail at what "wire weight must be finite and > 0 (got %g)" weight;
       let key = wire_key ju jv in
       let prev = Option.value (Hashtbl.find_opt m.wires key) ~default:0.0 in
-      Hashtbl.replace m.wires key (prev +. weight);
-      touch m ju;
-      touch m jv
+      Hashtbl.replace m.wires key (prev +. weight)
   | Remove_wire { u; v } ->
       let ju = lookup m at what u and jv = lookup m at what v in
       if ju = jv then fail at what "self-loop on component %S" u;
       let key = wire_key ju jv in
       if not (Hashtbl.mem m.wires key) then
         fail at what "no wire between %S and %S" u v;
-      Hashtbl.remove m.wires key;
-      touch m ju;
-      touch m jv
+      Hashtbl.remove m.wires key
   | Retime { src; dst; budget } ->
       let js = lookup m at what src and jd = lookup m at what dst in
       if js = jd then fail at what "self-loop timing budget on component %S" src;
       if not (Float.is_finite budget) || budget <= 0.0 then
         fail at what "timing budget must be finite and > 0 (got %g)" budget;
-      m.budgets <- (js, jd, budget) :: m.budgets;
-      touch m js;
-      touch m jd
+      m.budgets <- (js, jd, budget) :: m.budgets
 
 type applied = {
   netlist : Netlist.t;
   new_of_old : int array;
   old_of_new : int array;
-  touched : int list;
   retimes : (int * int * float) list;
   dims_changed : bool;
 }
@@ -227,12 +202,6 @@ let apply nl ops =
         m.wires []
     in
     let netlist = Netlist.make ~components:!components ~wires in
-    let touched =
-      Hashtbl.fold
-        (fun j () acc -> if m.slots.(j).s_alive then new_of_slot.(j) :: acc else acc)
-        m.touched []
-      |> List.sort_uniq Int.compare
-    in
     let retimes =
       List.rev_map
         (fun (src, dst, b) -> (new_of_slot.(src), new_of_slot.(dst), b))
@@ -241,7 +210,5 @@ let apply nl ops =
            m.budgets)
     in
     let dims_changed = n_new <> n0 || Array.exists (fun j -> j < 0) new_of_old in
-    Ok { netlist; new_of_old; old_of_new; touched; retimes; dims_changed }
+    Ok { netlist; new_of_old; old_of_new; retimes; dims_changed }
   with Fail e -> Error e
-
-let validate nl ops = Result.map (fun (_ : applied) -> ()) (apply nl ops)

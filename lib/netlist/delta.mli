@@ -33,7 +33,6 @@ type error = {
 }
 
 val error_to_string : error -> string
-val op_to_string : op -> string
 
 val to_string : t -> string
 (** One op per line, in the concrete syntax accepted by {!parse_string}. *)
@@ -55,21 +54,16 @@ type applied = {
   netlist : Netlist.t;  (** The edited netlist. *)
   new_of_old : int array;  (** old id -> new id, [-1] if removed. *)
   old_of_new : int array;  (** new id -> old id, [-1] if freshly added. *)
-  touched : int list;
-      (** New ids whose incident wires or budgets changed (sorted, no
-          duplicates).  Eta rows outside this set are unaffected by a
-          dimension-preserving delta. *)
   retimes : (int * int * float) list;
       (** Surviving directed budgets [(src, dst, budget)] in new ids. *)
   dims_changed : bool;
-      (** True iff any component was added or removed.  When false, ids
-          are unchanged and Q/eta can be patched strictly in place. *)
+      (** True iff any component was added or removed.  When false,
+          every id keeps its number and the component count is
+          unchanged. *)
 }
 
-val validate : Netlist.t -> t -> (unit, error) result
-(** Rejects structurally impossible edit sequences: duplicate or unknown
-    component names, self-loops, removing a wire that does not exist,
-    non-positive sizes/weights/budgets, non-finite numbers. *)
-
 val apply : Netlist.t -> t -> (applied, error) result
-(** Validates and applies.  [Ok] implies [validate] would succeed. *)
+(** Validates and applies.  Rejects structurally impossible edit
+    sequences: duplicate or unknown component names, self-loops,
+    removing a wire that does not exist, non-positive
+    sizes/weights/budgets, non-finite numbers. *)

@@ -23,5 +23,3 @@ let compare a b =
   match Int.compare a.u b.u with
   | 0 -> ( match Int.compare a.v b.v with 0 -> Float.compare a.weight b.weight | c -> c)
   | c -> c
-
-let pp ppf t = Format.fprintf ppf "%d--%d(w=%g)" t.u t.v t.weight

@@ -30,5 +30,3 @@ val other : t -> int -> int
 val equal : t -> t -> bool
 val compare : t -> t -> int
 (** Lexicographic on [(u, v, weight)]. *)
-
-val pp : Format.formatter -> t -> unit

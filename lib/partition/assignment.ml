@@ -55,7 +55,3 @@ let of_flat ~m ~n y =
         invalid_arg (Printf.sprintf "Assignment.of_flat: component %d unassigned (C3)" j))
     a;
   a
-
-let pp ppf a =
-  Format.fprintf ppf "[%s]"
-    (String.concat "; " (Array.to_list (Array.map string_of_int a)))

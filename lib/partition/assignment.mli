@@ -41,5 +41,3 @@ val flat_index : m:int -> i:int -> j:int -> int
 
 val of_flat_index : m:int -> int -> int * int
 (** [of_flat_index ~m r] is [(i, j)]. *)
-
-val pp : Format.formatter -> t -> unit

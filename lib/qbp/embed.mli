@@ -15,15 +15,12 @@
 
 module Assignment := Qbpart_partition.Assignment
 
-val sum_abs_q : Problem.t -> float
-(** {m Σ_{r_1 r_2} |q_{r_1 r_2}|} of the un-embedded cost matrix,
-    computed sparsely:
+val theorem1_penalty : Problem.t -> float
+(** A valid Theorem-1 [U]: {m 2·Σ_{r_1 r_2} |q_{r_1 r_2}| + 1} over
+    the un-embedded cost matrix, whose sum is computed sparsely as
     {m Σ_{ij}|p_{ij}| + (Σ_{j_1≠j_2} a)·(Σ_{i_1 i_2} b)} under the
     paper's symmetric-A convention (each wire counted in both
     directions).  The problem is normalized first. *)
-
-val theorem1_penalty : Problem.t -> float
-(** A valid Theorem-1 [U]: [2 *. sum_abs_q p +. 1.]. *)
 
 val in_region : Problem.t -> int -> int -> bool
 (** [(r1, r2) ∈ ℛ]: the two candidate assignments are mutually

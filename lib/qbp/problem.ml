@@ -181,7 +181,6 @@ type delta_result = {
   dr_problem : t;
   dr_new_of_old : int array;
   dr_old_of_new : int array;
-  dr_touched : int list;
   dr_dims_changed : bool;
 }
 
@@ -220,13 +219,5 @@ let apply_delta ?topology t delta =
           dr_problem;
           dr_new_of_old = ap.Delta.new_of_old;
           dr_old_of_new = ap.Delta.old_of_new;
-          dr_touched = ap.Delta.touched;
           dr_dims_changed = ap.Delta.dims_changed;
         })
-
-let pp ppf t =
-  Format.fprintf ppf "PP(%g,%g)<N=%d, M=%d, wires=%d, timing=%d, P=%s>"
-    t.alpha t.beta (n t) (m t)
-    (Netlist.wire_count t.netlist)
-    (Constraints.count t.constraints)
-    (match t.p with None -> "0" | Some _ -> "set")

@@ -105,7 +105,6 @@ type delta_result = {
   dr_problem : t;  (** The edited problem. *)
   dr_new_of_old : int array;  (** old id -> new id, [-1] if removed. *)
   dr_old_of_new : int array;  (** new id -> old id, [-1] if added. *)
-  dr_touched : int list;  (** New ids whose wires/budgets changed. *)
   dr_dims_changed : bool;  (** Components were added or removed. *)
 }
 
@@ -123,5 +122,3 @@ val apply_delta :
     a cold submit of the same netlist; defaults to the old topology.
     Fails with a structured error if the delta is invalid or if it
     changes {m N} while a fixed {m P} is set. *)
-
-val pp : Format.formatter -> t -> unit

@@ -358,14 +358,6 @@ let eta ?rule t u =
   eta_into ?rule t u eta;
   eta
 
-(* --- ECO rebinding -------------------------------------------------- *)
-
-let apply_delta t problem =
-  if Problem.m problem <> Problem.m t.problem then
-    invalid_arg "Qmatrix.apply_delta: partition count changed";
-  let problem = Problem.normalize problem in
-  { t with problem; exact = Problem.exact_surface problem ~penalty:t.penalty }
-
 (* --- the bound vector omega, on demand --------------------------- *)
 
 (* STEP 3's xi reads one omega entry per component, at its current

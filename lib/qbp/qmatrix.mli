@@ -49,7 +49,7 @@ val exact : t -> bool
     is a sum of exact integers, so adding a move's exact difference to
     a row gives the kernel's row bit for bit.  {!Repair}'s row cache
     patches rows in place on such a surface and invalidates them on
-    any other.  Decided in O(1) by {!make} and {!apply_delta}. *)
+    any other.  Decided in O(1) by {!make}. *)
 
 val dim : t -> int
 (** {m MN}. *)
@@ -152,20 +152,6 @@ val component_chunks :
     below the fan-out cutoff.  Each [f] must write only the blocks of
     its own components; then the result is the same for every pool
     size. *)
-
-(** {1 ECO rebinding}
-
-    Support for warm-serving engineering-change-order deltas
-    ({!Qbpart_netlist.Delta}): after {!Problem.apply_delta} produced
-    the edited problem, the implicit matrix is rebound instead of
-    rebuilt, and a {!Repair.cache} pricing it keeps every row the edit
-    did not touch ({!Repair.rebind}). *)
-
-val apply_delta : t -> Problem.t -> t
-(** Rebind the implicit matrix to an edited problem, keeping the
-    penalty.  O(1): the matrix is implicit, so "patching Q" is
-    swapping the problem it reads from.
-    @raise Invalid_argument if the partition count changed. *)
 
 (** {1 The bound vector ω, on demand} *)
 

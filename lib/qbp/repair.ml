@@ -149,7 +149,7 @@ let move c q j ~dest =
   c.pos.(j) <- dest
 
 (* Make the cache price [q] at [u]: a different surface (another
-   penalty, an ECO-rebound problem) drops every row; otherwise each
+   penalty, another problem) drops every row; otherwise each
    component that moved since the rows were computed — by a GAP jump,
    a pair move, a caller's edit — patches or invalidates its
    neighbours' rows. *)
@@ -207,20 +207,6 @@ let refresh c q u ~pool =
   else recompute ~jlo:0 ~jhi:n;
   Bytes.fill valid 0 n '\001'
 
-(* An ECO edit changes the rows of the components whose wires or
-   budgets it touched and no other, so those are all a rebind drops. *)
-let rebind c ~from q ~touched =
-  let problem = Qmatrix.problem q in
-  if Problem.n problem <> c.c_n || Problem.m problem <> c.c_m then
-    invalid_arg "Repair.rebind: dimension changed (use a new cache)";
-  List.iter
-    (fun j -> if j < 0 || j >= c.c_n then invalid_arg "Repair.rebind: touched id out of range")
-    touched;
-  (match c.bound with
-  | Some q' when q' == from -> List.iter (fun j -> Bytes.set c.valid j '\000') touched
-  | _ -> Bytes.fill c.valid 0 c.c_n '\000');
-  c.bound <- Some q
-
 let binding c = Option.map (fun q -> (q, Array.copy c.pos)) c.bound
 
 let valid_row c j =
@@ -230,23 +216,6 @@ let valid_row c j =
     if Bytes.get c.stale_min j = '\001' then update_min c j;
     Some (Array.sub c.rows (j * c.c_m) c.c_m, c.mins.(j))
   end
-
-let drift c =
-  match c.bound with
-  | None -> 0.0
-  | Some q ->
-    let m = c.c_m in
-    let fresh = Array.make m 0.0 in
-    let d = ref 0.0 in
-    for j = 0 to c.c_n - 1 do
-      if Bytes.get c.valid j = '\001' then begin
-        Qmatrix.candidate_costs_into q c.pos ~j fresh;
-        for i = 0 to m - 1 do
-          d := Float.max !d (Float.abs (fresh.(i) -. c.rows.((j * m) + i)))
-        done
-      end
-    done;
-    !d
 
 let transient q =
   let problem = Qmatrix.problem q in

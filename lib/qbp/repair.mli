@@ -52,8 +52,8 @@ module Assignment := Qbpart_partition.Assignment
     So the skip moves nothing the full scan would not (DESIGN.md D23).
 
     A cache is bound to one {!Qmatrix.t} at a time (physical
-    equality): using it with another matrix — another penalty, an
-    ECO-rebound problem — drops every row.  It may be shared freely
+    equality): using it with another matrix — another penalty, another
+    problem — drops every row.  It may be shared freely
     across calls and across external edits of the assignment in
     between; it must not be shared between domains. *)
 
@@ -81,23 +81,6 @@ val refresh : cache -> Qmatrix.t -> Assignment.t -> pool:Qbpart_pool.Dompool.t -
     this is STEP 3 of the Burkard iteration under the [Solver] rule
     (DESIGN.md D17).
     @raise Invalid_argument if the cache's shape does not match. *)
-
-val rebind : cache -> from:Qmatrix.t -> Qmatrix.t -> touched:int list -> unit
-(** [rebind c ~from q ~touched] binds [c] to [q], the ECO edit of
-    [from] ({!Qmatrix.apply_delta}) whose changed wires and budgets
-    have the endpoints [touched] ([Problem.delta_result.dr_touched]).
-    Only those rows change under such an edit, so when [c] prices
-    [from] every other row is kept; a cache bound to any other matrix
-    drops every row.  Positions are untouched: the next pass or
-    {!refresh} diffs them as usual.
-    @raise Invalid_argument if {m M} or {m N} changed (a dims-changing
-    delta needs a new cache) or a touched id is out of range. *)
-
-val drift : cache -> float
-(** The audit of a cache: the largest absolute difference between a
-    valid row and a fresh one at the cached positions.  Rows are
-    exact, patched ones included, so it is 0 unless the buffer was
-    written from outside.  Allocates one row. *)
 
 val binding : cache -> (Qmatrix.t * Assignment.t) option
 (** The matrix the cache is bound to and a copy of the positions its

@@ -30,8 +30,6 @@ type addr =
 val addr_of_string : string -> (addr, string) result
 (** [tcp:HOST:PORT] is TCP; anything else is a Unix socket path. *)
 
-val addr_to_string : addr -> string
-
 type t
 
 val default_connect_timeout : float

@@ -57,5 +57,4 @@ val write : ?fault:Netfault.t -> out_channel -> string -> unit
     sees [Truncated]/[Malformed] and must hang up), or have one header
     or payload byte flipped. *)
 
-val pp_error : Format.formatter -> error -> unit
 val error_to_string : error -> string

@@ -1,4 +1,5 @@
-(** The qbpartd wire protocol, version 3.
+(** The qbpartd wire protocol, version 3, encoded as ["v"] in every
+    frame.
 
     One request frame in, one (or, for [Events], several) response
     frames out, each frame a single-line JSON document under
@@ -12,9 +13,6 @@
     (forward compatibility), strict about types and about the [op] /
     [type] discriminators. *)
 
-val version : int
-(** Protocol version (3); encoded as ["v"] in every frame. *)
-
 (** {1 Requests} *)
 
 type source =
@@ -23,13 +21,11 @@ type source =
 
 (** Admission class.  [Interactive] jobs are dequeued with a higher
     weight and are never shed while a [Batch] job can be; [Batch] is
-    the default and the shed-first class under overload. *)
+    the default and the shed-first class under overload, and any
+    unknown class token decodes as [Batch]. *)
 type priority = Interactive | Batch
 
 val priority_to_string : priority -> string
-
-val priority_of_string : string -> priority
-(** Tolerant: any unknown class token decodes as [Batch]. *)
 
 type submit = {
   netlist : source;

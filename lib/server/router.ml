@@ -1,4 +1,3 @@
-module Signals = Qbpart_engine.Signals
 module Checkpoint = Qbpart_engine.Checkpoint
 
 (* --- configuration -------------------------------------------------- *)
@@ -652,11 +651,3 @@ let serve t =
     Listener.close_all t.listen_fds;
     (try Unix.unlink t.config.socket_path with Unix.Unix_error _ | Sys_error _ -> ())
   end
-
-let run config =
-  match create config with
-  | Error _ as e -> e
-  | Ok t ->
-    Signals.on_terminate (fun _ -> request_drain t);
-    serve t;
-    Ok ()

@@ -49,8 +49,5 @@ type t
 val create : config -> (t, string) result
 val serve : t -> unit
 val request_drain : t -> unit
-
-val run : config -> (unit, string) result
-(** [create] + SIGTERM/SIGINT → drain + [serve].  Drain forwards
-    [Drain] to every shard first, so one signal winds down the whole
-    fleet. *)
+(** Drain forwards [Drain] to every shard first, so one signal winds
+    down the whole fleet. *)

@@ -1,4 +1,3 @@
-module Signals = Qbpart_engine.Signals
 
 type config = {
   socket_path : string;
@@ -202,11 +201,3 @@ let serve t =
     Session.drain t.sessions;
     Scheduler.drain t.sched
   end
-
-let run config =
-  match create config with
-  | Error _ as e -> e
-  | Ok t ->
-    Signals.on_terminate (fun _ -> request_drain t);
-    serve t;
-    Ok ()

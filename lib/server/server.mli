@@ -63,13 +63,7 @@ val serve : t -> unit
 val request_drain : t -> unit
 (** Idempotent, non-blocking, async-signal-safe. *)
 
-val draining : t -> bool
 val snapshot : t -> Protocol.metrics_view
 
 val scheduler : t -> Scheduler.t
 (** The underlying scheduler (tests and in-process embedding). *)
-
-val run : config -> (unit, string) result
-(** [create], register SIGINT/SIGTERM drain via
-    {!Qbpart_engine.Signals}, and {!serve}.  [Ok] means a graceful
-    drain. *)

@@ -9,14 +9,13 @@ module Repair = Qbpart_core.Repair
 module Certify = Qbpart_core.Certify
 module Engine = Qbpart_engine.Engine
 module Checkpoint = Qbpart_engine.Checkpoint
-module Dompool = Qbpart_pool.Dompool
 
 (* --- fault injection ----------------------------------------------- *)
 
 module Fault = struct
-  type t = { corrupt : int option; torn : int option; stale : int option }
+  type t = { corrupt : int option; stale : int option }
 
-  let none = { corrupt = None; torn = None; stale = None }
+  let none = { corrupt = None; stale = None }
 
   let of_spec s =
     let parse_kv acc kv =
@@ -34,7 +33,6 @@ module Fault = struct
           | Some n -> (
             match key with
             | "corrupt" -> Ok { f with corrupt = Some n }
-            | "torn" -> Ok { f with torn = Some n }
             | "stale" -> Ok { f with stale = Some n }
             | _ -> Error (Printf.sprintf "unknown fault point %S" key))))
     in
@@ -44,7 +42,7 @@ module Fault = struct
     |> List.fold_left parse_kv (Ok none)
 
   let to_spec f =
-    [ ("corrupt", f.corrupt); ("torn", f.torn); ("stale", f.stale) ]
+    [ ("corrupt", f.corrupt); ("stale", f.stale) ]
     |> List.filter_map (fun (k, v) -> Option.map (Printf.sprintf "%s=%d" k) v)
     |> String.concat ","
 end
@@ -56,17 +54,14 @@ type config = { cache_capacity : int; checkpoint_dir : string; fault : Fault.t o
 (* --- state ---------------------------------------------------------- *)
 
 (* One warm incumbent: the solved problem, its certified assignment and
-   cost, the implicit matrix and the candidate-row cache that prices it
-   (η, filled on the first warm attempt), and an integrity stamp over
-   the mutable payload.  The stamp is re-verified
-   on every reuse: serving a silently corrupted incumbent would defeat
-   the whole point of the certification pipeline downstream. *)
+   cost, and an integrity stamp over the mutable payload.  The stamp is
+   re-verified on every reuse: serving a silently corrupted incumbent
+   would defeat the whole point of the certification pipeline
+   downstream. *)
 type entry = {
   en_problem : Problem.t;
   en_assignment : Assignment.t;
   en_cost : float;
-  en_q : Qmatrix.t;
-  en_rows : Repair.cache;
   en_seed : int;
   en_stamp : int64;
   mutable en_tick : int; (* LRU recency *)
@@ -194,8 +189,6 @@ let entry_of_solution ~(spec : Protocol.submit) ~problem ~assignment ~cost =
     en_problem = problem;
     en_assignment = Assignment.copy assignment;
     en_cost = cost;
-    en_q = Qmatrix.make problem;
-    en_rows = Repair.cache ~m:(Problem.m problem) ~n:(Problem.n problem);
     en_seed = spec.Protocol.seed;
     en_stamp = stamp ~assignment ~cost;
     en_tick = 0;
@@ -297,16 +290,12 @@ let remap_incumbent (dr : Problem.delta_result) old_a =
   end;
   a
 
-type warm = {
-  w_assignment : Assignment.t;
-  w_cost : float;
-  w_q : Qmatrix.t;
-  w_rows : Repair.cache;
-}
-
-(* validate already succeeded; run patch → repair → polish → certify.
-   Returns [Error reason] to demote to a cold solve. *)
-let warm_attempt t ~stages (dr : Problem.delta_result) entry =
+(* validate already succeeded; run patch → repair → polish → certify
+   and return the certified assignment and its cost, or [Error reason]
+   to demote to a cold solve.  The edited instance is priced afresh,
+   as the Burkard iteration prices every iterate (paper §4.3): a new
+   implicit matrix and one row cache that the passes fill as they go. *)
+let warm_attempt ~stages (dr : Problem.delta_result) entry =
   let stage name ok detail =
     stages := Printf.sprintf "%s: %s%s" name (if ok then "ok" else "failed")
               (if detail = "" then "" else " (" ^ detail ^ ")")
@@ -314,79 +303,35 @@ let warm_attempt t ~stages (dr : Problem.delta_result) entry =
   in
   let problem = dr.Problem.dr_problem in
   let a = remap_incumbent dr entry.en_assignment in
-  match
-    if dr.Problem.dr_dims_changed then
-      (Qmatrix.make problem, Repair.cache ~m:(Problem.m problem) ~n:(Problem.n problem))
-    else begin
-      (* dimension-preserving: rebind the matrix and keep every η row
-         the edit did not touch instead of rebuilding either *)
-      let q = Qmatrix.apply_delta entry.en_q problem in
-      Repair.rebind entry.en_rows ~from:entry.en_q q ~touched:dr.Problem.dr_touched;
-      (q, entry.en_rows)
-    end
-  with
-  | exception Invalid_argument msg ->
-    stage "patch" false msg;
-    Error "patch"
-  | q, rows ->
-    Repair.refresh rows q a ~pool:Dompool.sequential;
-    if fire t (fun f -> f.Fault.torn) then begin
-      (* simulate a torn in-place apply: one η cell left stale *)
-      let buf = Repair.rows rows in
-      if Array.length buf > 0 then buf.(0) <- buf.(0) +. 1.0e6
-    end;
-    (* cached rows are exact, so any drift is a tear *)
-    let drift = Repair.drift rows in
-    if drift > 0.0 then begin
-      stage "patch" false (Printf.sprintf "torn apply detected: eta drift %g" drift);
-      Error "patch"
+  let q = Qmatrix.make problem in
+  let cache = Repair.cache ~m:(Problem.m problem) ~n:(Problem.n problem) in
+  stage "patch" true "";
+  if not (Repair.to_feasible ~cache q a ~rounds:8) then begin
+    stage "repair" false "no feasible assignment reached";
+    Error "repair"
+  end
+  else begin
+    stage "repair" true "";
+    Repair.polish ~cache q a ~passes:2;
+    stage "polish" true "";
+    let cert = Certify.check problem a in
+    if not (Certify.ok cert) then begin
+      stage "certify" false "independent audit rejected the warm answer";
+      Error "certify"
     end
     else begin
-      stage "patch" true
-        (Printf.sprintf "%d touched row(s), eta drift %g" (List.length dr.Problem.dr_touched) drift);
-      if not (Repair.to_feasible ~cache:rows q a ~rounds:8) then begin
-        stage "repair" false "no feasible assignment reached";
-        Error "repair"
-      end
-      else begin
-        stage "repair" true "";
-        Repair.polish ~cache:rows q a ~passes:2;
-        stage "polish" true "";
-        let cert = Certify.check problem a in
-        if not (Certify.ok cert) then begin
-          stage "certify" false "independent audit rejected the warm answer";
-          Error "certify"
-        end
-        else begin
-          stage "certify" true (Printf.sprintf "objective %.1f" cert.Certify.objective);
-          Ok { w_assignment = a; w_cost = cert.Certify.objective; w_q = q; w_rows = rows }
-        end
-      end
+      stage "certify" true (Printf.sprintf "objective %.1f" cert.Certify.objective);
+      Ok (a, cert.Certify.objective)
     end
+  end
 
 (* --- eco ------------------------------------------------------------ *)
 
-let adopt t (s : session) ~seq ~problem ~hash ~spec ~assignment ~cost ~q_rows =
+let adopt t (s : session) ~seq ~problem ~hash ~spec ~assignment ~cost =
   (* the session has moved past its previous instance; drop that cache
-     slot (its row cache may have moved to the new entry) and install
-     the new incumbent *)
+     slot and install the new incumbent *)
   if s.hash <> hash then Hashtbl.remove t.cache s.hash;
-  let e =
-    match q_rows with
-    | Some (q, rows) ->
-      {
-        en_problem = problem;
-        en_assignment = Assignment.copy assignment;
-        en_cost = cost;
-        en_q = q;
-        en_rows = rows;
-        en_seed = spec.Protocol.seed;
-        en_stamp = stamp ~assignment ~cost;
-        en_tick = 0;
-      }
-    | None -> entry_of_solution ~spec ~problem ~assignment ~cost
-  in
-  cache_insert t ~hash e;
+  cache_insert t ~hash (entry_of_solution ~spec ~problem ~assignment ~cost);
   s.problem <- problem;
   s.hash <- hash;
   s.seq <- seq
@@ -445,17 +390,16 @@ let eco t ~session ~seq ~delta ~force_cold =
                       | None ->
                         stages := "warm: cached incumbent failed integrity re-check" :: !stages;
                         Error "integrity"
-                      | Some entry -> warm_attempt t ~stages dr entry)
+                      | Some entry -> warm_attempt ~stages dr entry)
                 in
                 match warm with
-                | Ok w ->
+                | Ok (assignment, cost) ->
                   Metrics.eco_warm_hit t.metrics;
-                  adopt t s ~seq ~problem ~hash ~spec:s.spec ~assignment:w.w_assignment
-                    ~cost:w.w_cost ~q_rows:(Some (w.w_q, w.w_rows));
+                  adopt t s ~seq ~problem ~hash ~spec:s.spec ~assignment ~cost;
                   let v =
-                    view ~session:s.sid ~seq ~served:"warm" ~cost:w.w_cost ~certified:true
+                    view ~session:s.sid ~seq ~served:"warm" ~cost ~certified:true
                       ~wall:(Unix.gettimeofday () -. started)
-                      ~stages:(List.rev !stages) ~assignment:w.w_assignment ~hash
+                      ~stages:(List.rev !stages) ~assignment ~hash
                   in
                   s.last <- Some v;
                   Ok v
@@ -465,7 +409,7 @@ let eco t ~session ~seq ~delta ~force_cold =
                   | Error _ as e -> e
                   | Ok (o, cold_stages, _) ->
                     adopt t s ~seq ~problem ~hash ~spec:s.spec ~assignment:o.Engine.assignment
-                      ~cost:o.Engine.cost ~q_rows:None;
+                      ~cost:o.Engine.cost;
                     let v =
                       view ~session:s.sid ~seq ~served:"cold" ~cost:o.Engine.cost
                         ~certified:(Certify.ok o.Engine.certificate)

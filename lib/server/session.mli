@@ -2,17 +2,18 @@
 
     A session pins one problem instance server-side so a client can
     stream engineering-change-order deltas ({!Qbpart_netlist.Delta})
-    against it and get each edited instance re-solved {e warm} — by
-    rebinding the implicit matrix and its η row cache
-    ({!Qbpart_core.Repair.rebind}), repairing the previous incumbent to
-    feasibility and polishing it on that cache — instead of solving
-    from scratch.  Every answer, warm or cold, is
-    re-audited by the independent {!Qbpart_core.Certify} check before
-    it is served.
+    against it and get each edited instance re-solved {e warm} —
+    carrying the previous incumbent across the edit, repairing it to
+    feasibility and polishing it on the edited instance, whose rows
+    the passes price afresh — instead of solving from scratch.  Every
+    answer, warm or cold, is re-audited by the independent
+    {!Qbpart_core.Certify} check before it is served.
 
     {2 The degradation ladder}
 
-    Each delta runs validate → patch → repair → polish → certify; the
+    Each delta runs validate → patch → repair → polish → certify
+    (patch maps the incumbent onto the renumbered components and puts
+    each added one on the partition with the most spare capacity); the
     first stage that fails demotes the request to a full cold
     {!Qbpart_engine.Engine.solve} of the edited instance (which has
     its own internal ladder).  Per-stage outcomes are reported in
@@ -50,10 +51,6 @@ module Fault : sig
     corrupt : int option;
         (** mutate the cached incumbent without restamping — the
             integrity re-check must catch it *)
-    torn : int option;
-        (** corrupt a valid η row of the warm entry's row cache after
-            the delta is applied — the audit against fresh rows must
-            catch it *)
     stale : int option;
         (** bump the session's applied sequence so the client's next
             delta is rejected as [Stale_session] *)
@@ -62,7 +59,7 @@ module Fault : sig
   val none : t
 
   val of_spec : string -> (t, string) result
-  (** Parse ["corrupt=1,torn=3,stale=5"] (any subset, any order). *)
+  (** Parse ["corrupt=1,stale=5"] (any subset, any order). *)
 
   val to_spec : t -> string
 end

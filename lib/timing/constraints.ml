@@ -202,7 +202,3 @@ let partner_ids t = t.pother
 let partner_budget_out t = t.pbout
 let partner_budget_in t = t.pbin
 let partner_degree t j = t.poff.(j + 1) - t.poff.(j)
-
-let pp ppf t =
-  Format.fprintf ppf "constraints<%d directed budgets over %d pairs, %d components>"
-    (count t) (pair_count t) (n t)

@@ -105,5 +105,3 @@ val partner_budget_in : t -> float array
 
 val partner_degree : t -> int -> int
 (** Number of constraint partners of [j]. *)
-
-val pp : Format.formatter -> t -> unit

@@ -34,7 +34,6 @@ val of_netlist :
     one.  This turns an undirected netlist into a plausible
     combinational signal flow for experimentation. *)
 
-val n : t -> int
 val edge_count : t -> int
 
 val arrival : t -> float array

@@ -16,9 +16,6 @@ type metric =
 val b_of_metric : metric -> rows:int -> cols:int -> float array array
 (** The {m M×M} cost matrix for a row-major grid ({m M = rows·cols}). *)
 
-val manhattan : rows:int -> cols:int -> int -> int -> float
-(** Manhattan distance between two row-major slot indices. *)
-
 val make :
   ?metric:metric ->
   ?delay_scale:float ->

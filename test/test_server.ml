@@ -21,6 +21,7 @@ module Client = Qbpart_server.Client
 module Generator = Qbpart_netlist.Generator
 module Printer = Qbpart_netlist.Printer
 module Rng = Qbpart_netlist.Rng
+module Circuits = Qbpart_experiments.Circuits
 module Certify = Qbpart_core.Certify
 module Engine = Qbpart_engine.Engine
 module Checkpoint = Qbpart_engine.Checkpoint
@@ -738,7 +739,7 @@ let test_session_integrity_demotes_to_cold () =
       {
         Session.cache_capacity = 4;
         checkpoint_dir = dir;
-        fault = Some { Session.Fault.corrupt = Some 1; torn = None; stale = None };
+        fault = Some { Session.Fault.corrupt = Some 1; stale = None };
       }
       ~metrics
   in
@@ -784,51 +785,95 @@ let test_session_integrity_demotes_to_cold () =
   check Alcotest.bool "warm answer certified" true v2.Protocol.eco_certified;
   Session.drain t
 
-(* A torn-apply fault armed on the first ECO corrupts the warm entry's
-   cost surface after the delta is applied: the audit against fresh
-   rows must catch it in the patch stage and demote the request to a
-   certified cold solve, and the adopted cold incumbent must serve the
-   next delta warm again. *)
-let test_session_torn_apply_demotes_to_cold () =
+(* The answers of a warm ECO stream, pinned.  ckta on a 2x2 grid with
+   budgets planted around a 2x2 reference (so a distance-2 pair breaks
+   a budget of 1) takes a binding retime, a loose one, a wire, an
+   unwire, a multi-op delta, an add with its wires, a remove, a forced
+   cold re-solve and a warm delta after it.  Each answer's served tag,
+   exact cost, instance hash and assignment digest is pinned: where
+   the repair and polish passes get their rows from must never change
+   what a warm answer serves (DESIGN.md D29). *)
+let test_session_pinned_eco_stream () =
   let dir =
     Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "qbpart-session-torn-test-%d" (Unix.getpid ()))
+      (Printf.sprintf "qbpart-session-pinned-test-%d" (Unix.getpid ()))
   in
   if not (Sys.file_exists dir) then Unix.mkdir dir 0o700;
-  let metrics = Metrics.create () in
+  let ckta = List.find (fun c -> c.Circuits.name = "ckta") Circuits.table1 in
+  let inst = Circuits.build ~rows:2 ~cols:2 ~capacity_slack:1.3 ~reference_iterations:1 ckta in
+  let nl = inst.Circuits.netlist in
+  let spec =
+    {
+      (small_grid (base_spec (Printer.to_string nl))) with
+      Protocol.timing =
+        Some (Protocol.Inline (Qbpart_timing.Constraints_io.to_string nl inst.Circuits.constraints));
+      slack = 1.3;
+      iterations = 20;
+      seed = 3;
+    }
+  in
   let t =
     Session.create
-      {
-        Session.cache_capacity = 4;
-        checkpoint_dir = dir;
-        fault = Some { Session.Fault.corrupt = None; torn = Some 1; stale = None };
-      }
-      ~metrics
+      { Session.cache_capacity = 4; checkpoint_dir = dir; fault = None }
+      ~metrics:(Metrics.create ())
   in
-  let spec =
-    { (small_grid (base_spec (netlist_text ~n:16 ~wires:40 ~seed:11))) with
-      Protocol.slack = 1.4; iterations = 20; seed = 3 }
+  let digest a =
+    Digest.to_hex (Digest.string (String.concat "," (List.map string_of_int (Array.to_list a))))
+  in
+  let pinned what (v : Protocol.eco_view) (served, cost, instance, assignment) =
+    check Alcotest.string (what ^ ": served") served v.Protocol.served;
+    check Alcotest.bool (what ^ ": certified") true v.Protocol.eco_certified;
+    check Alcotest.string (what ^ ": cost") (Printf.sprintf "%h" cost)
+      (Printf.sprintf "%h" v.Protocol.eco_cost);
+    check Alcotest.string (what ^ ": instance") instance v.Protocol.eco_instance;
+    check Alcotest.string (what ^ ": assignment") assignment
+      (digest (Option.get v.Protocol.eco_assignment))
   in
   let v0 =
     match Session.open_session t spec with
     | Ok v -> v
     | Error (c, m) -> fail (Protocol.error_code_to_string c ^ ": " ^ m)
   in
-  let eco ~seq delta =
-    match Session.eco t ~session:v0.Protocol.eco_session ~seq ~delta ~force_cold:false with
-    | Ok v -> v
-    | Error (c, m) -> fail (Protocol.error_code_to_string c ^ ": " ^ m)
+  pinned "open" v0 ("cold", 0x1.606p+11, "b20be12667f3acec", "819a3a1cd77ae608a6d5200923cadb55");
+  let stream =
+    [
+      ( "binding retime", "retime ckta_c0 ckta_c31 1.0\n", false,
+        ("warm", 0x1.64cp+11, "8ba0269467200412", "5560fcf96968f3525120bdba844f6185") );
+      ( "loose retime", "retime ckta_c4 ckta_c5 9.0\n", false,
+        ("warm", 0x1.64cp+11, "eebbd201ac083ba1", "5560fcf96968f3525120bdba844f6185") );
+      ( "wire", "wire ckta_c1 ckta_c3 40\n", false,
+        ("warm", 0x1.676p+11, "92bc4156e444c597", "bf487873b6ae23a3e400bf316a43aa67") );
+      ( "unwire", "unwire ckta_c0 ckta_c2\n", false,
+        ("warm", 0x1.66cp+11, "3cdc4583ac1b23a5", "bf487873b6ae23a3e400bf316a43aa67") );
+      ( "multi-op",
+        "retime ckta_c0 ckta_c54 1.0\nwire ckta_c6 ckta_c7 30\nunwire ckta_c0 ckta_c19\n",
+        false,
+        ("warm", 0x1.6a2p+11, "9a131dbddad96ea", "bf487873b6ae23a3e400bf316a43aa67") );
+      ( "add+wire", "add ckta_new 2.0\nwire ckta_new ckta_c8 3\nwire ckta_new ckta_c9 1\n",
+        false,
+        ("warm", 0x1.6a6p+11, "89d8258e97e13c45", "bc7430a02bdf8168f91a67c224b5ca87") );
+      ( "remove", "remove ckta_c10\n", false,
+        ("warm", 0x1.692p+11, "eeb7b6392ddf215c", "1190f90f4d2b0dc5ef0164046e4eb6d7") );
+      ( "forced cold", "retime ckta_c11 ckta_c12 1.0\n", true,
+        ("cold", 0x1.21ep+11, "c7e02fd2f2306838", "8c2bbc9e1e3b66826d78c86dfa362065") );
+      ( "warm after cold", "wire ckta_c13 ckta_c14 40\n", false,
+        ("warm", 0x1.21ep+11, "585529c8b6618119", "8c2bbc9e1e3b66826d78c86dfa362065") );
+    ]
   in
-  let v1 = eco ~seq:1 "retime c0 c1 4.0\n" in
-  check Alcotest.string "torn apply demoted to cold" "cold" v1.Protocol.served;
-  check Alcotest.bool "cold answer certified" true v1.Protocol.eco_certified;
-  check Alcotest.bool "stage report names the torn apply" true
-    (List.exists (contains ~sub:"torn apply detected") v1.Protocol.eco_stages);
-  let m = Metrics.snapshot metrics ~queue_depth:0 ~running:0 ~draining:false in
-  check Alcotest.int "no warm hit" 0 m.Protocol.eco_warm_hits;
-  let v2 = eco ~seq:2 "retime c2 c3 4.0\n" in
-  check Alcotest.string "next delta served warm" "warm" v2.Protocol.served;
-  check Alcotest.bool "warm answer certified" true v2.Protocol.eco_certified;
+  let rung stage = List.hd (String.split_on_char ':' stage) in
+  List.iteri
+    (fun k (what, delta, force_cold, pin) ->
+      match Session.eco t ~session:v0.Protocol.eco_session ~seq:(k + 1) ~delta ~force_cold with
+      | Error (c, m) -> fail (what ^ ": " ^ Protocol.error_code_to_string c ^ ": " ^ m)
+      | Ok v ->
+        pinned what v pin;
+        if v.Protocol.served = "warm" then
+          check
+            Alcotest.(list string)
+            (what ^ ": ladder")
+            [ "validate"; "patch"; "repair"; "polish"; "certify" ]
+            (List.map rung v.Protocol.eco_stages))
+    stream;
   Session.drain t
 
 (* A session payload is exactly a submit spec: an evolve spec must run
@@ -858,19 +903,22 @@ let test_session_open_runs_evolve () =
   Session.drain t
 
 let test_session_fault_spec () =
-  (match Session.Fault.of_spec "corrupt=1,torn=3,stale=5" with
+  (match Session.Fault.of_spec "corrupt=1,stale=5" with
   | Ok f ->
     check Alcotest.(option int) "corrupt" (Some 1) f.Session.Fault.corrupt;
-    check Alcotest.(option int) "torn" (Some 3) f.Session.Fault.torn;
     check Alcotest.(option int) "stale" (Some 5) f.Session.Fault.stale;
-    check Alcotest.string "round-trips" "corrupt=1,torn=3,stale=5" (Session.Fault.to_spec f)
+    check Alcotest.string "round-trips" "corrupt=1,stale=5" (Session.Fault.to_spec f)
   | Error e -> fail e);
   List.iter
     (fun s ->
       match Session.Fault.of_spec s with
       | Error _ -> ()
       | Ok _ -> fail (Printf.sprintf "accepted %S" s))
-    [ "corrupt=0"; "torn=-1"; "bogus=3"; "corrupt="; "corrupt=x" ]
+    [ "corrupt=0"; "stale=-1"; "bogus=3"; "corrupt="; "corrupt=x"; "torn=1" ];
+  match Session.Fault.of_spec "torn=1" with
+  | Error e ->
+    check Alcotest.bool "torn is no fault point" true (contains ~sub:"unknown fault point" e)
+  | Ok _ -> fail "accepted torn=1"
 
 (* ------------------------------------------------------------------ *)
 (* End-to-end: the serving contract over a real socket *)
@@ -1739,8 +1787,8 @@ let () =
           Alcotest.test_case "fault spec parsing" `Quick test_session_fault_spec;
           Alcotest.test_case "integrity failure demotes to certified cold" `Quick
             test_session_integrity_demotes_to_cold;
-          Alcotest.test_case "torn apply demotes to certified cold" `Quick
-            test_session_torn_apply_demotes_to_cold;
+          Alcotest.test_case "warm ECO stream answers pinned" `Quick
+            test_session_pinned_eco_stream;
           Alcotest.test_case "open runs an evolve spec as evolve" `Quick
             test_session_open_runs_evolve;
         ] );

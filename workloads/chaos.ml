@@ -361,12 +361,12 @@ let row { label; outcome; extra } =
 (* ECO delta storm
 
    Each client thread opens a session through the router and streams a
-   run of deltas against it.  Every shard is armed with deterministic
-   ECO faults (a corrupted cached incumbent, a torn η row), and one
-   shard is SIGKILLed mid-stream; sessions are sticky, so clients that
-   lose their shard must observe the failure and re-open.  The pass
+   run of deltas against it.  Every shard is armed with a deterministic
+   ECO fault (a corrupted cached incumbent), and one shard is
+   SIGKILLed mid-stream; sessions are sticky, so clients that lose
+   their shard must observe the failure and re-open.  The pass
    condition is absolute: every served answer certified, zero
-   uncertified answers, and the armed faults visible as
+   uncertified answers, and the armed fault visible as
    [integrity_failures > 0] in the surviving fleet's metrics. *)
 
 let eco_call addr req =
@@ -486,7 +486,7 @@ let eco_fleet_metrics addr =
 
 let eco_storm ~quick ~texts ~n () =
   let threads = 4 and deltas = if quick then 6 else 12 in
-  Printf.printf "scenario %-10s  3 shards, %d sessions x %d deltas (eco faults armed)...\n%!"
+  Printf.printf "scenario %-10s  3 shards, %d sessions x %d deltas (eco fault armed)...\n%!"
     "eco_storm" threads deltas;
   let dir =
     Filename.concat (Filename.get_temp_dir_name ())
@@ -494,7 +494,7 @@ let eco_storm ~quick ~texts ~n () =
   in
   if not (Sys.file_exists dir) then Unix.mkdir dir 0o700;
   let fleet =
-    start_fleet ~dir ~shards:3 ~max_queue:16 ~store:true ~eco_fault:"corrupt=1,torn=3" ()
+    start_fleet ~dir ~shards:3 ~max_queue:16 ~store:true ~eco_fault:"corrupt=1" ()
   in
   let addr = Client.Unix_socket fleet.router_socket in
   let total = threads * deltas in
@@ -653,10 +653,10 @@ let () =
       ()
   in
   (* 5: ECO delta storm — sticky sessions streamed through the router
-     with cache-corruption and torn-patch faults armed on every shard,
-     plus a SIGKILL of one shard mid-stream; every answer must come
-     back certified and the armed faults must be visible in the
-     fleet's integrity counters *)
+     with a cache-corruption fault armed on every shard, plus a SIGKILL
+     of one shard mid-stream; every answer must come back certified
+     and the armed fault must be visible in the fleet's integrity
+     counters *)
   let eco = eco_storm ~quick ~texts ~n:(if quick then 20 else 28) () in
   let results = [ steady; overload; drain; shard_kill; eco ] in
   let summary =
