@@ -47,10 +47,13 @@ type result = {
 
 (* Computed once per process: the count the admission decision uses is
    the count the warning prints — recomputing at warn time could show a
-   different number than the one actually compared against. *)
-let recommended_jobs = lazy (max 1 (Domain.recommended_domain_count ()))
+   different number than the one actually compared against.  It is
+   computed at start-up, not lazily: a daemon's first worker job and
+   its first session open force it from two domains at once, and a
+   lazy forced concurrently raises [CamlinternalLazy.Undefined]. *)
+let recommended_jobs = max 1 (Domain.recommended_domain_count ())
 
-let default_jobs () = Lazy.force recommended_jobs
+let default_jobs () = recommended_jobs
 
 (* Generation plan: later generations get a half-share each so that
    generation 0 — the independent-starts exploration phase — keeps the

@@ -62,99 +62,109 @@ let parse_string text =
   | exception Fail e -> Error e
 
 (* ------------------------------------------------------------------ *)
-(* Application: a mutable name-keyed model of the edited netlist.      *)
+(* Application: an overlay on the old netlist.  Slots [0, n) are its
+   components; added components take the next slots in insertion
+   order.  The overlay records only what the delta edits, and the
+   edited netlist is built once, from the old wires plus the touched
+   pairs.  A delta that edits no component and no wire keeps the old
+   netlist. *)
 
-type slot = {
-  s_name : string;
-  s_size : float;
-  s_origin : int; (* old id, or -1 for components added by the delta *)
-  mutable s_alive : bool;
+type overlay = {
+  base : Netlist.t;
+  names : (string, int) Hashtbl.t; (* names the delta rebinds: slot, or -1 once removed *)
+  mutable added : (string * float) list; (* newest first *)
+  mutable slots : int;
+  mutable gone : int list; (* removed slots *)
+  pairs : (int * int, float) Hashtbl.t; (* touched pairs (u < v): weight, 0. once unwired *)
+  mutable budgets : (int * int * float) list; (* newest first *)
 }
 
-type model = {
-  mutable slots : slot array;
-  mutable n_slots : int;
-  by_name : (string, int) Hashtbl.t; (* alive components only *)
-  wires : (int * int, float) Hashtbl.t; (* key (min slot, max slot) *)
-  mutable budgets : (int * int * float) list; (* directed, slot ids *)
-}
-
-let model_of_netlist nl =
-  let n = Netlist.n nl in
-  let slots =
-    Array.init (max n 1) (fun j ->
-        if j < n then
-          let c = Netlist.component nl j in
-          { s_name = Component.name c; s_size = Component.size c; s_origin = j; s_alive = true }
-        else { s_name = ""; s_size = 1.0; s_origin = -1; s_alive = false })
-  in
-  let by_name = Hashtbl.create (2 * n) in
-  for j = 0 to n - 1 do
-    Hashtbl.replace by_name slots.(j).s_name j
-  done;
-  let wires = Hashtbl.create (2 * Netlist.wire_count nl + 16) in
-  Array.iter
-    (fun w -> Hashtbl.replace wires (Wire.u w, Wire.v w) (Wire.weight w))
-    (Netlist.wires nl);
-  { slots; n_slots = n; by_name; wires; budgets = [] }
-
-let add_slot m slot =
-  if m.n_slots = Array.length m.slots then begin
-    let bigger = Array.make (2 * Array.length m.slots) slot in
-    Array.blit m.slots 0 bigger 0 m.n_slots;
-    m.slots <- bigger
-  end;
-  m.slots.(m.n_slots) <- slot;
-  m.n_slots <- m.n_slots + 1;
-  m.n_slots - 1
-
-let lookup m at what name =
-  match Hashtbl.find_opt m.by_name name with
+let find o name =
+  match Hashtbl.find_opt o.names name with
   | Some j -> j
-  | None -> fail at what "unknown component %S" name
+  | None -> Option.value (Netlist.find_by_name o.base name) ~default:(-1)
 
-let wire_key u v = if u < v then (u, v) else (v, u)
+(* A pair's current weight: touched, else the old wire's.  0. means
+   unwired: the builder admits no wire of weight <= 0. *)
+let weight o ((u, v) as key) =
+  match Hashtbl.find_opt o.pairs key with Some w -> w | None -> Netlist.connection o.base u v
 
-let apply_op m at op =
-  let what = op_to_string op in
+let apply_op o at op =
+  let fail fmt = fail at (op_to_string op) fmt in
+  let lookup name =
+    let j = find o name in
+    if j < 0 then fail "unknown component %S" name;
+    j
+  in
+  let pair u v =
+    let ju = lookup u in
+    let jv = lookup v in
+    if ju = jv then fail "self-loop on component %S" u;
+    if ju < jv then (ju, jv) else (jv, ju)
+  in
   match op with
   | Add_component { name; size } ->
-      if Hashtbl.mem m.by_name name then fail at what "duplicate component name %S" name;
+      if find o name >= 0 then fail "duplicate component name %S" name;
       if not (Float.is_finite size) || size <= 0.0 then
-        fail at what "component size must be finite and > 0 (got %g)" size;
-      let j = add_slot m { s_name = name; s_size = size; s_origin = -1; s_alive = true } in
-      Hashtbl.replace m.by_name name j
+        fail "component size must be finite and > 0 (got %g)" size;
+      Hashtbl.replace o.names name o.slots;
+      o.added <- (name, size) :: o.added;
+      o.slots <- o.slots + 1
   | Remove_component { name } ->
-      let j = lookup m at what name in
-      m.slots.(j).s_alive <- false;
-      Hashtbl.remove m.by_name name;
-      (* Incident wires and budgets go with the component. *)
-      let incident =
-        Hashtbl.fold (fun (u, v) _ acc -> if u = j || v = j then (u, v) :: acc else acc) m.wires []
-      in
-      List.iter (Hashtbl.remove m.wires) incident;
-      m.budgets <- List.filter (fun (src, dst, _) -> src <> j && dst <> j) m.budgets
-  | Add_wire { u; v; weight } ->
-      let ju = lookup m at what u and jv = lookup m at what v in
-      if ju = jv then fail at what "self-loop on component %S" u;
-      if not (Float.is_finite weight) || weight <= 0.0 then
-        fail at what "wire weight must be finite and > 0 (got %g)" weight;
-      let key = wire_key ju jv in
-      let prev = Option.value (Hashtbl.find_opt m.wires key) ~default:0.0 in
-      Hashtbl.replace m.wires key (prev +. weight)
+      (* Its wires and budgets go with it: the build skips removed slots. *)
+      o.gone <- lookup name :: o.gone;
+      Hashtbl.replace o.names name (-1)
+  | Add_wire { u; v; weight = w } ->
+      let key = pair u v in
+      if not (Float.is_finite w) || w <= 0.0 then
+        fail "wire weight must be finite and > 0 (got %g)" w;
+      Hashtbl.replace o.pairs key (weight o key +. w)
   | Remove_wire { u; v } ->
-      let ju = lookup m at what u and jv = lookup m at what v in
-      if ju = jv then fail at what "self-loop on component %S" u;
-      let key = wire_key ju jv in
-      if not (Hashtbl.mem m.wires key) then
-        fail at what "no wire between %S and %S" u v;
-      Hashtbl.remove m.wires key
+      let key = pair u v in
+      if weight o key = 0.0 then fail "no wire between %S and %S" u v;
+      Hashtbl.replace o.pairs key 0.0
   | Retime { src; dst; budget } ->
-      let js = lookup m at what src and jd = lookup m at what dst in
-      if js = jd then fail at what "self-loop timing budget on component %S" src;
+      let js = lookup src in
+      let jd = lookup dst in
+      if js = jd then fail "self-loop timing budget on component %S" src;
       if not (Float.is_finite budget) || budget <= 0.0 then
-        fail at what "timing budget must be finite and > 0 (got %g)" budget;
-      m.budgets <- (js, jd, budget) :: m.budgets
+        fail "timing budget must be finite and > 0 (got %g)" budget;
+      o.budgets <- (js, jd, budget) :: o.budgets
+
+(* The edited netlist and the new id of every slot ([-1] if removed).
+   Each wire pair reaches the builder once, so its merge adds only
+   [0. +. w]. *)
+let build o =
+  if Hashtbl.length o.names = 0 && Hashtbl.length o.pairs = 0 then
+    (o.base, Array.init o.slots Fun.id)
+  else begin
+    let n0 = Netlist.n o.base in
+    let added = Array.of_list (List.rev o.added) in
+    (* 0 marks a live slot until the loop numbers it *)
+    let new_of_slot = Array.make o.slots 0 in
+    List.iter (fun j -> new_of_slot.(j) <- -1) o.gone;
+    let b = Netlist.Builder.create () in
+    for j = 0 to o.slots - 1 do
+      if new_of_slot.(j) >= 0 then begin
+        let name, size =
+          if j < n0 then
+            let c = Netlist.component o.base j in
+            (Component.name c, Component.size c)
+          else added.(j - n0)
+        in
+        new_of_slot.(j) <- Netlist.Builder.add_component b ~name ~size ()
+      end
+    done;
+    let wire u v weight =
+      let u = new_of_slot.(u) and v = new_of_slot.(v) in
+      if u >= 0 && v >= 0 && weight <> 0.0 then Netlist.Builder.add_wire b u v ~weight ()
+    in
+    Netlist.iter_wires o.base (fun w ->
+        let u = Wire.u w and v = Wire.v w in
+        if not (Hashtbl.mem o.pairs (u, v)) then wire u v (Wire.weight w));
+    Hashtbl.iter (fun (u, v) weight -> wire u v weight) o.pairs;
+    (Netlist.Builder.build b, new_of_slot)
+  end
 
 type applied = {
   netlist : Netlist.t;
@@ -166,49 +176,33 @@ type applied = {
 
 let apply nl ops =
   let n0 = Netlist.n nl in
-  let m = model_of_netlist nl in
-  try
-    List.iteri (fun i op -> apply_op m (i + 1) op) ops;
-    (* Dense renumbering: surviving originals keep their relative order,
-       added components follow in insertion order.  A pure add/wire/retime
-       delta therefore leaves every pre-existing id unchanged. *)
-    let new_of_slot = Array.make m.n_slots (-1) in
-    let next = ref 0 in
-    for j = 0 to m.n_slots - 1 do
-      if m.slots.(j).s_alive then begin
-        new_of_slot.(j) <- !next;
-        incr next
-      end
-    done;
-    let n_new = !next in
-    let new_of_old = Array.init n0 (fun j -> new_of_slot.(j)) in
-    let old_of_new = Array.make n_new (-1) in
-    for j = 0 to n0 - 1 do
-      if new_of_old.(j) >= 0 then old_of_new.(new_of_old.(j)) <- j
-    done;
-    let components = ref [] in
-    for j = m.n_slots - 1 downto 0 do
-      if m.slots.(j).s_alive then
-        components :=
-          Component.make ~id:new_of_slot.(j) ~name:m.slots.(j).s_name ~size:m.slots.(j).s_size
-          :: !components
-    done;
-    let wires =
-      Hashtbl.fold
-        (fun (u, v) weight acc ->
-          if m.slots.(u).s_alive && m.slots.(v).s_alive then
-            Wire.make new_of_slot.(u) new_of_slot.(v) ~weight :: acc
-          else acc)
-        m.wires []
-    in
-    let netlist = Netlist.make ~components:!components ~wires in
+  let o =
+    {
+      base = nl;
+      names = Hashtbl.create 8;
+      added = [];
+      slots = n0;
+      gone = [];
+      pairs = Hashtbl.create 8;
+      budgets = [];
+    }
+  in
+  match List.iteri (fun i op -> apply_op o (i + 1) op) ops with
+  | exception Fail e -> Error e
+  | () ->
+    (* Survivors keep their relative order and added components follow
+       in insertion order, so a delta that removes nothing leaves every
+       pre-existing id unchanged. *)
+    let netlist, new_of_slot = build o in
+    let new_of_old = Array.sub new_of_slot 0 n0 in
+    let old_of_new = Array.make (Netlist.n netlist) (-1) in
+    Array.iteri (fun j k -> if k >= 0 then old_of_new.(k) <- j) new_of_old;
     let retimes =
-      List.rev_map
-        (fun (src, dst, b) -> (new_of_slot.(src), new_of_slot.(dst), b))
-        (List.filter
-           (fun (src, dst, _) -> m.slots.(src).s_alive && m.slots.(dst).s_alive)
-           m.budgets)
+      List.filter_map
+        (fun (src, dst, b) ->
+          let s = new_of_slot.(src) and d = new_of_slot.(dst) in
+          if s >= 0 && d >= 0 then Some (s, d, b) else None)
+        (List.rev o.budgets)
     in
-    let dims_changed = n_new <> n0 || Array.exists (fun j -> j < 0) new_of_old in
+    let dims_changed = Netlist.n netlist <> n0 || Array.mem (-1) new_of_old in
     Ok { netlist; new_of_old; old_of_new; retimes; dims_changed }
-  with Fail e -> Error e

@@ -7,7 +7,10 @@
 
     Everything here is total: parsing and application return structured
     errors instead of raising.  [apply] also returns the id remap needed
-    to carry an incumbent assignment across the edit. *)
+    to carry an incumbent assignment across the edit.  It reads the old
+    netlist in place and records only what the delta edits, then builds
+    the edited netlist once, through {!Netlist.Builder}, from the old
+    wires plus the pairs the delta touches. *)
 
 type op =
   | Add_component of { name : string; size : float }
@@ -15,8 +18,7 @@ type op =
       (** Removing a component also removes its incident wires and any
           timing budgets that mention it. *)
   | Add_wire of { u : string; v : string; weight : float }
-      (** Accumulates onto an existing wire, like parallel wires in
-          {!Netlist.make}. *)
+      (** Adds [weight] to the pair's current weight, in op order. *)
   | Remove_wire of { u : string; v : string }
       (** Removes the whole merged wire between the pair; it must exist. *)
   | Retime of { src : string; dst : string; budget : float }
@@ -66,4 +68,6 @@ val apply : Netlist.t -> t -> (applied, error) result
 (** Validates and applies.  Rejects structurally impossible edit
     sequences: duplicate or unknown component names, self-loops,
     removing a wire that does not exist, non-positive
-    sizes/weights/budgets, non-finite numbers. *)
+    sizes/weights/budgets, non-finite numbers.  A delta that edits no
+    component and no wire (retimes only) returns the old netlist
+    itself as [netlist]. *)

@@ -110,10 +110,9 @@ let build_csr ?pool n wires =
    [k] joins [us.(k) < vs.(k)] with weight [ws.(k)].  Two stable
    counting passes, by v and then by u, starting from descending k,
    leave each (u, v) group contiguous and in descending k, and each
-   group is summed from 0.0 in that order: reverse insertion order for
-   [Builder], and list order for [make], which adds its list back to
-   front.  The orders are part of the interface (test_netlist pins
-   them): a different order can change a weight's last bit. *)
+   group is summed from 0.0 in that order, reverse insertion order.
+   The order is part of the interface (test_netlist pins it): a
+   different order can change a weight's last bit. *)
 let merge n us vs ws m =
   let start = Array.make (n + 1) 0 in
   let bucket keys src dst =
@@ -225,21 +224,6 @@ module Builder = struct
     let total_wire_weight = Array.fold_left (fun acc w -> acc +. Wire.weight w) 0.0 wires in
     { components; wires; xadj; anbr; awgt; by_name = b.names; total_size; total_wire_weight }
 end
-
-let make ~components ~wires =
-  let b = Builder.create () in
-  List.iteri
-    (fun idx c ->
-      if Component.id c <> idx then
-        invalid_arg
-          (Printf.sprintf "Netlist.make: component %S has id %d, expected %d"
-             (Component.name c) (Component.id c) idx);
-      ignore (Builder.add_component b ~name:(Component.name c) ~size:(Component.size c) () : int))
-    components;
-  List.iter
-    (fun w -> Builder.add_wire b (Wire.u w) (Wire.v w) ~weight:(Wire.weight w) ())
-    (List.rev wires);
-  Builder.build b
 
 let n t = Array.length t.components
 

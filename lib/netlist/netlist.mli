@@ -3,13 +3,11 @@
     This is the circuit description of the paper's section 2.1 (input
     part I): a set {m J} of {m N} components with sizes {m s_j} and the
     sparse interconnection matrix {m A}.  The structure is immutable
-    once built; construction goes through {!Builder} or {!make}.
-    Parallel wires between the same pair of components are merged by
-    summing their weights, exactly as {m a_{j_1 j_2}} counts the number
-    of interconnections.  Both share one merge: two stable counting
-    passes in {m O(N + W)}, with each pair's sum taken from [0.] in a
-    fixed order: list order for {!make}, reverse call order for
-    {!Builder}.
+    once built; construction goes through {!Builder}.  Parallel wires
+    between the same pair of components are merged by summing their
+    weights, exactly as {m a_{j_1 j_2}} counts the number of
+    interconnections: two stable counting passes in {m O(N + W)}, with
+    each pair's sum taken from [0.] in reverse call order.
 
     Adjacency is stored as struct-of-arrays CSR: a flat row-offset
     array plus flat neighbor/weight arrays ({!adj_offsets},
@@ -52,12 +50,6 @@ module Builder : sig
       @raise Invalid_argument on [add_component] or [add_wire] after
       [build]. *)
 end
-
-val make : components:Component.t list -> wires:Wire.t list -> t
-(** Direct construction.  Component ids must be exactly [0..n-1] in
-    order; wires must reference valid ids.  Parallel wires are merged,
-    their weights summed from [0.] in list order.
-    @raise Invalid_argument otherwise. *)
 
 val append_isolated : t -> (string * float) array -> t
 (** [append_isolated t extra] is [t] plus one unconnected component

@@ -199,7 +199,7 @@ let apply_delta ?topology t delta =
              are not supported for it";
         }
     | _ ->
-      let topology = Option.value topology ~default:t.topology in
+      let topology = match topology with Some f -> f ap.Delta.netlist | None -> t.topology in
       let n_new = Netlist.n ap.Delta.netlist in
       let b = Constraints.Builder.create ~n:n_new in
       (* Surviving budgets carry over (remapped); retimes then land on

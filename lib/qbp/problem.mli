@@ -109,16 +109,19 @@ type delta_result = {
 }
 
 val apply_delta :
-  ?topology:Qbpart_topology.Topology.t ->
+  ?topology:(Netlist.t -> Topology.t) ->
   t ->
   Qbpart_netlist.Delta.t ->
   (delta_result, Qbpart_netlist.Delta.error) result
-(** Apply an engineering-change-order delta: edit the netlist, remap
-    surviving timing budgets, apply retimes (tighten-only), and rebuild
-    the problem around the result, preserving {m α}, {m β} and (for
-    dimension-preserving deltas) {m P}.  [?topology] replaces the
-    partition topology — serving layers recompute grid capacity from
-    the edited total size so the edited instance hashes identically to
-    a cold submit of the same netlist; defaults to the old topology.
+(** Apply an engineering-change-order delta: edit the netlist once
+    ({!Qbpart_netlist.Delta.apply}, which keeps the old netlist when the
+    delta only retimes), remap surviving timing budgets, apply retimes
+    (tighten-only), and rebuild the problem around the result,
+    preserving {m α}, {m β} and (for dimension-preserving deltas)
+    {m P}.  [?topology] maps the edited netlist to the partition
+    topology: serving layers recompute grid capacity from the edited
+    total size, so the edited instance hashes identically to a cold
+    submit of the same netlist.  It defaults to the old topology.
     Fails with a structured error if the delta is invalid or if it
-    changes {m N} while a fixed {m P} is set. *)
+    changes {m N} while a fixed {m P} is set; the old problem is never
+    modified, so a caller can validate a delta by applying it here. *)

@@ -356,69 +356,63 @@ let eco t ~session ~seq ~delta ~force_cold =
           | Error e -> Error (Protocol.Invalid_delta, Delta.error_to_string e)
           | Ok ops -> (
             let started = Unix.gettimeofday () in
-            let stages = ref [] in
-            (* validate: structurally check the edit against the live
-               netlist before touching any state *)
-            match Delta.apply s.problem.Problem.netlist ops with
-            | Error e ->
-              Error (Protocol.Invalid_delta, Delta.error_to_string e)
-            | Ok applied -> (
-              (* the spec's grid on the edited netlist, so the edited
-                 instance hashes identically to one submitted from
-                 scratch *)
-              let topology = Scheduler.topology_of_spec s.spec applied.Delta.netlist in
-              match Problem.apply_delta ~topology s.problem ops with
-              | Error e -> Error (Protocol.Invalid_delta, Delta.error_to_string e)
-              | Ok dr -> (
-                stages := [ "validate: ok" ];
-                let problem = dr.Problem.dr_problem in
-                let hash = Checkpoint.instance_hash problem in
-                let warm =
-                  if force_cold then Error "forced cold"
-                  else
-                    match Hashtbl.find_opt t.cache s.hash with
+            (* validate: the edited instance is a new value, and the
+               session's state is untouched until [adopt].  The spec's
+               grid on the edited netlist makes it hash identically to
+               one submitted from scratch. *)
+            let topology = Scheduler.topology_of_spec s.spec in
+            match Problem.apply_delta ~topology s.problem ops with
+            | Error e -> Error (Protocol.Invalid_delta, Delta.error_to_string e)
+            | Ok dr -> (
+              let stages = ref [ "validate: ok" ] in
+              let problem = dr.Problem.dr_problem in
+              let hash = Checkpoint.instance_hash problem in
+              let warm =
+                if force_cold then Error "forced cold"
+                else
+                  match Hashtbl.find_opt t.cache s.hash with
+                  | None ->
+                    stages := "warm: miss" :: !stages;
+                    Error "miss"
+                  | Some e ->
+                    if fire t (fun f -> f.Fault.corrupt) then
+                      (* corrupt the cached incumbent in place without
+                         restamping: the stamp re-check must notice *)
+                      e.en_assignment.(0) <-
+                        (e.en_assignment.(0) + 1) mod Problem.m e.en_problem;
+                    (match cache_find t ~hash:s.hash ~problem:s.problem with
                     | None ->
-                      stages := "warm: miss" :: !stages;
-                      Error "miss"
-                    | Some e ->
-                      if fire t (fun f -> f.Fault.corrupt) then
-                        (* corrupt the cached incumbent in place without
-                           restamping: the stamp re-check must notice *)
-                        e.en_assignment.(0) <-
-                          (e.en_assignment.(0) + 1) mod Problem.m e.en_problem;
-                      (match cache_find t ~hash:s.hash ~problem:s.problem with
-                      | None ->
-                        stages := "warm: cached incumbent failed integrity re-check" :: !stages;
-                        Error "integrity"
-                      | Some entry -> warm_attempt ~stages dr entry)
+                      stages := "warm: cached incumbent failed integrity re-check" :: !stages;
+                      Error "integrity"
+                    | Some entry -> warm_attempt ~stages dr entry)
+              in
+              match warm with
+              | Ok (assignment, cost) ->
+                Metrics.eco_warm_hit t.metrics;
+                adopt t s ~seq ~problem ~hash ~spec:s.spec ~assignment ~cost;
+                let v =
+                  view ~session:s.sid ~seq ~served:"warm" ~cost ~certified:true
+                    ~wall:(Unix.gettimeofday () -. started)
+                    ~stages:(List.rev !stages) ~assignment ~hash
                 in
-                match warm with
-                | Ok (assignment, cost) ->
-                  Metrics.eco_warm_hit t.metrics;
-                  adopt t s ~seq ~problem ~hash ~spec:s.spec ~assignment ~cost;
+                s.last <- Some v;
+                Ok v
+              | Error _ -> (
+                if not force_cold then Metrics.eco_cold_fallback t.metrics;
+                match cold_solve t ~spec:s.spec ~problem ~hash ~resume:(not force_cold) with
+                | Error _ as e -> e
+                | Ok (o, cold_stages, _) ->
+                  adopt t s ~seq ~problem ~hash ~spec:s.spec ~assignment:o.Engine.assignment
+                    ~cost:o.Engine.cost;
                   let v =
-                    view ~session:s.sid ~seq ~served:"warm" ~cost ~certified:true
+                    view ~session:s.sid ~seq ~served:"cold" ~cost:o.Engine.cost
+                      ~certified:(Certify.ok o.Engine.certificate)
                       ~wall:(Unix.gettimeofday () -. started)
-                      ~stages:(List.rev !stages) ~assignment ~hash
+                      ~stages:(List.rev !stages @ cold_stages)
+                      ~assignment:o.Engine.assignment ~hash
                   in
                   s.last <- Some v;
-                  Ok v
-                | Error _ -> (
-                  if not force_cold then Metrics.eco_cold_fallback t.metrics;
-                  match cold_solve t ~spec:s.spec ~problem ~hash ~resume:(not force_cold) with
-                  | Error _ as e -> e
-                  | Ok (o, cold_stages, _) ->
-                    adopt t s ~seq ~problem ~hash ~spec:s.spec ~assignment:o.Engine.assignment
-                      ~cost:o.Engine.cost;
-                    let v =
-                      view ~session:s.sid ~seq ~served:"cold" ~cost:o.Engine.cost
-                        ~certified:(Certify.ok o.Engine.certificate)
-                        ~wall:(Unix.gettimeofday () -. started)
-                        ~stages:(List.rev !stages @ cold_stages)
-                        ~assignment:o.Engine.assignment ~hash
-                    in
-                    s.last <- Some v;
-                    Ok v))))))
+                  Ok v)))))
 
 (* --- close / drain -------------------------------------------------- *)
 

@@ -607,13 +607,9 @@ let test_pinned_evolve () =
    keeps that path under an end-to-end answer. *)
 let test_pinned_fractional () =
   let inst, _ = Lazy.force synth1k in
-  let nl = inst.Circuits.netlist in
-  let wires =
-    Array.to_list (Netlist.wires nl)
-    |> List.map (fun w ->
-           Qbpart_netlist.Wire.(make (u w) (v w) ~weight:(weight w +. 0.25)))
+  let nl =
+    Reweight.netlist inst.Circuits.netlist (fun w -> Qbpart_netlist.Wire.weight w +. 0.25)
   in
-  let nl = Netlist.make ~components:(Array.to_list (Netlist.components nl)) ~wires in
   let problem =
     Problem.make ~constraints:inst.Circuits.constraints nl inst.Circuits.topology
   in

@@ -1094,16 +1094,12 @@ let kernel_problem ?(integral = false) seed =
   let n = 4 + Rng.int rng 30 in
   let g = Generator.generate rng (Generator.default_params ~n ~wires:(3 * n)) in
   let draw ~int ~frac = if integral then float_of_int (int ()) else frac () in
-  let wires =
-    Array.to_list (Netlist.wires g)
-    |> List.map (fun w ->
-           Wire.make (Wire.u w) (Wire.v w)
-             ~weight:
-               (draw
-                  ~int:(fun () -> 1 + Rng.int rng 5)
-                  ~frac:(fun () -> (0.37 *. Wire.weight w) +. Rng.float rng 0.61)))
+  let nl =
+    Reweight.netlist g (fun w ->
+        draw
+          ~int:(fun () -> 1 + Rng.int rng 5)
+          ~frac:(fun () -> (0.37 *. Wire.weight w) +. Rng.float rng 0.61))
   in
-  let nl = Netlist.make ~components:(Array.to_list (Netlist.components g)) ~wires in
   let levels = [| 0.0; 0.5; 1.25; 2.0; 3.5 |] in
   let b =
     Array.init m (fun _ ->
@@ -1215,12 +1211,7 @@ let edge_problem ~m ~pairs seed =
   let rng = Rng.create seed in
   let n = 6 + Rng.int rng 10 in
   let g = Generator.generate rng (Generator.default_params ~n ~wires:(2 * n)) in
-  let wires =
-    Array.to_list (Netlist.wires g)
-    |> List.map (fun w ->
-           Wire.make (Wire.u w) (Wire.v w) ~weight:(float_of_int (1 + Rng.int rng 3)))
-  in
-  let nl = Netlist.make ~components:(Array.to_list (Netlist.components g)) ~wires in
+  let nl = Reweight.netlist g (fun _ -> float_of_int (1 + Rng.int rng 3)) in
   let b = Array.init m (fun _ -> Array.init m (fun _ -> float_of_int (Rng.int rng 5))) in
   let d = Array.init m (fun _ -> Array.init m (fun _ -> float_of_int (Rng.int rng 4))) in
   let capacity = Netlist.total_size nl /. float_of_int m *. 1.3 in
@@ -1233,11 +1224,9 @@ let edge_problem ~m ~pairs seed =
       if j1 < j2 then Constraints.Builder.add cons j1 j2 (float_of_int (Rng.int rng 3))
     done
   | `Wired ->
-    List.iter
-      (fun w ->
+    Netlist.iter_wires nl (fun w ->
         Constraints.Builder.add cons (Wire.u w) (Wire.v w) (float_of_int (Rng.int rng 3));
-        Constraints.Builder.add cons (Wire.v w) (Wire.u w) (float_of_int (Rng.int rng 3)))
-      wires);
+        Constraints.Builder.add cons (Wire.v w) (Wire.u w) (float_of_int (Rng.int rng 3))));
   Problem.make ~constraints:(Constraints.Builder.build cons) nl topo
 
 (* The least non-NaN entry, as the cache keeps it *)
@@ -1367,10 +1356,11 @@ let prop_row_cache_matches_fresh =
    partition and must move sideways; after it, the second is not and
    stays. *)
 let test_overfull_tie_moves () =
-  let components =
-    List.init 2 (fun id -> Component.make ~id ~name:(Printf.sprintf "c%d" id) ~size:1.0)
-  in
-  let nl = Netlist.make ~components ~wires:[] in
+  let b = Netlist.Builder.create () in
+  for _ = 1 to 2 do
+    ignore (Netlist.Builder.add_component b ~size:1.0 () : int)
+  done;
+  let nl = Netlist.Builder.build b in
   let problem = Problem.make nl (Grid.make ~rows:1 ~cols:2 ~capacity:1.0 ()) in
   let q = Qmatrix.make problem in
   let u = [| 0; 0 |] and r = [| 0; 0 |] in
@@ -1418,11 +1408,11 @@ let test_exact_on_served_shapes () =
    one budget 1 -> 0 and the other direction at +inf.  Component 0 is
    too big for partition 1; component 1 fits next to it. *)
 let pair_problem ?(wired = true) ?(weight = 1.0) ?(b01 = 1.0) ?p ?alpha ?beta () =
-  let components =
-    [ Component.make ~id:0 ~name:"c0" ~size:1.0; Component.make ~id:1 ~name:"c1" ~size:0.4 ]
-  in
-  let wires = if wired then [ Wire.make 0 1 ~weight ] else [] in
-  let nl = Netlist.make ~components ~wires in
+  let b = Netlist.Builder.create () in
+  let c0 = Netlist.Builder.add_component b ~size:1.0 () in
+  let c1 = Netlist.Builder.add_component b ~size:0.4 () in
+  if wired then Netlist.Builder.add_wire b c0 c1 ~weight ();
+  let nl = Netlist.Builder.build b in
   let topo =
     Topology.make ~capacities:[| 2.0; 1.0 |]
       ~b:[| [| 0.0; b01 |]; [| 1.0; 0.0 |] |]

@@ -205,13 +205,6 @@ let test_netlist_connection_matrix () =
   check (Alcotest.float 1e-9) "A[1][0]" 5.0 (Netlist.connection nl 1 0);
   check Alcotest.int "nnz both triangles" 4 (Array.length (Netlist.adj_targets nl))
 
-let test_netlist_make_bad_ids () =
-  let c0 = Component.make ~id:1 ~name:"a" ~size:1.0 in
-  try
-    ignore (Netlist.make ~components:[ c0 ] ~wires:[]);
-    fail "wrong id accepted"
-  with Invalid_argument _ -> ()
-
 (* ------------------------------------------------------------------ *)
 (* Stats *)
 
@@ -380,9 +373,217 @@ let prop_delta_roundtrip =
       let ops = random_delta ~n ~seed in
       Delta.parse_string (Delta.to_string ops) = Ok ops)
 
-(* Parallel wires are summed from 0 in a fixed order: reverse file
-   order when parsed (the builder's), list order through
-   [Netlist.make].  The two orders give different floats here. *)
+(* [Delta.apply] against a name-keyed list model of the edit.  The
+   model keeps (name, size, old id or -1) per component in id order,
+   one entry per wired name pair and the retimes in op order. *)
+type model = {
+  comps : (string * float * int) list;
+  wires : ((string * string) * float) list;
+  budgets : (string * string * float) list;
+}
+
+exception Rejected of Delta.error
+
+let name_pair a b = if a < b then (a, b) else (b, a)
+
+let model_of nl =
+  let name j = Component.name (Netlist.component nl j) in
+  {
+    comps = List.init (Netlist.n nl) (fun j -> (name j, Netlist.size nl j, j));
+    wires =
+      Netlist.fold_wires nl ~init:[] ~f:(fun acc w ->
+          (name_pair (name (Wire.u w)) (name (Wire.v w)), Wire.weight w) :: acc);
+    budgets = [];
+  }
+
+let model_op m at op =
+  let reject fmt =
+    let what = String.trim (Delta.to_string [ op ]) in
+    Printf.ksprintf (fun reason -> raise (Rejected { Delta.at; what; reason })) fmt
+  in
+  let exists name = List.exists (fun (c, _, _) -> c = name) m.comps in
+  let known name = if not (exists name) then reject "unknown component %S" name in
+  let positive what x =
+    if not (Float.is_finite x && x > 0.0) then reject "%s must be finite and > 0 (got %g)" what x
+  in
+  let pair u v =
+    known u;
+    known v;
+    if u = v then reject "self-loop on component %S" u;
+    name_pair u v
+  in
+  match op with
+  | Delta.Add_component { name; size } ->
+    if exists name then reject "duplicate component name %S" name;
+    positive "component size" size;
+    { m with comps = m.comps @ [ (name, size, -1) ] }
+  | Remove_component { name } ->
+    known name;
+    let keeps (a, b) = a <> name && b <> name in
+    {
+      comps = List.filter (fun (c, _, _) -> c <> name) m.comps;
+      wires = List.filter (fun (k, _) -> keeps k) m.wires;
+      budgets = List.filter (fun (a, b, _) -> keeps (a, b)) m.budgets;
+    }
+  | Add_wire { u; v; weight } ->
+    let k = pair u v in
+    positive "wire weight" weight;
+    let w = Option.value (List.assoc_opt k m.wires) ~default:0.0 in
+    { m with wires = (k, w +. weight) :: List.remove_assoc k m.wires }
+  | Remove_wire { u; v } ->
+    let k = pair u v in
+    if not (List.mem_assoc k m.wires) then reject "no wire between %S and %S" u v;
+    { m with wires = List.remove_assoc k m.wires }
+  | Retime { src; dst; budget } ->
+    known src;
+    known dst;
+    if src = dst then reject "self-loop timing budget on component %S" src;
+    positive "timing budget" budget;
+    { m with budgets = m.budgets @ [ (src, dst, budget) ] }
+
+(* What the comparison reads, floats as bits: names and sizes in id
+   order, wires by name pair, the id maps, retimes and dims_changed. *)
+type view = {
+  v_comps : (string * int64) list;
+  v_wires : ((string * string) * int64) list;
+  v_new_of_old : int array;
+  v_old_of_new : int array;
+  v_retimes : (int * int * int64) list;
+  v_dims_changed : bool;
+}
+
+let bits = Int64.bits_of_float
+
+let view_of_applied (a : Delta.applied) =
+  let nl = a.Delta.netlist in
+  let name j = Component.name (Netlist.component nl j) in
+  {
+    v_comps = List.init (Netlist.n nl) (fun j -> (name j, bits (Netlist.size nl j)));
+    v_wires =
+      List.sort compare
+        (Netlist.fold_wires nl ~init:[] ~f:(fun acc w ->
+             (name_pair (name (Wire.u w)) (name (Wire.v w)), bits (Wire.weight w)) :: acc));
+    v_new_of_old = a.Delta.new_of_old;
+    v_old_of_new = a.Delta.old_of_new;
+    v_retimes = List.map (fun (s, d, b) -> (s, d, bits b)) a.Delta.retimes;
+    v_dims_changed = a.Delta.dims_changed;
+  }
+
+let model_apply nl ops =
+  match List.fold_left (fun (at, m) op -> (at + 1, model_op m at op)) (1, model_of nl) ops with
+  | exception Rejected e -> Error e
+  | _, m ->
+    let ids = List.mapi (fun j (c, _, _) -> (c, j)) m.comps in
+    let old_of_new = Array.of_list (List.map (fun (_, _, o) -> o) m.comps) in
+    let new_of_old = Array.make (Netlist.n nl) (-1) in
+    Array.iteri (fun j o -> if o >= 0 then new_of_old.(o) <- j) old_of_new;
+    Ok
+      {
+        v_comps = List.map (fun (c, size, _) -> (c, bits size)) m.comps;
+        v_wires = List.sort compare (List.map (fun (k, w) -> (k, bits w)) m.wires);
+        v_new_of_old = new_of_old;
+        v_old_of_new = old_of_new;
+        v_retimes =
+          List.map (fun (s, d, b) -> (List.assoc s ids, List.assoc d ids, bits b)) m.budgets;
+        v_dims_changed = Array.length old_of_new <> Netlist.n nl || Array.mem (-1) new_of_old;
+      }
+
+(* 2-13 components and up to 3n wires, parallel ones included, all
+   with fractional sizes and weights. *)
+let random_netlist rng =
+  let n = 2 + Rng.int rng 12 in
+  let b = Netlist.Builder.create () in
+  for _ = 1 to n do
+    ignore (Netlist.Builder.add_component b ~size:(0.1 +. Rng.float rng 2.0) () : int)
+  done;
+  for _ = 1 to Rng.int rng (3 * n) do
+    let u = Rng.int rng n and v = Rng.int rng n in
+    if u <> v then Netlist.Builder.add_wire b u v ~weight:(0.1 +. Rng.float rng 2.0) ()
+  done;
+  Netlist.Builder.build b
+
+(* Ops of all five kinds against [nl]: mostly its own names and wires,
+   some unknown or new names and invalid numbers; one delta in four
+   only retimes. *)
+let random_ops rng nl =
+  let n = Netlist.n nl in
+  let name () =
+    match Rng.int rng 8 with
+    | 0 -> Printf.sprintf "new%d" (Rng.int rng 3)
+    | 1 -> Printf.sprintf "c%d" (Rng.int rng 16)
+    | _ when n = 0 -> "c0"
+    | _ -> Component.name (Netlist.component nl (Rng.int rng n))
+  in
+  let pair () =
+    if Netlist.wire_count nl > 0 && Rng.int rng 2 = 0 then begin
+      let w = (Netlist.wires nl).(Rng.int rng (Netlist.wire_count nl)) in
+      let name j = Component.name (Netlist.component nl j) in
+      (name (Wire.u w), name (Wire.v w))
+    end
+    else
+      let u = name () in
+      (u, name ())
+  in
+  let number () =
+    match Rng.int rng 16 with
+    | 0 -> 0.0
+    | 1 -> -1.5
+    | 2 -> Float.nan
+    | 3 -> Float.infinity
+    | _ -> 0.1 +. Rng.float rng 3.0
+  in
+  let retimes_only = Rng.int rng 4 = 0 in
+  List.init (1 + Rng.int rng 6) (fun _ ->
+      match if retimes_only then 4 else Rng.int rng 5 with
+      | 0 ->
+        let name = name () in
+        Delta.Add_component { name; size = number () }
+      | 1 -> Delta.Remove_component { name = name () }
+      | 2 ->
+        let u, v = pair () in
+        Delta.Add_wire { u; v; weight = number () }
+      | 3 ->
+        let u, v = pair () in
+        Delta.Remove_wire { u; v }
+      | _ ->
+        let src, dst = pair () in
+        Delta.Retime { src; dst; budget = number () })
+
+let is_retime = function Delta.Retime _ -> true | _ -> false
+
+(* Two deltas in a chain: the second edits the first one's result. *)
+let prop_delta_apply_model =
+  QCheck.Test.make ~name:"delta: apply equals a name-keyed list model" ~count:5000
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let step nl =
+        let ops = random_ops rng nl in
+        let got = Delta.apply nl ops in
+        if Result.map view_of_applied got <> model_apply nl ops then
+          QCheck.Test.fail_reportf "seed %d: delta\n%son\n%sdiffers from the model" seed
+            (Delta.to_string ops) (Printer.to_string nl);
+        match got with
+        | Ok a when List.for_all is_retime ops && a.Delta.netlist != nl ->
+          QCheck.Test.fail_reportf "seed %d: a retime-only delta rebuilt the netlist" seed
+        | Ok a -> Some a.Delta.netlist
+        | Error _ -> None
+      in
+      ignore (Option.map step (step (random_netlist rng)) : _ option option);
+      true)
+
+let test_delta_retimes_keep_netlist () =
+  let nl = Generator.generate (Rng.create 3) (Generator.default_params ~n:30 ~wires:90) in
+  let ops = [ Delta.Retime { src = "c0"; dst = "c1"; budget = 2.0 } ] in
+  match Delta.apply nl ops with
+  | Error e -> fail (Delta.error_to_string e)
+  | Ok a ->
+    check Alcotest.bool "same netlist value" true (a.Delta.netlist == nl);
+    check Alcotest.bool "dims unchanged" false a.Delta.dims_changed;
+    check Alcotest.(array int) "identity map" (Array.init 30 Fun.id) a.Delta.new_of_old
+
+(* Parallel wires are summed from 0 in the builder's order, reverse
+   file order when parsed; file order gives a different float here. *)
 let weight_bits nl = Int64.bits_of_float (Netlist.connection nl 0 1)
 
 let test_parse_merge_order () =
@@ -394,14 +595,6 @@ let test_parse_merge_order () =
   | Ok nl ->
     check Alcotest.int64 "reverse file order" (Int64.bits_of_float ((0.3 +. 0.2) +. 0.1))
       (weight_bits nl)
-
-let test_make_merge_order () =
-  let components =
-    [ Component.make ~id:0 ~name:"a" ~size:1.0; Component.make ~id:1 ~name:"b" ~size:1.0 ]
-  in
-  let wires = [ Wire.make 0 1 ~weight:0.1; Wire.make 1 0 ~weight:0.2; Wire.make 0 1 ~weight:0.3 ] in
-  check Alcotest.int64 "list order" (Int64.bits_of_float ((0.1 +. 0.2) +. 0.3))
-    (weight_bits (Netlist.make ~components ~wires))
 
 (* The line grammar as each reader used to spell it out: cut at the
    first '#' or ';', split on spaces and tabs, drop one trailing '\r'
@@ -530,7 +723,6 @@ let () =
           Alcotest.test_case "dangling wire rejected" `Quick test_netlist_bad_wire;
           Alcotest.test_case "builder sealed by build" `Quick test_netlist_builder_sealed;
           Alcotest.test_case "connection matrix" `Quick test_netlist_connection_matrix;
-          Alcotest.test_case "make checks ids" `Quick test_netlist_make_bad_ids;
         ] );
       ("stats", [ Alcotest.test_case "of_netlist" `Quick test_stats ]);
       ( "generator",
@@ -553,10 +745,13 @@ let () =
           Alcotest.test_case "crlf and non-finite" `Quick test_parse_crlf_and_nonfinite;
           Alcotest.test_case "parallel wires sum in reverse file order" `Quick
             test_parse_merge_order;
-          Alcotest.test_case "make sums parallel wires in list order" `Quick
-            test_make_merge_order;
         ] );
       ("scan", [ q prop_scan_matches_reference; q prop_scan_float_matches_stdlib ]);
+      ( "delta",
+        [
+          Alcotest.test_case "retimes keep the netlist" `Quick test_delta_retimes_keep_netlist;
+          q prop_delta_apply_model;
+        ] );
       ( "properties",
         [
           q prop_roundtrip;

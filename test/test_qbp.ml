@@ -723,12 +723,7 @@ let settling_problem seed =
   let rng = Rng.create seed in
   let n = 12 + Rng.int rng 29 in
   let g = Generator.generate rng (Generator.default_params ~n ~wires:(3 * n)) in
-  let wires =
-    Array.to_list (Netlist.wires g)
-    |> List.map (fun w ->
-           Wire.make (Wire.u w) (Wire.v w) ~weight:((0.37 *. Wire.weight w) +. Rng.float rng 0.61))
-  in
-  let nl = Netlist.make ~components:(Array.to_list (Netlist.components g)) ~wires in
+  let nl = Reweight.netlist g (fun w -> (0.37 *. Wire.weight w) +. Rng.float rng 0.61) in
   let rows, cols = if Rng.int rng 2 = 0 then (2, 2) else (4, 4) in
   let m = rows * cols in
   let capacity = Netlist.total_size nl /. float_of_int m *. (1.04 +. Rng.float rng 0.1) in
