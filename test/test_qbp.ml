@@ -174,6 +174,67 @@ let prop_theorem2 =
           Float.abs (Problem.objective problem y_star -. constrained_opt) < 1e-6
         else true)
 
+(* Paper section 2.2.3: the Quadratic Assignment Problem is the special
+   case with N = M, unit sizes and capacities, B the distance matrix
+   and D = 0, each pair wired by its flows in both directions.  The
+   capacities then admit exactly the permutations, and on them
+   equation (1) is the QAP cost summed over ordered pairs. *)
+let prop_qap_special_case =
+  QCheck.Test.make ~name:"QAP is the unit-capacity special case (n = 2..6)" ~count:60
+    QCheck.(pair (int_range 2 6) (int_range 0 100_000))
+    (fun (n, seed) ->
+      let rng = Rng.create seed in
+      let flow =
+        Array.init n (fun j1 ->
+            Array.init n (fun j2 -> if j1 = j2 then 0.0 else float_of_int (Rng.int rng 10)))
+      in
+      let dist = Array.make_matrix n n 0.0 in
+      for i1 = 0 to n - 1 do
+        for i2 = i1 + 1 to n - 1 do
+          let d = float_of_int (1 + Rng.int rng 9) in
+          dist.(i1).(i2) <- d;
+          dist.(i2).(i1) <- d
+        done
+      done;
+      let b = Netlist.Builder.create () in
+      for j = 0 to n - 1 do
+        ignore (Netlist.Builder.add_component b ~name:(Printf.sprintf "f%d" j) ~size:1.0 ())
+      done;
+      for j1 = 0 to n - 1 do
+        for j2 = j1 + 1 to n - 1 do
+          let w = flow.(j1).(j2) +. flow.(j2).(j1) in
+          if w > 0.0 then Netlist.Builder.add_wire b j1 j2 ~weight:w ()
+        done
+      done;
+      let topo =
+        Topology.make ~capacities:(Array.make n 1.0) ~b:dist ~d:(Array.make_matrix n n 0.0) ()
+      in
+      let problem = Problem.make (Netlist.Builder.build b) topo in
+      let qap_cost a =
+        let c = ref 0.0 in
+        Array.iteri (fun j1 row -> Array.iteri (fun j2 f -> c := !c +. (f *. dist.(a.(j1)).(a.(j2)))) row) flow;
+        !c
+      in
+      let is_permutation a =
+        let seen = Array.make n false in
+        Array.iter (fun i -> seen.(i) <- true) a;
+        Array.for_all Fun.id seen
+      in
+      let ok = ref true and best = ref infinity in
+      Exact.enumerate ~m:n ~n (fun a ->
+          let perm = is_permutation a in
+          if Problem.capacity_feasible problem a <> perm then ok := false;
+          if perm then begin
+            let c = qap_cost a in
+            if Float.abs (Problem.objective problem a -. c) > 1e-9 then ok := false;
+            best := Float.min !best c
+          end);
+      !ok
+      &&
+      match Exact.solve problem with
+      | Some (_, opt) -> Float.abs (opt -. !best) < 1e-9
+      | None -> false)
+
 let test_theorem1_penalty_bound () =
   let problem = paper_example () in
   let u = Embed.theorem1_penalty problem in
@@ -1096,6 +1157,7 @@ let () =
           Alcotest.test_case "region membership" `Quick test_in_region;
           q prop_theorem1;
           q prop_theorem2;
+          q prop_qap_special_case;
         ] );
       ( "eta-omega",
         [
