@@ -13,10 +13,9 @@ type t = {
   mutable max_wall : float;
   mutable shed : int;
   fallbacks : (string, int) Hashtbl.t;
-  (* ECO session serving (warm-incumbent cache) *)
+  (* ECO session serving *)
   mutable eco_warm_hits : int;
   mutable eco_cold_fallbacks : int;
-  mutable cache_evictions : int;
   mutable integrity_failures : int;
 }
 
@@ -36,7 +35,6 @@ let create () =
     fallbacks = Hashtbl.create 8;
     eco_warm_hits = 0;
     eco_cold_fallbacks = 0;
-    cache_evictions = 0;
     integrity_failures = 0;
   }
 
@@ -61,8 +59,6 @@ let eco_warm_hit t = locked t (fun () -> t.eco_warm_hits <- t.eco_warm_hits + 1)
 
 let eco_cold_fallback t =
   locked t (fun () -> t.eco_cold_fallbacks <- t.eco_cold_fallbacks + 1)
-
-let cache_eviction t = locked t (fun () -> t.cache_evictions <- t.cache_evictions + 1)
 
 let integrity_failure t =
   locked t (fun () -> t.integrity_failures <- t.integrity_failures + 1)
@@ -105,6 +101,6 @@ let snapshot t ~queue_depth ~running ~draining =
         shed = t.shed;
         eco_warm_hits = t.eco_warm_hits;
         eco_cold_fallbacks = t.eco_cold_fallbacks;
-        cache_evictions = t.cache_evictions;
+        cache_evictions = 0;
         integrity_failures = t.integrity_failures;
       })

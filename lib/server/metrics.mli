@@ -32,15 +32,11 @@ val fallback : t -> string -> unit
 (** {1 ECO session counters} *)
 
 val eco_warm_hit : t -> unit
-(** Count an ECO answer served from the warm-incumbent cache. *)
+(** Count an ECO answer served warm from the session's incumbent. *)
 
 val eco_cold_fallback : t -> unit
 (** Count an ECO answer that fell through the degradation ladder to a
     cold solve (cache miss, corrupt entry, or failed warm stage). *)
-
-val cache_eviction : t -> unit
-(** Count a warm-incumbent LRU eviction (the entry is checkpointed to
-    disk on the way out). *)
 
 val integrity_failure : t -> unit
 (** Count a cached incumbent whose integrity stamp failed re-check;

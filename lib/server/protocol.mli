@@ -125,9 +125,11 @@ type metrics_view = {
   fallbacks : (string * int) list;
       (** per-stage fallback counts across all served jobs, sorted *)
   shed : int;               (** batch jobs evicted to admit interactive ones *)
-  eco_warm_hits : int;      (** v3: ECO answers served from the warm cache *)
+  eco_warm_hits : int;      (** v3: ECO answers served warm *)
   eco_cold_fallbacks : int; (** v3: ECO answers demoted to a cold solve *)
-  cache_evictions : int;    (** v3: warm-incumbent LRU evictions (to disk) *)
+  cache_evictions : int;
+      (** v3: always 0 — each session holds its own incumbent, so none
+          is evicted; kept so v3 peers decode unchanged *)
   integrity_failures : int; (** v3: cached incumbents that failed their stamp *)
 }
 

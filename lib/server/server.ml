@@ -12,7 +12,6 @@ type config = {
   conn_timeout : float;
   fault : Netfault.t option;
   eco_fault : Session.Fault.t option;
-  eco_cache : int;
 }
 
 let default_config ~socket_path =
@@ -29,7 +28,6 @@ let default_config ~socket_path =
     conn_timeout = 60.0;
     fault = None;
     eco_fault = None;
-    eco_cache = 32;
   }
 
 type t = {
@@ -87,8 +85,7 @@ let create config =
       let sessions =
         Session.create
           {
-            Session.cache_capacity = config.eco_cache;
-            checkpoint_dir =
+            Session.checkpoint_dir =
               Option.value ~default:config.checkpoint_dir config.replicate_dir;
             fault = config.eco_fault;
           }

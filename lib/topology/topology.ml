@@ -138,9 +138,6 @@ let scale_b t factor =
     ~b:(Array.map (Array.map (fun x -> x *. factor)) (b_matrix t))
     ~d:(d_matrix t) ()
 
-let equal a b =
-  a.names = b.names && a.capacities = b.capacities && a.b = b.b && a.d = b.d
-
 let pp ppf t =
   Format.fprintf ppf "topology<%d partitions, capacity %g, max B %g, max D %g>"
     (m t) (total_capacity t) (max_b t) (max_d t)

@@ -119,5 +119,4 @@ val scale_b : t -> float -> t
 (** Topology with every {m B} entry multiplied by a factor; implements
     the PP(α,β) → PP'(1,1) rescaling of section 3. *)
 
-val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
