@@ -18,6 +18,7 @@ module Epool = Qbpart_evolve.Epool
 module Operators = Qbpart_evolve.Operators
 module Seeds = Qbpart_evolve.Seeds
 module Evolve = Qbpart_evolve.Evolve
+module Circuits = Qbpart_experiments.Circuits
 
 let check = Alcotest.check
 let fail = Alcotest.fail
@@ -288,6 +289,37 @@ let prop_seeds_complete_and_deterministic =
       (* a bipartition seed actually uses more than one partition *)
       && (n < 2 || m < 2 || Array.exists (fun i -> i <> a1.(0)) a1))
 
+(* Seeds pinned by digest on the seven Table I circuits at 2x2 and 4x4,
+   seeds 1-5 each: the region growth's pick order and its gain sums
+   decide every label. *)
+let test_seeds_pinned () =
+  let digest ~rows ~cols spec =
+    let problem = Circuits.problem (Circuits.build ~rows ~cols ~reference_iterations:1 spec) in
+    let b = Buffer.create 4096 in
+    for seed = 1 to 5 do
+      Array.iter
+        (fun i -> Buffer.add_string b (Printf.sprintf "%d " i))
+        (Seeds.recursive_bipartition (Rng.create seed) problem);
+      Buffer.add_char b '\n'
+    done;
+    Digest.to_hex (Digest.string (Buffer.contents b))
+  in
+  List.iter2
+    (fun spec (expect2, expect4) ->
+      let name = spec.Circuits.name in
+      check Alcotest.string (name ^ " 2x2") expect2 (digest ~rows:2 ~cols:2 spec);
+      check Alcotest.string (name ^ " 4x4") expect4 (digest ~rows:4 ~cols:4 spec))
+    Circuits.table1
+    [
+      ("1b8b0c16f76fcb7b10dea97abea42100", "dcf30545c650fafd85a607fd9cb6380f");
+      ("4ec917d4be3e44cd848491c20d606cb8", "a6e004e3b04ed563e65de857e012c95f");
+      ("7b43b1fb6eb714c1687e3c39f2e93397", "9a7244ac488bd6d806e880dac9b26c7f");
+      ("0d70a566e4e340c0fc342baf2fda5d31", "fd390cb2bcdadce89cb372eb36182a01");
+      ("e756ad8b6a75620a022ff501353432c0", "896b6f78f7c1c15f872f775ddf142132");
+      ("84ab3898403ec4da40476bd68c484485", "70ae3ba6b7ff9de54f0ac274b77096dd");
+      ("000ff9b679f76d0d98784c493a356931", "b52d1cbffef72df2833fb45d3709d136");
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* The driver: determinism, portfolio equivalence, certification.      *)
 
@@ -483,8 +515,11 @@ let () =
           Alcotest.test_case "replacement rule" `Quick test_epool_replacement_needs_improvement;
         ] );
       ( "operators",
-        [ qt prop_operator_children_repairable; qt prop_seeds_complete_and_deterministic ]
-      );
+        [
+          qt prop_operator_children_repairable;
+          qt prop_seeds_complete_and_deterministic;
+          Alcotest.test_case "Table I seeds pinned" `Quick test_seeds_pinned;
+        ] );
       ( "driver",
         [
           qt prop_evolve_jobs_invariant;
