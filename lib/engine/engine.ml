@@ -290,8 +290,9 @@ let arm deadline fault : Burkard.gap_solver =
    before the current stage adopted anything) plus the per-start
    progress ledger.  Worker domains mutate it only under the
    search driver's incumbent lock; the orchestrating domain mutates it
-   between stages. *)
+   between stages.  [hash] is the instance's, taken once per solve. *)
 type supervision = {
+  hash : int64;
   mutable inc : Assignment.t;
   mutable inc_cost : float;
   mutable inc_start : int;  (* provenance start index; -1 = safety/initial *)
@@ -362,7 +363,7 @@ let run_ladder (config : Config.t) deadline initial fault problem start ~init_st
           s.progress
       in
       s.notify
-        (Checkpoint.make ~problem ~base_seed:config.Config.qbp.Burkard.Config.seed
+        (Checkpoint.make ~hash:s.hash ~problem ~base_seed:config.Config.qbp.Burkard.Config.seed
            ~elapsed:(s.base_elapsed +. Deadline.elapsed deadline) ~incumbent:s.inc
            ~incumbent_cost:s.inc_cost ~incumbent_start:s.inc_start ~starts ())
   in
@@ -633,6 +634,7 @@ let solve ?(config = Config.default) ?deadline ?initial ?fault ?on_checkpoint ?r
               | Some notify ->
                 Some
                   {
+                    hash = Checkpoint.instance_hash problem;
                     inc = Assignment.copy start;
                     inc_cost = Problem.objective problem start;
                     inc_start = init_start;

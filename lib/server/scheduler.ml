@@ -23,7 +23,6 @@ type work = {
 type job = {
   id : string;
   label : string option;
-  instance_hash : int64;
   resumed_from : string option;  (* path of the store checkpoint resumed *)
   submitted_at : float;
   mutable work : work option;  (* None once the job is terminal *)
@@ -208,17 +207,19 @@ let view_of_job (j : job) =
 let checkpoint_path t (j : job) = Filename.concat t.checkpoint_dir ("qbpartd-" ^ j.id ^ ".ckpt")
 
 (* Replication: every checkpoint the engine emits is mirrored into the
-   shared store, keyed by the instance hash, so a replacement shard
-   can pick the job up from the dead shard's last durable state.  The
-   write is the atomic temp+rename {!Checkpoint.save}, so concurrent
-   writers (two shards racing the same instance) can interleave but
-   never tear the file.  Write failures are swallowed: replication is
-   an availability optimisation, never a reason to fail the solve. *)
-let replicate t (j : job) cp =
+   shared store, keyed by the instance hash it carries, so a
+   replacement shard can pick the job up from the dead shard's last
+   durable state.  The write is the atomic temp+rename
+   {!Checkpoint.save}, so concurrent writers (two shards racing the
+   same instance) can interleave but never tear the file.  Write
+   failures are swallowed: replication is an availability
+   optimisation, never a reason to fail the solve. *)
+let replicate t cp =
   match t.replicate_dir with
   | None -> ()
   | Some dir ->
-    ignore (Checkpoint.save ~path:(Checkpoint.store_path ~dir ~hash:j.instance_hash) cp)
+    let path = Checkpoint.store_path ~dir ~hash:cp.Checkpoint.instance_hash in
+    ignore (Checkpoint.save ~path cp)
 
 let persist_checkpoint t (j : job) =
   match j.last_checkpoint with
@@ -264,7 +265,7 @@ let run_job t (j : job) =
     let config = engine_config ~domains:(served_domains ~workers:t.worker_count) spec in
     let on_checkpoint cp =
       j.last_checkpoint <- Some cp;
-      replicate t j cp
+      replicate t cp
     in
     let result = Engine.solve ~config ~deadline ~on_checkpoint ?resume problem in
     locked t (fun () ->
@@ -342,6 +343,12 @@ let submit t spec =
     Metrics.rejected t.metrics;
     Error (code, msg)
   | Ok problem ->
+    (* the replicated store is the only reader of the hash here; the
+       engine takes its own, once, for the job's checkpoints *)
+    let resume_from =
+      Option.bind t.replicate_dir (fun dir ->
+          store_resume ~dir spec problem ~hash:(Checkpoint.instance_hash problem))
+    in
     locked t (fun () ->
         if t.draining_flag then begin
           Metrics.rejected t.metrics;
@@ -349,16 +356,10 @@ let submit t spec =
         end
         else begin
           let id = Printf.sprintf "j%d" t.next_id in
-          let instance_hash = Checkpoint.instance_hash problem in
-          let resume_from =
-            Option.bind t.replicate_dir (fun dir ->
-                store_resume ~dir spec problem ~hash:instance_hash)
-          in
           let job =
             {
               id;
               label = spec.Protocol.label;
-              instance_hash;
               resumed_from = Option.map snd resume_from;
               submitted_at = Unix.gettimeofday ();
               work = Some { spec; problem; resume = Option.map fst resume_from };

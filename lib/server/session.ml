@@ -103,11 +103,15 @@ let fire t point =
 
 let fnv_offset = 0xcbf29ce484222325L
 let fnv_prime = 0x100000001b3L
-let fnv1a64 h v = Int64.mul (Int64.logxor h v) fnv_prime
+let[@inline] fnv1a64 h v = Int64.mul (Int64.logxor h v) fnv_prime
 
+(* a loop on an unboxed local: it allocates only its result *)
 let stamp ~assignment ~cost =
-  let h = Array.fold_left (fun h x -> fnv1a64 h (Int64.of_int x)) fnv_offset assignment in
-  fnv1a64 h (Int64.bits_of_float cost)
+  let h = ref fnv_offset in
+  for j = 0 to Array.length assignment - 1 do
+    h := fnv1a64 !h (Int64.of_int assignment.(j))
+  done;
+  fnv1a64 !h (Int64.bits_of_float cost)
 
 let incumbent ~assignment ~cost =
   { assignment = Assignment.copy assignment; cost; stamp = stamp ~assignment ~cost }
@@ -337,8 +341,8 @@ let checkpoint_session t (s : session) =
   | Some inc ->
     let path = Checkpoint.store_path ~dir:t.config.checkpoint_dir ~hash:s.hash in
     let ckpt =
-      Checkpoint.make ~problem:s.problem ~base_seed:s.spec.Protocol.seed ~elapsed:0.0
-        ~incumbent:inc.assignment ~incumbent_cost:inc.cost ~starts:[] ()
+      Checkpoint.make ~hash:s.hash ~problem:s.problem ~base_seed:s.spec.Protocol.seed
+        ~elapsed:0.0 ~incumbent:inc.assignment ~incumbent_cost:inc.cost ~starts:[] ()
     in
     match Checkpoint.save ~path ckpt with Ok () -> Some path | Error _ -> None
 

@@ -20,6 +20,7 @@ module Constraints = Qbpart_timing.Constraints
 module Assignment = Qbpart_partition.Assignment
 module Gap = Qbpart_gap.Gap
 module Mthg = Qbpart_gap.Mthg
+module Checkpoint = Qbpart_engine.Checkpoint
 
 (* fixed per-call words a kernel may spend whatever N is (a closure or
    two, a boxed result) *)
@@ -160,6 +161,14 @@ let problem_make ~n =
       (Problem.make ~constraints:p.Problem.constraints p.Problem.netlist p.Problem.topology
         : Problem.t)
 
+(* the instance hash that keys every checkpoint and store file: plain
+   loops on one unboxed local, so a boxed step per size, wire or budget
+   would make it allocate with N *)
+let instance_hash ~n =
+  let q, _ = instance ~n ~slack:1.2 in
+  let p = Qmatrix.problem q in
+  fun () -> ignore (Checkpoint.instance_hash p : int64)
+
 let violations ~n =
   let q, u = instance ~n ~slack:1.2 in
   fun () -> ignore (Qmatrix.violations q u : int)
@@ -297,6 +306,7 @@ let () =
           case "Qmatrix.xi (every entry computed)" xi;
           case "Qmatrix.make (strict surface)" strict_make;
           case "Problem.make (integrality summary)" problem_make;
+          case "Checkpoint.instance_hash" instance_hash;
           case "Qmatrix.violations" violations;
           case "Mthg.solve_relaxed ~ws (feasible)" (solve_relaxed ~slack:1.2);
           case "Mthg.solve_relaxed ~ws (overflow fill)" (solve_relaxed ~slack:0.9);
