@@ -24,13 +24,12 @@ module Netlist = Qbpart_netlist.Netlist
 module Generator = Qbpart_netlist.Generator
 module Parser = Qbpart_netlist.Parser
 module Printer = Qbpart_netlist.Printer
+module Scan = Qbpart_netlist.Scan
 module Stats = Qbpart_netlist.Stats
 module Topology = Qbpart_topology.Topology
 module Constraints = Qbpart_timing.Constraints
 module Evaluate = Qbpart_partition.Evaluate
-module Initial = Qbpart_partition.Initial
 module Problem = Qbpart_core.Problem
-module Evolve = Qbpart_evolve.Evolve
 module Gfm = Qbpart_baselines.Gfm
 module Gkl = Qbpart_baselines.Gkl
 module Deadline = Qbpart_engine.Deadline
@@ -81,49 +80,49 @@ let emit_assignment nl topo assignment out =
       Format.eprintf "wrote %s@." path;
       Ok ())
 
+(* An assignment file is one "<component> <partition>" line per
+   component, the partition by name or index, in the line grammar of
+   every other qbpart input ([Scan]: comments, tabs, CRLF). *)
 let parse_assignment nl topo path =
   let by_name = Hashtbl.create 16 in
   for i = 0 to Topology.m topo - 1 do
     Hashtbl.replace by_name (Topology.name topo i) i
   done;
-  let assignment = Array.make (Netlist.n nl) (-1) in
-  match open_in path with
-  | exception Sys_error m -> Error (`Msg m)
-  | ic ->
-    Fun.protect ~finally:(fun () -> close_in_noerr ic) (fun () ->
-        let rec loop ln =
-          match input_line ic with
-          | exception End_of_file -> Ok ()
-          | exception Sys_error m -> msgf "%s: line %d: %s" path ln m
-          | line -> (
-            match String.split_on_char ' ' line |> List.filter (( <> ) "") with
-            | [] -> loop (ln + 1)
-            | [ comp; slot ] ->
-              let* j =
-                match Netlist.find_by_name nl comp with
-                | Some j -> Ok j
-                | None -> msgf "%s: line %d: unknown component %S" path ln comp
-              in
-              let* i =
-                match Hashtbl.find_opt by_name slot with
-                | Some i -> Ok i
-                | None -> (
-                  match int_of_string_opt slot with
-                  | Some i when i >= 0 && i < Topology.m topo -> Ok i
-                  | _ -> msgf "%s: line %d: unknown partition %S" path ln slot)
-              in
-              assignment.(j) <- i;
-              loop (ln + 1)
-            | _ -> msgf "%s: line %d: bad assignment line %S" path ln line)
-        in
-        let* () = loop 1 in
-        let unassigned = ref None in
-        Array.iteri (fun j i -> if i < 0 && !unassigned = None then unassigned := Some j) assignment;
-        match !unassigned with
-        | Some j ->
-          msgf "%s: component %S unassigned" path
-            (Qbpart_netlist.Component.name (Netlist.component nl j))
-        | None -> Ok assignment)
+  let parse text =
+    let assignment = Array.make (Netlist.n nl) (-1) in
+    let sc = Scan.of_string text in
+    match
+      while Scan.next sc do
+        match Scan.count sc with
+        | 0 -> ()
+        | 2 ->
+          let comp = Scan.token sc 0 and slot = Scan.token sc 1 in
+          let j =
+            match Netlist.find_by_name nl comp with
+            | Some j -> j
+            | None -> Scan.fail sc "unknown component %S" comp
+          in
+          assignment.(j) <-
+            (match Hashtbl.find_opt by_name slot with
+            | Some i -> i
+            | None -> (
+              match int_of_string_opt slot with
+              | Some i when i >= 0 && i < Topology.m topo -> i
+              | _ -> Scan.fail sc "unknown partition %S" slot))
+        | _ -> Scan.fail sc "bad assignment line %S" (Scan.line_text sc)
+      done
+    with
+    | () -> Ok assignment
+    | exception Scan.Fail e -> Error e
+  in
+  match Scan.parse_file parse path with
+  | Error e -> msgf "%s: %s" path (Scan.file_error_to_string e)
+  | Ok assignment -> (
+    match Array.find_index (fun i -> i < 0) assignment with
+    | Some j ->
+      msgf "%s: component %S unassigned" path
+        (Qbpart_netlist.Component.name (Netlist.component nl j))
+    | None -> Ok assignment)
 
 
 (* --- generate ------------------------------------------------------ *)
@@ -391,7 +390,7 @@ let spec_term =
                  recursive-bipartition recombinations of a diverse elite pool, \
                  and the champion is reduced deterministically (same seed and \
                  budget, same answer at any --jobs).  Under $(b,solve) it implies \
-                 the resilient engine.")
+                 the $(b,--fallback) ladder.")
   in
   let generations =
     Arg.(value & opt int spec_default.generations & info [ "generations" ]
@@ -434,23 +433,16 @@ let solve_cmd =
         else if spec.evolve then msgf "--evolve drives the QBP population search; use it with -a qbp"
         else if checkpoint <> None || resume <> None then
           msgf "--checkpoint/--resume run the crash-safe engine; use them with -a qbp"
+        else if fallback then
+          msgf "--fallback drives the fixed qbp -> gkl -> gfm degradation ladder; use it with -a qbp"
         else Ok ()
     in
     let* nl, constraints, topo = load_spec spec in
-    (* jobs, inner domains and retries size the process running the
-       solve, so they are flags of this command, not fields of the spec *)
-    let config =
-      {
-        (Scheduler.engine_config spec) with
-        jobs = (if jobs = 0 then None else Some jobs);
-        inner_jobs;
-        retries;
-      }
+    let* initial =
+      match initial with
+      | None -> Ok None
+      | Some file -> Result.map (fun a -> Some (file, a)) (parse_assignment nl topo file)
     in
-    (* a checkpointed or resumed solve always runs the full engine: the
-       checkpoint format records engine-level state (safety net,
-       per-start progress) no bare solver run maintains *)
-    let engine_path = fallback || spec.evolve || checkpoint <> None || resume <> None in
     let* resumed =
       match resume with
       | None -> Ok None
@@ -469,22 +461,36 @@ let solve_cmd =
           deadline_s = Option.map (fun secs -> Float.max 0.0 (secs -. spent)) spec.deadline_s;
         }
     in
-    let* final =
-      if engine_path then begin
-        let* () =
-          match algorithm with
-          | `Qbp -> Ok ()
-          | `Gfm | `Gkl ->
-            msgf "--fallback drives the fixed qbp -> gkl -> gfm degradation ladder; use it with -a qbp"
+    (* SIGINT/SIGTERM: cooperative cancellation through the shared
+       deadline, then the normal best-so-far path runs to the end —
+       final checkpoint, report, assignment — and exits 124. *)
+    let interrupted = ref false in
+    Signals.on_terminate (fun _ ->
+        interrupted := true;
+        Deadline.cancel deadline);
+    let t0 = Deadline.elapsed deadline in
+    let* start_cost, final =
+      match algorithm with
+      | `Qbp -> (
+        (* jobs, inner domains and retries size the process running the
+           solve, so they are flags of this command, not fields of the
+           spec.  The ladder flags keep the engine's penalty rounds and
+           stall guard; without them every start is one plain Burkard
+           round that no stall cuts short, so a completed search leaves
+           no fallback rung to run. *)
+        let config =
+          {
+            (Scheduler.engine_config spec) with
+            jobs = (if jobs = 0 then None else Some jobs);
+            inner_jobs;
+            retries;
+          }
+        in
+        let config =
+          if fallback || spec.evolve || checkpoint <> None || resume <> None then config
+          else { config with max_rounds = 1; stall_patience = 0 }
         in
         let problem = Problem.make ?constraints nl topo in
-        (* SIGINT/SIGTERM: cooperative cancellation through the shared
-           deadline, then the normal best-so-far path runs to the end —
-           final checkpoint, report, assignment — and exits 124. *)
-        let interrupted = ref false in
-        Signals.on_terminate (fun _ ->
-            interrupted := true;
-            Deadline.cancel deadline);
         let last_cp = ref None in
         let last_write = ref Float.neg_infinity in
         let write_cp cp =
@@ -504,91 +510,58 @@ let solve_cmd =
           then write_cp cp
         in
         let on_checkpoint = if checkpoint = None then None else Some on_checkpoint in
-        let finish assignment =
-          if !interrupted then begin
-            (match !last_cp with None -> () | Some cp -> write_cp cp);
-            Format.eprintf "interrupted: best-so-far feasible assignment follows@.";
-            (match emit_assignment nl topo assignment out with
-            | Ok () -> ()
-            | Error (`Msg m) -> Format.eprintf "%s@." m);
-            exit 124
-          end;
-          Ok assignment
-        in
-        let* initial =
-          match initial with
-          | None -> Ok None
-          | Some file ->
-            let* a = parse_assignment nl topo file in
-            Ok (Some a)
-        in
-        match Engine.solve ~config ~deadline ?on_checkpoint ?resume:resumed ?initial problem with
+        match
+          Engine.solve ~config ~deadline ?on_checkpoint ?resume:resumed
+            ?initial:(Option.map snd initial) problem
+        with
         | Error e -> Error (`Msg (Engine.Error.to_string e))
         | Ok { Engine.assignment; report; certificate; _ } ->
           Format.eprintf "%a@." Engine.Report.pp report;
           Format.eprintf "%a@." Certify.pp certificate;
           (* the last emitted state is always persisted, cadence aside:
              after a clean run the file reflects the completed solve *)
-          (match !last_cp with None -> () | Some cp -> write_cp cp);
-          finish assignment
-      end
-      else begin
-        let rng = Rng.create spec.seed in
-        let* initial =
+          Option.iter write_cp !last_cp;
+          Ok (report.Engine.Report.initial_cost, assignment))
+      | `Gfm | `Gkl ->
+        (* without --initial, GFM and GKL start where QBP does: from the
+           engine's safety net *)
+        let* start =
           match initial with
-          | Some file ->
-            let* a = parse_assignment nl topo file in
-            let* () =
-              if not (Evaluate.capacity_feasible nl topo a) then
-                msgf "%s: initial assignment violates capacity" file
-              else if
-                not
-                  (match constraints with
-                  | None -> true
-                  | Some c -> Qbpart_timing.Check.feasible c topo ~assignment:a)
-              then msgf "%s: initial assignment violates timing budgets" file
-              else Ok ()
-            in
-            Ok a
-          | None -> (
-            match Initial.greedy_feasible ?constraints ~attempts:200 rng nl topo () with
-            | Some a -> Ok a
-            | None ->
-              msgf
-                "no feasible start; increase --slack, loosen budgets, or warm-start \
-                 with --initial")
+          | Some (file, a) ->
+            if not (Evaluate.capacity_feasible nl topo a) then
+              msgf "%s: initial assignment violates capacity" file
+            else if
+              not
+                (match constraints with
+                | None -> true
+                | Some c -> Qbpart_timing.Check.feasible c topo ~assignment:a)
+            then msgf "%s: initial assignment violates timing budgets" file
+            else Ok a
+          | None ->
+            Engine.greedy_start ?constraints ~seed:spec.seed nl topo
+            |> Result.map_error (fun e -> `Msg (Engine.Error.to_string e))
         in
         let should_stop = Deadline.should_stop deadline in
-        let start = Evaluate.wirelength nl topo initial in
-        let t0 = Deadline.elapsed deadline in
         let final =
-          match algorithm with
-          | `Qbp ->
-            (* independent starts over a domain pool; max_rounds 1 keeps
-               each start a plain (non-continuation) Burkard run *)
-            let problem = Problem.make ?constraints nl topo in
-            let result =
-              Evolve.solve ~config:config.qbp ~max_rounds:1 ~generations:1 ?jobs:config.jobs
-                ?inner_jobs:(if inner_jobs = 0 then None else Some inner_jobs)
-                ~starts:spec.starts ~retries ~initial ~should_stop problem
-            in
-            (match result.Evolve.best_feasible with
-            | Some (a, _) -> a
-            | None -> initial)
-          | `Gfm -> (Gfm.solve ?constraints ~should_stop nl topo ~initial).Gfm.assignment
-          | `Gkl -> (Gkl.solve ?constraints ~should_stop nl topo ~initial).Gkl.assignment
+          if algorithm = `Gfm then
+            (Gfm.solve ?constraints ~should_stop nl topo ~initial:start).Gfm.assignment
+          else (Gkl.solve ?constraints ~should_stop nl topo ~initial:start).Gkl.assignment
         in
-        let cost = Evaluate.wirelength nl topo final in
-        Format.eprintf "start %.0f -> final %.0f (-%.1f%%) in %.3fs%s@." start cost
-          (100.0 *. (start -. cost) /. start)
-          (Deadline.elapsed deadline -. t0)
-          (if Deadline.expired deadline then " (deadline expired)" else "");
-        Ok final
-      end
+        Ok (Evaluate.wirelength nl topo start, final)
     in
+    let cost = Evaluate.wirelength nl topo final in
+    Format.eprintf "start %.0f -> final %.0f (-%.1f%%) in %.3fs%s@." start_cost cost
+      (100.0 *. (start_cost -. cost) /. start_cost)
+      (Deadline.elapsed deadline -. t0)
+      (if Deadline.expired deadline then " (deadline expired)" else "");
     Format.eprintf "%a@."
       Qbpart_partition.Metrics.pp
       (Qbpart_partition.Metrics.compute ?constraints nl topo final);
+    if !interrupted then begin
+      Format.eprintf "interrupted: best-so-far feasible assignment follows@.";
+      Result.iter_error (fun (`Msg m) -> prerr_endline m) (emit_assignment nl topo final out);
+      exit 124
+    end;
     emit_assignment nl topo final out
   in
   let algorithm =
@@ -596,9 +569,12 @@ let solve_cmd =
   in
   let fallback =
     Arg.(value & flag & info [ "fallback" ]
-           ~doc:"Run the resilient engine: QBP first, falling back to GKL, then GFM, \
-                 then the greedy initial solution on timeout, stall or failure. \
-                 Prints a stage report on stderr.")
+           ~doc:"Run the whole degradation ladder: QBP under penalty-continuation \
+                 rounds and a stall guard, falling back to GKL, then GFM, then the \
+                 safety net on timeout, stall or failure.  Without it, $(b,-a qbp) runs \
+                 one plain Burkard round per start through the same engine, which \
+                 falls back only on a crash or when no start finds a feasible answer; \
+                 either way the stage report and certificate go to stderr.")
   in
   let jobs =
     Arg.(value & opt int 0 & info [ "j"; "jobs" ]
@@ -628,7 +604,7 @@ let solve_cmd =
            ~doc:"Write crash-safety checkpoints here (atomic write-to-temp + fsync + \
                  rename): once after the safety net is secured, then on the \
                  $(b,--checkpoint-every) cadence, and finally on SIGINT/SIGTERM. \
-                 Implies the resilient engine (as $(b,--fallback)).")
+                 Implies the $(b,--fallback) ladder.")
   in
   let every =
     Arg.(value & opt duration_conv 10.0 & info [ "checkpoint-every" ] ~docv:"DURATION"
@@ -639,15 +615,17 @@ let solve_cmd =
            ~doc:"Resume from a checkpoint: validates it against this instance \
                  (structural hash), warm-starts from its incumbent, skips the starts \
                  a one-generation run completed, and continues on the deadline \
-                 budget the checkpointed run left unspent. Implies the resilient \
-                 engine.")
+                 budget the checkpointed run left unspent. Implies the \
+                 $(b,--fallback) ladder.")
   in
   let initial =
     Arg.(value & opt (some file) None & info [ "initial" ] ~docv:"FILE"
            ~doc:"Warm-start from this assignment (same format solve emits; e.g. a \
                  synthetic circuit's planted reference from generate \
-                 --reference-output). The bare solver requires it feasible; the \
-                 resilient engine accepts any in-range assignment.")
+                 --reference-output). $(b,-a qbp) accepts any in-range assignment, and \
+                 a feasible one is its safety net; $(b,-a gfm) and $(b,-a gkl) require \
+                 it feasible. Without it every algorithm starts from the engine's \
+                 safety net.")
   in
   let out =
     Arg.(value & opt (some string) None & info [ "o"; "output" ] ~docv:"FILE"

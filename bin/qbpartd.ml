@@ -87,11 +87,10 @@ let parse_eco_fault = function
     | Ok f -> Ok (Some f)
     | Error msg -> Error (`Msg (Printf.sprintf "--eco-fault %s: %s" spec msg)))
 
-let run_worker socket tcp max_queue queue_weight workers checkpoint_dir replicate max_frame
+let run_worker socket tcp max_queue workers checkpoint_dir replicate max_frame
     shard_id conn_timeout fault eco_fault =
   let ( let* ) = Result.bind in
   let* () = if max_queue < 0 then Error (`Msg "--max-queue must be >= 0") else Ok () in
-  let* () = if queue_weight < 1 then Error (`Msg "--queue-weight must be >= 1") else Ok () in
   let* () = if workers < 1 then Error (`Msg "--workers must be >= 1") else Ok () in
   let* () = if max_frame < 1024 then Error (`Msg "--max-frame must be >= 1024") else Ok () in
   let* () =
@@ -109,7 +108,6 @@ let run_worker socket tcp max_queue queue_weight workers checkpoint_dir replicat
       Server.socket_path = socket;
       tcp;
       max_queue;
-      queue_weight;
       workers;
       checkpoint_dir;
       replicate_dir = replicate;
@@ -166,7 +164,7 @@ let run_router socket tcp max_frame shard_id conn_timeout fault shards hb_interv
     Format.eprintf "qbpartd[%s]: router drained@." shard_id;
     Ok ()
 
-let run socket tcp_spec max_queue queue_weight workers checkpoint_dir replicate max_frame
+let run socket tcp_spec max_queue workers checkpoint_dir replicate max_frame
     shard_id conn_timeout fault_spec route shards hb_interval fail_threshold eco_fault_spec =
   let ( let* ) = Result.bind in
   let* tcp = parse_tcp tcp_spec in
@@ -176,7 +174,7 @@ let run socket tcp_spec max_queue queue_weight workers checkpoint_dir replicate 
   if route then run_router socket tcp max_frame shard_id conn_timeout fault shards hb_interval fail_threshold
   else if shards <> [] then Error (`Msg "--shard only makes sense with --route")
   else
-    run_worker socket tcp max_queue queue_weight workers checkpoint_dir replicate max_frame
+    run_worker socket tcp max_queue workers checkpoint_dir replicate max_frame
       shard_id conn_timeout fault eco_fault
 
 let socket =
@@ -194,12 +192,6 @@ let max_queue =
          ~doc:"Bound on $(i,queued) (not yet running) jobs.  Batch submissions beyond \
                it are rejected with a structured $(b,overloaded) error; an interactive \
                submission sheds the newest queued batch job instead.")
-
-let queue_weight =
-  Arg.(value & opt int Qbpart_server.Queue.default_weight & info [ "queue-weight" ] ~docv:"N"
-         ~doc:"Interactive:batch dequeue weight of the two-lane queue: up to $(i,N) \
-               interactive jobs are dequeued per forced batch dequeue, so neither \
-               priority class starves.")
 
 let workers =
   Arg.(value & opt int 2 & info [ "workers" ] ~docv:"N"
@@ -299,6 +291,6 @@ let () =
        (Cmd.v info
           Term.(
             runtime_result
-              (const run $ socket $ tcp $ max_queue $ queue_weight $ workers $ checkpoint_dir $ replicate
+              (const run $ socket $ tcp $ max_queue $ workers $ checkpoint_dir $ replicate
              $ max_frame $ shard_id $ conn_timeout $ fault $ route $ shards $ hb_interval
              $ fail_threshold $ eco_fault))))

@@ -289,7 +289,7 @@ let arm deadline fault : Burkard.gap_solver =
    feasible incumbent seen anywhere (including starts that completed
    before the current stage adopted anything) plus the per-start
    progress ledger.  Worker domains mutate it only under the
-   search driver's incumbent lock; the orchestrating domain mutates it
+   search driver's completion lock; the orchestrating domain mutates it
    between stages.  [hash] is the instance's, taken once per solve. *)
 type supervision = {
   hash : int64;

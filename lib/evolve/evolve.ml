@@ -101,7 +101,7 @@ let child_seed ~base k = start_seed ~base k lxor 0x27D4EB2F
 let solve ?(config = Burkard.Config.default) ?(max_rounds = 4) ?(factor = 8.0) ?jobs
     ?inner_jobs ?(starts = 1) ?(generations = 4) ?(pool_size = 8) ?min_distance
     ?(retries = 0) ?(skip = fun _ -> false) ?initial ?(should_stop = fun () -> false)
-    ?(stall = (0, 0.0)) ?gap_solver ?on_improvement ?on_start_complete problem =
+    ?(stall = (0, 0.0)) ?gap_solver ?on_start_complete problem =
   if starts < 1 then invalid_arg "Evolve.solve: starts must be >= 1";
   if generations < 1 then invalid_arg "Evolve.solve: generations must be >= 1";
   if pool_size < 1 then invalid_arg "Evolve.solve: pool_size must be >= 1";
@@ -147,45 +147,21 @@ let solve ?(config = Burkard.Config.default) ?(max_rounds = 4) ?(factor = 8.0) ?
   let gen_lo g = if g = 0 then 0 else gen0 + ((g - 1) * later) in
   let gen_hi g = if g = 0 then gen0 else gen0 + (g * later) in
   let pool = Epool.create ~capacity:pool_size ~min_distance ~m in
-  (* Shared incumbent, for best-so-far reporting only: trajectories
-     never read it, so starts stay independent and the reduction below
-     stays deterministic. *)
-  let lock = Mutex.create () in
-  let inc_penalized = ref infinity in
-  let inc_feasible = ref infinity in
-  let report_improvement k (it : Burkard.iteration) =
-    match on_improvement with
-    | None -> ()
-    | Some f ->
-      Mutex.lock lock;
-      Fun.protect
-        ~finally:(fun () -> Mutex.unlock lock)
-        (fun () ->
-          if it.Burkard.feasible && it.Burkard.objective < !inc_feasible then begin
-            inc_feasible := it.Burkard.objective;
-            f ~start:k ~cost:it.Burkard.objective ~feasible:true
-          end
-          else if it.Burkard.penalized < !inc_penalized then begin
-            inc_penalized := it.Burkard.penalized;
-            f ~start:k ~cost:it.Burkard.penalized ~feasible:false
-          end)
-  in
   let patience, epsilon = stall in
   let run_start k ~dpool ~attempt ~initial =
     let seed = retry_seed ~base:config.Burkard.Config.seed ~start:k ~attempt in
     let config = { config with Burkard.Config.seed } in
     let local_best = ref infinity and since = ref 0 and stalled = ref false in
     let observe (it : Burkard.iteration) =
-      (if patience > 0 then
-         if it.Burkard.penalized < !local_best -. epsilon then begin
-           local_best := it.Burkard.penalized;
-           since := 0
-         end
-         else begin
-           incr since;
-           if !since >= patience then stalled := true
-         end);
-      report_improvement k it
+      if patience > 0 then
+        if it.Burkard.penalized < !local_best -. epsilon then begin
+          local_best := it.Burkard.penalized;
+          since := 0
+        end
+        else begin
+          incr since;
+          if !since >= patience then stalled := true
+        end
     in
     let stop () = should_stop () || !stalled in
     (* per-attempt scratch pool, created on the worker domain so the
@@ -250,6 +226,8 @@ let solve ?(config = Burkard.Config.default) ?(max_rounds = 4) ?(factor = 8.0) ?
     in
     go 0 None
   in
+  (* one start's completion at a time, whichever domain ran it *)
+  let lock = Mutex.create () in
   let completed report best_feasible =
     match on_start_complete with
     | None -> ()

@@ -1,6 +1,6 @@
-(** The search driver: the engine's primary stage and the bare
-    [qbpart solve -a qbp] path are each one call to {!solve} (DESIGN.md
-    D18).
+(** The search driver: the engine's primary stage, which answers every
+    [qbpart solve -a qbp], is one call to {!solve} (DESIGN.md D18,
+    D33).
 
     Section 5 of the paper observes that the Burkard iteration lands
     near the same cost from many random starts.  Generation 0 turns
@@ -19,8 +19,7 @@
 
     Determinism contract (DESIGN.md D7, extended as D12):
 
-    - starts never couple {e within} a generation — the shared
-      incumbent is used for best-so-far reporting only, so each start
+    - starts never couple {e within} a generation, so each start
       runs exactly the trajectory its seed dictates; generation
       results are admitted to the pool in ascending global start
       index, so the pool state (and hence every child) is a pure
@@ -121,7 +120,6 @@ val solve :
   ?should_stop:(unit -> bool) ->
   ?stall:int * float ->
   ?gap_solver:Burkard.gap_solver ->
-  ?on_improvement:(start:int -> cost:float -> feasible:bool -> unit) ->
   ?on_start_complete:(start_report -> (Assignment.t * float) option -> unit) ->
   Problem.t ->
   result
@@ -164,9 +162,7 @@ val solve :
     generations are dropped once it fires.
     [stall] is a per-start [(patience, epsilon)] guard: a start whose
     penalized cost has not improved by [epsilon] for [patience]
-    iterations stops (default [(0, 0.0)], disabled).  [on_improvement]
-    is called under the incumbent lock, possibly from another domain,
-    whenever a start improves the global best-so-far.
+    iterations stops (default [(0, 0.0)], disabled).
 
     Supervision: an attempt that raises never aborts the run — it is
     retried up to [retries] more times (default 0) with
@@ -176,14 +172,14 @@ val solve :
     raised only when every executed start failed.  [skip] (for
     checkpoint resume of a one-generation run) excludes start indices
     entirely: they run nothing and produce no report.
-    [on_start_complete] is called under the incumbent lock as each
-    start finishes — with the start's report and a copy of its
-    feasible champion, if any — so a caller can checkpoint progress
-    without waiting for the join.
+    [on_start_complete] is called under a lock as each start finishes
+    — with the start's report and a copy of its feasible champion, if
+    any — so a caller can checkpoint progress without waiting for the
+    join.
 
-    [gap_solver], [on_improvement] and [on_start_complete] closures
-    run concurrently on several domains when [jobs > 1] — stateful
-    fault injectors are only safe with [jobs = 1].
+    [gap_solver] and [on_start_complete] closures run on several
+    domains when [jobs > 1] — stateful fault injectors are only safe
+    with [jobs = 1].
 
     @raise Invalid_argument on non-positive [starts], [jobs],
     [inner_jobs], [generations], [pool_size] or negative [retries],

@@ -315,14 +315,13 @@ let worker_loop t () =
 
 (* --- API ----------------------------------------------------------- *)
 
-let create ?(workers = 2) ?(checkpoint_dir = ".") ?replicate_dir ?queue_weight ~queue_capacity
-    ~metrics () =
+let create ?(workers = 2) ?(checkpoint_dir = ".") ?replicate_dir ~queue_capacity ~metrics () =
   if workers < 1 then invalid_arg "Scheduler.create: workers must be >= 1";
   let t =
     {
       mu = Mutex.create ();
       changed = Condition.create ();
-      queue = Queue.create ?weight:queue_weight ~capacity:queue_capacity ();
+      queue = Queue.create ~capacity:queue_capacity ();
       jobs = Hashtbl.create 64;
       metrics;
       checkpoint_dir;

@@ -41,7 +41,6 @@ val create :
   ?workers:int ->
   ?checkpoint_dir:string ->
   ?replicate_dir:string ->
-  ?queue_weight:int ->
   queue_capacity:int ->
   metrics:Metrics.t ->
   unit ->
@@ -52,9 +51,8 @@ val create :
     checkpoint store: every engine checkpoint is mirrored to
     [replicate_dir/qbpartd-<instance hash>.ckpt], and {!submit}
     auto-resumes from a matching store entry ({!store_resume}) — the
-    fleet's failover and idempotent-retry mechanism.  [queue_weight]
-    is the interactive:batch dequeue weight (default
-    {!Queue.default_weight}).
+    fleet's failover and idempotent-retry mechanism.  The queue
+    dequeues interactive and batch jobs at {!Queue.default_weight}.
     @raise Invalid_argument if [workers < 1] or [queue_capacity < 0]. *)
 
 (** {1 The solve spec}

@@ -3,7 +3,6 @@ type config = {
   socket_path : string;
   tcp : (string * int) option;
   max_queue : int;
-  queue_weight : int;
   workers : int;
   checkpoint_dir : string;
   replicate_dir : string option;
@@ -19,7 +18,6 @@ let default_config ~socket_path =
     socket_path;
     tcp = None;
     max_queue = 16;
-    queue_weight = Queue.default_weight;
     workers = 2;
     checkpoint_dir = ".";
     replicate_dir = None;
@@ -79,8 +77,7 @@ let create config =
       let metrics = Metrics.create () in
       let sched =
         Scheduler.create ~workers:config.workers ~checkpoint_dir:config.checkpoint_dir
-          ?replicate_dir:config.replicate_dir ~queue_weight:config.queue_weight
-          ~queue_capacity:config.max_queue ~metrics ()
+          ?replicate_dir:config.replicate_dir ~queue_capacity:config.max_queue ~metrics ()
       in
       let sessions =
         Session.create

@@ -22,9 +22,6 @@ type config = {
   tcp : (string * int) option;
       (** also listen on this TCP host/port, same protocol and framing *)
   max_queue : int;       (** queued-job bound; beyond it submits get [overloaded] *)
-  queue_weight : int;
-      (** interactive:batch dequeue weight of the two-lane queue (see
-          {!Queue.create}) *)
   workers : int;         (** worker domains *)
   checkpoint_dir : string;  (** interrupted jobs leave [qbpartd-<id>.ckpt] here *)
   replicate_dir : string option;
@@ -41,8 +38,7 @@ type config = {
 }
 
 val default_config : socket_path:string -> config
-(** [max_queue = 16], [queue_weight = Queue.default_weight],
-    [workers = 2], [checkpoint_dir = "."], no TCP, no replication,
+(** [max_queue = 16], [workers = 2], [checkpoint_dir = "."], no TCP, no replication,
     [max_frame = Frame.default_max], [shard_id = "qbpartd"],
     [conn_timeout = 60.0], no faults. *)
 

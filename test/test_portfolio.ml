@@ -263,22 +263,6 @@ let test_stopped_run_starts_nothing () =
        r.Evolve.reports);
   check Alcotest.(option int) "start 0's answer" (Some 0) r.Evolve.winner
 
-let test_portfolio_on_improvement () =
-  let problem = random_problem 9 in
-  let calls = ref [] in
-  let r =
-    Evolve.solve
-      ~config:{ Burkard.Config.default with iterations = 10 }
-      ~jobs:2 ~starts:3 ~generations:1
-      ~on_improvement:(fun ~start ~cost:_ ~feasible:_ -> calls := start :: !calls)
-      problem
-  in
-  (* the incumbent only ever improves, so the callback fires at least
-     once on any run that found something *)
-  match r.Evolve.best with
-  | Some _ -> check Alcotest.bool "reported improvements" true (!calls <> [])
-  | None -> ()
-
 (* ------------------------------------------------------------------ *)
 (* Supervision: injected failures are retried, recorded, and only a
    total wipe-out aborts the run.  All tests run [jobs = 1] because the
@@ -458,7 +442,6 @@ let () =
           Alcotest.test_case "should_stop" `Quick test_portfolio_should_stop;
           Alcotest.test_case "stopped run starts nothing new" `Quick
             test_stopped_run_starts_nothing;
-          Alcotest.test_case "on_improvement" `Quick test_portfolio_on_improvement;
         ] );
       ( "supervision",
         [
