@@ -368,7 +368,6 @@ let kernels ?(baselines_only = false) inst =
   (* gain-bucket structure over the same maintained gains state: the
      selection rows below race it against the GFM-style row scan *)
   let buckets = Buckets.create nl topo gains in
-  Buckets.reset buckets;
   let bucket_legal ~j ~target = Gains.move_fits gains topo ~j ~target in
   (* GKL swap selection in the state production runs it on: the
      instance's feasible reference (Table III tightness, slack 1.08)

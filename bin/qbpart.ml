@@ -102,6 +102,7 @@ let parse_assignment nl topo path =
             | Some j -> j
             | None -> Scan.fail sc "unknown component %S" comp
           in
+          if assignment.(j) >= 0 then Scan.fail sc "duplicate component %S" comp;
           assignment.(j) <-
             (match Hashtbl.find_opt by_name slot with
             | Some i -> i

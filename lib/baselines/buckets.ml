@@ -19,7 +19,17 @@ module Wire = Qbpart_netlist.Wire
    A cell is linked only while that count is 0 — or 1 with the lone
    violator sitting at the cell's destination, the one case where a
    swap with that violator could still be legal.  On Table III most
-   cells are parked this way, so the selections never see them. *)
+   cells are parked this way, so the selections never see them.  The
+   counts are exact at all times: [create] counts once, and every move
+   through this module (applied or rewound) patches the mover's
+   partners.
+
+   Padding (GKL's dummies, or any component without wires or budgets
+   whose every move delta is 0.0) never enters the buckets: every move
+   of it prices exactly 0.0 whatever happens elsewhere, so the
+   selections take padding candidates in id order, from [pads] or from
+   per-partition lists of the unlocked padding, instead of walking
+   them. *)
 type t = {
   nl : Netlist.t;
   topo : Topology.t;
@@ -61,6 +71,12 @@ type t = {
   dflat : float array;     (* flat D *)
   tbad : int array;        (* n*m: partners the cell's move violates *)
   tsum : int array;        (* n*m: the sum of their ids *)
+  (* padding *)
+  pad : bool array;        (* n *)
+  pads : int array;        (* the padding ids, ascending *)
+  pad_head : int array;    (* m: the partition's smallest unlocked padding, -1 = none *)
+  pad_next : int array;    (* n: the next larger unlocked padding of the same partition *)
+  pad_prev : int array;    (* n *)
 }
 
 let is_locked t j = t.locked.(j)
@@ -113,14 +129,15 @@ let[@inline] timing_live t c i =
 (* Bring j's cells in line with the current assignment, gains and
    timing counts: the m-1 live ones linked in their (row, key) bucket,
    the rest unlinked.  A cell already in its bucket stays put; locked
-   components keep all cells out until reset. *)
+   components keep all cells out until reset, padding keeps them out
+   for good. *)
 let relink_component t j =
   let m = t.m and base = j * t.m in
   if t.locked.(j) then
     for i = 0 to m - 1 do
       unlink t (base + i)
     done
-  else begin
+  else if not t.pad.(j) then begin
     let from = t.a.(j) in
     let row_base = from * m in
     for i = 0 to m - 1 do
@@ -159,9 +176,9 @@ let recount t j =
     done
 
 (* x moved from [from] to [target]: patch its partners' counts (x's
-   row holds the budgets mirrored: D_C(x, j') out, D_C(j', x) in) and
-   relink them *)
-let shift_partners t x ~from ~target =
+   row holds the budgets mirrored: D_C(x, j') out, D_C(j', x) in) and,
+   with [relink], relink them *)
+let shift_partners t x ~from ~target ~relink =
   match t.cons with
   | None -> ()
   | Some c ->
@@ -180,16 +197,38 @@ let shift_partners t x ~from ~target =
           t.tsum.(base + i) <- t.tsum.(base + i) + (s * x)
         end
       done;
-      relink_component t j'
+      if relink then relink_component t j'
     done
+
+(* The unlocked padding lists: y joins or leaves the list of its
+   current partition a.(y). *)
+let pad_insert t y =
+  let i = t.a.(y) in
+  let pv = ref (-1) and nx = ref t.pad_head.(i) in
+  while !nx >= 0 && !nx < y do
+    pv := !nx;
+    nx := t.pad_next.(!nx)
+  done;
+  t.pad_prev.(y) <- !pv;
+  t.pad_next.(y) <- !nx;
+  if !pv >= 0 then t.pad_next.(!pv) <- y else t.pad_head.(i) <- y;
+  if !nx >= 0 then t.pad_prev.(!nx) <- y
+
+let pad_remove t y =
+  let pv = t.pad_prev.(y) and nx = t.pad_next.(y) in
+  if pv >= 0 then t.pad_next.(pv) <- nx else t.pad_head.(t.a.(y)) <- nx;
+  if nx >= 0 then t.pad_prev.(nx) <- pv
 
 let lock t j =
   if not t.locked.(j) then begin
     t.locked.(j) <- true;
-    let base = j * t.m in
-    for i = 0 to t.m - 1 do
-      unlink t (base + i)
-    done
+    if t.pad.(j) then pad_remove t j
+    else begin
+      let base = j * t.m in
+      for i = 0 to t.m - 1 do
+        unlink t (base + i)
+      done
+    end
   end
 
 let reset t =
@@ -203,13 +242,14 @@ let reset t =
   let gmin = ref infinity and gmax = ref neg_infinity in
   for j = 0 to t.n - 1 do
     let from = a.(j) in
-    for i = 0 to t.m - 1 do
-      if i <> from then begin
-        let g = df.((j * t.m) + i) in
-        if g < !gmin then gmin := g;
-        if g > !gmax then gmax := g
-      end
-    done
+    if not t.pad.(j) then
+      for i = 0 to t.m - 1 do
+        if i <> from then begin
+          let g = df.((j * t.m) + i) in
+          if g < !gmin then gmin := g;
+          if g > !gmax then gmax := g
+        end
+      done
   done;
   if !gmin > !gmax then begin
     (* no movable cell (m = 1 or n = 0) *)
@@ -225,17 +265,20 @@ let reset t =
   for k = 1 to t.nbuckets - 1 do
     t.lbs.(k) <- t.g0 +. (float_of_int (k - 1) *. t.q)
   done;
-  for j = 0 to t.ncons - 1 do
-    recount t j
-  done;
   for j = 0 to t.n - 1 do
     let from = a.(j) in
     let base = j * t.m and row_base = from * t.m in
-    for i = 0 to t.m - 1 do
-      let c = base + i in
-      if i <> from && timing_live t c i then
-        link t c ~row:(row_base + i) ~key:(key_of t df.(c))
-    done
+    if not t.pad.(j) then
+      for i = 0 to t.m - 1 do
+        let c = base + i in
+        if i <> from && timing_live t c i then
+          link t c ~row:(row_base + i) ~key:(key_of t df.(c))
+      done
+  done;
+  Array.fill t.pad_head 0 t.m (-1);
+  (* descending ids: each insert lands at its list's head *)
+  for k = Array.length t.pads - 1 downto 0 do
+    pad_insert t t.pads.(k)
   done
 
 (* The GKL swap delta is gA(j1) + gB(j2) + corr, where corr re-adds
@@ -270,10 +313,33 @@ let corr_lower_bound nl topo gains =
          (Float.min (beta *. !wmax *. !smin) (beta *. !wmax *. !smax)))
   end
 
+(* Padding: no wires, no budgets and a move delta of exactly 0.0 to
+   every partition.  Nothing can change such a row: only a wired
+   neighbour's move patches a row, and the component's own move rebases
+   zeros on a zero. *)
+let padding nl constraints ~ncons deltas ~m =
+  let xadj = Netlist.adj_offsets nl in
+  let zero_row j =
+    let z = ref true in
+    for i = 0 to m - 1 do
+      if deltas.((j * m) + i) <> 0.0 then z := false
+    done;
+    !z
+  in
+  Array.init (Netlist.n nl) (fun j ->
+      xadj.(j) = xadj.(j + 1)
+      && (j >= ncons || Constraints.partner_degree (Option.get constraints) j = 0)
+      && zero_row j)
+
 let create ?(nbuckets = 128) ?constraints nl topo gains =
   let nbuckets = max 8 nbuckets in
   let m = Gains.m gains in
   let n = Netlist.n nl in
+  let ncons = match constraints with Some c -> min n (Constraints.n c) | None -> 0 in
+  let pad = padding nl constraints ~ncons (Gains.deltas gains) ~m in
+  let pads = Array.make (Array.fold_left (fun k p -> if p then k + 1 else k) 0 pad) 0 in
+  let k = ref 0 in
+  Array.iteri (fun j p -> if p then (pads.(!k) <- j; incr k)) pad;
   let npairs = m * (m - 1) / 2 in
   let pair_lo = Array.make npairs 0 and pair_hi = Array.make npairs 0 in
   let q = ref 0 in
@@ -319,32 +385,56 @@ let create ?(nbuckets = 128) ?constraints nl topo gains =
       sel_d = [| infinity |];
       sel_j = [| -1; -1 |];
       cons = constraints;
-      ncons = (match constraints with Some c -> min n (Constraints.n c) | None -> 0);
+      ncons;
       dflat = Topology.d_flat topo;
       tbad = (match constraints with Some _ -> Array.make (n * m) 0 | None -> [||]);
       tsum = (match constraints with Some _ -> Array.make (n * m) 0 | None -> [||]);
+      pad;
+      pads;
+      pad_head = Array.make m (-1);
+      pad_next = Array.make (max 1 n) (-1);
+      pad_prev = Array.make (max 1 n) (-1);
     }
   in
+  for j = 0 to ncons - 1 do
+    recount t j
+  done;
   reset t;
   t
 
 let apply_move t ~j ~target =
   let from = t.a.(j) in
-  Gains.apply_move t.gains ~j ~target;
-  if j < t.ncons && target <> from then shift_partners t j ~from ~target;
-  relink_component t j;
-  let xadj = Netlist.adj_offsets t.nl in
-  let anbr = Netlist.adj_targets t.nl in
-  for k = xadj.(j) to xadj.(j + 1) - 1 do
-    relink_component t anbr.(k)
-  done
+  if t.pad.(j) then begin
+    let listed = target <> from && not t.locked.(j) in
+    if listed then pad_remove t j;
+    Gains.apply_move t.gains ~j ~target;
+    if listed then pad_insert t j
+  end
+  else begin
+    Gains.apply_move t.gains ~j ~target;
+    if j < t.ncons && target <> from then shift_partners t j ~from ~target ~relink:true;
+    relink_component t j;
+    let xadj = Netlist.adj_offsets t.nl in
+    let anbr = Netlist.adj_targets t.nl in
+    for k = xadj.(j) to xadj.(j + 1) - 1 do
+      relink_component t anbr.(k)
+    done
+  end
 
-let apply_swap t ~j1 ~j2 =
+let rewind_move t ~j ~target =
+  let from = t.a.(j) in
+  Gains.apply_move t.gains ~j ~target;
+  if j < t.ncons && target <> from then shift_partners t j ~from ~target ~relink:false
+
+let swap move t ~j1 ~j2 =
   let p1 = t.a.(j1) and p2 = t.a.(j2) in
   if p1 <> p2 then begin
-    apply_move t ~j:j1 ~target:p2;
-    apply_move t ~j:j2 ~target:p1
+    move t ~j:j1 ~target:p2;
+    move t ~j:j2 ~target:p1
   end
+
+let apply_swap t ~j1 ~j2 = swap apply_move t ~j1 ~j2
+let rewind_swap t ~j1 ~j2 = swap rewind_move t ~j1 ~j2
 
 (* Advance a row's min-key pointer past emptied buckets, and retreat
    its max-key pointer below them (lazy: unlink never moves them back,
@@ -370,15 +460,35 @@ let retreat t row =
 let no_move ~j:_ ~target:_ = true
 let no_swap ~j1:_ ~j2:_ = true
 
-(* GFM: walk every row's buckets upward while their bound can still
-   beat the incumbent.  A cell is filtered by its exact delta, then by
-   capacity on the flat arrays ([Gains.move_fits]'s expression) and
-   its timing count (a move is timing-legal iff it violates no
-   partner), and only then reaches [legal]. *)
+(* GFM: the padding first (every move of it prices 0.0, so the first
+   (j, i) in id order that fits and is legal wins among them), then
+   every row's buckets upward while their bound can still beat the
+   incumbent.  A cell is filtered by its exact delta, then by capacity
+   on the flat arrays ([Gains.move_fits]'s expression) and its timing
+   count (a move is timing-legal iff it violates no partner), and only
+   then reaches [legal]. *)
 let best_move ?(legal = no_move) t =
   let m = t.m and nb = t.nbuckets and timed = t.ncons > 0 in
   let df = t.df and sizes = t.sizes and lbs = t.lbs and next = t.next in
   let best_d = ref infinity and best_j = ref (-1) and best_i = ref (-1) in
+  let np = Array.length t.pads and x = ref 0 in
+  while !x < np do
+    let j = t.pads.(!x) in
+    let i = ref (if t.locked.(j) then m else 0) in
+    while !i < m do
+      let dst = !i in
+      if dst <> t.a.(j) && t.loads.(dst) +. sizes.(j) <= t.cap.(dst) && legal ~j ~target:dst
+      then begin
+        best_d := df.((j * m) + dst);
+        best_j := j;
+        best_i := dst;
+        i := m;
+        x := np
+      end
+      else incr i
+    done;
+    incr x
+  done;
   for row = 0 to (m * m) - 1 do
     let count = t.row_count.(row) in
     if count > 0 then begin
@@ -428,7 +538,7 @@ let[@inline] end_ok t ~j ~at ~other =
    its exact delta is [Gains.swap_delta] computed over the flat table
    in the same operation order (so ties compare bit for bit), then the
    (delta, j1, j2) order decides, and only a winner reaches the timing
-   check and [legal]. *)
+   check and [legal].  True when the pair became the incumbent. *)
 let consider t ~legal ja jb =
   let m = t.m and a = t.a and df = t.df in
   let j1 = if ja < jb then ja else jb and j2 = if ja < jb then jb else ja in
@@ -451,19 +561,95 @@ let consider t ~legal ja jb =
   then begin
     t.sel_d.(0) <- d;
     t.sel_j.(0) <- j1;
-    t.sel_j.(1) <- j2
+    t.sel_j.(1) <- j2;
+    true
   end
+  else false
 
-(* Every swap between partitions p1 < p2 pairs a cell of row p1->p2
-   (its component ja sits in p1) with one of row p2->p1.  Row p1->p2
-   is walked bucket by bucket; for each ja, the non-empty buckets of
-   p2->p1 are walked upward while da + lb(bucket) can still beat the
-   incumbent.  Those keys are compacted into [nz] on first use, so no
-   empty bucket is stepped over twice in one visit.  Per partner the
-   filters run cheapest first: the delta-sum bound, then capacity on
-   the flat arrays ([Gains.swap_fits]'s expressions), then the exact
-   delta in [consider]. *)
-let visit_pair t ~legal p1 p2 =
+(* dummy×dummy: every such swap prices exactly 0.0, so the winner among
+   them is the first (x, y) in id order that lies across two
+   partitions, fits both capacities ([visit_pair]'s expressions) and
+   is legal; padding carries no budgets, so timing passes.  Run first,
+   against no incumbent. *)
+let padding_pair t ~legal =
+  let m = t.m and a = t.a and sizes = t.sizes and loads = t.loads and cap = t.cap in
+  let pads = t.pads in
+  let np = Array.length pads and ix = ref 0 in
+  while !ix < np do
+    let x = pads.(!ix) in
+    let iy = ref (if t.locked.(x) then np else !ix + 1) in
+    while !iy < np do
+      let y = pads.(!iy) in
+      let px = a.(x) and py = a.(y) in
+      if
+        (not t.locked.(y))
+        && px <> py
+        && loads.(px) -. sizes.(x) +. sizes.(y) <= cap.(px)
+        && loads.(py) -. sizes.(y) +. sizes.(x) <= cap.(py)
+        && legal ~j1:x ~j2:y
+      then begin
+        t.sel_d.(0) <- t.df.((x * m) + py) +. t.df.((y * m) + px);
+        t.sel_j.(0) <- x;
+        t.sel_j.(1) <- y;
+        iy := np;
+        ix := np
+      end
+      else incr iy
+    done;
+    incr ix
+  done
+
+(* real×dummy: each live cell j -> dst of [row] whose delta can still
+   beat the incumbent pairs with dst's padding, which prices it at
+   exactly the cell's delta; among those, the smallest padding id that
+   fits wins, so the walk stops at the first one [consider] takes (a
+   tie it loses, or [legal] refusing, moves on to the next).  A cell
+   whose timing count is not 0 cannot move beside padding. *)
+let visit_padding t ~legal row ~src ~dst =
+  let m = t.m and nb = t.nbuckets and timed = t.ncons > 0 in
+  let df = t.df and sizes = t.sizes and lbs = t.lbs and next = t.next and heads = t.heads in
+  let sel_d = t.sel_d and pad_next = t.pad_next in
+  let base = row * nb and count = t.row_count.(row) in
+  let load_s = t.loads.(src) and cap_s = t.cap.(src) in
+  let load_d = t.loads.(dst) and cap_d = t.cap.(dst) in
+  let k = ref t.min_key.(row) and seen = ref 0 in
+  while !k < nb && !seen < count do
+    let head = heads.(base + !k) in
+    if head < 0 then incr k
+    else if lbs.(!k) <= sel_d.(0) then begin
+      let c = ref head in
+      while !c >= 0 do
+        incr seen;
+        if df.(!c) <= sel_d.(0) && ((not timed) || t.tbad.(!c) = 0) then begin
+          let j = !c / m in
+          let sj = sizes.(j) in
+          let rest_s = load_s -. sj in
+          let y = ref t.pad_head.(dst) in
+          while !y >= 0 do
+            let py = !y in
+            let sy = sizes.(py) in
+            y := pad_next.(py);
+            if rest_s +. sy <= cap_s && load_d -. sy +. sj <= cap_d && consider t ~legal j py then
+              y := -1
+          done
+        end;
+        c := next.(!c)
+      done;
+      incr k
+    end
+    else k := nb
+  done
+
+(* real×real: every such swap between partitions p1 < p2 pairs a cell
+   of row p1->p2 (its component ja sits in p1) with one of row p2->p1.
+   Row p1->p2 is walked bucket by bucket; for each ja, the non-empty
+   buckets of p2->p1 are walked upward while da + lb(bucket) can still
+   beat the incumbent.  Those keys are compacted into [nz] on first
+   use, so no empty bucket is stepped over twice in one visit.  Per
+   partner the filters run cheapest first: the delta-sum bound, then
+   capacity on the flat arrays ([Gains.swap_fits]'s expressions), then
+   the exact delta in [consider]. *)
+let visit_real t ~legal p1 p2 =
   let m = t.m and nb = t.nbuckets in
   let df = t.df and sizes = t.sizes and lbs = t.lbs and next = t.next and heads = t.heads in
   let corr = t.corr_lb and sel_d = t.sel_d and nz = t.nz in
@@ -506,7 +692,8 @@ let visit_pair t ~legal p1 p2 =
                   if da +. df.(!c2) +. corr <= sel_d.(0) then begin
                     let jb = !c2 / m in
                     let sb = sizes.(jb) in
-                    if rest1 +. sb <= cap1 && load2 -. sb +. sa <= cap2 then consider t ~legal ja jb
+                    if rest1 +. sb <= cap1 && load2 -. sb +. sa <= cap2 then
+                      ignore (consider t ~legal ja jb : bool)
                   end;
                   c2 := next.(!c2)
                 done;
@@ -523,11 +710,21 @@ let visit_pair t ~legal p1 p2 =
     else ka := nb
   done
 
-(* Pairs are visited best-first by the bound of their two lowest
-   buckets, so a strong incumbent is found early and most later pairs
-   fail their first bound; once one key exceeds the incumbent every
-   later one does too.  The winner is the lexicographic minimum over
-   all candidates, so the visiting order cannot change it. *)
+let visit_pair t ~legal p1 p2 =
+  let ra = (p1 * t.m) + p2 and rb = (p2 * t.m) + p1 in
+  let ca = t.row_count.(ra) and cb = t.row_count.(rb) in
+  if ca > 0 && t.pad_head.(p2) >= 0 then visit_padding t ~legal ra ~src:p1 ~dst:p2;
+  if cb > 0 && t.pad_head.(p1) >= 0 then visit_padding t ~legal rb ~src:p2 ~dst:p1;
+  if ca > 0 && cb > 0 then visit_real t ~legal p1 p2
+
+(* The padding pairs first, then the partition pairs best-first by the
+   bound of their lowest buckets: the lower of the two rows' sum (plus
+   the correction bound) and each row's own bound where the other
+   partition has padding.  A strong incumbent is found early and most
+   later pairs fail their first bound; once one key exceeds the
+   incumbent every later one does too.  The winner is the lexicographic
+   minimum over all candidates, so the visiting order cannot change
+   it. *)
 let best_swap ?(legal = no_swap) t =
   let m = t.m in
   let npairs = Array.length t.order in
@@ -535,10 +732,11 @@ let best_swap ?(legal = no_swap) t =
   for q = 0 to npairs - 1 do
     let p1 = t.pair_lo.(q) and p2 = t.pair_hi.(q) in
     let ra = (p1 * m) + p2 and rb = (p2 * m) + p1 in
-    key.(q) <-
-      (if t.row_count.(ra) > 0 && t.row_count.(rb) > 0 then
-         lbs.(advance t ra) +. lbs.(advance t rb) +. t.corr_lb
-       else infinity)
+    let la = if t.row_count.(ra) > 0 then lbs.(advance t ra) else infinity in
+    let lb = if t.row_count.(rb) > 0 then lbs.(advance t rb) else infinity in
+    let k = if la < infinity && lb < infinity then la +. lb +. t.corr_lb else infinity in
+    let k = if t.pad_head.(p2) >= 0 && la < k then la else k in
+    key.(q) <- (if t.pad_head.(p1) >= 0 && lb < k then lb else k)
   done;
   (* insertion sort: the order is left from the previous call and the
      keys move little between two selections *)
@@ -555,10 +753,11 @@ let best_swap ?(legal = no_swap) t =
   t.sel_d.(0) <- infinity;
   t.sel_j.(0) <- -1;
   t.sel_j.(1) <- -1;
+  padding_pair t ~legal;
   let pos = ref 0 in
   while !pos < npairs do
     let q = order.(!pos) in
-    (* real keys are finite or -inf; +inf marks a pair with an empty row *)
+    (* real keys are finite or -inf; +inf marks a pair with nothing to pair *)
     if key.(q) = infinity || key.(q) > t.sel_d.(0) then pos := npairs
     else begin
       visit_pair t ~legal t.pair_lo.(q) t.pair_hi.(q);

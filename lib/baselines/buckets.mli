@@ -23,6 +23,18 @@
     lower-bound is the sum of two bucket bounds plus a precomputed
     direct-wire correction bound.
 
+    {2 Padding}
+
+    A component without wires or timing budgets whose every move
+    delta is exactly [0.0] (Kernighan & Lin's dummies from
+    {!Gkl.with_dummies}: no wires, and a zero P column) is padding.
+    Nothing can change its row, so its cells never enter the buckets:
+    each partition keeps its unlocked padding in ascending id order,
+    updated as padding moves and locks, and the selections take
+    padding candidates in id order (a dummy×dummy swap is exactly
+    [0.0], a real×dummy swap exactly the real cell's delta) instead of
+    walking them.
+
     {2 Gain scaling and overflow}
 
     Gains are floats; keys are [floor ((g - g0) / q) + 1] with [g0]/[q]
@@ -47,13 +59,21 @@ val create :
     8) trades memory ({m M²·nbuckets} ints) against quantization
     collisions.  With [constraints], selection is timing-legal too
     (see below); components from [Constraints.n] on (GKL's padding
-    dummies) carry no budgets.  The structure starts linked, as after
-    {!reset}. *)
+    dummies) carry no budgets.  Counts every cell's timing violations,
+    once, and recognises the padding; the structure starts linked,
+    exactly as {!reset} would leave it, so a first pass needs no
+    reset.
+
+    {b Count invariant.}  The timing counts stay exact as long as the
+    assignment changes only through {!apply_move}, {!apply_swap},
+    {!rewind_move} and {!rewind_swap}; a move made on the gains table
+    directly leaves them stale. *)
 
 val reset : t -> unit
 (** Start-of-pass: unlock everything, refit the gain scale to the
-    current gain range, recount the cells' timing violations, relink
-    every cell.  {m O((N + B)·M + M²·nbuckets)} for {m B} budgets. *)
+    current real gain range, relink every cell and rebuild the padding
+    lists.  The timing counts are taken as they stand (see the count
+    invariant).  {m O(N·M + M²·nbuckets)}. *)
 
 val lock : t -> int -> unit
 (** Lock a component for the rest of the pass: its cells are unlinked
@@ -68,6 +88,15 @@ val apply_move : t -> j:int -> target:int -> unit
 
 val apply_swap : t -> j1:int -> j2:int -> unit
 (** Exchange two components' partitions (two moves). *)
+
+val rewind_move : t -> j:int -> target:int -> unit
+(** End-of-pass rewind step: [Gains.apply_move] plus the timing
+    partners' counts, without relinking anything.  Cheaper than
+    {!apply_move}, but it leaves the links and the padding lists
+    stale: call {!reset} before the next selection, lock or apply. *)
+
+val rewind_swap : t -> j1:int -> j2:int -> unit
+(** {!rewind_move} for both ends of a swap, as {!apply_swap}. *)
 
 (** {2 Selection and the [legal] contract}
 
@@ -106,7 +135,11 @@ val best_swap : ?legal:(j1:int -> j2:int -> bool) -> t -> (int * int * float) op
 (** [best_swap t] is [Some (j1, j2, delta)] ([j1 < j2]) for the
     capacity- and timing-feasible, legal cross-partition swap
     minimizing [(delta, j1, j2)] lexicographically — exactly the pair
-    the GKL pair scan selects.  Partition pairs are visited best-first
-    by the bound of their two lowest buckets; within a pair,
-    candidates are pruned by bucket bounds plus a precomputed lower
-    bound on the direct-wire correction term. *)
+    the GKL pair scan selects.  It is the minimum of three sources:
+    the first dummy×dummy pair in id order that fits; each live real
+    cell beside the smallest-id padding of its destination that fits;
+    and the real×real bucket walk.  Partition pairs are visited
+    best-first by the bound of their lowest buckets, the real×dummy
+    bounds included; within a pair, candidates are pruned by bucket
+    bounds plus a precomputed lower bound on the direct-wire
+    correction term. *)

@@ -55,7 +55,8 @@ let solve ?(config = default_config) ?p ?alpha ?beta ?constraints
     incr passes;
     improved := false;
     Array.fill locked 0 n false;
-    Option.iter Buckets.reset buckets;
+    (* create left the first pass's structure *)
+    if !passes > 1 then Option.iter Buckets.reset buckets;
     let trail = ref [] in (* (j, from), most recent first *)
     let trail_len = ref 0 in
     let cum = ref 0.0 in
@@ -108,13 +109,16 @@ let solve ?(config = default_config) ?p ?alpha ?beta ?constraints
           best_len := !trail_len
         end
     done;
-    (* rewind to the best prefix *)
+    (* rewind to the best prefix; the bucket rewind keeps the timing
+       counts exact for the next pass's reset *)
     let rewind = !trail_len - !best_len in
     let rec undo k trail =
       if k > 0 then
         match trail with
         | (j, from) :: rest ->
-          Gains.apply_move gains ~j ~target:from;
+          (match buckets with
+          | Some b -> Buckets.rewind_move b ~j ~target:from
+          | None -> Gains.apply_move gains ~j ~target:from);
           undo (k - 1) rest
         | [] -> assert false
     in

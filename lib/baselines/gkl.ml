@@ -113,7 +113,8 @@ let solve ?(config = default_config) ?p ?alpha ?beta ?constraints
     incr outer;
     improved := false;
     Array.fill locked 0 n false;
-    Option.iter Buckets.reset buckets;
+    (* create left the first pass's structure *)
+    if !outer > 1 then Option.iter Buckets.reset buckets;
     let trail = ref [] in (* (j1, j2) applied swaps, most recent first *)
     let trail_len = ref 0 in
     let cum = ref 0.0 and best_cum = ref 0.0 and best_len = ref 0 in
@@ -169,11 +170,15 @@ let solve ?(config = default_config) ?p ?alpha ?beta ?constraints
         else incr stall
     done;
     let rewind = !trail_len - !best_len in
+    (* the bucket rewind keeps the timing counts exact for the next
+       pass's reset *)
     let rec undo k trail =
       if k > 0 then
         match trail with
         | (j1, j2) :: rest ->
-          Gains.apply_swap gains ~j1 ~j2;
+          (match buckets with
+          | Some b -> Buckets.rewind_swap b ~j1 ~j2
+          | None -> Gains.apply_swap gains ~j1 ~j2);
           undo (k - 1) rest
         | [] -> assert false
     in

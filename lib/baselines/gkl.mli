@@ -14,12 +14,16 @@
     end already moved).  Because exchanging two components of unequal
     size can break C1, capacity is re-checked per swap.
 
-    An additional inner-loop stall cutoff bounds the number of
-    consecutive non-improving swaps explored; KL's full pass is
-    retained when the cutoff is large.  This repository's default (80)
-    changes results negligibly while keeping the quadratic pair scan
-    affordable — the same trade the paper makes with its outer-loop
-    cutoff. *)
+    An additional inner-loop stall cutoff can bound the number of
+    consecutive non-improving swaps explored.  The default (1,000,000)
+    is effectively unbounded, so every pass is KL's full pass; the
+    bucket selection ({!Buckets}) is what keeps it affordable.
+
+    The padding dummies (see [dummies]) never enter the buckets: every
+    swap that involves one prices exactly a real cell's delta or 0.0,
+    so the selection takes them in id order instead of walking them.
+    Each pass rewinds through {!Buckets.rewind_swap}, which keeps the
+    timing counts exact, so the next pass only relinks. *)
 
 module Netlist := Qbpart_netlist.Netlist
 module Topology := Qbpart_topology.Topology

@@ -21,10 +21,10 @@ let check = Alcotest.check
 let shape_of_seed seed =
   match seed mod 3 with 0 -> (1, 2) | 1 -> (2, 2) | _ -> (4, 4)
 
-let random_setup seed ~n ~wires ~slack =
+let random_setup ?(shape = shape_of_seed) seed ~n ~wires ~slack =
   let rng = Rng.create seed in
   let nl = Generator.generate rng (Generator.default_params ~n ~wires) in
-  let rows, cols = shape_of_seed seed in
+  let rows, cols = shape seed in
   let m = rows * cols in
   let topo =
     Grid.make ~rows ~cols ~capacity:(Netlist.total_size nl /. float_of_int m *. slack) ()
@@ -76,11 +76,14 @@ let prop_gfm_bit_identical =
         && scan.Gfm.passes = buckets.Gfm.passes
         && scan.Gfm.moves = buckets.Gfm.moves)
 
+(* half the cases at M = 16, where GKL's dummies outnumber the real
+   components *)
 let prop_gkl_bit_identical =
-  QCheck.Test.make ~name:"GKL buckets == scan (assignment, cost, loops, swaps)" ~count:15
+  QCheck.Test.make ~name:"GKL buckets == scan (assignment, cost, loops, swaps)" ~count:40
     QCheck.(int_range 0 100_000)
     (fun seed ->
-      let rng, nl, topo = random_setup seed ~n:18 ~wires:50 ~slack:1.4 in
+      let shape seed = if seed mod 2 = 0 then (4, 4) else shape_of_seed seed in
+      let rng, nl, topo = random_setup ~shape seed ~n:18 ~wires:50 ~slack:1.4 in
       match feasible_start rng nl topo with
       | None -> true
       | Some initial ->
@@ -470,6 +473,91 @@ let prop_timing_aware_selection_oracle =
       done;
       !ok)
 
+(* Selections on GKL-padded instances, driven as GKL drives them: M =
+   16 at Table III tightness, planted budgets on half the seeds,
+   fractional wire weights on another half and a P matrix on a third,
+   padded by [Gkl.with_dummies] around the planted reference or a
+   scrambled copy.  Each step compares both selections with the scan
+   oracles, then mostly applies the selected swap as GKL does (lock
+   both ends, swap), and now and then locks, drifts, rewinds a suffix
+   of the applied swaps through [rewind_swap] and resets, or only
+   resets.  Over 20 seeds a sixth to a quarter of the winners are
+   dummy×dummy and as many real×dummy, and a timing count left stale by
+   a rewind would show as a wrong selection after the reset. *)
+let prop_padded_selection_oracle =
+  QCheck.Test.make
+    ~name:"best_swap/best_move == oracle on GKL-padded instances (swaps, locks, rewinds, resets)"
+    ~count:20
+    QCheck.(int_range 0 100_000)
+    (fun seed ->
+      let real_n = 60 + (seed mod 21) in
+      let rng, nl, topo, cons, reference = tight_setup seed ~n:real_n in
+      let start =
+        if seed mod 5 < 2 then reference else scrambled_start rng nl topo cons reference
+      in
+      let nl =
+        if seed mod 2 = 0 then nl
+        else Reweight.netlist nl (fun w -> Wire.weight w +. 0.25 +. Rng.float rng 1.0)
+      in
+      let constraints = if seed mod 4 < 2 then Some cons else None in
+      let p =
+        if seed mod 3 = 0 then
+          Some (Array.init 16 (fun _ -> Array.init real_n (fun _ -> Rng.float rng 3.0)))
+        else None
+      in
+      let nl, start, p =
+        Gkl.with_dummies ~chunks:Gkl.default_config.Gkl.dummies ?p nl topo start
+      in
+      let n = Netlist.n nl in
+      let gains = Gains.create ?p nl topo start in
+      let buckets = Buckets.create ?constraints nl topo gains in
+      let a = Gains.assignment gains in
+      let swap_ok ~j1 ~j2 =
+        match constraints with
+        | None -> true
+        | Some c -> swap_timing_oracle c topo a ~real_n ~j1 ~j2
+      in
+      let move_ok ~j ~i =
+        match constraints with
+        | None -> true
+        | Some c -> move_timing_oracle c topo a ~real_n ~j ~i
+      in
+      let same x y =
+        match (x, y) with
+        | Some (j1, j2, d), Some (j1', j2', d') -> j1 = j1' && j2 = j2' && d = d'
+        | None, None -> true
+        | _ -> false
+      in
+      let trail = ref [] and ok = ref true in
+      for _ = 1 to 80 do
+        let selected = Buckets.best_swap buckets in
+        if not (same selected (oracle_best_swap ~legal:swap_ok gains topo buckets)) then
+          ok := false;
+        if not (same (Buckets.best_move buckets) (oracle_best_move ~legal:move_ok gains topo buckets))
+        then ok := false;
+        match (Rng.int rng 20, selected) with
+        | 0, _ -> Buckets.lock buckets (Rng.int rng n)
+        | 1, _ ->
+          let j1 = Rng.int rng n and j2 = Rng.int rng n in
+          Buckets.apply_swap buckets ~j1 ~j2
+        | 2, _ ->
+          let rec rewind k = function
+            | (j1, j2) :: rest when k > 0 ->
+              Buckets.rewind_swap buckets ~j1 ~j2;
+              rewind (k - 1) rest
+            | rest -> rest
+          in
+          trail := rewind (Rng.int rng (List.length !trail + 1)) !trail;
+          Buckets.reset buckets
+        | 3, _ | _, None -> Buckets.reset buckets
+        | _, Some (j1, j2, _) ->
+          Buckets.lock buckets j1;
+          Buckets.lock buckets j2;
+          Buckets.apply_swap buckets ~j1 ~j2;
+          trail := (j1, j2) :: !trail
+      done;
+      !ok)
+
 let () =
   let q = QCheck_alcotest.to_alcotest in
   Alcotest.run "buckets"
@@ -484,5 +572,10 @@ let () =
           Alcotest.test_case "tie-breaking, all-zero gains" `Quick test_tie_breaking_all_zero;
         ] );
       ( "tightness",
-        [ q prop_gfm_tight; q prop_gkl_tight; q prop_timing_aware_selection_oracle ] );
+        [
+          q prop_gfm_tight;
+          q prop_gkl_tight;
+          q prop_timing_aware_selection_oracle;
+          q prop_padded_selection_oracle;
+        ] );
     ]
