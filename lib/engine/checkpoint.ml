@@ -383,10 +383,9 @@ let load ~path =
    hashing the instance it was asked to solve. *)
 let store_path ~dir ~hash = Filename.concat dir (Printf.sprintf "qbpartd-%Lx.ckpt" hash)
 
-let validate cp problem =
-  let expected = instance_hash problem in
-  if not (Int64.equal cp.instance_hash expected) then
-    Error (Instance_mismatch { expected; got = cp.instance_hash })
+let validate ~hash cp problem =
+  if not (Int64.equal cp.instance_hash hash) then
+    Error (Instance_mismatch { expected = hash; got = cp.instance_hash })
   else
     (* Hash match is necessary but not sufficient: a 64-bit collision
        (or a forged store file) must not resume the wrong instance. *)

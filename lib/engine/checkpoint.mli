@@ -125,10 +125,12 @@ val store_path : dir:string -> hash:int64 -> string
     convention: keyed by {!instance_hash} so any shard can locate a dead
     peer's last checkpoint for the instance it was handed. *)
 
-val validate : t -> Problem.t -> (unit, error) result
-(** [Error (Instance_mismatch _)] unless the checkpoint's hash matches
-    [instance_hash problem]; [Error (Fingerprint_mismatch _)] when the
-    hash matches but the stored structural fingerprint does not — a
-    colliding or corrupted checkpoint is rejected, not resumed. *)
+val validate : hash:int64 -> t -> Problem.t -> (unit, error) result
+(** [hash] is {!instance_hash} of [problem], computed by the caller, as
+    for {!make}: [validate] itself does not hash.
+    [Error (Instance_mismatch _)] unless the checkpoint's hash matches
+    it; [Error (Fingerprint_mismatch _)] when the hash matches but the
+    stored structural fingerprint does not — a colliding or corrupted
+    checkpoint is rejected, not resumed. *)
 
 val error_to_string : error -> string

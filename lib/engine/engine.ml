@@ -556,11 +556,13 @@ let solve ?(config = Config.default) ?deadline ?initial ?fault ?on_checkpoint ?r
          incumbent (validated below like any [initial]) and excludes
          the starts it already ran; the elapsed budget it carries is
          added to every checkpoint written from here on. *)
+      (* one hash serves the resume check and every checkpoint *)
+      let hash = lazy (Checkpoint.instance_hash problem) in
       let resume_resolved =
         match resume with
         | None -> Ok (initial, (fun _ -> false), 0.0, [], -1)
         | Some cp -> (
-          match Checkpoint.validate cp problem with
+          match Checkpoint.validate ~hash:(Lazy.force hash) cp problem with
           | Error e -> Error (Error.Resume_rejected (Checkpoint.error_to_string e))
           | Ok () ->
             let done_ = List.map (fun s -> s.Checkpoint.start) cp.Checkpoint.starts in
@@ -634,7 +636,7 @@ let solve ?(config = Config.default) ?deadline ?initial ?fault ?on_checkpoint ?r
               | Some notify ->
                 Some
                   {
-                    hash = Checkpoint.instance_hash problem;
+                    hash = Lazy.force hash;
                     inc = Assignment.copy start;
                     inc_cost = Problem.objective problem start;
                     inc_start = init_start;

@@ -240,7 +240,9 @@ val solve :
     after the safety net is secured, as each start completes
     (possibly from a worker domain, serialized by the search driver's
     lock), and at every stage boundary — the caller decides whether
-    and where to persist it ({!Checkpoint.save}).  [resume] validates
+    and where to persist it ({!Checkpoint.save}).  The instance is
+    hashed at most once per call, for [resume] and [on_checkpoint]
+    together.  [resume] validates
     the checkpoint against the instance (structural hash), replaces
     [initial] with its incumbent, skips the starts it already ran, and
     accounts its consumed budget into every checkpoint written by this

@@ -17,7 +17,7 @@ let min_cost_into (g : Gap.t) min_cost =
    its own, ascending, one byte each at [cand.(j*m ..)], [len.(j)] of
    them; -1 until built.  With more than 256 knapsacks nothing is kept
    and every visit scans.  [active] holds a shift-only improvement's
-   items still off their minimum, ascending. *)
+   items whose list is not empty, ascending. *)
 type lists = { len : int array; cand : Bytes.t; active : int array }
 
 let lists ~m ~n =
@@ -29,21 +29,43 @@ let lists ~m ~n =
 
 (* [min_cost] is [min_cost_into]'s per-item minimum: an item already at
    its unconstrained cheapest knapsack has no strictly cheaper one, so
-   the shift never visits it.  A NaN cost is never at its minimum. *)
+   the swap improver's shift never visits it.  A NaN cost is never at
+   its minimum. *)
 let off_min (g : Gap.t) assignment min_cost j =
   not (g.Gap.cost.((j * g.Gap.m) + assignment.(j)) <= min_cost.(j))
 
+(* Build item [j]'s list, as its first full scan would; true if a
+   knapsack is strictly cheaper than its own.  With no list kept the
+   length stays -1, so every visit scans. *)
+let build_list (g : Gap.t) assignment lists j =
+  let m = g.Gap.m and cost = g.Gap.cost and cand = lists.cand in
+  let keep = Bytes.length cand > 0 in
+  let base = j * m in
+  let from_cost = cost.(base + assignment.(j)) in
+  let k = ref base in
+  for i = 0 to m - 1 do
+    if cost.(base + i) < from_cost then begin
+      if keep then Bytes.set cand !k (Char.chr i);
+      incr k
+    end
+  done;
+  if keep then lists.len.(j) <- !k - base;
+  !k > base
+
 (* Move item [j] to the first of the cheapest fitting knapsacks
-   strictly cheaper than its own, if there is one; true if it moved.
-   The item's first visit is the full scan, which also records its
+   strictly cheaper than its own, if there is one; true if a knapsack
+   strictly cheaper than its own, after the move, remains.  A visit to
+   an item with no built list is the full scan, which also records its
    list; costs do not change during an improvement, so later visits
    walk the list, in the same ascending order with the same test, and
    pick the knapsack the full scan would.  Every entry is strictly
    cheaper than the item's own knapsack, so the walk's running best
    starts at +infinity.  After a move to [i] the list becomes the old
-   entries strictly cheaper than [i], a subset of it.  A NaN cost
-   fails every [<] and enters no list; a NaN own cost leaves the list
-   empty, as the full scan moves nothing then. *)
+   entries strictly cheaper than [i], a subset of it.  With no list
+   kept the scan's [lo], the cheapest of those entries, answers the
+   same question.  A NaN cost fails every [<] and enters no list; a
+   NaN own cost leaves the list empty, as the full scan moves nothing
+   then. *)
 let shift_item (g : Gap.t) assignment residual lists j =
   let m = g.Gap.m in
   let cost = g.Gap.cost and weight = g.Gap.weight in
@@ -54,6 +76,7 @@ let shift_item (g : Gap.t) assignment residual lists j =
   let from_cost = cost.(base + from) in
   let best = ref from in
   let best_cost = ref infinity in
+  let lo = ref infinity in
   let l = len.(j) in
   if l >= 0 then
     for t = base to base + l - 1 do
@@ -72,6 +95,7 @@ let shift_item (g : Gap.t) assignment residual lists j =
           Bytes.set cand !k (Char.chr i);
           incr k
         end;
+        if c < !lo then lo := c;
         if weight.(base + i) <= residual.(i) && c < !best_cost then begin
           best := i;
           best_cost := c
@@ -80,8 +104,7 @@ let shift_item (g : Gap.t) assignment residual lists j =
     done;
     if keep then len.(j) <- !k - base
   end;
-  if !best = from then false
-  else begin
+  if !best <> from then begin
     let i = !best in
     residual.(from) <- residual.(from) +. weight.(base + from);
     residual.(i) <- residual.(i) -. weight.(base + i);
@@ -94,16 +117,19 @@ let shift_item (g : Gap.t) assignment residual lists j =
         incr k
       end
     done;
-    if keep then len.(j) <- !k - base;
-    true
-  end
+    if keep then len.(j) <- !k - base
+  end;
+  if keep then len.(j) > 0 else !lo < cost.(base + assignment.(j))
 
 (* One pass over every item, skipping those at their minimum. *)
 let shift_pass (g : Gap.t) assignment residual min_cost lists =
   let improved = ref false in
   for j = 0 to g.Gap.n - 1 do
-    if off_min g assignment min_cost j && shift_item g assignment residual lists j then
-      improved := true
+    if off_min g assignment min_cost j then begin
+      let from = assignment.(j) in
+      ignore (shift_item g assignment residual lists j : bool);
+      if assignment.(j) <> from then improved := true
+    end
   done;
   !improved
 
@@ -157,20 +183,22 @@ let residual_of g assignment =
 
 (* In-place variants: the pooled MTHG path already owns a residual
    array consistent with the assignment, so improvement runs without a
-   single allocation.  Every call starts with no list built: they
+   single allocation.  Every call starts from lists of its own: they
    belong to one cost matrix and one starting assignment.
 
-   Under shifts alone an item at its minimum never moves again, and the
-   others move only when visited.  So each pass visits, ascending, the
-   items the previous one left off their minimum (at first, all that
-   are off it), and drops the ones that reach it.  The visits, and so
-   the moves, are a full pass's. *)
-let shift_in_place g assignment ~residual ~min_cost ~lists =
-  Array.fill lists.len 0 g.Gap.n (-1);
+   Under shifts alone an item's list only shrinks: it changes only when
+   the item moves, to the entries strictly cheaper than its new
+   knapsack.  An item with an empty list never moves again, and the
+   others move only when visited.  So every list is built first, and
+   each pass visits, ascending, the items the previous one left with a
+   non-empty list (at first, all that have one), and drops the ones
+   whose list empties.  The visits it skips could move nothing, so the
+   moves are a full pass's. *)
+let shift_in_place g assignment ~residual ~lists =
   let active = lists.active in
   let len = ref 0 in
   for j = 0 to g.Gap.n - 1 do
-    if off_min g assignment min_cost j then begin
+    if build_list g assignment lists j then begin
       active.(!len) <- j;
       incr len
     end
@@ -181,17 +209,18 @@ let shift_in_place g assignment ~residual ~min_cost ~lists =
     let kept = ref 0 in
     for t = 0 to !len - 1 do
       let j = active.(t) in
-      if shift_item g assignment residual lists j then moved := true;
-      if off_min g assignment min_cost j then begin
+      let from = assignment.(j) in
+      if shift_item g assignment residual lists j then begin
         active.(!kept) <- j;
         incr kept
-      end
+      end;
+      if assignment.(j) <> from then moved := true
     done;
     len := !kept
   done
 
-(* A swap can move an item off its minimum, so this one keeps full
-   passes. *)
+(* A swap can move an item to a dearer knapsack and drops its list, so
+   this one keeps full passes and skips by the minima. *)
 let shift_and_swap_in_place g assignment ~residual ~min_cost ~lists =
   Array.fill lists.len 0 g.Gap.n (-1);
   let continue = ref true in
@@ -209,7 +238,7 @@ let min_cost_of g =
 let shift g assignment =
   let a = Array.copy assignment in
   let residual = residual_of g a in
-  shift_in_place g a ~residual ~min_cost:(min_cost_of g) ~lists:(lists ~m:g.Gap.m ~n:g.Gap.n);
+  shift_in_place g a ~residual ~lists:(lists ~m:g.Gap.m ~n:g.Gap.n);
   a
 
 let shift_and_swap g assignment =

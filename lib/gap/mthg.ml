@@ -58,7 +58,7 @@ type workspace = {
   mutable heap_r : float array;  (* lazy max-heap of (regret, item) entries *)
   mutable heap_j : int array;
   mutable heap_len : int;
-  min_cost : float array;        (* n: per-item cheapest cost, for the shift skip *)
+  min_cost : float array;        (* n: per-item cheapest cost, for the swap improver's skip *)
   mutable fitted : bool;         (* the last minima scan found the cheapest placement fits *)
   lists : Improve.lists;         (* the shift's candidate lists *)
   mutable memo_id : int;         (* Gap.weights_id the memos were built on; -1: none *)
@@ -424,15 +424,27 @@ let construct ?(criterion = Cost) (g : Gap.t) =
 type improver = [ `None | `Shift | `Shift_and_swap ]
 
 (* In-place improver for the pooled path: [residual] must already be
-   consistent with [a] (construction leaves it that way), and
-   [min_cost] must hold this instance's per-item minima; the shift
-   lists are [ws]'s. *)
+   consistent with [a] (construction leaves it that way); the shift
+   lists are [ws]'s, and only [`Shift_and_swap] reads [min_cost], which
+   must then hold this instance's per-item minima. *)
 let improve_in_place improve g ws ~min_cost a ~residual =
   let lists = ws.lists in
   match improve with
   | `None -> ()
-  | `Shift -> Improve.shift_in_place g a ~residual ~min_cost ~lists
+  | `Shift -> Improve.shift_in_place g a ~residual ~lists
   | `Shift_and_swap -> Improve.shift_and_swap_in_place g a ~residual ~min_cost ~lists
+
+(* [improve_in_place] after a construction under [criterion] that
+   completed.  A [Cost] construction puts each item in its cheapest
+   knapsack that fits at that moment, and residuals only fall after
+   that (weights are positive), so no knapsack strictly cheaper than an
+   item's own ever fits it again: a shift cannot move, and [`Shift] is
+   skipped.  A swap can still improve, so [`Shift_and_swap] runs
+   (DESIGN.md D35). *)
+let improve_construction ~criterion improve g ws ~min_cost a ~residual =
+  match (criterion, improve) with
+  | Cost, `Shift -> ()
+  | _ -> improve_in_place improve g ws ~min_cost a ~residual
 
 (* The memo of cost-independent constructions is keyed on the
    instance's weight side ([Gap.weights_id]: Burkard's STEP-4 and
@@ -543,6 +555,18 @@ let cheapest_fits ~primed (g : Gap.t) ws =
   done;
   !fits
 
+let leads_with_cost = function Cost :: _ -> true | _ -> false
+
+(* The scan ends the solve when its cheapest placement fits and
+   [criteria] starts with [Cost]. *)
+let ends_at_scan ws criteria = ws.fitted && leads_with_cost criteria
+
+(* Run the minima scan, record whether its placement fitted, and tell
+   whether that placement, in [ws.out], is the answer. *)
+let scan_ends ~primed (g : Gap.t) ws criteria =
+  ws.fitted <- cheapest_fits ~primed g ws;
+  ends_at_scan ws criteria
+
 (* Every criterion's construction, improved in place; the cheapest
    (the first on ties) lands in [ws.out].  False if every construction
    got stuck.  [primed]: the first criterion is [Cost] and
@@ -564,7 +588,8 @@ let construct_sequential (g : Gap.t) ws criteria improve ~primed =
       if built then begin
         (* construction leaves ws.residual = capacity - loads(trial),
            so improvement runs in place with no setup *)
-        improve_in_place improve g ws ~min_cost:ws.min_cost ws.trial ~residual:ws.residual;
+        improve_construction ~criterion improve g ws ~min_cost:ws.min_cost ws.trial
+          ~residual:ws.residual;
         let c = Gap.cost_of g ws.trial in
         if (not !found) || c < !best_cost then begin
           found := true;
@@ -589,62 +614,90 @@ let ensure_legs (g : Gap.t) ws legs =
     ws.leg_built <- Bytes.make legs '\000'
   end
 
-(* Leg [k]: criterion [k]'s construction in leg workspace [k], improved
-   in place against [ws]'s minima, which it only reads.  Whichever
-   domain claims chunk [k] runs it, and it writes only its own
-   workspace and result slot. *)
-let run_leg (g : Gap.t) ws criteria improve ~primed k =
+(* Leg [k]: criterion [k]'s construction in leg workspace [k],
+   improved in place.  Whichever domain claims chunk [k] runs it, and
+   it writes only its own workspace and result slot.  [scan]: leg 0
+   first runs the minima scan, and builds nothing when the scan ends
+   the solve; meanwhile [ws]'s minima are being written, so the other
+   legs never read them, and a swap leg, the only reader, fills its
+   own.  Otherwise the minima were scanned before the fork and every
+   leg reads [ws]'s. *)
+let run_leg (g : Gap.t) ws criteria improve ~primed ~scan k =
   let lw = if k = 0 then ws else ws.legs.(k - 1) in
-  key_memo lw g;
-  let built = construct_memo g lw (List.nth criteria k) ~primed:(primed && k = 0) in
-  if built then begin
-    improve_in_place improve g lw ~min_cost:ws.min_cost lw.trial ~residual:lw.residual;
-    ws.leg_cost.(k) <- Gap.cost_of g lw.trial
-  end;
+  let built =
+    if k = 0 && scan && scan_ends ~primed g ws criteria then false
+    else begin
+      key_memo lw g;
+      let criterion = List.nth criteria k in
+      let built = construct_memo g lw criterion ~primed:(primed && k = 0) in
+      if built then begin
+        let min_cost =
+          match improve with
+          | `Shift_and_swap when scan && k > 0 ->
+            Improve.min_cost_into g lw.min_cost;
+            lw.min_cost
+          | _ -> ws.min_cost
+        in
+        improve_construction ~criterion improve g lw ~min_cost lw.trial ~residual:lw.residual;
+        ws.leg_cost.(k) <- Gap.cost_of g lw.trial
+      end;
+      built
+    end
+  in
   Bytes.unsafe_set ws.leg_built k (if built then '\001' else '\000')
 
 (* [construct_sequential]'s answer with the legs fork-joined on
    [pool], reduced as it reduces them: the first leg that built,
-   replaced only by a strictly cheaper one (DESIGN.md D28). *)
-let construct_forked pool (g : Gap.t) ws criteria improve ~primed =
+   replaced only by a strictly cheaper one (DESIGN.md D28).  With
+   [scan], leg 0's scan may have ended the solve instead, its answer
+   already in [ws.out]. *)
+let construct_forked pool (g : Gap.t) ws criteria improve ~primed ~scan =
   let legs = List.length criteria in
   ensure_legs g ws legs;
-  Dompool.parallel_for pool ~chunks:legs (run_leg g ws criteria improve ~primed);
-  let best = ref (-1) in
-  for k = 0 to legs - 1 do
-    if Bytes.unsafe_get ws.leg_built k = '\001'
-       && (!best < 0 || ws.leg_cost.(k) < ws.leg_cost.(!best))
-    then best := k
-  done;
-  if !best >= 0 then begin
-    let winner = if !best = 0 then ws else ws.legs.(!best - 1) in
-    Array.blit winner.trial 0 ws.out 0 g.Gap.n
-  end;
-  !best >= 0
-
-let construct_best pool (g : Gap.t) ws criteria improve ~primed =
-  match criteria with
-  | _ :: _ :: _ when Dompool.size pool > 1 -> construct_forked pool g ws criteria improve ~primed
-  | _ -> construct_sequential g ws criteria improve ~primed
+  Dompool.parallel_for pool ~chunks:legs (run_leg g ws criteria improve ~primed ~scan);
+  if scan && ends_at_scan ws criteria then true
+  else begin
+    let best = ref (-1) in
+    for k = 0 to legs - 1 do
+      if Bytes.unsafe_get ws.leg_built k = '\001'
+         && (!best < 0 || ws.leg_cost.(k) < ws.leg_cost.(!best))
+      then best := k
+    done;
+    if !best >= 0 then begin
+      let winner = if !best = 0 then ws else ws.legs.(!best - 1) in
+      Array.blit winner.trial 0 ws.out 0 g.Gap.n
+    end;
+    !best >= 0
+  end
 
 let solve ?ws ?(pool = Dompool.sequential) ?(criteria = all_criteria) ?(improve = `Shift_and_swap)
     g =
   Gap.verify_domain g;
   let ws = ensure_ws ws g in
-  (* the scan fills the minima the improvers' shift skip reads, so a
-     solve with no improver skips it, and the early return and the
-     shared initial refresh with it.  A scan that ends in the early
-     return wastes that refresh, so the scan does it only after a scan
-     of this workspace that did not end there (DESIGN.md D26). *)
-  let scan = match improve with `None -> false | `Shift | `Shift_and_swap -> true in
-  let primed =
-    scan && (not ws.fitted) && match criteria with Cost :: _ -> true | _ -> false
+  (* the scan fills the minima the swap improver's skip reads, and
+     finds the early return, which [Cost] must lead for; with neither
+     it is skipped.  A scan that ends in the early return wastes the
+     shared initial refresh, so the scan does it only after a scan of
+     this workspace that did not end there (DESIGN.md D26). *)
+  let scan =
+    match improve with
+    | `None -> false
+    | `Shift -> leads_with_cost criteria
+    | `Shift_and_swap -> true
   in
-  let cheapest = scan && cheapest_fits ~primed g ws in
-  if scan then ws.fitted <- cheapest;
-  match criteria with
-  | Cost :: _ when cheapest -> Some ws.out
-  | _ -> if construct_best pool g ws criteria improve ~primed then Some ws.out else None
+  let primed = scan && (not ws.fitted) && leads_with_cost criteria in
+  let forked = match criteria with _ :: _ :: _ -> Dompool.size pool > 1 | _ -> false in
+  (* after a scan that did not fit the next one almost never fits, so
+     a forked solve then scans inside leg 0, beside the other legs,
+     instead of before the fork (DESIGN.md D35) *)
+  let found =
+    if forked && scan && not ws.fitted then
+      construct_forked pool g ws criteria improve ~primed ~scan:true
+    else if scan && scan_ends ~primed g ws criteria then true
+    else if forked then construct_forked pool g ws criteria improve ~primed ~scan:false
+    else construct_sequential g ws criteria improve ~primed
+  in
+  if found then Some ws.out else None
 
 (* [a] sorted in place by [key] descending.  This is [Array.sort]'s
    ternary heap sort step for step — same comparisons, same moves — so

@@ -69,12 +69,16 @@ val solve :
     locally improve each feasible result (default [`Shift_and_swap]),
     return the cheapest.  [None] if every construction got stuck —
     with very tight capacities the greedy can fail even when the
-    instance is feasible.  The improvement's shift passes skip items
-    already at their cheapest knapsack (the per-item minima, computed
-    once per call and shared by every criterion) and walk each other
-    item's candidate list instead of every knapsack (DESIGN.md D24);
-    with [`Shift] alone, the passes after the first visit only the
-    items still off their minimum (D26).  With [?ws]
+    instance is feasible.  The improvement's shift passes walk each
+    item's candidate list, the knapsacks strictly cheaper than its own,
+    instead of every knapsack (DESIGN.md D24).  With [`Shift] alone
+    they visit only the items whose list is not empty (D35); with
+    [`Shift_and_swap], every item not already at its cheapest knapsack
+    (the per-item minima, computed once per call by the scan below,
+    D16).  After a [Cost] construction that completed, [`Shift] is
+    skipped: the construction put each item in its cheapest knapsack
+    that fitted at that moment, and residuals only fall after that, so
+    no shift could move (D35).  With [?ws]
     the cost-independent constructions come from the workspace's memo.
     Each construction sorts its items' first regrets once and keeps
     only the entries its refresh cascade adds on the lazy heap,
@@ -83,20 +87,22 @@ val solve :
     every entry goes on the heap instead (D26).  None of it changes
     any result.
 
-    The scan for those minima also places each item at the first
-    knapsack of its minimum.  When [criteria] starts with [Cost], every
-    minimum is finite and every knapsack's load [l] fits its capacity
-    [c] with a margin for rounding ([l + 4(n+1)·ε·(c + l) ≤ c]), that
-    placement is returned at once, with no construction, improvement
-    or other criterion: it is exactly what they would return
-    (DESIGN.md D22).  Any other list, and [`None], always constructs.
-    Otherwise, when [criteria] starts with [Cost] and an improver
-    runs, the same scan can also compute each item's best and
-    second-best cost among the knapsacks whose capacity holds it, and
-    the [Cost] construction then starts from those instead of
-    rescanning.  The scan does so only when the workspace's previous
-    scan did not end in that early return, where the top-2 would go
-    unused; a fresh workspace counts as one whose scan did (D26).
+    The minima scan runs when an improver runs and either [criteria]
+    starts with [Cost] or the improver is [`Shift_and_swap]; it also
+    places each item at the first knapsack of its minimum.  When
+    [criteria] starts with [Cost], every minimum is finite and every
+    knapsack's load [l] fits its capacity [c] with a margin for
+    rounding ([l + 4(n+1)·ε·(c + l) ≤ c]), that placement is returned
+    at once, with no construction, improvement or other criterion: it
+    is exactly what they would return (DESIGN.md D22).  Any other list,
+    and [`None], always constructs.  Otherwise, when [criteria] starts
+    with [Cost] and an improver runs, the same scan can also compute
+    each item's best and second-best cost among the knapsacks whose
+    capacity holds it, and the [Cost] construction then starts from
+    those instead of rescanning.  The scan does so only when the
+    workspace's previous scan did not end in that early return, where
+    the top-2 would go unused; a fresh workspace counts as one whose
+    scan did (D26).
 
     [?pool] (default {!Qbpart_pool.Dompool.sequential}): when it has
     more than one domain and [criteria] has more than one entry, the
@@ -104,11 +110,20 @@ val solve :
     ({!Qbpart_pool.Dompool.parallel_for}).  Chunk [k] always works in
     the same workspace, whichever domain claims it: the first
     criterion in [?ws] itself, each further one in a workspace of its
-    own that [?ws] keeps, with its own memo and shift lists.  Every
-    leg reads the minima of [?ws] and writes only its own workspace.
-    The cheapest placement wins as above, the first on ties, so the
-    answer is bit-identical for every pool size (DESIGN.md D28).  The
-    early return and the shared initial refresh run before the fork.
+    own that [?ws] keeps, with its own memo and shift lists.  Each leg
+    writes only its own workspace.  The cheapest placement wins as
+    above, the first on ties, so the answer is bit-identical for every
+    pool size (DESIGN.md D28).  Where the scan runs follows the same
+    signal as the top-2: after a scan of this workspace that ended in
+    the early return, and on a fresh workspace, it runs before the
+    fork, and an early return forks nothing.  After a scan that did not
+    end there the next one seldom does, so the fork comes first and
+    leg 0 runs the scan: when the scan ends the solve, leg 0 builds
+    nothing and returns its placement (the join still waits for the
+    other legs); otherwise leg 0 goes on to its construction.  The
+    other legs then never read [?ws]'s minima, which leg 0 is writing:
+    [`Shift] does not read them, and under [`Shift_and_swap] each
+    computes its own.  Both orders give the same answer (D35).
     The legs call the construction and improvement directly, never
     this entry point, so no borrowed instance's domain check is lifted:
     {!Gap.verify_domain} still guards every call on the caller's

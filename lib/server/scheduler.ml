@@ -128,7 +128,7 @@ let store_resume ~dir (spec : Protocol.submit) problem ~hash =
   let path = Checkpoint.store_path ~dir ~hash in
   match Checkpoint.load ~path with
   | Ok cp
-    when Checkpoint.validate cp problem = Ok ()
+    when Checkpoint.validate ~hash cp problem = Ok ()
          && cp.Checkpoint.base_seed = spec.seed
          && List.for_all (fun s -> s.Checkpoint.start < spec.starts) cp.Checkpoint.starts ->
     Some (cp, path)
@@ -343,7 +343,8 @@ let submit t spec =
     Error (code, msg)
   | Ok problem ->
     (* the replicated store is the only reader of the hash here; the
-       engine takes its own, once, for the job's checkpoints *)
+       engine takes its own, once, for the job's resume check and
+       checkpoints *)
     let resume_from =
       Option.bind t.replicate_dir (fun dir ->
           store_resume ~dir spec problem ~hash:(Checkpoint.instance_hash problem))

@@ -99,7 +99,8 @@ val store_resume :
   dir:string -> Protocol.submit -> Problem.t -> hash:int64 -> (Checkpoint.t * string) option
 (** The store checkpoint [dir/qbpartd-<hash>.ckpt] with its path,
     when a solve of this spec may resume from it: it validates
-    against the instance and was written under the same base seed by
+    against the instance, whose {!Checkpoint.instance_hash} [hash] must
+    be (it is not recomputed), and was written under the same base seed by
     a run whose recorded starts are all below the spec's [starts].
     Anything else — missing, corrupt, foreign — is [None]. *)
 

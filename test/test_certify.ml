@@ -202,7 +202,7 @@ let test_checkpoints_emitted_and_valid () =
   check Alcotest.bool "checkpoints were emitted" true (List.length cps >= 2);
   List.iter
     (fun cp ->
-      (match Checkpoint.validate cp problem with
+      (match Checkpoint.validate ~hash:(Checkpoint.instance_hash problem) cp problem with
       | Ok () -> ()
       | Error e -> fail ("emitted checkpoint invalid: " ^ Checkpoint.error_to_string e));
       let c = Certify.check ~claimed:cp.Checkpoint.incumbent_cost problem cp.Checkpoint.incumbent in

@@ -329,10 +329,10 @@ let test_instance_hash_and_validate () =
     Checkpoint.make ~hash:h1 ~problem:p1 ~base_seed:7 ~elapsed:1.5 ~incumbent:(Array.make n 0)
       ~incumbent_cost:12.0 ~starts:[] ()
   in
-  (match Checkpoint.validate cp p1 with
+  (match Checkpoint.validate ~hash:h1 cp p1 with
   | Ok () -> ()
   | Error e -> fail ("own instance rejected: " ^ Checkpoint.error_to_string e));
-  match Checkpoint.validate cp p2 with
+  match Checkpoint.validate ~hash:(Checkpoint.instance_hash p2) cp p2 with
   | Ok () -> fail "foreign instance accepted"
   | Error (Checkpoint.Instance_mismatch _) -> ()
   | Error e -> fail ("wrong error: " ^ Checkpoint.error_to_string e)
@@ -347,22 +347,23 @@ let test_hash_collision_rejected () =
     Checkpoint.make ~hash:(Checkpoint.instance_hash p2) ~problem:p2 ~base_seed:3 ~elapsed:0.5
       ~incumbent:(Array.make (Problem.n p2) 0) ~incumbent_cost:4.0 ~starts:[] ()
   in
-  let forged = { cp2 with Checkpoint.instance_hash = Checkpoint.instance_hash p1 } in
-  (match Checkpoint.validate forged p1 with
+  let h1 = Checkpoint.instance_hash p1 in
+  let forged = { cp2 with Checkpoint.instance_hash = h1 } in
+  (match Checkpoint.validate ~hash:h1 forged p1 with
   | Ok () -> fail "colliding-hash mismatched instance resumed"
   | Error (Checkpoint.Fingerprint_mismatch _) -> ()
   | Error e -> fail ("wrong error: " ^ Checkpoint.error_to_string e));
   (* the fingerprint survives a save/load round-trip *)
   (match Checkpoint.of_string (Checkpoint.to_string forged) with
   | Ok cp' -> (
-    match Checkpoint.validate cp' p1 with
+    match Checkpoint.validate ~hash:h1 cp' p1 with
     | Error (Checkpoint.Fingerprint_mismatch _) -> ()
     | Ok () -> fail "decoded colliding checkpoint resumed"
     | Error e -> fail ("wrong error after round-trip: " ^ Checkpoint.error_to_string e))
   | Error e -> fail ("round-trip failed: " ^ Checkpoint.error_to_string e));
   (* pre-v3 files carry no fingerprint: the hash check still governs *)
   let legacy = { forged with Checkpoint.fingerprint = None } in
-  match Checkpoint.validate legacy p1 with
+  match Checkpoint.validate ~hash:h1 legacy p1 with
   | Ok () -> ()
   | Error e -> fail ("legacy checkpoint rejected: " ^ Checkpoint.error_to_string e)
 

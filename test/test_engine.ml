@@ -202,21 +202,37 @@ let test_engine_single_start_inner_jobs () =
   (* a round's first refresh recomputes all n rows, and Repair fans
      it out from 128 invalid rows on *)
   check Alcotest.bool "past the fan-out cutoff" true (Problem.n problem >= 128);
-  let solve inner_jobs =
-    let o =
-      Engine.solve ~config:{ test_config with inner_jobs } ~initial:inst.Circuits.reference
-        problem
-      |> assert_ok
+  let same_for_every_inner_count ~config ~stage_name ?initial problem =
+    let solve inner_jobs =
+      let o = Engine.solve ~config:{ config with inner_jobs } ?initial problem |> assert_ok in
+      check Alcotest.bool "certified" true (Certify.ok o.Engine.certificate);
+      (o.Engine.assignment, o.Engine.cost, (stage stage_name o.Engine.report).Engine.Report.outcome)
     in
-    check Alcotest.bool "certified" true (Certify.ok o.Engine.certificate);
-    (o.Engine.assignment, o.Engine.cost, (stage "qbp" o.Engine.report).Engine.Report.outcome)
+    let reference = solve 1 in
+    List.iter
+      (fun inner_jobs ->
+        if solve inner_jobs <> reference then
+          fail (Printf.sprintf "inner_jobs %d moved the %s answer" inner_jobs stage_name))
+      [ 0; 2; 4 ]
   in
-  let reference = solve 1 in
-  List.iter
-    (fun inner_jobs ->
-      if solve inner_jobs <> reference then
-        fail (Printf.sprintf "inner_jobs %d moved the answer" inner_jobs))
-    [ 0; 2; 4 ]
+  same_for_every_inner_count ~config:test_config ~stage_name:"qbp" ~initial:inst.Circuits.reference
+    problem;
+  (* ckta on a 2x2 grid at slack 1.3 without timing, evolved from
+     greedy starts as a served job is: most of MTHG's minima scans fit
+     there and end the solve at once, so a forked solve scans before
+     the fork after a scan that fitted and inside leg 0 after one that
+     did not (DESIGN.md D35) *)
+  let loose = Circuits.build ~rows:2 ~cols:2 ~capacity_slack:1.3 (List.hd Circuits.table1) in
+  let evolve =
+    {
+      test_config with
+      qbp = { test_config.Engine.Config.qbp with Burkard.Config.seed = 3 };
+      starts = 3;
+      generations = 3;
+    }
+  in
+  same_for_every_inner_count ~config:evolve ~stage_name:"evolve"
+    (Circuits.problem ~with_timing:false loose)
 
 (* ------------------------------------------------------------------ *)
 (* Fault injection: every fault, same contract. *)

@@ -147,6 +147,46 @@ let prop_improve_never_worse =
         let improved = Improve.shift_and_swap g a in
         Gap.feasible g improved && Gap.cost_of g improved <= Gap.cost_of g a +. 1e-9)
 
+(* A completed [Cost] construction put each item in its cheapest
+   knapsack that fitted at that moment, and residuals only fell after
+   that, so no shift can move it: MTHG skips the shift there under
+   [`Shift] (DESIGN.md D35).  Costs are continuous, tied in {0, 1, 2}
+   or drawn from {+0.0, -0.0, 1, 2}, and now and then a quarter of
+   them -infinity or NaN (through [Gap.borrow], which does not check
+   them); weights depend on the knapsack or not; capacities run from
+   over-tight, where the construction gets stuck, to loose. *)
+let prop_cost_construction_shift_fixed =
+  QCheck.Test.make ~name:"shift leaves a completed Cost construction unchanged" ~count:300
+    QCheck.(int_range 0 100_000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let m = [| 1; 2; 3; 5; 16; 17 |].(Rng.int rng 6) and n = Rng.int rng 41 in
+      let draw =
+        match Rng.int rng 3 with
+        | 0 -> fun () -> Rng.float rng 10.0
+        | 1 -> fun () -> float_of_int (Rng.int rng 3)
+        | _ -> fun () -> [| 0.0; -0.0; 1.0; 2.0 |].(Rng.int rng 4)
+      in
+      let odd = [| None; Some neg_infinity; Some Float.nan |].(Rng.int rng 3) in
+      let cost =
+        Array.init (m * n) (fun _ ->
+            match odd with Some x when Rng.int rng 4 = 0 -> x | _ -> draw ())
+      in
+      let sizes = Array.init n (fun _ -> 0.5 +. Rng.float rng 1.5) in
+      let weight =
+        if Rng.int rng 2 = 0 then Gap.uniform_weights ~sizes ~m
+        else Array.init (m * n) (fun r -> sizes.(r / m) *. (0.5 +. Rng.float rng 1.0))
+      in
+      let total = Array.fold_left ( +. ) 0.0 sizes in
+      let slack = 0.8 +. Rng.float rng 2.0 in
+      let capacity =
+        Array.init m (fun _ -> total /. float_of_int m *. slack *. (0.8 +. Rng.float rng 0.4))
+      in
+      let g = Gap.borrow ~cost ~weight ~capacity ~n in
+      match Mthg.construct ~criterion:Mthg.Cost g with
+      | None -> true
+      | Some a -> Improve.shift g a = a)
+
 let () =
   let q = QCheck_alcotest.to_alcotest in
   Alcotest.run "gap"
@@ -179,5 +219,6 @@ let () =
           q prop_mthg_feasible;
           q prop_mthg_near_optimal;
           q prop_improve_never_worse;
+          q prop_cost_construction_shift_fixed;
         ] );
     ]

@@ -19,6 +19,7 @@ module Constraints = Qbpart_timing.Constraints
 module Assignment = Qbpart_partition.Assignment
 module Gap = Qbpart_gap.Gap
 module Mthg = Qbpart_gap.Mthg
+module Improve = Qbpart_gap.Improve
 module Dompool = Qbpart_pool.Dompool
 
 let check = Alcotest.check
@@ -841,6 +842,50 @@ let prop_shift_lists_match_oracle =
             [ `Shift; `Shift_and_swap ])
         [ 1; 2; 3 ])
 
+(* [Improve.shift] and [Improve.shift_and_swap] from a feasible start
+   against the oracle's full passes, on crowded instances: every item
+   prefers the first eight knapsacks, which hold an item or two each,
+   and starts in one of them where it fits, or else in one of the
+   roomy others.  The shifts contend there, so an item that found no
+   room in one pass moves in a later one, after another item left for
+   a cheaper knapsack.  With m = 257 no list is
+   kept, and each visit's scan decides whether its item stays active
+   (DESIGN.md D35). *)
+let prop_shift_crowded_matches_oracle =
+  QCheck.Test.make ~name:"shift from a crowded start equals the full-pass oracle" ~count:200
+    QCheck.(int_range 0 100_000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let m = [| 9; 17; 257 |].(Rng.int rng 3) and n = 1 + Rng.int rng 40 in
+      let cheap = 8 in
+      let cost =
+        Array.init m (fun i ->
+            Array.init n (fun _ ->
+                if i < cheap then [| 0.0; -0.0; 1.0; 2.0 |].(Rng.int rng 4)
+                else float_of_int (3 + Rng.int rng 2)))
+      in
+      let sizes = Array.init n (fun _ -> 0.5 +. Rng.float rng 1.5) in
+      let weight = Array.init m (fun _ -> Array.copy sizes) in
+      let total = Array.fold_left ( +. ) 0.0 sizes in
+      let capacity = Array.init m (fun i -> if i < cheap then 1.0 +. Rng.float rng 2.0 else total) in
+      let room = Array.copy capacity in
+      let start =
+        Array.init n (fun j ->
+            let i = Rng.int rng cheap in
+            if Rng.int rng 2 = 0 && sizes.(j) <= room.(i) then begin
+              room.(i) <- room.(i) -. sizes.(j);
+              i
+            end
+            else cheap + Rng.int rng (m - cheap))
+      in
+      let g = Gap.make ~cost ~weight ~capacity in
+      List.for_all
+        (fun swap ->
+          let a = Array.copy start in
+          Oracle.improve ~swap ~cost ~weight ~m ~n a (Oracle.residual_of ~weight ~capacity ~m a);
+          (if swap then Improve.shift_and_swap g start else Improve.shift g start) = a)
+        [ false; true ])
+
 (* Costs of -infinity, through [Gap.make], and NaN, through
    [Gap.borrow], which does not check them.  Two -infinity
    desirabilities among an item's fitting knapsacks give a NaN regret,
@@ -885,15 +930,19 @@ let prop_nan_regrets_match_reference =
    against the sequential solve and [Mthg_reference], bit for bit, at
    pool sizes 1, 2 and 3, each pool size with a workspace of its own
    that solves every instance of the case in turn (so the leg
-   workspaces' memos and lists are reused).  On top of [list_gap]'s
-   ties, -0.0 costs and stuck constructions: every cost now and then
-   equal, so that every leg ties and [Cost], the first, must win;
-   -infinity and NaN costs (through [Gap.borrow]); capacities now and
-   then ten times larger, where the cheapest placement fits and the
-   solve returns before any leg (D22).  The criteria lists have 1, 2
-   and 4 entries.  A pool whose helper is parked runs the legs on the
-   caller alone, in the same workspaces, so both schedules are
-   checked. *)
+   workspaces' memos and lists are reused).  m is drawn as in
+   [prop_shift_lists_match_oracle], 257 (no lists kept) included.  On
+   top of [list_gap]'s ties, -0.0 costs and stuck constructions: every
+   cost now and then equal, so that every leg ties and [Cost], the
+   first, must win; -infinity and NaN costs (through [Gap.borrow]).
+   Each case solves six instances, each at random loose (capacities
+   ten times larger, where the cheapest placement mostly fits and the
+   solve returns before any construction, D22) or tight, so that a
+   workspace's scan runs before the fork after a scan that fitted and
+   inside leg 0 after one that did not (D35), through every transition
+   between the two.  The criteria lists have 1, 2 and 4 entries.  A
+   pool whose helper is parked runs the legs on the caller alone, in
+   the same workspaces, so both schedules are checked. *)
 let forked_pools = lazy [ Dompool.acquire ~domains:2; Dompool.acquire ~domains:3 ]
 
 let prop_forked_mthg_matches_sequential =
@@ -902,23 +951,27 @@ let prop_forked_mthg_matches_sequential =
     QCheck.(int_range 0 100_000)
     (fun seed ->
       let rng = Rng.create seed in
-      let m = [| 1; 2; 3; 5; 16; 17 |].(Rng.int rng 6) in
-      let n = if Rng.int rng 10 = 0 then Rng.int rng 301 else Rng.int rng 41 in
+      let m = if seed mod 25 = 0 then 257 else [| 1; 2; 3; 5; 16; 17 |].(Rng.int rng 6) in
+      let n =
+        if m > 17 then Rng.int rng 13
+        else if Rng.int rng 10 = 0 then Rng.int rng 301
+        else Rng.int rng 41
+      in
       let pools = Dompool.sequential :: Lazy.force forked_pools in
       let wss = List.map (fun _ -> Mthg.workspace ~m ~n) pools in
       let seq_ws = Mthg.workspace ~m ~n and old_ws = Mthg_reference.Mthg.workspace ~m ~n in
       List.for_all
         (fun _ ->
           let cost, weight, capacity = list_gap rng ~m ~n in
-          (match Rng.int rng 5 with
+          (match Rng.int rng 4 with
           | 0 -> Array.iter (fun row -> Array.fill row 0 n 1.0) cost
           | 1 ->
             let odd = if Rng.int rng 2 = 0 then Float.nan else neg_infinity in
             Array.iter
               (fun row -> Array.iteri (fun j _ -> if Rng.int rng 4 = 0 then row.(j) <- odd) row)
               cost
-          | 2 -> Array.iteri (fun i c -> capacity.(i) <- 10.0 *. c) capacity
           | _ -> ());
+          if Rng.int rng 2 = 0 then Array.iteri (fun i c -> capacity.(i) <- 10.0 *. c) capacity;
           let g =
             let flat rows = Array.init (m * n) (fun r -> rows.(r mod m).(r / m)) in
             Gap.borrow ~cost:(flat cost) ~weight:(flat weight) ~capacity ~n
@@ -942,7 +995,7 @@ let prop_forked_mthg_matches_sequential =
                      && Mthg.solve_relaxed ~ws ~pool ~criteria ~improve g = expected_relaxed)
                    pools wss)
             [ `Shift; `Shift_and_swap ])
-        [ 1; 2; 3 ])
+        [ 1; 2; 3; 4; 5; 6 ])
 
 (* ------------------------------------------------------------------ *)
 (* Repair's candidate-row cache (DESIGN.md D16) against fresh rows.   *)
@@ -1578,6 +1631,7 @@ let () =
           Alcotest.test_case "mthg workspace shape checked" `Quick
             test_mthg_workspace_shape_checked;
           qt prop_shift_lists_match_oracle;
+          qt prop_shift_crowded_matches_oracle;
           qt prop_nan_regrets_match_reference;
           qt prop_forked_mthg_matches_sequential;
         ] );

@@ -1107,7 +1107,7 @@ let test_e2e_serving_contract () =
     | Ok cp -> cp
     | Error e -> fail ("checkpoint load: " ^ Checkpoint.error_to_string e)
   in
-  (match Checkpoint.validate cp problem with
+  (match Checkpoint.validate ~hash:(Checkpoint.instance_hash problem) cp problem with
   | Ok () -> ()
   | Error e -> fail ("checkpoint does not match its instance: " ^ Checkpoint.error_to_string e));
   let config =
